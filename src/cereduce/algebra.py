@@ -2,9 +2,12 @@
 
 A unital *-algebra of n x n matrices is unitarily equivalent to a direct
 sum of blocks B(C^{d_S}) otimes 1_{d_F}.  The decomposition is computed
-numerically from generic elements of the center and the commutant; the
-unitary it produces is validated against the block structure of every
-algebra basis element before being returned.
+numerically from a generic element of the center, which separates the
+blocks, and the algebra orbits of eigenvectors of a generic algebra
+element, which give each block's aligned multiplicity slices; the unitary
+it produces is validated against the block structure of every algebra
+basis element before being returned.  The commutant is read off the
+decomposition as the direct sum of blocks 1_{d_S} otimes B(C^{d_F}).
 
 From the decomposition one obtains the unique Hilbert-Schmidt-orthogonal
 conditional expectation onto the algebra, factorized into a CPTP
@@ -23,7 +26,6 @@ from .operators import (
     OperatorSubspace,
     Superoperator,
     eigh_clustered,
-    hs_norm,
     orthonormalize,
     superop_from_kraus,
 )
@@ -110,28 +112,30 @@ def algebra_closure(
 def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
     """All operators commuting with every element of the algebra.
 
-    Computed as the null space of the positive semidefinite Gram form
-    sum_i L_i^dag L_i of the commutator maps L_i(X) = [B_i, X], assembled
-    from Kronecker products so no large matrix factorization is needed.
+    Read off the block decomposition in closed form as
+    U ((+) 1_{d_S} otimes B(C^{d_F})) U^dag, with an HS-orthonormal
+    Hermitian basis.  A non-unital algebra is decomposed through its
+    unitization, which has the same commutant.
     """
     n = alg.ambient_dim
-    eye = np.eye(n, dtype=complex)
-    G = np.zeros((n * n, n * n), dtype=complex)
-    for B in alg.basis:
-        Bc = B.conj()
-        G += np.kron(eye, B.conj().T @ B)
-        G -= np.kron(B.T, B.conj().T)
-        G -= np.kron(Bc, B)
-        G += np.kron(Bc @ B.T, eye)
-    w, V = np.linalg.eigh(G)
-    w_max = max(float(w[-1]), 1.0)
-    null_cols = [V[:, j] for j in range(len(w)) if w[j] <= tol * w_max]
+    if not alg.unital:
+        unitization = orthonormalize([*alg.basis, np.eye(n, dtype=complex)], tol)
+        alg = StarAlgebra(space=unitization, unital=True)
+    dec = wedderburn(alg, tol)
     ops = []
-    for v in null_cols:
-        X = v.reshape((n, n), order="F")
-        ops.extend(_hermitian_parts(X))
-    space = orthonormalize(ops, tol)
-    return StarAlgebra(space=space, unital=True)
+    for k, (dS, dF) in enumerate(dec.blocks):
+        # column s * d_F + f of the block isometry is Uk[:, s, f]
+        Uk = dec.block_isometry(k).reshape(n, dS, dF)
+        for f in range(dF):
+            for g in range(f, dF):
+                # U (1_S otimes |f><g|) U^dag, split into unit-norm Hermitian parts
+                X = Uk[:, :, f] @ Uk[:, :, g].conj().T
+                real, imag = _hermitian_parts(X)
+                if f == g:
+                    ops.append(real / np.sqrt(dS))
+                else:
+                    ops += [real * np.sqrt(2 / dS), imag * np.sqrt(2 / dS)]
+    return StarAlgebra(space=OperatorSubspace(n, tuple(ops)), unital=True)
 
 
 def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
@@ -218,6 +222,12 @@ def _random_hermitian_in(space_basis, rng) -> np.ndarray:
     return (X + X.conj().T) / 2
 
 
+def _eigenspaces(H: np.ndarray, gap_tol: float):
+    """Eigenspaces of H, clustering eigenvalues closer than gap_tol times the spread."""
+    w = np.linalg.eigvalsh(H)
+    return eigh_clustered(H, gap_tol * max(float(w[-1] - w[0]), 1e-3))
+
+
 def wedderburn(
     alg: StarAlgebra,
     tol: float = DEFAULT_TOL,
@@ -227,24 +237,25 @@ def wedderburn(
     """Block decomposition of a unital *-algebra from generic elements.
 
     A random Hermitian element of the center separates the minimal central
-    blocks; within each block a random Hermitian element of the commutant
-    separates the multiplicity slices, and a further generic commutant
-    element aligns the slices into consistent tensor factors.  The result
-    is accepted only if every algebra basis element actually acquires the
-    block structure; otherwise a fresh seed is drawn.
+    blocks.  Within a block, a random Hermitian algebra element
+    A_S otimes 1_F has d_S eigenspaces of dimension d_F.  The algebra orbit
+    {B_i v_1} of one vector of the first eigenspace spans one multiplicity
+    slice; the coefficients G that orthonormalize it, applied to the orbit
+    {B_i v_f} of every other vector v_f of that eigenspace, give slice f
+    already aligned.  The result is accepted only if every algebra basis
+    element actually acquires the block structure; otherwise a fresh seed
+    is drawn.
     """
     if not alg.unital:
         raise ValueError("Wedderburn decomposition requires a unital algebra")
-    n = alg.ambient_dim
     Z = center(alg, tol)
-    comm = commutant(alg, tol)
     struct_tol = max(np.sqrt(tol), 1e-8)
 
     last_err = "no attempt made"
     for attempt in range(max_redraws):
         rng = np.random.default_rng([seed, attempt])
         try:
-            dec = _wedderburn_attempt(alg, Z, comm, tol, rng)
+            dec = _wedderburn_attempt(alg, Z, tol, rng)
         except DegenerateAlgebraError as exc:
             last_err = str(exc)
             continue
@@ -257,53 +268,33 @@ def wedderburn(
     )
 
 
-def _wedderburn_attempt(alg, Z, comm, tol, rng) -> WedderburnDecomposition:
-    n = alg.ambient_dim
+def _wedderburn_attempt(alg, Z, tol, rng) -> WedderburnDecomposition:
     gap_tol = np.sqrt(tol)
-
-    # central blocks from a generic Hermitian center element
-    Zel = _random_hermitian_in(Z.basis, rng)
-    spread = max(float(np.linalg.eigvalsh(Zel)[-1] - np.linalg.eigvalsh(Zel)[0]), 1e-3)
-    clusters = eigh_clustered(Zel, gap_tol * spread)
-
     blocks = []
-    for _, Q in clusters:
+    for _, Q in _eigenspaces(_random_hermitian_in(Z.basis, rng), gap_tol):
         nm = Q.shape[1]
-        # multiplicity slices from a generic Hermitian commutant element
-        Y = _random_hermitian_in([Q.conj().T @ X @ Q for X in comm.basis], rng)
-        yspread = max(float(np.linalg.eigvalsh(Y)[-1] - np.linalg.eigvalsh(Y)[0]), 1e-3)
-        sub = eigh_clustered(Y, gap_tol * yspread)
-        sizes = {V.shape[1] for _, V in sub}
+        Bs = np.array([Q.conj().T @ B @ Q for B in alg.basis])
+        eigenspaces = _eigenspaces(_random_hermitian_in(Bs, rng), gap_tol)
+        sizes = {V.shape[1] for _, V in eigenspaces}
         if len(sizes) != 1:
             raise DegenerateAlgebraError(
-                f"eigenvalue clusters of a commutant element have unequal sizes {sorted(sizes)}"
+                f"eigenvalue clusters of an algebra element have unequal sizes {sorted(sizes)}"
             )
-        dS = sizes.pop()
-        dF = len(sub)
-        if dS * dF != nm:
-            raise DegenerateAlgebraError("cluster sizes inconsistent with the block dimension")
+        dS, dF = len(eigenspaces), sizes.pop()
 
-        # align slices through a generic commutant element
-        V0 = sub[0][1]
-        X = sum(rng.standard_normal() * (Q.conj().T @ C @ Q) for C in comm.basis)
-        aligned = [V0]
-        for f in range(1, dF):
-            Vf = sub[f][1]
-            Sf = Vf @ (Vf.conj().T @ X @ V0)
-            P, s, Qh = np.linalg.svd(Sf, full_matrices=False)
-            if s[-1] <= np.sqrt(tol) * max(s[0], 1e-12):
-                raise DegenerateAlgebraError("alignment element nearly singular on a slice")
-            aligned.append(P @ Qh)
-        cols = np.zeros((nm, nm), dtype=complex)
-        for s_idx in range(dS):
-            for f in range(dF):
-                cols[:, s_idx * dF + f] = aligned[f][:, s_idx]
+        # orbits[i, :, f] = B_i v_f for the vectors v_f of the first eigenspace
+        orbits = Bs @ eigenspaces[0][1]
+        _, s, Vh = np.linalg.svd(orbits[:, :, 0].T, full_matrices=False)
+        rank = int(np.sum(s > gap_tol * s[0]))
+        if rank != dS:
+            raise DegenerateAlgebraError(f"algebra orbit has rank {rank}, expected {dS}")
+        G = Vh[:dS].conj().T / s[:dS]
+        # column s * d_F + f holds the s-th orthonormalized orbit vector of slice f
+        cols = np.einsum("iaf,is->asf", orbits, G).reshape(nm, nm)
         blocks.append((dS, dF, Q @ cols))
 
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     U = np.hstack([b[2] for b in blocks])
-    if U.shape != (n, n):
-        raise DegenerateAlgebraError("central blocks do not exhaust the space")
     return WedderburnDecomposition(U=U, blocks=tuple((b[0], b[1]) for b in blocks))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import serialize
 from .algebra import DegenerateAlgebraError
 from .model import ConditionalEvolution, validate_ce
-from .operators import Superoperator
+from .operators import DEFAULT_TOL, Superoperator
 from .reduction import check_assumptions, equivalence_check, random_density, reduce_ce
 from .trajectories import enumerate_distribution, sample_trajectory, total_variation
 from .zoo import ising_chain, measured_quantum_walk
@@ -43,8 +43,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("CEREDUCE_TOL", "1e-9"))
+def _default_tol(fallback: float = DEFAULT_TOL) -> float:
+    return float(os.environ.get("CEREDUCE_TOL", fallback))
 
 
 def _load_model(path: str) -> tuple[ConditionalEvolution, dict]:
@@ -75,7 +75,7 @@ def cmd_zoo(args) -> int:
             if args.n != 2:
                 raise CliError("--hadamard requires --n 2")
             U = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        ce = measured_quantum_walk(args.n, U=U, seed=args.seed)
+        ce = measured_quantum_walk(args.n, U=U, seed=args.seed, tol=args.tol)
     else:
         if args.n < 4:
             raise CliError("N >= 4 required for the Ising chain")
@@ -235,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--p", type=float, required=True, help="skip probability in [0, 1)")
     i.add_argument("--delta", type=float, required=True, help="coupling strength")
     i.add_argument("-o", "--output", required=True)
-    i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--tol", type=float, default=_default_tol())
     i.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser("reduce", help="reduce a model file")
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tv", type=int, default=None, metavar="T",
                    help="also compare enumerated distributions at length T")
     add_common(p)
-    p.set_defaults(func=cmd_verify, tol=1e-8)
+    p.set_defaults(func=cmd_verify, tol=_default_tol(1e-8))
 
     p = sub.add_parser("simulate", help="sample measurement records")
     p.add_argument("model")

@@ -16,7 +16,6 @@ import tempfile
 import numpy as np
 
 from .model import ConditionalEvolution, Instrument, OutputMap
-from .observability import LinearReducedModel
 from .operators import OperatorSubspace, Superoperator, superop_from_kraus
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "ce_to_json",
     "ce_from_json",
     "reduced_ce_to_json",
-    "linear_model_to_json",
     "distribution_to_json",
     "save_json",
     "load_json",
@@ -112,15 +110,6 @@ def reduced_ce_to_json(red) -> dict:
             }
         },
     )
-
-
-def linear_model_to_json(lm: LinearReducedModel) -> dict:
-    return {
-        "q": lm.q,
-        "A": {k: matrix_to_json(lm.A[k]) for k in lm.outcomes},
-        "C": matrix_to_json(lm.C),
-        "basis": [matrix_to_json(B) for B in lm.subspace.basis],
-    }
 
 
 def distribution_to_json(table: dict) -> list:

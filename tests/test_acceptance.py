@@ -149,6 +149,19 @@ def test_criterion_5_ising_size_independence(isings):
     report(5, "reduced dimension independent of chain length", ok)
 
 
+def test_ising_n6_p0_reduction():
+    # built here rather than in a module fixture: the dense N=6 maps take
+    # about 2 GB and are freed when the test returns
+    ce = ising_chain(6, 0.0, 0.3)
+    red, elapsed = timed_reduce(ce)
+    assert (red.nperp.dim, red.output_algebra.dim, red.reduced_dim) == (12, 16, 16)
+    assert red.blocks == ((2, 8),) * 4
+    dec = red.factorization.decomposition
+    assert all(dec.structure_residual(B) <= 1e-8 for B in red.output_algebra.basis)
+    assert elapsed <= 60.0
+    assert equivalence_check(ce, red, max_len=2, n_states=2, tol=1e-8, seed=0).passed
+
+
 def _random_algebras():
     structures = [
         ((1, 1), (1, 2)),

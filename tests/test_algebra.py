@@ -9,7 +9,7 @@ from cereduce.algebra import (
     wedderburn,
 )
 from cereduce.observability import nonobservable_complement
-from cereduce.operators import channel_checks, hs_norm, orthonormalize, unvec
+from cereduce.operators import channel_checks, hs_norm, is_hermitian, orthonormalize, unvec
 from cereduce.zoo import haar_unitary, ising_chain
 from conftest import proj, random_complex
 
@@ -73,19 +73,32 @@ class TestCommutant:
         alg = algebra_closure([np.eye(3, dtype=complex)])
         assert commutant(alg).dim == 9
 
-    def test_diagonal_self_commutant_with_oracle(self):
-        alg = algebra_closure([proj(3, j) for j in range(3)])
+    @pytest.mark.parametrize(
+        "make_alg, dim",
+        [
+            (lambda: algebra_closure([proj(3, j) for j in range(3)]), 3),
+            (lambda: random_block_algebra(((1, 2), (2, 1)), seed=4), 5),
+            (lambda: algebra_closure([proj(3, 0)]), 5),
+        ],
+        ids=["diagonal", "blocks", "non_unital"],
+    )
+    def test_diagonal_self_commutant_with_oracle(self, make_alg, dim):
+        alg = make_alg()
+        n = alg.ambient_dim
         com = commutant(alg)
-        assert com.dim == 3
+        assert com.dim == dim
+        S = com.space.stacked()
+        assert np.linalg.norm(S.conj() @ S.T - np.eye(dim)) < 1e-10
+        assert all(is_hermitian(X, 1e-10) for X in com.basis)
         # direct null-space oracle on the stacked commutator map
         rows = []
         for B in alg.basis:
-            L = np.kron(np.eye(3), B) - np.kron(B.T, np.eye(3))
+            L = np.kron(np.eye(n), B) - np.kron(B.T, np.eye(n))
             rows.append(L)
         M = np.vstack(rows)
         _, s, Vh = np.linalg.svd(M)
-        null = [unvec(Vh[j].conj(), 3) for j in range(len(s)) if s[j] <= 1e-9 * s[0]]
-        assert len(null) == 3
+        null = [unvec(Vh[j].conj(), n) for j in range(len(s)) if s[j] <= 1e-9 * s[0]]
+        assert len(null) == dim
         for X in null:
             assert com.space.residual(X) < 1e-9
 

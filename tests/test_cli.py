@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cereduce import cli
 from cereduce.cli import build_parser, main
 from cereduce.serialize import load_json, save_json
 
@@ -32,6 +33,24 @@ class TestZoo:
     def test_ising_too_short_exit2(self, tmp_path):
         code = main(["zoo", "ising", "--n", "3", "--p", "0.0", "--delta", "0.3", "-o", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_ising_rejects_seed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["zoo", "ising", "--n", "4", "--p", "0.0", "--delta", "0.3",
+                  "-o", str(tmp_path / "x.json"), "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_walk_tol_reaches_genericity_check(self, tmp_path, monkeypatch):
+        tols = []
+        real = cli.measured_quantum_walk
+
+        def spy(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "measured_quantum_walk", spy)
+        assert main(["zoo", "walk", "--n", "3", "--tol", "1e-7", "-o", str(tmp_path / "w.json")]) == 0
+        assert tols == [1e-7]
 
     def test_hadamard_requires_n2(self, tmp_path):
         code = main(["zoo", "walk", "--n", "3", "--hadamard", "-o", str(tmp_path / "x.json")])
@@ -123,6 +142,8 @@ class TestSimulate:
 
 
 def test_tol_env_var(monkeypatch):
+    monkeypatch.delenv("CEREDUCE_TOL", raising=False)
+    commands = (["reduce", "m.json"], ["verify", "m.json", "m.red.json"], ["simulate", "m.json"])
+    assert [build_parser().parse_args(c).tol for c in commands] == [1e-9, 1e-8, 1e-9]
     monkeypatch.setenv("CEREDUCE_TOL", "1e-5")
-    args = build_parser().parse_args(["reduce", "whatever.json"])
-    assert args.tol == 1e-5
+    assert [build_parser().parse_args(c).tol for c in commands] == [1e-5] * 3
