@@ -41,6 +41,7 @@ from .operators import (
     OperatorSubspace,
     Superoperator,
     channel_checks,
+    closure,
     hs_inner,
     hs_norm,
     orthonormalize,

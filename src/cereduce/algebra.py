@@ -25,6 +25,7 @@ from .operators import (
     DEFAULT_TOL,
     OperatorSubspace,
     Superoperator,
+    closure,
     eigh_clustered,
     orthonormalize,
     superop_from_kraus,
@@ -86,26 +87,19 @@ def algebra_closure(
 ) -> StarAlgebra:
     """Smallest *-algebra containing the given span.
 
-    Alternates adding pairwise products and adjoints with
-    re-orthonormalization until the dimension stabilizes.  Products are
-    split into Hermitian parts so a Hermitian generating set yields a
-    Hermitian basis.
+    The :func:`~cereduce.operators.closure` of the Hermitian parts of the
+    generators, where basis element i is expanded into the Hermitian parts
+    of the products B_i B_j with j <= i.  The basis is Hermitian, so it is
+    closed under adjoints, and B_j B_i = (B_i B_j)^dag has the same
+    Hermitian parts; each product is therefore formed once.
     """
     ops = list(subspace.basis) if isinstance(subspace, OperatorSubspace) else list(subspace)
-    space = orthonormalize(ops, tol)
-    n = space.ambient_dim
-    for _ in range(n * n):
-        candidates = list(space.basis)
-        for Bi in space.basis:
-            candidates.extend(_hermitian_parts(Bi.conj().T))
-            for Bj in space.basis:
-                candidates.extend(_hermitian_parts(Bi @ Bj))
-        new_space = orthonormalize(candidates, tol)
-        if new_space.dim == space.dim:
-            space = new_space
-            break
-        space = new_space
-    eye = np.eye(n, dtype=complex)
+
+    def products(basis, i):
+        return [P for Bj in basis[: i + 1] for P in _hermitian_parts(basis[i] @ Bj)]
+
+    space = closure([P for X in ops for P in _hermitian_parts(X)], products, tol)
+    eye = np.eye(space.ambient_dim, dtype=complex)
     return StarAlgebra(space=space, unital=space.contains(eye, max(tol, 1e-8)))
 
 

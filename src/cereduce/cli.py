@@ -28,7 +28,7 @@ from .algebra import DegenerateAlgebraError
 from .model import ConditionalEvolution, validate_ce
 from .operators import DEFAULT_TOL, Superoperator
 from .reduction import check_assumptions, equivalence_check, random_density, reduce_ce
-from .trajectories import enumerate_distribution, sample_trajectory, total_variation
+from .trajectories import WORD_CAP, enumerate_distribution, sample_trajectory, total_variation
 from .zoo import ising_chain, measured_quantum_walk
 
 EXIT_OK = 0
@@ -45,6 +45,13 @@ class CliError(Exception):
 
 def _default_tol(fallback: float = DEFAULT_TOL) -> float:
     return float(os.environ.get("CEREDUCE_TOL", fallback))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_model(path: str) -> tuple[ConditionalEvolution, dict]:
@@ -149,9 +156,17 @@ def cmd_verify(args) -> int:
     red_model, doc = _load_model(args.reduced)
     if "reduction" not in doc:
         raise CliError(f"{args.reduced} carries no reduction map; cannot verify")
-    R = Superoperator(serialize.matrix_from_json(doc["reduction"]["R"]))
+    try:
+        R = Superoperator(serialize.matrix_from_json(doc["reduction"]["R"]))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CliError(f"{args.reduced}: invalid reduction map: {exc!r}")
     if R.in_dim != full.dim or R.out_dim != red_model.dim:
         raise CliError("reduction map dimensions do not match the model pair")
+    if set(full.outcomes) != set(red_model.outcomes) or full.output.names != red_model.output.names:
+        raise CliError("the two models differ in their outcome labels or observables")
+    # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small
+    if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
+        raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
     reduced = _LoadedReduction(model=red_model, reduction_map=R)
     rep = equivalence_check(
         full,
@@ -224,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zoo", help="emit an example model as JSON")
     fam = p.add_subparsers(dest="family", required=True)
     w = fam.add_parser("walk")
-    w.add_argument("--n", type=int, required=True)
+    w.add_argument("--n", type=_positive_int, required=True)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--hadamard", action="store_true")
     w.add_argument("-o", "--output", required=True)
@@ -247,17 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a (full, reduced) pair")
     p.add_argument("full")
     p.add_argument("reduced")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--n-states", type=int, default=25)
-    p.add_argument("--tv", type=int, default=None, metavar="T",
+    p.add_argument("--max-len", type=_positive_int, default=4)
+    p.add_argument("--n-states", type=_positive_int, default=25)
+    p.add_argument("--tv", type=_positive_int, default=None, metavar="T",
                    help="also compare enumerated distributions at length T")
     add_common(p)
     p.set_defaults(func=cmd_verify, tol=_default_tol(1e-8))
 
     p = sub.add_parser("simulate", help="sample measurement records")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--steps", type=_positive_int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -272,6 +287,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOL,
-    Superoperator,
-    channel_checks,
-    hs_norm,
-    is_hermitian,
-)
+from .operators import DEFAULT_TOL, Superoperator, channel_checks
 
 __all__ = [
     "Instrument",

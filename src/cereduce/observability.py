@@ -3,8 +3,9 @@
 The orthocomplement of the non-observable subspace is the smallest
 operator subspace that contains every observable of interest and is
 invariant under the dual of every instrument map.  It is computed by a
-sweep closure: apply each dual map to the current basis, keep the new
-directions, repeat until the dimension stabilizes.
+worklist closure: each new basis direction is pushed through every dual
+map exactly once, and an image is kept when its Gram-Schmidt residual
+exceeds the tolerance times the largest operator norm seen so far.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from .operators import (
     DEFAULT_TOL,
     OperatorSubspace,
     Superoperator,
+    closure,
     hs_inner,
-    hs_norm,
-    orthonormalize,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -38,28 +36,14 @@ def invariant_closure(
     generators: list[np.ndarray],
     maps: list[Superoperator],
     tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
 ) -> OperatorSubspace:
     """Smallest subspace containing ``generators`` and invariant under ``maps``.
 
-    One sweep applies every map to every current basis element; the loop
-    stops when a full sweep adds no dimension.  ``max_sweeps`` defaults to
-    the ambient operator-space dimension, which bounds the word length
-    needed to saturate the span.
+    The :func:`~cereduce.operators.closure` of the generators where each
+    new basis element is expanded into its images under every map; the
+    span is invariant once every element has been expanded.
     """
-    space = orthonormalize(generators, tol)
-    n = space.ambient_dim
-    cap = max_sweeps if max_sweeps is not None else n * n
-    for _ in range(cap):
-        candidates = list(space.basis)
-        for S in maps:
-            for B in space.basis:
-                candidates.append(S(B))
-        new_space = orthonormalize(candidates, tol)
-        if new_space.dim == space.dim:
-            return new_space
-        space = new_space
-    return space
+    return closure(generators, lambda basis, i: [S(basis[i]) for S in maps], tol)
 
 
 def nonobservable_complement(
@@ -78,7 +62,6 @@ def check_invariance(
     subspace: OperatorSubspace,
     S: Superoperator,
     dual: bool = False,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Max residual of (I - Pi) applied to the (dual) map of each basis element."""
     op = S.adjoint() if dual else S

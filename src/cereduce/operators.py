@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "hs_norm",
     "is_hermitian",
     "eigh_clustered",
+    "closure",
     "orthonormalize",
     "OperatorSubspace",
     "Superoperator",
@@ -128,11 +130,6 @@ class OperatorSubspace:
         """HS-orthogonal complement within the ambient operator space."""
         n = self.ambient_dim
         M = self.stacked()
-        if M.shape[0] == 0:
-            eye_ops = []
-            full = np.eye(n * n, dtype=complex)
-            eye_ops = [unvec(full[:, j], n) for j in range(n * n)]
-            return OperatorSubspace(n, tuple(eye_ops))
         # rows of M span the subspace; null space of M is the complement
         _, _, Vh = np.linalg.svd(M, full_matrices=True)
         null = Vh[M.shape[0]:].conj()
@@ -147,48 +144,64 @@ class OperatorSubspace:
         return M.T @ M.conj()
 
 
-def _hermitian_real_coords(ops: list[np.ndarray]) -> np.ndarray:
-    # Hermitian matrices form a real vector space with Euclidean geometry
-    # matching HS; stack re/im parts so a real SVD yields Hermitian output.
-    return np.array([np.concatenate([vec(X).real, vec(X).imag]) for X in ops])
+def closure(
+    ops: list[np.ndarray] | tuple[np.ndarray, ...],
+    expand: Callable[[list[np.ndarray], int], Iterable[np.ndarray]] | None = None,
+    tol: float = DEFAULT_TOL,
+) -> OperatorSubspace:
+    """HS-orthonormal basis of the smallest span holding ``ops`` and closed under ``expand``.
+
+    A worklist closure: ``expand(basis, i)`` is called exactly once per
+    basis element ``i``, after all earlier ones, and returns the candidates
+    that element contributes.  Each candidate is projected out of the
+    current basis twice (classical Gram-Schmidt with one
+    re-orthogonalization) and kept when its residual norm exceeds ``tol``
+    times the largest candidate norm seen so far.  While every candidate
+    is Hermitian, kept elements are symmetrized, so the basis stays Hermitian.
+    """
+    ops = list(ops)
+    if not ops:
+        raise ValueError("need at least one operator")
+    n = np.shape(ops[0])[0]
+    basis: list[np.ndarray] = []
+    Q = np.zeros((0, n * n), dtype=complex)  # rows are the vec'd basis elements
+    hermitian, scale = True, 0.0
+
+    def add(X) -> None:
+        nonlocal Q, hermitian, scale
+        X = np.asarray(X, dtype=complex)
+        if X.shape != (n, n):
+            raise ValueError("operators must share a common square shape")
+        hermitian = hermitian and is_hermitian(X)
+        v = vec(X)
+        scale = max(scale, hs_norm(v))
+        for _ in range(2):
+            v = v - (Q @ v.conj()).conj() @ Q
+        res = hs_norm(v)
+        if res > tol * scale:
+            B = unvec(v / res, n)
+            if hermitian:
+                B = (B + B.conj().T) / 2
+                B /= hs_norm(B)
+            basis.append(B)
+            Q = np.vstack([Q, vec(B)])
+
+    for X in ops:
+        add(X)
+    i = 0
+    while expand is not None and i < len(basis):
+        for X in expand(basis, i):
+            add(X)
+        i += 1
+    return OperatorSubspace(n, tuple(basis))
 
 
 def orthonormalize(
     ops: list[np.ndarray] | tuple[np.ndarray, ...],
     tol: float = DEFAULT_TOL,
 ) -> OperatorSubspace:
-    """HS-orthonormal basis of the complex span of ``ops``.
-
-    Rank is cut at singular values below ``tol`` times the largest one.
-    If every input is Hermitian, the returned basis elements are Hermitian
-    as well (the complex span of a Hermitian family closed under adjoints
-    always admits such a basis).
-    """
-    ops = [np.asarray(X, dtype=complex) for X in ops]
-    if not ops:
-        raise ValueError("need at least one operator")
-    n = ops[0].shape[0]
-    for X in ops:
-        if X.shape != (n, n):
-            raise ValueError("operators must share a common square shape")
-
-    hermitian = all(is_hermitian(X) for X in ops)
-    if hermitian:
-        M = _hermitian_real_coords(ops)
-        U, s, Vh = np.linalg.svd(M.T, full_matrices=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-        half = n * n
-        basis = []
-        for j in range(rank):
-            col = U[:, j]
-            X = unvec(col[:half] + 1j * col[half:], n)
-            basis.append((X + X.conj().T) / 2)
-        return OperatorSubspace(n, tuple(basis))
-
-    M = np.array([vec(X) for X in ops]).T  # columns are vec'd inputs
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return OperatorSubspace(n, tuple(unvec(U[:, j], n) for j in range(rank)))
+    """HS-orthonormal basis of the span of ``ops``, their :func:`closure` without ``expand``."""
+    return closure(ops, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -227,10 +240,6 @@ class Superoperator:
         return unvec(self.matrix @ vec(X), self.out_dim)
 
     @classmethod
-    def identity(cls, n: int) -> "Superoperator":
-        return cls(np.eye(n * n, dtype=complex), kraus=(np.eye(n, dtype=complex),))
-
-    @classmethod
     def from_conjugation(cls, A: np.ndarray) -> "Superoperator":
         """The map X -> A X A^dag."""
         return superop_from_kraus([A])
@@ -253,17 +262,6 @@ class Superoperator:
 
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return self.compose(other)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        kr = None
-        if self.kraus is not None and other.kraus is not None:
-            kr = self.kraus + other.kraus
-        return Superoperator(self.matrix + other.matrix, kraus=kr)
-
-    def __mul__(self, c: complex) -> "Superoperator":
-        return Superoperator(c * self.matrix)
-
-    __rmul__ = __mul__
 
     def choi(self) -> np.ndarray:
         """Choi matrix sum_ij |i><j| otimes S(|i><j|), shape (n_in*n_out)^2."""

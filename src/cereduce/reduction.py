@@ -10,7 +10,7 @@ every conditioned output and every outcome-word probability exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,12 +187,12 @@ def check_assumptions(
     scale = max(float(np.linalg.norm(target)), 1.0)
 
     nsub = nperp.orthocomplement()
-    a2_res = check_invariance(nsub, ce.evolution, dual=False, tol=tol)
+    a2_res = check_invariance(nsub, ce.evolution, dual=False)
     a3_res = max(
-        check_invariance(alg.space, ce.effects[k], dual=False, tol=tol)
+        check_invariance(alg.space, ce.effects[k], dual=False)
         for k in ce.outcomes
     )
-    a4_res = check_invariance(alg.space, ce.evolution, dual=True, tol=tol)
+    a4_res = check_invariance(alg.space, ce.evolution, dual=True)
 
     a1 = AssumptionCheck(holds=a1_res <= tol * scale, residual=a1_res)
     return AssumptionReport(

@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from .model import ConditionalEvolution, Instrument, OutputMap
-from .operators import OperatorSubspace, Superoperator, superop_from_kraus
+from .operators import Superoperator, superop_from_kraus
 
 __all__ = [
     "matrix_to_json",
@@ -79,17 +79,21 @@ def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
 
 
 def ce_from_json(doc: dict) -> ConditionalEvolution:
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, not {type(doc).__name__}")
     try:
         outcomes = tuple(str(k) for k in doc["outcomes"])
         maps = {k: superop_from_json(doc["instrument"][k]) for k in outcomes}
         names = tuple(o["name"] for o in doc["observables"])
         obs = tuple(matrix_from_json(o["matrix"]) for o in doc["observables"])
+        evolution = effects = None
+        if "split" in doc:
+            evolution = superop_from_json(doc["split"]["evolution"])
+            effects = {k: superop_from_json(doc["split"]["effects"][k]) for k in outcomes}
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc
-    evolution = effects = None
-    if "split" in doc:
-        evolution = superop_from_json(doc["split"]["evolution"])
-        effects = {k: superop_from_json(doc["split"]["effects"][k]) for k in outcomes}
+    except TypeError as exc:
+        raise ValueError(f"malformed model document: {exc}") from exc
     return ConditionalEvolution(
         instrument=Instrument(outcomes=outcomes, maps=maps),
         output=OutputMap(names=names, observables=obs),

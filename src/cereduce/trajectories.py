@@ -10,7 +10,6 @@ verified against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,14 @@ from .operators import DEFAULT_TOL
 __all__ = [
     "TrajectoryRecord",
     "StateEscapedError",
+    "WORD_CAP",
     "sample_trajectory",
     "enumerate_distribution",
     "total_variation",
 ]
+
+
+WORD_CAP = 10**6  # default bound on the outcome words enumerate_distribution builds
 
 
 class StateEscapedError(RuntimeError):
@@ -91,7 +94,7 @@ def enumerate_distribution(
     ce: ConditionalEvolution,
     rho0: np.ndarray,
     T: int,
-    cap: int = 10**6,
+    cap: int = WORD_CAP,
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 

@@ -58,6 +58,14 @@ class TestAlgebraClosure:
         alg = algebra_closure(nonobservable_complement(ce))
         assert alg.dim == 16 and alg.unital
 
+    @pytest.mark.parametrize("n_units,dim", [(9, 9), (2, 4)])
+    def test_matrix_units_give_hermitian_basis(self, n_units, dim):
+        alg = algebra_closure(full_matrix_units(3)[:n_units])
+        assert alg.dim == dim
+        gram = np.array([[np.vdot(Bi, Bj) for Bj in alg.basis] for Bi in alg.basis])
+        assert np.linalg.norm(gram - np.eye(dim)) < 1e-12
+        assert all(is_hermitian(B, 1e-12) for B in alg.basis)
+
     def test_closure_residual_property(self, rng):
         G = random_complex(rng, (3, 3))
         alg = algebra_closure([(G + G.conj().T) / 2, np.eye(3, dtype=complex)])

@@ -141,6 +141,70 @@ class TestSimulate:
         assert a.read_text() == b.read_text()
 
 
+def _write(path, doc):
+    save_json(doc, str(path))
+    return str(path)
+
+
+def _top_level_array(tmp, model, reduced):
+    return ["reduce", _write(tmp / "array.json", [load_json(str(model))])]
+
+
+def _reduced_without_r(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    del doc["reduction"]["R"]
+    return ["verify", str(model), _write(tmp / "no_r.json", doc)]
+
+
+def _relabelled_outcome(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    old = doc["outcomes"][0]
+    doc["outcomes"][0] = "renamed"
+    doc["instrument"]["renamed"] = doc["instrument"].pop(old)
+    return ["verify", str(model), _write(tmp / "relabelled.json", doc)]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        pytest.param(_top_level_array, id="top_level_array"),
+        pytest.param(_reduced_without_r, id="reduced_without_R"),
+        pytest.param(_relabelled_outcome, id="relabelled_outcome"),
+        pytest.param(lambda tmp, m, r: ["simulate", str(m), "--steps", "0"], id="simulate_steps_0"),
+        # with no initial states the equivalence check would pass vacuously
+        pytest.param(
+            lambda tmp, m, r: ["verify", str(m), str(r), "--n-states", "0"], id="verify_n_states_0"
+        ),
+        # a 3-outcome model has 3^20 words at T=20, past the enumeration cap
+        pytest.param(lambda tmp, m, r: ["verify", str(m), str(r), "--tv", "20"], id="verify_tv_past_cap"),
+        pytest.param(
+            lambda tmp, m, r: ["zoo", "walk", "--n", "0", "-o", str(tmp / "w.json")], id="zoo_walk_n_0"
+        ),
+        pytest.param(
+            lambda tmp, m, r: ["reduce", str(m), "-o", str(tmp / "absent" / "r.json")],
+            id="reduce_output_dir_missing",
+        ),
+        pytest.param(
+            lambda tmp, m, r: ["simulate", str(m), "--samples", "2", "-o", str(tmp / "absent" / "t.jsonl")],
+            id="simulate_output_dir_missing",
+        ),
+        pytest.param(
+            lambda tmp, m, r: ["zoo", "walk", "--n", "3", "-o", str(tmp / "absent" / "w.json")],
+            id="zoo_output_dir_missing",
+        ),
+    ],
+)
+def test_bad_input_exit2_with_error_line(make_argv, tmp_path, walk_files, capsys):
+    argv = make_argv(tmp_path, *walk_files)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_tol_env_var(monkeypatch):
     monkeypatch.delenv("CEREDUCE_TOL", raising=False)
     commands = (["reduce", "m.json"], ["verify", "m.json", "m.red.json"], ["simulate", "m.json"])

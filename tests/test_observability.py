@@ -9,8 +9,8 @@ from cereduce.observability import (
     linear_reduce,
     nonobservable_complement,
 )
-from cereduce.operators import Superoperator, orthonormalize, superop_from_kraus
-from cereduce.reduction import random_density
+from cereduce.operators import Superoperator, orthonormalize, superop_from_kraus, vec
+from cereduce.reduction import random_ce, random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import proj
 
@@ -51,6 +51,45 @@ class TestNonobservableComplement:
             nonobservable_complement(walk4, 1e-9).dim
             == nonobservable_complement(walk4, 1e-10).dim
         )
+
+
+def word_rank(ce, tol=1e-9):
+    """Rank of the vec'd dual images of the observables under every word up to length n^2."""
+    duals = [ce.instrument.maps[k].adjoint().matrix for k in ce.outcomes]
+    level = np.array([vec(O) for O in ce.output.observables])
+    rows = [level]
+    for _ in range(ce.dim**2):
+        level = np.concatenate([level @ D.T for D in duals])
+        rows.append(level)
+    s = np.linalg.svd(np.concatenate(rows), compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
+
+
+class TestWordRankOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_ce(self, seed):
+        rng = np.random.default_rng(seed)
+        ce = random_ce(int(rng.integers(2, 4)), 2, int(rng.integers(1, 4)), rng)
+        assert word_rank(ce) == nonobservable_complement(ce).dim
+
+    def test_random_ce_with_multiplicity(self):
+        # K (x) 1_2 and O (x) 1_2 keep the orbit inside B(C^2) (x) 1_2
+        small = random_ce(2, 2, 2, np.random.default_rng(7))
+        one = np.eye(2)
+        ce = ConditionalEvolution(
+            instrument=Instrument(
+                outcomes=small.outcomes,
+                maps={
+                    k: superop_from_kraus([np.kron(K, one) for K in small.instrument.maps[k].kraus])
+                    for k in small.outcomes
+                },
+            ),
+            output=OutputMap(
+                names=small.output.names,
+                observables=tuple(np.kron(O, one) for O in small.output.observables),
+            ),
+        )
+        assert word_rank(ce) == nonobservable_complement(ce).dim == 4
 
 
 class TestCheckInvariance:

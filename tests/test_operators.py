@@ -4,6 +4,7 @@ import pytest
 from cereduce.operators import (
     Superoperator,
     channel_checks,
+    closure,
     eigh_clustered,
     hs_inner,
     orthonormalize,
@@ -91,6 +92,25 @@ class TestOrthonormalize:
         sub = orthonormalize(ops)
         for B in sub.basis:
             assert np.linalg.norm(B - B.conj().T) < 1e-12
+
+
+class TestClosure:
+    def test_expand_called_once_per_basis_element(self, rng):
+        A = random_complex(rng, (3, 3))
+        calls = []
+
+        def expand(basis, i):
+            calls.append(i)
+            return [A @ basis[i], basis[i] @ A]
+
+        G = random_complex(rng, (3, 3))
+        # a Hermitian seed whose candidates are not: the basis must stay orthonormal
+        sub = closure([G + G.conj().T], expand)
+        assert calls == list(range(sub.dim))
+        assert sub.dim == 9
+        for i, Bi in enumerate(sub.basis):
+            for j, Bj in enumerate(sub.basis):
+                assert hs_inner(Bi, Bj) == pytest.approx(float(i == j), abs=1e-12)
 
 
 class TestSuperopFromKraus:
