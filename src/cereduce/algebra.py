@@ -29,6 +29,7 @@ from .operators import (
     eigh_clustered,
     orthonormalize,
     superop_from_kraus,
+    unvec,
 )
 
 __all__ = [
@@ -73,12 +74,12 @@ class StarAlgebra:
 
     def closure_residual(self) -> float:
         """Worst projection residual of basis products and adjoints."""
-        res = 0.0
-        for Bi in self.basis:
-            res = max(res, self.space.residual(Bi.conj().T))
-            for Bj in self.basis:
-                res = max(res, self.space.residual(Bi @ Bj))
-        return res
+        n = self.ambient_dim
+        Bs = np.array(self.basis, dtype=complex).reshape(self.dim, n, n)
+        ops = np.concatenate([Bs.conj().transpose(0, 2, 1), (Bs[:, None] @ Bs).reshape(-1, n, n)])
+        # column j of the stack is vec(ops[j]), column-stacked like the basis
+        cols = ops.transpose(0, 2, 1).reshape(-1, n * n).T
+        return float(np.max(self.space.residuals(cols), initial=0.0))
 
 
 def algebra_closure(
@@ -146,10 +147,11 @@ def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     s_max = max(float(s[0]), 1.0) if s.size else 1.0
     coeffs = [Vh[j].conj() for j in range(len(Vh)) if j >= len(s) or s[j] <= tol * s_max]
-    ops = []
-    for c in coeffs:
-        X = sum(ci * Bi for ci, Bi in zip(c, alg.basis))
-        ops.extend(_hermitian_parts(X))
+    # vec of the j-th center element sum_i c_ji B_i, summed over the stacked
+    # basis Q in basis order: bit for bit the sequential sum, unlike a BLAS product
+    C = np.reshape(coeffs, (-1, m, 1))
+    X = np.sum(C * alg.space.stacked(), axis=1, initial=0)
+    ops = [P for v in X for P in _hermitian_parts(unvec(v, n))]
     return orthonormalize(ops, tol)
 
 

@@ -20,7 +20,8 @@ from .operators import (
     OperatorSubspace,
     Superoperator,
     closure,
-    hs_inner,
+    unvec,
+    vec,
 )
 
 __all__ = [
@@ -63,12 +64,17 @@ def check_invariance(
     S: Superoperator,
     dual: bool = False,
 ) -> float:
-    """Max residual of (I - Pi) applied to the (dual) map of each basis element."""
-    op = S.adjoint() if dual else S
-    res = 0.0
-    for B in subspace.basis:
-        res = max(res, subspace.residual(op(B)))
-    return res
+    """Max over basis elements B of ||op(B) - Pi op(B)||, op = S or its HS adjoint.
+
+    With Q the subspace's stacked basis (rows vec(B_i)), the images of the
+    whole basis are the columns of ``S.matrix @ Q.T``; for the dual they are
+    ``(Q.conj() @ S.matrix)`` conjugate-transposed, so the adjoint matrix is
+    never formed.  The result is the largest column residual off the
+    subspace, and 0.0 for an empty subspace.
+    """
+    Q = subspace.stacked()
+    images = (Q.conj() @ S.matrix).conj().T if dual else S.matrix @ Q.T
+    return float(np.max(subspace.residuals(images), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,7 @@ class LinearReducedModel:
         return self.subspace.coords(X)
 
     def decode(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.subspace.ambient_dim,) * 2, dtype=complex)
-        for c, B in zip(x, self.subspace.basis):
-            out += c * B
-        return out
+        return unvec(self.subspace.stacked().T @ x, self.subspace.ambient_dim)
 
     def propagate(self, rho0: np.ndarray, seq) -> np.ndarray:
         """Output vector after driving the reduced model along ``seq``."""
@@ -118,12 +121,8 @@ def linear_reduce(
     """
     if subspace.dim == 0:
         raise ValueError("cannot reduce onto a zero-dimensional subspace")
-    basis = subspace.basis
-    q = subspace.dim
-    A = {}
-    for k in ce.outcomes:
-        M = ce.instrument.maps[k]
-        images = [M(B) for B in basis]
-        A[k] = np.array([[hs_inner(Bi, img) for img in images] for Bi in basis])
-    C = np.array([[np.trace(O @ B) for B in basis] for O in ce.output.observables])
+    Q = subspace.stacked()
+    # A_k[i, j] = <B_i, M_k(B_j)>;  C[o, j] = tr(O_o B_j) = vec(O_o^T) . vec(B_j)
+    A = {k: Q.conj() @ ce.instrument.maps[k].matrix @ Q.T for k in ce.outcomes}
+    C = np.array([vec(O.T) for O in ce.output.observables]) @ Q.T
     return LinearReducedModel(subspace=subspace, outcomes=ce.outcomes, A=A, C=C)

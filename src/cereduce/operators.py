@@ -92,36 +92,48 @@ def eigh_clustered(H: np.ndarray, gap: float):
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """An operator subspace given by an HS-orthonormal basis."""
+    """An operator subspace given by an HS-orthonormal basis.
+
+    The basis is also held as its stacked matrix Q, built once: row i is
+    vec(B_i), so the coordinates of X are ``Q.conj() @ vec(X)`` and the
+    orthogonal projector acts on column-stacked vectors as
+    ``Q.T @ Q.conj()``.  Every projection goes through Q, many operators
+    at a time when they are passed as columns of one matrix.
+    """
 
     ambient_dim: int
     basis: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        n = self.ambient_dim
+        Q = np.array([vec(B) for B in self.basis], dtype=complex).reshape(self.dim, n * n)
+        Q.flags.writeable = False
+        object.__setattr__(self, "_stacked", Q)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def stacked(self) -> np.ndarray:
-        """(dim, n^2) matrix whose rows are the vectorized basis elements."""
-        n = self.ambient_dim
-        if not self.basis:
-            return np.zeros((0, n * n), dtype=complex)
-        return np.array([vec(B) for B in self.basis])
+        """Read-only (dim, n^2) matrix Q whose rows are the vectorized basis elements."""
+        return self._stacked
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """HS coordinates of X in the basis."""
-        return np.array([hs_inner(B, X) for B in self.basis])
+        return self._stacked.conj() @ vec(X)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection of X onto the subspace."""
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for c, B in zip(self.coords(X), self.basis):
-            out += c * B
-        return out
+        return unvec(self._stacked.T @ self.coords(X), self.ambient_dim)
+
+    def residuals(self, Y: np.ndarray) -> np.ndarray:
+        """Distances from the subspace of the operators vec'd in the columns of Y."""
+        Q = self._stacked
+        return np.linalg.norm(Y - Q.T @ (Q.conj() @ Y), axis=0)
 
     def residual(self, X: np.ndarray) -> float:
         """Distance of X from the subspace."""
-        return hs_norm(X - self.project(X))
+        return float(self.residuals(vec(X)[:, None])[0])
 
     def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(X) <= tol * max(hs_norm(X), 1.0)

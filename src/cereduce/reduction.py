@@ -186,8 +186,13 @@ def check_assumptions(
     a1_res = float(np.linalg.norm(M @ lam - target))
     scale = max(float(np.linalg.norm(target)), 1.0)
 
-    nsub = nperp.orthocomplement()
-    a2_res = check_invariance(nsub, ce.evolution, dual=False)
+    # A2: for B in the complement of nperp, E(B) leaves the complement only
+    # along nperp, so each residual is the norm of a column of
+    # (N.conj() @ E) @ Q_c.T with N, Q_c the stacked nperp and complement
+    N = nperp.stacked()
+    Qc = nperp.orthocomplement().stacked()
+    a2_cols = (N.conj() @ ce.evolution.matrix) @ Qc.T
+    a2_res = float(np.max(np.linalg.norm(a2_cols, axis=0), initial=0.0))
     a3_res = max(
         check_invariance(alg.space, ce.effects[k], dual=False)
         for k in ce.outcomes
@@ -274,7 +279,7 @@ def _sequences(outcomes, max_len, cap, rng):
         return
     for _ in range(cap):
         t = int(rng.integers(1, max_len + 1))
-        yield tuple(rng.choice(outcomes) for _ in range(t))
+        yield tuple(str(rng.choice(outcomes)) for _ in range(t))
 
 
 def equivalence_check(

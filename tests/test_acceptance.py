@@ -149,6 +149,15 @@ def test_criterion_5_ising_size_independence(isings):
     report(5, "reduced dimension independent of chain length", ok)
 
 
+def test_ising_n5_p_half_assumptions(isings):
+    ce, red, _ = isings[(5, 0.5)]
+    t0 = time.perf_counter()
+    rep = check_assumptions(ce, red.nperp, red.output_algebra)
+    elapsed = time.perf_counter() - t0
+    assert rep.a1.holds and rep.a2.holds and rep.a3.holds and rep.a4.holds
+    assert elapsed <= 5.0
+
+
 def test_ising_n6_p0_reduction():
     # built here rather than in a module fixture: the dense N=6 maps take
     # about 2 GB and are freed when the test returns

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cereduce.algebra import (
+    StarAlgebra,
     algebra_closure,
     center,
     commutant,
@@ -70,6 +71,12 @@ class TestAlgebraClosure:
         G = random_complex(rng, (3, 3))
         alg = algebra_closure([(G + G.conj().T) / 2, np.eye(3, dtype=complex)])
         assert alg.closure_residual() < 1e-10
+
+    def test_closure_residual_of_non_algebra(self, paulis):
+        # sigma_x^2 / 2 = 1 / 2 lies off span{sigma_x, sigma_z} at distance 1 / sqrt(2)
+        space = orthonormalize([paulis["x"], paulis["z"]])
+        alg = StarAlgebra(space=space, unital=False)
+        assert alg.closure_residual() > 0.5
 
 
 class TestCommutant:

@@ -9,10 +9,18 @@ from cereduce.observability import (
     linear_reduce,
     nonobservable_complement,
 )
-from cereduce.operators import Superoperator, orthonormalize, superop_from_kraus, vec
+from cereduce.operators import (
+    OperatorSubspace,
+    Superoperator,
+    hs_inner,
+    hs_norm,
+    orthonormalize,
+    superop_from_kraus,
+    vec,
+)
 from cereduce.reduction import random_ce, random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj
+from conftest import proj, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +118,48 @@ class TestCheckInvariance:
         # H sigma_x H = sigma_z, orthogonal to the (normalized) basis
         assert check_invariance(sub, S) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("dim", [1, 4, 8])  # 1, n^2 / 2 and n^2 - 1 for n = 3
+    def test_matches_per_element_oracle(self, rng, dual, dim):
+        n = 3
+        S = superop_from_kraus([random_complex(rng, (n, n)) for _ in range(2)])
+        sub = orthonormalize([random_complex(rng, (n, n)) for _ in range(dim)])
+        assert sub.dim == dim
+        op = S.adjoint() if dual else S
+        expected = 0.0
+        for B in sub.basis:
+            Y = op(B)
+            off = Y - sum(hs_inner(C, Y) * C for C in sub.basis)
+            expected = max(expected, hs_norm(off))
+        assert expected > 1e-3
+        assert check_invariance(sub, S, dual=dual) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_empty_subspace(self, rng, dual):
+        S = superop_from_kraus([random_complex(rng, (3, 3))])
+        assert check_invariance(OperatorSubspace(3, ()), S, dual=dual) == 0.0
+
 
 class TestLinearReduce:
+    def test_matrices_match_explicit_inner_products(self, rng):
+        ce = random_ce(3, 2, 2, rng)
+        # a non-Hermitian observable separates tr(O B) from <O, B>
+        obs = (*ce.output.observables, random_complex(rng, (3, 3)))
+        ce = ConditionalEvolution(
+            instrument=ce.instrument,
+            output=OutputMap(names=(*ce.output.names, "nonherm"), observables=obs),
+        )
+        sub = orthonormalize([random_complex(rng, (3, 3)) for _ in range(5)])
+        lm = linear_reduce(ce, sub)
+        for k in ce.outcomes:
+            M = ce.instrument.maps[k]
+            A = [[hs_inner(Bi, M(Bj)) for Bj in sub.basis] for Bi in sub.basis]
+            assert np.allclose(lm.A[k], A, atol=1e-12)
+        C = [[np.trace(O @ B) for B in sub.basis] for O in obs]
+        assert np.allclose(lm.C, C, atol=1e-12)
+        x = random_complex(rng, 5)
+        assert np.allclose(lm.decode(x), sum(c * B for c, B in zip(x, sub.basis)), atol=1e-12)
+
     def test_walk_transition_matrix(self, walk4):
         from cereduce.zoo import walk_markov_oracle
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cereduce.operators import (
+    OperatorSubspace,
     Superoperator,
     channel_checks,
     closure,
@@ -92,6 +93,33 @@ class TestOrthonormalize:
         sub = orthonormalize(ops)
         for B in sub.basis:
             assert np.linalg.norm(B - B.conj().T) < 1e-12
+
+
+class TestOperatorSubspace:
+    def test_coords_and_project_match_explicit_sums(self, rng):
+        sub = orthonormalize([random_complex(rng, (3, 3)) for _ in range(4)])
+        X = random_complex(rng, (3, 3))
+        coords = [hs_inner(B, X) for B in sub.basis]
+        assert np.allclose(sub.coords(X), coords, atol=1e-12)
+        explicit = sum(c * B for c, B in zip(coords, sub.basis))
+        assert np.allclose(sub.project(X), explicit, atol=1e-12)
+        assert sub.residual(X) == pytest.approx(np.linalg.norm(X - explicit), abs=1e-12)
+
+    def test_stacked_is_built_once_and_read_only(self, rng):
+        sub = orthonormalize([random_complex(rng, (2, 2)) for _ in range(3)])
+        Q = sub.stacked()
+        assert Q is sub.stacked()
+        assert np.array_equal(Q, [vec(B) for B in sub.basis])
+        with pytest.raises(ValueError):
+            Q[0, 0] = 1.0
+
+    def test_empty_subspace(self, rng):
+        sub = OperatorSubspace(3, ())
+        X = random_complex(rng, (3, 3))
+        assert sub.stacked().shape == (0, 9)
+        assert sub.coords(X).shape == (0,)
+        assert np.array_equal(sub.project(X), np.zeros((3, 3)))
+        assert sub.residual(X) == pytest.approx(np.linalg.norm(X))
 
 
 class TestClosure:

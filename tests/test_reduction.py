@@ -118,6 +118,12 @@ class TestEquivalence:
         )
         assert rep.sampled and rep.passed
 
+    def test_sampled_words_are_plain_str(self):
+        ce = measured_quantum_walk(3, seed=1)
+        rep = equivalence_check(ce, reduce_ce(ce), max_len=4, n_states=2, sample_cap=20)
+        assert rep.sampled and rep.worst_case[1]
+        assert all(type(k) is str for k in rep.worst_case[1])
+
 
 class TestAssumptions:
     def test_ising_p_half(self):
@@ -133,6 +139,15 @@ class TestAssumptions:
         red = reduce_ce(ce)
         rep = check_assumptions(ce, red.nperp, red.output_algebra)
         assert not rep.a1.holds or rep.a2.holds
+
+    def test_ising_p0_pinned(self):
+        ce = ising_chain(4, 0.0, 0.3)
+        red = reduce_ce(ce)
+        rep = check_assumptions(ce, red.nperp, red.output_algebra)
+        assert not rep.a1.holds
+        assert not rep.a2.holds and rep.a2.residual == pytest.approx(0.19963126094178768, abs=1e-9)
+        assert rep.a3.holds and rep.a3.residual <= 1e-12
+        assert not rep.a4.holds and rep.a4.residual == pytest.approx(0.5646424733950358, abs=1e-9)
 
     def test_walk_a3(self, walk4, walk4_red):
         rep = check_assumptions(walk4, walk4_red.nperp, walk4_red.output_algebra)
