@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, Superoperator, channel_checks
+from .operators import DEFAULT_TOL, Superoperator, channel_checks, vec
 
 __all__ = [
     "Instrument",
@@ -77,6 +77,9 @@ class OutputMap:
         object.__setattr__(
             self, "observables", tuple(np.asarray(O, dtype=complex) for O in self.observables)
         )
+        rows = np.array([O.reshape(-1, order="C") for O in self.observables])
+        rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def dim(self) -> int:
@@ -90,14 +93,15 @@ class OutputMap:
         return None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(O @ X) for O in self.observables])
+        """Output vector tr[O_j X], all observables in one product with :meth:`matrix`."""
+        return self._rows @ vec(X)
 
     def matrix(self) -> np.ndarray:
-        """(n_obs, n^2) matrix acting on vec'd operators.
+        """Read-only (n_obs, n^2) matrix acting on vec'd operators, built once.
 
         Row j is vec(O_j^T), since tr[O X] = vec(O^T) . vec(X).
         """
-        return np.array([O.reshape(-1, order="C") for O in self.observables])
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -134,13 +138,13 @@ class ConditionalEvolution:
         res = 0.0
         for k in self.outcomes:
             M = self.instrument.maps[k].matrix
-            res = max(res, float(np.linalg.norm(M - self.evolution.matrix @ self.effects[k].matrix)))
+            res = max(res, float(np.linalg.norm(M - (self.evolution @ self.effects[k]).matrix)))
         return res
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    cp_residuals: dict[str, float]          # negative part of each Choi spectrum
+    cp_residuals: dict[str, float]          # negative part of each Choi spectrum, 0 for Kraus maps
     normalization_residual: float
     hermiticity_residuals: tuple[float, ...]
     identity_present: bool
@@ -161,10 +165,18 @@ class ValidationReport:
 
 
 def validate_ce(ce: ConditionalEvolution, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check instrument CP maps, dual normalization and observable sanity."""
+    """Check instrument CP maps, dual normalization and observable sanity.
+
+    A map held as a Kraus list is CP by construction; only maps given as a
+    bare matrix have their Choi spectrum checked.
+    """
     cp_res = {}
     for k in ce.outcomes:
-        rep = channel_checks(ce.instrument.maps[k], tol)
+        S = ce.instrument.maps[k]
+        if S.kraus is not None:
+            cp_res[k] = 0.0
+            continue
+        rep = channel_checks(S, tol)
         cp_res[k] = max(0.0, -rep.min_choi_eig) + rep.choi_herm_residual
     herm = tuple(
         float(np.linalg.norm(O - O.conj().T)) for O in ce.output.observables

@@ -21,7 +21,6 @@ from .operators import (
     Superoperator,
     closure,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -124,5 +123,5 @@ def linear_reduce(
     Q = subspace.stacked()
     # A_k[i, j] = <B_i, M_k(B_j)>;  C[o, j] = tr(O_o B_j) = vec(O_o^T) . vec(B_j)
     A = {k: Q.conj() @ ce.instrument.maps[k].matrix @ Q.T for k in ce.outcomes}
-    C = np.array([vec(O.T) for O in ce.output.observables]) @ Q.T
+    C = ce.output.matrix() @ Q.T
     return LinearReducedModel(subspace=subspace, outcomes=ce.outcomes, A=A, C=C)

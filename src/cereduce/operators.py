@@ -4,8 +4,11 @@ Conventions used throughout the package:
 
 * operators are plain ``numpy`` complex matrices,
 * vectorization is column-stacking, ``vec(X)[a + b*n] = X[a, b]``,
-* a superoperator ``X -> sum_i K_i X K_i^dag`` has matrix
-  ``sum_i conj(K_i) otimes K_i`` acting on column-stacked vectors,
+* a superoperator ``X -> sum_i K_i X K_i^dag`` is held as its Kraus list
+  and applied, adjoined and composed through it; its matrix
+  ``sum_i conj(K_i) otimes K_i`` on column-stacked vectors is built only
+  when something reads it, and a map applies through that matrix only
+  when the matvec is cheaper than the Kraus products,
 * adjoints of superoperators are taken w.r.t. the Hilbert-Schmidt
   inner product ``<A, B> = tr(A^dag B)``.
 """
@@ -216,40 +219,70 @@ def orthonormalize(
     return closure(ops, tol=tol)
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    """Linear map on operators, held as a matrix on column-stacked vectors.
+    """Linear map on operators, held as a Kraus list or as a matrix.
 
-    ``matrix`` has shape (out_dim^2, in_dim^2).  When the map came from a
-    Kraus family the operators are retained in ``kraus``.
+    A map built from Kraus operators ``K_i`` (shape (out_dim, in_dim))
+    keeps them in ``kraus``; its adjoint and its compositions with other
+    Kraus maps stay Kraus lists.  ``matrix``, of shape
+    (out_dim^2, in_dim^2) on column-stacked vectors, is built from the
+    Kraus list on first read and kept.  A map is given either as a Kraus
+    list or as a matrix; in the second case ``kraus`` is None.
+
+    The apply form is fixed at construction by cost: with r Kraus
+    operators, X -> sum_i K_i X K_i^dag is two products costing
+    r (out_dim in_dim^2 + out_dim^2 in_dim), which is used when that is
+    below the out_dim^2 in_dim^2 of the dense matvec.  Long Kraus lists,
+    such as those of reduced maps, apply through the matrix.
     """
 
-    matrix: np.ndarray
-    kraus: tuple[np.ndarray, ...] | None = None
+    __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if round(np.sqrt(m.shape[0])) ** 2 != m.shape[0] or round(np.sqrt(m.shape[1])) ** 2 != m.shape[1]:
-            raise ValueError(f"matrix shape {m.shape} is not (out^2, in^2)")
-        if self.kraus is not None:
-            object.__setattr__(
-                self, "kraus", tuple(np.asarray(K, dtype=complex) for K in self.kraus)
-            )
+    def __init__(self, matrix: np.ndarray | None = None, kraus=None):
+        if (matrix is None) == (kraus is None):
+            raise ValueError("need either a matrix or a Kraus list")
+        self.kraus = self._matrix = self._rows = self._cols = None
+        if matrix is not None:
+            m = np.asarray(matrix, dtype=complex)
+            if m.ndim != 2 or any(round(np.sqrt(s)) ** 2 != s for s in m.shape):
+                raise ValueError(f"matrix shape {m.shape} is not (out^2, in^2)")
+            self.out_dim, self.in_dim = (round(np.sqrt(s)) for s in m.shape)
+            self._matrix = m
+            return
+        kraus = tuple(np.asarray(K, dtype=complex) for K in kraus)
+        if not kraus:
+            raise ValueError("need at least one Kraus operator")
+        if kraus[0].ndim != 2 or any(K.shape != kraus[0].shape for K in kraus):
+            raise ValueError("Kraus operators must share a common shape")
+        self.kraus = kraus
+        no, ni = self.out_dim, self.in_dim = kraus[0].shape
+        if len(kraus) * (no * ni * ni + no * no * ni) < no * no * ni * ni:
+            # sum_i K_i X K_i^dag = [K_1 ... K_r] @ stack_i(X K_i^dag)
+            self._rows = np.hstack(kraus)
+            self._cols = np.hstack([K.conj().T for K in kraus])
 
     @property
-    def in_dim(self) -> int:
-        return round(np.sqrt(self.matrix.shape[1]))
-
-    @property
-    def out_dim(self) -> int:
-        return round(np.sqrt(self.matrix.shape[0]))
+    def matrix(self) -> np.ndarray:
+        """(out_dim^2, in_dim^2) matrix, sum_i conj(K_i) otimes K_i for a Kraus map."""
+        if self._matrix is None:
+            K = np.array(self.kraus)
+            r, no, ni = K.shape
+            # G[(p, s), (q, t)] = sum_i conj(K_i[p, s]) K_i[q, t], the kron entry [(p, q), (s, t)]
+            G = K.reshape(r, no * ni).conj().T @ K.reshape(r, no * ni)
+            M = G.reshape(no, ni, no, ni).transpose(0, 2, 1, 3).reshape(no * no, ni * ni)
+            M.flags.writeable = False
+            self._matrix = M
+        return self._matrix
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
-        if X.shape != (self.in_dim, self.in_dim):
-            raise ValueError(f"expected {self.in_dim}x{self.in_dim} operator, got {X.shape}")
-        return unvec(self.matrix @ vec(X), self.out_dim)
+        ni, no = self.in_dim, self.out_dim
+        if X.shape != (ni, ni):
+            raise ValueError(f"expected {ni}x{ni} operator, got {X.shape}")
+        if self._rows is None:
+            return (self.matrix @ X.reshape(-1, order="F")).reshape((no, no), order="F")
+        Y = (X @ self._cols).reshape(ni, -1, no).transpose(1, 0, 2).reshape(-1, no)
+        return self._rows @ Y
 
     @classmethod
     def from_conjugation(cls, A: np.ndarray) -> "Superoperator":
@@ -258,19 +291,17 @@ class Superoperator:
 
     def adjoint(self) -> "Superoperator":
         """HS adjoint; for a Kraus map this is X -> sum_i K_i^dag X K_i."""
-        kr = None
         if self.kraus is not None:
-            kr = tuple(K.conj().T for K in self.kraus)
-        return Superoperator(self.matrix.conj().T, kraus=kr)
+            return Superoperator(kraus=[K.conj().T for K in self.kraus])
+        return Superoperator(self._matrix.conj().T)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other (matrix product order)."""
+        """self after other, on the Kraus lists when both maps have one."""
         if other.out_dim != self.in_dim:
             raise ValueError("dimension mismatch in composition")
-        kr = None
         if self.kraus is not None and other.kraus is not None:
-            kr = tuple(A @ B for A in self.kraus for B in other.kraus)
-        return Superoperator(self.matrix @ other.matrix, kraus=kr)
+            return Superoperator(kraus=[A @ B for A in self.kraus for B in other.kraus])
+        return Superoperator(self.matrix @ other.matrix)
 
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return self.compose(other)
@@ -282,7 +313,7 @@ class Superoperator:
         return np.einsum("baji->iajb", S4).reshape(ni * no, ni * no)
 
     def kraus_consistency(self) -> float:
-        """Residual between the matrix and the stored Kraus factorization."""
+        """Residual between ``matrix`` and the explicit sum of conj(K_i) otimes K_i."""
         if self.kraus is None:
             raise ValueError("no Kraus factorization stored")
         M = sum(np.kron(K.conj(), K) for K in self.kraus)
@@ -290,16 +321,8 @@ class Superoperator:
 
 
 def superop_from_kraus(kraus) -> Superoperator:
-    """Superoperator of X -> sum_i K_i X K_i^dag."""
-    kraus = [np.asarray(K, dtype=complex) for K in kraus]
-    if not kraus:
-        raise ValueError("need at least one Kraus operator")
-    shape = kraus[0].shape
-    for K in kraus:
-        if K.shape != shape:
-            raise ValueError("Kraus operators must share a common shape")
-    M = sum(np.kron(K.conj(), K) for K in kraus)
-    return Superoperator(M, kraus=tuple(kraus))
+    """Superoperator of X -> sum_i K_i X K_i^dag, kept as its Kraus list."""
+    return Superoperator(kraus=kraus)
 
 
 @dataclass(frozen=True)

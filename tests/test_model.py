@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from cereduce.model import (
     trajectory_probability,
     validate_ce,
 )
-from cereduce.operators import superop_from_kraus
+from cereduce.operators import Superoperator, superop_from_kraus, vec
 from cereduce.reduction import random_ce, random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj
+from conftest import proj, random_complex
 
 
 def projective_z_qubit(scale=1.0):
@@ -58,6 +60,29 @@ class TestValidate:
         )
         rep = validate_ce(ce)
         assert not rep.identity_present and not rep.ok
+
+    def test_matrix_only_non_cp_map_rejected(self):
+        # the transpose is trace preserving and unital but not CP; its Choi
+        # matrix is the swap, with eigenvalue -1
+        swap = np.array([vec(M.T) for M in np.eye(4).reshape(4, 2, 2, order="F")]).T
+        T = Superoperator(swap)
+        X = np.array([[1, 2j], [3, 4]])
+        assert np.allclose(T(X), X.T)
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0",), maps={"0": T}),
+            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
+        )
+        rep = validate_ce(ce)
+        assert rep.normalization_residual < 1e-12
+        assert rep.cp_residuals["0"] == pytest.approx(1.0)
+        assert not rep.ok
+
+    def test_split_mismatch_rejected(self):
+        ce = ising_chain(4, 0.5, 0.3)
+        swapped = {"-1": ce.effects["-1"], "0": ce.effects["1"], "1": ce.effects["0"]}
+        rep = validate_ce(dataclasses.replace(ce, effects=swapped))
+        assert rep.split_residual > 1.0
+        assert not rep.ok
 
 
 class TestStepUnnormalized:
@@ -154,6 +179,13 @@ class TestOutputEval:
             output=OutputMap(names=("identity", "x"), observables=(np.eye(2, dtype=complex), paulis["x"])),
         )
         assert output_eval(ce, 0.3 * PLUS) == pytest.approx([0.3, 0.3])
+
+    def test_one_product_matches_traces(self, rng):
+        obs = tuple(random_complex(rng, (4, 4)) for _ in range(3))
+        out = OutputMap(names=("a", "b", "c"), observables=obs)
+        X = random_complex(rng, (4, 4))
+        expected = np.array([np.trace(O @ X) for O in obs])
+        assert np.allclose(out(X), expected, rtol=1e-12, atol=0)
 
     def test_linearity_random_combinations(self, rng):
         ce = random_ce(3, 2, 3, rng)

@@ -194,6 +194,77 @@ class TestAdjointCompose:
         assert np.allclose((S2 @ S1)(X), S2(S1(X)))
 
 
+def dense_apply(S, X):
+    """Oracle: the column-stacked matvec with the dense matrix."""
+    return unvec(S.matrix @ vec(X), S.out_dim)
+
+
+class TestApplyForms:
+    """S(X) against the dense matvec, for Kraus lists on either side of the cost rule."""
+
+    CASES = {
+        # name: (number of Kraus operators, out_dim, in_dim, applies through Kraus)
+        "r1_square": (1, 4, 4, True),
+        "r3_square": (3, 8, 8, True),
+        "r_like": (2, 3, 8, True),
+        "j_like": (2, 8, 3, True),
+        "long_list": (10, 3, 3, False),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request, rng):
+        r, no, ni, via_kraus = self.CASES[request.param]
+        kraus = [random_complex(rng, (no, ni)) for _ in range(r)]
+        return superop_from_kraus(kraus), via_kraus
+
+    def test_apply_matches_dense_matvec(self, case, rng):
+        S, via_kraus = case
+        # white box: the form fixed at construction, and the matrix not yet built
+        assert (S._rows is not None) == via_kraus
+        X = random_complex(rng, (S.in_dim, S.in_dim))
+        Y = S(X)
+        assert (S._matrix is None) == via_kraus
+        ref = dense_apply(S, X)
+        assert Y.shape == (S.out_dim, S.out_dim)
+        assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_wrong_size_rejected(self, case):
+        S, _ = case
+        for shape in [(S.in_dim + 1, S.in_dim + 1), (S.in_dim, S.in_dim + 1)]:
+            with pytest.raises(ValueError):
+                S(np.zeros(shape))
+
+    def test_adjoint_stays_kraus(self, case, rng):
+        S, _ = case
+        Sd = S.adjoint()
+        assert Sd.kraus is not None and Sd._matrix is None
+        assert (Sd.in_dim, Sd.out_dim) == (S.out_dim, S.in_dim)
+        assert np.allclose(Sd.matrix, S.matrix.conj().T, rtol=0, atol=1e-12)
+        A = random_complex(rng, (S.out_dim, S.out_dim))
+        assert np.linalg.norm(Sd(A) - dense_apply(Sd, A)) <= 1e-12 * np.linalg.norm(Sd(A))
+
+    def test_compose_stays_kraus(self, case, rng):
+        S, _ = case
+        T = superop_from_kraus([random_complex(rng, (S.in_dim, 2)) for _ in range(2)])
+        ST = S @ T
+        assert ST.kraus is not None and len(ST.kraus) == 2 * len(S.kraus)
+        assert ST._matrix is None
+        ref = S.matrix @ T.matrix
+        assert np.linalg.norm(ST.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_matrix_only_map(self, rng):
+        M = random_complex(rng, (16, 9))
+        S = Superoperator(M)
+        assert S.kraus is None and (S.out_dim, S.in_dim) == (4, 3)
+        X = random_complex(rng, (3, 3))
+        assert np.allclose(S(X), unvec(M @ vec(X), 4), rtol=1e-12, atol=0)
+        assert np.array_equal(S.adjoint().matrix, M.conj().T)
+        with pytest.raises(ValueError):
+            S(np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            Superoperator(random_complex(rng, (8, 9)))
+
+
 class TestChannelChecks:
     def test_unitary_conjugation(self):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

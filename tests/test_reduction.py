@@ -118,6 +118,22 @@ class TestEquivalence:
         )
         assert rep.sampled and rep.passed
 
+    def test_loaded_kraus_model_never_builds_dense_maps(self):
+        from cereduce.serialize import ce_from_json, ce_to_json
+        from cereduce.trajectories import sample_trajectory
+
+        ce = ising_chain(4, 0.5, 0.3)
+        red = reduce_ce(ce)
+        full = ce_from_json(ce_to_json(ce))
+        maps = [*full.instrument.maps.values(), full.evolution, *full.effects.values()]
+        assert all(S.kraus is not None for S in maps)
+        rep = equivalence_check(full, red, max_len=3, n_states=3, seed=2)
+        assert rep.passed
+        rec = sample_trajectory(full, np.eye(16) / 16, 10, 5)
+        assert len(rec.outcomes) == 10
+        # white box: the dense form is cached on first read of .matrix
+        assert all(S._matrix is None for S in maps)
+
     def test_sampled_words_are_plain_str(self):
         ce = measured_quantum_walk(3, seed=1)
         rep = equivalence_check(ce, reduce_ce(ce), max_len=4, n_states=2, sample_cap=20)
