@@ -44,6 +44,7 @@ from .operators import (
     closure,
     hs_inner,
     hs_norm,
+    map_coordinates,
     orthonormalize,
     superop_from_kraus,
     unvec,

@@ -307,7 +307,6 @@ class CEFactorization:
     decomposition: WedderburnDecomposition
     R: Superoperator
     J: Superoperator
-    E: Superoperator
 
     @property
     def reduced_hilbert_dim(self) -> int:
@@ -328,24 +327,20 @@ class CEFactorization:
 
 
 def conditional_expectation(dec: WedderburnDecomposition) -> CEFactorization:
-    """Build R, J and E = J o R as explicit superoperators with Kraus forms."""
-    n = dec.dim
-    D = dec.reduced_total_dim
-    roffs = dec.reduced_offsets()
+    """Build R and J (E = J o R) as Kraus maps.
 
+    R's operator for block k and multiplicity index f holds (I_S otimes <f|) U_k^dag,
+    the columns f::d_F of U_k conjugate-transposed, in block k's rows; J's is its
+    adjoint over sqrt(d_F).
+    """
+    roffs = dec.reduced_offsets()
     r_kraus = []
     j_kraus = []
     for k, (dS, dF) in enumerate(dec.blocks):
         Uk = dec.block_isometry(k)          # (n, dS*dF)
-        emb = np.zeros((D, dS), dtype=complex)
-        emb[roffs[k]:roffs[k + 1], :] = np.eye(dS)
         for f in range(dF):
-            sel = np.zeros((dS, dS * dF), dtype=complex)   # I_S otimes <f|
-            for s in range(dS):
-                sel[s, s * dF + f] = 1.0
-            A = emb @ sel @ Uk.conj().T
+            A = np.zeros((dec.reduced_total_dim, dec.dim), dtype=complex)
+            A[roffs[k]:roffs[k + 1]] = Uk[:, f::dF].conj().T
             r_kraus.append(A)
-            j_kraus.append(Uk @ sel.conj().T @ emb.conj().T / np.sqrt(dF))
-    R = superop_from_kraus(r_kraus)
-    J = superop_from_kraus(j_kraus)
-    return CEFactorization(decomposition=dec, R=R, J=J, E=J @ R)
+            j_kraus.append(A.conj().T / np.sqrt(dF))
+    return CEFactorization(dec, R=superop_from_kraus(r_kraus), J=superop_from_kraus(j_kraus))

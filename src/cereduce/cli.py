@@ -43,8 +43,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_tol(fallback: float = DEFAULT_TOL) -> float:
-    return float(os.environ.get("CEREDUCE_TOL", fallback))
+def _tol(text: str) -> float:
+    """A tolerance from --tol or CEREDUCE_TOL: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance (--tol or CEREDUCE_TOL) must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
+def _default_tol(fallback: float = DEFAULT_TOL) -> str:
+    # a string default goes through the type function, so CEREDUCE_TOL is checked by _tol
+    return os.environ.get("CEREDUCE_TOL", repr(fallback))
 
 
 def _positive_int(text: str) -> int:
@@ -233,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=_default_tol())
+        p.add_argument("--tol", type=_tol, default=_default_tol())
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("zoo", help="emit an example model as JSON")
@@ -243,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--hadamard", action="store_true")
     w.add_argument("-o", "--output", required=True)
-    w.add_argument("--tol", type=float, default=_default_tol())
+    w.add_argument("--tol", type=_tol, default=_default_tol())
     w.set_defaults(func=cmd_zoo)
     i = fam.add_parser("ising")
     i.add_argument("--n", type=int, required=True, help="number of qubits, N >= 4")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, Superoperator, channel_checks, vec
+from .operators import DEFAULT_TOL, Superoperator, channel_checks, map_coordinates, vec
 
 __all__ = [
     "Instrument",
@@ -132,14 +132,13 @@ class ConditionalEvolution:
         return self.evolution is not None
 
     def split_residual(self) -> float:
-        """Max deviation between M_k and evolution o effect_k."""
+        """Max HS distance between M_k and evolution o effect_k."""
         if not self.has_split:
             raise ValueError("conditional evolution has no split form")
-        res = 0.0
-        for k in self.outcomes:
-            M = self.instrument.maps[k].matrix
-            res = max(res, float(np.linalg.norm(M - (self.evolution @ self.effects[k]).matrix)))
-        return res
+        x = map_coordinates([self.instrument.maps[k] for k in self.outcomes]
+                            + [self.evolution @ self.effects[k] for k in self.outcomes])
+        m = len(self.outcomes)
+        return float(np.max(np.linalg.norm(x[:m] - x[m:], axis=1)))
 
 
 @dataclass(frozen=True)

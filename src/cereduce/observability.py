@@ -21,6 +21,7 @@ from .operators import (
     Superoperator,
     closure,
     unvec,
+    vec,
 )
 
 __all__ = [
@@ -58,6 +59,11 @@ def nonobservable_complement(
     return invariant_closure(list(ce.output.observables), duals, tol)
 
 
+def _images(S: Superoperator, subspace: OperatorSubspace) -> np.ndarray:
+    """(n^2, dim) matrix whose column i is vec(S(B_i)) for the basis element B_i."""
+    return np.array([vec(S(B)) for B in subspace.basis]).reshape(subspace.dim, S.out_dim**2).T
+
+
 def check_invariance(
     subspace: OperatorSubspace,
     S: Superoperator,
@@ -65,14 +71,11 @@ def check_invariance(
 ) -> float:
     """Max over basis elements B of ||op(B) - Pi op(B)||, op = S or its HS adjoint.
 
-    With Q the subspace's stacked basis (rows vec(B_i)), the images of the
-    whole basis are the columns of ``S.matrix @ Q.T``; for the dual they are
-    ``(Q.conj() @ S.matrix)`` conjugate-transposed, so the adjoint matrix is
-    never formed.  The result is the largest column residual off the
-    subspace, and 0.0 for an empty subspace.
+    Each basis element is applied through the map (or its adjoint) in the
+    form the map chose at construction, and the residuals of all the images
+    come from the stacked basis at once; 0.0 for an empty subspace.
     """
-    Q = subspace.stacked()
-    images = (Q.conj() @ S.matrix).conj().T if dual else S.matrix @ Q.T
+    images = _images(S.adjoint() if dual else S, subspace)
     return float(np.max(subspace.residuals(images), initial=0.0))
 
 
@@ -122,6 +125,6 @@ def linear_reduce(
         raise ValueError("cannot reduce onto a zero-dimensional subspace")
     Q = subspace.stacked()
     # A_k[i, j] = <B_i, M_k(B_j)>;  C[o, j] = tr(O_o B_j) = vec(O_o^T) . vec(B_j)
-    A = {k: Q.conj() @ ce.instrument.maps[k].matrix @ Q.T for k in ce.outcomes}
+    A = {k: Q.conj() @ _images(ce.instrument.maps[k], subspace) for k in ce.outcomes}
     C = ce.output.matrix() @ Q.T
     return LinearReducedModel(subspace=subspace, outcomes=ce.outcomes, A=A, C=C)

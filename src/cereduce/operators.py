@@ -35,6 +35,7 @@ __all__ = [
     "OperatorSubspace",
     "Superoperator",
     "superop_from_kraus",
+    "map_coordinates",
     "ChannelReport",
     "channel_checks",
 ]
@@ -141,15 +142,6 @@ class OperatorSubspace:
     def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(X) <= tol * max(hs_norm(X), 1.0)
 
-    def orthocomplement(self) -> "OperatorSubspace":
-        """HS-orthogonal complement within the ambient operator space."""
-        n = self.ambient_dim
-        M = self.stacked()
-        # rows of M span the subspace; null space of M is the complement
-        _, _, Vh = np.linalg.svd(M, full_matrices=True)
-        null = Vh[M.shape[0]:].conj()
-        return OperatorSubspace(n, tuple(unvec(row, n) for row in null))
-
     def projector_matrix(self) -> np.ndarray:
         """(n^2, n^2) matrix of the HS-orthogonal projector onto the span.
 
@@ -171,8 +163,9 @@ def closure(
     that element contributes.  Each candidate is projected out of the
     current basis twice (classical Gram-Schmidt with one
     re-orthogonalization) and kept when its residual norm exceeds ``tol``
-    times the largest candidate norm seen so far.  While every candidate
-    is Hermitian, kept elements are symmetrized, so the basis stays Hermitian.
+    times the largest candidate norm seen so far, until the basis holds
+    n^2 elements.  While every candidate is Hermitian, kept elements are
+    symmetrized, so the basis stays Hermitian.
     """
     ops = list(ops)
     if not ops:
@@ -187,6 +180,8 @@ def closure(
         X = np.asarray(X, dtype=complex)
         if X.shape != (n, n):
             raise ValueError("operators must share a common square shape")
+        if len(basis) == n * n:  # the basis already spans every n x n operator
+            return
         hermitian = hermitian and is_hermitian(X)
         v = vec(X)
         scale = max(scale, hs_norm(v))
@@ -323,6 +318,21 @@ class Superoperator:
 def superop_from_kraus(kraus) -> Superoperator:
     """Superoperator of X -> sum_i K_i X K_i^dag, kept as its Kraus list."""
     return Superoperator(kraus=kraus)
+
+
+def map_coordinates(maps) -> np.ndarray:
+    """One row x_a per map, linear in the maps and with <x_a, x_b> = <S_a, S_b>_HS.
+
+    One QR of the flattened Kraus operators of all the maps gives
+    vec(K_i) = Q R[:, i]; a map's row is its flattened process matrix a a^dag,
+    a its columns of R.  If any map has no Kraus list, the rows are the matrices.
+    """
+    maps = list(maps)
+    if any(S.kraus is None for S in maps):
+        return np.array([S.matrix.reshape(-1) for S in maps])
+    _, R = np.linalg.qr(np.array([K.reshape(-1) for S in maps for K in S.kraus]).T)
+    ends = np.cumsum([len(S.kraus) for S in maps])
+    return np.array([(a @ a.conj().T).reshape(-1) for a in np.split(R, ends[:-1], axis=1)])
 
 
 @dataclass(frozen=True)

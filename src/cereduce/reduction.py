@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import check_invariance, nonobservable_complement
-from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, vec
+from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
 
 __all__ = [
     "ReducedCE",
@@ -155,7 +155,7 @@ class AssumptionReport:
 
     a1: the evolution map is a linear combination of the instrument maps
         (coefficients in ``lambdas``);
-    a2: the non-observable subspace is invariant under the evolution;
+    a2: the non-observable subspace is invariant under the evolution, i.e. nperp under its dual;
     a3: the output algebra is invariant under every measurement effect;
     a4: the output algebra is invariant under the dual of the evolution.
     """
@@ -180,19 +180,14 @@ def check_assumptions(
     """Evaluate the separability assumptions on a split-form model."""
     if not ce.has_split:
         raise ValueError("assumption checks require the split (evolution, effects) form")
-    M = np.array([vec(ce.instrument.maps[k].matrix) for k in ce.outcomes]).T
-    target = vec(ce.evolution.matrix)
+    x = map_coordinates([ce.instrument.maps[k] for k in ce.outcomes] + [ce.evolution])
+    M, target = x[:-1].T, x[-1]
     lam, _, _, _ = np.linalg.lstsq(M, target, rcond=None)
     a1_res = float(np.linalg.norm(M @ lam - target))
     scale = max(float(np.linalg.norm(target)), 1.0)
 
-    # A2: for B in the complement of nperp, E(B) leaves the complement only
-    # along nperp, so each residual is the norm of a column of
-    # (N.conj() @ E) @ Q_c.T with N, Q_c the stacked nperp and complement
-    N = nperp.stacked()
-    Qc = nperp.orthocomplement().stacked()
-    a2_cols = (N.conj() @ ce.evolution.matrix) @ Qc.T
-    a2_res = float(np.max(np.linalg.norm(a2_cols, axis=0), initial=0.0))
+    # A2: E maps the complement of nperp into itself iff E^dag maps nperp into nperp
+    a2_res = check_invariance(nperp, ce.evolution, dual=True)
     a3_res = max(
         check_invariance(alg.space, ce.effects[k], dual=False)
         for k in ce.outcomes

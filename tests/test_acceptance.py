@@ -192,7 +192,7 @@ def random_algebras():
 
 def e_suite_ok(alg, tol=1e-8):
     fact = conditional_expectation(wedderburn(alg))
-    E = fact.E
+    E = fact.J @ fact.R
     ok = np.linalg.norm((E @ E).matrix - E.matrix) <= tol * max(1.0, hs_norm(E.matrix))
     ok &= np.linalg.norm(E.matrix - E.adjoint().matrix) <= tol
     rep = channel_checks(E)

@@ -205,6 +205,35 @@ def test_bad_input_exit2_with_error_line(make_argv, tmp_path, walk_files, capsys
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        pytest.param(["reduce", "{m}", "--tol", "-1"], None, id="reduce_tol_negative"),
+        pytest.param(["reduce", "{m}", "--tol", "nan"], None, id="reduce_tol_nan"),
+        pytest.param(["reduce", "{m}", "--tol", "0"], None, id="reduce_tol_zero"),
+        pytest.param(["verify", "{m}", "{r}", "--tol", "inf"], None, id="verify_tol_inf"),
+        pytest.param(["zoo", "walk", "--n", "3", "--tol", "0", "-o", "{w}"], None, id="zoo_walk_tol_zero"),
+        pytest.param(["reduce", "{m}"], "abc", id="reduce_env_abc"),
+        pytest.param(["verify", "{m}", "{r}"], "-1", id="verify_env_negative"),
+        pytest.param(["simulate", "{m}"], "nan", id="simulate_env_nan"),
+        pytest.param(["zoo", "walk", "--n", "3", "-o", "{w}"], "abc", id="zoo_walk_env_abc"),
+    ],
+)
+def test_bad_tolerance_exit2(argv, env, tmp_path, walk_files, monkeypatch, capsys):
+    model, reduced = walk_files
+    argv = [a.format(m=model, r=reduced, w=tmp_path / "w.json") for a in argv]
+    if env is None:
+        monkeypatch.delenv("CEREDUCE_TOL", raising=False)
+    else:
+        monkeypatch.setenv("CEREDUCE_TOL", env)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value before any work
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "positive finite number" in err
+
+
 def test_tol_env_var(monkeypatch):
     monkeypatch.delenv("CEREDUCE_TOL", raising=False)
     commands = (["reduce", "m.json"], ["verify", "m.json", "m.red.json"], ["simulate", "m.json"])

@@ -8,6 +8,7 @@ from cereduce.operators import (
     closure,
     eigh_clustered,
     hs_inner,
+    map_coordinates,
     orthonormalize,
     superop_from_kraus,
     unvec,
@@ -139,6 +140,45 @@ class TestClosure:
         for i, Bi in enumerate(sub.basis):
             for j, Bj in enumerate(sub.basis):
                 assert hs_inner(Bi, Bj) == pytest.approx(float(i == j), abs=1e-12)
+
+    def test_zero_tol_stops_at_full_space(self, rng):
+        A = random_complex(rng, (3, 3))
+
+        def expand(basis, i):
+            # without a cap, rounding noise passes tol=0 and the basis never stops growing
+            assert i < 9, "closure expanded more than n^2 basis elements"
+            return [A @ basis[i], basis[i] @ A]
+
+        sub = closure([random_complex(rng, (3, 3))], expand, tol=0.0)
+        assert sub.dim == 9
+
+
+class TestMapCoordinates:
+    """Rows of map_coordinates against the dense matrices' HS geometry."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)], ids=["square", "wide", "tall"])
+    def test_inner_products_and_combinations(self, shape, rng):
+        maps = [superop_from_kraus([random_complex(rng, shape) for _ in range(r)]) for r in (1, 3, 1, 3)]
+        x = map_coordinates(maps)
+        S = np.array([M.matrix.reshape(-1) for M in maps])
+        gram = S.conj() @ S.T
+        assert np.linalg.norm(x.conj() @ x.T - gram) <= 1e-12 * np.linalg.norm(gram)
+        for _ in range(5):
+            c = random_complex(rng, len(maps))
+            ref = np.linalg.norm(c @ S)
+            assert abs(np.linalg.norm(c @ x) - ref) <= 1e-12 * ref
+
+    def test_exact_cancellation_has_no_sqrt_eps_floor(self, rng):
+        A, B = (random_complex(rng, (4, 4)) for _ in range(2))
+        sa, sb, sab = superop_from_kraus([A]), superop_from_kraus([B]), superop_from_kraus([A, B])
+        x = map_coordinates([sa, sb, sab])
+        scale = np.linalg.norm(x[2])
+        assert np.linalg.norm(x[2] - x[0] - x[1]) <= 1e-14 * scale
+
+    def test_matrix_only_map_falls_back_to_matrices(self, rng):
+        maps = [superop_from_kraus([random_complex(rng, (3, 3))]), Superoperator(random_complex(rng, (9, 9)))]
+        x = map_coordinates(maps)
+        assert np.array_equal(x, np.array([M.matrix.reshape(-1) for M in maps]))
 
 
 class TestSuperopFromKraus:

@@ -119,6 +119,8 @@ class TestEquivalence:
         assert rep.sampled and rep.passed
 
     def test_loaded_kraus_model_never_builds_dense_maps(self):
+        from cereduce.model import validate_ce
+        from cereduce.observability import linear_reduce
         from cereduce.serialize import ce_from_json, ce_to_json
         from cereduce.trajectories import sample_trajectory
 
@@ -131,6 +133,9 @@ class TestEquivalence:
         assert rep.passed
         rec = sample_trajectory(full, np.eye(16) / 16, 10, 5)
         assert len(rec.outcomes) == 10
+        assert validate_ce(full).ok
+        assert check_assumptions(full, red.nperp, red.output_algebra).a1.holds
+        assert linear_reduce(full, red.nperp).q == red.nperp.dim
         # white box: the dense form is cached on first read of .matrix
         assert all(S._matrix is None for S in maps)
 
@@ -161,7 +166,11 @@ class TestAssumptions:
         red = reduce_ce(ce)
         rep = check_assumptions(ce, red.nperp, red.output_algebra)
         assert not rep.a1.holds
-        assert not rep.a2.holds and rep.a2.residual == pytest.approx(0.19963126094178768, abs=1e-9)
+        # A2 is the dual invariance of nperp: max_i ||(1 - P) E^dag(B_i)|| over its basis
+        images = ce.evolution.matrix.conj().T @ red.nperp.stacked().T
+        off = images - red.nperp.projector_matrix() @ images
+        assert rep.a2.residual == pytest.approx(np.max(np.linalg.norm(off, axis=0)), abs=1e-12)
+        assert not rep.a2.holds and rep.a2.residual == pytest.approx(0.5646424733950358, abs=1e-9)
         assert rep.a3.holds and rep.a3.residual <= 1e-12
         assert not rep.a4.holds and rep.a4.residual == pytest.approx(0.5646424733950358, abs=1e-9)
 

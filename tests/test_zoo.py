@@ -29,6 +29,10 @@ class TestWalk:
         for seed in range(3):
             assert walk_is_generic(haar_unitary(4, seed))
 
+    def test_zero_tol_returns(self):
+        # rounding noise passes tol=0; the closure must still stop at n^2 elements
+        assert walk_is_generic(haar_unitary(3, 0), tol=0.0)
+
     def test_identity_unitary_warns(self):
         with pytest.warns(UserWarning):
             measured_quantum_walk(3, U=np.eye(3, dtype=complex))
