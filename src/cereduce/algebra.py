@@ -6,8 +6,11 @@ numerically from a generic element of the center, which separates the
 blocks, and the algebra orbits of eigenvectors of a generic algebra
 element, which give each block's aligned multiplicity slices; the unitary
 it produces is validated against the block structure of every algebra
-basis element before being returned.  The commutant is read off the
-decomposition as the direct sum of blocks 1_{d_S} otimes B(C^{d_F}).
+basis element before being returned.  The center is the real null space
+of the structure constants Im<B_l, B_i B_j> of the algebra's Hermitian
+basis, an (m^2, m) matrix for an m-dimensional algebra.  The commutant
+is read off the decomposition as the direct sum of blocks
+1_{d_S} otimes B(C^{d_F}).
 
 From the decomposition one obtains the unique Hilbert-Schmidt-orthogonal
 conditional expectation onto the algebra, factorized into a CPTP
@@ -27,6 +30,7 @@ from .operators import (
     Superoperator,
     closure,
     eigh_clustered,
+    is_hermitian,
     orthonormalize,
     superop_from_kraus,
     unvec,
@@ -55,7 +59,11 @@ def _hermitian_parts(X: np.ndarray) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class StarAlgebra:
-    """Operator span closed under products and adjoints."""
+    """Operator span closed under products and adjoints.
+
+    The basis is HS-orthonormal and, in every algebra this module builds,
+    Hermitian; :func:`center` requires that.
+    """
 
     space: OperatorSubspace
     unital: bool
@@ -134,25 +142,25 @@ def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
 
 
 def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """The center: elements of the algebra commuting with the whole algebra."""
-    n = alg.ambient_dim
-    m = alg.dim
-    rows = []
-    for Bj in alg.basis:
-        block = np.zeros((n * n, m), dtype=complex)
-        for i, Bi in enumerate(alg.basis):
-            block[:, i] = (Bi @ Bj - Bj @ Bi).reshape(-1, order="F")
-        rows.append(block)
-    M = np.vstack(rows)
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    s_max = max(float(s[0]), 1.0) if s.size else 1.0
-    coeffs = [Vh[j].conj() for j in range(len(Vh)) if j >= len(s) or s[j] <= tol * s_max]
-    # vec of the j-th center element sum_i c_ji B_i, summed over the stacked
-    # basis Q in basis order: bit for bit the sequential sum, unlike a BLAS product
-    C = np.reshape(coeffs, (-1, m, 1))
-    X = np.sum(C * alg.space.stacked(), axis=1, initial=0)
-    ops = [P for v in X for P in _hermitian_parts(unvec(v, n))]
-    return orthonormalize(ops, tol)
+    """The center: elements of the algebra commuting with the whole algebra.
+
+    Requires a Hermitian basis B_i, as every algebra built here has.  Then
+    [B_i, B_j] = P - P^dag with P = B_i B_j lies in the algebra with
+    coordinates 2i Im<B_l, P>, so the center is the real null space of the
+    (m^2, m) structure-constant matrix F[(j, l), i] = Im<B_l, B_i B_j>.
+    Orthonormal real null vectors c give the HS-orthonormal Hermitian
+    basis sum_i c_i B_i.
+    """
+    if not all(is_hermitian(B, tol) for B in alg.basis):
+        raise ValueError("center needs a Hermitian algebra basis")
+    n, m = alg.ambient_dim, alg.dim
+    Q = alg.space.stacked()
+    Qc = Q.conj()
+    T = Q.reshape(m, n, n)  # T[i] = B_i^T, so T[j] @ T[i] = (B_i B_j)^T holds vec(B_i B_j)
+    F = np.array([(Qc @ (Tj @ T).reshape(m, -1).T).imag for Tj in T]).reshape(-1, m)
+    _, s, Vh = np.linalg.svd(F, full_matrices=False)
+    keep = s <= tol * np.max(s, initial=1.0)
+    return OperatorSubspace(n, tuple(unvec(v, n) for v in Vh[keep] @ Q))
 
 
 @dataclass(frozen=True)

@@ -131,10 +131,13 @@ def cmd_reduce(args) -> int:
     ce, _ = _load_model(args.model)
     report = validate_ce(ce, args.tol)
     if not report.ok:
+        split = "none" if report.split_residual is None else f"{report.split_residual:.3e}"
         raise CliError(
             "model validation failed: "
             f"normalization residual {report.normalization_residual:.3e}, "
-            f"cp residuals {report.cp_residuals}, identity present: {report.identity_present}"
+            f"cp residuals {report.cp_residuals}, "
+            f"hermiticity residuals [{', '.join(f'{r:.3e}' for r in report.hermiticity_residuals)}], "
+            f"split residual {split}, identity present: {report.identity_present}"
         )
     try:
         red = reduce_ce(ce, tol=args.tol, seed=args.seed)

@@ -10,7 +10,7 @@ every conditioned output and every outcome-word probability exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -241,18 +241,8 @@ def reduce_separably(
         evolution=ev,
         effects=eff,
     )
-    recomposed = ReducedCE(
-        model=model,
-        reduction_map=fact.R,
-        factorization=fact,
-        nperp=joint.nperp,
-        output_algebra=joint.output_algebra,
-        original_dim=ce.dim,
-        tol=tol,
-        seed=seed,
-    )
     return SeparableReduction(
-        evolution=ev, effects=eff, recomposed=recomposed, assumptions=report
+        evolution=ev, effects=eff, recomposed=replace(joint, model=model), assumptions=report
     )
 
 

@@ -34,14 +34,16 @@ __all__ = [
 
 def matrix_to_json(M: np.ndarray) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
-    try:
-        return np.array([[complex(z[0], z[1]) for z in row] for row in data])
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed matrix entry: {exc}") from exc
+    """Matrix from rows of [re, im] pairs; ValueError on ragged, non-numeric or misshapen input."""
+    A = np.asarray(data)
+    if A.dtype.kind not in "iuf" or A.ndim != 3 or A.shape[2] != 2:
+        raise ValueError(f"matrix must be rows of numeric [re, im] pairs, not {A.dtype} {A.shape}")
+    # a C-ordered float copy holds each [re, im] pair as one complex number
+    return A.astype(float).view(complex)[..., 0]
 
 
 def superop_to_json(S: Superoperator) -> dict:
@@ -129,7 +131,7 @@ def save_json(doc: dict | list, path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            fh.write(json.dumps(doc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -31,7 +31,7 @@ from cereduce.zoo import (
     walk_is_generic,
     walk_markov_oracle,
 )
-from test_algebra import channel_checks_rect, random_block_algebra
+from test_algebra import acceptance_block_algebras, channel_checks_rect
 
 WALK_SEEDS = {3: 1, 4: 7, 5: 2}
 
@@ -171,23 +171,24 @@ def test_ising_n6_p0_reduction():
     assert equivalence_check(ce, red, max_len=2, n_states=2, tol=1e-8, seed=0).passed
 
 
-def _random_algebras():
-    structures = [
-        ((1, 1), (1, 2)),
-        ((2, 2),),
-        ((3, 1), (2, 1)),
-        ((2, 1), (1, 1), (1, 1)),
-        ((1, 3), (2, 2)),
-    ]
-    return [
-        random_block_algebra(structures[i % len(structures)], seed=100 + i)
-        for i in range(20)
-    ]
+@pytest.mark.parametrize(
+    "p, dims, blocks",
+    [(0.0, (12, 16, 16), ((2, 16),) * 4), (0.5, (18, 32, 32), ((4, 16),) * 2)],
+    ids=["p0", "p_half"],
+)
+def test_ising_n7_reduction(p, dims, blocks):
+    ce = ising_chain(7, p, 0.3)
+    red = reduce_ce(ce)
+    assert (red.nperp.dim, red.output_algebra.dim, red.reduced_dim) == dims
+    assert red.blocks == blocks
+    dec = red.factorization.decomposition
+    assert all(dec.structure_residual(B) <= 1e-8 for B in red.output_algebra.basis)
+    assert equivalence_check(ce, red, max_len=2, n_states=2, tol=1e-8, seed=0).passed
 
 
 @pytest.fixture(scope="module")
 def random_algebras():
-    return _random_algebras()
+    return acceptance_block_algebras()
 
 
 def e_suite_ok(alg, tol=1e-8):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,15 @@ from cereduce.algebra import (
     wedderburn,
 )
 from cereduce.observability import nonobservable_complement
-from cereduce.operators import channel_checks, hs_norm, is_hermitian, orthonormalize, unvec
+from cereduce.operators import (
+    OperatorSubspace,
+    channel_checks,
+    hs_norm,
+    is_hermitian,
+    orthonormalize,
+    unvec,
+    vec,
+)
 from cereduce.zoo import haar_unitary, ising_chain
 from conftest import proj, random_complex
 
@@ -38,6 +48,43 @@ def random_block_algebra(blocks, seed):
             ops.append(U @ B @ U.conj().T)
         off += dS * dF
     return algebra_closure(ops)
+
+
+def acceptance_block_algebras():
+    """The 20 random block algebras of the acceptance suite."""
+    structures = [
+        ((1, 1), (1, 2)),
+        ((2, 2),),
+        ((3, 1), (2, 1)),
+        ((2, 1), (1, 1), (1, 1)),
+        ((1, 3), (2, 2)),
+    ]
+    return [
+        random_block_algebra(structures[i % len(structures)], seed=100 + i)
+        for i in range(20)
+    ]
+
+
+def center_by_commutator_stack(alg, tol=1e-9):
+    """Reference center: null space of the stacked vec'd commutators [B_i, B_j].
+
+    An (n^2 m, m) SVD over the coefficients, then the Hermitian parts of the
+    null elements, orthonormalized.
+    """
+    M = np.vstack([
+        np.array([vec(Bi @ Bj - Bj @ Bi) for Bi in alg.basis]).T for Bj in alg.basis
+    ])
+    _, s, Vh = np.linalg.svd(M, full_matrices=False)
+    null = Vh[s <= tol * max(float(s[0]), 1.0)].conj()
+    ops = [sum(c * B for c, B in zip(v, alg.basis)) for v in null]
+    parts = [P for X in ops for P in ((X + X.conj().T) / 2, (X - X.conj().T) / 2j)]
+    return orthonormalize(parts, tol)
+
+
+def projector_distance(A, B):
+    """HS distance between the orthogonal projectors onto two operator subspaces."""
+    return float(np.hypot(np.linalg.norm(A.residuals(B.stacked().T)),
+                          np.linalg.norm(B.residuals(A.stacked().T))))
 
 
 class TestAlgebraClosure:
@@ -136,6 +183,42 @@ class TestCenter:
     def test_abelian_algebra_is_its_center(self):
         alg = algebra_closure([proj(3, j) for j in range(3)])
         assert center(alg).dim == 3
+
+    def test_non_hermitian_basis_rejected(self):
+        alg = StarAlgebra(space=OperatorSubspace(3, tuple(full_matrix_units(3))), unital=True)
+        with pytest.raises(ValueError):
+            center(alg)
+
+    def test_basis_is_hermitian_and_orthonormal(self):
+        Z = center(random_block_algebra(((1, 1), (2, 1), (1, 2)), seed=8))
+        S = Z.stacked()
+        assert Z.dim == 3
+        assert np.linalg.norm(S.conj() @ S.T - np.eye(3)) < 1e-12
+        assert all(is_hermitian(X, 1e-12) for X in Z.basis)
+
+    def test_matches_commutator_stack_on_block_algebras(self):
+        for alg in acceptance_block_algebras():
+            Z, ref = center(alg), center_by_commutator_stack(alg)
+            assert Z.dim == ref.dim
+            assert projector_distance(Z, ref) <= 1e-10
+
+    @pytest.mark.parametrize("N, p", [(4, 0.0), (4, 0.5), (5, 0.0), (5, 0.5)])
+    def test_matches_commutator_stack_on_ising(self, N, p):
+        alg = algebra_closure(nonobservable_complement(ising_chain(N, p, 0.3)))
+        Z, ref = center(alg), center_by_commutator_stack(alg)
+        assert Z.dim == ref.dim == (4 if p == 0.0 else 2)
+        assert projector_distance(Z, ref) <= 1e-10
+
+    def test_ising_n6_peak_memory(self):
+        # an (n^2 m, m) commutator stack alone would take 64 MiB here
+        alg = algebra_closure(nonobservable_complement(ising_chain(6, 0.5, 0.3)))
+        tracemalloc.start()
+        try:
+            center(alg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestWedderburn:

@@ -91,6 +91,20 @@ class TestReduce:
         save_json(doc, str(bad))
         assert main(["reduce", str(bad)]) == 2
 
+    def test_split_failure_named_exit2(self, tmp_path, capsys):
+        model = tmp_path / "ising.json"
+        assert main(["zoo", "ising", "--n", "4", "--p", "0.0", "--delta", "0.3", "-o", str(model)]) == 0
+        doc = load_json(str(model))
+        effects = doc["split"]["effects"]
+        a, b = doc["outcomes"][:2]
+        effects[a], effects[b] = effects[b], effects[a]
+        bad = tmp_path / "swapped.json"
+        save_json(doc, str(bad))
+        capsys.readouterr()
+        assert main(["reduce", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "split residual" in err and "split residual none" not in err
+
 
 class TestVerify:
     def test_pass(self, walk_files):

@@ -31,6 +31,15 @@ class TestMatrix:
         with pytest.raises(ValueError):
             matrix_from_json([[1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "data",
+        [[[[1.0, 2.0], [3.0]]], [[[None, 1.0]]], [[["1.5", "2"]]], [[[1.0, 2.0, 3.0]]], {}],
+        ids=["ragged", "null", "strings", "triple", "object"],
+    )
+    def test_non_numeric_or_misshapen_rejected(self, data):
+        with pytest.raises(ValueError):
+            matrix_from_json(data)
+
 
 class TestSuperop:
     def test_kraus_preferred(self, rng):
