@@ -53,8 +53,17 @@ class DegenerateAlgebraError(RuntimeError):
     """Random algebra elements failed to separate the block structure."""
 
 
-def _hermitian_parts(X: np.ndarray) -> list[np.ndarray]:
-    return [(X + X.conj().T) / 2, (X - X.conj().T) / 2j]
+def _hermitian_parts(X: np.ndarray) -> np.ndarray:
+    """(X + X^dag)/2 and (X - X^dag)/2i of each of k stacked matrices, interleaved: (2k, n, n)."""
+    X = np.asarray(X, dtype=complex)
+    out = np.empty((*X.shape[:-2], 2, *X.shape[-2:]), dtype=complex)
+    re, im = out[..., 0, :, :], out[..., 1, :, :]
+    np.conjugate(X.swapaxes(-1, -2), out=im)
+    np.add(X, im, out=re)
+    np.subtract(X, im, out=im)
+    re *= 0.5
+    im *= -0.5j
+    return out.reshape(-1, *X.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -98,16 +107,19 @@ def algebra_closure(
 
     The :func:`~cereduce.operators.closure` of the Hermitian parts of the
     generators, where basis element i is expanded into the Hermitian parts
-    of the products B_i B_j with j <= i.  The basis is Hermitian, so it is
-    closed under adjoints, and B_j B_i = (B_i B_j)^dag has the same
-    Hermitian parts; each product is therefore formed once.
+    of the products B_i B_j with j <= i, formed as one batched product
+    B_i [B_0 ... B_i].  The basis is Hermitian, so it is closed under
+    adjoints, and B_j B_i = (B_i B_j)^dag has the same Hermitian parts;
+    each product is therefore formed once.
     """
-    ops = list(subspace.basis) if isinstance(subspace, OperatorSubspace) else list(subspace)
+    ops = subspace.basis if isinstance(subspace, OperatorSubspace) else subspace
+    if not len(ops):
+        raise ValueError("need at least one operator")
 
     def products(basis, i):
-        return [P for Bj in basis[: i + 1] for P in _hermitian_parts(basis[i] @ Bj)]
+        return _hermitian_parts(basis[i] @ basis[: i + 1])
 
-    space = closure([P for X in ops for P in _hermitian_parts(X)], products, tol)
+    space = closure(_hermitian_parts(np.array(ops)), products, tol)
     eye = np.eye(space.ambient_dim, dtype=complex)
     return StarAlgebra(space=space, unital=space.contains(eye, max(tol, 1e-8)))
 
@@ -149,7 +161,8 @@ def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     coordinates 2i Im<B_l, P>, so the center is the real null space of the
     (m^2, m) structure-constant matrix F[(j, l), i] = Im<B_l, B_i B_j>.
     Orthonormal real null vectors c give the HS-orthonormal Hermitian
-    basis sum_i c_i B_i.
+    basis sum_i c_i B_i.  F = Im tr(B_l B_i B_j) is totally antisymmetric,
+    so only the products with j < i are formed.
     """
     if not all(is_hermitian(B, tol) for B in alg.basis):
         raise ValueError("center needs a Hermitian algebra basis")
@@ -157,7 +170,12 @@ def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     Q = alg.space.stacked()
     Qc = Q.conj()
     T = Q.reshape(m, n, n)  # T[i] = B_i^T, so T[j] @ T[i] = (B_i B_j)^T holds vec(B_i B_j)
-    F = np.array([(Qc @ (Tj @ T).reshape(m, -1).T).imag for Tj in T]).reshape(-1, m)
+    F = np.zeros((m, m, m))  # F[j, l, i]
+    for i in range(1, m):
+        G = (Qc @ (T[:i] @ T[i]).reshape(i, -1).T).imag  # G[l, j] = F[j, l, i], j < i
+        F[:i, :, i] = G.T
+        F[i, :, :i] = -G
+    F = F.reshape(-1, m)
     _, s, Vh = np.linalg.svd(F, full_matrices=False)
     keep = s <= tol * np.max(s, initial=1.0)
     return OperatorSubspace(n, tuple(unvec(v, n) for v in Vh[keep] @ Q))

@@ -153,57 +153,98 @@ class OperatorSubspace:
 
 def closure(
     ops: list[np.ndarray] | tuple[np.ndarray, ...],
-    expand: Callable[[list[np.ndarray], int], Iterable[np.ndarray]] | None = None,
+    expand: Callable[[np.ndarray, int], Iterable[np.ndarray]] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> OperatorSubspace:
     """HS-orthonormal basis of the smallest span holding ``ops`` and closed under ``expand``.
 
     A worklist closure: ``expand(basis, i)`` is called exactly once per
-    basis element ``i``, after all earlier ones, and returns the candidates
-    that element contributes.  Each candidate is projected out of the
-    current basis twice (classical Gram-Schmidt with one
-    re-orthogonalization) and kept when its residual norm exceeds ``tol``
-    times the largest candidate norm seen so far, until the basis holds
-    n^2 elements.  While every candidate is Hermitian, kept elements are
-    symmetrized, so the basis stays Hermitian.
+    basis element ``i``, after all earlier ones, with the current basis as
+    a read-only (dim, n, n) array, and returns the candidates that element
+    contributes.  ``ops`` and each call's candidates form one block
+    (block classical Gram-Schmidt, Stewart 2008).  One GEMM pair projects
+    the whole block out of the basis held before it, and a candidate whose
+    residual norm is then at most ``tol`` times the largest candidate norm
+    seen so far is dropped.  In candidate order, each survivor is projected
+    out of the elements its block has already added, which completes its
+    first projection, then out of the whole basis a second time (CGS2), and
+    kept when its residual still exceeds the bound, until the basis holds
+    n^2 elements.  The bound of a candidate uses the norms up to and
+    including it, not the block's largest, so the rank rule is that of
+    adding the candidates one at a time.  While every candidate so far is
+    Hermitian, kept elements are symmetrized, so the basis stays Hermitian.
     """
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
     n = np.shape(ops[0])[0]
-    basis: list[np.ndarray] = []
-    Q = np.zeros((0, n * n), dtype=complex)  # rows are the vec'd basis elements
-    hermitian, scale = True, 0.0
+    full = n * n
+    # row i of Q is B_i flattened row-major (any one order of the entries gives the same
+    # inner products), row i of Qc its conjugate; both grow by doubling
+    Q = Qc = np.empty((0, full), dtype=complex)
+    dim, hermitian, scale = 0, True, 0.0
 
-    def add(X) -> None:
-        nonlocal Q, hermitian, scale
-        X = np.asarray(X, dtype=complex)
-        if X.shape != (n, n):
+    def add(candidates) -> None:
+        nonlocal Q, Qc, dim, hermitian, scale
+        block = candidates if isinstance(candidates, np.ndarray) else list(candidates)
+        if any(np.shape(X) != (n, n) for X in block):
             raise ValueError("operators must share a common square shape")
-        if len(basis) == n * n:  # the basis already spans every n x n operator
+        k = len(block)
+        if dim == full or k == 0:  # a full basis spans every n x n operator
             return
-        hermitian = hermitian and is_hermitian(X)
-        v = vec(X)
-        scale = max(scale, hs_norm(v))
-        for _ in range(2):
-            v = v - (Q @ v.conj()).conj() @ Q
-        res = hs_norm(v)
-        if res > tol * scale:
-            B = unvec(v / res, n)
-            if hermitian:
+        C = np.ascontiguousarray(block, dtype=complex).reshape(k, full)
+        W = np.empty((k, full), dtype=complex)  # the asymmetries, then the residuals
+        norms = _row_norms(C)
+        herm = np.zeros(k, dtype=bool)
+        if hermitian:
+            np.conjugate(C.reshape(k, n, n).transpose(0, 2, 1), out=W.reshape(k, n, n))
+            np.subtract(C, W, out=W)
+            herm = np.logical_and.accumulate(_row_norms(W) <= 1e-12 * np.maximum(norms, 1.0))
+            hermitian = bool(herm[-1])
+        scales = np.maximum.accumulate(np.maximum(norms, scale))
+        scale = float(scales[-1])
+        bounds = tol * scales
+        if dim:
+            np.matmul(C @ Qc[:dim].T, Q[:dim], out=W)
+            np.subtract(C, W, out=W)
+        else:
+            W = C
+        start = dim
+        for j in np.flatnonzero(_row_norms(W) > bounds):
+            if dim == full:
+                return
+            # the rest of the first projection, then the second against the whole basis
+            v = W[j] - (Qc[start:dim] @ W[j]) @ Q[start:dim]
+            v -= (Qc[:dim] @ v) @ Q[:dim]
+            res = hs_norm(v)
+            if res <= bounds[j]:
+                continue
+            B = (v / res).reshape(n, n)
+            if herm[j]:
                 B = (B + B.conj().T) / 2
                 B /= hs_norm(B)
-            basis.append(B)
-            Q = np.vstack([Q, vec(B)])
+            if dim == len(Q):
+                grown = np.empty((2, min(max(2 * dim, 16), full), full), dtype=complex)
+                grown[:, :dim] = Q[:dim], Qc[:dim]
+                Q, Qc = grown
+            Q[dim] = B.reshape(-1)
+            np.conjugate(Q[dim], out=Qc[dim])
+            dim += 1
 
-    for X in ops:
-        add(X)
+    add(ops)
     i = 0
-    while expand is not None and i < len(basis):
-        for X in expand(basis, i):
-            add(X)
+    while expand is not None and i < dim:
+        basis = Q[:dim].reshape(dim, n, n)
+        basis.flags.writeable = False
+        add(expand(basis, i))
         i += 1
-    return OperatorSubspace(n, tuple(basis))
+    return OperatorSubspace(n, tuple(Q[:dim].reshape(dim, n, n).copy()))
+
+
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a complex matrix with contiguous rows."""
+    R = M.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
 def orthonormalize(

@@ -37,6 +37,11 @@ def full_matrix_units(n):
 
 def random_block_algebra(blocks, seed):
     """Algebra with prescribed (d_S, d_F) blocks in a Haar-random basis."""
+    return algebra_closure(block_algebra_generators(blocks, seed))
+
+
+def block_algebra_generators(blocks, seed):
+    """Matrix units U (E_st otimes 1_{d_F}) U^dag of every block, U Haar-random."""
     n = sum(dS * dF for dS, dF in blocks)
     U = haar_unitary(n, seed)
     ops = []
@@ -47,11 +52,11 @@ def random_block_algebra(blocks, seed):
             B[off:off + dS * dF, off:off + dS * dF] = np.kron(E, np.eye(dF))
             ops.append(U @ B @ U.conj().T)
         off += dS * dF
-    return algebra_closure(ops)
+    return ops
 
 
-def acceptance_block_algebras():
-    """The 20 random block algebras of the acceptance suite."""
+def acceptance_block_generators():
+    """Generators of the 20 random block algebras of the acceptance suite."""
     structures = [
         ((1, 1), (1, 2)),
         ((2, 2),),
@@ -60,9 +65,14 @@ def acceptance_block_algebras():
         ((1, 3), (2, 2)),
     ]
     return [
-        random_block_algebra(structures[i % len(structures)], seed=100 + i)
+        block_algebra_generators(structures[i % len(structures)], seed=100 + i)
         for i in range(20)
     ]
+
+
+def acceptance_block_algebras():
+    """The 20 random block algebras of the acceptance suite."""
+    return [algebra_closure(ops) for ops in acceptance_block_generators()]
 
 
 def center_by_commutator_stack(alg, tol=1e-9):
@@ -118,6 +128,22 @@ class TestAlgebraClosure:
         G = random_complex(rng, (3, 3))
         alg = algebra_closure([(G + G.conj().T) / 2, np.eye(3, dtype=complex)])
         assert alg.closure_residual() < 1e-10
+
+    def test_empty_generators_rejected(self):
+        for gens in ([], OperatorSubspace(2, ())):
+            with pytest.raises(ValueError):
+                algebra_closure(gens)
+
+    def test_ising_n6_peak_memory(self):
+        # block temporaries stay O(block size x n^2): about 4 MiB per 64-candidate block here
+        nperp = nonobservable_complement(ising_chain(6, 0.5, 0.3))
+        tracemalloc.start()
+        try:
+            algebra_closure(nperp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_closure_residual_of_non_algebra(self, paulis):
         # sigma_x^2 / 2 = 1 / 2 lies off span{sigma_x, sigma_z} at distance 1 / sqrt(2)

@@ -8,13 +8,19 @@ from cereduce.operators import (
     closure,
     eigh_clustered,
     hs_inner,
+    hs_norm,
+    is_hermitian,
     map_coordinates,
     orthonormalize,
     superop_from_kraus,
     unvec,
     vec,
 )
+from cereduce.algebra import algebra_closure
+from cereduce.observability import invariant_closure, nonobservable_complement
+from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 from conftest import proj, random_complex
+from test_algebra import acceptance_block_generators, projector_distance
 
 
 class TestHSInner:
@@ -151,6 +157,142 @@ class TestClosure:
 
         sub = closure([random_complex(rng, (3, 3))], expand, tol=0.0)
         assert sub.dim == 9
+
+
+def closure_one_by_one(ops, expand=None, tol=1e-9):
+    """Reference closure: CGS2 of one candidate at a time against the whole basis.
+
+    Each candidate is projected out of the current basis twice and kept when
+    its residual exceeds tol times the largest candidate norm seen so far;
+    kept elements are symmetrized while every candidate has been Hermitian.
+    """
+    ops = list(ops)
+    n = np.shape(ops[0])[0]
+    basis = []
+    Q = np.zeros((0, n * n), dtype=complex)
+    hermitian, scale = True, 0.0
+
+    def add(X):
+        nonlocal Q, hermitian, scale
+        X = np.asarray(X, dtype=complex)
+        if len(basis) == n * n:
+            return
+        hermitian = hermitian and is_hermitian(X)
+        v = vec(X)
+        scale = max(scale, hs_norm(v))
+        for _ in range(2):
+            v = v - (Q @ v.conj()).conj() @ Q
+        res = hs_norm(v)
+        if res > tol * scale:
+            B = unvec(v / res, n)
+            if hermitian:
+                B = (B + B.conj().T) / 2
+                B /= hs_norm(B)
+            basis.append(B)
+            Q = np.vstack([Q, vec(B)])
+
+    for X in ops:
+        add(X)
+    i = 0
+    while expand is not None and i < len(basis):
+        for X in expand(basis, i):
+            add(X)
+        i += 1
+    return OperatorSubspace(n, tuple(basis))
+
+
+def hermitian_parts(X):
+    return [(X + X.conj().T) / 2, (X - X.conj().T) / 2j]
+
+
+def algebra_one_by_one(ops):
+    """Reference algebra closure: the Hermitian parts of each product B_i B_j, j <= i, in turn."""
+    def products(basis, i):
+        return [P for Bj in basis[: i + 1] for P in hermitian_parts(basis[i] @ Bj)]
+
+    return closure_one_by_one([P for X in ops for P in hermitian_parts(X)], products)
+
+
+def assert_same_span(sub, ref):
+    assert sub.dim == ref.dim
+    assert projector_distance(sub, ref) <= 1e-10
+
+
+def assert_reduction_spans_match_one_by_one(ce):
+    """The observable subspace and its algebra against the references."""
+    duals = [ce.instrument.maps[k].adjoint() for k in ce.outcomes]
+    nperp_ref = closure_one_by_one(ce.output.observables, lambda b, i: [S(b[i]) for S in duals])
+    nperp = nonobservable_complement(ce)
+    assert_same_span(nperp, nperp_ref)
+    assert_same_span(algebra_closure(nperp).space, algebra_one_by_one(nperp_ref.basis))
+
+
+class TestBlockClosure:
+    """The block closure against the candidate-at-a-time reference."""
+
+    @pytest.mark.parametrize("N, p", [(4, 0.0), (4, 0.5), (5, 0.0), (5, 0.5)])
+    def test_ising_matches_one_by_one(self, N, p):
+        assert_reduction_spans_match_one_by_one(ising_chain(N, p, 0.3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_walks_match_one_by_one(self, n):
+        ce = measured_quantum_walk(n, seed=n)
+        assert_reduction_spans_match_one_by_one(ce)
+        # the conjugation orbit of the site projectors fills B(C^n): the n^2 cap
+        ev = ce.evolution
+        sites = [proj(n, j) for j in range(n)]
+        orbit = invariant_closure(sites, [ev])
+        assert orbit.dim == n * n
+        assert_same_span(orbit, closure_one_by_one(sites, lambda b, i: [ev(b[i])]))
+
+    def test_block_algebras_match_one_by_one(self):
+        for ops in acceptance_block_generators():
+            assert_same_span(algebra_closure(ops).space, algebra_one_by_one(ops))
+
+    def test_dependent_candidates_in_one_block(self, paulis):
+        X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
+        sub = closure([Z], lambda basis, i: [X, 2 * X, X + Y, Y] if i == 0 else [])
+        assert sub.dim == 3
+        assert_same_span(sub, orthonormalize([X, Y, Z]))
+
+    def test_running_max_inside_block(self, paulis):
+        # Y is tested against the norms seen up to it, 1e-6 |X|, not the block's 1e3 |Z|
+        X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
+        sub = closure([1e-6 * X], lambda basis, i: [1e-14 * Y, 1e3 * Z] if i == 0 else [])
+        assert sub.dim == 3
+        assert sub.residual(Y) <= 1e-12
+
+    def test_zero_tol_cap_inside_block(self, rng):
+        block = [random_complex(rng, (3, 3)) for _ in range(20)]
+        sub = closure([random_complex(rng, (3, 3))], lambda basis, i: block if i == 0 else [], tol=0.0)
+        assert sub.dim == 9
+        gram = sub.stacked().conj() @ sub.stacked().T
+        assert np.linalg.norm(gram - np.eye(9)) <= 1e-12
+
+    def test_near_dependent_candidates_are_projected_twice(self, rng):
+        # one projection, against the basis before the block or against an element
+        # the block added, would leave overlaps near eps / 1e-7
+        A, B, C, D = (random_complex(rng, (4, 4)) for _ in range(4))
+        block = [A + 1e-7 * B, C, C + 1e-7 * D]
+        sub = closure([A], lambda basis, i: block if i == 0 else [])
+        assert sub.dim == 4
+        gram = sub.stacked().conj() @ sub.stacked().T
+        assert np.linalg.norm(gram - np.eye(4)) <= 1e-13
+
+    def test_symmetrization_stops_at_first_non_hermitian_candidate(self, paulis):
+        # E = (X + iY)/2 leaves the anti-Hermitian iY/2 once Z and X are projected out
+        X, Z = paulis["x"], paulis["z"]
+        E = np.array([[0, 1], [0, 0]], dtype=complex)
+        sub = closure([Z], lambda basis, i: [X, E] if i == 0 else [])
+        assert sub.dim == 3
+        assert is_hermitian(sub.basis[1]) and not is_hermitian(sub.basis[2])
+        assert sub.residual(E) <= 1e-12
+
+    @pytest.mark.parametrize("block", [[PAULI["x"], np.eye(3)], [np.ones(4)]], ids=["3x3", "flat"])
+    def test_wrong_shape_in_block_rejected(self, paulis, block):
+        # a flattened 2x2 has the right number of entries and must still be refused
+        with pytest.raises(ValueError):
+            closure([paulis["z"]], lambda basis, i: block)
 
 
 class TestMapCoordinates:
