@@ -2,15 +2,13 @@
 
 A unital *-algebra of n x n matrices is unitarily equivalent to a direct
 sum of blocks B(C^{d_S}) otimes 1_{d_F}.  The decomposition is computed
-numerically from a generic element of the center, which separates the
-blocks, and the algebra orbits of eigenvectors of a generic algebra
-element, which give each block's aligned multiplicity slices; the unitary
-it produces is validated against the block structure of every algebra
-basis element before being returned.  The center is the real null space
-of the structure constants Im<B_l, B_i B_j> of the algebra's Hermitian
-basis, an (m^2, m) matrix for an m-dimensional algebra.  The commutant
-is read off the decomposition as the direct sum of blocks
-1_{d_S} otimes B(C^{d_F}).
+numerically from one generic Hermitian algebra element: each block holds
+d_S of its eigenspaces, each of dimension d_F, and the algebra orbits of
+the vectors of one eigenspace give the block's aligned multiplicity
+slices.  The unitary it produces is validated against the block structure
+of every algebra basis element before being returned.  The center and the
+commutant are read off the decomposition, as the span of the block
+projections and as the direct sum of blocks 1_{d_S} otimes B(C^{d_F}).
 
 From the decomposition one obtains the unique Hilbert-Schmidt-orthogonal
 conditional expectation onto the algebra, factorized into a CPTP
@@ -30,10 +28,8 @@ from .operators import (
     Superoperator,
     closure,
     eigh_clustered,
-    is_hermitian,
     orthonormalize,
     superop_from_kraus,
-    unvec,
 )
 
 __all__ = [
@@ -49,8 +45,11 @@ __all__ = [
 ]
 
 
+MAX_REDRAWS = 8  # seeded draws of the generic element before giving up
+
+
 class DegenerateAlgebraError(RuntimeError):
-    """Random algebra elements failed to separate the block structure."""
+    """A random algebra element failed to separate the block structure."""
 
 
 def _hermitian_parts(X: np.ndarray) -> np.ndarray:
@@ -71,7 +70,7 @@ class StarAlgebra:
     """Operator span closed under products and adjoints.
 
     The basis is HS-orthonormal and, in every algebra this module builds,
-    Hermitian; :func:`center` requires that.
+    Hermitian.
     """
 
     space: OperatorSubspace
@@ -124,19 +123,27 @@ def algebra_closure(
     return StarAlgebra(space=space, unital=space.contains(eye, max(tol, 1e-8)))
 
 
+def _unitization(alg: StarAlgebra, tol: float) -> StarAlgebra:
+    """The algebra if unital, else its span with the identity.
+
+    The unitization adds one block, on the complement of the algebra's unit,
+    and has the same commutant.
+    """
+    if alg.unital:
+        return alg
+    eye = np.eye(alg.ambient_dim, dtype=complex)
+    return StarAlgebra(space=orthonormalize([*alg.basis, eye], tol), unital=True)
+
+
 def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
     """All operators commuting with every element of the algebra.
 
-    Read off the block decomposition in closed form as
+    Read off the block decomposition of the unitization in closed form as
     U ((+) 1_{d_S} otimes B(C^{d_F})) U^dag, with an HS-orthonormal
-    Hermitian basis.  A non-unital algebra is decomposed through its
-    unitization, which has the same commutant.
+    Hermitian basis.
     """
     n = alg.ambient_dim
-    if not alg.unital:
-        unitization = orthonormalize([*alg.basis, np.eye(n, dtype=complex)], tol)
-        alg = StarAlgebra(space=unitization, unital=True)
-    dec = wedderburn(alg, tol)
+    dec = wedderburn(_unitization(alg, tol), tol)
     ops = []
     for k, (dS, dF) in enumerate(dec.blocks):
         # column s * d_F + f of the block isometry is Uk[:, s, f]
@@ -156,29 +163,21 @@ def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
 def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """The center: elements of the algebra commuting with the whole algebra.
 
-    Requires a Hermitian basis B_i, as every algebra built here has.  Then
-    [B_i, B_j] = P - P^dag with P = B_i B_j lies in the algebra with
-    coordinates 2i Im<B_l, P>, so the center is the real null space of the
-    (m^2, m) structure-constant matrix F[(j, l), i] = Im<B_l, B_i B_j>.
-    Orthonormal real null vectors c give the HS-orthonormal Hermitian
-    basis sum_i c_i B_i.  F = Im tr(B_l B_i B_j) is totally antisymmetric,
-    so only the products with j < i are formed.
+    Read off the block decomposition of the unitization as the span of the
+    block projections U_k U_k^dag, HS-normalized by sqrt(d_S d_F); they are
+    mutually orthogonal and Hermitian.  For a non-unital algebra only the
+    projections lying in the algebra are kept, which drops the block the
+    unitization adds: a block projection lies in the algebra or is
+    orthogonal to it, so its residual is 0 or 1.
     """
-    if not all(is_hermitian(B, tol) for B in alg.basis):
-        raise ValueError("center needs a Hermitian algebra basis")
-    n, m = alg.ambient_dim, alg.dim
-    Q = alg.space.stacked()
-    Qc = Q.conj()
-    T = Q.reshape(m, n, n)  # T[i] = B_i^T, so T[j] @ T[i] = (B_i B_j)^T holds vec(B_i B_j)
-    F = np.zeros((m, m, m))  # F[j, l, i]
-    for i in range(1, m):
-        G = (Qc @ (T[:i] @ T[i]).reshape(i, -1).T).imag  # G[l, j] = F[j, l, i], j < i
-        F[:i, :, i] = G.T
-        F[i, :, :i] = -G
-    F = F.reshape(-1, m)
-    _, s, Vh = np.linalg.svd(F, full_matrices=False)
-    keep = s <= tol * np.max(s, initial=1.0)
-    return OperatorSubspace(n, tuple(unvec(v, n) for v in Vh[keep] @ Q))
+    dec = wedderburn(_unitization(alg, tol), tol)
+    ops = []
+    for k, (dS, dF) in enumerate(dec.blocks):
+        Uk = dec.block_isometry(k)
+        P = Uk @ Uk.conj().T / np.sqrt(dS * dF)
+        if alg.unital or alg.space.residual(P) < 0.5:
+            ops.append(P)
+    return OperatorSubspace(alg.ambient_dim, tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -250,34 +249,29 @@ def _eigenspaces(H: np.ndarray, gap_tol: float):
     return eigh_clustered(H, gap_tol * max(float(w[-1] - w[0]), 1e-3))
 
 
-def wedderburn(
-    alg: StarAlgebra,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    max_redraws: int = 8,
-) -> WedderburnDecomposition:
-    """Block decomposition of a unital *-algebra from generic elements.
+def wedderburn(alg: StarAlgebra, tol: float = DEFAULT_TOL, seed: int = 0) -> WedderburnDecomposition:
+    """Block decomposition of a unital *-algebra from one generic element.
 
-    A random Hermitian element of the center separates the minimal central
-    blocks.  Within a block, a random Hermitian algebra element
-    A_S otimes 1_F has d_S eigenspaces of dimension d_F.  The algebra orbit
-    {B_i v_1} of one vector of the first eigenspace spans one multiplicity
-    slice; the coefficients G that orthonormalize it, applied to the orbit
-    {B_i v_f} of every other vector v_f of that eigenspace, give slice f
-    already aligned.  The result is accepted only if every algebra basis
-    element actually acquires the block structure; otherwise a fresh seed
-    is drawn.
+    A random Hermitian algebra element A = (+) A_S otimes 1_F has, in each
+    block, d_S eigenspaces of dimension d_F, with distinct eigenvalues
+    across all blocks.  The algebra orbit {B_i v_1} of one vector of an
+    eigenspace spans one multiplicity slice of its block; the coefficients
+    G that orthonormalize it, applied to the orbit {B_i v_f} of every other
+    vector v_f of that eigenspace, give slice f already aligned.  The block
+    so found must hold d_S whole eigenspaces of dimension d_F, none of them
+    claimed by another block.  The result is accepted only if every algebra
+    basis element actually acquires the block structure; otherwise a fresh
+    seed is drawn, up to ``MAX_REDRAWS`` times.
     """
     if not alg.unital:
         raise ValueError("Wedderburn decomposition requires a unital algebra")
-    Z = center(alg, tol)
     struct_tol = max(np.sqrt(tol), 1e-8)
 
     last_err = "no attempt made"
-    for attempt in range(max_redraws):
+    for attempt in range(MAX_REDRAWS):
         rng = np.random.default_rng([seed, attempt])
         try:
-            dec = _wedderburn_attempt(alg, Z, tol, rng)
+            dec = _wedderburn_attempt(alg, tol, rng)
         except DegenerateAlgebraError as exc:
             last_err = str(exc)
             continue
@@ -285,35 +279,38 @@ def wedderburn(
         if res <= struct_tol:
             return dec
         last_err = f"structure residual {res:.3e} exceeds {struct_tol:.1e}"
-    raise DegenerateAlgebraError(
-        f"failed to separate blocks after {max_redraws} redraws: {last_err}"
-    )
+    raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
-def _wedderburn_attempt(alg, Z, tol, rng) -> WedderburnDecomposition:
+def _wedderburn_attempt(alg, tol, rng) -> WedderburnDecomposition:
     gap_tol = np.sqrt(tol)
+    n, m = alg.ambient_dim, alg.dim
+    T = alg.space.stacked().reshape(m, n, n)  # T[i] = B_i^T
+    eigenspaces = [V for _, V in _eigenspaces(_random_hermitian_in(alg.basis, rng), gap_tol)]
+    assigned = set()
     blocks = []
-    for _, Q in _eigenspaces(_random_hermitian_in(Z.basis, rng), gap_tol):
-        nm = Q.shape[1]
-        Bs = np.array([Q.conj().T @ B @ Q for B in alg.basis])
-        eigenspaces = _eigenspaces(_random_hermitian_in(Bs, rng), gap_tol)
-        sizes = {V.shape[1] for _, V in eigenspaces}
-        if len(sizes) != 1:
-            raise DegenerateAlgebraError(
-                f"eigenvalue clusters of an algebra element have unequal sizes {sorted(sizes)}"
-            )
-        dS, dF = len(eigenspaces), sizes.pop()
-
-        # orbits[i, :, f] = B_i v_f for the vectors v_f of the first eigenspace
-        orbits = Bs @ eigenspaces[0][1]
+    for a, V in enumerate(eigenspaces):
+        if a in assigned:
+            continue
+        dF = V.shape[1]
+        # orbits[i, :, f] = B_i v_f for the vectors v_f of this eigenspace
+        orbits = (V.T @ T).transpose(0, 2, 1)
         _, s, Vh = np.linalg.svd(orbits[:, :, 0].T, full_matrices=False)
-        rank = int(np.sum(s > gap_tol * s[0]))
-        if rank != dS:
-            raise DegenerateAlgebraError(f"algebra orbit has rank {rank}, expected {dS}")
+        dS = int(np.sum(s > gap_tol * s[0]))
         G = Vh[:dS].conj().T / s[:dS]
         # column s * d_F + f holds the s-th orthonormalized orbit vector of slice f
-        cols = np.einsum("iaf,is->asf", orbits, G).reshape(nm, nm)
-        blocks.append((dS, dF, Q @ cols))
+        cols = np.einsum("iaf,is->asf", orbits, G).reshape(n, dS * dF)
+        # an eigenspace lies in the block (overlap 1) or is orthogonal to it (overlap 0)
+        overlaps = [np.linalg.norm(cols.conj().T @ W) ** 2 / W.shape[1] for W in eigenspaces]
+        members = {b for b, o in enumerate(overlaps) if o > 0.5}
+        sizes = sorted(eigenspaces[b].shape[1] for b in members)
+        if a not in members or sizes != [dF] * dS or members & assigned:
+            raise DegenerateAlgebraError(
+                f"block of orbit rank {dS} from an eigenspace of dimension {dF} holds "
+                f"eigenspaces of dimensions {sizes}, {len(members & assigned)} already assigned"
+            )
+        assigned |= members
+        blocks.append((dS, dF, cols))
 
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     U = np.hstack([b[2] for b in blocks])

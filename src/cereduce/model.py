@@ -42,6 +42,10 @@ class Instrument:
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(str(k) for k in self.outcomes))
+        if not self.outcomes:
+            raise ValueError("an instrument needs at least one outcome")
+        if len(set(self.outcomes)) != len(self.outcomes):
+            raise ValueError(f"duplicate outcome labels in {list(self.outcomes)}")
         if set(self.outcomes) != set(self.maps):
             raise ValueError("outcome labels and map keys differ")
         dims = {S.in_dim for S in self.maps.values()} | {S.out_dim for S in self.maps.values()}
@@ -72,6 +76,8 @@ class OutputMap:
     observables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if not self.observables:
+            raise ValueError("an output map needs at least one observable")
         if len(self.names) != len(self.observables):
             raise ValueError("one name per observable required")
         object.__setattr__(

@@ -210,10 +210,24 @@ class TestCenter:
         alg = algebra_closure([proj(3, j) for j in range(3)])
         assert center(alg).dim == 3
 
-    def test_non_hermitian_basis_rejected(self):
+    def test_non_hermitian_basis(self):
+        # M_3 given by its matrix units, an orthonormal basis of non-Hermitian elements
         alg = StarAlgebra(space=OperatorSubspace(3, tuple(full_matrix_units(3))), unital=True)
-        with pytest.raises(ValueError):
-            center(alg)
+        Z = center(alg)
+        assert Z.dim == 1
+        assert Z.contains(np.eye(3, dtype=complex), 1e-10)
+
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [([proj(3, 0)], 1), ([proj(4, 0), proj(4, 1)], 2)],
+        ids=["proj3", "proj4x2"],
+    )
+    def test_non_unital_matches_commutator_stack(self, gens, dim):
+        alg = algebra_closure(gens)
+        assert not alg.unital
+        Z, ref = center(alg), center_by_commutator_stack(alg)
+        assert Z.dim == ref.dim == dim
+        assert projector_distance(Z, ref) <= 1e-10
 
     def test_basis_is_hermitian_and_orthonormal(self):
         Z = center(random_block_algebra(((1, 1), (2, 1), (1, 2)), seed=8))
@@ -274,6 +288,21 @@ class TestWedderburn:
             if references is None:
                 references = ms
             assert ms == references
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [((1, 1),) * 10, ((2, 3),) * 3, ((2, 2), (2, 2), (1, 4)), ((1, 1), (1, 2), (1, 3), (2, 1))],
+        ids=["10x(1,1)", "3x(2,3)", "2x(2,2)+(1,4)", "mixed"],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_block_shapes(self, blocks, seed):
+        alg = random_block_algebra(blocks, seed=seed)
+        dec = wedderburn(alg, seed=seed)
+        assert sorted(dec.blocks) == sorted(blocks)
+        n = dec.dim
+        assert np.linalg.norm(dec.U @ dec.U.conj().T - np.eye(n)) <= 1e-10
+        for B in alg.basis:
+            assert dec.structure_residual(B) <= 1e-12
 
     def test_non_unital_rejected(self):
         from cereduce.algebra import StarAlgebra

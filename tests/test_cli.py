@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cereduce import cli
+from cereduce import algebra, cli
+from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
 from cereduce.serialize import load_json, save_json
 
@@ -73,6 +74,18 @@ class TestReduce:
         report = json.loads(out[: out.rindex("}") + 1])
         assert report["reduced_operator_dim"] == 3
         assert report["assumptions"]["a3"]["holds"]
+
+    def test_degenerate_algebra_exit3(self, walk_files, tmp_path, monkeypatch, capsys):
+        def degenerate(*args):
+            raise DegenerateAlgebraError("eigenspaces not separated")
+
+        monkeypatch.setattr(algebra, "_wedderburn_attempt", degenerate)
+        model, _ = walk_files
+        capsys.readouterr()
+        assert main(["reduce", str(model), "-o", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "eigenspaces not separated" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_file_exit2(self, tmp_path):
         assert main(["reduce", str(tmp_path / "absent.json")]) == 2
@@ -178,10 +191,25 @@ def _relabelled_outcome(tmp, model, reduced):
     return ["verify", str(model), _write(tmp / "relabelled.json", doc)]
 
 
+def _duplicate_outcomes(tmp, model, reduced):
+    doc = load_json(str(model))
+    doc["outcomes"].insert(0, doc["outcomes"][0])
+    # simulate would otherwise sample the repeated outcome with double weight
+    return ["simulate", _write(tmp / "duplicate.json", doc), "--samples", "2"]
+
+
+def _no_observables(tmp, model, reduced):
+    doc = load_json(str(model))
+    doc["observables"] = []
+    return ["simulate", _write(tmp / "no_obs.json", doc)]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
         pytest.param(_top_level_array, id="top_level_array"),
+        pytest.param(_duplicate_outcomes, id="duplicate_outcomes"),
+        pytest.param(_no_observables, id="no_observables"),
         pytest.param(_reduced_without_r, id="reduced_without_R"),
         pytest.param(_relabelled_outcome, id="relabelled_outcome"),
         pytest.param(lambda tmp, m, r: ["simulate", str(m), "--steps", "0"], id="simulate_steps_0"),

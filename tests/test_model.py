@@ -85,6 +85,22 @@ class TestValidate:
         assert not rep.ok
 
 
+class TestMalformedLists:
+    @pytest.mark.parametrize(
+        "outcomes, match",
+        [(("0", "0", "1"), "duplicate outcome labels"), ((), "at least one outcome")],
+        ids=["duplicate", "empty"],
+    )
+    def test_instrument_rejects(self, outcomes, match):
+        maps = {k: superop_from_kraus([proj(2, 0)]) for k in outcomes}
+        with pytest.raises(ValueError, match=match):
+            Instrument(outcomes=outcomes, maps=maps)
+
+    def test_output_map_rejects_no_observables(self):
+        with pytest.raises(ValueError, match="at least one observable"):
+            OutputMap(names=(), observables=())
+
+
 class TestStepUnnormalized:
     def test_identity_instrument(self, rng):
         ce = identity_ce()
