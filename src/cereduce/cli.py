@@ -135,7 +135,6 @@ def cmd_reduce(args) -> int:
         raise CliError(
             "model validation failed: "
             f"normalization residual {report.normalization_residual:.3e}, "
-            f"cp residuals {report.cp_residuals}, "
             f"hermiticity residuals [{', '.join(f'{r:.3e}' for r in report.hermiticity_residuals)}], "
             f"split residual {split}, identity present: {report.identity_present}"
         )

@@ -4,8 +4,10 @@ Conventions used throughout the package:
 
 * operators are plain ``numpy`` complex matrices,
 * vectorization is column-stacking, ``vec(X)[a + b*n] = X[a, b]``,
-* a superoperator ``X -> sum_i K_i X K_i^dag`` is held as its Kraus list
-  and applied, adjoined and composed through it; its matrix
+* every superoperator is a CP map ``X -> sum_i K_i X K_i^dag`` held as
+  its Kraus list and applied, adjoined and composed through it; a map
+  given as a matrix is factored into Kraus operators once, when it is
+  built, and refused if it is not CP; the matrix
   ``sum_i conj(K_i) otimes K_i`` on column-stacked vectors is built only
   when something reads it, and a map applies through that matrix only
   when the matvec is cheaper than the Kraus products,
@@ -256,14 +258,16 @@ def orthonormalize(
 
 
 class Superoperator:
-    """Linear map on operators, held as a Kraus list or as a matrix.
+    """Completely positive map X -> sum_i K_i X K_i^dag, held as its Kraus list.
 
-    A map built from Kraus operators ``K_i`` (shape (out_dim, in_dim))
-    keeps them in ``kraus``; its adjoint and its compositions with other
-    Kraus maps stay Kraus lists.  ``matrix``, of shape
+    Adjoints and compositions stay Kraus lists.  ``matrix``, of shape
     (out_dim^2, in_dim^2) on column-stacked vectors, is built from the
-    Kraus list on first read and kept.  A map is given either as a Kraus
-    list or as a matrix; in the second case ``kraus`` is None.
+    Kraus list on first read and kept.  A map given as a matrix is factored
+    once, here: each eigenvector v of its Choi matrix with eigenvalue w above
+    ``DEFAULT_TOL`` times the largest gives the operator sqrt(w) unvec(v), and
+    the zero map one zero operator.  A Choi matrix that is not Hermitian, or
+    has an eigenvalue below -``DEFAULT_TOL`` times its norm, is not CP and
+    raises ValueError; the matrix itself is not kept.
 
     The apply form is fixed at construction by cost: with r Kraus
     operators, X -> sum_i K_i X K_i^dag is two products costing
@@ -275,22 +279,17 @@ class Superoperator:
     __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols")
 
     def __init__(self, matrix: np.ndarray | None = None, kraus=None):
-        if (matrix is None) == (kraus is None):
+        if sum(given is None for given in (matrix, kraus)) != 1:
             raise ValueError("need either a matrix or a Kraus list")
-        self.kraus = self._matrix = self._rows = self._cols = None
         if matrix is not None:
-            m = np.asarray(matrix, dtype=complex)
-            if m.ndim != 2 or any(round(np.sqrt(s)) ** 2 != s for s in m.shape):
-                raise ValueError(f"matrix shape {m.shape} is not (out^2, in^2)")
-            self.out_dim, self.in_dim = (round(np.sqrt(s)) for s in m.shape)
-            self._matrix = m
-            return
+            kraus = _kraus_from_matrix(matrix)
         kraus = tuple(np.asarray(K, dtype=complex) for K in kraus)
         if not kraus:
             raise ValueError("need at least one Kraus operator")
         if kraus[0].ndim != 2 or any(K.shape != kraus[0].shape for K in kraus):
             raise ValueError("Kraus operators must share a common shape")
         self.kraus = kraus
+        self._matrix = self._rows = self._cols = None
         no, ni = self.out_dim, self.in_dim = kraus[0].shape
         if len(kraus) * (no * ni * ni + no * no * ni) < no * no * ni * ni:
             # sum_i K_i X K_i^dag = [K_1 ... K_r] @ stack_i(X K_i^dag)
@@ -299,7 +298,7 @@ class Superoperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """(out_dim^2, in_dim^2) matrix, sum_i conj(K_i) otimes K_i for a Kraus map."""
+        """(out_dim^2, in_dim^2) matrix sum_i conj(K_i) otimes K_i."""
         if self._matrix is None:
             K = np.array(self.kraus)
             r, no, ni = K.shape
@@ -326,34 +325,44 @@ class Superoperator:
         return superop_from_kraus([A])
 
     def adjoint(self) -> "Superoperator":
-        """HS adjoint; for a Kraus map this is X -> sum_i K_i^dag X K_i."""
-        if self.kraus is not None:
-            return Superoperator(kraus=[K.conj().T for K in self.kraus])
-        return Superoperator(self._matrix.conj().T)
+        """HS adjoint X -> sum_i K_i^dag X K_i."""
+        return Superoperator(kraus=[K.conj().T for K in self.kraus])
 
     def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other, on the Kraus lists when both maps have one."""
+        """self after other, with the Kraus list of all products A_i B_j."""
         if other.out_dim != self.in_dim:
             raise ValueError("dimension mismatch in composition")
-        if self.kraus is not None and other.kraus is not None:
-            return Superoperator(kraus=[A @ B for A in self.kraus for B in other.kraus])
-        return Superoperator(self.matrix @ other.matrix)
+        return Superoperator(kraus=[A @ B for A in self.kraus for B in other.kraus])
 
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return self.compose(other)
 
     def choi(self) -> np.ndarray:
         """Choi matrix sum_ij |i><j| otimes S(|i><j|), shape (n_in*n_out)^2."""
-        no, ni = self.out_dim, self.in_dim
-        S4 = self.matrix.reshape(no, no, ni, ni)  # [b, a, j, i]
-        return np.einsum("baji->iajb", S4).reshape(ni * no, ni * no)
+        return _choi(self.matrix, self.out_dim, self.in_dim)
 
-    def kraus_consistency(self) -> float:
-        """Residual between ``matrix`` and the explicit sum of conj(K_i) otimes K_i."""
-        if self.kraus is None:
-            raise ValueError("no Kraus factorization stored")
-        M = sum(np.kron(K.conj(), K) for K in self.kraus)
-        return float(np.linalg.norm(self.matrix - M))
+
+def _choi(M: np.ndarray, no: int, ni: int) -> np.ndarray:
+    # M[(b, a), (j, i)] = <a|S(|i><j|)|b> becomes C[(i, a), (j, b)]
+    return np.einsum("baji->iajb", M.reshape(no, no, ni, ni)).reshape(ni * no, ni * no)
+
+
+def _kraus_from_matrix(matrix: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators of the CP map with (out^2, in^2) matrix ``matrix``; see :class:`Superoperator`."""
+    M = np.asarray(matrix, dtype=complex)
+    if M.ndim != 2 or any(round(np.sqrt(s)) ** 2 != s for s in M.shape):
+        raise ValueError(f"matrix shape {M.shape} is not (out^2, in^2)")
+    no, ni = (round(np.sqrt(s)) for s in M.shape)
+    C = _choi(M, no, ni)
+    scale = max(float(np.linalg.norm(C)), 1.0)
+    herm_res = float(np.linalg.norm(C - C.conj().T))
+    w, V = np.linalg.eigh((C + C.conj().T) / 2)
+    if herm_res > DEFAULT_TOL * scale or w[0] < -DEFAULT_TOL * scale:
+        raise ValueError(f"map is not completely positive: smallest Choi eigenvalue {w[0]:.3e}, "
+                         f"Choi Hermiticity residual {herm_res:.3e}")
+    # row (i, a) of an eigenvector is entry [a, i] of its (out, in) Kraus operator
+    keep = np.flatnonzero(w > DEFAULT_TOL * max(w[-1], 0.0))
+    return [np.sqrt(w[j]) * unvec(V[:, j], no) for j in keep] or [np.zeros((no, ni), dtype=complex)]
 
 
 def superop_from_kraus(kraus) -> Superoperator:
@@ -366,11 +375,9 @@ def map_coordinates(maps) -> np.ndarray:
 
     One QR of the flattened Kraus operators of all the maps gives
     vec(K_i) = Q R[:, i]; a map's row is its flattened process matrix a a^dag,
-    a its columns of R.  If any map has no Kraus list, the rows are the matrices.
+    a its columns of R.
     """
     maps = list(maps)
-    if any(S.kraus is None for S in maps):
-        return np.array([S.matrix.reshape(-1) for S in maps])
     _, R = np.linalg.qr(np.array([K.reshape(-1) for S in maps for K in S.kraus]).T)
     ends = np.cumsum([len(S.kraus) for S in maps])
     return np.array([(a @ a.conj().T).reshape(-1) for a in np.split(R, ends[:-1], axis=1)])

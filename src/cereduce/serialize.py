@@ -47,12 +47,11 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def superop_to_json(S: Superoperator) -> dict:
-    if S.kraus is not None:
-        return {"kraus": [matrix_to_json(K) for K in S.kraus]}
-    return {"matrix": matrix_to_json(S.matrix)}
+    return {"kraus": [matrix_to_json(K) for K in S.kraus]}
 
 
 def superop_from_json(data: dict) -> Superoperator:
+    """A map from its "kraus" list or, factored on loading, its "matrix"; ValueError unless CP."""
     if "kraus" in data:
         return superop_from_kraus([matrix_from_json(K) for K in data["kraus"]])
     if "matrix" in data:
@@ -80,18 +79,27 @@ def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
     return doc
 
 
+def _labelled_superop(label: str, data: dict) -> Superoperator:
+    """:func:`superop_from_json` with errors naming the entry, such as ``instrument map '0'``."""
+    try:
+        return superop_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
 def ce_from_json(doc: dict) -> ConditionalEvolution:
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, not {type(doc).__name__}")
     try:
         outcomes = tuple(str(k) for k in doc["outcomes"])
-        maps = {k: superop_from_json(doc["instrument"][k]) for k in outcomes}
+        maps = {k: _labelled_superop(f"instrument map {k!r}", doc["instrument"][k]) for k in outcomes}
         names = tuple(o["name"] for o in doc["observables"])
         obs = tuple(matrix_from_json(o["matrix"]) for o in doc["observables"])
         evolution = effects = None
         if "split" in doc:
-            evolution = superop_from_json(doc["split"]["evolution"])
-            effects = {k: superop_from_json(doc["split"]["effects"][k]) for k in outcomes}
+            split = doc["split"]
+            evolution = _labelled_superop("split evolution", split["evolution"])
+            effects = {k: _labelled_superop(f"split effect {k!r}", split["effects"][k]) for k in outcomes}
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc
     except TypeError as exc:

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from cereduce import algebra, cli
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
-from cereduce.serialize import load_json, save_json
+from cereduce.operators import vec
+from cereduce.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 
 
 @pytest.fixture()
@@ -204,10 +206,33 @@ def _no_observables(tmp, model, reduced):
     return ["simulate", _write(tmp / "no_obs.json", doc)]
 
 
+def _transpose_given_as_matrix(tmp, model, reduced):
+    doc = load_json(str(model))
+    n = doc["dim"]
+    transpose = np.array([vec(E.T) for E in np.eye(n * n).reshape(n * n, n, n, order="F")]).T
+    doc["instrument"][doc["outcomes"][0]] = {"matrix": matrix_to_json(transpose)}
+    return ["reduce", _write(tmp / "transpose.json", doc)]
+
+
+def _negated_r(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    doc["reduction"]["R"] = matrix_to_json(-matrix_from_json(doc["reduction"]["R"]))
+    return ["verify", str(model), _write(tmp / "negated_r.json", doc)]
+
+
+# what the error line must name, beyond "error:"
+ERROR_NAMES = {
+    _transpose_given_as_matrix: ["invalid model document", "instrument map '0'", "smallest Choi eigenvalue -1"],
+    _negated_r: ["invalid reduction map", "not completely positive"],
+}
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
         pytest.param(_top_level_array, id="top_level_array"),
+        pytest.param(_transpose_given_as_matrix, id="reduce_transpose_matrix"),
+        pytest.param(_negated_r, id="verify_negated_R"),
         pytest.param(_duplicate_outcomes, id="duplicate_outcomes"),
         pytest.param(_no_observables, id="no_observables"),
         pytest.param(_reduced_without_r, id="reduced_without_R"),
@@ -244,7 +269,10 @@ def test_bad_input_exit2_with_error_line(make_argv, tmp_path, walk_files, capsys
     except SystemExit as exc:  # argparse rejects the argument itself
         code = exc.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    for name in ERROR_NAMES.get(make_argv, []):
+        assert name in err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from cereduce.model import (
     trajectory_probability,
     validate_ce,
 )
-from cereduce.operators import Superoperator, superop_from_kraus, vec
+from cereduce.operators import Superoperator, superop_from_kraus, unvec, vec
 from cereduce.reduction import random_ce, random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import proj, random_complex
@@ -63,19 +63,12 @@ class TestValidate:
 
     def test_matrix_only_non_cp_map_rejected(self):
         # the transpose is trace preserving and unital but not CP; its Choi
-        # matrix is the swap, with eigenvalue -1
+        # matrix is the swap, with eigenvalue -1, so it cannot enter a model
         swap = np.array([vec(M.T) for M in np.eye(4).reshape(4, 2, 2, order="F")]).T
-        T = Superoperator(swap)
         X = np.array([[1, 2j], [3, 4]])
-        assert np.allclose(T(X), X.T)
-        ce = ConditionalEvolution(
-            instrument=Instrument(outcomes=("0",), maps={"0": T}),
-            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
-        )
-        rep = validate_ce(ce)
-        assert rep.normalization_residual < 1e-12
-        assert rep.cp_residuals["0"] == pytest.approx(1.0)
-        assert not rep.ok
+        assert np.allclose(unvec(swap @ vec(X)), X.T)
+        with pytest.raises(ValueError, match=r"smallest Choi eigenvalue -1\.000e\+00"):
+            Superoperator(swap)
 
     def test_split_mismatch_rejected(self):
         ce = ising_chain(4, 0.5, 0.3)

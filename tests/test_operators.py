@@ -317,10 +317,10 @@ class TestMapCoordinates:
         scale = np.linalg.norm(x[2])
         assert np.linalg.norm(x[2] - x[0] - x[1]) <= 1e-14 * scale
 
-    def test_matrix_only_map_falls_back_to_matrices(self, rng):
-        maps = [superop_from_kraus([random_complex(rng, (3, 3))]), Superoperator(random_complex(rng, (9, 9)))]
-        x = map_coordinates(maps)
-        assert np.array_equal(x, np.array([M.matrix.reshape(-1) for M in maps]))
+    def test_matrix_input_matches_kraus_twin(self, rng):
+        S = superop_from_kraus([random_complex(rng, (3, 3)) for _ in range(2)])
+        x = map_coordinates([S, Superoperator(S.matrix)])
+        assert np.linalg.norm(x[1] - x[0]) <= 1e-12 * np.linalg.norm(x[0])
 
 
 class TestSuperopFromKraus:
@@ -350,8 +350,9 @@ class TestSuperopFromKraus:
             superop_from_kraus([])
 
     def test_kraus_consistency(self, rng):
-        S = superop_from_kraus([random_complex(rng, (2, 2))])
-        assert S.kraus_consistency() < 1e-14
+        kraus = [random_complex(rng, (2, 2)) for _ in range(2)]
+        M = sum(np.kron(K.conj(), K) for K in kraus)
+        assert np.linalg.norm(superop_from_kraus(kraus).matrix - M) < 1e-14 * np.linalg.norm(M)
 
 
 class TestAdjointCompose:
@@ -419,7 +420,7 @@ class TestApplyForms:
     def test_adjoint_stays_kraus(self, case, rng):
         S, _ = case
         Sd = S.adjoint()
-        assert Sd.kraus is not None and Sd._matrix is None
+        assert Sd._matrix is None
         assert (Sd.in_dim, Sd.out_dim) == (S.out_dim, S.in_dim)
         assert np.allclose(Sd.matrix, S.matrix.conj().T, rtol=0, atol=1e-12)
         A = random_complex(rng, (S.out_dim, S.out_dim))
@@ -429,22 +430,47 @@ class TestApplyForms:
         S, _ = case
         T = superop_from_kraus([random_complex(rng, (S.in_dim, 2)) for _ in range(2)])
         ST = S @ T
-        assert ST.kraus is not None and len(ST.kraus) == 2 * len(S.kraus)
+        assert len(ST.kraus) == 2 * len(S.kraus)
         assert ST._matrix is None
         ref = S.matrix @ T.matrix
         assert np.linalg.norm(ST.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_matrix_only_map(self, rng):
-        M = random_complex(rng, (16, 9))
+        kraus = [random_complex(rng, (4, 3)) for _ in range(2)]
+        M = sum(np.kron(K.conj(), K) for K in kraus)
         S = Superoperator(M)
-        assert S.kraus is None and (S.out_dim, S.in_dim) == (4, 3)
+        assert (S.out_dim, S.in_dim) == (4, 3)
         X = random_complex(rng, (3, 3))
         assert np.allclose(S(X), unvec(M @ vec(X), 4), rtol=1e-12, atol=0)
-        assert np.array_equal(S.adjoint().matrix, M.conj().T)
+        assert np.linalg.norm(S.adjoint().matrix - M.conj().T) <= 1e-12 * np.linalg.norm(M)
         with pytest.raises(ValueError):
             S(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             Superoperator(random_complex(rng, (8, 9)))
+
+
+class TestFactorMatrix:
+    """A map given as a matrix is factored into the Kraus list of its Choi spectrum."""
+
+    def test_zero_map_keeps_one_zero_operator(self):
+        S = Superoperator(np.zeros((16, 9)))
+        assert len(S.kraus) == 1 and S.kraus[0].shape == (4, 3) and not S.kraus[0].any()
+        assert not S(np.eye(3)).any()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3)], ids=["square", "rectangular"])
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_choi_rank_operators(self, shape, rank, rng):
+        kraus = [random_complex(rng, shape) for _ in range(rank)]
+        M = sum(np.kron(K.conj(), K) for K in kraus)
+        S = Superoperator(M)
+        assert len(S.kraus) == rank
+        assert np.linalg.norm(S.matrix - M) <= 1e-12 * np.linalg.norm(M)
+
+    def test_transpose_rejected(self):
+        # Hermitian Choi matrix (the swap) with eigenvalue -1; left multiplication is in TestChannelChecks
+        swap = np.array([vec(E.T) for E in np.eye(4).reshape(4, 2, 2, order="F")]).T
+        with pytest.raises(ValueError, match="smallest Choi eigenvalue -1"):
+            Superoperator(swap)
 
 
 class TestChannelChecks:
@@ -454,9 +480,9 @@ class TestChannelChecks:
         assert rep.cp and rep.tp and rep.unital
 
     def test_left_multiplication_not_cp(self, paulis):
-        # X -> sigma_x X is not even Hermiticity-preserving
-        S = Superoperator(np.kron(np.eye(2), paulis["x"]))
-        assert not channel_checks(S).cp
+        # X -> sigma_x X is not even Hermiticity-preserving, so it is no Superoperator
+        with pytest.raises(ValueError, match="not completely positive"):
+            Superoperator(np.kron(np.eye(2), paulis["x"]))
 
     def test_kraus_maps_always_cp(self, rng):
         for _ in range(10):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cereduce.reduction import reduce_ce
+from cereduce.model import validate_ce
+from cereduce.reduction import equivalence_check, reduce_ce
 from cereduce.serialize import (
     ce_from_json,
     ce_to_json,
@@ -52,9 +53,12 @@ class TestSuperop:
     def test_matrix_fallback(self, rng):
         from cereduce.operators import Superoperator
 
-        S = Superoperator(random_complex(rng, (4, 4)))
+        M = Superoperator(kraus=[random_complex(rng, (2, 2))]).matrix
+        S = superop_from_json({"matrix": matrix_to_json(M)})
+        assert len(S.kraus) == 1
+        assert np.linalg.norm(S.matrix - M) <= 1e-12 * np.linalg.norm(M)
         doc = superop_to_json(S)
-        assert "matrix" in doc
+        assert "kraus" in doc and "matrix" not in doc
         assert np.array_equal(superop_from_json(doc).matrix, S.matrix)
 
     def test_empty_entry_rejected(self):
@@ -88,6 +92,38 @@ class TestModelDocuments:
         assert back.dim == red.model.dim
         R = matrix_from_json(doc["reduction"]["R"])
         assert np.array_equal(R, red.reduction_map.matrix)
+
+
+def matrix_form(ce) -> dict:
+    """The split model's document with every instrument and split map as a dense "matrix" entry."""
+    def dense(S):
+        return {"matrix": matrix_to_json(S.matrix)}
+
+    doc = ce_to_json(ce)
+    doc["instrument"] = {k: dense(ce.instrument.maps[k]) for k in ce.outcomes}
+    doc["split"] = {"evolution": dense(ce.evolution), "effects": {k: dense(ce.effects[k]) for k in ce.outcomes}}
+    return doc
+
+
+class TestMatrixFormModel:
+    """Ising N=4 read from dense "matrix" entries reduces as it does from Kraus lists."""
+
+    @pytest.mark.parametrize(
+        "p, dims, blocks",
+        [(0.0, (12, 16, 16), ((2, 2),) * 4), (0.5, (18, 32, 32), ((4, 2),) * 2)],
+        ids=["p0", "p0.5"],
+    )
+    def test_reduces_like_the_kraus_file(self, p, dims, blocks):
+        ising = ising_chain(4, p, 0.3)
+        ce = ce_from_json(matrix_form(ising))
+        maps = [*ce.instrument.maps.values(), ce.evolution, *ce.effects.values()]
+        assert all(len(S.kraus) == 1 for S in maps)  # every Ising map has Choi rank 1
+        assert validate_ce(ce).ok
+        red = reduce_ce(ce, seed=0)
+        assert (red.nperp.dim, red.output_algebra.dim, red.reduced_dim) == dims
+        assert red.blocks == blocks
+        rep = equivalence_check(ce_from_json(ce_to_json(ising)), red, max_len=3, n_states=5, seed=0)
+        assert rep.passed
 
 
 class TestFiles:
