@@ -3,8 +3,10 @@
 Given a quantum instrument and a set of observables of interest, the
 package computes an exactly equivalent conditional model of smaller
 dimension: it finds the operator subspace reached by the dual dynamics,
-closes it to a *-algebra, block-diagonalizes the algebra and projects the
-model through the CPTP factorization of the conditional expectation.
+block-diagonalizes the *-algebra that subspace generates, straight from
+the subspace's basis and without closing products in operator space, and
+projects the model through the CPTP factorization of the conditional
+expectation.
 """
 
 from .algebra import (

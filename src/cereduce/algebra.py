@@ -1,14 +1,17 @@
-"""Matrix *-algebras: closure, commutant, block decomposition, projection.
+"""Matrix *-algebras: block decomposition from generators, read-off, projection.
 
-A unital *-algebra of n x n matrices is unitarily equivalent to a direct
-sum of blocks B(C^{d_S}) otimes 1_{d_F}.  The decomposition is computed
-numerically from one generic Hermitian algebra element: each block holds
-d_S of its eigenspaces, each of dimension d_F, and the algebra orbits of
-the vectors of one eigenspace give the block's aligned multiplicity
-slices.  The unitary it produces is validated against the block structure
-of every algebra basis element before being returned.  The center and the
-commutant are read off the decomposition, as the span of the block
-projections and as the direct sum of blocks 1_{d_S} otimes B(C^{d_F}).
+Operators G_i together with the identity generate a unital *-algebra,
+unitarily equivalent to a direct sum of blocks B(C^{d_S}) otimes 1_{d_F}.
+The algebra is never built by closing products in operator space: its
+decomposition is computed from the generators alone.  One generic algebra
+element, a random product of combinations of 1 and the G_i, has in each
+block d_S eigenspaces of dimension d_F, and the orbit of one eigenspace
+under the G_i spans its block with the multiplicity slices already
+aligned.  The unitary is validated against the block structure of every
+generator before being returned.  The algebra the G_i generate, its
+center and its commutant are then read off the blocks in closed form:
+U_k (E_st otimes 1_F) U_k^dag, the block projections, and
+U_k (1_S otimes E_fg) U_k^dag.
 
 From the decomposition one obtains the unique Hilbert-Schmidt-orthogonal
 conditional expectation onto the algebra, factorized into a CPTP
@@ -19,6 +22,7 @@ with normalized block identities).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -52,17 +56,10 @@ class DegenerateAlgebraError(RuntimeError):
     """A random algebra element failed to separate the block structure."""
 
 
-def _hermitian_parts(X: np.ndarray) -> np.ndarray:
-    """(X + X^dag)/2 and (X - X^dag)/2i of each of k stacked matrices, interleaved: (2k, n, n)."""
+def _hermitian_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X + X^dag)/2 and (X - X^dag)/2i, the Hermitian operators with X = real + i imag."""
     X = np.asarray(X, dtype=complex)
-    out = np.empty((*X.shape[:-2], 2, *X.shape[-2:]), dtype=complex)
-    re, im = out[..., 0, :, :], out[..., 1, :, :]
-    np.conjugate(X.swapaxes(-1, -2), out=im)
-    np.add(X, im, out=re)
-    np.subtract(X, im, out=im)
-    re *= 0.5
-    im *= -0.5j
-    return out.reshape(-1, *X.shape[-2:])
+    return (X + X.conj().T) / 2, (X - X.conj().T) / 2j
 
 
 @dataclass(frozen=True)
@@ -99,83 +96,70 @@ class StarAlgebra:
 
 
 def algebra_closure(
-    subspace: OperatorSubspace | list[np.ndarray],
+    subspace: StarAlgebra | OperatorSubspace | list[np.ndarray],
     tol: float = DEFAULT_TOL,
 ) -> StarAlgebra:
     """Smallest *-algebra containing the given span.
 
-    The :func:`~cereduce.operators.closure` of the Hermitian parts of the
-    generators, where basis element i is expanded into the Hermitian parts
-    of the products B_i B_j with j <= i, formed as one batched product
-    B_i [B_0 ... B_i].  The basis is Hermitian, so it is closed under
-    adjoints, and B_j B_i = (B_i B_j)^dag has the same Hermitian parts;
-    each product is therefore formed once.
+    Never closed under products in operator space: read off the block
+    decomposition of what the operators generate (see :func:`wedderburn`),
+    as an HS-orthonormal Hermitian basis that starts with the orthonormalized
+    Hermitian parts of the operators and continues with the rest of the span
+    of the U_k (E_st otimes 1_F) U_k^dag over every block on which some
+    generator acts.  The algebra is unital when that is every block.
     """
-    ops = subspace.basis if isinstance(subspace, OperatorSubspace) else subspace
-    if not len(ops):
-        raise ValueError("need at least one operator")
-
-    def products(basis, i):
-        return _hermitian_parts(basis[i] @ basis[: i + 1])
-
-    space = closure(_hermitian_parts(np.array(ops)), products, tol)
-    eye = np.eye(space.ambient_dim, dtype=complex)
-    return StarAlgebra(space=space, unital=space.contains(eye, max(tol, 1e-8)))
+    return _decompose(subspace, tol, 0)[0]
 
 
-def _unitization(alg: StarAlgebra, tol: float) -> StarAlgebra:
-    """The algebra if unital, else its span with the identity.
+def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> list[np.ndarray]:
+    """HS-orthonormal Hermitian basis of the span of all W_a W_b^dag over the blocks ``ks``.
 
-    The unitization adds one block, on the complement of the algebra's unit,
-    and has the same commutant.
+    The W_a are the slices of U_k along ``axis`` of its (n, d_S, d_F) view:
+    axis 1 gives U_k (E_st otimes 1_F) U_k^dag, the algebra, and axis 2 gives
+    U_k (1_S otimes E_fg) U_k^dag, the commutant.  The slices are mutually
+    orthogonal families of r orthonormal columns, so W_a W_a^dag / sqrt(r)
+    and, for a < b, the Hermitian parts of W_a W_b^dag times sqrt(2 / r) are
+    orthonormal.
     """
-    if alg.unital:
-        return alg
-    eye = np.eye(alg.ambient_dim, dtype=complex)
-    return StarAlgebra(space=orthonormalize([*alg.basis, eye], tol), unital=True)
+    ops = []
+    for k in ks:
+        W = np.moveaxis(dec.block_isometry(k).reshape(dec.dim, *dec.blocks[k]), axis, 0)
+        d, _, r = W.shape
+        for a in range(d):
+            for b in range(a, d):
+                real, imag = _hermitian_parts(W[a] @ W[b].conj().T)
+                ops += [real / np.sqrt(r)] if a == b else [real * np.sqrt(2 / r), imag * np.sqrt(2 / r)]
+    return ops
 
 
 def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
     """All operators commuting with every element of the algebra.
 
-    Read off the block decomposition of the unitization in closed form as
-    U ((+) 1_{d_S} otimes B(C^{d_F})) U^dag, with an HS-orthonormal
-    Hermitian basis.
+    Read off the block decomposition in closed form as
+    U ((+) 1_{d_S} otimes B(C^{d_F})) U^dag, with an HS-orthonormal Hermitian
+    basis.  The decomposition covers the identity too, so a non-unital
+    algebra gets the commutant of its unitization, which is the same.
     """
-    n = alg.ambient_dim
-    dec = wedderburn(_unitization(alg, tol), tol)
-    ops = []
-    for k, (dS, dF) in enumerate(dec.blocks):
-        # column s * d_F + f of the block isometry is Uk[:, s, f]
-        Uk = dec.block_isometry(k).reshape(n, dS, dF)
-        for f in range(dF):
-            for g in range(f, dF):
-                # U (1_S otimes |f><g|) U^dag, split into unit-norm Hermitian parts
-                X = Uk[:, :, f] @ Uk[:, :, g].conj().T
-                real, imag = _hermitian_parts(X)
-                if f == g:
-                    ops.append(real / np.sqrt(dS))
-                else:
-                    ops += [real * np.sqrt(2 / dS), imag * np.sqrt(2 / dS)]
-    return StarAlgebra(space=OperatorSubspace(n, tuple(ops)), unital=True)
+    _, dec = _decompose(alg, tol, 0)
+    ops = _block_operators(dec, range(len(dec.blocks)), axis=2)
+    return StarAlgebra(space=OperatorSubspace(alg.ambient_dim, tuple(ops)), unital=True)
 
 
 def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """The center: elements of the algebra commuting with the whole algebra.
 
-    Read off the block decomposition of the unitization as the span of the
-    block projections U_k U_k^dag, HS-normalized by sqrt(d_S d_F); they are
-    mutually orthogonal and Hermitian.  For a non-unital algebra only the
-    projections lying in the algebra are kept, which drops the block the
-    unitization adds: a block projection lies in the algebra or is
-    orthogonal to it, so its residual is 0 or 1.
+    Read off the block decomposition as the span of the block projections
+    U_k U_k^dag, HS-normalized by sqrt(d_S d_F); they are mutually orthogonal
+    and Hermitian.  A block projection lies in the generated algebra or is
+    orthogonal to it (residual 0 or 1); only those in it are kept, which
+    drops the block of a non-unital algebra on which every element vanishes.
     """
-    dec = wedderburn(_unitization(alg, tol), tol)
+    generated, dec = _decompose(alg, tol, 0)
     ops = []
     for k, (dS, dF) in enumerate(dec.blocks):
         Uk = dec.block_isometry(k)
         P = Uk @ Uk.conj().T / np.sqrt(dS * dF)
-        if alg.unital or alg.space.residual(P) < 0.5:
+        if generated.unital or generated.space.residual(P) < 0.5:
             ops.append(P)
     return OperatorSubspace(alg.ambient_dim, tuple(ops))
 
@@ -237,69 +221,88 @@ class WedderburnDecomposition:
         return float(np.linalg.norm(T - model))
 
 
-def _random_hermitian_in(space_basis, rng) -> np.ndarray:
-    coeffs = rng.standard_normal(len(space_basis))
-    X = sum(c * B for c, B in zip(coeffs, space_basis))
-    return (X + X.conj().T) / 2
+def wedderburn(
+    alg: StarAlgebra | OperatorSubspace | list[np.ndarray],
+    tol: float = DEFAULT_TOL,
+    seed: int = 0,
+) -> WedderburnDecomposition:
+    """Block decomposition of the unital *-algebra generated by the given operators.
 
-
-def _eigenspaces(H: np.ndarray, gap_tol: float):
-    """Eigenspaces of H, clustering eigenvalues closer than gap_tol times the spread."""
-    w = np.linalg.eigvalsh(H)
-    return eigh_clustered(H, gap_tol * max(float(w[-1] - w[0]), 1e-3))
-
-
-def wedderburn(alg: StarAlgebra, tol: float = DEFAULT_TOL, seed: int = 0) -> WedderburnDecomposition:
-    """Block decomposition of a unital *-algebra from one generic element.
-
-    A random Hermitian algebra element A = (+) A_S otimes 1_F has, in each
-    block, d_S eigenspaces of dimension d_F, with distinct eigenvalues
-    across all blocks.  The algebra orbit {B_i v_1} of one vector of an
-    eigenspace spans one multiplicity slice of its block; the coefficients
-    G that orthonormalize it, applied to the orbit {B_i v_f} of every other
-    vector v_f of that eigenspace, give slice f already aligned.  The block
-    so found must hold d_S whole eigenspaces of dimension d_F, none of them
-    claimed by another block.  The result is accepted only if every algebra
-    basis element actually acquires the block structure; otherwise a fresh
-    seed is drawn, up to ``MAX_REDRAWS`` times.
+    The generators G_i are the orthonormalized Hermitian parts of the
+    operators (an algebra's basis, a subspace's basis or a list).  Together
+    with the identity they generate a unital algebra; its generic element,
+    the Hermitian part of a product of L factors c_0 1 + sum_i c_i G_i with
+    complex Gaussian c, has in each block d_S eigenspaces of dimension d_F,
+    with distinct eigenvalues across all blocks.  The orbit of an eigenspace
+    V under the generators, the :func:`~cereduce.operators.closure` of the
+    n x d_F matrix V under V -> G_i V, spans its block: every orbit element
+    has the form U_k (x otimes W) for one W, so its d_F columns are already
+    aligned multiplicity slices.  The block so found must hold d_S whole
+    eigenspaces of dimension d_F, none of them claimed by another block.
+    The draw is accepted only if every generator acquires the block
+    structure, which the whole algebra then shares; otherwise a fresh seed
+    is drawn with twice the length L, from L = 1 up to ``MAX_REDRAWS``
+    draws.  Raises ValueError when the generated algebra is not unital, that
+    is when every generator vanishes on some block.
     """
-    if not alg.unital:
+    generated, dec = _decompose(alg, tol, seed)
+    if not generated.unital:
         raise ValueError("Wedderburn decomposition requires a unital algebra")
-    struct_tol = max(np.sqrt(tol), 1e-8)
+    return dec
 
+
+def _decompose(ops, tol: float, seed: int) -> tuple[StarAlgebra, WedderburnDecomposition]:
+    """The *-algebra the operators generate, and the decomposition of that algebra plus 1.
+
+    See :func:`wedderburn` for the decomposition and :func:`algebra_closure`
+    for the algebra read off it.
+    """
+    ops = ops.basis if isinstance(ops, (StarAlgebra, OperatorSubspace)) else ops
+    gens = orthonormalize([P for X in ops for P in _hermitian_parts(X)], tol)
+    n = gens.ambient_dim
+    G = np.array(gens.basis).reshape(-1, n, n)
+    struct_tol = max(np.sqrt(tol), 1e-8)
     last_err = "no attempt made"
     for attempt in range(MAX_REDRAWS):
         rng = np.random.default_rng([seed, attempt])
         try:
-            dec = _wedderburn_attempt(alg, tol, rng)
+            dec, acted_on = _wedderburn_attempt(G, 2**attempt, tol, rng)
         except DegenerateAlgebraError as exc:
             last_err = str(exc)
             continue
-        res = max(dec.structure_residual(B) for B in alg.basis)
+        res = max((dec.structure_residual(B) for B in G), default=0.0)
         if res <= struct_tol:
-            return dec
+            acted = [k for k, acts in enumerate(acted_on) if acts]
+            R = np.array(_block_operators(dec, acted, axis=1)).reshape(-1, n, n)
+            # Hermitian R and G have real inner products: complete the generators'
+            # coordinates in the basis R to a real orthogonal Q, and R Q is the algebra's basis
+            Q = np.linalg.qr(np.tensordot(R.conj(), G, ([1, 2], [1, 2])).real, mode="complete")[0]
+            space = OperatorSubspace(n, (*G, *np.tensordot(Q[:, len(G):].T, R, 1)))
+            return StarAlgebra(space=space, unital=all(acted_on)), dec
         last_err = f"structure residual {res:.3e} exceeds {struct_tol:.1e}"
     raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
-def _wedderburn_attempt(alg, tol, rng) -> WedderburnDecomposition:
+def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:
+    """One draw: the decomposition, and for each block whether a generator acts on it."""
     gap_tol = np.sqrt(tol)
-    n, m = alg.ambient_dim, alg.dim
-    T = alg.space.stacked().reshape(m, n, n)  # T[i] = B_i^T
-    eigenspaces = [V for _, V in _eigenspaces(_random_hermitian_in(alg.basis, rng), gap_tol)]
+    m, n = len(G), G.shape[-1]
+    c = rng.standard_normal((depth, m + 1)) + 1j * rng.standard_normal((depth, m + 1))
+    A = reduce(np.matmul, (np.tensordot(ct[1:], G, 1) + ct[0] * np.eye(n) for ct in c))
+    # eigenspaces, clustering eigenvalues closer than gap_tol times the spread
+    H = (A + A.conj().T) / 2
+    w = np.linalg.eigvalsh(H)
+    eigenspaces = [V for _, V in eigh_clustered(H, gap_tol * max(float(w[-1] - w[0]), 1e-3))]
     assigned = set()
     blocks = []
     for a, V in enumerate(eigenspaces):
         if a in assigned:
             continue
         dF = V.shape[1]
-        # orbits[i, :, f] = B_i v_f for the vectors v_f of this eigenspace
-        orbits = (V.T @ T).transpose(0, 2, 1)
-        _, s, Vh = np.linalg.svd(orbits[:, :, 0].T, full_matrices=False)
-        dS = int(np.sum(s > gap_tol * s[0]))
-        G = Vh[:dS].conj().T / s[:dS]
-        # column s * d_F + f holds the s-th orthonormalized orbit vector of slice f
-        cols = np.einsum("iaf,is->asf", orbits, G).reshape(n, dS * dF)
+        orbit = closure([V], lambda basis, i: G @ basis[i], tol)
+        dS = orbit.dim
+        # column s * d_F + f is column f of orbit element s, which has norm 1 / sqrt(d_F)
+        cols = np.sqrt(dF) * np.array(orbit.basis).transpose(1, 0, 2).reshape(n, dS * dF)
         # an eigenspace lies in the block (overlap 1) or is orthogonal to it (overlap 0)
         overlaps = [np.linalg.norm(cols.conj().T @ W) ** 2 / W.shape[1] for W in eigenspaces]
         members = {b for b, o in enumerate(overlaps) if o > 0.5}
@@ -310,11 +313,13 @@ def _wedderburn_attempt(alg, tol, rng) -> WedderburnDecomposition:
                 f"eigenspaces of dimensions {sizes}, {len(members & assigned)} already assigned"
             )
         assigned |= members
-        blocks.append((dS, dF, cols))
+        # a generator acts on a block of d_S > 1, else it maps V to a multiple of V
+        acted_on = dS > 1 or float(np.linalg.norm(G @ V)) > tol * np.sqrt(dF)
+        blocks.append((dS, dF, cols, acted_on))
 
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     U = np.hstack([b[2] for b in blocks])
-    return WedderburnDecomposition(U=U, blocks=tuple((b[0], b[1]) for b in blocks))
+    return WedderburnDecomposition(U=U, blocks=tuple((b[0], b[1]) for b in blocks)), [b[3] for b in blocks]
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _load_model(path: str) -> tuple[ConditionalEvolution, dict]:
     try:
         doc = serialize.load_json(path)
@@ -250,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--tol", type=_tol, default=_default_tol())
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("zoo", help="emit an example model as JSON")
     fam = p.add_subparsers(dest="family", required=True)
     w = fam.add_parser("walk")
     w.add_argument("--n", type=_positive_int, required=True)
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=_seed, default=0)
     w.add_argument("--hadamard", action="store_true")
     w.add_argument("-o", "--output", required=True)
     w.add_argument("--tol", type=_tol, default=_default_tol())

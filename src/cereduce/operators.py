@@ -100,6 +100,9 @@ def eigh_clustered(H: np.ndarray, gap: float):
 class OperatorSubspace:
     """An operator subspace given by an HS-orthonormal basis.
 
+    The basis elements share one shape, with ``ambient_dim`` rows; they are
+    square everywhere except in the orbits of :func:`~cereduce.algebra.wedderburn`.
+
     The basis is also held as its stacked matrix Q, built once: row i is
     vec(B_i), so the coordinates of X are ``Q.conj() @ vec(X)`` and the
     orthogonal projector acts on column-stacked vectors as
@@ -112,7 +115,8 @@ class OperatorSubspace:
 
     def __post_init__(self):
         n = self.ambient_dim
-        Q = np.array([vec(B) for B in self.basis], dtype=complex).reshape(self.dim, n * n)
+        size = np.size(self.basis[0]) if self.basis else n * n
+        Q = np.array([vec(B) for B in self.basis], dtype=complex).reshape(self.dim, size)
         Q.flags.writeable = False
         object.__setattr__(self, "_stacked", Q)
 
@@ -160,10 +164,11 @@ def closure(
 ) -> OperatorSubspace:
     """HS-orthonormal basis of the smallest span holding ``ops`` and closed under ``expand``.
 
-    A worklist closure: ``expand(basis, i)`` is called exactly once per
-    basis element ``i``, after all earlier ones, with the current basis as
-    a read-only (dim, n, n) array, and returns the candidates that element
-    contributes.  ``ops`` and each call's candidates form one block
+    All operators have the shape (n, m) of the first; rectangular ones are
+    allowed.  A worklist closure: ``expand(basis, i)`` is called exactly
+    once per basis element ``i``, after all earlier ones, with the current
+    basis as a read-only (dim, n, m) array, and returns the candidates that
+    element contributes.  ``ops`` and each call's candidates form one block
     (block classical Gram-Schmidt, Stewart 2008).  One GEMM pair projects
     the whole block out of the basis held before it, and a candidate whose
     residual norm is then at most ``tol`` times the largest candidate norm
@@ -171,28 +176,29 @@ def closure(
     out of the elements its block has already added, which completes its
     first projection, then out of the whole basis a second time (CGS2), and
     kept when its residual still exceeds the bound, until the basis holds
-    n^2 elements.  The bound of a candidate uses the norms up to and
+    n m elements.  The bound of a candidate uses the norms up to and
     including it, not the block's largest, so the rank rule is that of
     adding the candidates one at a time.  While every candidate so far is
-    Hermitian, kept elements are symmetrized, so the basis stays Hermitian.
+    Hermitian (square operators only), kept elements are symmetrized, so the
+    basis stays Hermitian.
     """
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
-    n = np.shape(ops[0])[0]
-    full = n * n
+    n, m = shape = np.shape(ops[0])
+    full = n * m
     # row i of Q is B_i flattened row-major (any one order of the entries gives the same
     # inner products), row i of Qc its conjugate; both grow by doubling
     Q = Qc = np.empty((0, full), dtype=complex)
-    dim, hermitian, scale = 0, True, 0.0
+    dim, hermitian, scale = 0, n == m, 0.0
 
     def add(candidates) -> None:
         nonlocal Q, Qc, dim, hermitian, scale
         block = candidates if isinstance(candidates, np.ndarray) else list(candidates)
-        if any(np.shape(X) != (n, n) for X in block):
-            raise ValueError("operators must share a common square shape")
+        if any(np.shape(X) != shape for X in block):
+            raise ValueError("operators must share a common shape")
         k = len(block)
-        if dim == full or k == 0:  # a full basis spans every n x n operator
+        if dim == full or k == 0:  # a full basis spans every n x m operator
             return
         C = np.ascontiguousarray(block, dtype=complex).reshape(k, full)
         W = np.empty((k, full), dtype=complex)  # the asymmetries, then the residuals
@@ -221,7 +227,7 @@ def closure(
             res = hs_norm(v)
             if res <= bounds[j]:
                 continue
-            B = (v / res).reshape(n, n)
+            B = (v / res).reshape(n, m)
             if herm[j]:
                 B = (B + B.conj().T) / 2
                 B /= hs_norm(B)
@@ -236,11 +242,11 @@ def closure(
     add(ops)
     i = 0
     while expand is not None and i < dim:
-        basis = Q[:dim].reshape(dim, n, n)
+        basis = Q[:dim].reshape(dim, n, m)
         basis.flags.writeable = False
         add(expand(basis, i))
         i += 1
-    return OperatorSubspace(n, tuple(Q[:dim].reshape(dim, n, n).copy()))
+    return OperatorSubspace(n, tuple(Q[:dim].reshape(dim, n, m).copy()))
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:

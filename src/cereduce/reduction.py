@@ -2,9 +2,11 @@
 
 The pipeline projects the model onto the smallest *-algebra containing
 the dual orbit of the observables, through the CPTP factorization of the
-conditional expectation.  The reduced model is again a valid conditional
-evolution (CP maps, dual normalization) on a smaller space and reproduces
-every conditioned output and every outcome-word probability exactly.
+conditional expectation.  That algebra is decomposed into blocks straight
+from the orbit's basis; it is never closed under products in operator
+space.  The reduced model is again a valid conditional evolution (CP
+maps, dual normalization) on a smaller space and reproduces every
+conditioned output and every outcome-word probability exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (
-    CEFactorization,
-    StarAlgebra,
-    algebra_closure,
-    conditional_expectation,
-    wedderburn,
-)
+from .algebra import CEFactorization, StarAlgebra, _decompose, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import check_invariance, nonobservable_complement
 from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
@@ -119,13 +115,17 @@ def reduce_ce(
 ) -> ReducedCE:
     """Project a conditional evolution onto its output algebra.
 
-    Computes the observable subspace, closes it to a *-algebra, builds the
-    CPTP factorization of the conditional expectation and conjugates every
+    Computes the observable subspace and decomposes the *-algebra it
+    generates once, from the subspace's basis as generators (see
+    :func:`~cereduce.algebra.wedderburn`); the algebra is never closed in
+    operator space, its basis is read off the blocks.  Then builds the CPTP
+    factorization of the conditional expectation and conjugates every
     instrument map: reduced M_k = R o M_k o J, reduced output = C o J.
     """
     nperp = nonobservable_complement(ce, tol)
-    alg = algebra_closure(nperp, tol)
-    dec = wedderburn(alg, tol, seed)
+    alg, dec = _decompose(nperp, tol, seed)
+    if not alg.unital:
+        raise ValueError("the observables generate a non-unital algebra")
     fact = conditional_expectation(dec)
 
     maps = {k: fact.R @ ce.instrument.maps[k] @ fact.J for k in ce.outcomes}

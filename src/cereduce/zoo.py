@@ -123,6 +123,8 @@ def ising_chain(N: int, p: float, delta: float) -> ConditionalEvolution:
         raise ValueError("the chain needs at least 4 qubits")
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
+    if not np.isfinite(delta):
+        raise ValueError("delta must be a finite number")
     n = 2**N
     H = np.zeros((n, n), dtype=complex)
     for j in range(1, N):

@@ -186,6 +186,22 @@ def test_ising_n7_reduction(p, dims, blocks):
     assert equivalence_check(ce, red, max_len=2, n_states=2, tol=1e-8, seed=0).passed
 
 
+@pytest.mark.parametrize(
+    "p, dims, blocks",
+    [(0.0, (12, 16, 16), ((2, 32),) * 4), (0.5, (18, 32, 32), ((4, 32),) * 2)],
+    ids=["p0", "p_half"],
+)
+def test_ising_n8_reduction(p, dims, blocks):
+    ce = ising_chain(8, p, 0.3)
+    red = reduce_ce(ce)
+    assert (red.nperp.dim, red.output_algebra.dim, red.reduced_dim) == dims
+    assert red.blocks == blocks
+    # the nperp basis generates the algebra, so its block form is the algebra's
+    dec = red.factorization.decomposition
+    assert all(dec.structure_residual(B) <= 1e-8 for B in red.nperp.basis)
+    assert equivalence_check(ce, red, max_len=2, n_states=2, tol=1e-8, seed=0).passed
+
+
 @pytest.fixture(scope="module")
 def random_algebras():
     return acceptance_block_algebras()

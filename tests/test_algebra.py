@@ -1,8 +1,10 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from cereduce import algebra
 from cereduce.algebra import (
     StarAlgebra,
     algebra_closure,
@@ -21,7 +23,7 @@ from cereduce.operators import (
     unvec,
     vec,
 )
-from cereduce.zoo import haar_unitary, ising_chain
+from cereduce.zoo import PAULI, haar_unitary, ising_chain, measured_quantum_walk
 from conftest import proj, random_complex
 
 
@@ -89,6 +91,12 @@ def center_by_commutator_stack(alg, tol=1e-9):
     ops = [sum(c * B for c, B in zip(v, alg.basis)) for v in null]
     parts = [P for X in ops for P in ((X + X.conj().T) / 2, (X - X.conj().T) / 2j)]
     return orthonormalize(parts, tol)
+
+
+def clifford_generators(k):
+    """2k anticommuting Hermitian gammas on (C^2)^(otimes k), by Jordan-Wigner."""
+    X, Y, Z, I = (PAULI[q] for q in "xyz0")
+    return [reduce(np.kron, [Z] * j + [P] + [I] * (k - j - 1)) for j in range(k) for P in (X, Y)]
 
 
 def projector_distance(A, B):
@@ -311,6 +319,53 @@ class TestWedderburn:
         no_unit = StarAlgebra(space=alg.space, unital=False)
         with pytest.raises(ValueError):
             wedderburn(no_unit)
+
+    def test_non_unital_generators_rejected(self):
+        # |0><0| generates a one-dimensional algebra whose unit is not the identity
+        with pytest.raises(ValueError):
+            wedderburn([proj(3, 0)])
+
+    @pytest.mark.parametrize("k", [2, 3], ids=["4_gammas_on_C4", "6_gammas_on_C8"])
+    def test_clifford_generators_need_longer_words(self, k, monkeypatch):
+        gammas = clifford_generators(k)
+        n = 2**k
+        # a real combination squares to |c|^2, so the span has only the eigenvalues +-|c|
+        c = np.arange(1.0, 2 * k + 1)
+        X = sum(ci * g for ci, g in zip(c, gammas))
+        assert np.linalg.norm(X @ X - (c @ c) * np.eye(n)) <= 1e-10
+        depths = []
+        attempt = algebra._wedderburn_attempt
+
+        def recording(G, depth, tol, rng):
+            depths.append(depth)
+            return attempt(G, depth, tol, rng)
+
+        monkeypatch.setattr(algebra, "_wedderburn_attempt", recording)
+        dec = wedderburn(gammas)
+        assert dec.blocks == ((n, 1),)
+        # the first draw, of length 1, fails; each redraw doubles the length
+        assert len(depths) >= 2 and depths == [2**t for t in range(len(depths))]
+        assert np.linalg.norm(dec.U @ dec.U.conj().T - np.eye(n)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family",
+        [("ising", N, p) for N in range(4, 8) for p in (0.0, 0.5)]
+        + [("walk", n) for n in range(3, 9)]
+        + [("acceptance_blocks",)],
+        ids=lambda family: "-".join(map(str, family)),
+    )
+    def test_generators_give_the_blocks_of_their_algebra(self, family):
+        kind, *args = family
+        if kind == "ising":
+            generator_sets = [nonobservable_complement(ising_chain(*args, 0.3))]
+        elif kind == "walk":
+            generator_sets = [nonobservable_complement(measured_quantum_walk(args[0], seed=args[0]))]
+        else:
+            generator_sets = acceptance_block_generators()
+        for ops in generator_sets:
+            dec, alg = wedderburn(ops), algebra_closure(ops)
+            assert dec.blocks == wedderburn(alg).blocks
+            assert max(dec.structure_residual(B) for B in alg.basis) <= 1e-10
 
 
 class TestConditionalExpectation:

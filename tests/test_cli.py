@@ -227,6 +227,22 @@ ERROR_NAMES = {
 }
 
 
+NEGATIVE_SEED_ARGV = {
+    "zoo_walk": lambda tmp, m, r: ["zoo", "walk", "--n", "3", "-o", str(tmp / "w.json"), "--seed", "-1"],
+    "reduce": lambda tmp, m, r: ["reduce", str(m), "-o", str(tmp / "r.json"), "--seed", "-1"],
+    "verify": lambda tmp, m, r: ["verify", str(m), str(r), "--seed", "-1"],
+    "simulate": lambda tmp, m, r: ["simulate", str(m), "--samples", "2", "--seed", "-1"],
+}
+ZOO_ISING_DELTA_ARGV = {
+    value: lambda tmp, m, r, value=value: [
+        "zoo", "ising", "--n", "4", "--p", "0.5", "--delta", value, "-o", str(tmp / "i.json")
+    ]
+    for value in ("nan", "inf")
+}
+ERROR_NAMES.update({make: ["--seed"] for make in NEGATIVE_SEED_ARGV.values()})
+ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISING_DELTA_ARGV.values()})
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -259,6 +275,8 @@ ERROR_NAMES = {
             lambda tmp, m, r: ["zoo", "walk", "--n", "3", "-o", str(tmp / "absent" / "w.json")],
             id="zoo_output_dir_missing",
         ),
+        *(pytest.param(make, id=f"{cmd}_negative_seed") for cmd, make in NEGATIVE_SEED_ARGV.items()),
+        *(pytest.param(make, id=f"zoo_ising_delta_{value}") for value, make in ZOO_ISING_DELTA_ARGV.items()),
     ],
 )
 def test_bad_input_exit2_with_error_line(make_argv, tmp_path, walk_files, capsys):

@@ -288,6 +288,18 @@ class TestBlockClosure:
         assert is_hermitian(sub.basis[1]) and not is_hermitian(sub.basis[2])
         assert sub.residual(E) <= 1e-12
 
+    def test_rectangular_candidates(self, rng):
+        # 4 x 2 orbits: the first element keeps its Hermitian-looking top square as it is
+        A = random_complex(rng, (4, 4))
+        V = np.vstack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        sub = closure([V], lambda basis, i: [A @ basis[i], A.conj().T @ basis[i]], tol=0.0)
+        assert sub.dim == 8 and all(B.shape == (4, 2) for B in sub.basis)
+        gram = sub.stacked().conj() @ sub.stacked().T
+        assert np.linalg.norm(gram - np.eye(8)) <= 1e-12
+        assert np.linalg.norm(sub.basis[0] - V / np.sqrt(2)) <= 1e-15
+        for X in (A @ V, A.conj().T @ V, random_complex(rng, (4, 2))):
+            assert sub.residual(X) <= 1e-12 * hs_norm(X)
+
     @pytest.mark.parametrize("block", [[PAULI["x"], np.eye(3)], [np.ones(4)]], ids=["3x3", "flat"])
     def test_wrong_shape_in_block_rejected(self, paulis, block):
         # a flattened 2x2 has the right number of entries and must still be refused

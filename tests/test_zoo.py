@@ -57,6 +57,11 @@ class TestIsingChain:
             with pytest.raises(ValueError):
                 ising_chain(4, p, 0.3)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            ising_chain(4, 0.5, delta)
+
     def test_outcome_labels(self):
         assert ising_chain(4, 0.0, 0.3).outcomes == ("0", "1")
         assert ising_chain(4, 0.5, 0.3).outcomes == ("-1", "0", "1")
