@@ -103,12 +103,12 @@ def algebra_closure(
 
     Never closed under products in operator space: read off the block
     decomposition of what the operators generate (see :func:`wedderburn`),
-    as an HS-orthonormal Hermitian basis that starts with the orthonormalized
-    Hermitian parts of the operators and continues with the rest of the span
+    as an HS-orthonormal Hermitian basis that starts with the generators G_i
+    of :func:`wedderburn` and continues with the rest of the span
     of the U_k (E_st otimes 1_F) U_k^dag over every block on which some
     generator acts.  The algebra is unital when that is every block.
     """
-    return _decompose(subspace, tol, 0)[0]
+    return _read_off(*_decompose(subspace, tol, 0))
 
 
 def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> list[np.ndarray]:
@@ -140,7 +140,7 @@ def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
     basis.  The decomposition covers the identity too, so a non-unital
     algebra gets the commutant of its unitization, which is the same.
     """
-    _, dec = _decompose(alg, tol, 0)
+    _, dec, _ = _decompose(alg, tol, 0)
     ops = _block_operators(dec, range(len(dec.blocks)), axis=2)
     return StarAlgebra(space=OperatorSubspace(alg.ambient_dim, tuple(ops)), unital=True)
 
@@ -150,17 +150,16 @@ def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
 
     Read off the block decomposition as the span of the block projections
     U_k U_k^dag, HS-normalized by sqrt(d_S d_F); they are mutually orthogonal
-    and Hermitian.  A block projection lies in the generated algebra or is
-    orthogonal to it (residual 0 or 1); only those in it are kept, which
-    drops the block of a non-unital algebra on which every element vanishes.
+    and Hermitian.  A block projection lies in the generated algebra exactly
+    when some generator acts on its block; only those are kept, which drops
+    the block of a non-unital algebra on which every element vanishes.
     """
-    generated, dec = _decompose(alg, tol, 0)
+    _, dec, acted_on = _decompose(alg, tol, 0)
     ops = []
     for k, (dS, dF) in enumerate(dec.blocks):
-        Uk = dec.block_isometry(k)
-        P = Uk @ Uk.conj().T / np.sqrt(dS * dF)
-        if generated.unital or generated.space.residual(P) < 0.5:
-            ops.append(P)
+        if acted_on[k]:
+            Uk = dec.block_isometry(k)
+            ops.append(Uk @ Uk.conj().T / np.sqrt(dS * dF))
     return OperatorSubspace(alg.ambient_dim, tuple(ops))
 
 
@@ -229,7 +228,8 @@ def wedderburn(
     """Block decomposition of the unital *-algebra generated by the given operators.
 
     The generators G_i are the orthonormalized Hermitian parts of the
-    operators (an algebra's basis, a subspace's basis or a list).  Together
+    operators (an algebra's basis, a subspace's basis or a list); a basis
+    that is already exactly Hermitian is used as it is.  Together
     with the identity they generate a unital algebra; its generic element,
     the Hermitian part of a product of L factors c_0 1 + sum_i c_i G_i with
     complex Gaussian c, has in each block d_S eigenspaces of dimension d_F,
@@ -245,22 +245,36 @@ def wedderburn(
     draws.  Raises ValueError when the generated algebra is not unital, that
     is when every generator vanishes on some block.
     """
-    generated, dec = _decompose(alg, tol, seed)
-    if not generated.unital:
+    _, dec, acted_on = _decompose(alg, tol, seed)
+    if not all(acted_on):
         raise ValueError("Wedderburn decomposition requires a unital algebra")
     return dec
 
 
-def _decompose(ops, tol: float, seed: int) -> tuple[StarAlgebra, WedderburnDecomposition]:
-    """The *-algebra the operators generate, and the decomposition of that algebra plus 1.
+def _generators(ops, tol: float) -> np.ndarray:
+    """(m, n, n) stack of the G_i: the orthonormalized Hermitian parts of the operators.
 
-    See :func:`wedderburn` for the decomposition and :func:`algebra_closure`
-    for the algebra read off it.
+    The basis of a subspace or algebra is HS-orthonormal by contract; when it
+    is also exactly Hermitian, as every basis :func:`~cereduce.operators.closure`
+    symmetrizes, it is used as it is.
     """
-    ops = ops.basis if isinstance(ops, (StarAlgebra, OperatorSubspace)) else ops
+    if isinstance(ops, StarAlgebra):
+        ops = ops.space
+    if isinstance(ops, OperatorSubspace):
+        if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
+            return np.array(ops.basis)
+        ops = ops.basis
     gens = orthonormalize([P for X in ops for P in _hermitian_parts(X)], tol)
-    n = gens.ambient_dim
-    G = np.array(gens.basis).reshape(-1, n, n)
+    return np.array(gens.basis).reshape(-1, gens.ambient_dim, gens.ambient_dim)
+
+
+def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomposition, list[bool]]:
+    """The generators G_i, the decomposition of the algebra they generate plus 1, and
+    for each block whether a generator acts on it (all of them when the algebra is unital).
+
+    See :func:`wedderburn` for the decomposition.
+    """
+    G = _generators(ops, tol)
     struct_tol = max(np.sqrt(tol), 1e-8)
     last_err = "no attempt made"
     for attempt in range(MAX_REDRAWS):
@@ -272,15 +286,21 @@ def _decompose(ops, tol: float, seed: int) -> tuple[StarAlgebra, WedderburnDecom
             continue
         res = max((dec.structure_residual(B) for B in G), default=0.0)
         if res <= struct_tol:
-            acted = [k for k, acts in enumerate(acted_on) if acts]
-            R = np.array(_block_operators(dec, acted, axis=1)).reshape(-1, n, n)
-            # Hermitian R and G have real inner products: complete the generators'
-            # coordinates in the basis R to a real orthogonal Q, and R Q is the algebra's basis
-            Q = np.linalg.qr(np.tensordot(R.conj(), G, ([1, 2], [1, 2])).real, mode="complete")[0]
-            space = OperatorSubspace(n, (*G, *np.tensordot(Q[:, len(G):].T, R, 1)))
-            return StarAlgebra(space=space, unital=all(acted_on)), dec
+            return G, dec, acted_on
         last_err = f"structure residual {res:.3e} exceeds {struct_tol:.1e}"
     raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
+
+
+def _read_off(G: np.ndarray, dec: WedderburnDecomposition, acted_on: list[bool]) -> StarAlgebra:
+    """The algebra the G_i generate, read off their decomposition; see :func:`algebra_closure`."""
+    n = dec.dim
+    acted = [k for k, acts in enumerate(acted_on) if acts]
+    R = np.array(_block_operators(dec, acted, axis=1)).reshape(-1, n, n)
+    # Hermitian R and G have real inner products: complete the generators'
+    # coordinates in the basis R to a real orthogonal Q, and R Q is the algebra's basis
+    Q = np.linalg.qr(np.tensordot(R.conj(), G, ([1, 2], [1, 2])).real, mode="complete")[0]
+    space = OperatorSubspace(n, (*G, *np.tensordot(Q[:, len(G):].T, R, 1)))
+    return StarAlgebra(space=space, unital=all(acted_on))
 
 
 def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:

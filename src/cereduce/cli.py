@@ -28,7 +28,13 @@ from .algebra import DegenerateAlgebraError
 from .model import ConditionalEvolution, validate_ce
 from .operators import DEFAULT_TOL, Superoperator
 from .reduction import check_assumptions, equivalence_check, random_density, reduce_ce
-from .trajectories import WORD_CAP, enumerate_distribution, sample_trajectory, total_variation
+from .trajectories import (
+    WORD_CAP,
+    StateEscapedError,
+    enumerate_distribution,
+    sample_trajectory,
+    total_variation,
+)
 from .zoo import ising_chain, measured_quantum_walk
 
 EXIT_OK = 0
@@ -134,9 +140,9 @@ def _text_report(red, assumptions) -> str:
     return "\n".join(lines)
 
 
-def cmd_reduce(args) -> int:
-    ce, _ = _load_model(args.model)
-    report = validate_ce(ce, args.tol)
+def _check_valid(ce: ConditionalEvolution, tol: float) -> None:
+    """Refuse a model that fails :func:`validate_ce`, naming every residual (exit 2)."""
+    report = validate_ce(ce, tol)
     if not report.ok:
         split = "none" if report.split_residual is None else f"{report.split_residual:.3e}"
         raise CliError(
@@ -145,6 +151,11 @@ def cmd_reduce(args) -> int:
             f"hermiticity residuals [{', '.join(f'{r:.3e}' for r in report.hermiticity_residuals)}], "
             f"split residual {split}, identity present: {report.identity_present}"
         )
+
+
+def cmd_reduce(args) -> int:
+    ce, _ = _load_model(args.model)
+    _check_valid(ce, args.tol)
     try:
         red = reduce_ce(ce, tol=args.tol, seed=args.seed)
     except DegenerateAlgebraError as exc:
@@ -223,6 +234,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     ce, _ = _load_model(args.model)
+    _check_valid(ce, args.tol)
     rho0 = np.eye(ce.dim, dtype=complex) / ce.dim
     root = np.random.SeedSequence(args.seed)
     out = open(args.output, "w") if args.output else sys.stdout
@@ -241,6 +253,8 @@ def cmd_simulate(args) -> int:
                 )
                 + "\n"
             )
+    except StateEscapedError as exc:
+        raise CliError(f"{args.model}: {exc}")
     finally:
         if args.output:
             out.close()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, Superoperator, map_coordinates, vec
+from .operators import DEFAULT_TOL, Superoperator, map_coordinates
 
 __all__ = [
     "Instrument",
@@ -70,7 +70,11 @@ class Instrument:
 
 @dataclass(frozen=True)
 class OutputMap:
-    """Named observables {O_j}; the identity must be among them."""
+    """Named observables {O_j}; the identity must be among them.
+
+    Called on an operator X, or on a stack (..., n, n) of them, it gives the
+    output vector tr[O_j X] of each, from one product with :meth:`matrix`.
+    """
 
     names: tuple[str, ...]
     observables: tuple[np.ndarray, ...]
@@ -99,8 +103,15 @@ class OutputMap:
         return None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Output vector tr[O_j X], all observables in one product with :meth:`matrix`."""
-        return self._rows @ vec(X)
+        """Output vector tr[O_j X], shape (n_obs,), or (..., n_obs) for a stack (..., n, n)."""
+        X = np.asarray(X, dtype=complex)
+        if X.ndim == 2:
+            return self._rows @ X.reshape(-1, order="F")
+        n = self.dim
+        if X.shape[-2:] != (n, n):
+            raise ValueError(f"expected {n}x{n} operators, got shape {X.shape}")
+        # row-major flattening of X^T is vec(X)
+        return np.swapaxes(X, -1, -2).reshape(*X.shape[:-2], n * n) @ self._rows.T
 
     def matrix(self) -> np.ndarray:
         """Read-only (n_obs, n^2) matrix acting on vec'd operators, built once.

@@ -21,7 +21,6 @@ from .operators import (
     Superoperator,
     closure,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -61,7 +60,10 @@ def nonobservable_complement(
 
 def _images(S: Superoperator, subspace: OperatorSubspace) -> np.ndarray:
     """(n^2, dim) matrix whose column i is vec(S(B_i)) for the basis element B_i."""
-    return np.array([vec(S(B)) for B in subspace.basis]).reshape(subspace.dim, S.out_dim**2).T
+    n = subspace.ambient_dim
+    images = S(np.reshape(subspace.basis, (subspace.dim, n, n)))
+    # row-major flattening of Y^T is vec(Y)
+    return images.transpose(0, 2, 1).reshape(subspace.dim, S.out_dim**2).T
 
 
 def check_invariance(

@@ -279,7 +279,9 @@ class Superoperator:
     operators, X -> sum_i K_i X K_i^dag is two products costing
     r (out_dim in_dim^2 + out_dim^2 in_dim), which is used when that is
     below the out_dim^2 in_dim^2 of the dense matvec.  Long Kraus lists,
-    such as those of reduced maps, apply through the matrix.
+    such as those of reduced maps, apply through the matrix.  A stack
+    (..., in_dim, in_dim) of operators is mapped in one call, in the same
+    form, to the stack (..., out_dim, out_dim) of their images.
     """
 
     __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols")
@@ -316,14 +318,28 @@ class Superoperator:
         return self._matrix
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
+        """The map applied to an (in_dim, in_dim) operator, or to each of a stack (..., in_dim, in_dim)."""
         X = np.asarray(X, dtype=complex)
         ni, no = self.in_dim, self.out_dim
         if X.shape != (ni, ni):
-            raise ValueError(f"expected {ni}x{ni} operator, got {X.shape}")
+            if X.ndim < 3 or X.shape[-2:] != (ni, ni):
+                raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
+            return self._apply_stack(X)
         if self._rows is None:
             return (self.matrix @ X.reshape(-1, order="F")).reshape((no, no), order="F")
         Y = (X @ self._cols).reshape(ni, -1, no).transpose(1, 0, 2).reshape(-1, no)
         return self._rows @ Y
+
+    def _apply_stack(self, X: np.ndarray) -> np.ndarray:
+        # the single-operator products of __call__, broadcast over the leading axes
+        ni, no, r = self.in_dim, self.out_dim, len(self.kraus)
+        lead = X.shape[:-2]
+        if self._rows is None:
+            # row-major flattening of X^T is vec(X); the images come back the same way
+            v = np.swapaxes(X, -1, -2).reshape(*lead, ni * ni)
+            return np.swapaxes((v @ self.matrix.T).reshape(*lead, no, no), -1, -2)
+        Y = (X @ self._cols).reshape(*lead, ni, r, no)
+        return self._rows @ np.swapaxes(Y, -3, -2).reshape(*lead, r * ni, no)
 
     @classmethod
     def from_conjugation(cls, A: np.ndarray) -> "Superoperator":

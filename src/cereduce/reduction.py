@@ -11,12 +11,11 @@ conditioned output and every outcome-word probability exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import CEFactorization, StarAlgebra, _decompose, conditional_expectation
+from .algebra import CEFactorization, StarAlgebra, _decompose, _read_off, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import check_invariance, nonobservable_complement
 from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
@@ -123,7 +122,8 @@ def reduce_ce(
     instrument map: reduced M_k = R o M_k o J, reduced output = C o J.
     """
     nperp = nonobservable_complement(ce, tol)
-    alg, dec = _decompose(nperp, tol, seed)
+    G, dec, acted_on = _decompose(nperp, tol, seed)
+    alg = _read_off(G, dec, acted_on)
     if not alg.unital:
         raise ValueError("the observables generate a non-unital algebra")
     fact = conditional_expectation(dec)
@@ -256,17 +256,6 @@ class EquivalenceReport:
     sampled: bool
 
 
-def _sequences(outcomes, max_len, cap, rng):
-    total = sum(len(outcomes) ** t for t in range(1, max_len + 1))
-    if total <= cap:
-        for t in range(1, max_len + 1):
-            yield from itertools.product(outcomes, repeat=t)
-        return
-    for _ in range(cap):
-        t = int(rng.integers(1, max_len + 1))
-        yield tuple(str(rng.choice(outcomes)) for _ in range(t))
-
-
 def equivalence_check(
     full: ConditionalEvolution,
     reduced: ReducedCE,
@@ -278,70 +267,105 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare conditioned outputs of the full and reduced models.
 
-    Walks the outcome tree up to ``max_len`` (exhaustively, or with a
-    seeded sample of ``sample_cap`` words when the tree is too large) for
-    a batch of random initial densities, and records the worst output and
-    probability deviations at every node.
+    Covers every outcome word up to ``max_len`` for a batch of random
+    initial densities rho_s, reduced model started from R(rho_s), and
+    records the worst output and probability deviations over all pairs of
+    state and word (root included).  The worst case is the first at the
+    maximum, states first and words in depth-first order, except that a
+    tie moves it off the empty word.
+
+    When every word fits in ``sample_cap``, the words are walked once for
+    all states, in the Heisenberg picture: each model carries the dual
+    stack [1, O_1, ..., O_m] pulled back along the word,
+    M_w^dag = M_{w_1}^dag o ... o M_{w_t}^dag, so a word grows at the
+    front, (k,) + w from w by one stacked call of M_k^dag.  One product of
+    that stack with the stacked states gives every state's trace and
+    outputs at the word, tr[M_w^dag(O_j) rho_s] = tr[O_j M_w(rho_s)].  The
+    walk is depth-first and holds (max_len + 1) stacks of m + 1 operators
+    per model.  Otherwise a seeded sample of ``sample_cap`` words is drawn
+    for each state, which is pushed through them one map at a time, and
+    the worst case is the first at the maximum.
     """
     rng = np.random.default_rng(seed)
-    states = [random_density(full.dim, rng) for _ in range(n_states)]
+    states = np.array([random_density(full.dim, rng) for _ in range(n_states)])
+    taus = reduced.reduction_map(states)
     n_out = len(full.outcomes)
     total = sum(n_out**t for t in range(1, max_len + 1))
     sampled = total > sample_cap
-
-    max_dev = 0.0
-    max_prob_dev = 0.0
-    worst = (0, ())
-    count = 0
-    for si, rho0 in enumerate(states):
-        tau0 = reduced.reduction_map(rho0)
-        if sampled:
-            seqs = list(_sequences(full.outcomes, max_len, sample_cap, rng))
-        else:
-            seqs = None
-
-        def visit(rho, tau, prefix):
-            nonlocal max_dev, max_prob_dev, worst, count
-            y_full = full.output(rho)
-            y_red = reduced.model.output(tau)
-            dev = float(np.max(np.abs(y_full - y_red)))
-            pdev = abs(np.trace(rho).real - np.trace(tau).real)
-            count += 1
-            if dev > max_dev or (dev == max_dev and not worst[1]):
-                max_dev = dev
-                worst = (si, prefix)
-            max_prob_dev = max(max_prob_dev, pdev)
-            if len(prefix) < max_len:
-                for k in full.outcomes:
-                    visit(
-                        full.instrument.maps[k](rho),
-                        reduced.model.instrument.maps[k](tau),
-                        prefix + (k,),
-                    )
-
-        if not sampled:
-            visit(rho0, tau0, ())
-        else:
-            for seq in seqs:
-                rho, tau = rho0, tau0
-                for k in seq:
-                    rho = full.instrument.maps[k](rho)
-                    tau = reduced.model.instrument.maps[k](tau)
-                y_full = full.output(rho)
-                y_red = reduced.model.output(tau)
-                dev = float(np.max(np.abs(y_full - y_red)))
-                pdev = abs(np.trace(rho).real - np.trace(tau).real)
-                count += 1
-                if dev > max_dev:
-                    max_dev = dev
-                    worst = (si, seq)
-                max_prob_dev = max(max_prob_dev, pdev)
-
+    if sampled:
+        max_dev, max_prob_dev, worst, count = _sampled_walk(
+            full, reduced.model, states, taus, max_len, sample_cap, rng
+        )
+    else:
+        max_dev, max_prob_dev, worst, count = _dual_walk(full, reduced.model, states, taus, max_len)
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
-        passed=(max_dev <= tol and max_prob_dev <= tol),
+        passed=bool(max_dev <= tol and max_prob_dev <= tol),
         worst_case=worst,
         n_sequences=count,
         sampled=sampled,
     )
+
+
+def _dual_walk(full, red, states, taus, max_len):
+    """Every word up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
+    outcomes = full.outcomes
+    n_nodes = sum(len(outcomes) ** t for t in range(max_len + 1))
+    # subtree[t] nodes hang below a word of length t, itself included
+    subtree = [sum(len(outcomes) ** j for j in range(max_len - t + 1)) for t in range(max_len + 1)]
+    rank = {k: a for a, k in enumerate(outcomes)}
+    duals, cols = [], []
+    for ce, rhos in ((full, states), (red, taus)):
+        duals.append({k: ce.instrument.maps[k].adjoint() for k in outcomes})
+        # tr[X rho] is the row-major flattening of X against that of rho^T
+        cols.append(rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T)
+    roots = [np.concatenate([np.eye(ce.dim, dtype=complex)[None], ce.output.observables])
+             for ce in (full, red)]
+    words = [()] * n_nodes
+    dev = np.empty((n_nodes, len(states)))
+    prob_dev = np.empty((n_nodes, len(states)))
+
+    def visit(word, stacks):
+        # the depth-first position of the word, the order of the worst-case rule
+        node = sum(1 + rank[k] * subtree[t] for t, k in enumerate(word, start=1))
+        words[node] = word
+        y_full, y_red = (D.reshape(len(D), -1) @ c for D, c in zip(stacks, cols))
+        dev[node] = np.max(np.abs(y_full[1:] - y_red[1:]), axis=0)
+        prob_dev[node] = np.abs(y_full[0].real - y_red[0].real)
+        if len(word) < max_len:
+            for k in outcomes:
+                visit((k, *word), [d[k](D) for d, D in zip(duals, stacks)])
+
+    visit((), roots)
+    dev = dev.T.ravel()  # states first, then words depth-first
+    max_dev = float(np.max(dev))
+    tied = np.flatnonzero(~(dev < max_dev))  # every node when the maximum is NaN
+    # a tie moves the worst case off an empty word, and a non-empty one keeps it
+    nonempty = tied[tied % n_nodes != 0]
+    si, node = divmod(int(nonempty[0] if len(nonempty) else tied[-1]), n_nodes)
+    return max_dev, float(np.max(prob_dev)), (si, words[node]), dev.size
+
+
+def _sampled_walk(full, red, states, taus, max_len, sample_cap, rng):
+    """Seeded words drawn per state and walked one map at a time; see :func:`equivalence_check`."""
+    max_dev = max_prob_dev = 0.0
+    worst = (0, ())
+    count = 0
+    for si, (rho0, tau0) in enumerate(zip(states, taus)):
+        for _ in range(sample_cap):
+            # a uniform length up to max_len, then uniform letters
+            t = int(rng.integers(1, max_len + 1))
+            seq = tuple(str(rng.choice(full.outcomes)) for _ in range(t))
+            rho, tau = rho0, tau0
+            for k in seq:
+                rho = full.instrument.maps[k](rho)
+                tau = red.instrument.maps[k](tau)
+            dev = float(np.max(np.abs(full.output(rho) - red.output(tau))))
+            pdev = abs(float(np.trace(rho).real) - float(np.trace(tau).real))
+            count += 1
+            if dev > max_dev:
+                max_dev = dev
+                worst = (si, seq)
+            max_prob_dev = max(max_prob_dev, pdev)
+    return max_dev, max_prob_dev, worst, count

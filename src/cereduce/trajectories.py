@@ -10,6 +10,7 @@ verified against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +100,25 @@ def enumerate_distribution(
     """Probability and output vector of every length-T outcome word.
 
     Propagates the whole outcome tree of unnormalized states, so the
-    returned probabilities sum to one for any valid instrument.
+    returned probabilities sum to one for any valid instrument.  Each
+    level's states are one stack in the word order of
+    ``itertools.product(ce.outcomes, repeat=t)``, which every outcome's
+    map advances in one call; the table keeps that order.
     """
     n_words = len(ce.outcomes) ** T
     if n_words > cap:
         raise ValueError(f"{n_words} sequences exceed the cap {cap}; raise it explicitly")
-    table: dict[tuple[str, ...], tuple[float, np.ndarray]] = {}
-    frontier = [((), np.asarray(rho0, dtype=complex))]
+    frontier = np.asarray(rho0, dtype=complex)[None]
     for _ in range(T):
-        nxt = []
-        for prefix, rho in frontier:
-            for k in ce.outcomes:
-                nxt.append((prefix + (k,), step_unnormalized(ce, rho, k)))
-        frontier = nxt
-    for seq, rho in frontier:
-        table[seq] = (float(np.trace(rho).real), output_eval(ce, rho))
-    return table
+        # word w + (k,) sits at row len(outcomes) * w + k
+        nxt = np.empty((len(frontier), len(ce.outcomes), *frontier.shape[1:]), dtype=complex)
+        for i, k in enumerate(ce.outcomes):
+            nxt[:, i] = ce.instrument.map_for(k)(frontier)
+        frontier = nxt.reshape(-1, *frontier.shape[1:])
+    probs = np.trace(frontier, axis1=1, axis2=2).real
+    outputs = ce.output(frontier)
+    words = itertools.product(ce.outcomes, repeat=T)
+    return {seq: (float(p), y) for seq, p, y in zip(words, probs, outputs)}
 
 
 def total_variation(full_table: dict, reduced_table: dict) -> float:

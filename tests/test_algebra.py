@@ -160,6 +160,41 @@ class TestAlgebraClosure:
         assert alg.closure_residual() > 0.5
 
 
+class TestGenerators:
+    def test_hermitian_subspace_basis_used_as_is(self, monkeypatch):
+        nperp = nonobservable_complement(ising_chain(4, 0.5, 0.3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an orthonormal Hermitian basis is orthonormalized again")
+
+        monkeypatch.setattr(algebra, "orthonormalize", refuse)
+        alg = algebra_closure(nperp)
+        assert alg.dim == 32
+        assert all(np.array_equal(A, B) for A, B in zip(alg.basis, nperp.basis))
+
+    def test_non_hermitian_basis_takes_hermitian_parts(self, paulis):
+        # sigma_+ = (x + i y) / 2, normalized: its Hermitian parts span {x, y}
+        plus = (paulis["x"] + 1j * paulis["y"]) / 2
+        space = OperatorSubspace(2, (plus / hs_norm(plus),))
+        alg = algebra_closure(space)
+        assert alg.dim == 4 and alg.unital
+        assert all(is_hermitian(B, 1e-12) for B in alg.basis)
+
+    def test_only_algebra_callers_read_the_basis_off(self, monkeypatch):
+        nperp = nonobservable_complement(ising_chain(4, 0.5, 0.3))
+        alg = algebra_closure(nperp)
+        calls = []
+        real = algebra._read_off
+        monkeypatch.setattr(algebra, "_read_off", lambda *a: calls.append(1) or real(*a))
+        wedderburn(nperp)
+        commutant(alg)
+        assert center(alg).dim == 2
+        assert center(StarAlgebra(space=orthonormalize([proj(3, 0)]), unital=False)).dim == 1
+        assert calls == []
+        algebra_closure(nperp)
+        assert calls == [1]
+
+
 class TestCommutant:
     def test_full_algebra_schur(self):
         alg = algebra_closure(full_matrix_units(3))

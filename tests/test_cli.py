@@ -8,6 +8,7 @@ from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
 from cereduce.operators import vec
 from cereduce.serialize import load_json, matrix_from_json, matrix_to_json, save_json
+from cereduce.trajectories import StateEscapedError
 
 
 @pytest.fixture()
@@ -168,6 +169,32 @@ class TestSimulate:
         main(["simulate", str(model), "--steps", "3", "--samples", "10", "--seed", "5", "-o", str(a)])
         main(["simulate", str(model), "--steps", "3", "--samples", "10", "--seed", "5", "-o", str(b)])
         assert a.read_text() == b.read_text()
+
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5])
+    def test_unnormalized_model_exit2(self, tmp_path, walk_files, factor, capsys):
+        model, _ = walk_files
+        doc = load_json(str(model))
+        # scale every instrument map and effect by factor, so the split form still holds
+        for entry in [*doc["instrument"].values(), *doc["split"]["effects"].values()]:
+            entry["kraus"] = [matrix_to_json(np.sqrt(factor) * matrix_from_json(K)) for K in entry["kraus"]]
+        bad = _write(tmp_path / "scaled.json", doc)
+        capsys.readouterr()
+        assert main(["simulate", bad, "--steps", "3", "--samples", "5", "-o", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "error: model validation failed: normalization residual" in err
+        assert main(["reduce", bad]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_escaped_state_exit2(self, tmp_path, walk_files, monkeypatch, capsys):
+        model, _ = walk_files
+
+        def escape(*args, **kwargs):
+            raise StateEscapedError("outcome probabilities sum to 0.000e+00 at step 0")
+
+        monkeypatch.setattr(cli, "sample_trajectory", escape)
+        assert main(["simulate", str(model), "-o", str(tmp_path / "t.jsonl")]) == 2
+        assert "outcome probabilities sum to" in capsys.readouterr().err
 
 
 def _write(path, doc):

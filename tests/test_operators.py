@@ -461,6 +461,53 @@ class TestApplyForms:
             Superoperator(random_complex(rng, (8, 9)))
 
 
+class TestStackedApply:
+    """A stack (..., n, n) applies slice by slice, in the form the map chose at construction."""
+
+    CASES = {
+        # name: (number of Kraus operators, out_dim, in_dim, applies through Kraus)
+        "square_kraus": (1, 4, 4, True),
+        "square_dense": (3, 4, 4, False),
+        "r_like_kraus": (1, 8, 32, True),
+        "r_like_dense": (8, 8, 32, False),
+        "j_like_kraus": (1, 32, 8, True),
+        "j_like_dense": (8, 32, 8, False),
+    }
+
+    @pytest.mark.parametrize("lead", [(0,), (1,), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stack_matches_slices(self, name, lead, rng):
+        r, no, ni, via_kraus = self.CASES[name]
+        S = superop_from_kraus([random_complex(rng, (no, ni)) for _ in range(r)])
+        assert (S._rows is not None) == via_kraus
+        X = random_complex(rng, (*lead, ni, ni))
+        Y = S(X)
+        assert Y.shape == (*lead, no, no)
+        for idx in np.ndindex(*lead):
+            ref = S(X[idx])
+            assert np.linalg.norm(Y[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bad_trailing_shape_rejected(self, name, rng):
+        r, no, ni, _ = self.CASES[name]
+        S = superop_from_kraus([random_complex(rng, (no, ni)) for _ in range(r)])
+        for shape in [(ni,), (2, ni, ni + 1), (2, ni + 1, ni), (3, 2, ni, 1)]:
+            with pytest.raises(ValueError):
+                S(np.zeros(shape))
+
+    def test_output_map_stack_matches_slices(self, rng):
+        out = ising_chain(4, 0.5, 0.3).output
+        X = random_complex(rng, (2, 3, 16, 16))
+        Y = out(X)
+        assert Y.shape == (2, 3, len(out.observables))
+        for idx in np.ndindex(2, 3):
+            ref = out(X[idx])
+            assert np.linalg.norm(Y[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
+        for shape in [(2, 16, 15), (2, 15, 16), (16,)]:
+            with pytest.raises(ValueError):
+                out(np.zeros(shape))
+
+
 class TestFactorMatrix:
     """A map given as a matrix is factored into the Kraus list of its Choi spectrum."""
 

@@ -1,9 +1,13 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
 from cereduce.operators import Superoperator, channel_checks, superop_from_kraus
 from cereduce.reduction import (
+    EquivalenceReport,
     check_assumptions,
     equivalence_check,
     random_ce,
@@ -12,6 +16,87 @@ from cereduce.reduction import (
     reduce_separably,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk, walk_markov_oracle
+
+
+def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0,
+                             sample_cap=10_000):
+    """The Schroedinger-picture oracle: each state pushed through the outcome tree node by node."""
+
+    def sequences(outcomes, max_len, cap, rng):
+        total = sum(len(outcomes) ** t for t in range(1, max_len + 1))
+        if total <= cap:
+            for t in range(1, max_len + 1):
+                yield from itertools.product(outcomes, repeat=t)
+            return
+        for _ in range(cap):
+            t = int(rng.integers(1, max_len + 1))
+            yield tuple(str(rng.choice(outcomes)) for _ in range(t))
+
+    rng = np.random.default_rng(seed)
+    states = [random_density(full.dim, rng) for _ in range(n_states)]
+    n_out = len(full.outcomes)
+    sampled = sum(n_out**t for t in range(1, max_len + 1)) > sample_cap
+    max_dev = max_prob_dev = 0.0
+    worst = (0, ())
+    count = 0
+    for si, rho0 in enumerate(states):
+        tau0 = reduced.reduction_map(rho0)
+        seqs = list(sequences(full.outcomes, max_len, sample_cap, rng)) if sampled else None
+
+        def visit(rho, tau, prefix):
+            nonlocal max_dev, max_prob_dev, worst, count
+            dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
+            pdev = abs(np.trace(rho).real - np.trace(tau).real)
+            count += 1
+            if dev > max_dev or (dev == max_dev and not worst[1]):
+                max_dev = dev
+                worst = (si, prefix)
+            max_prob_dev = max(max_prob_dev, pdev)
+            if len(prefix) < max_len:
+                for k in full.outcomes:
+                    visit(full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau),
+                          prefix + (k,))
+
+        if not sampled:
+            visit(rho0, tau0, ())
+            continue
+        for seq in seqs:
+            rho, tau = rho0, tau0
+            for k in seq:
+                rho = full.instrument.maps[k](rho)
+                tau = reduced.model.instrument.maps[k](tau)
+            dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
+            pdev = abs(np.trace(rho).real - np.trace(tau).real)
+            count += 1
+            if dev > max_dev:
+                max_dev = dev
+                worst = (si, seq)
+            max_prob_dev = max(max_prob_dev, pdev)
+    return EquivalenceReport(
+        max_dev=max_dev,
+        max_prob_dev=max_prob_dev,
+        passed=(max_dev <= tol and max_prob_dev <= tol),
+        worst_case=worst,
+        n_sequences=count,
+        sampled=sampled,
+    )
+
+
+def corrupted(ce, red):
+    """The reduced model of ``red`` with the map of its second outcome set to zero."""
+    broken_maps = dict(red.model.instrument.maps)
+    k_bad = ce.outcomes[1]
+    broken_maps[k_bad] = Superoperator(np.zeros_like(broken_maps[k_bad].matrix))
+    broken = ConditionalEvolution(
+        instrument=Instrument(outcomes=ce.outcomes, maps=broken_maps),
+        output=red.model.output,
+    )
+    return SimpleNamespace(model=broken, reduction_map=red.reduction_map)
+
+
+def itself(ce):
+    """``ce`` as its own reduction, through the identity map."""
+    return SimpleNamespace(model=ce, reduction_map=superop_from_kraus([np.eye(ce.dim)]))
 
 
 @pytest.fixture(scope="module")
@@ -88,21 +173,10 @@ class TestEquivalence:
             assert rep.passed
 
     def test_corrupted_model_fails(self, walk4, walk4_red):
-        broken_maps = dict(walk4_red.model.instrument.maps)
-        k_bad = walk4.outcomes[1]
-        broken_maps[k_bad] = Superoperator(np.zeros_like(broken_maps[k_bad].matrix))
-        broken = ConditionalEvolution(
-            instrument=Instrument(outcomes=walk4.outcomes, maps=broken_maps),
-            output=walk4_red.model.output,
-        )
-
-        class Fake:
-            model = broken
-            reduction_map = walk4_red.reduction_map
-
-        rep = equivalence_check(walk4, Fake(), max_len=2, n_states=3, tol=1e-8, seed=0)
+        rep = equivalence_check(walk4, corrupted(walk4, walk4_red), max_len=2, n_states=3,
+                                tol=1e-8, seed=0)
         assert not rep.passed
-        assert k_bad in rep.worst_case[1]
+        assert walk4.outcomes[1] in rep.worst_case[1]
 
     def test_trivial_identity_reduction(self):
         ce = ConditionalEvolution(
@@ -143,6 +217,64 @@ class TestEquivalence:
         rep = equivalence_check(ce, reduce_ce(ce), max_len=4, n_states=2, sample_cap=20)
         assert rep.sampled and rep.worst_case[1]
         assert all(type(k) is str for k in rep.worst_case[1])
+
+
+class TestDualWalkMatchesPrimal:
+    """The Heisenberg-picture walk against the per-state oracle, on the same states and words."""
+
+    FULL = {
+        "ising4_p0": lambda: ising_chain(4, 0.0, 0.3),
+        "ising4_p05": lambda: ising_chain(4, 0.5, 0.3),
+        "walk4": lambda: measured_quantum_walk(4, seed=7),
+    }
+    # a neighbouring model of the same reduced size: deviations far above rounding at every node
+    NEIGHBOUR = {
+        "ising4_p0": lambda: ising_chain(4, 0.0, 0.31),
+        "ising4_p05": lambda: ising_chain(4, 0.5, 0.31),
+        "walk4": lambda: measured_quantum_walk(4, seed=8),
+    }
+
+    @pytest.fixture(params=[f"{m}-{kind}" for m in sorted(FULL) for kind in ("reduced", "neighbour")]
+                    + ["walk4-corrupted", "ising4_p05-itself"])
+    def pair(self, request):
+        """(full model, reduction, whether the worst case is above rounding or an exact tie)."""
+        model, kind = request.param.split("-")
+        full = self.FULL[model]()
+        if kind == "itself":
+            return full, itself(full), True
+        red = reduce_ce(self.NEIGHBOUR[model]() if kind == "neighbour" else full)
+        return full, corrupted(full, red) if kind == "corrupted" else red, kind != "reduced"
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"max_len": 2, "n_states": 3, "seed": 4},
+        {"max_len": 3, "n_states": 2, "seed": 3, "sample_cap": 10},
+    ], ids=["defaults", "short", "sampled"])
+    def test_same_report(self, pair, kwargs):
+        full, red, worst_is_fixed = pair
+        dual = equivalence_check(full, red, **kwargs)
+        primal = primal_equivalence_check(full, red, **kwargs)
+        assert dual.sampled == primal.sampled == ("sample_cap" in kwargs)
+        assert (dual.n_sequences, dual.passed) == (primal.n_sequences, primal.passed)
+        assert abs(dual.max_dev - primal.max_dev) <= 1e-13
+        assert abs(dual.max_prob_dev - primal.max_prob_dev) <= 1e-13
+        assert type(dual.passed) is bool
+        assert type(dual.max_dev) is float and type(dual.max_prob_dev) is float
+        # between an exact reduction and its model every deviation is rounding, so which node
+        # is worst is decided by rounding, and the two walks round differently
+        if worst_is_fixed:
+            assert dual.worst_case == primal.worst_case
+        else:
+            assert primal.max_dev <= 1e-12
+
+    def test_verdicts(self):
+        walk = self.FULL["walk4"]()
+        assert not equivalence_check(walk, corrupted(walk, reduce_ce(walk))).passed
+        ising = self.FULL["ising4_p05"]()
+        rep = equivalence_check(ising, itself(ising))
+        # every deviation is exactly zero, so the tie rule picks the first non-empty word
+        assert rep.max_dev == rep.max_prob_dev == 0.0
+        assert rep.worst_case == (0, (ising.outcomes[0],)) and rep.passed
 
 
 class TestAssumptions:

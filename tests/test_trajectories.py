@@ -105,6 +105,19 @@ class TestEnumerate:
                 trajectory_probability(ce, rho0, seq), abs=1e-12
             )
 
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_key_order_and_words_match_per_word_propagation(self, T):
+        ce = measured_quantum_walk(3, seed=1)
+        rho0 = random_density(3, np.random.default_rng(T))
+        table = enumerate_distribution(ce, rho0, T)
+        assert list(table) == list(itertools.product(ce.outcomes, repeat=T))
+        for seq, (p, y) in table.items():
+            rho = rho0
+            for k in seq:
+                rho = ce.instrument.maps[k](rho)
+            assert p == pytest.approx(trajectory_probability(ce, rho0, seq), abs=1e-13)
+            assert np.max(np.abs(y - ce.output(rho))) <= 1e-13
+
     def test_cap_enforced(self):
         ce = projective_z_qubit()
         with pytest.raises(ValueError):
