@@ -106,12 +106,13 @@ class OutputMap:
         """Output vector tr[O_j X], shape (n_obs,), or (..., n_obs) for a stack (..., n, n)."""
         X = np.asarray(X, dtype=complex)
         if X.ndim == 2:
+            # one operator without the stack bookkeeping, as in Superoperator.__call__
             return self._rows @ X.reshape(-1, order="F")
         n = self.dim
         if X.shape[-2:] != (n, n):
             raise ValueError(f"expected {n}x{n} operators, got shape {X.shape}")
-        # row-major flattening of X^T is vec(X)
-        return np.swapaxes(X, -1, -2).reshape(*X.shape[:-2], n * n) @ self._rows.T
+        # column-major flattening of the two last axes gives vec(X) of each operator
+        return X.reshape(*X.shape[:-2], n * n, order="F") @ self._rows.T
 
     def matrix(self) -> np.ndarray:
         """Read-only (n_obs, n^2) matrix acting on vec'd operators, built once.

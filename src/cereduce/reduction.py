@@ -11,6 +11,7 @@ conditioned output and every outcome-word probability exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -272,7 +273,8 @@ def equivalence_check(
     records the worst output and probability deviations over all pairs of
     state and word (root included).  The worst case is the first at the
     maximum, states first and words in depth-first order, except that a
-    tie moves it off the empty word.
+    tie moves it off the empty word.  A NaN deviation ranks above every
+    number, so it is reported and fails the check in both modes.
 
     When every word fits in ``sample_cap``, the words are walked once for
     all states, in the Heisenberg picture: each model carries the dual
@@ -340,7 +342,8 @@ def _dual_walk(full, red, states, taus, max_len):
     visit((), roots)
     dev = dev.T.ravel()  # states first, then words depth-first
     max_dev = float(np.max(dev))
-    tied = np.flatnonzero(~(dev < max_dev))  # every node when the maximum is NaN
+    # a NaN deviation ranks above every number
+    tied = np.flatnonzero((dev == max_dev) | np.isnan(dev))
     # a tie moves the worst case off an empty word, and a non-empty one keeps it
     nonempty = tied[tied % n_nodes != 0]
     si, node = divmod(int(nonempty[0] if len(nonempty) else tied[-1]), n_nodes)
@@ -364,8 +367,10 @@ def _sampled_walk(full, red, states, taus, max_len, sample_cap, rng):
             dev = float(np.max(np.abs(full.output(rho) - red.output(tau))))
             pdev = abs(float(np.trace(rho).real) - float(np.trace(tau).real))
             count += 1
-            if dev > max_dev:
+            # a NaN deviation ranks above every number, and the first one stays worst
+            if dev > max_dev or (math.isnan(dev) and not math.isnan(max_dev)):
                 max_dev = dev
                 worst = (si, seq)
-            max_prob_dev = max(max_prob_dev, pdev)
+            if pdev > max_prob_dev or math.isnan(pdev):
+                max_prob_dev = pdev
     return max_dev, max_prob_dev, worst, count

@@ -103,22 +103,32 @@ def enumerate_distribution(
     returned probabilities sum to one for any valid instrument.  Each
     level's states are one stack in the word order of
     ``itertools.product(ce.outcomes, repeat=t)``, which every outcome's
-    map advances in one call; the table keeps that order.
+    map advances in one call; the table keeps that order.  The last level
+    is traced one outcome at a time and never stacked whole, so the peak
+    is about one stack of the length-T states.
     """
     n_words = len(ce.outcomes) ** T
     if n_words > cap:
         raise ValueError(f"{n_words} sequences exceed the cap {cap}; raise it explicitly")
     frontier = np.asarray(rho0, dtype=complex)[None]
-    for _ in range(T):
+    for _ in range(T - 1):
         # word w + (k,) sits at row len(outcomes) * w + k
         nxt = np.empty((len(frontier), len(ce.outcomes), *frontier.shape[1:]), dtype=complex)
         for i, k in enumerate(ce.outcomes):
             nxt[:, i] = ce.instrument.map_for(k)(frontier)
         frontier = nxt.reshape(-1, *frontier.shape[1:])
-    probs = np.trace(frontier, axis1=1, axis2=2).real
-    outputs = ce.output(frontier)
+    last = [ce.instrument.map_for(k) for k in ce.outcomes] if T else [np.asarray]
+    probs = np.empty((len(frontier), len(last)))
+    outputs = np.empty((len(frontier), len(last), len(ce.output.names)), dtype=complex)
+    for i, S in enumerate(last):
+        leaves = S(frontier)
+        probs[:, i] = np.trace(leaves, axis1=1, axis2=2).real
+        outputs[:, i] = ce.output(leaves)
     words = itertools.product(ce.outcomes, repeat=T)
-    return {seq: (float(p), y) for seq, p, y in zip(words, probs, outputs)}
+    return {
+        seq: (float(p), y)
+        for seq, p, y in zip(words, probs.ravel(), outputs.reshape(n_words, -1))
+    }
 
 
 def total_variation(full_table: dict, reduced_table: dict) -> float:

@@ -17,6 +17,7 @@ from cereduce.operators import (
     vec,
 )
 from cereduce.algebra import algebra_closure
+from cereduce.model import OutputMap
 from cereduce.observability import invariant_closure, nonobservable_complement
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 from conftest import proj, random_complex
@@ -462,7 +463,10 @@ class TestApplyForms:
 
 
 class TestStackedApply:
-    """A stack (..., n, n) applies slice by slice, in the form the map chose at construction."""
+    """A stack (..., n, n) maps slice by slice, in the form the map chose at construction.
+
+    Each slice is checked against sum_i K_i X K_i^dag and tr[O_j X] written out.
+    """
 
     CASES = {
         # name: (number of Kraus operators, out_dim, in_dim, applies through Kraus)
@@ -484,7 +488,7 @@ class TestStackedApply:
         Y = S(X)
         assert Y.shape == (*lead, no, no)
         for idx in np.ndindex(*lead):
-            ref = S(X[idx])
+            ref = sum(K @ X[idx] @ K.conj().T for K in S.kraus)
             assert np.linalg.norm(Y[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -495,13 +499,17 @@ class TestStackedApply:
             with pytest.raises(ValueError):
                 S(np.zeros(shape))
 
-    def test_output_map_stack_matches_slices(self, rng):
+    @pytest.mark.parametrize("observables", ["ising", "random"])
+    def test_output_map_stack_matches_slices(self, observables, rng):
         out = ising_chain(4, 0.5, 0.3).output
+        if observables == "random":
+            # neither Hermitian nor symmetric, so a transposed contraction shows
+            out = OutputMap(names=("a", "b"), observables=tuple(random_complex(rng, (2, 16, 16))))
         X = random_complex(rng, (2, 3, 16, 16))
         Y = out(X)
         assert Y.shape == (2, 3, len(out.observables))
         for idx in np.ndindex(2, 3):
-            ref = out(X[idx])
+            ref = np.array([np.trace(O @ X[idx]) for O in out.observables])
             assert np.linalg.norm(Y[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
         for shape in [(2, 16, 15), (2, 15, 16), (16,)]:
             with pytest.raises(ValueError):

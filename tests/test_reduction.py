@@ -1,4 +1,5 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,11 @@ from cereduce.reduction import (
     reduce_separably,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk, walk_markov_oracle
+
+
+def _rank(dev):
+    """Deviations ordered as numbers, with NaN above every number."""
+    return (math.isnan(dev), 0.0 if math.isnan(dev) else dev)
 
 
 def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0,
@@ -48,10 +54,10 @@ def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, se
             dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
             pdev = abs(np.trace(rho).real - np.trace(tau).real)
             count += 1
-            if dev > max_dev or (dev == max_dev and not worst[1]):
+            if _rank(dev) > _rank(max_dev) or (_rank(dev) == _rank(max_dev) and not worst[1]):
                 max_dev = dev
                 worst = (si, prefix)
-            max_prob_dev = max(max_prob_dev, pdev)
+            max_prob_dev = max(max_prob_dev, pdev, key=_rank)
             if len(prefix) < max_len:
                 for k in full.outcomes:
                     visit(full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau),
@@ -68,10 +74,10 @@ def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, se
             dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
             pdev = abs(np.trace(rho).real - np.trace(tau).real)
             count += 1
-            if dev > max_dev:
+            if _rank(dev) > _rank(max_dev):
                 max_dev = dev
                 worst = (si, seq)
-            max_prob_dev = max(max_prob_dev, pdev)
+            max_prob_dev = max(max_prob_dev, pdev, key=_rank)
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
@@ -82,16 +88,28 @@ def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, se
     )
 
 
-def corrupted(ce, red):
-    """The reduced model of ``red`` with the map of its second outcome set to zero."""
+def corrupted(ce, red, fill=0.0):
+    """The reduced model of ``red`` with the map of its second outcome set to zero, or to NaN."""
     broken_maps = dict(red.model.instrument.maps)
     k_bad = ce.outcomes[1]
-    broken_maps[k_bad] = Superoperator(np.zeros_like(broken_maps[k_bad].matrix))
+    D = red.model.dim
+    broken_maps[k_bad] = Superoperator(kraus=[np.full((D, D), fill, dtype=complex)])
     broken = ConditionalEvolution(
         instrument=Instrument(outcomes=ce.outcomes, maps=broken_maps),
         output=red.model.output,
     )
     return SimpleNamespace(model=broken, reduction_map=red.reduction_map)
+
+
+def deviation_at(full, reduced, case, seed=0, n_states=25, **_):
+    """Output deviation at one (state, word) pair, the states drawn as ``equivalence_check`` draws them."""
+    rng = np.random.default_rng(seed)
+    states = [random_density(full.dim, rng) for _ in range(n_states)]
+    si, word = case
+    rho, tau = states[si], reduced.reduction_map(states[si])
+    for k in word:
+        rho, tau = full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau)
+    return float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
 
 
 def itself(ce):
@@ -235,15 +253,17 @@ class TestDualWalkMatchesPrimal:
     }
 
     @pytest.fixture(params=[f"{m}-{kind}" for m in sorted(FULL) for kind in ("reduced", "neighbour")]
-                    + ["walk4-corrupted", "ising4_p05-itself"])
+                    + ["walk4-corrupted", "walk4-nan", "ising4_p05-itself"])
     def pair(self, request):
-        """(full model, reduction, whether the worst case is above rounding or an exact tie)."""
+        """(full model, reduction, kind of pair)."""
         model, kind = request.param.split("-")
         full = self.FULL[model]()
         if kind == "itself":
-            return full, itself(full), True
+            return full, itself(full), kind
         red = reduce_ce(self.NEIGHBOUR[model]() if kind == "neighbour" else full)
-        return full, corrupted(full, red) if kind == "corrupted" else red, kind != "reduced"
+        if kind in ("corrupted", "nan"):
+            red = corrupted(full, red, np.nan if kind == "nan" else 0.0)
+        return full, red, kind
 
     @pytest.mark.parametrize("kwargs", [
         {},
@@ -251,25 +271,38 @@ class TestDualWalkMatchesPrimal:
         {"max_len": 3, "n_states": 2, "seed": 3, "sample_cap": 10},
     ], ids=["defaults", "short", "sampled"])
     def test_same_report(self, pair, kwargs):
-        full, red, worst_is_fixed = pair
+        full, red, kind = pair
         dual = equivalence_check(full, red, **kwargs)
         primal = primal_equivalence_check(full, red, **kwargs)
         assert dual.sampled == primal.sampled == ("sample_cap" in kwargs)
         assert (dual.n_sequences, dual.passed) == (primal.n_sequences, primal.passed)
-        assert abs(dual.max_dev - primal.max_dev) <= 1e-13
-        assert abs(dual.max_prob_dev - primal.max_prob_dev) <= 1e-13
+        assert dual.max_dev == pytest.approx(primal.max_dev, rel=0, abs=1e-13, nan_ok=True)
+        assert dual.max_prob_dev == pytest.approx(primal.max_prob_dev, rel=0, abs=1e-13, nan_ok=True)
         assert type(dual.passed) is bool
         assert type(dual.max_dev) is float and type(dual.max_prob_dev) is float
-        # between an exact reduction and its model every deviation is rounding, so which node
-        # is worst is decided by rounding, and the two walks round differently
-        if worst_is_fixed:
-            assert dual.worst_case == primal.worst_case
-        else:
+        if kind == "reduced":
+            # between an exact reduction and its model every deviation is rounding, so which
+            # node is worst is decided by rounding, and the two walks round differently
             assert primal.max_dev <= 1e-12
+        elif kind == "neighbour":
+            # words can tie exactly (Ising at p=0 does, at ('0', '0') and ('0', '1')), and
+            # rounding picks among them; the word reported must reach the maximum
+            worst = deviation_at(full, red, dual.worst_case, **kwargs)
+            assert worst == pytest.approx(primal.max_dev, rel=1e-12, abs=0)
+        else:
+            # a zero map, NaN or exact zeros: the worst case is decided exactly
+            assert dual.worst_case == primal.worst_case
 
     def test_verdicts(self):
         walk = self.FULL["walk4"]()
         assert not equivalence_check(walk, corrupted(walk, reduce_ce(walk))).passed
+        # NaN deviations rank above every number in both modes; the first NaN word is worst
+        nan_model = corrupted(walk, reduce_ce(walk), np.nan)
+        for cap in (10_000, 10):
+            rep = equivalence_check(walk, nan_model, max_len=3, n_states=2, sample_cap=cap)
+            assert rep.sampled == (cap == 10) and not rep.passed
+            assert math.isnan(rep.max_dev) and math.isnan(rep.max_prob_dev)
+            assert walk.outcomes[1] in rep.worst_case[1]
         ising = self.FULL["ising4_p05"]()
         rep = equivalence_check(ising, itself(ising))
         # every deviation is exactly zero, so the tie rule picks the first non-empty word
