@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -363,6 +364,73 @@ class CEFactorization:
     @property
     def reduced_dim(self) -> int:
         return self.decomposition.reduced_operator_dim
+
+    def reduce_map(self, S: Superoperator, tol: float = DEFAULT_TOL) -> tuple[Superoperator, float]:
+        """R o S o J with a Kraus list at its Choi rank, and the margin of the rank cut.
+
+        The products A_{k,f} K A_{l,g}^dag / sqrt(d_F^l) of R's, S's and J's
+        Kraus operators are the (d_S^k, d_S^l) slices of the (k, l) block of
+        W = U^dag K U, so they are read off W, one conjugation per K, and never
+        multiplied out.  Per block pair, the slices of every K, flattened, are
+        the rows of one stack; the map depends only on the stack's Gram
+        matrix, so the rows s_i v_i^dag of its SVD, embedded in block (k, l),
+        are Kraus operators of the same map.  Those with s_i above ``tol``
+        times the largest singular value over all block pairs are kept; the
+        dropped ones move the Choi matrix by at most (their number) tol^2
+        s_max^2.  A map that keeps none is one zero operator.  The margin is
+        the largest dropped singular value over the smallest kept one, 0 when
+        only zeros are dropped.  The stacks of all pairs of blocks taken from
+        two runs of adjacent equal blocks go through one batched SVD, except
+        those whose norm already puts every singular value below the cut; for
+        those the norm stands in the margin for their largest singular value.
+        """
+        dec = self.decomposition
+        if (S.in_dim, S.out_dim) != (dec.dim, dec.dim):
+            raise ValueError(f"expected a map on {dec.dim}x{dec.dim} operators, got "
+                             f"{S.out_dim}x{S.in_dim}")
+        U = dec.U
+        W = U.conj().T @ np.array(S.kraus) @ U
+        r = len(S.kraus)
+        hoffs, roffs = dec.hilbert_offsets(), dec.reduced_offsets()
+        runs = []  # [first block, number of blocks, d_S, d_F]
+        for k, shape in enumerate(dec.blocks):
+            if runs and tuple(runs[-1][2:]) == shape:
+                runs[-1][1] += 1
+            else:
+                runs.append([k, 1, *shape])
+        stacks = []
+        for (k, mk, dSk, dFk), (l, ml, dSl, dFl) in product(runs, runs):
+            sub = W[:, hoffs[k]:hoffs[k + mk], hoffs[l]:hoffs[l + ml]] / np.sqrt(dFl)
+            # stack (a, b) holds in row (i, f, g) the slice of W_i at multiplicity
+            # indices (f, g) of the blocks k + a and l + b
+            sub = sub.reshape(r, mk, dSk, dFk, ml, dSl, dFl).transpose(1, 4, 0, 3, 6, 2, 5)
+            stacks.append(sub.reshape(mk * ml, r * dFk * dFl, dSk * dSl))
+        norms = [np.linalg.norm(M, axis=(1, 2)) for M in stacks]
+        # a stack of Frobenius norm F has a singular value of at least F / sqrt(its rank), so
+        # a stack of norm at most tol times the largest such bound holds only singular values
+        # below the cut: it is dropped without an SVD, its norm bounding its singular values
+        floor = tol * max(np.max(F) / np.sqrt(min(M.shape[1:])) for F, M in zip(norms, stacks))
+        pairs = []
+        for M, F in zip(stacks, norms):
+            above = F > floor
+            _, s, Vh = np.linalg.svd(M[above], full_matrices=False)
+            pairs.append((np.flatnonzero(above), s, Vh))
+        s_all = np.concatenate([s.ravel() for _, s, _ in pairs])
+        cut = tol * np.max(s_all, initial=0.0)
+        dropped = max(np.max(s_all[s_all <= cut], initial=0.0),
+                      *(np.max(F[F <= floor], initial=0.0) for F in norms))
+        margin = float(dropped / np.min(s_all[s_all > cut])) if dropped else 0.0
+
+        D = dec.reduced_total_dim
+        kraus = []
+        for ((k, _, dSk, _), (l, ml, dSl, _)), (ab, s, Vh) in zip(product(runs, runs), pairs):
+            for p, j in zip(*np.nonzero(s > cut)):
+                a, b = divmod(int(ab[p]), ml)
+                K = np.zeros((D, D), dtype=complex)
+                K[roffs[k + a]:roffs[k + a + 1], roffs[l + b]:roffs[l + b + 1]] = (
+                    s[p, j] * Vh[p, j]).reshape(dSk, dSl)
+                kraus.append(K)
+        return superop_from_kraus(kraus or [np.zeros((D, D), dtype=complex)]), margin
 
     def blockdiag_projector(self) -> np.ndarray:
         """(D^2, D^2) projector keeping only the diagonal blocks."""

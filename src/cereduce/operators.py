@@ -10,7 +10,7 @@ Conventions used throughout the package:
   built, and refused if it is not CP; the matrix
   ``sum_i conj(K_i) otimes K_i`` on column-stacked vectors is built only
   when something reads it, and a map applies through that matrix only
-  when the matvec is cheaper than the Kraus products,
+  when the matvec is cheaper than the Kraus products and their overhead,
 * adjoints of superoperators are taken w.r.t. the Hilbert-Schmidt
   inner product ``<A, B> = tr(A^dag B)``.
 """
@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# The fixed extra cost of a Kraus-form apply over a dense one, in multiply-adds:
+# about the dense matvec of an 8x8 map, so maps that small apply densely
+KRAUS_APPLY_OVERHEAD = 64 * 64
 
 __all__ = [
     "DEFAULT_TOL",
@@ -275,11 +278,13 @@ class Superoperator:
     has an eigenvalue below -``DEFAULT_TOL`` times its norm, is not CP and
     raises ValueError; the matrix itself is not kept.
 
-    The apply form is fixed at construction by cost: with r Kraus
-    operators, X -> sum_i K_i X K_i^dag is two products costing
-    r (out_dim in_dim^2 + out_dim^2 in_dim), which is used when that is
-    below the out_dim^2 in_dim^2 of the dense matvec.  Long Kraus lists,
-    such as those of reduced maps, apply through the matrix.  A stack
+    The apply form is fixed at construction from (r, in_dim, out_dim): with
+    r Kraus operators, X -> sum_i K_i X K_i^dag is two products costing
+    r (out_dim in_dim^2 + out_dim^2 in_dim) multiply-adds, plus a fixed
+    ``KRAUS_APPLY_OVERHEAD`` for its extra reshapes and calls, which is
+    used when that is below the out_dim^2 in_dim^2 of the dense matvec.
+    Long Kraus lists, and maps of at most 8x8 operators such as the
+    reduced Ising maps, apply through the matrix.  A stack
     (..., in_dim, in_dim) of operators is mapped in one call, in the same
     form, to the stack (..., out_dim, out_dim) of their images.
     """
@@ -299,7 +304,7 @@ class Superoperator:
         self.kraus = kraus
         self._matrix = self._rows = self._cols = None
         no, ni = self.out_dim, self.in_dim = kraus[0].shape
-        if len(kraus) * (no * ni * ni + no * no * ni) < no * no * ni * ni:
+        if len(kraus) * (no * ni * ni + no * no * ni) + KRAUS_APPLY_OVERHEAD < no * no * ni * ni:
             # sum_i K_i X K_i^dag = [K_1 ... K_r] @ stack_i(X K_i^dag)
             self._rows = np.hstack(kraus)
             self._cols = np.hstack([K.conj().T for K in kraus])

@@ -12,7 +12,7 @@ conditioned output and every outcome-word probability exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,6 +80,10 @@ class ReducedCE:
     original_dim: int
     tol: float
     seed: int
+    # per reduced map, by outcome (or "evolution" and "effect <k>" after
+    # reduce_separably): its Kraus count and the margin of its rank cut,
+    # see CEFactorization.reduce_map
+    rank_cuts: dict[str, tuple[int, float]] = field(default_factory=dict)
 
     @property
     def reduced_dim(self) -> int:
@@ -98,6 +102,10 @@ class ReducedCE:
             "blocks": [list(b) for b in self.blocks],
             "tol": self.tol,
             "seed": self.seed,
+            "rank_cuts": {
+                name: {"kraus_ops": count, "dropped_over_kept": margin}
+                for name, (count, margin) in self.rank_cuts.items()
+            },
         }
 
 
@@ -120,7 +128,9 @@ def reduce_ce(
     :func:`~cereduce.algebra.wedderburn`); the algebra is never closed in
     operator space, its basis is read off the blocks.  Then builds the CPTP
     factorization of the conditional expectation and conjugates every
-    instrument map: reduced M_k = R o M_k o J, reduced output = C o J.
+    instrument map: reduced M_k = R o M_k o J, with a Kraus list at its Choi
+    rank (see :meth:`~cereduce.algebra.CEFactorization.reduce_map`), and
+    reduced output = C o J.
     """
     nperp = nonobservable_complement(ce, tol)
     G, dec, acted_on = _decompose(nperp, tol, seed)
@@ -129,7 +139,7 @@ def reduce_ce(
         raise ValueError("the observables generate a non-unital algebra")
     fact = conditional_expectation(dec)
 
-    maps = {k: fact.R @ ce.instrument.maps[k] @ fact.J for k in ce.outcomes}
+    maps, cuts = _reduce_maps(fact, {k: ce.instrument.maps[k] for k in ce.outcomes}, tol)
     inst = Instrument(outcomes=ce.outcomes, maps=maps)
     model = ConditionalEvolution(instrument=inst, output=_reduced_output_map(ce, fact))
     return ReducedCE(
@@ -141,7 +151,15 @@ def reduce_ce(
         original_dim=ce.dim,
         tol=tol,
         seed=seed,
+        rank_cuts=cuts,
     )
+
+
+def _reduce_maps(fact: CEFactorization, maps: dict[str, Superoperator], tol: float):
+    """R o S o J of each named map, and each one's (Kraus count, margin) of the rank cut."""
+    reduced = {name: fact.reduce_map(S, tol) for name, S in maps.items()}
+    return ({name: S for name, (S, _) in reduced.items()},
+            {name: (len(S.kraus), margin) for name, (S, margin) in reduced.items()})
 
 
 @dataclass(frozen=True)
@@ -231,9 +249,10 @@ def reduce_separably(
         exc = ValueError("no separability assumption holds; cannot reduce separably")
         exc.report = report
         raise exc
-    fact = joint.factorization
-    ev = fact.R @ ce.evolution @ fact.J
-    eff = {k: fact.R @ ce.effects[k] @ fact.J for k in ce.outcomes}
+    named = {"evolution": ce.evolution, **{f"effect {k}": ce.effects[k] for k in ce.outcomes}}
+    split, cuts = _reduce_maps(joint.factorization, named, tol)
+    ev = split["evolution"]
+    eff = {k: split[f"effect {k}"] for k in ce.outcomes}
     maps = {k: ev @ eff[k] for k in ce.outcomes}
     inst = Instrument(outcomes=ce.outcomes, maps=maps)
     model = ConditionalEvolution(
@@ -243,7 +262,10 @@ def reduce_separably(
         effects=eff,
     )
     return SeparableReduction(
-        evolution=ev, effects=eff, recomposed=replace(joint, model=model), assumptions=report
+        evolution=ev,
+        effects=eff,
+        recomposed=replace(joint, model=model, rank_cuts=cuts),
+        assumptions=report,
     )
 
 

@@ -16,10 +16,13 @@ from cereduce.algebra import (
 from cereduce.observability import nonobservable_complement
 from cereduce.operators import (
     OperatorSubspace,
+    Superoperator,
+    _choi,
     channel_checks,
     hs_norm,
     is_hermitian,
     orthonormalize,
+    superop_from_kraus,
     unvec,
     vec,
 )
@@ -460,3 +463,55 @@ def channel_checks_rect(S, tol=1e-9):
     eye_in = np.eye(S.in_dim, dtype=complex)
     tp = np.linalg.norm(S.adjoint()(eye_out) - eye_in)
     return herm <= tol * scale and min_eig >= -tol * scale and tp <= tol * S.in_dim
+
+
+class TestReduceMap:
+    """R o S o J straight from the decomposition, against the composed Kraus products."""
+
+    @pytest.mark.parametrize("blocks", [((2, 2), (1, 1), (1, 2)), ((1, 3), (2, 2)), ((3, 1), (2, 1))])
+    def test_matches_composition_at_choi_rank(self, blocks, rng):
+        fact = conditional_expectation(wedderburn(random_block_algebra(blocks, seed=5)))
+        n = fact.decomposition.dim
+        S = superop_from_kraus([random_complex(rng, (n, n)) for _ in range(3)])
+        red, margin = fact.reduce_map(S)
+        ref = (fact.R @ S @ fact.J).matrix
+        assert np.linalg.norm(red.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the Kraus count is the numerical rank of the composed map's Choi matrix
+        w = np.linalg.eigvalsh(_choi(ref, fact.reduced_hilbert_dim, fact.reduced_hilbert_dim))
+        assert len(red.kraus) == np.count_nonzero(w > 1e-9 * w[-1])
+        assert margin == 0.0
+
+    def test_identity_gives_the_block_pinching(self, rng):
+        # R o J keeps the diagonal blocks: one Kraus operator per block, its projection
+        blocks = ((2, 2), (1, 1), (1, 2))
+        fact = conditional_expectation(wedderburn(random_block_algebra(blocks, seed=7)))
+        red, margin = fact.reduce_map(superop_from_kraus([np.eye(fact.decomposition.dim)]))
+        assert len(red.kraus) == len(blocks)
+        assert margin < 1e-12
+        X = random_complex(rng, (4, 4))
+        mask = np.zeros((4, 4))
+        for a, b in ((0, 2), (2, 3), (3, 4)):
+            mask[a:b, a:b] = 1
+        assert np.linalg.norm(red(X) - mask * X) <= 1e-12 * np.linalg.norm(X)
+
+    def test_zero_map_is_one_zero_operator(self):
+        fact = conditional_expectation(wedderburn(random_block_algebra(((2, 2),), seed=1)))
+        red, margin = fact.reduce_map(superop_from_kraus([np.zeros((4, 4))]))
+        assert len(red.kraus) == 1 and not np.any(red.kraus[0])
+        assert red.kraus[0].shape == (2, 2) and margin == 0.0
+
+    def test_wrong_dimension_rejected(self):
+        fact = conditional_expectation(wedderburn(random_block_algebra(((2, 2),), seed=1)))
+        with pytest.raises(ValueError):
+            fact.reduce_map(superop_from_kraus([np.eye(3)]))
+
+    def test_never_composes(self, monkeypatch):
+        ce = ising_chain(4, 0.5, 0.3)
+        fact = conditional_expectation(wedderburn(nonobservable_complement(ce)))
+
+        def refuse(self, other):
+            raise AssertionError("reduce_map composed Kraus lists")
+
+        monkeypatch.setattr(Superoperator, "compose", refuse)
+        for S in ce.instrument.maps.values():
+            assert len(fact.reduce_map(S)[0].kraus) == 2

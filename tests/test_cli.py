@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,9 +7,19 @@ import pytest
 from cereduce import algebra, cli
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
+from cereduce.model import Instrument
 from cereduce.operators import vec
-from cereduce.serialize import load_json, matrix_from_json, matrix_to_json, save_json
+from cereduce.reduction import reduce_ce
+from cereduce.serialize import (
+    ce_to_json,
+    load_json,
+    matrix_from_json,
+    matrix_to_json,
+    reduced_ce_to_json,
+    save_json,
+)
 from cereduce.trajectories import StateEscapedError
+from cereduce.zoo import ising_chain
 
 
 @pytest.fixture()
@@ -78,6 +89,20 @@ class TestReduce:
         assert report["reduced_operator_dim"] == 3
         assert report["assumptions"]["a3"]["holds"]
 
+    def test_rank_cuts_in_report_and_file(self, tmp_path, capsys):
+        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
+        assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", str(model), "--report", "json", "-o", str(reduced)]) == 0
+        out = capsys.readouterr().out
+        cuts = json.loads(out[: out.rindex("}") + 1])["rank_cuts"]
+        doc = load_json(str(reduced))
+        assert doc["reduction"]["rank_cuts"] == cuts
+        assert list(cuts) == doc["outcomes"]
+        for k, cut in cuts.items():
+            assert cut["kraus_ops"] == len(doc["instrument"][k]["kraus"]) == 2
+            assert 0 <= cut["dropped_over_kept"] < 1e-10
+
     def test_degenerate_algebra_exit3(self, walk_files, tmp_path, monkeypatch, capsys):
         def degenerate(*args):
             raise DegenerateAlgebraError("eigenspaces not separated")
@@ -130,6 +155,23 @@ class TestVerify:
     def test_pass_with_tv(self, walk_files):
         model, reduced = walk_files
         assert main(["verify", str(model), str(reduced), "--tv", "3"]) == 0
+
+    def test_file_with_composed_maps_passes(self, tmp_path):
+        # reduced files written before the maps were cut to their Choi rank carry
+        # every composed product A K B, (sum d_F)^2 = 64 per outcome here, and no rank cuts
+        ce = ising_chain(4, 0.0, 0.3)
+        red = reduce_ce(ce)
+        fact = red.factorization
+        maps = {k: fact.R @ ce.instrument.maps[k] @ fact.J for k in ce.outcomes}
+        old = dataclasses.replace(red.model, instrument=Instrument(outcomes=ce.outcomes, maps=maps))
+        doc = reduced_ce_to_json(dataclasses.replace(red, model=old))
+        del doc["reduction"]["rank_cuts"]
+        assert {len(doc["instrument"][k]["kraus"]) for k in ce.outcomes} == {64}
+        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
+        save_json(ce_to_json(ce), str(model))
+        save_json(doc, str(reduced))
+        assert main(["verify", str(model), str(reduced), "--tv", "3"]) == 0
+        assert main(["simulate", str(reduced), "--samples", "5", "-o", str(tmp_path / "t.jsonl")]) == 0
 
     def test_tampered_reduced_exit1(self, tmp_path, walk_files):
         model, reduced = walk_files

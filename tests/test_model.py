@@ -196,6 +196,13 @@ class TestOutputEval:
         expected = np.array([np.trace(O @ X) for O in obs])
         assert np.allclose(out(X), expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("shape", [(8, 32), (32, 8), (2, 8, 32)])
+    def test_misshapen_operator_rejected(self, shape):
+        # n^2 entries in the wrong shape would flatten into a plausible output vector
+        out = ising_chain(4, 0.5, 0.3).output
+        with pytest.raises(ValueError, match="expected 16x16 operators"):
+            out(np.ones(shape))
+
     def test_linearity_random_combinations(self, rng):
         ce = random_ce(3, 2, 3, rng)
         X = random_density(3, rng)

@@ -400,11 +400,13 @@ class TestApplyForms:
 
     CASES = {
         # name: (number of Kraus operators, out_dim, in_dim, applies through Kraus)
-        "r1_square": (1, 4, 4, True),
-        "r3_square": (3, 8, 8, True),
-        "r_like": (2, 3, 8, True),
-        "j_like": (2, 8, 3, True),
+        "r1_square": (1, 16, 16, True),
+        "r3_square": (3, 16, 16, True),
+        "r_like": (2, 6, 24, True),
+        "j_like": (2, 24, 6, True),
         "long_list": (10, 3, 3, False),
+        # below the fixed overhead of a Kraus apply, as the reduced Ising maps
+        "small_square": (2, 8, 8, False),
     }
 
     @pytest.fixture(params=sorted(CASES))
@@ -470,7 +472,7 @@ class TestStackedApply:
 
     CASES = {
         # name: (number of Kraus operators, out_dim, in_dim, applies through Kraus)
-        "square_kraus": (1, 4, 4, True),
+        "square_kraus": (1, 16, 16, True),
         "square_dense": (3, 4, 4, False),
         "r_like_kraus": (1, 8, 32, True),
         "r_like_dense": (8, 8, 32, False),

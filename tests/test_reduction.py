@@ -16,7 +16,7 @@ from cereduce.reduction import (
     reduce_ce,
     reduce_separably,
 )
-from cereduce.zoo import ising_chain, measured_quantum_walk, walk_markov_oracle
+from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
 
 
 def _rank(dev):
@@ -384,6 +384,101 @@ class TestSeparable:
         with pytest.raises(ValueError) as exc_info:
             reduce_separably(walk4, seed=0)
         assert exc_info.value.report is not None
+
+
+def composed(fact, S):
+    """Dense matrix of R o S o J from the composed Kraus products, (sum d_F)^2 per Kraus operator of S."""
+    return (fact.R @ S @ fact.J).matrix
+
+
+def commutant_twisted(ce, seed):
+    """``ce`` with each Kraus list {K} replaced by {K, V K} / sqrt(2).
+
+    V is a random unitary U ((+) 1_S otimes W_k) U^dag of the commutant of
+    the output algebra, so every M_k^dag agrees with the original on the
+    algebra: the observable subspace, the algebra and the blocks stay those
+    of ``ce``, while every map carries two Kraus operators.
+    """
+    dec = reduce_ce(ce).factorization.decomposition
+    V = np.zeros((ce.dim, ce.dim), dtype=complex)
+    offs = dec.hilbert_offsets()
+    for k, (dS, dF) in enumerate(dec.blocks):
+        V[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(np.eye(dS), haar_unitary(dF, seed + k))
+    V = dec.U @ V @ dec.U.conj().T
+    maps = {k: superop_from_kraus([K / np.sqrt(2) for K0 in S.kraus for K in (K0, V @ K0)])
+            for k, S in ce.instrument.maps.items()}
+    return ConditionalEvolution(instrument=Instrument(outcomes=ce.outcomes, maps=maps), output=ce.output)
+
+
+MAP_MODELS = {
+    "ising4-p0": lambda: ising_chain(4, 0.0, 0.3),
+    "ising4-p0.5": lambda: ising_chain(4, 0.5, 0.3),
+    "ising5-p0": lambda: ising_chain(5, 0.0, 0.3),
+    "ising5-p0.5": lambda: ising_chain(5, 0.5, 0.3),
+    "walk4": lambda: measured_quantum_walk(4, seed=7),
+    "ising4-p0.5-two-kraus": lambda: commutant_twisted(ising_chain(4, 0.5, 0.3), seed=3),
+}
+
+
+class TestReducedMaps:
+    """Reduced maps at their Choi rank, exact against the composed R o M_k o J."""
+
+    @pytest.mark.parametrize("name", sorted(MAP_MODELS))
+    def test_equal_to_composition(self, name):
+        ce = MAP_MODELS[name]()
+        red = reduce_ce(ce)
+        for k in ce.outcomes:
+            ref = composed(red.factorization, ce.instrument.maps[k])
+            got = red.model.instrument.maps[k].matrix
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_two_kraus_model_keeps_the_blocks(self):
+        ce = ising_chain(4, 0.5, 0.3)
+        twisted = MAP_MODELS["ising4-p0.5-two-kraus"]()
+        assert all(len(S.kraus) == 2 for S in twisted.instrument.maps.values())
+        assert validate_ce(twisted).ok
+        assert reduce_ce(twisted).blocks == reduce_ce(ce).blocks
+
+    @pytest.mark.parametrize("name", ["ising4-p0", "ising4-p0.5", "walk4"])
+    def test_separable_maps_equal_to_composition(self, name):
+        ce = MAP_MODELS[name]()
+        sep = reduce_separably(ce)
+        fact = sep.recomposed.factorization
+        pairs = [(sep.evolution, ce.evolution)] + [(sep.effects[k], ce.effects[k]) for k in ce.outcomes]
+        for got, S in pairs:
+            ref = composed(fact, S)
+            assert np.linalg.norm(got.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
+        cuts = sep.recomposed.rank_cuts
+        assert set(cuts) == {"evolution"} | {f"effect {k}" for k in ce.outcomes}
+        assert cuts["evolution"][0] == len(sep.evolution.kraus)
+
+    @pytest.mark.parametrize("N", [4, 5, 6, 7])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_kraus_count_is_choi_rank(self, N, p):
+        # the rank cut is relative to tol: a cut near machine epsilon kept
+        # 1e-14 singular values on some seeds, giving 4 to 6 operators
+        ce = ising_chain(N, p, 0.3)
+        want = 4 if p == 0 else 2
+        for seed in range(5):
+            red = reduce_ce(ce, seed=seed)
+            assert [len(red.model.instrument.maps[k].kraus) for k in ce.outcomes] == [want] * len(ce.outcomes)
+            cuts = red.provenance()["rank_cuts"]
+            assert list(cuts) == list(ce.outcomes)
+            for k in ce.outcomes:
+                assert cuts[k]["kraus_ops"] == want
+                assert cuts[k]["dropped_over_kept"] < 1e-10
+
+    @pytest.mark.parametrize("N", [4, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_apply_forms(self, N, p):
+        # white box: the full maps apply through their Kraus operators and the
+        # 8x8 reduced maps through their matrix, the faster form at each size
+        ce = ising_chain(N, p, 0.3)
+        red = reduce_ce(ce)
+        assert red.model.dim == 8
+        for k in ce.outcomes:
+            assert ce.instrument.maps[k]._rows is not None
+            assert red.model.instrument.maps[k]._rows is None
 
 
 def test_random_density_properties(rng):
