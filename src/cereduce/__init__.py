@@ -22,9 +22,7 @@ from .algebra import (
 from .model import (
     ConditionalEvolution,
     Instrument,
-    OutcomeImpossibleError,
     OutputMap,
-    condition,
     output_eval,
     step_unnormalized,
     trajectory_probability,

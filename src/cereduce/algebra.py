@@ -208,15 +208,23 @@ class WedderburnDecomposition:
         offs = self.hilbert_offsets()
         return self.U[:, offs[k]:offs[k + 1]]
 
+    def block_parts(self, T: np.ndarray) -> list[np.ndarray]:
+        """X_S = Tr_F(T_k) / d_F of each diagonal block T_k of T = U^dag B U.
+
+        B's part in the block form is (+) X_S otimes 1_F, and X_S is block k
+        of J^dag(B) for the J of :func:`conditional_expectation`.
+        """
+        offs = self.hilbert_offsets()
+        return [np.einsum("sftf->st", T[offs[k]:offs[k + 1], offs[k]:offs[k + 1]]
+                          .reshape(dS, dF, dS, dF)) / dF
+                for k, (dS, dF) in enumerate(self.blocks)]
+
     def structure_residual(self, B: np.ndarray) -> float:
         """Distance of U^dag B U from the block form (+) X_S otimes 1_F."""
         T = self.U.conj().T @ B @ self.U
         offs = self.hilbert_offsets()
         model = np.zeros_like(T)
-        for k, (dS, dF) in enumerate(self.blocks):
-            sub = T[offs[k]:offs[k + 1], offs[k]:offs[k + 1]]
-            sub4 = sub.reshape(dS, dF, dS, dF)
-            XS = np.einsum("sftf->st", sub4) / dF
+        for k, (XS, (_, dF)) in enumerate(zip(self.block_parts(T), self.blocks)):
             model[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(XS, np.eye(dF))
         return float(np.linalg.norm(T - model))
 

@@ -20,17 +20,11 @@ __all__ = [
     "OutputMap",
     "ConditionalEvolution",
     "ValidationReport",
-    "OutcomeImpossibleError",
     "validate_ce",
     "step_unnormalized",
-    "condition",
     "trajectory_probability",
     "output_eval",
 ]
-
-
-class OutcomeImpossibleError(ValueError):
-    """Conditioning on an outcome of (numerically) zero probability."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +56,27 @@ class Instrument:
             raise ValueError(f"unknown outcome label {k!r}")
         return self.maps[k]
 
+    def povm(self) -> np.ndarray:
+        """Read-only (m, n^2) matrix of the POVM elements E_k = M_k^dag(1), built once.
+
+        E_k = sum_i K_i^dag K_i comes from the Kraus list, with no dense map.
+        Row k is E_k^T flattened, so ``povm() @ rho.reshape(-1)`` gives
+        tr[E_k rho] = tr[M_k(rho)] for every outcome k in declaration order.
+        """
+        rows = self.__dict__.get("_povm")
+        if rows is None:
+            n = self.dim
+            # the Kraus operators stacked vertically, K, give E^T = K^T conj(K)
+            stacked = [np.array(self.maps[k].kraus).reshape(-1, n) for k in self.outcomes]
+            rows = np.array([K.T @ K.conj() for K in stacked]).reshape(len(stacked), n * n)
+            rows.flags.writeable = False
+            object.__setattr__(self, "_povm", rows)
+        return rows
+
     def normalization_residual(self) -> float:
-        eye = np.eye(self.dim, dtype=complex)
-        total = sum(self.maps[k].adjoint()(eye) for k in self.outcomes)
-        return float(np.linalg.norm(total - eye))
+        """||sum_k E_k - 1||, read off :meth:`povm`."""
+        n = self.dim
+        return float(np.linalg.norm(self.povm().sum(axis=0).reshape(n, n) - np.eye(n)))
 
 
 @dataclass(frozen=True)
@@ -196,18 +207,6 @@ def validate_ce(ce: ConditionalEvolution, tol: float = DEFAULT_TOL) -> Validatio
 def step_unnormalized(ce: ConditionalEvolution, rho_tilde: np.ndarray, k) -> np.ndarray:
     """One instrument step on an unnormalized state: M_k(rho_tilde)."""
     return ce.instrument.map_for(k)(rho_tilde)
-
-
-def condition(
-    ce: ConditionalEvolution, rho: np.ndarray, k, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
-    """Outcome probability and the renormalized post-measurement state."""
-    out = step_unnormalized(ce, rho, k)
-    p = float(np.trace(out).real)
-    if p <= tol:
-        raise OutcomeImpossibleError(f"outcome {k!r} has probability {p:.3e}")
-    p = min(max(p, 0.0), 1.0)
-    return out / p, p
 
 
 def trajectory_probability(ce: ConditionalEvolution, rho0: np.ndarray, seq) -> float:

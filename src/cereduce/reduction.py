@@ -110,10 +110,17 @@ class ReducedCE:
 
 
 def _reduced_output_map(ce: ConditionalEvolution, fact: CEFactorization) -> OutputMap:
-    # C_reduced(X) = C(J(X)); observable rows pull back through J^dag
-    Jd = fact.J.adjoint()
-    obs = tuple(Jd(O) for O in ce.output.observables)
-    return OutputMap(names=ce.output.names, observables=obs)
+    # C_reduced(X) = C(J(X)); observable rows pull back through J^dag, whose block k
+    # is Tr_F(U_k^dag O U_k) / d_F, read off one conjugation by U
+    dec = fact.decomposition
+    roffs = dec.reduced_offsets()
+    obs = []
+    for O in ce.output.observables:
+        pulled = np.zeros((dec.reduced_total_dim,) * 2, dtype=complex)
+        for k, XS in enumerate(dec.block_parts(dec.U.conj().T @ O @ dec.U)):
+            pulled[roffs[k]:roffs[k + 1], roffs[k]:roffs[k + 1]] = XS
+        obs.append(pulled)
+    return OutputMap(names=ce.output.names, observables=tuple(obs))
 
 
 def reduce_ce(

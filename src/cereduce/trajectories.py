@@ -1,11 +1,13 @@
 """Sampling and exhaustive enumeration of measurement records.
 
-Sampling uses the normalized-state recursion (condition at every step)
-so probabilities never underflow on long records; the product of the
-per-step conditional probabilities recovers the joint probability of the
-record.  Enumeration propagates unnormalized states over the full
-outcome tree and is the brute-force oracle the rest of the package is
-verified against.
+Sampling runs the quantum filter on the normalized state: at every step
+one product with the instrument's POVM gives every outcome probability
+tr[E_k rho], one outcome is drawn, and only its map is applied and
+renormalized.  Probabilities never underflow on long records; the
+product of the per-step conditional probabilities recovers the joint
+probability of the record.  Enumeration propagates unnormalized states
+over the full outcome tree and is the brute-force oracle the rest of the
+package is verified against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConditionalEvolution, output_eval, step_unnormalized
+from .model import ConditionalEvolution, output_eval
 from .operators import DEFAULT_TOL
 
 __all__ = [
@@ -59,16 +61,22 @@ def sample_trajectory(
 
     ``rng_seed`` may be an integer or a ``numpy.random.SeedSequence`` /
     ``Generator``; trajectory batches should spawn child seeds so streams
-    stay independent.
+    stay independent.  The outcome is drawn as ``Generator.choice`` draws
+    it, from one ``random()`` per step, so a seed gives the same record as
+    ``rng.choice(len(p), p=p / p.sum())`` on the same probabilities.
+    Probabilities that are not finite raise ValueError.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     rho = np.asarray(rho0, dtype=complex)
+    maps = [ce.instrument.maps[k] for k in ce.outcomes]
+    povm = ce.instrument.povm()
     outcomes, probs, states, outputs, clamped = [], [], [], [], []
     for t in range(T):
-        branch = [step_unnormalized(ce, rho, k) for k in ce.outcomes]
-        p = np.array([np.trace(b).real for b in branch])
+        p = (povm @ rho.reshape(-1)).real
+        if not np.isfinite(p).all():
+            raise ValueError(f"outcome probabilities are not finite at step {t}")
         if np.any(p < 0):
             if np.min(p) < -tol:
                 clamped.append(t)
@@ -76,8 +84,10 @@ def sample_trajectory(
         mass = p.sum()
         if mass < tol:
             raise StateEscapedError(f"outcome probabilities sum to {mass:.3e} at step {t}")
-        idx = int(rng.choice(len(p), p=p / mass))
-        rho = branch[idx] / p[idx]
+        cdf = (p / mass).cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
+        rho = maps[idx](rho) / p[idx]
         outcomes.append(ce.outcomes[idx])
         probs.append(float(p[idx]))
         states.append(rho)

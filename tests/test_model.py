@@ -6,16 +6,15 @@ import pytest
 from cereduce.model import (
     ConditionalEvolution,
     Instrument,
-    OutcomeImpossibleError,
     OutputMap,
-    condition,
     output_eval,
     step_unnormalized,
     trajectory_probability,
     validate_ce,
 )
 from cereduce.operators import Superoperator, superop_from_kraus, unvec, vec
-from cereduce.reduction import random_ce, random_density
+from cereduce.reduction import random_ce, random_density, reduce_ce
+from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import proj, random_complex
 
@@ -120,19 +119,58 @@ class TestStepUnnormalized:
 
 
 class TestCondition:
+    """The filter step of sample_trajectory: the drawn outcome's probability and post-state."""
+
     def test_projective_certain_outcome(self):
-        state, p = condition(projective_z_qubit(), proj(2, 0), "0")
-        assert p == pytest.approx(1.0)
-        assert np.allclose(state, proj(2, 0))
+        rec = sample_trajectory(projective_z_qubit(), proj(2, 0), 1, rng_seed=0)
+        assert rec.outcomes == ("0",)
+        assert rec.probabilities[0] == pytest.approx(1.0)
+        assert np.allclose(rec.states[0], proj(2, 0))
 
     def test_born_rule_half(self):
-        state, p = condition(projective_z_qubit(), PLUS, "1")
-        assert p == pytest.approx(0.5)
-        assert np.allclose(state, proj(2, 1))
+        seen = set()
+        for seed in range(16):
+            rec = sample_trajectory(projective_z_qubit(), PLUS, 1, rng_seed=seed)
+            assert rec.probabilities[0] == pytest.approx(0.5)
+            assert np.allclose(rec.states[0], proj(2, int(rec.outcomes[0])))
+            seen.add(rec.outcomes[0])
+        assert seen == {"0", "1"}
 
     def test_impossible_outcome(self):
-        with pytest.raises(OutcomeImpossibleError):
-            condition(projective_z_qubit(), proj(2, 0), "1")
+        for seed in range(200):
+            rec = sample_trajectory(projective_z_qubit(), proj(2, 0), 3, rng_seed=seed)
+            assert rec.outcomes == ("0",) * 3
+
+
+POVM_MODELS = {
+    "projective": projective_z_qubit,
+    "projective-scaled": lambda: projective_z_qubit(scale=0.5),
+    "identity": identity_ce,
+    "random": lambda: random_ce(3, 3, 2, np.random.default_rng(0)),
+    "walk4": lambda: measured_quantum_walk(4, seed=7),
+    "ising4-p0.5": lambda: ising_chain(4, 0.5, 0.3),
+    "ising4-p0.5-reduced": lambda: reduce_ce(ising_chain(4, 0.5, 0.3)).model,
+}
+
+
+class TestPOVM:
+    @pytest.mark.parametrize("name", sorted(POVM_MODELS))
+    def test_rows_give_outcome_probabilities(self, name):
+        ce = POVM_MODELS[name]()
+        rho = random_density(ce.dim, np.random.default_rng(1))
+        want = np.array([np.trace(ce.instrument.maps[k](rho)).real for k in ce.outcomes])
+        got = ce.instrument.povm() @ rho.reshape(-1)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert not ce.instrument.povm().flags.writeable
+        assert ce.instrument.povm() is ce.instrument.povm()
+
+    @pytest.mark.parametrize("name", sorted(POVM_MODELS))
+    def test_normalization_residual_matches_adjoint_sum(self, name):
+        # the reference: every map's adjoint applied to the identity
+        inst = POVM_MODELS[name]().instrument
+        eye = np.eye(inst.dim, dtype=complex)
+        want = np.linalg.norm(sum(inst.maps[k].adjoint()(eye) for k in inst.outcomes) - eye)
+        assert inst.normalization_residual() == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 class TestTrajectoryProbability:

@@ -432,6 +432,14 @@ class TestReducedMaps:
             got = red.model.instrument.maps[k].matrix
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("name", ["ising4-p0", "ising4-p0.5", "ising5-p0", "ising5-p0.5", "walk4"])
+    def test_observables_equal_to_adjoint_injection(self, name):
+        ce = MAP_MODELS[name]()
+        red = reduce_ce(ce)
+        Jd = red.factorization.J.adjoint()
+        for O, got in zip(ce.output.observables, red.model.output.observables):
+            assert np.max(np.abs(got - Jd(O))) <= 1e-12
+
     def test_two_kraus_model_keeps_the_blocks(self):
         ce = ising_chain(4, 0.5, 0.3)
         twisted = MAP_MODELS["ising4-p0.5-two-kraus"]()

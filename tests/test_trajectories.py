@@ -18,7 +18,7 @@ from cereduce.trajectories import (
     sample_trajectory,
     total_variation,
 )
-from cereduce.zoo import measured_quantum_walk
+from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import proj
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -85,6 +85,68 @@ class TestSampleTrajectory:
         )
         with pytest.raises(StateEscapedError):
             sample_trajectory(ce, proj(2, 0), 1, rng_seed=0)
+
+    def test_non_finite_probabilities_refused(self):
+        K = proj(2, 0)
+        K[0, 0] = np.nan
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0", "1"), maps={
+                "0": superop_from_kraus([K]), "1": superop_from_kraus([proj(2, 1)])}),
+            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
+        )
+        with pytest.raises(ValueError, match="not finite at step 0"):
+            sample_trajectory(ce, np.eye(2) / 2, 1, rng_seed=0)
+
+
+def oracle_trajectory(ce, rho0, T, seed):
+    """Outcomes, probabilities and states drawn by applying every outcome's map.
+
+    The probabilities are the primal traces tr[M_k(rho)] and the draw is
+    ``rng.choice`` on them: the reference sample_trajectory must reproduce
+    draw for draw.
+    """
+    rng = np.random.default_rng(seed)
+    rho = np.asarray(rho0, dtype=complex)
+    outcomes, probs, states = [], [], []
+    for _ in range(T):
+        branch = [ce.instrument.maps[k](rho) for k in ce.outcomes]
+        p = np.clip([np.trace(b).real for b in branch], 0.0, None)
+        idx = int(rng.choice(len(p), p=p / p.sum()))
+        rho = branch[idx] / p[idx]
+        outcomes.append(ce.outcomes[idx])
+        probs.append(p[idx])
+        states.append(rho)
+    return tuple(outcomes), np.array(probs), states
+
+
+def _ising4(reduced):
+    ce = ising_chain(4, 0.5, 0.3)
+    rho0 = np.eye(16, dtype=complex) / 16
+    if not reduced:
+        return ce, rho0
+    red = reduce_ce(ce)
+    return red.model, red.reduction_map(rho0)
+
+
+DRAW_MODELS = {
+    "random-3-3-2": lambda: (random_ce(3, 3, 2, np.random.default_rng(5)),
+                             random_density(3, np.random.default_rng(6))),
+    "ising4-full": lambda: _ising4(reduced=False),
+    "ising4-reduced": lambda: _ising4(reduced=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_MODELS))
+def test_draws_match_the_every_branch_oracle(name):
+    ce, rho0 = DRAW_MODELS[name]()
+    for seed in range(50):
+        rec = sample_trajectory(ce, rho0, 8, rng_seed=seed)
+        outcomes, probs, states = oracle_trajectory(ce, rho0, 8, seed)
+        assert rec.outcomes == outcomes
+        assert np.max(np.abs(np.array(rec.probabilities) - probs) / probs) <= 1e-12
+        for got, want in zip(rec.states, states):
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert abs(np.trace(got) - 1) <= 1e-12
 
 
 class TestEnumerate:
