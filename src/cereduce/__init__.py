@@ -23,9 +23,6 @@ from .model import (
     ConditionalEvolution,
     Instrument,
     OutputMap,
-    output_eval,
-    step_unnormalized,
-    trajectory_probability,
     validate_ce,
 )
 from .observability import (

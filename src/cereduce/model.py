@@ -1,10 +1,10 @@
-"""Conditional evolutions: instruments, output maps, state propagation.
+"""Conditional evolutions: instruments, output maps and their readout.
 
 A conditional evolution couples a quantum instrument (one CP map per
 measurement outcome, normalized in the dual) with a linear output map
-reading out expectation values of a fixed set of observables.  States are
-propagated unnormalized; the trace of the running state is the joint
-probability of the outcome record observed so far.
+reading out expectation values of a fixed set of observables.  Its
+readout matrix stacks the instrument's POVM on the output map, so one
+product with a state gives every outcome probability and every output.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ __all__ = [
     "ConditionalEvolution",
     "ValidationReport",
     "validate_ce",
-    "step_unnormalized",
-    "trajectory_probability",
-    "output_eval",
 ]
 
 
@@ -160,6 +157,23 @@ class ConditionalEvolution:
     def has_split(self) -> bool:
         return self.evolution is not None
 
+    def readout(self) -> np.ndarray:
+        """Read-only (m + n_obs, n^2) matrix of the POVM rows, then the output rows, built once.
+
+        ``readout() @ rho.reshape(-1)`` gives tr[E_k rho] for every outcome k
+        in declaration order, then tr[O_j rho] for every observable: one
+        product reads a state's outcome probabilities and its outputs.
+        """
+        rows = self.__dict__.get("_readout")
+        if rows is None:
+            n = self.dim
+            # output rows act on the column-major vec; transpose them to the row-major one
+            out = self.output.matrix().reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
+            rows = np.vstack([self.instrument.povm(), out])
+            rows.flags.writeable = False
+            object.__setattr__(self, "_readout", rows)
+        return rows
+
     def split_residual(self) -> float:
         """Max HS distance between M_k and evolution o effect_k."""
         if not self.has_split:
@@ -202,21 +216,3 @@ def validate_ce(ce: ConditionalEvolution, tol: float = DEFAULT_TOL) -> Validatio
         split_residual=ce.split_residual() if ce.has_split else None,
         tol=tol,
     )
-
-
-def step_unnormalized(ce: ConditionalEvolution, rho_tilde: np.ndarray, k) -> np.ndarray:
-    """One instrument step on an unnormalized state: M_k(rho_tilde)."""
-    return ce.instrument.map_for(k)(rho_tilde)
-
-
-def trajectory_probability(ce: ConditionalEvolution, rho0: np.ndarray, seq) -> float:
-    """Joint probability of an outcome word: trace of the propagated state."""
-    rho = np.asarray(rho0, dtype=complex)
-    for k in seq:
-        rho = step_unnormalized(ce, rho, k)
-    return float(np.trace(rho).real)
-
-
-def output_eval(ce: ConditionalEvolution, rho_tilde: np.ndarray) -> np.ndarray:
-    """Output vector tr[O_j rho_tilde], one entry per observable."""
-    return ce.output(rho_tilde)

@@ -328,8 +328,8 @@ class Superoperator:
         ni, no = self.in_dim, self.out_dim
         if X.shape == (ni, ni):
             # the same products without the stack bookkeeping, which costs about an eighth
-            # of the apply of a reduced Ising map; sample_trajectory makes one such call
-            # per step, for the drawn outcome
+            # of the apply of a reduced Ising map; a step of sample_trajectory is one such
+            # call, for the drawn outcome, and one readout product
             if self._rows is None:
                 return (self.matrix @ X.reshape(-1, order="F")).reshape((no, no), order="F")
             Y = (X @ self._cols).reshape(ni, -1, no).transpose(1, 0, 2).reshape(-1, no)

@@ -1,23 +1,26 @@
 """Sampling and exhaustive enumeration of measurement records.
 
-Sampling runs the quantum filter on the normalized state: at every step
-one product with the instrument's POVM gives every outcome probability
-tr[E_k rho], one outcome is drawn, and only its map is applied and
-renormalized.  Probabilities never underflow on long records; the
-product of the per-step conditional probabilities recovers the joint
-probability of the record.  Enumeration propagates unnormalized states
-over the full outcome tree and is the brute-force oracle the rest of the
-package is verified against.
+Sampling runs the quantum filter on the normalized state.  At every step
+one outcome is drawn, only its map is applied and the result is divided
+by the drawn probability; one product of the model's readout matrix with
+that state gives both this step's outputs and the next step's outcome
+probabilities tr[E_k rho].  Probabilities never underflow on long
+records; the product of the per-step conditional probabilities recovers
+the joint probability of the record.  Enumeration propagates
+unnormalized states over the full outcome tree and is the brute-force
+oracle the rest of the package is verified against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConditionalEvolution, output_eval
+from .model import ConditionalEvolution
 from .operators import DEFAULT_TOL
 
 __all__ = [
@@ -50,6 +53,31 @@ class TrajectoryRecord:
         return float(np.prod(self.probabilities))
 
 
+def _numpy_sum(p: list[float]) -> float:
+    """``np.sum`` of the float64 array of ``p``, bit for bit.
+
+    numpy adds fewer than 8 terms in turn, up to 128 in 8 running sums,
+    and more by halves.
+    """
+    n = len(p)
+    if n < 8:
+        total = 0.0
+        for x in p:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(p[:half]) + _numpy_sum(p[half:])
+    stop = n - n % 8
+    r = p[:8]
+    for i in range(8, stop, 8):
+        r = [a + b for a, b in zip(r, p[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in p[stop:]:
+        total += x
+    return total
+
+
 def sample_trajectory(
     ce: ConditionalEvolution,
     rho0: np.ndarray,
@@ -61,37 +89,45 @@ def sample_trajectory(
 
     ``rng_seed`` may be an integer or a ``numpy.random.SeedSequence`` /
     ``Generator``; trajectory batches should spawn child seeds so streams
-    stay independent.  The outcome is drawn as ``Generator.choice`` draws
-    it, from one ``random()`` per step, so a seed gives the same record as
+    stay independent.  A step makes one map apply and one product with
+    :meth:`ConditionalEvolution.readout`; the draw runs on Python floats
+    with the operations of ``Generator.choice``, in its order, from one
+    ``random()`` per step, so a seed gives the same record as
     ``rng.choice(len(p), p=p / p.sum())`` on the same probabilities.
-    Probabilities that are not finite raise ValueError.
+    Probabilities that are not finite raise ValueError; negative ones are
+    set to zero, and the step is recorded in ``clamped_steps`` when one is
+    below ``-tol``.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     rho = np.asarray(rho0, dtype=complex)
     maps = [ce.instrument.maps[k] for k in ce.outcomes]
-    povm = ce.instrument.povm()
+    readout = ce.readout()
+    m = len(maps)
+    q = readout @ rho.reshape(-1)
     outcomes, probs, states, outputs, clamped = [], [], [], [], []
     for t in range(T):
-        p = (povm @ rho.reshape(-1)).real
-        if not np.isfinite(p).all():
+        p = q.real[:m].tolist()
+        if not all(map(math.isfinite, p)):
             raise ValueError(f"outcome probabilities are not finite at step {t}")
-        if np.any(p < 0):
-            if np.min(p) < -tol:
+        if min(p) < 0.0:
+            if min(p) < -tol:
                 clamped.append(t)
-            p = np.clip(p, 0.0, None)
-        mass = p.sum()
+            p = [max(x, 0.0) for x in p]
+        mass = _numpy_sum(p)
         if mass < tol:
             raise StateEscapedError(f"outcome probabilities sum to {mass:.3e} at step {t}")
-        cdf = (p / mass).cumsum()
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
-        rho = maps[idx](rho) / p[idx]
+        cdf = list(itertools.accumulate(x / mass for x in p))
+        last = cdf[-1]
+        idx = bisect_right([c / last for c in cdf], rng.random())
+        pk = p[idx]
+        rho = maps[idx](rho) / pk
+        q = readout @ rho.reshape(-1)
         outcomes.append(ce.outcomes[idx])
-        probs.append(float(p[idx]))
+        probs.append(pk)
         states.append(rho)
-        outputs.append(output_eval(ce, rho))
+        outputs.append(q[m:])
     return TrajectoryRecord(
         outcomes=tuple(outcomes),
         probabilities=tuple(probs),

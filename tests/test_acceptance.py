@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from cereduce.algebra import algebra_closure, commutant, conditional_expectation, wedderburn
-from cereduce.model import step_unnormalized
 from cereduce.observability import invariant_closure, linear_reduce, nonobservable_complement
 from cereduce.operators import Superoperator, channel_checks, hs_norm
 from cereduce.reduction import (
@@ -270,7 +269,7 @@ def test_criterion_8_structural_invariants(walks, isings, random_algebras):
             rho = random_density(3, rng)
             total = 0.0
             for k in ce.outcomes:
-                out = step_unnormalized(ce, rho, k)
+                out = ce.instrument.map_for(k)(rho)
                 ok &= np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
                 total += np.trace(out).real
             ok &= abs(total - 1.0) <= 1e-10
@@ -298,7 +297,7 @@ def test_criterion_9_linear_vs_algebraic(walks, isings):
                 for seq in itertools.product(ce.outcomes, repeat=t):
                     rho = rho0
                     for k in seq:
-                        rho = step_unnormalized(ce, rho, k)
+                        rho = ce.instrument.map_for(k)(rho)
                     dev = np.max(np.abs(ce.output(rho) - lm.propagate(rho0, seq)))
                     good &= float(dev) <= 1e-8
         return good

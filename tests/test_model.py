@@ -7,9 +7,6 @@ from cereduce.model import (
     ConditionalEvolution,
     Instrument,
     OutputMap,
-    output_eval,
-    step_unnormalized,
-    trajectory_probability,
     validate_ce,
 )
 from cereduce.operators import Superoperator, superop_from_kraus, unvec, vec
@@ -17,6 +14,7 @@ from cereduce.reduction import random_ce, random_density, reduce_ce
 from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import proj, random_complex
+from test_trajectories import trajectory_probability
 
 
 def projective_z_qubit(scale=1.0):
@@ -94,15 +92,17 @@ class TestMalformedLists:
 
 
 class TestStepUnnormalized:
+    """One instrument step on an unnormalized state, M_k(rho)."""
+
     def test_identity_instrument(self, rng):
         ce = identity_ce()
         rho = random_density(2, rng)
-        assert np.allclose(step_unnormalized(ce, rho, "0"), rho)
+        assert np.allclose(ce.instrument.map_for("0")(rho), rho)
 
     def test_hadamard_walk_first_step(self):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         ce = measured_quantum_walk(2, U=H, check_generic=False)
-        out = step_unnormalized(ce, proj(2, 0), "0")
+        out = ce.instrument.map_for("0")(proj(2, 0))
         assert np.allclose(out, PLUS)
         assert np.trace(out) == pytest.approx(1.0)
 
@@ -110,12 +110,12 @@ class TestStepUnnormalized:
         ce = random_ce(3, 3, 2, rng)
         for _ in range(5):
             rho = random_density(3, rng)
-            total = sum(np.trace(step_unnormalized(ce, rho, k)).real for k in ce.outcomes)
+            total = sum(np.trace(ce.instrument.map_for(k)(rho)).real for k in ce.outcomes)
             assert total == pytest.approx(np.trace(rho).real, abs=1e-12)
 
     def test_unknown_outcome(self):
         with pytest.raises(ValueError):
-            step_unnormalized(identity_ce(), np.eye(2) / 2, "nope")
+            identity_ce().instrument.map_for("nope")(np.eye(2) / 2)
 
 
 class TestCondition:
@@ -165,6 +165,16 @@ class TestPOVM:
         assert ce.instrument.povm() is ce.instrument.povm()
 
     @pytest.mark.parametrize("name", sorted(POVM_MODELS))
+    def test_readout_gives_probabilities_then_outputs(self, name):
+        ce = POVM_MODELS[name]()
+        rho = random_density(ce.dim, np.random.default_rng(2))
+        want = [np.trace(ce.instrument.maps[k](rho)) for k in ce.outcomes]
+        want = np.concatenate([want, ce.output(rho)])
+        assert np.max(np.abs(ce.readout() @ rho.reshape(-1) - want)) <= 1e-13
+        assert not ce.readout().flags.writeable
+        assert ce.readout() is ce.readout()
+
+    @pytest.mark.parametrize("name", sorted(POVM_MODELS))
     def test_normalization_residual_matches_adjoint_sum(self, name):
         # the reference: every map's adjoint applied to the identity
         inst = POVM_MODELS[name]().instrument
@@ -174,6 +184,8 @@ class TestPOVM:
 
 
 class TestTrajectoryProbability:
+    """The joint-probability oracle of the trajectory tests."""
+
     def test_empty_sequence(self, rng):
         ce = random_ce(2, 2, 1, rng)
         assert trajectory_probability(ce, random_density(2, rng), []) == pytest.approx(1.0)
@@ -201,7 +213,7 @@ class TestTrajectoryProbability:
         p1 = trajectory_probability(ce, rho0, s1)
         rho_mid = rho0
         for k in s1:
-            rho_mid = step_unnormalized(ce, rho_mid, k)
+            rho_mid = ce.instrument.map_for(k)(rho_mid)
         rho_mid = rho_mid / np.trace(rho_mid)
         assert trajectory_probability(ce, rho0, s1 + s2) == pytest.approx(
             p1 * trajectory_probability(ce, rho_mid, s2), rel=1e-10
@@ -209,23 +221,25 @@ class TestTrajectoryProbability:
 
 
 class TestOutputEval:
+    """The output vector tr[O_j X] of the conditional evolution's output map."""
+
     def test_identity_only(self, rng):
         ce = identity_ce()
-        assert output_eval(ce, random_density(2, rng)) == pytest.approx([1.0])
+        assert ce.output(random_density(2, rng)) == pytest.approx([1.0])
 
     def test_sigma_z(self, paulis):
         ce = ConditionalEvolution(
             instrument=identity_ce().instrument,
             output=OutputMap(names=("identity", "z"), observables=(np.eye(2, dtype=complex), paulis["z"])),
         )
-        assert output_eval(ce, proj(2, 0)) == pytest.approx([1.0, 1.0])
+        assert ce.output(proj(2, 0)) == pytest.approx([1.0, 1.0])
 
     def test_scaling_linearity(self, paulis):
         ce = ConditionalEvolution(
             instrument=identity_ce().instrument,
             output=OutputMap(names=("identity", "x"), observables=(np.eye(2, dtype=complex), paulis["x"])),
         )
-        assert output_eval(ce, 0.3 * PLUS) == pytest.approx([0.3, 0.3])
+        assert ce.output(0.3 * PLUS) == pytest.approx([0.3, 0.3])
 
     def test_one_product_matches_traces(self, rng):
         obs = tuple(random_complex(rng, (4, 4)) for _ in range(3))
@@ -246,8 +260,8 @@ class TestOutputEval:
         X = random_density(3, rng)
         Y = random_density(3, rng)
         a, b = 0.7, -1.3
-        assert output_eval(ce, a * X + b * Y) == pytest.approx(
-            a * output_eval(ce, X) + b * output_eval(ce, Y)
+        assert ce.output(a * X + b * Y) == pytest.approx(
+            a * ce.output(X) + b * ce.output(Y)
         )
 
 
@@ -255,7 +269,7 @@ def test_positivity_propagation(rng):
     ce = random_ce(3, 2, 1, rng)
     rho = random_density(3, rng)
     for k in ce.outcomes:
-        out = step_unnormalized(ce, rho, k)
+        out = ce.instrument.map_for(k)(rho)
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
 
 

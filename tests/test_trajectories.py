@@ -4,16 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cereduce.model import (
-    ConditionalEvolution,
-    Instrument,
-    OutputMap,
-    trajectory_probability,
-)
+from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import superop_from_kraus
 from cereduce.reduction import random_ce, random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
+    _numpy_sum,
     enumerate_distribution,
     sample_trajectory,
     total_variation,
@@ -33,6 +29,14 @@ def projective_z_qubit():
         instrument=Instrument(outcomes=("0", "1"), maps=maps),
         output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
     )
+
+
+def trajectory_probability(ce, rho0, seq):
+    """Joint probability of an outcome word: the trace of rho0 propagated along it."""
+    rho = np.asarray(rho0, dtype=complex)
+    for k in seq:
+        rho = ce.instrument.map_for(k)(rho)
+    return float(np.trace(rho).real)
 
 
 class TestSampleTrajectory:
@@ -97,6 +101,23 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError, match="not finite at step 0"):
             sample_trajectory(ce, np.eye(2) / 2, 1, rng_seed=0)
 
+    def test_negative_probability_clamped_and_recorded(self):
+        # tr[E_1 rho0] = -0.2: outcome 1 gets probability 0, outcome 0 keeps its 1.2
+        rho0 = np.diag([1.2, -0.2]).astype(complex)
+        for seed in range(200):
+            rec = sample_trajectory(projective_z_qubit(), rho0, 3, rng_seed=seed)
+            assert rec.clamped_steps == (0,)
+            assert rec.outcomes == ("0",) * 3
+            assert rec.probabilities[0] == pytest.approx(1.2, rel=1e-15)
+            assert np.allclose(rec.states[0], proj(2, 0))
+
+    def test_roundoff_negative_probability_clipped_not_recorded(self):
+        rho0 = np.diag([1 + 1e-12, -1e-12]).astype(complex)
+        for seed in range(200):
+            rec = sample_trajectory(projective_z_qubit(), rho0, 3, rng_seed=seed)
+            assert rec.clamped_steps == ()
+            assert rec.outcomes == ("0",) * 3
+
 
 def oracle_trajectory(ce, rho0, T, seed):
     """Outcomes, probabilities and states drawn by applying every outcome's map.
@@ -133,6 +154,8 @@ DRAW_MODELS = {
                              random_density(3, np.random.default_rng(6))),
     "ising4-full": lambda: _ising4(reduced=False),
     "ising4-reduced": lambda: _ising4(reduced=True),
+    # ten outcomes: numpy sums the probabilities pairwise
+    "walk10": lambda: (measured_quantum_walk(10, seed=0), np.eye(10, dtype=complex) / 10),
 }
 
 
@@ -144,9 +167,19 @@ def test_draws_match_the_every_branch_oracle(name):
         outcomes, probs, states = oracle_trajectory(ce, rho0, 8, seed)
         assert rec.outcomes == outcomes
         assert np.max(np.abs(np.array(rec.probabilities) - probs) / probs) <= 1e-12
-        for got, want in zip(rec.states, states):
+        for got, want, y in zip(rec.states, states, rec.outputs):
             assert np.max(np.abs(got - want)) <= 1e-12
             assert abs(np.trace(got) - 1) <= 1e-12
+            assert np.max(np.abs(y - ce.output(got))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 100, 128, 129, 300])
+def test_mass_is_numpy_sum_bit_for_bit(n):
+    # the draw divides by the mass as Generator.choice divides by p.sum()
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        p = rng.random(n) * 10.0 ** rng.integers(-12, 3, n)
+        assert _numpy_sum(p.tolist()) == p.sum()
 
 
 class TestEnumerate:
