@@ -34,12 +34,9 @@ from .observability import (
 )
 from .operators import (
     DEFAULT_TOL,
-    ChannelReport,
     OperatorSubspace,
     Superoperator,
-    channel_checks,
     closure,
-    hs_inner,
     hs_norm,
     map_coordinates,
     orthonormalize,
@@ -54,7 +51,6 @@ from .reduction import (
     SeparableReduction,
     check_assumptions,
     equivalence_check,
-    random_ce,
     random_density,
     reduce_ce,
     reduce_separably,

@@ -86,15 +86,6 @@ class StarAlgebra:
     def basis(self) -> tuple[np.ndarray, ...]:
         return self.space.basis
 
-    def closure_residual(self) -> float:
-        """Worst projection residual of basis products and adjoints."""
-        n = self.ambient_dim
-        Bs = np.array(self.basis, dtype=complex).reshape(self.dim, n, n)
-        ops = np.concatenate([Bs.conj().transpose(0, 2, 1), (Bs[:, None] @ Bs).reshape(-1, n, n)])
-        # column j of the stack is vec(ops[j]), column-stacked like the basis
-        cols = ops.transpose(0, 2, 1).reshape(-1, n * n).T
-        return float(np.max(self.space.residuals(cols), initial=0.0))
-
 
 def algebra_closure(
     subspace: StarAlgebra | OperatorSubspace | list[np.ndarray],
@@ -319,9 +310,7 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
     c = rng.standard_normal((depth, m + 1)) + 1j * rng.standard_normal((depth, m + 1))
     A = reduce(np.matmul, (np.tensordot(ct[1:], G, 1) + ct[0] * np.eye(n) for ct in c))
     # eigenspaces, clustering eigenvalues closer than gap_tol times the spread
-    H = (A + A.conj().T) / 2
-    w = np.linalg.eigvalsh(H)
-    eigenspaces = [V for _, V in eigh_clustered(H, gap_tol * max(float(w[-1] - w[0]), 1e-3))]
+    eigenspaces = [V for _, V in eigh_clustered((A + A.conj().T) / 2, gap_tol)]
     assigned = set()
     blocks = []
     for a, V in enumerate(eigenspaces):
@@ -439,15 +428,6 @@ class CEFactorization:
                     s[p, j] * Vh[p, j]).reshape(dSk, dSl)
                 kraus.append(K)
         return superop_from_kraus(kraus or [np.zeros((D, D), dtype=complex)]), margin
-
-    def blockdiag_projector(self) -> np.ndarray:
-        """(D^2, D^2) projector keeping only the diagonal blocks."""
-        D = self.reduced_hilbert_dim
-        offs = self.decomposition.reduced_offsets()
-        mask = np.zeros((D, D))
-        for k in range(len(self.decomposition.blocks)):
-            mask[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = 1.0
-        return np.diag(mask.reshape(-1, order="F"))
 
 
 def conditional_expectation(dec: WedderburnDecomposition) -> CEFactorization:

@@ -202,18 +202,21 @@ def cmd_verify(args) -> int:
     if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
         raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
     reduced = _LoadedReduction(model=red_model, reduction_map=R)
-    rep = equivalence_check(
-        full,
-        reduced,
-        max_len=args.max_len,
-        n_states=args.n_states,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    try:
+        rep = equivalence_check(
+            full,
+            reduced,
+            max_len=args.max_len,
+            n_states=args.n_states,
+            tol=args.tol,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # an outcome tree above WORD_CAP nodes, refused before the walk
+        raise CliError(f"--max-len {args.max_len}: {exc}")
     print(
         f"equivalence: max output deviation {rep.max_dev:.3e}, "
         f"max probability deviation {rep.max_prob_dev:.3e} "
-        f"over {rep.n_sequences} nodes ({'sampled' if rep.sampled else 'exhaustive'})"
+        f"over {rep.n_sequences // args.n_states} words and {args.n_states} states"
     )
     if args.tv is not None:
         rng = np.random.default_rng(args.seed)

@@ -105,13 +105,6 @@ class LinearReducedModel:
     def decode(self, x: np.ndarray) -> np.ndarray:
         return unvec(self.subspace.stacked().T @ x, self.subspace.ambient_dim)
 
-    def propagate(self, rho0: np.ndarray, seq) -> np.ndarray:
-        """Output vector after driving the reduced model along ``seq``."""
-        x = self.encode(rho0)
-        for k in seq:
-            x = self.A[str(k)] @ x
-        return self.C @ x
-
 
 def linear_reduce(
     ce: ConditionalEvolution, subspace: OperatorSubspace

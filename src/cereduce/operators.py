@@ -31,9 +31,7 @@ __all__ = [
     "DEFAULT_TOL",
     "vec",
     "unvec",
-    "hs_inner",
     "hs_norm",
-    "is_hermitian",
     "eigh_clustered",
     "closure",
     "orthonormalize",
@@ -41,8 +39,6 @@ __all__ = [
     "Superoperator",
     "superop_from_kraus",
     "map_coordinates",
-    "ChannelReport",
-    "channel_checks",
 ]
 
 
@@ -61,33 +57,22 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
     return v.reshape((rows, v.size // rows), order="F")
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    return complex(np.vdot(A, B))
-
-
 def hs_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
-def is_hermitian(A: np.ndarray, tol: float = 1e-12) -> bool:
-    A = np.asarray(A)
-    scale = max(hs_norm(A), 1.0)
-    return hs_norm(A - A.conj().T) <= tol * scale
+def eigh_clustered(H: np.ndarray, rel_gap: float):
+    """Eigendecompose a Hermitian matrix, grouping eigenvalues closer than a relative gap.
 
-
-def eigh_clustered(H: np.ndarray, gap: float):
-    """Eigendecompose a Hermitian matrix, grouping eigenvalues closer than ``gap``.
-
-    Returns a list of ``(mean_eigenvalue, vectors)`` pairs where ``vectors``
-    has one orthonormal column per member of the cluster.  Eigenvectors of a
-    cluster are re-orthonormalized by QR so degenerate eigenspaces stay clean.
+    Neighbouring eigenvalues share a cluster when they differ by at most
+    ``rel_gap`` times the spread of the spectrum, or times 1e-3 when the
+    spread is smaller.  Returns a list of ``(mean_eigenvalue, vectors)`` pairs
+    where ``vectors`` has one orthonormal column per member of the cluster.
+    Eigenvectors of a cluster are re-orthonormalized by QR so degenerate
+    eigenspaces stay clean.
     """
     w, V = np.linalg.eigh(H)
+    gap = rel_gap * max(float(w[-1] - w[0]), 1e-3)
     clusters = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -150,14 +135,6 @@ class OperatorSubspace:
 
     def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(X) <= tol * max(hs_norm(X), 1.0)
-
-    def projector_matrix(self) -> np.ndarray:
-        """(n^2, n^2) matrix of the HS-orthogonal projector onto the span.
-
-        P vec(X) = sum_i vec(B_i) <vec(B_i), vec(X)>.
-        """
-        M = self.stacked()
-        return M.T @ M.conj()
 
 
 def closure(
@@ -363,10 +340,6 @@ class Superoperator:
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return self.compose(other)
 
-    def choi(self) -> np.ndarray:
-        """Choi matrix sum_ij |i><j| otimes S(|i><j|), shape (n_in*n_out)^2."""
-        return _choi(self.matrix, self.out_dim, self.in_dim)
-
 
 def _choi(M: np.ndarray, no: int, ni: int) -> np.ndarray:
     # M[(b, a), (j, i)] = <a|S(|i><j|)|b> becomes C[(i, a), (j, b)]
@@ -408,41 +381,3 @@ def map_coordinates(maps) -> np.ndarray:
     ends = np.cumsum([len(S.kraus) for S in maps])
     return np.array([(a @ a.conj().T).reshape(-1) for a in np.split(R, ends[:-1], axis=1)])
 
-
-@dataclass(frozen=True)
-class ChannelReport:
-    cp: bool
-    tp: bool
-    unital: bool
-    min_choi_eig: float
-    choi_herm_residual: float
-    tp_residual: float
-    unital_residual: float
-
-
-def channel_checks(S: Superoperator, tol: float = DEFAULT_TOL) -> ChannelReport:
-    """Certify complete positivity, trace preservation and unitality.
-
-    CP requires a Hermitian Choi matrix with spectrum above ``-tol``;
-    TP checks the dual map on the identity, unitality the map itself.
-    """
-    if S.in_dim != S.out_dim:
-        raise ValueError("channel_checks requires square endpoint dimensions")
-    n = S.in_dim
-    C = S.choi()
-    herm_res = float(np.linalg.norm(C - C.conj().T))
-    scale = max(float(np.linalg.norm(C)), 1.0)
-    Ch = (C + C.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(Ch)[0])
-    eye = np.eye(n, dtype=complex)
-    tp_res = float(np.linalg.norm(S.adjoint()(eye) - eye))
-    un_res = float(np.linalg.norm(S(eye) - eye))
-    return ChannelReport(
-        cp=(herm_res <= tol * scale and min_eig >= -tol * scale),
-        tp=(tp_res <= tol * np.sqrt(n)),
-        unital=(un_res <= tol * np.sqrt(n)),
-        min_choi_eig=min_eig,
-        choi_herm_residual=herm_res,
-        tp_residual=tp_res,
-        unital_residual=un_res,
-    )

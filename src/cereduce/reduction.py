@@ -11,7 +11,6 @@ conditioned output and every outcome-word probability exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .algebra import CEFactorization, StarAlgebra, _decompose, _read_off, condit
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import check_invariance, nonobservable_complement
 from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
+from .trajectories import WORD_CAP
 
 __all__ = [
     "ReducedCE",
@@ -31,7 +31,6 @@ __all__ = [
     "reduce_separably",
     "equivalence_check",
     "random_density",
-    "random_ce",
 ]
 
 
@@ -40,32 +39,6 @@ def random_density(n: int, rng) -> np.ndarray:
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
-
-
-def random_ce(n: int, n_outcomes: int, n_obs: int, rng) -> ConditionalEvolution:
-    """Random Kraus instrument plus random Hermitian observables (with identity)."""
-    raw = [
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for _ in range(n_outcomes)
-    ]
-    T = sum(K.conj().T @ K for K in raw)
-    w, V = np.linalg.eigh(T)
-    T_inv_sqrt = V @ np.diag(1 / np.sqrt(w)) @ V.conj().T
-    kraus = [K @ T_inv_sqrt for K in raw]
-    from .operators import superop_from_kraus
-
-    labels = tuple(str(k) for k in range(n_outcomes))
-    maps = {lab: superop_from_kraus([K]) for lab, K in zip(labels, kraus)}
-    names = ["identity"]
-    obs = [np.eye(n, dtype=complex)]
-    for j in range(n_obs - 1):
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        obs.append((G + G.conj().T) / 2)
-        names.append(f"obs{j}")
-    return ConditionalEvolution(
-        instrument=Instrument(outcomes=labels, maps=maps),
-        output=OutputMap(names=tuple(names), observables=tuple(obs)),
-    )
 
 
 @dataclass(frozen=True)
@@ -283,7 +256,6 @@ class EquivalenceReport:
     passed: bool
     worst_case: tuple[int, tuple[str, ...]]
     n_sequences: int
-    sampled: bool
 
 
 def equivalence_check(
@@ -293,7 +265,6 @@ def equivalence_check(
     n_states: int = 25,
     tol: float = 1e-8,
     seed: int = 0,
-    sample_cap: int = 10_000,
 ) -> EquivalenceReport:
     """Compare conditioned outputs of the full and reduced models.
 
@@ -303,46 +274,44 @@ def equivalence_check(
     state and word (root included).  The worst case is the first at the
     maximum, states first and words in depth-first order, except that a
     tie moves it off the empty word.  A NaN deviation ranks above every
-    number, so it is reported and fails the check in both modes.
+    number, so it is reported and fails the check.
 
-    When every word fits in ``sample_cap``, the words are walked once for
-    all states, in the Heisenberg picture: each model carries the dual
-    stack [1, O_1, ..., O_m] pulled back along the word,
-    M_w^dag = M_{w_1}^dag o ... o M_{w_t}^dag, so a word grows at the
-    front, (k,) + w from w by one stacked call of M_k^dag.  One product of
-    that stack with the stacked states gives every state's trace and
+    The words are walked once for all states, in the Heisenberg picture:
+    each model carries the dual stack [1, O_1, ..., O_m] pulled back along
+    the word, M_w^dag = M_{w_1}^dag o ... o M_{w_t}^dag, so a word grows at
+    the front, (k,) + w from w by one stacked call of M_k^dag.  One product
+    of that stack with the stacked states gives every state's trace and
     outputs at the word, tr[M_w^dag(O_j) rho_s] = tr[O_j M_w(rho_s)].  The
     walk is depth-first and holds (max_len + 1) stacks of m + 1 operators
-    per model.  Otherwise a seeded sample of ``sample_cap`` words is drawn
-    for each state, which is pushed through them one map at a time, and
-    the worst case is the first at the maximum.
+    per model.  With r outcomes the tree has sum_{t <= max_len} r^t nodes;
+    above ``WORD_CAP`` nodes ValueError is raised before any state is drawn.
     """
+    n_out = len(full.outcomes)
+    # the nodes down to depth t, while they fit in the cap
+    nodes, width = 0, 1
+    for t in range(max_len + 1):
+        nodes += width
+        if nodes > WORD_CAP:
+            more = "" if t == max_len else "more than "
+            raise ValueError(f"the walk to length {max_len} over {n_out} outcomes has {more}{nodes} "
+                             f"nodes, above WORD_CAP = {WORD_CAP}; length {t - 1} is the largest that fits")
+        width *= n_out
     rng = np.random.default_rng(seed)
     states = np.array([random_density(full.dim, rng) for _ in range(n_states)])
     taus = reduced.reduction_map(states)
-    n_out = len(full.outcomes)
-    total = sum(n_out**t for t in range(1, max_len + 1))
-    sampled = total > sample_cap
-    if sampled:
-        max_dev, max_prob_dev, worst, count = _sampled_walk(
-            full, reduced.model, states, taus, max_len, sample_cap, rng
-        )
-    else:
-        max_dev, max_prob_dev, worst, count = _dual_walk(full, reduced.model, states, taus, max_len)
+    max_dev, max_prob_dev, worst, count = _dual_walk(full, reduced.model, states, taus, max_len, nodes)
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
         passed=bool(max_dev <= tol and max_prob_dev <= tol),
         worst_case=worst,
         n_sequences=count,
-        sampled=sampled,
     )
 
 
-def _dual_walk(full, red, states, taus, max_len):
-    """Every word up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
+def _dual_walk(full, red, states, taus, max_len, n_nodes):
+    """The ``n_nodes`` words up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
     outcomes = full.outcomes
-    n_nodes = sum(len(outcomes) ** t for t in range(max_len + 1))
     # subtree[t] nodes hang below a word of length t, itself included
     subtree = [sum(len(outcomes) ** j for j in range(max_len - t + 1)) for t in range(max_len + 1)]
     rank = {k: a for a, k in enumerate(outcomes)}
@@ -377,29 +346,3 @@ def _dual_walk(full, red, states, taus, max_len):
     nonempty = tied[tied % n_nodes != 0]
     si, node = divmod(int(nonempty[0] if len(nonempty) else tied[-1]), n_nodes)
     return max_dev, float(np.max(prob_dev)), (si, words[node]), dev.size
-
-
-def _sampled_walk(full, red, states, taus, max_len, sample_cap, rng):
-    """Seeded words drawn per state and walked one map at a time; see :func:`equivalence_check`."""
-    max_dev = max_prob_dev = 0.0
-    worst = (0, ())
-    count = 0
-    for si, (rho0, tau0) in enumerate(zip(states, taus)):
-        for _ in range(sample_cap):
-            # a uniform length up to max_len, then uniform letters
-            t = int(rng.integers(1, max_len + 1))
-            seq = tuple(str(rng.choice(full.outcomes)) for _ in range(t))
-            rho, tau = rho0, tau0
-            for k in seq:
-                rho = full.instrument.maps[k](rho)
-                tau = red.instrument.maps[k](tau)
-            dev = float(np.max(np.abs(full.output(rho) - red.output(tau))))
-            pdev = abs(float(np.trace(rho).real) - float(np.trace(tau).real))
-            count += 1
-            # a NaN deviation ranks above every number, and the first one stays worst
-            if dev > max_dev or (math.isnan(dev) and not math.isnan(max_dev)):
-                max_dev = dev
-                worst = (si, seq)
-            if pdev > max_prob_dev or math.isnan(pdev):
-                max_prob_dev = pdev
-    return max_dev, max_prob_dev, worst, count

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-WORD_CAP = 10**6  # default bound on the outcome words enumerate_distribution builds
+WORD_CAP = 10**6  # bound on enumerate_distribution's words and equivalence_check's nodes
 
 
 class StateEscapedError(RuntimeError):
@@ -141,7 +141,6 @@ def enumerate_distribution(
     ce: ConditionalEvolution,
     rho0: np.ndarray,
     T: int,
-    cap: int = WORD_CAP,
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
@@ -154,8 +153,8 @@ def enumerate_distribution(
     is about one stack of the length-T states.
     """
     n_words = len(ce.outcomes) ** T
-    if n_words > cap:
-        raise ValueError(f"{n_words} sequences exceed the cap {cap}; raise it explicitly")
+    if n_words > WORD_CAP:
+        raise ValueError(f"{n_words} sequences exceed WORD_CAP = {WORD_CAP}")
     frontier = np.asarray(rho0, dtype=complex)[None]
     for _ in range(T - 1):
         # word w + (k,) sits at row len(outcomes) * w + k

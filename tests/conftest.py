@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cereduce.model import ConditionalEvolution, Instrument, OutputMap
+from cereduce.operators import superop_from_kraus, vec
 from cereduce.zoo import PAULI
 
 
@@ -26,3 +30,86 @@ def ket(n, j):
 
 def proj(n, j):
     return np.outer(ket(n, j), ket(n, j).conj())
+
+
+def hs_inner(A, B):
+    """Hilbert-Schmidt inner product tr(A^dag B)."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
+    return complex(np.vdot(A, B))
+
+
+def is_hermitian(A, tol=1e-12):
+    A = np.asarray(A)
+    return np.linalg.norm(A - A.conj().T) <= tol * max(np.linalg.norm(A), 1.0)
+
+
+def random_ce(n, n_outcomes, n_obs, rng):
+    """Random Kraus instrument plus random Hermitian observables (with identity)."""
+    raw = [random_complex(rng, (n, n)) for _ in range(n_outcomes)]
+    w, V = np.linalg.eigh(sum(K.conj().T @ K for K in raw))
+    T_inv_sqrt = V @ np.diag(1 / np.sqrt(w)) @ V.conj().T
+    labels = tuple(str(k) for k in range(n_outcomes))
+    maps = {lab: superop_from_kraus([K @ T_inv_sqrt]) for lab, K in zip(labels, raw)}
+    names, obs = ["identity"], [np.eye(n, dtype=complex)]
+    for j in range(n_obs - 1):
+        G = random_complex(rng, (n, n))
+        obs.append((G + G.conj().T) / 2)
+        names.append(f"obs{j}")
+    return ConditionalEvolution(
+        instrument=Instrument(outcomes=labels, maps=maps),
+        output=OutputMap(names=tuple(names), observables=tuple(obs)),
+    )
+
+
+def choi(S):
+    """Choi matrix sum_ij |i><j| otimes S(|i><j|), from S applied to every matrix unit."""
+    n, m = S.in_dim, S.out_dim
+    images = S(np.eye(n * n, dtype=complex).reshape(n * n, n, n))  # image i * n + j is S(|i><j|)
+    return images.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+
+
+def channel_checks(S, tol=1e-9):
+    """CP (a Hermitian Choi matrix with spectrum above -tol), TP and unitality of a square map."""
+    n = S.in_dim
+    C = choi(S)
+    scale = max(np.linalg.norm(C), 1.0)
+    min_eig = float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
+    eye = np.eye(n, dtype=complex)
+    return SimpleNamespace(
+        cp=np.linalg.norm(C - C.conj().T) <= tol * scale and min_eig >= -tol * scale,
+        tp=np.linalg.norm(S.adjoint()(eye) - eye) <= tol * np.sqrt(n),
+        unital=np.linalg.norm(S(eye) - eye) <= tol * np.sqrt(n),
+        min_choi_eig=min_eig,
+    )
+
+
+def projector_matrix(sub):
+    """(n^2, n^2) matrix of the HS-orthogonal projector onto the span of a subspace's basis."""
+    return sum(np.outer(vec(B), vec(B).conj()) for B in sub.basis)
+
+
+def closure_residual(alg):
+    """Worst distance from the algebra of the adjoints and pairwise products of its basis."""
+    ops = [B.conj().T for B in alg.basis] + [A @ B for A in alg.basis for B in alg.basis]
+    cols = np.array([vec(X) for X in ops]).T
+    return float(np.max(np.linalg.norm(cols - projector_matrix(alg.space) @ cols, axis=0)))
+
+
+def blockdiag_projector(fact):
+    """(D^2, D^2) projector keeping only the diagonal blocks of the reduced space."""
+    D = fact.reduced_hilbert_dim
+    offs = fact.decomposition.reduced_offsets()
+    mask = np.zeros((D, D))
+    for a, b in zip(offs, offs[1:]):
+        mask[a:b, a:b] = 1.0
+    return np.diag(mask.reshape(-1, order="F"))
+
+
+def propagate(lm, rho0, seq):
+    """Output vector of a linear reduced model driven along ``seq`` from rho0."""
+    x = lm.encode(rho0)
+    for k in seq:
+        x = lm.A[str(k)] @ x
+    return lm.C @ x

@@ -13,11 +13,10 @@ import pytest
 
 from cereduce.algebra import algebra_closure, commutant, conditional_expectation, wedderburn
 from cereduce.observability import invariant_closure, linear_reduce, nonobservable_complement
-from cereduce.operators import Superoperator, channel_checks, hs_norm
+from cereduce.operators import Superoperator, hs_norm
 from cereduce.reduction import (
     check_assumptions,
     equivalence_check,
-    random_ce,
     random_density,
     reduce_ce,
     reduce_separably,
@@ -30,6 +29,7 @@ from cereduce.zoo import (
     walk_is_generic,
     walk_markov_oracle,
 )
+from conftest import blockdiag_projector, channel_checks, projector_matrix, propagate, random_ce
 from test_algebra import acceptance_block_algebras, channel_checks_rect
 
 WALK_SEEDS = {3: 1, 4: 7, 5: 2}
@@ -214,9 +214,9 @@ def e_suite_ok(alg, tol=1e-8):
     rep = channel_checks(E)
     ok &= rep.cp and rep.tp and rep.unital
     ok &= all(np.linalg.norm(E(B) - B) <= tol for B in alg.basis)
-    ok &= np.linalg.norm(E.matrix - alg.space.projector_matrix()) <= tol
+    ok &= np.linalg.norm(E.matrix - projector_matrix(alg.space)) <= tol
     ok &= channel_checks_rect(fact.R) and channel_checks_rect(fact.J)
-    Pbd = fact.blockdiag_projector()
+    Pbd = blockdiag_projector(fact)
     ok &= np.linalg.norm(fact.R.matrix @ fact.J.matrix @ Pbd - Pbd) <= 1e-10
     return bool(ok)
 
@@ -298,7 +298,7 @@ def test_criterion_9_linear_vs_algebraic(walks, isings):
                     rho = rho0
                     for k in seq:
                         rho = ce.instrument.map_for(k)(rho)
-                    dev = np.max(np.abs(ce.output(rho) - lm.propagate(rho0, seq)))
+                    dev = np.max(np.abs(ce.output(rho) - propagate(lm, rho0, seq)))
                     good &= float(dev) <= 1e-8
         return good
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cereduce import algebra, cli
+from cereduce import algebra, cli, reduction
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
 from cereduce.model import Instrument
@@ -18,7 +18,7 @@ from cereduce.serialize import (
     reduced_ce_to_json,
     save_json,
 )
-from cereduce.trajectories import StateEscapedError
+from cereduce.trajectories import WORD_CAP, StateEscapedError
 from cereduce.zoo import ising_chain
 
 
@@ -186,6 +186,21 @@ class TestVerify:
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files
         assert main(["verify", str(model), str(model)]) == 2
+
+    def test_tree_past_word_cap_exit2(self, walk_files, monkeypatch, capsys):
+        model, reduced = walk_files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(reduction, "_dual_walk", refuse)
+        capsys.readouterr()
+        # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
+        assert main(["verify", str(model), str(reduced), "--max-len", "13"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-len 13: ")
+        assert "2391484 nodes" in err and f"WORD_CAP = {WORD_CAP}" in err
+        assert "length 12 is the largest that fits" in err
 
 
 class TestSimulate:

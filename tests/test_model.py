@@ -10,10 +10,10 @@ from cereduce.model import (
     validate_ce,
 )
 from cereduce.operators import Superoperator, superop_from_kraus, unvec, vec
-from cereduce.reduction import random_ce, random_density, reduce_ce
+from cereduce.reduction import random_density, reduce_ce
 from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj, random_complex
+from conftest import proj, random_ce, random_complex
 from test_trajectories import trajectory_probability
 
 

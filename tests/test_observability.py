@@ -12,15 +12,14 @@ from cereduce.observability import (
 from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
-    hs_inner,
     hs_norm,
     orthonormalize,
     superop_from_kraus,
     vec,
 )
-from cereduce.reduction import random_ce, random_density
+from cereduce.reduction import random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj, random_complex
+from conftest import hs_inner, propagate, proj, random_ce, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +195,7 @@ class TestLinearReduce:
                 rho = rho0
                 for k in seq:
                     rho = ising0.instrument.maps[k](rho)
-                assert np.max(np.abs(ising0.output(rho) - lm.propagate(rho0, seq))) < 1e-8
+                assert np.max(np.abs(ising0.output(rho) - propagate(lm, rho0, seq))) < 1e-8
 
     def test_zero_dim_subspace_rejected(self, walk4):
         from cereduce.operators import OperatorSubspace

@@ -4,12 +4,9 @@ import pytest
 from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
-    channel_checks,
     closure,
     eigh_clustered,
-    hs_inner,
     hs_norm,
-    is_hermitian,
     map_coordinates,
     orthonormalize,
     superop_from_kraus,
@@ -20,7 +17,7 @@ from cereduce.algebra import algebra_closure
 from cereduce.model import OutputMap
 from cereduce.observability import invariant_closure, nonobservable_complement
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
-from conftest import proj, random_complex
+from conftest import channel_checks, hs_inner, is_hermitian, proj, random_complex
 from test_algebra import acceptance_block_generators, projector_distance
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 from types import SimpleNamespace
 
@@ -6,17 +5,18 @@ import numpy as np
 import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
-from cereduce.operators import Superoperator, channel_checks, superop_from_kraus
+from cereduce.operators import Superoperator, superop_from_kraus
 from cereduce.reduction import (
     EquivalenceReport,
     check_assumptions,
     equivalence_check,
-    random_ce,
     random_density,
     reduce_ce,
     reduce_separably,
 )
+from cereduce.trajectories import WORD_CAP
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
+from conftest import blockdiag_projector, channel_checks, projector_matrix, random_ce
 
 
 def _rank(dev):
@@ -24,31 +24,14 @@ def _rank(dev):
     return (math.isnan(dev), 0.0 if math.isnan(dev) else dev)
 
 
-def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0,
-                             sample_cap=10_000):
+def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0):
     """The Schroedinger-picture oracle: each state pushed through the outcome tree node by node."""
-
-    def sequences(outcomes, max_len, cap, rng):
-        total = sum(len(outcomes) ** t for t in range(1, max_len + 1))
-        if total <= cap:
-            for t in range(1, max_len + 1):
-                yield from itertools.product(outcomes, repeat=t)
-            return
-        for _ in range(cap):
-            t = int(rng.integers(1, max_len + 1))
-            yield tuple(str(rng.choice(outcomes)) for _ in range(t))
-
     rng = np.random.default_rng(seed)
     states = [random_density(full.dim, rng) for _ in range(n_states)]
-    n_out = len(full.outcomes)
-    sampled = sum(n_out**t for t in range(1, max_len + 1)) > sample_cap
     max_dev = max_prob_dev = 0.0
     worst = (0, ())
     count = 0
     for si, rho0 in enumerate(states):
-        tau0 = reduced.reduction_map(rho0)
-        seqs = list(sequences(full.outcomes, max_len, sample_cap, rng)) if sampled else None
-
         def visit(rho, tau, prefix):
             nonlocal max_dev, max_prob_dev, worst, count
             dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
@@ -63,28 +46,13 @@ def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, se
                     visit(full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau),
                           prefix + (k,))
 
-        if not sampled:
-            visit(rho0, tau0, ())
-            continue
-        for seq in seqs:
-            rho, tau = rho0, tau0
-            for k in seq:
-                rho = full.instrument.maps[k](rho)
-                tau = reduced.model.instrument.maps[k](tau)
-            dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
-            pdev = abs(np.trace(rho).real - np.trace(tau).real)
-            count += 1
-            if _rank(dev) > _rank(max_dev):
-                max_dev = dev
-                worst = (si, seq)
-            max_prob_dev = max(max_prob_dev, pdev, key=_rank)
+        visit(rho0, reduced.reduction_map(rho0), ())
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
         passed=(max_dev <= tol and max_prob_dev <= tol),
         worst_case=worst,
         n_sequences=count,
-        sampled=sampled,
     )
 
 
@@ -204,11 +172,23 @@ class TestEquivalence:
         rep = equivalence_check(ce, reduce_ce(ce), max_len=3, n_states=5, tol=1e-8)
         assert rep.max_dev <= 1e-14
 
-    def test_sampled_mode(self, walk4, walk4_red):
-        rep = equivalence_check(
-            walk4, walk4_red, max_len=4, n_states=2, tol=1e-8, seed=3, sample_cap=50
-        )
-        assert rep.sampled and rep.passed
+    def test_walk10_every_node_at_the_defaults(self):
+        ce = measured_quantum_walk(10)
+        rep = equivalence_check(ce, reduce_ce(ce))
+        # 1 + 10 + ... + 10^4 words, each for the 25 default states
+        assert rep.n_sequences == 11111 * 25
+        assert rep.passed
+
+    def test_tree_above_word_cap_refused_before_any_map(self, monkeypatch):
+        ce = measured_quantum_walk(3, seed=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was applied before the node count was checked")
+
+        monkeypatch.setattr(Superoperator, "__call__", refuse)
+        # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
+        with pytest.raises(ValueError, match=f"2391484 nodes, above WORD_CAP = {WORD_CAP}; length 12 "):
+            equivalence_check(ce, SimpleNamespace(model=ce, reduction_map=refuse), max_len=13)
 
     def test_loaded_kraus_model_never_builds_dense_maps(self):
         from cereduce.model import validate_ce
@@ -231,9 +211,10 @@ class TestEquivalence:
         assert all(S._matrix is None for S in maps)
 
     def test_sampled_words_are_plain_str(self):
+        # a neighbouring walk's reduction, so the worst case is a non-empty word
         ce = measured_quantum_walk(3, seed=1)
-        rep = equivalence_check(ce, reduce_ce(ce), max_len=4, n_states=2, sample_cap=20)
-        assert rep.sampled and rep.worst_case[1]
+        rep = equivalence_check(ce, reduce_ce(measured_quantum_walk(3, seed=2)), n_states=2)
+        assert not rep.passed and rep.worst_case[1]
         assert all(type(k) is str for k in rep.worst_case[1])
 
 
@@ -268,13 +249,11 @@ class TestDualWalkMatchesPrimal:
     @pytest.mark.parametrize("kwargs", [
         {},
         {"max_len": 2, "n_states": 3, "seed": 4},
-        {"max_len": 3, "n_states": 2, "seed": 3, "sample_cap": 10},
-    ], ids=["defaults", "short", "sampled"])
+    ], ids=["defaults", "short"])
     def test_same_report(self, pair, kwargs):
         full, red, kind = pair
         dual = equivalence_check(full, red, **kwargs)
         primal = primal_equivalence_check(full, red, **kwargs)
-        assert dual.sampled == primal.sampled == ("sample_cap" in kwargs)
         assert (dual.n_sequences, dual.passed) == (primal.n_sequences, primal.passed)
         assert dual.max_dev == pytest.approx(primal.max_dev, rel=0, abs=1e-13, nan_ok=True)
         assert dual.max_prob_dev == pytest.approx(primal.max_prob_dev, rel=0, abs=1e-13, nan_ok=True)
@@ -296,13 +275,11 @@ class TestDualWalkMatchesPrimal:
     def test_verdicts(self):
         walk = self.FULL["walk4"]()
         assert not equivalence_check(walk, corrupted(walk, reduce_ce(walk))).passed
-        # NaN deviations rank above every number in both modes; the first NaN word is worst
-        nan_model = corrupted(walk, reduce_ce(walk), np.nan)
-        for cap in (10_000, 10):
-            rep = equivalence_check(walk, nan_model, max_len=3, n_states=2, sample_cap=cap)
-            assert rep.sampled == (cap == 10) and not rep.passed
-            assert math.isnan(rep.max_dev) and math.isnan(rep.max_prob_dev)
-            assert walk.outcomes[1] in rep.worst_case[1]
+        # NaN deviations rank above every number; the first NaN word is worst
+        rep = equivalence_check(walk, corrupted(walk, reduce_ce(walk), np.nan), max_len=3, n_states=2)
+        assert not rep.passed
+        assert math.isnan(rep.max_dev) and math.isnan(rep.max_prob_dev)
+        assert walk.outcomes[1] in rep.worst_case[1]
         ising = self.FULL["ising4_p05"]()
         rep = equivalence_check(ising, itself(ising))
         # every deviation is exactly zero, so the tie rule picks the first non-empty word
@@ -332,7 +309,7 @@ class TestAssumptions:
         assert not rep.a1.holds
         # A2 is the dual invariance of nperp: max_i ||(1 - P) E^dag(B_i)|| over its basis
         images = ce.evolution.matrix.conj().T @ red.nperp.stacked().T
-        off = images - red.nperp.projector_matrix() @ images
+        off = images - projector_matrix(red.nperp) @ images
         assert rep.a2.residual == pytest.approx(np.max(np.linalg.norm(off, axis=0)), abs=1e-12)
         assert not rep.a2.holds and rep.a2.residual == pytest.approx(0.5646424733950358, abs=1e-9)
         assert rep.a3.holds and rep.a3.residual <= 1e-12
@@ -353,7 +330,7 @@ class TestSeparable:
     def test_walk_effects_are_one_hot(self, walk4):
         sep = reduce_separably(walk4, seed=0)
         fact = sep.recomposed.factorization
-        Pbd = fact.blockdiag_projector()
+        Pbd = blockdiag_projector(fact)
         for k in walk4.outcomes:
             K = sep.effects[k].matrix @ Pbd
             # each reduced effect keeps exactly one diagonal entry

@@ -6,7 +6,7 @@ import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import superop_from_kraus
-from cereduce.reduction import random_ce, random_density, reduce_ce
+from cereduce.reduction import random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
     _numpy_sum,
@@ -15,7 +15,7 @@ from cereduce.trajectories import (
     total_variation,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj
+from conftest import proj, random_ce
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -213,10 +213,16 @@ class TestEnumerate:
             assert p == pytest.approx(trajectory_probability(ce, rho0, seq), abs=1e-13)
             assert np.max(np.abs(y - ce.output(rho))) <= 1e-13
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         ce = projective_z_qubit()
-        with pytest.raises(ValueError):
-            enumerate_distribution(ce, proj(2, 0), 4, cap=10)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stack was allocated before the cap was checked")
+
+        # 2^20 words exceed WORD_CAP = 10^6: refused before the first level is stacked
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(ValueError, match="WORD_CAP"):
+            enumerate_distribution(ce, proj(2, 0), 20)
 
     def test_full_vs_reduced_distribution(self):
         ce = measured_quantum_walk(4, seed=7)

@@ -12,6 +12,7 @@ from cereduce.zoo import (
     walk_is_generic,
     walk_markov_oracle,
 )
+from conftest import blockdiag_projector
 
 
 class TestWalk:
@@ -89,7 +90,7 @@ class TestIsingChain:
     def test_reduced_skip_effect_is_scalar(self):
         ce = ising_chain(4, 0.5, 0.3)
         sep = reduce_separably(ce, seed=0)
-        Pbd = sep.recomposed.factorization.blockdiag_projector()
+        Pbd = blockdiag_projector(sep.recomposed.factorization)
         skip = sep.effects["-1"].matrix
         assert np.linalg.norm(skip @ Pbd - 0.5 * Pbd) < 1e-9
 
