@@ -203,21 +203,27 @@ class WedderburnDecomposition:
         """X_S = Tr_F(T_k) / d_F of each diagonal block T_k of T = U^dag B U.
 
         B's part in the block form is (+) X_S otimes 1_F, and X_S is block k
-        of J^dag(B) for the J of :func:`conditional_expectation`.
+        of J^dag(B) for the J of :func:`conditional_expectation`.  A stack T
+        of shape (..., n, n) gives stacks of X_S.
         """
         offs = self.hilbert_offsets()
-        return [np.einsum("sftf->st", T[offs[k]:offs[k + 1], offs[k]:offs[k + 1]]
-                          .reshape(dS, dF, dS, dF)) / dF
+        return [np.einsum("...sftf->...st", T[..., offs[k]:offs[k + 1], offs[k]:offs[k + 1]]
+                          .reshape(*T.shape[:-2], dS, dF, dS, dF)) / dF
                 for k, (dS, dF) in enumerate(self.blocks)]
 
     def structure_residual(self, B: np.ndarray) -> float:
-        """Distance of U^dag B U from the block form (+) X_S otimes 1_F."""
-        T = self.U.conj().T @ B @ self.U
+        """Largest distance of U^dag B U from the block form (+) X_S otimes 1_F, over a stack B.
+
+        B is one operator (n, n) or a stack (m, n, n), conjugated in one product;
+        each diagonal block loses X_S otimes 1_F, broadcast against eye(d_F).
+        """
+        n = self.dim
+        T = self.U.conj().T @ np.reshape(B, (-1, n, n)) @ self.U
         offs = self.hilbert_offsets()
-        model = np.zeros_like(T)
         for k, (XS, (_, dF)) in enumerate(zip(self.block_parts(T), self.blocks)):
-            model[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(XS, np.eye(dF))
-        return float(np.linalg.norm(T - model))
+            Tk = T[:, offs[k]:offs[k + 1], offs[k]:offs[k + 1]]
+            Tk -= (XS[:, :, None, :, None] * np.eye(dF)[:, None, :]).reshape(Tk.shape)
+        return float(np.max(np.linalg.norm(T, axis=(1, 2)), initial=0.0))
 
 
 def wedderburn(
@@ -284,7 +290,7 @@ def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomp
         except DegenerateAlgebraError as exc:
             last_err = str(exc)
             continue
-        res = max((dec.structure_residual(B) for B in G), default=0.0)
+        res = dec.structure_residual(G)
         if res <= struct_tol:
             return G, dec, acted_on
         last_err = f"structure residual {res:.3e} exceeds {struct_tol:.1e}"

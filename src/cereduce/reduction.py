@@ -312,8 +312,11 @@ def equivalence_check(
 def _dual_walk(full, red, states, taus, max_len, n_nodes):
     """The ``n_nodes`` words up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
     outcomes = full.outcomes
+    r = len(outcomes)
     # subtree[t] nodes hang below a word of length t, itself included
-    subtree = [sum(len(outcomes) ** j for j in range(max_len - t + 1)) for t in range(max_len + 1)]
+    subtree = [1] * (max_len + 1)
+    for t in range(max_len - 1, -1, -1):
+        subtree[t] = 1 + r * subtree[t + 1]
     rank = {k: a for a, k in enumerate(outcomes)}
     duals, cols = [], []
     for ce, rhos in ((full, states), (red, taus)):
@@ -322,22 +325,33 @@ def _dual_walk(full, red, states, taus, max_len, n_nodes):
         cols.append(rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T)
     roots = [np.concatenate([np.eye(ce.dim, dtype=complex)[None], ce.output.observables])
              for ce in (full, red)]
-    words = [()] * n_nodes
     dev = np.empty((n_nodes, len(states)))
     prob_dev = np.empty((n_nodes, len(states)))
 
-    def visit(word, stacks):
-        # the depth-first position of the word, the order of the worst-case rule
-        node = sum(1 + rank[k] * subtree[t] for t, k in enumerate(word, start=1))
-        words[node] = word
+    def record(node, stacks):
         y_full, y_red = (D.reshape(len(D), -1) @ c for D, c in zip(stacks, cols))
         dev[node] = np.max(np.abs(y_full[1:] - y_red[1:]), axis=0)
         prob_dev[node] = np.abs(y_full[0].real - y_red[0].real)
-        if len(word) < max_len:
-            for k in outcomes:
-                visit((k, *word), [d[k](D) for d, D in zip(duals, stacks)])
 
-    visit((), roots)
+    # The depth-first position of a word w, the order of the worst-case rule, is
+    # len(w) + g(w) with g(w) = sum_t rank(w_t) subtree[t].  A word grows at the front,
+    # which moves each letter one level down, and subtree[t + 1] = (subtree[t] - 1) / r,
+    # so g follows from g and c(w) = sum_t rank(w_t) alone.  Each frame of the path holds
+    # a word's dual stacks, g, c and the outcomes still to prepend.
+    record(0, roots)
+    path = [(roots, 0, 0, iter(outcomes))] if max_len else []
+    while path:
+        stacks, g, c, rest = path[-1]
+        k = next(rest, None)
+        if k is None:
+            path.pop()
+            continue
+        stacks = [d[k](D) for d, D in zip(duals, stacks)]
+        g, c = rank[k] * subtree[1] + (g - c) // r, c + rank[k]
+        record(len(path) + g, stacks)
+        if len(path) < max_len:
+            path.append((stacks, g, c, iter(outcomes)))
+
     dev = dev.T.ravel()  # states first, then words depth-first
     max_dev = float(np.max(dev))
     # a NaN deviation ranks above every number
@@ -345,4 +359,9 @@ def _dual_walk(full, red, states, taus, max_len, n_nodes):
     # a tie moves the worst case off an empty word, and a non-empty one keeps it
     nonempty = tied[tied % n_nodes != 0]
     si, node = divmod(int(nonempty[0] if len(nonempty) else tied[-1]), n_nodes)
-    return max_dev, float(np.max(prob_dev)), (si, words[node]), dev.size
+    # the worst word, letter by letter from its position
+    word = []
+    while node:
+        a, node = divmod(node - 1, subtree[len(word) + 1])
+        word.append(outcomes[a])
+    return max_dev, float(np.max(prob_dev)), (si, tuple(word)), dev.size

@@ -1,14 +1,18 @@
 """JSON interchange for models and reduction artifacts.
 
-Complex numbers serialize as two-element arrays [re, im] and matrices as
-row-major nested arrays; every file format in the package shares this
-convention.  Reduced models are written as ordinary conditional-evolution
-documents with an extra "reduction" block, so every command that accepts
-a model also accepts a reduced one.
+A matrix serializes as one entry {"shape": [rows, cols], "c16": "<base64>"},
+the string holding its row-major, little-endian complex128 bytes, so every
+float64 is kept bit for bit and no number goes through JSON.  The older form,
+row-major nested arrays of [re, im] pairs, is still read.  Records and
+distributions keep complex numbers as readable [re, im] pairs.  Reduced
+models are written as ordinary conditional-evolution documents with an
+extra "reduction" block, so every command that accepts a model also accepts
+a reduced one.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import tempfile
@@ -32,13 +36,43 @@ __all__ = [
 ]
 
 
-def matrix_to_json(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=complex)
-    return np.stack([M.real, M.imag], -1).tolist()
+def matrix_to_json(M: np.ndarray) -> dict:
+    """The {"shape", "c16"} entry of a 2-D array: its row-major little-endian complex128 bytes."""
+    M = np.ascontiguousarray(M, "<c16")
+    return {"shape": [int(d) for d in M.shape], "c16": base64.b64encode(M.tobytes()).decode("ascii")}
+
+
+def _matrix_from_c16(data: dict) -> np.ndarray:
+    """Decode a {"shape", "c16"} entry, checking shape and payload length before allocating."""
+    shape = data.get("shape")
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 2
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"matrix 'shape' must be two non-negative ints, not {shape!r}")
+    payload = data.get("c16")
+    if not isinstance(payload, str):
+        raise ValueError(f"matrix 'c16' must be a base64 string, not {type(payload).__name__}")
+    rows, cols = shape
+    n_bytes = 16 * rows * cols
+    # base64 spends 4 characters on every 3 bytes, the last group padded
+    if len(payload) != 4 * -(-n_bytes // 3):
+        raise ValueError(f"matrix 'c16' of {len(payload)} characters cannot hold the "
+                         f"{n_bytes} bytes of a {rows}x{cols} complex128 matrix")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ValueError(f"matrix 'c16' is not strict base64: {exc}") from None
+    if len(raw) != n_bytes:
+        raise ValueError(f"matrix 'c16' holds {len(raw)} bytes, not the {n_bytes} of a {rows}x{cols} matrix")
+    return np.frombuffer(raw, "<c16").astype(complex).reshape(rows, cols)
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """Matrix from rows of [re, im] pairs; ValueError on ragged, non-numeric or misshapen input."""
+    """Matrix from a {"shape", "c16"} entry or from rows of [re, im] pairs.
+
+    ValueError on a malformed entry, or on ragged, non-numeric or misshapen rows.
+    """
+    if isinstance(data, dict):
+        return _matrix_from_c16(data)
     A = np.asarray(data)
     if A.dtype.kind not in "iuf" or A.ndim != 3 or A.shape[2] != 2:
         raise ValueError(f"matrix must be rows of numeric [re, im] pairs, not {A.dtype} {A.shape}")
@@ -79,10 +113,10 @@ def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
     return doc
 
 
-def _labelled_superop(label: str, data: dict) -> Superoperator:
-    """:func:`superop_from_json` with errors naming the entry, such as ``instrument map '0'``."""
+def _labelled(label: str, read, data):
+    """``read(data)`` with errors naming the entry, such as ``instrument map '0'``."""
     try:
-        return superop_from_json(data)
+        return read(data)
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from exc
 
@@ -92,14 +126,17 @@ def ce_from_json(doc: dict) -> ConditionalEvolution:
         raise ValueError(f"model document must be a JSON object, not {type(doc).__name__}")
     try:
         outcomes = tuple(str(k) for k in doc["outcomes"])
-        maps = {k: _labelled_superop(f"instrument map {k!r}", doc["instrument"][k]) for k in outcomes}
+        maps = {k: _labelled(f"instrument map {k!r}", superop_from_json, doc["instrument"][k])
+                for k in outcomes}
         names = tuple(o["name"] for o in doc["observables"])
-        obs = tuple(matrix_from_json(o["matrix"]) for o in doc["observables"])
+        obs = tuple(_labelled(f"observable {o['name']!r}", matrix_from_json, o["matrix"])
+                    for o in doc["observables"])
         evolution = effects = None
         if "split" in doc:
             split = doc["split"]
-            evolution = _labelled_superop("split evolution", split["evolution"])
-            effects = {k: _labelled_superop(f"split effect {k!r}", split["effects"][k]) for k in outcomes}
+            evolution = _labelled("split evolution", superop_from_json, split["evolution"])
+            effects = {k: _labelled(f"split effect {k!r}", superop_from_json, split["effects"][k])
+                       for k in outcomes}
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc
     except TypeError as exc:

@@ -331,6 +331,27 @@ class TestWedderburn:
         for B in alg.basis:
             assert dec.structure_residual(B) < 1e-8
 
+    def test_stacked_residual_matches_kron_reference(self, rng):
+        alg = random_block_algebra(((2, 2), (1, 3), (3, 1)), seed=4)
+        dec = wedderburn(alg)
+        n = dec.dim
+
+        def kron_residual(B):
+            T = dec.U.conj().T @ B @ dec.U
+            offs = dec.hilbert_offsets()
+            model = np.zeros_like(T)
+            for k, (XS, (_, dF)) in enumerate(zip(dec.block_parts(T), dec.blocks)):
+                model[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(XS, np.eye(dF))
+            return np.linalg.norm(T - model)
+
+        # in the algebra the residual is rounding; off it, order one
+        off = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        for ops in (np.array(alg.basis), off):
+            ref = [kron_residual(B) for B in ops]
+            assert dec.structure_residual(ops) == pytest.approx(max(ref), rel=1e-13, abs=1e-15)
+            assert [dec.structure_residual(B) for B in ops] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+        assert dec.structure_residual(np.zeros((0, n, n))) == 0.0
+
     def test_block_dims_seed_independent(self):
         alg = random_block_algebra(((2, 1), (1, 2), (1, 1)), seed=9)
         references = None

@@ -177,8 +177,11 @@ class TestVerify:
         model, reduced = walk_files
         doc = load_json(str(reduced))
         k = doc["outcomes"][0]
-        for K in doc["instrument"][k]["kraus"]:
-            K[0][0][0] += 0.05
+        entry = doc["instrument"][k]
+        tampered = [matrix_from_json(K) for K in entry["kraus"]]
+        for K in tampered:
+            K[0, 0] += 0.05
+        entry["kraus"] = [matrix_to_json(K) for K in tampered]
         bad = tmp_path / "tampered.json"
         save_json(doc, str(bad))
         assert main(["verify", str(model), str(bad), "--max-len", "2", "--n-states", "3"]) == 1
@@ -201,6 +204,49 @@ class TestVerify:
         assert err.startswith("error: --max-len 13: ")
         assert "2391484 nodes" in err and f"WORD_CAP = {WORD_CAP}" in err
         assert "length 12 is the largest that fits" in err
+
+
+def _list_form(doc):
+    """The document with every {"shape", "c16"} entry rewritten as rows of [re, im] pairs."""
+    if isinstance(doc, dict):
+        if set(doc) == {"shape", "c16"}:
+            M = matrix_from_json(doc)
+            return np.stack([M.real, M.imag], -1).tolist()
+        return {k: _list_form(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_list_form(v) for v in doc]
+    return doc
+
+
+class TestListForm:
+    """Files whose matrices are nested [re, im] lists, as written before the base64 form."""
+
+    @pytest.fixture()
+    def ising_files(self, tmp_path):
+        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
+        assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        old = [_write(tmp_path / f"old.{path.name}", _list_form(load_json(str(path))))
+               for path in (model, reduced)]
+        return (str(model), str(reduced)), old
+
+    def test_reduce_writes_the_same_file(self, tmp_path, ising_files):
+        (_, reduced), (old_model, _) = ising_files
+        out = tmp_path / "again.red.json"
+        assert main(["reduce", old_model, "-o", str(out)]) == 0
+        assert out.read_text() == open(reduced).read()
+
+    def test_verify_passes(self, ising_files):
+        (model, _), (old_model, old_reduced) = ising_files
+        assert main(["verify", model, old_reduced, "--tv", "3"]) == 0
+        assert main(["verify", old_model, old_reduced, "--max-len", "3"]) == 0
+
+    def test_simulate_writes_the_same_records(self, tmp_path, ising_files):
+        (_, reduced), (_, old_reduced) = ising_files
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        assert main(["simulate", reduced, "--samples", "50", "--seed", "4", "-o", str(new)]) == 0
+        assert main(["simulate", old_reduced, "--samples", "50", "--seed", "4", "-o", str(old)]) == 0
+        assert new.read_text() == old.read_text()
 
 
 class TestSimulate:
@@ -259,6 +305,29 @@ def _write(path, doc):
     return str(path)
 
 
+def _corrupt(entry):
+    """A {"shape", "c16"} entry with one character of its payload made non-base64."""
+    entry["c16"] = "!" + entry["c16"][1:]
+
+
+def _corrupted_r(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    _corrupt(doc["reduction"]["R"])
+    return ["verify", str(model), _write(tmp / "corrupted_r.json", doc)]
+
+
+def _corrupted_kraus(tmp, model, reduced):
+    doc = load_json(str(model))
+    _corrupt(doc["instrument"][doc["outcomes"][0]]["kraus"][0])
+    return ["reduce", _write(tmp / "corrupted_kraus.json", doc)]
+
+
+def _short_observable(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    doc["observables"][0]["matrix"]["shape"][0] += 1
+    return ["simulate", _write(tmp / "short_observable.json", doc)]
+
+
 def _top_level_array(tmp, model, reduced):
     return ["reduce", _write(tmp / "array.json", [load_json(str(model))])]
 
@@ -308,6 +377,9 @@ def _negated_r(tmp, model, reduced):
 ERROR_NAMES = {
     _transpose_given_as_matrix: ["invalid model document", "instrument map '0'", "smallest Choi eigenvalue -1"],
     _negated_r: ["invalid reduction map", "not completely positive"],
+    _corrupted_r: ["invalid reduction map", "'c16' is not strict base64"],
+    _corrupted_kraus: ["invalid model document", "instrument map '0'", "'c16' is not strict base64"],
+    _short_observable: ["invalid model document", "observable 'identity'", "cannot hold"],
 }
 
 
@@ -333,6 +405,9 @@ ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISIN
         pytest.param(_top_level_array, id="top_level_array"),
         pytest.param(_transpose_given_as_matrix, id="reduce_transpose_matrix"),
         pytest.param(_negated_r, id="verify_negated_R"),
+        pytest.param(_corrupted_r, id="verify_corrupted_R"),
+        pytest.param(_corrupted_kraus, id="reduce_corrupted_kraus"),
+        pytest.param(_short_observable, id="simulate_short_observable"),
         pytest.param(_duplicate_outcomes, id="duplicate_outcomes"),
         pytest.param(_no_observables, id="no_observables"),
         pytest.param(_reduced_without_r, id="reduced_without_R"),

@@ -172,6 +172,24 @@ class TestEquivalence:
         rep = equivalence_check(ce, reduce_ce(ce), max_len=3, n_states=5, tol=1e-8)
         assert rep.max_dev <= 1e-14
 
+    def test_one_outcome_walk_past_the_recursion_limit(self):
+        # one outcome makes a chain of max_len + 1 words, deeper than Python's recursion limit
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0",), maps={"0": superop_from_kraus([np.eye(2)])}),
+            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
+        )
+        red = reduce_ce(ce)
+        rep = equivalence_check(ce, red, max_len=2000, n_states=2, tol=1e-8)
+        assert rep.passed and rep.n_sequences == 2001 * 2
+        # a leaking reduced map deviates most at the longest word
+        leak = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0",), maps={"0": superop_from_kraus([np.sqrt([[0.999]])])}),
+            output=red.model.output,
+        )
+        rep = equivalence_check(ce, SimpleNamespace(model=leak, reduction_map=red.reduction_map),
+                                max_len=2000, n_states=2)
+        assert not rep.passed and rep.worst_case == (0, ("0",) * 2000)
+
     def test_walk10_every_node_at_the_defaults(self):
         ce = measured_quantum_walk(10)
         rep = equivalence_check(ce, reduce_ce(ce))

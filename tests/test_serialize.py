@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,63 @@ class TestMatrix:
 
     def test_json_native_types(self):
         doc = matrix_to_json(np.eye(2, dtype=complex))
-        assert doc == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        assert set(doc) == {"shape", "c16"}
+        assert doc["shape"] == [2, 2] and all(type(d) is int for d in doc["shape"])
+        assert type(doc["c16"]) is str
+        assert json.loads(json.dumps(doc)) == doc
+        one = np.array([1.0, 0.0], "<f8").tobytes()  # 1 + 0j
+        assert base64.b64decode(doc["c16"]) == one + bytes(32) + one
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda M: M.T,
+            lambda M: M.astype(">c16"),
+            lambda M: M.real,
+            lambda M: np.arange(12).reshape(3, 4),
+            lambda M: M[:0],
+            lambda M: np.array([[np.nan, -0.0], [np.inf, 1e-310]]) * (1 - 1j),
+        ],
+        ids=["transposed", "big-endian", "real", "int", "no-rows", "nan-signed-zero-subnormal"],
+    )
+    def test_binary_roundtrip_bit_exact(self, rng, make):
+        M = make(random_complex(rng, (3, 4)))
+        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))
+        assert back.dtype == complex and back.shape == M.shape and back.flags.writeable
+        assert back.astype("<c16").tobytes() == np.ascontiguousarray(M, "<c16").tobytes()
+
+    def test_list_form_still_read(self):
+        rows = [[[1.0, 2.0], [0.0, -1.5]], [[3, 0], [0.25, 0.0]]]
+        assert np.array_equal(matrix_from_json(rows), np.array([[1 + 2j, -1.5j], [3, 0.25]]))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"shape": [1, 1], "c16": "AAAAAAAAAAAAAAAAAAAA!A=="},
+            {"shape": [1, 2], "c16": base64.b64encode(bytes(16)).decode()},
+            {"shape": [1, 1], "c16": "A" * 24},
+            {"shape": [16], "c16": base64.b64encode(bytes(16 * 16)).decode()},
+            {"shape": [1, 1, 1], "c16": base64.b64encode(bytes(16)).decode()},
+            {"shape": [-1, -1], "c16": base64.b64encode(bytes(16)).decode()},
+            {"shape": [1.0, 1], "c16": base64.b64encode(bytes(16)).decode()},
+            {"c16": base64.b64encode(bytes(16)).decode()},
+            {"shape": [1, 1]},
+            {"shape": [1, 1], "c16": [0.0, 0.0]},
+        ],
+        ids=["bad-char", "short", "long", "1-D", "3-D", "negative", "float-dim", "no-shape", "no-c16",
+             "list-c16"],
+    )
+    def test_malformed_binary_rejected(self, entry):
+        with pytest.raises(ValueError):
+            matrix_from_json(entry)
+
+    def test_huge_shape_rejected_before_decoding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr(base64, "b64decode", refuse)
+        with pytest.raises(ValueError, match="cannot hold"):
+            matrix_from_json({"shape": [10**9, 10**9], "c16": "AAAA"})
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
