@@ -191,11 +191,16 @@ def cmd_verify(args) -> int:
     if "reduction" not in doc:
         raise CliError(f"{args.reduced} carries no reduction map; cannot verify")
     try:
-        R = Superoperator(serialize.matrix_from_json(doc["reduction"]["R"]))
+        M = serialize.matrix_from_json(doc["reduction"]["R"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(f"{args.reduced}: invalid reduction map: {exc!r}")
-    if R.in_dim != full.dim or R.out_dim != red_model.dim:
+    # checked before the factorization, which a mismatched pair would pay in full
+    if M.shape != (red_model.dim ** 2, full.dim ** 2):
         raise CliError("reduction map dimensions do not match the model pair")
+    try:
+        R = Superoperator(M)
+    except ValueError as exc:
+        raise CliError(f"{args.reduced}: invalid reduction map: {exc!r}")
     if set(full.outcomes) != set(red_model.outcomes) or full.output.names != red_model.output.names:
         raise CliError("the two models differ in their outcome labels or observables")
     # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small

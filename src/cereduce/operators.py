@@ -249,11 +249,16 @@ class Superoperator:
     Adjoints and compositions stay Kraus lists.  ``matrix``, of shape
     (out_dim^2, in_dim^2) on column-stacked vectors, is built from the
     Kraus list on first read and kept.  A map given as a matrix is factored
-    once, here: each eigenvector v of its Choi matrix with eigenvalue w above
-    ``DEFAULT_TOL`` times the largest gives the operator sqrt(w) unvec(v), and
-    the zero map one zero operator.  A Choi matrix that is not Hermitian, or
-    has an eigenvalue below -``DEFAULT_TOL`` times its norm, is not CP and
-    raises ValueError; the matrix itself is not kept.
+    once, here, at its Choi rank: a Cholesky C ~ L L^dag of its (symmetrized)
+    N x N Choi matrix C, pivoted on the largest remaining diagonal entry,
+    stops when that entry is at most ``DEFAULT_TOL`` ||C|| / N.  Each column
+    l of L gives the operator unvec(l), and the zero map one zero operator.
+    The map is accepted iff C is Hermitian and ||C - L L^dag||_F is at most
+    ``DEFAULT_TOL`` ||C||, both with ||C|| at least 1.  That residual
+    certifies CP: by Weyl's inequality C has no eigenvalue below minus it,
+    and every CP map passes, since its remainder is PSD with Frobenius norm
+    at most its trace.  A refused map raises ValueError naming its smallest
+    Choi eigenvalue, the only eigensolve; the matrix itself is not kept.
 
     The apply form is fixed at construction from (r, in_dim, out_dim): with
     r Kraus operators, X -> sum_i K_i X K_i^dag is two products costing
@@ -349,19 +354,58 @@ def _choi(M: np.ndarray, no: int, ni: int) -> np.ndarray:
 def _kraus_from_matrix(matrix: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of the CP map with (out^2, in^2) matrix ``matrix``; see :class:`Superoperator`."""
     M = np.asarray(matrix, dtype=complex)
-    if M.ndim != 2 or any(round(np.sqrt(s)) ** 2 != s for s in M.shape):
+    if M.ndim != 2 or M.size == 0 or any(round(np.sqrt(s)) ** 2 != s for s in M.shape):
         raise ValueError(f"matrix shape {M.shape} is not (out^2, in^2)")
     no, ni = (round(np.sqrt(s)) for s in M.shape)
     C = _choi(M, no, ni)
-    scale = max(float(np.linalg.norm(C)), 1.0)
-    herm_res = float(np.linalg.norm(C - C.conj().T))
-    w, V = np.linalg.eigh((C + C.conj().T) / 2)
-    if herm_res > DEFAULT_TOL * scale or w[0] < -DEFAULT_TOL * scale:
-        raise ValueError(f"map is not completely positive: smallest Choi eigenvalue {w[0]:.3e}, "
-                         f"Choi Hermiticity residual {herm_res:.3e}")
-    # row (i, a) of an eigenvector is entry [a, i] of its (out, in) Kraus operator
-    keep = np.flatnonzero(w > DEFAULT_TOL * max(w[-1], 0.0))
-    return [np.sqrt(w[j]) * unvec(V[:, j], no) for j in keep] or [np.zeros((no, ni), dtype=complex)]
+    bound = DEFAULT_TOL * max(float(np.linalg.norm(C)), 1.0)
+    # C^dag copied once in row order, so the strided transpose is read once; the Hermitian
+    # part is formed in that copy, because C itself may be a view of the caller's matrix
+    Ch = np.conjugate(C.T, order="C")
+    herm_res = float(np.linalg.norm(C - Ch))
+    Ch += C
+    Ch /= 2
+    C = Ch
+    # for a PSD C the remainder S is PSD with ||S||_F <= tr S <= len(C) * (largest pivot left)
+    L = _pivoted_cholesky(C, bound / len(C))
+    P = L.T @ L.conj()
+    P -= C
+    res = float(np.linalg.norm(P))
+    # C is within res of the PSD L L^dag, so by Weyl its spectrum is above -res
+    if not (herm_res <= bound and res <= bound):
+        raise ValueError(f"map is not completely positive: smallest Choi eigenvalue "
+                         f"{np.linalg.eigvalsh(C)[0]:.3e}, Choi Hermiticity residual {herm_res:.3e}, "
+                         f"Cholesky residual {res:.3e}")
+    # entry (i, a) of a column of L is entry [a, i] of its (out, in) Kraus operator
+    return [unvec(v, no) for v in L] or [np.zeros((no, ni), dtype=complex)]
+
+
+def _pivoted_cholesky(C: np.ndarray, stop: float) -> np.ndarray:
+    """Rows v_j with C ~ sum_j v_j v_j^dag, by Cholesky pivoted on the largest diagonal entry.
+
+    C is Hermitian.  Stops when no diagonal entry of the remainder exceeds
+    ``stop``; the rows are the columns of L in C ~ L L^dag.
+    """
+    N = len(C)
+    d = C.diagonal().real.copy()  # the diagonal of the remainder
+    L = np.empty((min(N, 16), N), dtype=complex)  # grows by doubling, as in closure
+    k = 0
+    while k < N:
+        p = int(np.argmax(d))
+        if not d[p] > stop:
+            break
+        # column p of C, less the part the columns so far account for
+        v = C[p].conj() - L[:k].T @ L[:k, p].conj()
+        v /= np.sqrt(d[p])
+        d -= v.real ** 2 + v.imag ** 2
+        d[p] = 0.0
+        if k == len(L):
+            grown = np.empty((min(2 * k, N), N), dtype=complex)
+            grown[:k] = L
+            L = grown
+        L[k] = v
+        k += 1
+    return L[:k]
 
 
 def superop_from_kraus(kraus) -> Superoperator:

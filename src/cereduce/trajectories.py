@@ -7,8 +7,9 @@ that state gives both this step's outputs and the next step's outcome
 probabilities tr[E_k rho].  Probabilities never underflow on long
 records; the product of the per-step conditional probabilities recovers
 the joint probability of the record.  Enumeration propagates
-unnormalized states over the full outcome tree and is the brute-force
-oracle the rest of the package is verified against.
+unnormalized states over the outcome tree, reads the last step off
+pulled-back observables, and is the brute-force oracle the rest of the
+package is verified against.
 """
 
 from __future__ import annotations
@@ -144,13 +145,16 @@ def enumerate_distribution(
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
-    Propagates the whole outcome tree of unnormalized states, so the
-    returned probabilities sum to one for any valid instrument.  Each
+    Propagates the outcome tree of unnormalized states to depth T-1, so
+    the returned probabilities sum to one for any valid instrument.  Each
     level's states are one stack in the word order of
     ``itertools.product(ce.outcomes, repeat=t)``, which every outcome's
     map advances in one call; the table keeps that order.  The last level
-    is traced one outcome at a time and never stacked whole, so the peak
-    is about one stack of the length-T states.
+    is read off, not applied: tr[O M_k(rho)] = tr[M_k^dag(O) rho], so for
+    each outcome k the stack [1, O_1, ..., O_m] is pulled back once
+    through M_k's adjoint, and one product with the depth-(T-1) stack
+    gives every leaf's probability and outputs.  The peak is about that
+    stack.
     """
     n_words = len(ce.outcomes) ** T
     if n_words > WORD_CAP:
@@ -162,17 +166,16 @@ def enumerate_distribution(
         for i, k in enumerate(ce.outcomes):
             nxt[:, i] = ce.instrument.map_for(k)(frontier)
         frontier = nxt.reshape(-1, *frontier.shape[1:])
-    last = [ce.instrument.map_for(k) for k in ce.outcomes] if T else [np.asarray]
-    probs = np.empty((len(frontier), len(last)))
-    outputs = np.empty((len(frontier), len(last), len(ce.output.names)), dtype=complex)
-    for i, S in enumerate(last):
-        leaves = S(frontier)
-        probs[:, i] = np.trace(leaves, axis1=1, axis2=2).real
-        outputs[:, i] = ce.output(leaves)
+    n = ce.dim
+    read = np.array([np.eye(n), *ce.output.observables], dtype=complex)
+    pulled = [ce.instrument.map_for(k).adjoint()(read) for k in ce.outcomes] if T else [read]
+    # tr[A rho] pairs A^T and rho entry by entry; leaf w + (k,) sits at row len(outcomes) * w + k
+    rows = np.array(pulled).transpose(0, 1, 3, 2).reshape(-1, n * n)
+    table = frontier.reshape(len(frontier), n * n) @ rows.T
     words = itertools.product(ce.outcomes, repeat=T)
     return {
-        seq: (float(p), y)
-        for seq, p, y in zip(words, probs.ravel(), outputs.reshape(n_words, -1))
+        seq: (float(row[0].real), row[1:])
+        for seq, row in zip(words, table.reshape(n_words, len(read)))
     }
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cereduce import algebra, cli, reduction
+from cereduce import algebra, cli, operators, reduction
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
 from cereduce.model import Instrument
@@ -185,6 +185,19 @@ class TestVerify:
         bad = tmp_path / "tampered.json"
         save_json(doc, str(bad))
         assert main(["verify", str(model), str(bad), "--max-len", "2", "--n-states", "3"]) == 1
+
+    def test_mismatched_pair_refused_before_factoring(self, tmp_path, monkeypatch, capsys):
+        model, reduced = tmp_path / "ising4.json", tmp_path / "ising5.red.json"
+        save_json(ce_to_json(ising_chain(4, 0.5, 0.3)), str(model))
+        save_json(reduced_ce_to_json(reduce_ce(ising_chain(5, 0.5, 0.3))), str(reduced))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("R was factored before its shape was checked")
+
+        monkeypatch.setattr(operators, "_kraus_from_matrix", refuse)
+        capsys.readouterr()
+        assert main(["verify", str(model), str(reduced)]) == 2
+        assert "do not match" in capsys.readouterr().err
 
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files

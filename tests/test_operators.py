@@ -16,6 +16,7 @@ from cereduce.operators import (
 from cereduce.algebra import algebra_closure
 from cereduce.model import OutputMap
 from cereduce.observability import invariant_closure, nonobservable_complement
+from cereduce.reduction import random_density, reduce_ce
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 from conftest import channel_checks, hs_inner, is_hermitian, proj, random_complex
 from test_algebra import acceptance_block_generators, projector_distance
@@ -516,7 +517,7 @@ class TestStackedApply:
 
 
 class TestFactorMatrix:
-    """A map given as a matrix is factored into the Kraus list of its Choi spectrum."""
+    """A map given as a matrix is factored by pivoted Cholesky of its Choi matrix."""
 
     def test_zero_map_keeps_one_zero_operator(self):
         S = Superoperator(np.zeros((16, 9)))
@@ -525,12 +526,56 @@ class TestFactorMatrix:
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3)], ids=["square", "rectangular"])
     @pytest.mark.parametrize("rank", [1, 2, 5])
-    def test_choi_rank_operators(self, shape, rank, rng):
+    def test_choi_rank_operators(self, shape, rank, rng, monkeypatch):
         kraus = [random_complex(rng, shape) for _ in range(rank)]
         M = sum(np.kron(K.conj(), K) for K in kraus)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an accepted map ran an eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         S = Superoperator(M)
         assert len(S.kraus) == rank
         assert np.linalg.norm(S.matrix - M) <= 1e-12 * np.linalg.norm(M)
+
+    def test_full_rank(self):
+        # the completely depolarizing map X -> tr(X) 1/4 has Choi matrix 1/4 on C^4 (x) C^4
+        M = np.outer(vec(np.eye(4)), vec(np.eye(4))) / 4
+        S = Superoperator(M)
+        assert len(S.kraus) == 16
+        assert np.linalg.norm(S.matrix - M) <= 1e-12 * np.linalg.norm(M)
+
+    def test_ising_reduction_map(self, rng):
+        red = reduce_ce(ising_chain(6, 0.5, 0.3))
+        S = Superoperator(red.reduction_map.matrix)
+        assert len(S.kraus) == sum(d_F for _, d_F in red.blocks) == 16
+        rhos = np.array([random_density(64, rng) for _ in range(5)])
+        assert np.max(np.abs(S(rhos) - red.reduction_map(rhos))) <= 1e-12
+
+    def test_negative_choi_direction_rejected(self, rng):
+        # a rank-3 map less 1e-6 times the map of a Kraus operator HS-orthogonal to its own:
+        # its Choi matrix moves by -1e-6 along an eigenvector of eigenvalue 0
+        kraus = [random_complex(rng, (3, 3)) for _ in range(3)]
+        Q, _ = np.linalg.qr(np.array([K.reshape(-1) for K in kraus]).T, mode="complete")
+        E = Q[:, 3].reshape(3, 3)
+        M = sum(np.kron(K.conj(), K) for K in kraus) - 1e-6 * np.kron(E.conj(), E)
+        with pytest.raises(ValueError, match=r"smallest Choi eigenvalue -1\.000e-06"):
+            Superoperator(M)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (4, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="is not"):
+            Superoperator(np.zeros(shape))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_rejected(self, entry):
+        # a residual that is not finite fails the certificate
+        M = np.eye(4, dtype=complex)
+        M[0, 0] = entry
+        with pytest.raises(ValueError, match="not completely positive"):
+            Superoperator(M)
 
     def test_transpose_rejected(self):
         # Hermitian Choi matrix (the swap) with eigenvalue -1; left multiplication is in TestChannelChecks

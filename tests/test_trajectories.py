@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
-from cereduce.operators import superop_from_kraus
+from cereduce.operators import Superoperator, superop_from_kraus
 from cereduce.reduction import random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
@@ -29,6 +29,13 @@ def projective_z_qubit():
         instrument=Instrument(outcomes=("0", "1"), maps=maps),
         output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
     )
+
+
+def non_hermitian_outputs_ce(rng):
+    """random_ce on C^3 with two outcomes, its observables replaced by random non-Hermitian ones."""
+    ce = random_ce(3, 2, 1, rng)
+    obs = (np.eye(3, dtype=complex), *(rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))))
+    return ConditionalEvolution(ce.instrument, OutputMap(names=("identity", "a", "b"), observables=obs))
 
 
 def trajectory_probability(ce, rho0, seq):
@@ -212,6 +219,50 @@ class TestEnumerate:
                 rho = ce.instrument.maps[k](rho)
             assert p == pytest.approx(trajectory_probability(ce, rho0, seq), abs=1e-13)
             assert np.max(np.abs(y - ce.output(rho))) <= 1e-13
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ising_chain(4, 0.5, 0.3), id="ising4_split"),
+        pytest.param(lambda: non_hermitian_outputs_ce(np.random.default_rng(5)), id="non_hermitian"),
+    ])
+    def test_read_off_matches_per_word_propagation(self, make, T):
+        # a transposed or conjugated pull-back of a non-Hermitian observable shows in its output
+        ce = make()
+        rho0 = random_density(ce.dim, np.random.default_rng(T))
+        table = enumerate_distribution(ce, rho0, T)
+        assert list(table) == list(itertools.product(ce.outcomes, repeat=T))
+        for seq, (p, y) in table.items():
+            rho = rho0
+            for k in seq:
+                rho = ce.instrument.maps[k](rho)
+            assert abs(p - np.trace(rho).real) <= 1e-13
+            assert np.max(np.abs(y - ce.output(rho))) <= 1e-13
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_last_level_applies_no_map(self, T, monkeypatch):
+        ce = measured_quantum_walk(3, seed=1)
+        maps = set(map(id, ce.instrument.maps.values()))
+        applied = []  # the number of operators of each call of an instrument map
+        real = Superoperator.__call__
+
+        def counting(self, X):
+            if id(self) in maps:
+                applied.append(1 if np.ndim(X) == 2 else len(X))
+            return real(self, X)
+
+        monkeypatch.setattr(Superoperator, "__call__", counting)
+        enumerate_distribution(ce, random_density(3, np.random.default_rng(0)), T)
+        # the states of depths 1..T-1 are applied to, the leaves at depth T are read off
+        assert sum(applied) == sum(3**t for t in range(1, T))
+
+    def test_empty_word(self):
+        ce = measured_quantum_walk(3, seed=1)
+        rho0 = 2 * random_density(3, np.random.default_rng(0))
+        table = enumerate_distribution(ce, rho0, 0)
+        assert list(table) == [()]
+        p, y = table[()]
+        assert p == pytest.approx(2.0, abs=1e-14)
+        assert np.max(np.abs(y - ce.output(rho0))) <= 1e-14
 
     def test_cap_enforced(self, monkeypatch):
         ce = projective_z_qubit()
