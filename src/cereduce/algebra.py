@@ -31,9 +31,10 @@ from .operators import (
     DEFAULT_TOL,
     OperatorSubspace,
     Superoperator,
+    _hermitian_parts,
     closure,
     eigh_clustered,
-    orthonormalize,
+    hermitian_closure,
     superop_from_kraus,
 )
 
@@ -55,12 +56,6 @@ MAX_REDRAWS = 8  # seeded draws of the generic element before giving up
 
 class DegenerateAlgebraError(RuntimeError):
     """A random algebra element failed to separate the block structure."""
-
-
-def _hermitian_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X + X^dag)/2 and (X - X^dag)/2i, the Hermitian operators with X = real + i imag."""
-    X = np.asarray(X, dtype=complex)
-    return (X + X.conj().T) / 2, (X - X.conj().T) / 2j
 
 
 @dataclass(frozen=True)
@@ -258,11 +253,11 @@ def wedderburn(
 
 
 def _generators(ops, tol: float) -> np.ndarray:
-    """(m, n, n) stack of the G_i: the orthonormalized Hermitian parts of the operators.
+    """(m, n, n) stack of the G_i, the :func:`~cereduce.operators.hermitian_closure` of the operators.
 
     The basis of a subspace or algebra is HS-orthonormal by contract; when it
-    is also exactly Hermitian, as every basis :func:`~cereduce.operators.closure`
-    symmetrizes, it is used as it is.
+    is also exactly Hermitian, as every ``hermitian_closure`` basis is, the
+    nperp basis of ``reduce_ce`` among them, it is used as it is.
     """
     if isinstance(ops, StarAlgebra):
         ops = ops.space
@@ -270,7 +265,7 @@ def _generators(ops, tol: float) -> np.ndarray:
         if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
             return np.array(ops.basis)
         ops = ops.basis
-    gens = orthonormalize([P for X in ops for P in _hermitian_parts(X)], tol)
+    gens = hermitian_closure(ops, tol=tol)
     return np.array(gens.basis).reshape(-1, gens.ambient_dim, gens.ambient_dim)
 
 

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,14 +92,6 @@ def _load_model(path: str) -> tuple[ConditionalEvolution, dict]:
         return serialize.ce_from_json(doc), doc
     except (ValueError, KeyError) as exc:
         raise CliError(f"{path}: invalid model document: {exc}")
-
-
-@dataclass(frozen=True)
-class _LoadedReduction:
-    """Just enough of a reduced model to drive verification."""
-
-    model: ConditionalEvolution
-    reduction_map: Superoperator
 
 
 def cmd_zoo(args) -> int:
@@ -206,7 +198,8 @@ def cmd_verify(args) -> int:
     # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small
     if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
         raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
-    reduced = _LoadedReduction(model=red_model, reduction_map=R)
+    # just enough of a reduced model to drive the check
+    reduced = SimpleNamespace(model=red_model, reduction_map=R)
     try:
         rep = equivalence_check(
             full,
@@ -332,7 +325,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # MemoryError: an input too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,7 +19,7 @@ from .operators import (
     DEFAULT_TOL,
     OperatorSubspace,
     Superoperator,
-    closure,
+    hermitian_closure,
     unvec,
 )
 
@@ -32,18 +32,8 @@ __all__ = [
 ]
 
 
-def invariant_closure(
-    generators: list[np.ndarray],
-    maps: list[Superoperator],
-    tol: float = DEFAULT_TOL,
-) -> OperatorSubspace:
-    """Smallest subspace containing ``generators`` and invariant under ``maps``.
-
-    The :func:`~cereduce.operators.closure` of the generators where each
-    new basis element is expanded into its images under every map; the
-    span is invariant once every element has been expanded.
-    """
-    return closure(generators, lambda basis, i: [S(basis[i]) for S in maps], tol)
+# the smallest invariant span of Hermitian operators, closed on real coordinates
+invariant_closure = hermitian_closure
 
 
 def nonobservable_complement(
@@ -51,8 +41,8 @@ def nonobservable_complement(
 ) -> OperatorSubspace:
     """Span of the observables and all their dual-map orbits.
 
-    The dual maps preserve Hermiticity, so with Hermitian observables the
-    computed basis consists of Hermitian operators.
+    Their :func:`invariant_closure` under the duals: the basis is exactly
+    Hermitian, and a non-Hermitian observable enters through its two Hermitian parts.
     """
     duals = [ce.instrument.maps[k].adjoint() for k in ce.outcomes]
     return invariant_closure(list(ce.output.observables), duals, tol)

@@ -34,6 +34,7 @@ __all__ = [
     "hs_norm",
     "eigh_clustered",
     "closure",
+    "hermitian_closure",
     "orthonormalize",
     "OperatorSubspace",
     "Superoperator",
@@ -144,79 +145,66 @@ def closure(
 ) -> OperatorSubspace:
     """HS-orthonormal basis of the smallest span holding ``ops`` and closed under ``expand``.
 
-    All operators have the shape (n, m) of the first; rectangular ones are
-    allowed.  A worklist closure: ``expand(basis, i)`` is called exactly
-    once per basis element ``i``, after all earlier ones, with the current
-    basis as a read-only (dim, n, m) array, and returns the candidates that
-    element contributes.  ``ops`` and each call's candidates form one block
-    (block classical Gram-Schmidt, Stewart 2008).  One GEMM pair projects
-    the whole block out of the basis held before it, and a candidate whose
-    residual norm is then at most ``tol`` times the largest candidate norm
-    seen so far is dropped.  In candidate order, each survivor is projected
-    out of the elements its block has already added, which completes its
-    first projection, then out of the whole basis a second time (CGS2), and
-    kept when its residual still exceeds the bound, until the basis holds
-    n m elements.  The bound of a candidate uses the norms up to and
-    including it, not the block's largest, so the rank rule is that of
-    adding the candidates one at a time.  While every candidate so far is
-    Hermitian (square operators only), kept elements are symmetrized, so the
-    basis stays Hermitian.
+    All operators have the shape (n, m) of the first, rectangular allowed.
+    The basis has the dtype of ``ops``: real when every op is real, and then
+    a complex candidate raises ValueError.  A worklist closure:
+    ``expand(basis, i)`` is called exactly once per basis element ``i``,
+    after all earlier ones, with the current basis as a read-only
+    (dim, n, m) array, and returns the candidates that element contributes.
+    ``ops`` and each call's candidates form one block (block classical
+    Gram-Schmidt, Stewart 2008).  One GEMM pair projects the block out of
+    the basis held before it; a candidate is dropped when its residual is
+    then at most ``tol`` times the largest candidate norm seen up to and
+    including it.  In candidate order, each survivor is projected out of
+    the elements its block has already added, then out of the whole basis
+    a second time (CGS2), and kept when its residual still exceeds that
+    bound, until the basis holds n m elements.  So the rank rule is that
+    of adding the candidates one at a time.
     """
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
     n, m = shape = np.shape(ops[0])
     full = n * m
+    dtype = complex if any(np.iscomplexobj(X) for X in ops) else float
     # row i of Q is B_i flattened row-major (any one order of the entries gives the same
-    # inner products), row i of Qc its conjugate; both grow by doubling
-    Q = Qc = np.empty((0, full), dtype=complex)
-    dim, hermitian, scale = 0, n == m, 0.0
+    # inner products); Q grows by doubling
+    Q, dim, scale = np.empty((0, full), dtype=dtype), 0, 0.0
 
     def add(candidates) -> None:
-        nonlocal Q, Qc, dim, hermitian, scale
+        nonlocal Q, dim, scale
         block = candidates if isinstance(candidates, np.ndarray) else list(candidates)
         if any(np.shape(X) != shape for X in block):
             raise ValueError("operators must share a common shape")
+        if dtype is float and any(np.iscomplexobj(X) for X in block):
+            raise ValueError("complex candidate in a closure of real operators")
         k = len(block)
         if dim == full or k == 0:  # a full basis spans every n x m operator
             return
-        C = np.ascontiguousarray(block, dtype=complex).reshape(k, full)
-        W = np.empty((k, full), dtype=complex)  # the asymmetries, then the residuals
-        norms = _row_norms(C)
-        herm = np.zeros(k, dtype=bool)
-        if hermitian:
-            np.conjugate(C.reshape(k, n, n).transpose(0, 2, 1), out=W.reshape(k, n, n))
-            np.subtract(C, W, out=W)
-            herm = np.logical_and.accumulate(_row_norms(W) <= 1e-12 * np.maximum(norms, 1.0))
-            hermitian = bool(herm[-1])
-        scales = np.maximum.accumulate(np.maximum(norms, scale))
+        C = np.ascontiguousarray(block, dtype=dtype).reshape(k, full)
+        scales = np.maximum.accumulate(np.maximum(_row_norms(C), scale))
         scale = float(scales[-1])
         bounds = tol * scales
+        # the residuals; every conj below is free on real arrays
+        W = C
         if dim:
-            np.matmul(C @ Qc[:dim].T, Q[:dim], out=W)
+            W = (C.conj() @ Q[:dim].T).conj() @ Q[:dim]
             np.subtract(C, W, out=W)
-        else:
-            W = C
         start = dim
         for j in np.flatnonzero(_row_norms(W) > bounds):
             if dim == full:
                 return
             # the rest of the first projection, then the second against the whole basis
-            v = W[j] - (Qc[start:dim] @ W[j]) @ Q[start:dim]
-            v -= (Qc[:dim] @ v) @ Q[:dim]
+            v = W[j] - (Q[start:dim] @ W[j].conj()).conj() @ Q[start:dim]
+            v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
             res = hs_norm(v)
             if res <= bounds[j]:
                 continue
-            B = (v / res).reshape(n, m)
-            if herm[j]:
-                B = (B + B.conj().T) / 2
-                B /= hs_norm(B)
             if dim == len(Q):
-                grown = np.empty((2, min(max(2 * dim, 16), full), full), dtype=complex)
-                grown[:, :dim] = Q[:dim], Qc[:dim]
-                Q, Qc = grown
-            Q[dim] = B.reshape(-1)
-            np.conjugate(Q[dim], out=Qc[dim])
+                grown = np.empty((min(max(2 * dim, 16), full), full), dtype=dtype)
+                grown[:dim] = Q[:dim]
+                Q = grown
+            Q[dim] = v / res
             dim += 1
 
     add(ops)
@@ -230,9 +218,41 @@ def closure(
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a complex matrix with contiguous rows."""
+    """Euclidean norms of the rows of a real or complex matrix with contiguous rows."""
     R = M.view(float)
     return np.sqrt(np.einsum("ij,ij->i", R, R))
+
+
+def _hermitian_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X + X^dag)/2 and (X - X^dag)/2i, the Hermitian operators with X = real + i imag."""
+    X = np.asarray(X, dtype=complex)
+    return (X + X.conj().T) / 2, (X - X.conj().T) / 2j
+
+
+def hermitian_closure(generators, maps=(), tol: float = DEFAULT_TOL) -> OperatorSubspace:
+    """Exactly Hermitian HS-orthonormal basis of the smallest span of Hermitian operators
+    holding the Hermitian parts of ``generators`` and invariant under the CP ``maps``.
+
+    H -> Re H + Im H maps Hermitian operators isometrically (HS to Frobenius)
+    onto real matrices X, so the :func:`closure` runs on real X: each
+    generator enters through its two Hermitian parts, and each basis element
+    expands into its images under every map of H = (X + X^T)/2 + i (X - X^T)/2,
+    exactly Hermitian.  The returned basis is these H.
+    """
+    def hermitian(X):
+        XT = X.swapaxes(-1, -2)
+        H = np.empty(X.shape, dtype=complex)
+        H.real, H.imag = (X + XT) / 2, (X - XT) / 2
+        return H
+
+    def expand(basis, i):
+        H = hermitian(basis[i])
+        return [Y.real + Y.imag for Y in (S(H) for S in maps)]
+
+    parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
+    basis = closure(parts, expand if maps else None, tol).basis
+    n = len(parts[0])
+    return OperatorSubspace(n, tuple(hermitian(np.reshape(basis, (len(basis), n, n)))))
 
 
 def orthonormalize(

@@ -14,6 +14,7 @@ from cereduce.algebra import (
     wedderburn,
 )
 from cereduce.observability import nonobservable_complement
+from cereduce.reduction import reduce_ce
 from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
@@ -171,15 +172,20 @@ class TestAlgebraClosure:
 
 class TestGenerators:
     def test_hermitian_subspace_basis_used_as_is(self, monkeypatch):
-        nperp = nonobservable_complement(ising_chain(4, 0.5, 0.3))
+        ce = ising_chain(4, 0.5, 0.3)
+        nperp = nonobservable_complement(ce)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an orthonormal Hermitian basis is orthonormalized again")
 
-        monkeypatch.setattr(algebra, "orthonormalize", refuse)
+        monkeypatch.setattr(algebra, "hermitian_closure", refuse)
         alg = algebra_closure(nperp)
         assert alg.dim == 32
         assert all(np.array_equal(A, B) for A, B in zip(alg.basis, nperp.basis))
+        # reduce_ce hands its nperp basis to the decomposition as it is
+        red = reduce_ce(ce)
+        assert red.blocks == ((4, 2),) * 2
+        assert all(np.array_equal(A, B) for A, B in zip(red.output_algebra.basis, red.nperp.basis))
 
     def test_non_hermitian_basis_takes_hermitian_parts(self, paulis):
         # sigma_+ = (x + i y) / 2, normalized: its Hermitian parts span {x, y}

@@ -49,6 +49,14 @@ class TestZoo:
         code = main(["zoo", "ising", "--n", "3", "--p", "0.0", "--delta", "0.3", "-o", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_ising_too_large_to_allocate_exit2(self, tmp_path, capsys):
+        # numpy refuses the 16 PiB Hamiltonian of N=25 without allocating it
+        out = tmp_path / "x.json"
+        assert main(["zoo", "ising", "--n", "25", "--p", "0", "--delta", "0.3", "-o", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_ising_rejects_seed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["zoo", "ising", "--n", "4", "--p", "0.0", "--delta", "0.3",

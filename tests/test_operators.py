@@ -6,6 +6,7 @@ from cereduce.operators import (
     Superoperator,
     closure,
     eigh_clustered,
+    hermitian_closure,
     hs_norm,
     map_coordinates,
     orthonormalize,
@@ -14,12 +15,13 @@ from cereduce.operators import (
     vec,
 )
 from cereduce.algebra import algebra_closure
-from cereduce.model import OutputMap
+from cereduce.model import ConditionalEvolution, OutputMap
 from cereduce.observability import invariant_closure, nonobservable_complement
-from cereduce.reduction import random_density, reduce_ce
+from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 from conftest import channel_checks, hs_inner, is_hermitian, proj, random_complex
 from test_algebra import acceptance_block_generators, projector_distance
+from test_trajectories import non_hermitian_outputs_ce
 
 
 class TestHSInner:
@@ -145,6 +147,24 @@ class TestClosure:
         for i, Bi in enumerate(sub.basis):
             for j, Bj in enumerate(sub.basis):
                 assert hs_inner(Bi, Bj) == pytest.approx(float(i == j), abs=1e-12)
+
+    def test_real_seeds_give_real_basis(self, rng):
+        A = rng.standard_normal((3, 3))
+        sub = closure([rng.standard_normal((3, 3))], lambda basis, i: [A @ basis[i], basis[i] @ A])
+        assert sub.dim == 9
+        assert all(B.dtype == np.float64 for B in sub.basis)
+        gram = sub.stacked().conj() @ sub.stacked().T
+        assert np.linalg.norm(gram - np.eye(9)) <= 1e-13
+        assert orthonormalize([np.eye(2), [[0, 1], [1, 0]]]).basis[1].dtype == np.float64
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["zero_imaginary_part", "imaginary"])
+    def test_complex_candidate_in_real_closure_rejected(self, imag, rng):
+        # even a candidate complex only in its dtype is refused, never cast
+        X = rng.standard_normal((3, 3))
+        with pytest.raises(ValueError, match="complex"):
+            closure([X], lambda basis, i: [basis[i] @ X, X + 1j * imag * X])
+        # a complex op makes the closure complex, where real candidates are welcome
+        assert closure([X + 0j], lambda basis, i: [basis[i] @ X]).basis[0].dtype == np.complex128
 
     def test_zero_tol_stops_at_full_space(self, rng):
         A = random_complex(rng, (3, 3))
@@ -278,13 +298,12 @@ class TestBlockClosure:
         gram = sub.stacked().conj() @ sub.stacked().T
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-13
 
-    def test_symmetrization_stops_at_first_non_hermitian_candidate(self, paulis):
+    def test_non_hermitian_candidate_joins_complex_span(self, paulis):
         # E = (X + iY)/2 leaves the anti-Hermitian iY/2 once Z and X are projected out
         X, Z = paulis["x"], paulis["z"]
         E = np.array([[0, 1], [0, 0]], dtype=complex)
         sub = closure([Z], lambda basis, i: [X, E] if i == 0 else [])
         assert sub.dim == 3
-        assert is_hermitian(sub.basis[1]) and not is_hermitian(sub.basis[2])
         assert sub.residual(E) <= 1e-12
 
     def test_rectangular_candidates(self, rng):
@@ -304,6 +323,69 @@ class TestBlockClosure:
         # a flattened 2x2 has the right number of entries and must still be refused
         with pytest.raises(ValueError):
             closure([paulis["z"]], lambda basis, i: block)
+
+
+def ising_plus_ce(N):
+    """Ising N, p=0.5, observing only the identity and sigma_+ = (x + iy)/2 on qubit 1."""
+    ce = ising_chain(N, 0.5, 0.3)
+    plus = np.kron((PAULI["x"] + 1j * PAULI["y"]) / 2, np.eye(2 ** (N - 1)))
+    output = OutputMap(names=("identity", "plus"), observables=(np.eye(2**N), plus))
+    return ConditionalEvolution(ce.instrument, output, ce.evolution, ce.effects)
+
+
+class TestHermitianClosure:
+    """The closure on real coordinates Re H + Im H and its exactly Hermitian basis."""
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda N=N, p=p: ising_chain(N, p, 0.3), id=f"ising{N}-p{p}")
+          for N in (4, 5) for p in (0.0, 0.5)),
+        *(pytest.param(lambda n=n: measured_quantum_walk(n, seed=n), id=f"walk{n}") for n in range(3, 7)),
+    ])
+    def test_nperp_basis_exactly_hermitian_and_orthonormal(self, make):
+        nperp = nonobservable_complement(make())
+        assert all(np.array_equal(B, B.conj().T) for B in nperp.basis)
+        Q = nperp.stacked()
+        assert np.linalg.norm(Q.conj() @ Q.T - np.eye(nperp.dim)) <= 1e-13
+
+    def test_real_coordinates_round_trip_exactly(self):
+        # X = Re H + Im H = [[1, 1], [-1, 1]] has norm 2, so every step is exact
+        H = np.array([[1, 1j], [-1j, 1]])
+        sub = hermitian_closure([H])
+        assert sub.dim == 1 and np.array_equal(sub.basis[0], H / 2)
+
+    def test_real_coordinates_are_isometric(self, rng):
+        Hs = [G + G.conj().T for G in (random_complex(rng, (4, 4)) for _ in range(6))]
+        sub = hermitian_closure(Hs)
+        assert sub.dim == 6
+        assert all(np.array_equal(B, B.conj().T) for B in sub.basis)
+        # Gram-Schmidt in real coordinates gives an HS-orthonormal basis only through an isometry
+        Q = sub.stacked()
+        assert np.linalg.norm(Q.conj() @ Q.T - np.eye(6)) <= 1e-13
+        assert np.linalg.norm(sub.basis[0] - Hs[0] / hs_norm(Hs[0])) <= 1e-15
+        for H in Hs:
+            assert sub.residual(H) <= 1e-13 * hs_norm(H)
+            assert np.max(np.abs(sub.coords(H).imag)) <= 1e-13 * hs_norm(H)
+
+    def test_non_hermitian_op_enters_through_both_hermitian_parts(self, paulis):
+        # the complex span of {1, sigma_+} is invariant under the identity map; its
+        # Hermitian closure holds both Hermitian parts of sigma_+, x / 2 and y / 2
+        plus = (paulis["x"] + 1j * paulis["y"]) / 2
+        sub = hermitian_closure([np.eye(2), plus], [superop_from_kraus([np.eye(2)])])
+        assert sub.dim == 3
+        assert_same_span(sub, orthonormalize([np.eye(2), paulis["x"], paulis["y"]]))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ising_plus_ce(4), id="ising4_sigma_plus"),
+        pytest.param(lambda: non_hermitian_outputs_ce(np.random.default_rng(5)), id="random_non_hermitian"),
+    ])
+    def test_non_hermitian_observables_reduce_exactly(self, make):
+        ce = make()
+        red = reduce_ce(ce)
+        assert equivalence_check(ce, red).passed
+        duals = [ce.instrument.maps[k].adjoint() for k in ce.outcomes]
+        parts = [P for O in ce.output.observables for P in hermitian_parts(O)]
+        assert_same_span(red.nperp, closure_one_by_one(parts, lambda b, i: [S(b[i]) for S in duals]))
+        assert all(np.array_equal(B, B.conj().T) for B in red.nperp.basis)
 
 
 class TestMapCoordinates:
