@@ -12,7 +12,6 @@ expectation.
 from .algebra import (
     CEFactorization,
     DegenerateAlgebraError,
-    StarAlgebra,
     WedderburnDecomposition,
     algebra_closure,
     commutant,
@@ -39,7 +38,6 @@ from .operators import (
     closure,
     hs_norm,
     map_coordinates,
-    orthonormalize,
     superop_from_kraus,
     unvec,
     vec,

@@ -11,7 +11,9 @@ aligned.  The unitary is validated against the block structure of every
 generator before being returned.  The algebra the G_i generate, its
 center and its commutant are then read off the blocks in closed form:
 U_k (E_st otimes 1_F) U_k^dag, the block projections, and
-U_k (1_S otimes E_fg) U_k^dag.
+U_k (1_S otimes E_fg) U_k^dag.  Each is an
+:class:`~cereduce.operators.OperatorSubspace`, its basis one (dim, n, n)
+stack.
 
 From the decomposition one obtains the unique Hilbert-Schmidt-orthogonal
 conditional expectation onto the algebra, factorized into a CPTP
@@ -39,7 +41,6 @@ from .operators import (
 )
 
 __all__ = [
-    "StarAlgebra",
     "DegenerateAlgebraError",
     "algebra_closure",
     "commutant",
@@ -58,34 +59,10 @@ class DegenerateAlgebraError(RuntimeError):
     """A random algebra element failed to separate the block structure."""
 
 
-@dataclass(frozen=True)
-class StarAlgebra:
-    """Operator span closed under products and adjoints.
-
-    The basis is HS-orthonormal and, in every algebra this module builds,
-    Hermitian.
-    """
-
-    space: OperatorSubspace
-    unital: bool
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.space.ambient_dim
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
-    def basis(self) -> tuple[np.ndarray, ...]:
-        return self.space.basis
-
-
 def algebra_closure(
-    subspace: StarAlgebra | OperatorSubspace | list[np.ndarray],
+    subspace: OperatorSubspace | list[np.ndarray],
     tol: float = DEFAULT_TOL,
-) -> StarAlgebra:
+) -> OperatorSubspace:
     """Smallest *-algebra containing the given span.
 
     Never closed under products in operator space: read off the block
@@ -93,7 +70,8 @@ def algebra_closure(
     as an HS-orthonormal Hermitian basis that starts with the generators G_i
     of :func:`wedderburn` and continues with the rest of the span
     of the U_k (E_st otimes 1_F) U_k^dag over every block on which some
-    generator acts.  The algebra is unital when that is every block.
+    generator acts.  The algebra is unital, holding the identity, when that
+    is every block.
     """
     return _read_off(*_decompose(subspace, tol, 0))
 
@@ -119,7 +97,7 @@ def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> list[np.nda
     return ops
 
 
-def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
+def commutant(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """All operators commuting with every element of the algebra.
 
     Read off the block decomposition in closed form as
@@ -128,11 +106,10 @@ def commutant(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> StarAlgebra:
     algebra gets the commutant of its unitization, which is the same.
     """
     _, dec, _ = _decompose(alg, tol, 0)
-    ops = _block_operators(dec, range(len(dec.blocks)), axis=2)
-    return StarAlgebra(space=OperatorSubspace(alg.ambient_dim, tuple(ops)), unital=True)
+    return OperatorSubspace(dec.dim, _block_operators(dec, range(len(dec.blocks)), axis=2))
 
 
-def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+def center(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """The center: elements of the algebra commuting with the whole algebra.
 
     Read off the block decomposition as the span of the block projections
@@ -147,7 +124,7 @@ def center(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> OperatorSubspace:
         if acted_on[k]:
             Uk = dec.block_isometry(k)
             ops.append(Uk @ Uk.conj().T / np.sqrt(dS * dF))
-    return OperatorSubspace(alg.ambient_dim, tuple(ops))
+    return OperatorSubspace(dec.dim, ops)
 
 
 @dataclass(frozen=True)
@@ -222,14 +199,14 @@ class WedderburnDecomposition:
 
 
 def wedderburn(
-    alg: StarAlgebra | OperatorSubspace | list[np.ndarray],
+    alg: OperatorSubspace | list[np.ndarray],
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> WedderburnDecomposition:
     """Block decomposition of the unital *-algebra generated by the given operators.
 
     The generators G_i are the orthonormalized Hermitian parts of the
-    operators (an algebra's basis, a subspace's basis or a list); a basis
+    operators (a subspace's basis, an algebra's among them, or a list); a basis
     that is already exactly Hermitian is used as it is.  Together
     with the identity they generate a unital algebra; its generic element,
     the Hermitian part of a product of L factors c_0 1 + sum_i c_i G_i with
@@ -255,18 +232,15 @@ def wedderburn(
 def _generators(ops, tol: float) -> np.ndarray:
     """(m, n, n) stack of the G_i, the :func:`~cereduce.operators.hermitian_closure` of the operators.
 
-    The basis of a subspace or algebra is HS-orthonormal by contract; when it
-    is also exactly Hermitian, as every ``hermitian_closure`` basis is, the
-    nperp basis of ``reduce_ce`` among them, it is used as it is.
+    The basis of a subspace is HS-orthonormal by contract; when it is also
+    exactly Hermitian, as every ``hermitian_closure`` basis is, the nperp
+    basis of ``reduce_ce`` among them, its stack is used as it is.
     """
-    if isinstance(ops, StarAlgebra):
-        ops = ops.space
     if isinstance(ops, OperatorSubspace):
         if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
-            return np.array(ops.basis)
+            return ops.basis
         ops = ops.basis
-    gens = hermitian_closure(ops, tol=tol)
-    return np.array(gens.basis).reshape(-1, gens.ambient_dim, gens.ambient_dim)
+    return hermitian_closure(ops, tol=tol).basis
 
 
 def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomposition, list[bool]]:
@@ -292,7 +266,7 @@ def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomp
     raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
-def _read_off(G: np.ndarray, dec: WedderburnDecomposition, acted_on: list[bool]) -> StarAlgebra:
+def _read_off(G: np.ndarray, dec: WedderburnDecomposition, acted_on: list[bool]) -> OperatorSubspace:
     """The algebra the G_i generate, read off their decomposition; see :func:`algebra_closure`."""
     n = dec.dim
     acted = [k for k, acts in enumerate(acted_on) if acts]
@@ -300,8 +274,7 @@ def _read_off(G: np.ndarray, dec: WedderburnDecomposition, acted_on: list[bool])
     # Hermitian R and G have real inner products: complete the generators'
     # coordinates in the basis R to a real orthogonal Q, and R Q is the algebra's basis
     Q = np.linalg.qr(np.tensordot(R.conj(), G, ([1, 2], [1, 2])).real, mode="complete")[0]
-    space = OperatorSubspace(n, (*G, *np.tensordot(Q[:, len(G):].T, R, 1)))
-    return StarAlgebra(space=space, unital=all(acted_on))
+    return OperatorSubspace(n, np.concatenate([G, np.tensordot(Q[:, len(G):].T, R, 1)]))
 
 
 def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:
@@ -321,7 +294,7 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
         orbit = closure([V], lambda basis, i: G @ basis[i], tol)
         dS = orbit.dim
         # column s * d_F + f is column f of orbit element s, which has norm 1 / sqrt(d_F)
-        cols = np.sqrt(dF) * np.array(orbit.basis).transpose(1, 0, 2).reshape(n, dS * dF)
+        cols = np.sqrt(dF) * orbit.basis.transpose(1, 0, 2).reshape(n, dS * dF)
         # an eigenspace lies in the block (overlap 1) or is orthogonal to it (overlap 0)
         overlaps = [np.linalg.norm(cols.conj().T @ W) ** 2 / W.shape[1] for W in eigenspaces]
         members = {b for b, o in enumerate(overlaps) if o > 0.5}

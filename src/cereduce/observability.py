@@ -20,7 +20,6 @@ from .operators import (
     OperatorSubspace,
     Superoperator,
     hermitian_closure,
-    unvec,
 )
 
 __all__ = [
@@ -49,11 +48,8 @@ def nonobservable_complement(
 
 
 def _images(S: Superoperator, subspace: OperatorSubspace) -> np.ndarray:
-    """(n^2, dim) matrix whose column i is vec(S(B_i)) for the basis element B_i."""
-    n = subspace.ambient_dim
-    images = S(np.reshape(subspace.basis, (subspace.dim, n, n)))
-    # row-major flattening of Y^T is vec(Y)
-    return images.transpose(0, 2, 1).reshape(subspace.dim, S.out_dim**2).T
+    """(n^2, dim) matrix whose column i is S(B_i) flattened row-major, for the basis element B_i."""
+    return S(subspace.basis).reshape(subspace.dim, S.out_dim**2).T
 
 
 def check_invariance(
@@ -93,7 +89,7 @@ class LinearReducedModel:
         return self.subspace.coords(X)
 
     def decode(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.subspace.stacked().T @ x, self.subspace.ambient_dim)
+        return (x @ self.subspace.stacked()).reshape(self.subspace.basis.shape[1:])
 
 
 def linear_reduce(
@@ -109,7 +105,8 @@ def linear_reduce(
     if subspace.dim == 0:
         raise ValueError("cannot reduce onto a zero-dimensional subspace")
     Q = subspace.stacked()
-    # A_k[i, j] = <B_i, M_k(B_j)>;  C[o, j] = tr(O_o B_j) = vec(O_o^T) . vec(B_j)
+    # A_k[i, j] = <B_i, M_k(B_j)>;  C[o, j] = tr(O_o B_j), the output rows of the
+    # readout against the row-major flattening of B_j
     A = {k: Q.conj() @ _images(ce.instrument.maps[k], subspace) for k in ce.outcomes}
-    C = ce.output.matrix() @ Q.T
+    C = ce.readout()[len(ce.outcomes):] @ Q.T
     return LinearReducedModel(subspace=subspace, outcomes=ce.outcomes, A=A, C=C)

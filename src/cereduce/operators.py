@@ -3,7 +3,12 @@
 Conventions used throughout the package:
 
 * operators are plain ``numpy`` complex matrices,
-* vectorization is column-stacking, ``vec(X)[a + b*n] = X[a, b]``,
+* vectorization is column-stacking, ``vec(X)[a + b*n] = X[a, b]``, for
+  superoperator matrices,
+* an operator span is held as one read-only (dim, n, m) array of its
+  HS-orthonormal basis, in the dtype it was closed in, and projects
+  through the row-major (dim, n m) view of that array; any one order of
+  the entries gives the same inner products,
 * every superoperator is a CP map ``X -> sum_i K_i X K_i^dag`` held as
   its Kraus list and applied, adjoined and composed through it; a map
   given as a matrix is factored into Kraus operators once, when it is
@@ -35,7 +40,6 @@ __all__ = [
     "eigh_clustered",
     "closure",
     "hermitian_closure",
-    "orthonormalize",
     "OperatorSubspace",
     "Superoperator",
     "superop_from_kraus",
@@ -89,50 +93,53 @@ def eigh_clustered(H: np.ndarray, rel_gap: float):
 class OperatorSubspace:
     """An operator subspace given by an HS-orthonormal basis.
 
-    The basis elements share one shape, with ``ambient_dim`` rows; they are
-    square everywhere except in the orbits of :func:`~cereduce.algebra.wedderburn`.
-
-    The basis is also held as its stacked matrix Q, built once: row i is
-    vec(B_i), so the coordinates of X are ``Q.conj() @ vec(X)`` and the
-    orthogonal projector acts on column-stacked vectors as
-    ``Q.T @ Q.conj()``.  Every projection goes through Q, many operators
-    at a time when they are passed as columns of one matrix.
+    The basis is one read-only C-contiguous (dim, n, m) array, with n =
+    ``ambient_dim``, real or complex; it is square everywhere except in the
+    orbits of :func:`~cereduce.algebra.wedderburn`.  A sequence of operators
+    is stacked into that array once, here.  Every projection goes through
+    the (dim, n m) view Q of the same memory, :meth:`stacked`, whose row i
+    is B_i flattened row-major, many operators at a time when they are
+    passed as flattened columns of one matrix.
     """
 
     ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
 
     def __post_init__(self):
-        n = self.ambient_dim
-        size = np.size(self.basis[0]) if self.basis else n * n
-        Q = np.array([vec(B) for B in self.basis], dtype=complex).reshape(self.dim, size)
-        Q.flags.writeable = False
-        object.__setattr__(self, "_stacked", Q)
+        basis = np.ascontiguousarray(self.basis)
+        if basis.ndim != 3:  # an empty sequence
+            basis = basis.reshape(0, self.ambient_dim, self.ambient_dim)
+        # a view, so that the caller's array keeps its own flags
+        basis = basis.view()
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def stacked(self) -> np.ndarray:
-        """Read-only (dim, n^2) matrix Q whose rows are the vectorized basis elements."""
-        return self._stacked
+        """Read-only (dim, n m) view Q of the basis, row i the row-major flattening of B_i."""
+        dim, n, m = self.basis.shape
+        return self.basis.reshape(dim, n * m)
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """HS coordinates of X in the basis."""
-        return self._stacked.conj() @ vec(X)
+        # conj(Q conj(x)), so that only x is conjugated, never the stack
+        return (self.stacked() @ np.conj(X).reshape(-1)).conj()
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection of X onto the subspace."""
-        return unvec(self._stacked.T @ self.coords(X), self.ambient_dim)
+        return (self.coords(X) @ self.stacked()).reshape(self.basis.shape[1:])
 
     def residuals(self, Y: np.ndarray) -> np.ndarray:
-        """Distances from the subspace of the operators vec'd in the columns of Y."""
-        Q = self._stacked
-        return np.linalg.norm(Y - Q.T @ (Q.conj() @ Y), axis=0)
+        """Distances from the subspace of the operators flattened row-major in the columns of Y."""
+        Q = self.stacked()
+        return np.linalg.norm(Y - Q.T @ (Q @ Y.conj()).conj(), axis=0)
 
     def residual(self, X: np.ndarray) -> float:
         """Distance of X from the subspace."""
-        return float(self.residuals(vec(X)[:, None])[0])
+        return float(self.residuals(np.reshape(X, (-1, 1)))[0])
 
     def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(X) <= tol * max(hs_norm(X), 1.0)
@@ -159,7 +166,8 @@ def closure(
     the elements its block has already added, then out of the whole basis
     a second time (CGS2), and kept when its residual still exceeds that
     bound, until the basis holds n m elements.  So the rank rule is that
-    of adding the candidates one at a time.
+    of adding the candidates one at a time.  The returned basis is the
+    first rows of the Gram-Schmidt buffer itself, not a copy of them.
     """
     ops = list(ops)
     if not ops:
@@ -214,7 +222,7 @@ def closure(
         basis.flags.writeable = False
         add(expand(basis, i))
         i += 1
-    return OperatorSubspace(n, tuple(Q[:dim].reshape(dim, n, m).copy()))
+    return OperatorSubspace(n, Q[:dim].reshape(dim, n, m))
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
@@ -237,30 +245,35 @@ def hermitian_closure(generators, maps=(), tol: float = DEFAULT_TOL) -> Operator
     onto real matrices X, so the :func:`closure` runs on real X: each
     generator enters through its two Hermitian parts, and each basis element
     expands into its images under every map of H = (X + X^T)/2 + i (X - X^T)/2,
-    exactly Hermitian.  The returned basis is these H.
+    exactly Hermitian.  The returned basis is these H, written into one
+    complex stack.
     """
-    def hermitian(X):
-        XT = X.swapaxes(-1, -2)
-        H = np.empty(X.shape, dtype=complex)
-        H.real, H.imag = (X + XT) / 2, (X - XT) / 2
-        return H
-
     def expand(basis, i):
-        H = hermitian(basis[i])
+        H = _from_real_coordinates(basis[i])
         return [Y.real + Y.imag for Y in (S(H) for S in maps)]
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
-    basis = closure(parts, expand if maps else None, tol).basis
-    n = len(parts[0])
-    return OperatorSubspace(n, tuple(hermitian(np.reshape(basis, (len(basis), n, n)))))
+    sub = closure(parts, expand if maps else None, tol)
+    return OperatorSubspace(sub.ambient_dim, _from_real_coordinates(sub.basis))
 
 
-def orthonormalize(
-    ops: list[np.ndarray] | tuple[np.ndarray, ...],
-    tol: float = DEFAULT_TOL,
-) -> OperatorSubspace:
-    """HS-orthonormal basis of the span of ``ops``, their :func:`closure` without ``expand``."""
-    return closure(ops, tol=tol)
+def _from_real_coordinates(X: np.ndarray) -> np.ndarray:
+    """H = (X + X^T)/2 + i (X - X^T)/2 from its real coordinates X = Re H + Im H,
+    for each n x n matrix of a stack (..., n, n).
+
+    Each X^T is read once, into a contiguous copy, and both parts are
+    written straight into the complex result.
+    """
+    H = np.empty(X.shape, dtype=complex)
+    n = X.shape[-1]
+    for Xi, Hi in zip(X.reshape(-1, n, n), H.reshape(-1, n, n)):
+        XT = np.ascontiguousarray(Xi.T)
+        real, imag = Hi.real, Hi.imag
+        np.add(Xi, XT, out=real)
+        real /= 2
+        np.subtract(Xi, XT, out=imag)
+        imag /= 2
+    return H
 
 
 class Superoperator:
@@ -346,11 +359,6 @@ class Superoperator:
         r = len(self.kraus)
         Y = (X @ self._cols).reshape(*lead, ni, r, no)
         return self._rows @ Y.swapaxes(-3, -2).reshape(*lead, r * ni, no)
-
-    @classmethod
-    def from_conjugation(cls, A: np.ndarray) -> "Superoperator":
-        """The map X -> A X A^dag."""
-        return superop_from_kraus([A])
 
     def adjoint(self) -> "Superoperator":
         """HS adjoint X -> sum_i K_i^dag X K_i."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import CEFactorization, StarAlgebra, _decompose, _read_off, conditional_expectation
+from .algebra import CEFactorization, _decompose, _read_off, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import check_invariance, nonobservable_complement
 from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
@@ -49,7 +49,7 @@ class ReducedCE:
     reduction_map: Superoperator            # Phi = R
     factorization: CEFactorization
     nperp: OperatorSubspace
-    output_algebra: StarAlgebra
+    output_algebra: OperatorSubspace
     original_dim: int
     tol: float
     seed: int
@@ -114,9 +114,9 @@ def reduce_ce(
     """
     nperp = nonobservable_complement(ce, tol)
     G, dec, acted_on = _decompose(nperp, tol, seed)
-    alg = _read_off(G, dec, acted_on)
-    if not alg.unital:
+    if not all(acted_on):
         raise ValueError("the observables generate a non-unital algebra")
+    alg = _read_off(G, dec, acted_on)
     fact = conditional_expectation(dec)
 
     maps, cuts = _reduce_maps(fact, {k: ce.instrument.maps[k] for k in ce.outcomes}, tol)
@@ -173,7 +173,7 @@ class AssumptionReport:
 def check_assumptions(
     ce: ConditionalEvolution,
     nperp: OperatorSubspace,
-    alg: StarAlgebra,
+    alg: OperatorSubspace,
     tol: float = DEFAULT_TOL,
 ) -> AssumptionReport:
     """Evaluate the separability assumptions on a split-form model."""
@@ -188,10 +188,10 @@ def check_assumptions(
     # A2: E maps the complement of nperp into itself iff E^dag maps nperp into nperp
     a2_res = check_invariance(nperp, ce.evolution, dual=True)
     a3_res = max(
-        check_invariance(alg.space, ce.effects[k], dual=False)
+        check_invariance(alg, ce.effects[k], dual=False)
         for k in ce.outcomes
     )
-    a4_res = check_invariance(alg.space, ce.evolution, dual=True)
+    a4_res = check_invariance(alg, ce.evolution, dual=True)
 
     a1 = AssumptionCheck(holds=a1_res <= tol * scale, residual=a1_res)
     return AssumptionReport(

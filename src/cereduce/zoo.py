@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import invariant_closure
-from .operators import DEFAULT_TOL, Superoperator, superop_from_kraus
+from .operators import DEFAULT_TOL, superop_from_kraus
 
 __all__ = [
     "haar_unitary",
@@ -47,7 +47,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 def walk_is_generic(U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when the conjugation orbit of the site projectors fills B(H)."""
     n = U.shape[0]
-    ev = Superoperator.from_conjugation(U)
+    ev = superop_from_kraus([U])
     sites = [np.outer(np.eye(n)[:, j], np.eye(n)[j].conj()) for j in range(n)]
     closure = invariant_closure(sites, [ev], tol)
     return closure.dim == n * n
@@ -76,7 +76,7 @@ def measured_quantum_walk(
             "non-generic walk unitary: known-answer reduction dimensions may not apply",
             stacklevel=2,
         )
-    evolution = Superoperator.from_conjugation(U)
+    evolution = superop_from_kraus([U])
     eye = np.eye(n, dtype=complex)
     effects = {}
     maps = {}
@@ -151,6 +151,6 @@ def ising_chain(N: int, p: float, delta: float) -> ConditionalEvolution:
     return ConditionalEvolution(
         instrument=Instrument(outcomes=labels, maps=maps),
         output=OutputMap(names=names, observables=obs),
-        evolution=Superoperator.from_conjugation(U),
+        evolution=superop_from_kraus([U]),
         effects=effects,
     )

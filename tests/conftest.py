@@ -94,7 +94,7 @@ def closure_residual(alg):
     """Worst distance from the algebra of the adjoints and pairwise products of its basis."""
     ops = [B.conj().T for B in alg.basis] + [A @ B for A in alg.basis for B in alg.basis]
     cols = np.array([vec(X) for X in ops]).T
-    return float(np.max(np.linalg.norm(cols - projector_matrix(alg.space) @ cols, axis=0)))
+    return float(np.max(np.linalg.norm(cols - projector_matrix(alg) @ cols, axis=0)))
 
 
 def blockdiag_projector(fact):

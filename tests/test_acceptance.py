@@ -214,7 +214,7 @@ def e_suite_ok(alg, tol=1e-8):
     rep = channel_checks(E)
     ok &= rep.cp and rep.tp and rep.unital
     ok &= all(np.linalg.norm(E(B) - B) <= tol for B in alg.basis)
-    ok &= np.linalg.norm(E.matrix - projector_matrix(alg.space)) <= tol
+    ok &= np.linalg.norm(E.matrix - projector_matrix(alg)) <= tol
     ok &= channel_checks_rect(fact.R) and channel_checks_rect(fact.J)
     Pbd = blockdiag_projector(fact)
     ok &= np.linalg.norm(fact.R.matrix @ fact.J.matrix @ Pbd - Pbd) <= 1e-10
@@ -260,7 +260,7 @@ def test_criterion_8_structural_invariants(walks, isings, random_algebras):
     for alg in algebras:
         back = commutant(commutant(alg))
         ok &= back.dim == alg.dim
-        ok &= all(back.space.residual(B) <= 1e-8 for B in alg.basis)
+        ok &= all(back.residual(B) <= 1e-8 for B in alg.basis)
     # trace conservation and positivity on 1000 random (instrument, state) pairs
     rng = np.random.default_rng(77)
     for i in range(100):

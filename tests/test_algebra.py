@@ -6,7 +6,6 @@ import pytest
 
 from cereduce import algebra
 from cereduce.algebra import (
-    StarAlgebra,
     algebra_closure,
     center,
     commutant,
@@ -18,8 +17,8 @@ from cereduce.reduction import reduce_ce
 from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
+    closure,
     hs_norm,
-    orthonormalize,
     superop_from_kraus,
     unvec,
     vec,
@@ -100,7 +99,7 @@ def center_by_commutator_stack(alg, tol=1e-9):
     null = Vh[s <= tol * max(float(s[0]), 1.0)].conj()
     ops = [sum(c * B for c, B in zip(v, alg.basis)) for v in null]
     parts = [P for X in ops for P in ((X + X.conj().T) / 2, (X - X.conj().T) / 2j)]
-    return orthonormalize(parts, tol)
+    return closure(parts, tol=tol)
 
 
 def clifford_generators(k):
@@ -118,7 +117,7 @@ def projector_distance(A, B):
 class TestAlgebraClosure:
     def test_identity_span(self):
         alg = algebra_closure([np.eye(3, dtype=complex)])
-        assert alg.dim == 1 and alg.unital
+        assert alg.dim == 1 and alg.contains(np.eye(3))
 
     def test_diagonal_fixed_point(self):
         alg = algebra_closure([proj(4, j) for j in range(4)])
@@ -132,7 +131,7 @@ class TestAlgebraClosure:
     def test_ising_p0_closure_dim16(self):
         ce = ising_chain(4, 0.0, 0.3)
         alg = algebra_closure(nonobservable_complement(ce))
-        assert alg.dim == 16 and alg.unital
+        assert alg.dim == 16 and alg.contains(np.eye(16))
 
     @pytest.mark.parametrize("n_units,dim", [(9, 9), (2, 4)])
     def test_matrix_units_give_hermitian_basis(self, n_units, dim):
@@ -165,9 +164,7 @@ class TestAlgebraClosure:
 
     def test_closure_residual_of_non_algebra(self, paulis):
         # sigma_x^2 / 2 = 1 / 2 lies off span{sigma_x, sigma_z} at distance 1 / sqrt(2)
-        space = orthonormalize([paulis["x"], paulis["z"]])
-        alg = StarAlgebra(space=space, unital=False)
-        assert closure_residual(alg) > 0.5
+        assert closure_residual(closure([paulis["x"], paulis["z"]])) > 0.5
 
 
 class TestGenerators:
@@ -192,7 +189,7 @@ class TestGenerators:
         plus = (paulis["x"] + 1j * paulis["y"]) / 2
         space = OperatorSubspace(2, (plus / hs_norm(plus),))
         alg = algebra_closure(space)
-        assert alg.dim == 4 and alg.unital
+        assert alg.dim == 4 and alg.contains(np.eye(2))
         assert all(is_hermitian(B, 1e-12) for B in alg.basis)
 
     def test_only_algebra_callers_read_the_basis_off(self, monkeypatch):
@@ -204,7 +201,7 @@ class TestGenerators:
         wedderburn(nperp)
         commutant(alg)
         assert center(alg).dim == 2
-        assert center(StarAlgebra(space=orthonormalize([proj(3, 0)]), unital=False)).dim == 1
+        assert center(closure([proj(3, 0)])).dim == 1
         assert calls == []
         algebra_closure(nperp)
         assert calls == [1]
@@ -233,7 +230,7 @@ class TestCommutant:
         n = alg.ambient_dim
         com = commutant(alg)
         assert com.dim == dim
-        S = com.space.stacked()
+        S = com.stacked()
         assert np.linalg.norm(S.conj() @ S.T - np.eye(dim)) < 1e-10
         assert all(is_hermitian(X, 1e-10) for X in com.basis)
         # direct null-space oracle on the stacked commutator map
@@ -246,7 +243,7 @@ class TestCommutant:
         null = [unvec(Vh[j].conj(), n) for j in range(len(s)) if s[j] <= 1e-9 * s[0]]
         assert len(null) == dim
         for X in null:
-            assert com.space.residual(X) < 1e-9
+            assert com.residual(X) < 1e-9
 
     def test_double_commutant(self, rng):
         for blocks in [((1, 2), (2, 1)), ((2, 2),), ((1, 1), (1, 1), (2, 1))]:
@@ -254,9 +251,9 @@ class TestCommutant:
             back = commutant(commutant(alg))
             assert back.dim == alg.dim
             for B in alg.basis:
-                assert back.space.residual(B) < 1e-8
+                assert back.residual(B) < 1e-8
             for B in back.basis:
-                assert alg.space.residual(B) < 1e-8
+                assert alg.residual(B) < 1e-8
 
 
 class TestCenter:
@@ -270,7 +267,7 @@ class TestCenter:
 
     def test_non_hermitian_basis(self):
         # M_3 given by its matrix units, an orthonormal basis of non-Hermitian elements
-        alg = StarAlgebra(space=OperatorSubspace(3, tuple(full_matrix_units(3))), unital=True)
+        alg = OperatorSubspace(3, full_matrix_units(3))
         Z = center(alg)
         assert Z.dim == 1
         assert Z.contains(np.eye(3, dtype=complex), 1e-10)
@@ -282,7 +279,7 @@ class TestCenter:
     )
     def test_non_unital_matches_commutator_stack(self, gens, dim):
         alg = algebra_closure(gens)
-        assert not alg.unital
+        assert not alg.contains(np.eye(len(gens[0])))
         Z, ref = center(alg), center_by_commutator_stack(alg)
         assert Z.dim == ref.dim == dim
         assert projector_distance(Z, ref) <= 1e-10
@@ -384,12 +381,10 @@ class TestWedderburn:
             assert dec.structure_residual(B) <= 1e-12
 
     def test_non_unital_rejected(self):
-        from cereduce.algebra import StarAlgebra
-
         alg = algebra_closure([proj(3, 0)])
-        no_unit = StarAlgebra(space=alg.space, unital=False)
+        assert not alg.contains(np.eye(3))
         with pytest.raises(ValueError):
-            wedderburn(no_unit)
+            wedderburn(alg)
 
     def test_non_unital_generators_rejected(self):
         # |0><0| generates a one-dimensional algebra whose unit is not the identity
@@ -448,7 +443,7 @@ class TestConditionalExpectation:
         assert rep.cp and rep.tp and rep.unital
         for B in alg.basis:
             assert np.linalg.norm(E(B) - B) <= 1e-9
-        assert np.linalg.norm(E.matrix - projector_matrix(alg.space)) <= tol
+        assert np.linalg.norm(E.matrix - projector_matrix(alg)) <= tol
         rrep = channel_checks_rect(fact.R)
         jrep = channel_checks_rect(fact.J)
         assert rrep and jrep

@@ -12,8 +12,8 @@ from cereduce.observability import (
 from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
+    closure,
     hs_norm,
-    orthonormalize,
     superop_from_kraus,
     vec,
 )
@@ -106,14 +106,14 @@ class TestCheckInvariance:
             assert check_invariance(sub, walk4.instrument.maps[k], dual=True) < 1e-9
 
     def test_walk_effects_leave_diagonal_invariant(self, walk4):
-        sub = orthonormalize([proj(4, j) for j in range(4)])
+        sub = closure([proj(4, j) for j in range(4)])
         for k in walk4.outcomes:
             assert check_invariance(sub, walk4.effects[k]) < 1e-12
 
     def test_hadamard_moves_sigma_x(self, paulis):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        sub = orthonormalize([paulis["x"]])
-        S = Superoperator.from_conjugation(H)
+        sub = closure([paulis["x"]])
+        S = Superoperator(kraus=[H])
         # H sigma_x H = sigma_z, orthogonal to the (normalized) basis
         assert check_invariance(sub, S) == pytest.approx(1.0)
 
@@ -122,7 +122,7 @@ class TestCheckInvariance:
     def test_matches_per_element_oracle(self, rng, dual, dim):
         n = 3
         S = superop_from_kraus([random_complex(rng, (n, n)) for _ in range(2)])
-        sub = orthonormalize([random_complex(rng, (n, n)) for _ in range(dim)])
+        sub = closure([random_complex(rng, (n, n)) for _ in range(dim)])
         assert sub.dim == dim
         op = S.adjoint() if dual else S
         expected = 0.0
@@ -148,7 +148,7 @@ class TestLinearReduce:
             instrument=ce.instrument,
             output=OutputMap(names=(*ce.output.names, "nonherm"), observables=obs),
         )
-        sub = orthonormalize([random_complex(rng, (3, 3)) for _ in range(5)])
+        sub = closure([random_complex(rng, (3, 3)) for _ in range(5)])
         lm = linear_reduce(ce, sub)
         for k in ce.outcomes:
             M = ce.instrument.maps[k]

@@ -9,12 +9,11 @@ from cereduce.operators import (
     hermitian_closure,
     hs_norm,
     map_coordinates,
-    orthonormalize,
     superop_from_kraus,
     unvec,
     vec,
 )
-from cereduce.algebra import algebra_closure
+from cereduce.algebra import algebra_closure, center, commutant
 from cereduce.model import ConditionalEvolution, OutputMap
 from cereduce.observability import invariant_closure, nonobservable_complement
 from cereduce.reduction import equivalence_check, random_density, reduce_ce
@@ -63,49 +62,49 @@ class TestVec:
 
 class TestOrthonormalize:
     def test_collinear(self):
-        sub = orthonormalize([np.eye(2), 2 * np.eye(2)])
+        sub = closure([np.eye(2), 2 * np.eye(2)])
         assert sub.dim == 1
 
     def test_linear_dependence(self, paulis):
-        sub = orthonormalize([paulis["x"], paulis["y"], paulis["x"] + paulis["y"]])
+        sub = closure([paulis["x"], paulis["y"], paulis["x"] + paulis["y"]])
         assert sub.dim == 2
 
     def test_random_rank_oracle(self, rng):
         ops = [random_complex(rng, (3, 3)) for _ in range(20)]
-        sub = orthonormalize(ops)
+        sub = closure(ops)
         # independent rank computation on the 9x20 coefficient matrix
         M = np.array([op.reshape(-1) for op in ops]).T
         assert sub.dim == np.linalg.matrix_rank(M, tol=1e-9)
         assert sub.dim == 9
 
     def test_all_zero_input(self):
-        sub = orthonormalize([np.zeros((2, 2))])
+        sub = closure([np.zeros((2, 2))])
         assert sub.dim == 0
 
     def test_two_sided_span_containment(self, rng):
         ops = [random_complex(rng, (3, 3)) for _ in range(4)]
-        sub = orthonormalize(ops)
+        sub = closure(ops)
         for op in ops:
             assert sub.residual(op) < 1e-10
-        back = orthonormalize(ops + list(sub.basis))
+        back = closure(ops + list(sub.basis))
         assert back.dim == sub.dim
 
     def test_orthonormal_basis(self, rng):
-        sub = orthonormalize([random_complex(rng, (3, 3)) for _ in range(5)])
+        sub = closure([random_complex(rng, (3, 3)) for _ in range(5)])
         for i, Bi in enumerate(sub.basis):
             for j, Bj in enumerate(sub.basis):
                 assert hs_inner(Bi, Bj) == pytest.approx(float(i == j), abs=1e-12)
 
     def test_hermitian_inputs_give_hermitian_basis(self, rng, paulis):
         ops = [paulis["x"] + paulis["z"], paulis["y"], np.eye(2)]
-        sub = orthonormalize(ops)
+        sub = closure(ops)
         for B in sub.basis:
             assert np.linalg.norm(B - B.conj().T) < 1e-12
 
 
 class TestOperatorSubspace:
     def test_coords_and_project_match_explicit_sums(self, rng):
-        sub = orthonormalize([random_complex(rng, (3, 3)) for _ in range(4)])
+        sub = closure([random_complex(rng, (3, 3)) for _ in range(4)])
         X = random_complex(rng, (3, 3))
         coords = [hs_inner(B, X) for B in sub.basis]
         assert np.allclose(sub.coords(X), coords, atol=1e-12)
@@ -114,16 +113,43 @@ class TestOperatorSubspace:
         assert sub.residual(X) == pytest.approx(np.linalg.norm(X - explicit), abs=1e-12)
 
     def test_stacked_is_built_once_and_read_only(self, rng):
-        sub = orthonormalize([random_complex(rng, (2, 2)) for _ in range(3)])
+        sub = closure([random_complex(rng, (2, 2)) for _ in range(3)])
         Q = sub.stacked()
-        assert Q is sub.stacked()
-        assert np.array_equal(Q, [vec(B) for B in sub.basis])
+        # a row-major view of the one (dim, n, n) basis array, not a copy
+        assert np.shares_memory(Q, sub.basis)
+        assert np.array_equal(Q, [B.reshape(-1) for B in sub.basis])
         with pytest.raises(ValueError):
             Q[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sub.basis[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("make, dtype", [
+        pytest.param(lambda: closure([np.diag([1.0, 2.0, 3.0]), np.ones((3, 3))]), np.float64,
+                     id="closure_real"),
+        pytest.param(lambda: closure([np.eye(3), 1j * np.ones((3, 3))]), np.complex128, id="closure_complex"),
+        pytest.param(lambda: closure([np.zeros((2, 2))]), np.float64, id="closure_empty"),
+        pytest.param(lambda: hermitian_closure([PAULI["x"], PAULI["x"] @ PAULI["z"]]), np.complex128,
+                     id="hermitian_closure"),
+        pytest.param(lambda: algebra_closure([PAULI["x"], PAULI["z"]]), np.complex128, id="algebra_closure"),
+        pytest.param(lambda: center(algebra_closure([proj(3, 0), proj(3, 1)])), np.complex128, id="center"),
+        pytest.param(lambda: commutant(algebra_closure([proj(3, 0)])), np.complex128, id="commutant"),
+        pytest.param(lambda: nonobservable_complement(ising_chain(4, 0.5, 0.3)), np.complex128,
+                     id="nonobservable_complement"),
+    ])
+    def test_basis_is_one_read_only_array(self, make, dtype):
+        sub = make()
+        assert isinstance(sub.basis, np.ndarray) and sub.basis.dtype == dtype
+        dim, n, m = sub.basis.shape
+        Q = sub.stacked()
+        assert Q.shape == (dim, n * m) and np.array_equal(Q, sub.basis.reshape(dim, n * m))
+        # stacked() is a view of the basis; a zero-size array shares memory with nothing
+        assert np.shares_memory(Q, sub.basis) or dim == 0
+        assert not sub.basis.flags.writeable and not Q.flags.writeable
 
     def test_empty_subspace(self, rng):
         sub = OperatorSubspace(3, ())
         X = random_complex(rng, (3, 3))
+        assert sub.basis.shape == (0, 3, 3) and not sub.basis.flags.writeable
         assert sub.stacked().shape == (0, 9)
         assert sub.coords(X).shape == (0,)
         assert np.array_equal(sub.project(X), np.zeros((3, 3)))
@@ -155,7 +181,7 @@ class TestClosure:
         assert all(B.dtype == np.float64 for B in sub.basis)
         gram = sub.stacked().conj() @ sub.stacked().T
         assert np.linalg.norm(gram - np.eye(9)) <= 1e-13
-        assert orthonormalize([np.eye(2), [[0, 1], [1, 0]]]).basis[1].dtype == np.float64
+        assert closure([np.eye(2), [[0, 1], [1, 0]]]).basis[1].dtype == np.float64
 
     @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["zero_imaginary_part", "imaginary"])
     def test_complex_candidate_in_real_closure_rejected(self, imag, rng):
@@ -243,7 +269,7 @@ def assert_reduction_spans_match_one_by_one(ce):
     nperp_ref = closure_one_by_one(ce.output.observables, lambda b, i: [S(b[i]) for S in duals])
     nperp = nonobservable_complement(ce)
     assert_same_span(nperp, nperp_ref)
-    assert_same_span(algebra_closure(nperp).space, algebra_one_by_one(nperp_ref.basis))
+    assert_same_span(algebra_closure(nperp), algebra_one_by_one(nperp_ref.basis))
 
 
 class TestBlockClosure:
@@ -266,13 +292,13 @@ class TestBlockClosure:
 
     def test_block_algebras_match_one_by_one(self):
         for ops in acceptance_block_generators():
-            assert_same_span(algebra_closure(ops).space, algebra_one_by_one(ops))
+            assert_same_span(algebra_closure(ops), algebra_one_by_one(ops))
 
     def test_dependent_candidates_in_one_block(self, paulis):
         X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
         sub = closure([Z], lambda basis, i: [X, 2 * X, X + Y, Y] if i == 0 else [])
         assert sub.dim == 3
-        assert_same_span(sub, orthonormalize([X, Y, Z]))
+        assert_same_span(sub, closure([X, Y, Z]))
 
     def test_running_max_inside_block(self, paulis):
         # Y is tested against the norms seen up to it, 1e-6 |X|, not the block's 1e3 |Z|
@@ -372,7 +398,7 @@ class TestHermitianClosure:
         plus = (paulis["x"] + 1j * paulis["y"]) / 2
         sub = hermitian_closure([np.eye(2), plus], [superop_from_kraus([np.eye(2)])])
         assert sub.dim == 3
-        assert_same_span(sub, orthonormalize([np.eye(2), paulis["x"], paulis["y"]]))
+        assert_same_span(sub, closure([np.eye(2), paulis["x"], paulis["y"]]))
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: ising_plus_ce(4), id="ising4_sigma_plus"),

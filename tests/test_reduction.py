@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
-from cereduce.operators import Superoperator, superop_from_kraus
+from cereduce.observability import nonobservable_complement
+from cereduce.operators import Superoperator, superop_from_kraus, vec
 from cereduce.reduction import (
     EquivalenceReport,
     check_assumptions,
@@ -138,6 +140,23 @@ class TestReduceCE:
         red0 = reduce_ce(ising_chain(4, 0.0, 0.3))
         assert (red0.nperp.dim, red0.reduced_dim) == (12, 16)
         assert sorted(red0.blocks) == [(2, 2)] * 4
+
+    def test_ising_n7_memory(self):
+        # one stack per span: the nperp basis is kept once, not also as a stacked copy
+        ce = ising_chain(7, 0.5, 0.3)
+        tracemalloc.start()
+        try:
+            nperp = nonobservable_complement(ce)
+            kept, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            reduce_ce(ce)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_basis = nperp.dim * ce.dim**2 * 16
+        assert nperp.dim == 18 and kept <= 1.1 * one_basis
+        assert peak - base <= 32 * 2**20
 
     def test_dimension_ordering(self, walk4_red):
         red = walk4_red
@@ -326,7 +345,7 @@ class TestAssumptions:
         rep = check_assumptions(ce, red.nperp, red.output_algebra)
         assert not rep.a1.holds
         # A2 is the dual invariance of nperp: max_i ||(1 - P) E^dag(B_i)|| over its basis
-        images = ce.evolution.matrix.conj().T @ red.nperp.stacked().T
+        images = ce.evolution.matrix.conj().T @ np.array([vec(B) for B in red.nperp.basis]).T
         off = images - projector_matrix(red.nperp) @ images
         assert rep.a2.residual == pytest.approx(np.max(np.linalg.norm(off, axis=0)), abs=1e-12)
         assert not rep.a2.holds and rep.a2.residual == pytest.approx(0.5646424733950358, abs=1e-9)
