@@ -53,6 +53,7 @@ __all__ = [
 
 
 MAX_REDRAWS = 8  # seeded draws of the generic element before giving up
+READ_OFF_SLAB = 2**15  # float entries per slab of the read-off's in-place combination
 
 
 class DegenerateAlgebraError(RuntimeError):
@@ -76,8 +77,9 @@ def algebra_closure(
     return _read_off(*_decompose(subspace, tol, 0))
 
 
-def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> list[np.ndarray]:
-    """HS-orthonormal Hermitian basis of the span of all W_a W_b^dag over the blocks ``ks``.
+def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> np.ndarray:
+    """HS-orthonormal Hermitian basis of the span of all W_a W_b^dag over the blocks ``ks``,
+    written into one (dim, n, n) stack.
 
     The W_a are the slices of U_k along ``axis`` of its (n, d_S, d_F) view:
     axis 1 gives U_k (E_st otimes 1_F) U_k^dag, the algebra, and axis 2 gives
@@ -86,14 +88,21 @@ def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> list[np.nda
     and, for a < b, the Hermitian parts of W_a W_b^dag times sqrt(2 / r) are
     orthonormal.
     """
-    ops = []
+    n = dec.dim
+    ops = np.empty((sum(dec.blocks[k][axis - 1] ** 2 for k in ks), n, n), dtype=complex)
+    i = 0
     for k in ks:
-        W = np.moveaxis(dec.block_isometry(k).reshape(dec.dim, *dec.blocks[k]), axis, 0)
+        W = np.moveaxis(dec.block_isometry(k).reshape(n, *dec.blocks[k]), axis, 0)
         d, _, r = W.shape
         for a in range(d):
             for b in range(a, d):
                 real, imag = _hermitian_parts(W[a] @ W[b].conj().T)
-                ops += [real / np.sqrt(r)] if a == b else [real * np.sqrt(2 / r), imag * np.sqrt(2 / r)]
+                if a == b:
+                    np.divide(real, np.sqrt(r), out=ops[i])
+                else:
+                    np.multiply(real, np.sqrt(2 / r), out=ops[i])
+                    np.multiply(imag, np.sqrt(2 / r), out=ops[i + 1])
+                i += 1 + (a != b)
     return ops
 
 
@@ -268,13 +277,20 @@ def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomp
 
 def _read_off(G: np.ndarray, dec: WedderburnDecomposition, acted_on: list[bool]) -> OperatorSubspace:
     """The algebra the G_i generate, read off their decomposition; see :func:`algebra_closure`."""
-    n = dec.dim
+    n, m = dec.dim, len(G)
     acted = [k for k, acts in enumerate(acted_on) if acts]
-    R = np.array(_block_operators(dec, acted, axis=1)).reshape(-1, n, n)
-    # Hermitian R and G have real inner products: complete the generators'
-    # coordinates in the basis R to a real orthogonal Q, and R Q is the algebra's basis
-    Q = np.linalg.qr(np.tensordot(R.conj(), G, ([1, 2], [1, 2])).real, mode="complete")[0]
-    return OperatorSubspace(n, np.concatenate([G, np.tensordot(Q[:, len(G):].T, R, 1)]))
+    R = _block_operators(dec, acted, axis=1)
+    # Hermitian R and G have real inner products, those of their float views:
+    # complete the generators' coordinates in the basis R to a real orthogonal Q, and
+    # [G, R Q[:, m:]] is the algebra's basis, written over R a slab of entries at a time
+    Rf, Gf = R.reshape(len(R), -1).view(float), G.reshape(m, -1).view(float)
+    Q = np.linalg.qr(Rf @ Gf.T, mode="complete")[0]
+    rest = Q[:, m:].T.copy()
+    for j in range(0, Rf.shape[1], READ_OFF_SLAB):
+        slab = Rf[:, j:j + READ_OFF_SLAB]
+        slab[m:] = rest @ slab
+        slab[:m] = Gf[:, j:j + READ_OFF_SLAB]
+    return OperatorSubspace(n, R)
 
 
 def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:

@@ -198,6 +198,12 @@ def cmd_verify(args) -> int:
     # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small
     if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
         raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
+    # the walk and the --tv pull-back share the evolution conjugation of a split model
+    for ce, path in ((full, args.full), (red_model, args.reduced)):
+        try:
+            ce.certify_split()
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}")
     # just enough of a reduced model to drive the check
     reduced = SimpleNamespace(model=red_model, reduction_map=R)
     try:

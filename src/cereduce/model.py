@@ -9,6 +9,7 @@ product with a state gives every outcome probability and every output.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,14 @@ class OutputMap:
 
 @dataclass(frozen=True)
 class ConditionalEvolution:
-    """Instrument + output map, optionally split as evolution o effects."""
+    """Instrument + output map, optionally split as evolution o effects.
+
+    A split model has M_k = E o K_k: one evolution map E after the effect
+    K_k of outcome k.  Its duals M_k^dag = K_k^dag o E^dag then share one
+    E^dag(X) among all outcomes; :meth:`dual_images` uses the split once
+    :meth:`split_residual`, computed once per model, is within the bound of
+    :func:`validate_ce`, and refuses it with ValueError otherwise.
+    """
 
     instrument: Instrument
     output: OutputMap
@@ -175,13 +183,53 @@ class ConditionalEvolution:
         return rows
 
     def split_residual(self) -> float:
-        """Max HS distance between M_k and evolution o effect_k."""
+        """Max HS distance between M_k and evolution o effect_k, computed once.
+
+        Diagonal effects, as in the zoo, compose with the evolution by scaling
+        columns (see :meth:`~cereduce.operators.Superoperator.compose`).
+        """
         if not self.has_split:
             raise ValueError("conditional evolution has no split form")
-        x = map_coordinates([self.instrument.maps[k] for k in self.outcomes]
-                            + [self.evolution @ self.effects[k] for k in self.outcomes])
-        m = len(self.outcomes)
-        return float(np.max(np.linalg.norm(x[:m] - x[m:], axis=1)))
+        res = self.__dict__.get("_split_residual")
+        if res is None:
+            x = map_coordinates([self.instrument.maps[k] for k in self.outcomes]
+                                + [self.evolution @ self.effects[k] for k in self.outcomes])
+            m = len(self.outcomes)
+            res = float(np.max(np.linalg.norm(x[:m] - x[m:], axis=1)))
+            object.__setattr__(self, "_split_residual", res)
+        return res
+
+    def certify_split(self, tol: float = DEFAULT_TOL) -> None:
+        """Raise ValueError unless a split's residual is within the 10 tol of :func:`validate_ce`."""
+        if self.has_split and not self.split_residual() <= tol * 10:
+            raise ValueError(f"split residual {self.split_residual():.3e} exceeds {tol * 10:.1e}: "
+                             "the evolution after the effects is not the instrument")
+
+    def dual_images(self, tol: float = DEFAULT_TOL) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+        """The function X -> the images M_k^dag(X) of every outcome k, in order.
+
+        On a split model, certified by :meth:`certify_split` at ``tol``,
+        M_k^dag = effect_k^dag o evolution^dag: the function computes
+        E^dag(X) once, when called, and returns an iterator that applies each
+        effect's dual to it in turn, elementwise for diagonal effects.
+        Without a split it applies the instrument maps' adjoints to X.  X is
+        one operator or a stack, and the iterator holds only E^dag(X), or X.
+        The dual maps are built here, once per returned function, and not
+        kept on the model.
+        """
+        self.certify_split(tol)
+        if self.has_split:
+            shared = self.evolution.adjoint()
+            duals = [self.effects[k].adjoint() for k in self.outcomes]
+        else:
+            shared = None
+            duals = [self.instrument.maps[k].adjoint() for k in self.outcomes]
+
+        def images(X: np.ndarray) -> Iterator[np.ndarray]:
+            S = X if shared is None else shared(X)
+            return (D(S) for D in duals)
+
+        return images
 
 
 @dataclass(frozen=True)

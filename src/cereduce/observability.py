@@ -40,11 +40,14 @@ def nonobservable_complement(
 ) -> OperatorSubspace:
     """Span of the observables and all their dual-map orbits.
 
-    Their :func:`invariant_closure` under the duals: the basis is exactly
-    Hermitian, and a non-Hermitian observable enters through its two Hermitian parts.
+    Their :func:`invariant_closure` under the duals, each basis element
+    expanded by :meth:`~cereduce.model.ConditionalEvolution.dual_images`, so a
+    split model pays one evolution conjugation per element, not one per
+    outcome, and refuses a split above its bound with ValueError.  The basis
+    is exactly Hermitian, and a non-Hermitian observable enters through its
+    two Hermitian parts.
     """
-    duals = [ce.instrument.maps[k].adjoint() for k in ce.outcomes]
-    return invariant_closure(list(ce.output.observables), duals, tol)
+    return invariant_closure(list(ce.output.observables), ce.dual_images(tol), tol)
 
 
 def _images(S: Superoperator, subspace: OperatorSubspace) -> np.ndarray:

@@ -14,8 +14,10 @@ Conventions used throughout the package:
   given as a matrix is factored into Kraus operators once, when it is
   built, and refused if it is not CP; the matrix
   ``sum_i conj(K_i) otimes K_i`` on column-stacked vectors is built only
-  when something reads it, and a map applies through that matrix only
-  when the matvec is cheaper than the Kraus products and their overhead,
+  when something reads it; a map applies in one of three forms, fixed
+  when it is built: elementwise when every Kraus operator is square and
+  exactly diagonal, else through that matrix when the matvec is cheaper
+  than the Kraus products and their overhead, else through the products,
 * adjoints of superoperators are taken w.r.t. the Hilbert-Schmidt
   inner product ``<A, B> = tr(A^dag B)``.
 """
@@ -237,23 +239,28 @@ def _hermitian_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (X + X.conj().T) / 2, (X - X.conj().T) / 2j
 
 
-def hermitian_closure(generators, maps=(), tol: float = DEFAULT_TOL) -> OperatorSubspace:
+def hermitian_closure(
+    generators,
+    images: Callable[[np.ndarray], Iterable[np.ndarray]] | None = None,
+    tol: float = DEFAULT_TOL,
+) -> OperatorSubspace:
     """Exactly Hermitian HS-orthonormal basis of the smallest span of Hermitian operators
-    holding the Hermitian parts of ``generators`` and invariant under the CP ``maps``.
+    holding the Hermitian parts of ``generators`` and invariant under some maps;
+    ``images(H)`` gives the image of H under each of them.
 
-    H -> Re H + Im H maps Hermitian operators isometrically (HS to Frobenius)
-    onto real matrices X, so the :func:`closure` runs on real X: each
-    generator enters through its two Hermitian parts, and each basis element
-    expands into its images under every map of H = (X + X^T)/2 + i (X - X^T)/2,
-    exactly Hermitian.  The returned basis is these H, written into one
-    complex stack.
+    The maps must take Hermitian operators to Hermitian ones, as CP maps
+    and their duals do.  H -> Re H + Im H maps Hermitian operators
+    isometrically (HS to Frobenius) onto real matrices X, so the
+    :func:`closure` runs on real X: each generator enters through its two
+    Hermitian parts, and each basis element expands into ``images(H)`` of
+    H = (X + X^T)/2 + i (X - X^T)/2, exactly Hermitian, taken in turn.  The
+    returned basis is these H, written into one complex stack.
     """
     def expand(basis, i):
-        H = _from_real_coordinates(basis[i])
-        return [Y.real + Y.imag for Y in (S(H) for S in maps)]
+        return [Y.real + Y.imag for Y in images(_from_real_coordinates(basis[i]))]
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
-    sub = closure(parts, expand if maps else None, tol)
+    sub = closure(parts, expand if images is not None else None, tol)
     return OperatorSubspace(sub.ambient_dim, _from_real_coordinates(sub.basis))
 
 
@@ -293,8 +300,15 @@ class Superoperator:
     at most its trace.  A refused map raises ValueError naming its smallest
     Choi eigenvalue, the only eigensolve; the matrix itself is not kept.
 
-    The apply form is fixed at construction from (r, in_dim, out_dim): with
-    r Kraus operators, X -> sum_i K_i X K_i^dag is two products costing
+    The apply form is fixed at construction, one of three.  A square map
+    whose Kraus operators are all exactly diagonal, K_i = diag(d_i), such as
+    the effects of a measurement in the computational basis, applies
+    elementwise, X -> X o W with the n x n weights W = sum_i d_i d_i^dag,
+    held as a real array when it is real: n^2 multiplications, at any
+    size.  Its adjoint is
+    diagonal too, and :meth:`compose` with it on the right scales columns.
+    Otherwise the form follows from (r, in_dim, out_dim): with r Kraus
+    operators, X -> sum_i K_i X K_i^dag is two products costing
     r (out_dim in_dim^2 + out_dim^2 in_dim) multiply-adds, plus a fixed
     ``KRAUS_APPLY_OVERHEAD`` for its extra reshapes and calls, which is
     used when that is below the out_dim^2 in_dim^2 of the dense matvec.
@@ -304,7 +318,7 @@ class Superoperator:
     form, to the stack (..., out_dim, out_dim) of their images.
     """
 
-    __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols")
+    __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols", "_weights")
 
     def __init__(self, matrix: np.ndarray | None = None, kraus=None):
         if sum(given is None for given in (matrix, kraus)) != 1:
@@ -317,9 +331,14 @@ class Superoperator:
         if kraus[0].ndim != 2 or any(K.shape != kraus[0].shape for K in kraus):
             raise ValueError("Kraus operators must share a common shape")
         self.kraus = kraus
-        self._matrix = self._rows = self._cols = None
+        self._matrix = self._rows = self._cols = self._weights = None
         no, ni = self.out_dim, self.in_dim = kraus[0].shape
-        if len(kraus) * (no * ni * ni + no * no * ni) + KRAUS_APPLY_OVERHEAD < no * no * ni * ni:
+        if no == ni and all(_is_diagonal(K) for K in kraus):
+            # K X K^dag = X o (d d^dag) for K = diag(d)
+            d = np.array([np.diagonal(K) for K in kraus])
+            W = d.T @ d.conj()
+            self._weights = W if W.imag.any() else W.real.copy()
+        elif len(kraus) * (no * ni * ni + no * no * ni) + KRAUS_APPLY_OVERHEAD < no * no * ni * ni:
             # sum_i K_i X K_i^dag = [K_1 ... K_r] @ stack_i(X K_i^dag)
             self._rows = np.hstack(kraus)
             self._cols = np.hstack([K.conj().T for K in kraus])
@@ -341,6 +360,10 @@ class Superoperator:
         """The map applied to an (in_dim, in_dim) operator, or to each of a stack (..., in_dim, in_dim)."""
         X = np.asarray(X, dtype=complex)
         ni, no = self.in_dim, self.out_dim
+        if self._weights is not None:
+            if X.shape[-2:] != (ni, ni):
+                raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
+            return X * self._weights
         if X.shape == (ni, ni):
             # the same products without the stack bookkeeping, which costs about an eighth
             # of the apply of a reduced Ising map; a step of sample_trajectory is one such
@@ -365,13 +388,23 @@ class Superoperator:
         return Superoperator(kraus=[K.conj().T for K in self.kraus])
 
     def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other, with the Kraus list of all products A_i B_j."""
+        """self after other, with the Kraus list of all products A_i B_j.
+
+        A diagonal B_j = diag(d) scales the columns of A_i, A_i d, with no matrix product.
+        """
         if other.out_dim != self.in_dim:
             raise ValueError("dimension mismatch in composition")
+        if other._weights is not None:
+            return Superoperator(kraus=[A * np.diagonal(B) for A in self.kraus for B in other.kraus])
         return Superoperator(kraus=[A @ B for A in self.kraus for B in other.kraus])
 
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return self.compose(other)
+
+
+def _is_diagonal(K: np.ndarray) -> bool:
+    """Whether the square K has no nonzero entry off its diagonal, read in place in any layout."""
+    return np.count_nonzero(K) == np.count_nonzero(np.diagonal(K))
 
 
 def _choi(M: np.ndarray, no: int, ni: int) -> np.ndarray:
@@ -445,11 +478,11 @@ def map_coordinates(maps) -> np.ndarray:
     """One row x_a per map, linear in the maps and with <x_a, x_b> = <S_a, S_b>_HS.
 
     One QR of the flattened Kraus operators of all the maps gives
-    vec(K_i) = Q R[:, i]; a map's row is its flattened process matrix a a^dag,
-    a its columns of R.
+    vec(K_i) = Q R[:, i], of which only R is formed; a map's row is its
+    flattened process matrix a a^dag, a its columns of R.
     """
     maps = list(maps)
-    _, R = np.linalg.qr(np.array([K.reshape(-1) for S in maps for K in S.kraus]).T)
+    R = np.linalg.qr(np.array([K.reshape(-1) for S in maps for K in S.kraus]).T, mode="r")
     ends = np.cumsum([len(S.kraus) for S in maps])
     return np.array([(a @ a.conj().T).reshape(-1) for a in np.split(R, ends[:-1], axis=1)])
 

@@ -282,8 +282,13 @@ def equivalence_check(
     the front, (k,) + w from w by one stacked call of M_k^dag.  One product
     of that stack with the stacked states gives every state's trace and
     outputs at the word, tr[M_w^dag(O_j) rho_s] = tr[O_j M_w(rho_s)].  The
-    walk is depth-first and holds (max_len + 1) stacks of m + 1 operators
-    per model.  With r outcomes the tree has sum_{t <= max_len} r^t nodes;
+    children of a word come from
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images`: on a split
+    model the word's stack is conjugated by the evolution once, when its
+    frame is pushed, and each child is one effect's dual of that, so a
+    split model that fails its bound raises ValueError.  The walk is
+    depth-first and holds (max_len + 1) stacks of m + 1 operators per
+    model.  With r outcomes the tree has sum_{t <= max_len} r^t nodes;
     above ``WORD_CAP`` nodes ValueError is raised before any state is drawn.
     """
     n_out = len(full.outcomes)
@@ -318,13 +323,9 @@ def _dual_walk(full, red, states, taus, max_len, n_nodes):
     for t in range(max_len - 1, -1, -1):
         subtree[t] = 1 + r * subtree[t + 1]
     rank = {k: a for a, k in enumerate(outcomes)}
-    duals, cols = [], []
-    for ce, rhos in ((full, states), (red, taus)):
-        duals.append({k: ce.instrument.maps[k].adjoint() for k in outcomes})
-        # tr[X rho] is the row-major flattening of X against that of rho^T
-        cols.append(rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T)
-    roots = [np.concatenate([np.eye(ce.dim, dtype=complex)[None], ce.output.observables])
-             for ce in (full, red)]
+    images = [ce.dual_images() for ce in (full, red)]
+    # tr[X rho] is the row-major flattening of X against that of rho^T
+    cols = [rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T for rhos in (states, taus)]
     dev = np.empty((n_nodes, len(states)))
     prob_dev = np.empty((n_nodes, len(states)))
 
@@ -337,20 +338,26 @@ def _dual_walk(full, red, states, taus, max_len, n_nodes):
     # len(w) + g(w) with g(w) = sum_t rank(w_t) subtree[t].  A word grows at the front,
     # which moves each letter one level down, and subtree[t + 1] = (subtree[t] - 1) / r,
     # so g follows from g and c(w) = sum_t rank(w_t) alone.  Each frame of the path holds
-    # a word's dual stacks, g, c and the outcomes still to prepend.
-    record(0, roots)
-    path = [(roots, 0, 0, iter(outcomes))] if max_len else []
+    # a word's g, c, the outcomes still to prepend and, per model, the iterator of its
+    # children's stacks, which holds the word's one shared stack (E^dag(D) on a split
+    # model).  A word's own stacks live only while it is visited.
+    path = []
+
+    def visit(node, g, c, stacks):
+        record(node, stacks)
+        if len(path) < max_len:
+            path.append((g, c, iter(outcomes), [f(D) for f, D in zip(images, stacks)]))
+
+    visit(0, 0, 0, [np.concatenate([np.eye(ce.dim, dtype=complex)[None], ce.output.observables])
+                    for ce in (full, red)])
     while path:
-        stacks, g, c, rest = path[-1]
+        g, c, rest, children = path[-1]
         k = next(rest, None)
         if k is None:
             path.pop()
             continue
-        stacks = [d[k](D) for d, D in zip(duals, stacks)]
         g, c = rank[k] * subtree[1] + (g - c) // r, c + rank[k]
-        record(len(path) + g, stacks)
-        if len(path) < max_len:
-            path.append((stacks, g, c, iter(outcomes)))
+        visit(len(path) + g, g, c, [next(it) for it in children])
 
     dev = dev.T.ravel()  # states first, then words depth-first
     max_dev = float(np.max(dev))

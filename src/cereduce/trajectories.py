@@ -150,11 +150,13 @@ def enumerate_distribution(
     level's states are one stack in the word order of
     ``itertools.product(ce.outcomes, repeat=t)``, which every outcome's
     map advances in one call; the table keeps that order.  The last level
-    is read off, not applied: tr[O M_k(rho)] = tr[M_k^dag(O) rho], so for
-    each outcome k the stack [1, O_1, ..., O_m] is pulled back once
-    through M_k's adjoint, and one product with the depth-(T-1) stack
-    gives every leaf's probability and outputs.  The peak is about that
-    stack.
+    is read off, not applied: tr[O M_k(rho)] = tr[M_k^dag(O) rho], so the
+    stack [1, O_1, ..., O_m] is pulled back once through every M_k^dag by
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, which shares
+    one evolution conjugation among the outcomes of a split model and
+    refuses a split above its bound with ValueError.  One product with the
+    depth-(T-1) stack gives every leaf's probability and outputs.  The
+    peak is about that stack.
     """
     n_words = len(ce.outcomes) ** T
     if n_words > WORD_CAP:
@@ -168,7 +170,7 @@ def enumerate_distribution(
         frontier = nxt.reshape(-1, *frontier.shape[1:])
     n = ce.dim
     read = np.array([np.eye(n), *ce.output.observables], dtype=complex)
-    pulled = [ce.instrument.map_for(k).adjoint()(read) for k in ce.outcomes] if T else [read]
+    pulled = list(ce.dual_images()(read)) if T else [read]
     # tr[A rho] pairs A^T and rho entry by entry; leaf w + (k,) sits at row len(outcomes) * w + k
     rows = np.array(pulled).transpose(0, 1, 3, 2).reshape(-1, n * n)
     table = frontier.reshape(len(frontier), n * n) @ rows.T

@@ -49,7 +49,7 @@ def walk_is_generic(U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     n = U.shape[0]
     ev = superop_from_kraus([U])
     sites = [np.outer(np.eye(n)[:, j], np.eye(n)[j].conj()) for j in range(n)]
-    closure = invariant_closure(sites, [ev], tol)
+    closure = invariant_closure(sites, lambda H: [ev(H)], tol)
     return closure.dim == n * n
 
 

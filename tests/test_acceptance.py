@@ -100,7 +100,7 @@ def test_criterion_2_no_unconditional_reduction(walks):
     for n, (ce, red, _) in walks.items():
         eye = np.eye(n)
         sites = [np.outer(eye[:, j], eye[j]).astype(complex) for j in range(n)]
-        closure = invariant_closure(sites, [ce.evolution])
+        closure = invariant_closure(sites, lambda H: [ce.evolution(H)])
         ok &= closure.dim == n * n
         ok &= red.reduced_dim < n * n
     report(2, "walk admits no unconditional reduction", ok)

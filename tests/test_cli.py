@@ -207,6 +207,23 @@ class TestVerify:
         assert main(["verify", str(model), str(reduced)]) == 2
         assert "do not match" in capsys.readouterr().err
 
+    def test_mismatched_split_exit2(self, tmp_path, capsys):
+        # the effects of outcomes "0" and "1" swapped: the split no longer gives the instrument
+        ce = ising_chain(4, 0.5, 0.3)
+        bad = dataclasses.replace(ce, effects={"-1": ce.effects["-1"], "0": ce.effects["1"],
+                                               "1": ce.effects["0"]})
+        model, swapped, reduced = (tmp_path / name for name in ("m.json", "bad.json", "m.red.json"))
+        save_json(ce_to_json(ce), str(model))
+        save_json(ce_to_json(bad), str(swapped))
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", str(swapped), "-o", str(tmp_path / "bad.red.json")]) == 2
+        assert "split residual" in capsys.readouterr().err
+        assert not (tmp_path / "bad.red.json").exists()
+        assert main(["verify", str(swapped), str(reduced), "--max-len", "2", "--n-states", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {swapped}: split residual ")
+
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files
         assert main(["verify", str(model), str(model)]) == 2

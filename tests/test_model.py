@@ -10,7 +10,7 @@ from cereduce.model import (
     validate_ce,
 )
 from cereduce.operators import Superoperator, superop_from_kraus, unvec, vec
-from cereduce.reduction import random_density, reduce_ce
+from cereduce.reduction import random_density, reduce_ce, reduce_separably
 from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import proj, random_ce, random_complex
@@ -276,3 +276,81 @@ def test_positivity_propagation(rng):
 def test_split_residual_checked():
     ce = ising_chain(4, 0.0, 0.3)
     assert ce.split_residual() < 1e-12
+
+
+SPLIT_MODELS = {
+    **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in (4, 5) for p in (0.0, 0.5)},
+    **{f"walk{n}": (lambda n=n: measured_quantum_walk(n, seed=n)) for n in range(3, 7)},
+}
+
+
+class TestSharedDualImages:
+    """[M_k^dag(X)]_k from one evolution conjugation and the effects' duals, on split models."""
+
+    @pytest.fixture(params=[*sorted(SPLIT_MODELS), "separable_recomposed"])
+    def split_ce(self, request):
+        if request.param == "separable_recomposed":
+            return reduce_separably(ising_chain(4, 0.5, 0.3)).recomposed.model
+        return SPLIT_MODELS[request.param]()
+
+    @staticmethod
+    def adjoint_images(ce, X):
+        return [ce.instrument.maps[k].adjoint()(X) for k in ce.outcomes]
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=str)
+    def test_equal_to_instrument_adjoints(self, split_ce, lead, rng):
+        assert split_ce.has_split
+        X = random_complex(rng, (*lead, split_ce.dim, split_ce.dim))
+        got = list(split_ce.dual_images()(X))
+        ref = self.adjoint_images(split_ce, X)
+        assert len(got) == len(ref) == len(split_ce.outcomes)
+        for Y, Yref in zip(got, ref):
+            assert Y.shape == X.shape
+            assert np.linalg.norm(Y - Yref) <= 1e-12 * max(np.linalg.norm(Yref), 1.0)
+
+    def test_one_shared_conjugation(self, monkeypatch, rng):
+        # white box: one apply of the evolution's dual, then one elementwise apply per outcome
+        ce = ising_chain(4, 0.5, 0.3)
+        images = ce.dual_images()
+        calls = []
+        apply = Superoperator.__call__
+        monkeypatch.setattr(Superoperator, "__call__",
+                            lambda S, X: (calls.append(S), apply(S, X))[1])
+        X = random_complex(rng, (16, 16))
+        it = images(X)
+        assert len(calls) == 1 and calls[0]._weights is None
+        list(it)
+        assert len(calls) == 1 + len(ce.outcomes)
+        assert all(S._weights is not None for S in calls[1:])
+
+    def test_without_split_applies_instrument_adjoints(self, rng):
+        ce = random_ce(3, 3, 2, rng)
+        X = random_complex(rng, (2, 3, 3))
+        for Y, Yref in zip(ce.dual_images()(X), self.adjoint_images(ce, X), strict=True):
+            assert np.array_equal(Y, Yref)
+
+    def test_split_residual_computed_once(self, monkeypatch):
+        import cereduce.model as model
+        ce = ising_chain(4, 0.5, 0.3)
+        calls = []
+        coords = model.map_coordinates
+        monkeypatch.setattr(model, "map_coordinates", lambda maps: (calls.append(1), coords(maps))[1])
+        first = ce.split_residual()
+        assert validate_ce(ce).ok
+        ce.dual_images()
+        ce.certify_split()
+        assert ce.split_residual() == first <= 1e-12
+        assert len(calls) == 1
+
+    def test_mismatched_split_refused(self):
+        ce = ising_chain(4, 0.5, 0.3)
+        swapped = {"-1": ce.effects["-1"], "0": ce.effects["1"], "1": ce.effects["0"]}
+        bad = dataclasses.replace(ce, effects=swapped)
+        for call in (bad.dual_images, bad.certify_split):
+            with pytest.raises(ValueError, match="split residual"):
+                call()
+        # the bound is 10 tol, as in validate_ce
+        res = bad.split_residual()
+        bad.certify_split(tol=res / 9)
+        with pytest.raises(ValueError, match="split residual"):
+            bad.certify_split(tol=res / 11)

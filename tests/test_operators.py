@@ -286,7 +286,7 @@ class TestBlockClosure:
         # the conjugation orbit of the site projectors fills B(C^n): the n^2 cap
         ev = ce.evolution
         sites = [proj(n, j) for j in range(n)]
-        orbit = invariant_closure(sites, [ev])
+        orbit = invariant_closure(sites, lambda H: [ev(H)])
         assert orbit.dim == n * n
         assert_same_span(orbit, closure_one_by_one(sites, lambda b, i: [ev(b[i])]))
 
@@ -396,7 +396,7 @@ class TestHermitianClosure:
         # the complex span of {1, sigma_+} is invariant under the identity map; its
         # Hermitian closure holds both Hermitian parts of sigma_+, x / 2 and y / 2
         plus = (paulis["x"] + 1j * paulis["y"]) / 2
-        sub = hermitian_closure([np.eye(2), plus], [superop_from_kraus([np.eye(2)])])
+        sub = hermitian_closure([np.eye(2), plus], lambda H: [H])
         assert sub.dim == 3
         assert_same_span(sub, closure([np.eye(2), paulis["x"], paulis["y"]]))
 
@@ -622,6 +622,94 @@ class TestStackedApply:
         for shape in [(2, 16, 15), (2, 15, 16), (16,)]:
             with pytest.raises(ValueError):
                 out(np.zeros(shape))
+
+
+class TestElementwiseApply:
+    """A square map whose Kraus operators are all exactly diagonal applies as X -> X o W.
+
+    Each result is checked against sum_i K_i X K_i^dag written out.
+    """
+
+    @staticmethod
+    def kraus_apply(kraus, X):
+        return sum(K @ X @ K.conj().T for K in kraus)
+
+    @pytest.fixture(params=[(1, 6), (3, 6), (2, 16), (4, 3)], ids=lambda c: f"r{c[0]}_n{c[1]}")
+    def diag(self, request, rng):
+        r, n = request.param
+        return [np.diag(random_complex(rng, (n,))) for _ in range(r)]
+
+    def test_form_chosen_at_construction(self, diag):
+        S = superop_from_kraus(diag)
+        # white box: neither the Kraus products nor the matrix
+        assert S._weights is not None and S._rows is None
+        assert S._weights.shape == (S.in_dim, S.in_dim)
+        S(np.eye(S.in_dim))
+        assert S._matrix is None
+
+    def test_real_diagonals_give_real_weights(self, rng):
+        S = superop_from_kraus([np.diag(rng.standard_normal(5)) for _ in range(2)])
+        assert S._weights.dtype == np.float64
+        assert S(np.eye(5)).dtype == np.complex128
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)], ids=str)
+    def test_apply_matches_kraus_products(self, diag, lead, rng):
+        S = superop_from_kraus(diag)
+        X = random_complex(rng, (*lead, S.in_dim, S.in_dim))
+        Y = S(X)
+        assert Y.shape == X.shape
+        for idx in np.ndindex(*lead):
+            ref = self.kraus_apply(diag, X[idx])
+            assert np.linalg.norm(Y[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_adjoint(self, diag, rng):
+        Sd = superop_from_kraus(diag).adjoint()
+        assert Sd._weights is not None
+        X = random_complex(rng, (3, Sd.in_dim, Sd.in_dim))
+        for Xi, Yi in zip(X, Sd(X)):
+            ref = self.kraus_apply([K.conj().T for K in diag], Xi)
+            assert np.linalg.norm(Yi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_compose_with_diagonal_right_factor(self, diag, rng):
+        n = diag[0].shape[0]
+        dense = [random_complex(rng, (n, n)) for _ in range(2)]
+        ST = superop_from_kraus(dense) @ superop_from_kraus(diag)
+        # A_i B_j in the order of the products, the columns of A_i scaled
+        products = [A @ B for A in dense for B in diag]
+        assert len(ST.kraus) == len(products)
+        for K, ref in zip(ST.kraus, products):
+            assert np.linalg.norm(K - ref) <= 1e-12 * np.linalg.norm(ref)
+        X = random_complex(rng, (n, n))
+        ref = self.kraus_apply(products, X)
+        assert np.linalg.norm(ST(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+        # two diagonal factors compose to a diagonal map
+        DD = superop_from_kraus(diag) @ superop_from_kraus(diag)
+        assert DD._weights is not None
+        ref = self.kraus_apply([A @ B for A in diag for B in diag], X)
+        assert np.linalg.norm(DD(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n, via_kraus", [(16, True), (3, False)])
+    def test_one_off_diagonal_entry_keeps_kraus_or_dense_form(self, n, via_kraus, rng):
+        kraus = [np.diag(random_complex(rng, (n,))) for _ in range(2)]
+        kraus[1][n - 1, 0] = 1e-300
+        S = superop_from_kraus(kraus)
+        assert S._weights is None
+        assert (S._rows is not None) == via_kraus
+        X = random_complex(rng, (n, n))
+        ref = self.kraus_apply(kraus, X)
+        assert np.linalg.norm(S(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rectangular_diagonal_is_not_elementwise(self):
+        S = superop_from_kraus([np.eye(3, 4)])
+        assert S._weights is None
+        assert np.array_equal(S(np.eye(4)), np.diag([1, 1, 1]).astype(complex))
+
+    def test_wrong_size_rejected(self, diag):
+        S = superop_from_kraus(diag)
+        n = S.in_dim
+        for shape in [(n + 1, n + 1), (n, n + 1), (2, n + 1, n), (n,)]:
+            with pytest.raises(ValueError):
+                S(np.zeros(shape))
 
 
 class TestFactorMatrix:

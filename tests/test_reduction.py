@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cereduce import operators
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
 from cereduce.observability import nonobservable_complement
 from cereduce.operators import Superoperator, superop_from_kraus, vec
@@ -16,9 +18,10 @@ from cereduce.reduction import (
     reduce_ce,
     reduce_separably,
 )
-from cereduce.trajectories import WORD_CAP
+from cereduce.trajectories import WORD_CAP, enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
 from conftest import blockdiag_projector, channel_checks, projector_matrix, random_ce
+from test_model import SPLIT_MODELS
 
 
 def _rank(dev):
@@ -157,6 +160,23 @@ class TestReduceCE:
         one_basis = nperp.dim * ce.dim**2 * 16
         assert nperp.dim == 18 and kept <= 1.1 * one_basis
         assert peak - base <= 32 * 2**20
+
+    def test_ising_n7_walk_holds_one_stack_per_level(self):
+        # each frame of the dual walk holds one shared stack per model, E^dag(D) of the full
+        # model's [1, O_1, ..., O_4], so two more levels cost about two more such stacks
+        ce = ising_chain(7, 0.5, 0.3)
+        red = reduce_ce(ce)
+        equivalence_check(ce, red, max_len=1, n_states=2)  # R's dense form, built once
+        peaks = []
+        for max_len in (2, 4):
+            tracemalloc.start()
+            try:
+                assert equivalence_check(ce, red, max_len=max_len, n_states=2).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        stack = 5 * ce.dim**2 * 16
+        assert peaks[1] - peaks[0] <= 3 * stack
 
     def test_dimension_ordering(self, walk4_red):
         red = walk4_red
@@ -361,6 +381,51 @@ class TestAssumptions:
         red = reduce_ce(ce)
         with pytest.raises(ValueError):
             check_assumptions(ce, red.nperp, red.output_algebra)
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_elementwise_effects_keep_flags(self, name, monkeypatch):
+        # the zoo's effects apply elementwise; the same model with every map in its
+        # Kraus or dense form gives the same flags, and residuals within rounding
+        make = SPLIT_MODELS[name]
+        ce = make()
+        assert all(ce.effects[k]._weights is not None for k in ce.outcomes)
+        red = reduce_ce(ce)
+        rep = check_assumptions(ce, red.nperp, red.output_algebra)
+        monkeypatch.setattr(operators, "_is_diagonal", lambda K: False)
+        ref_ce = make()
+        assert all(ref_ce.effects[k]._weights is None for k in ref_ce.outcomes)
+        ref = check_assumptions(ref_ce, red.nperp, red.output_algebra)
+        for name in ("a1", "a2", "a3", "a4"):
+            got, want = getattr(rep, name), getattr(ref, name)
+            assert got.holds == want.holds
+            assert abs(got.residual - want.residual) <= 1e-12 * max(want.residual, 1.0)
+
+
+class TestMismatchedSplit:
+    """A split whose evolution after the effects is not the instrument is refused wherever
+    the split would stand in for the instrument."""
+
+    @pytest.fixture()
+    def swapped(self):
+        ce = ising_chain(4, 0.5, 0.3)
+        effects = {"-1": ce.effects["-1"], "0": ce.effects["1"], "1": ce.effects["0"]}
+        return ce, dataclasses.replace(ce, effects=effects)
+
+    def test_reduce_ce(self, swapped):
+        _, bad = swapped
+        with pytest.raises(ValueError, match="split residual"):
+            reduce_ce(bad)
+
+    def test_equivalence_check(self, swapped):
+        ce, bad = swapped
+        red = reduce_ce(ce)
+        with pytest.raises(ValueError, match="split residual"):
+            equivalence_check(bad, red, max_len=2, n_states=2)
+
+    def test_enumerate_distribution(self, swapped):
+        _, bad = swapped
+        with pytest.raises(ValueError, match="split residual"):
+            enumerate_distribution(bad, np.eye(16) / 16, 2)
 
 
 class TestSeparable:
