@@ -239,17 +239,19 @@ def wedderburn(
 
 
 def _generators(ops, tol: float) -> np.ndarray:
-    """(m, n, n) stack of the G_i, the :func:`~cereduce.operators.hermitian_closure` of the operators.
+    """(m, n, n) complex stack of the G_i, the :func:`~cereduce.operators.hermitian_closure` of the operators.
 
     The basis of a subspace is HS-orthonormal by contract; when it is also
     exactly Hermitian, as every ``hermitian_closure`` basis is, the nperp
-    basis of ``reduce_ce`` among them, its stack is used as it is.
+    basis of ``reduce_ce`` among them, its stack is used as it is.  A real
+    basis, that of a real closure, is made complex: the read-off pairs the
+    generators' float views with those of complex block operators.
     """
     if isinstance(ops, OperatorSubspace):
         if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
-            return ops.basis
+            return np.asarray(ops.basis, dtype=complex)
         ops = ops.basis
-    return hermitian_closure(ops, tol=tol).basis
+    return np.asarray(hermitian_closure(ops, tol=tol).basis, dtype=complex)
 
 
 def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomposition, list[bool]]:

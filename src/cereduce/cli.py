@@ -198,10 +198,11 @@ def cmd_verify(args) -> int:
     # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small
     if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
         raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
-    # the walk and the --tv pull-back share the evolution conjugation of a split model
+    # the walk and the --tv pull-back share the evolution conjugation of a split model,
+    # certified at --tol as reduce and simulate validate at it
     for ce, path in ((full, args.full), (red_model, args.reduced)):
         try:
-            ce.certify_split()
+            ce.certify_split(args.tol)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}")
     # just enough of a reduced model to drive the check
@@ -225,8 +226,8 @@ def cmd_verify(args) -> int:
     if args.tv is not None:
         rng = np.random.default_rng(args.seed)
         rho0 = random_density(full.dim, rng)
-        t_full = enumerate_distribution(full, rho0, args.tv)
-        t_red = enumerate_distribution(red_model, R(rho0), args.tv)
+        t_full = enumerate_distribution(full, rho0, args.tv, args.tol)
+        t_red = enumerate_distribution(red_model, R(rho0), args.tv, args.tol)
         tv = total_variation(t_full, t_red)
         print(f"total variation at T={args.tv}: {tv:.3e}")
         if tv > args.tol:

@@ -9,7 +9,7 @@ product with a state gives every outcome probability and every output.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,9 +205,14 @@ class ConditionalEvolution:
             raise ValueError(f"split residual {self.split_residual():.3e} exceeds {tol * 10:.1e}: "
                              "the evolution after the effects is not the instrument")
 
-    def dual_images(self, tol: float = DEFAULT_TOL) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    def dual_images(
+        self, tol: float = DEFAULT_TOL, outcomes: Sequence[str] | None = None
+    ) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
         """The function X -> the images M_k^dag(X) of every outcome k, in order.
 
+        The order is that of ``outcomes``, a permutation of :attr:`outcomes`
+        (their own order by default), so two models with the same labels
+        declared in different orders can pair their images by position.
         On a split model, certified by :meth:`certify_split` at ``tol``,
         M_k^dag = effect_k^dag o evolution^dag: the function computes
         E^dag(X) once, when called, and returns an iterator that applies each
@@ -217,13 +222,16 @@ class ConditionalEvolution:
         The dual maps are built here, once per returned function, and not
         kept on the model.
         """
+        outcomes = self.outcomes if outcomes is None else tuple(outcomes)
+        if sorted(outcomes) != sorted(self.outcomes):
+            raise ValueError(f"{list(outcomes)} is not an order of the outcomes {list(self.outcomes)}")
         self.certify_split(tol)
         if self.has_split:
             shared = self.evolution.adjoint()
-            duals = [self.effects[k].adjoint() for k in self.outcomes]
+            duals = [self.effects[k].adjoint() for k in outcomes]
         else:
             shared = None
-            duals = [self.instrument.maps[k].adjoint() for k in self.outcomes]
+            duals = [self.instrument.maps[k].adjoint() for k in outcomes]
 
         def images(X: np.ndarray) -> Iterator[np.ndarray]:
             S = X if shared is None else shared(X)

@@ -283,10 +283,11 @@ def equivalence_check(
     of that stack with the stacked states gives every state's trace and
     outputs at the word, tr[M_w^dag(O_j) rho_s] = tr[O_j M_w(rho_s)].  The
     children of a word come from
-    :meth:`~cereduce.model.ConditionalEvolution.dual_images`: on a split
-    model the word's stack is conjugated by the evolution once, when its
-    frame is pushed, and each child is one effect's dual of that, so a
-    split model that fails its bound raises ValueError.  The walk is
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, in the full
+    model's outcome order for both models: on a split model the word's
+    stack is conjugated by the evolution once, when its frame is pushed,
+    and each child is one effect's dual of that, so a split model whose
+    residual exceeds 10 ``tol`` raises ValueError.  The walk is
     depth-first and holds (max_len + 1) stacks of m + 1 operators per
     model.  With r outcomes the tree has sum_{t <= max_len} r^t nodes;
     above ``WORD_CAP`` nodes ValueError is raised before any state is drawn.
@@ -304,7 +305,7 @@ def equivalence_check(
     rng = np.random.default_rng(seed)
     states = np.array([random_density(full.dim, rng) for _ in range(n_states)])
     taus = reduced.reduction_map(states)
-    max_dev, max_prob_dev, worst, count = _dual_walk(full, reduced.model, states, taus, max_len, nodes)
+    max_dev, max_prob_dev, worst, count = _dual_walk(full, reduced.model, states, taus, max_len, nodes, tol)
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
@@ -314,7 +315,7 @@ def equivalence_check(
     )
 
 
-def _dual_walk(full, red, states, taus, max_len, n_nodes):
+def _dual_walk(full, red, states, taus, max_len, n_nodes, tol):
     """The ``n_nodes`` words up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
     outcomes = full.outcomes
     r = len(outcomes)
@@ -323,7 +324,8 @@ def _dual_walk(full, red, states, taus, max_len, n_nodes):
     for t in range(max_len - 1, -1, -1):
         subtree[t] = 1 + r * subtree[t + 1]
     rank = {k: a for a, k in enumerate(outcomes)}
-    images = [ce.dual_images() for ce in (full, red)]
+    # both models' children follow the full model's outcome order
+    images = [ce.dual_images(tol, outcomes) for ce in (full, red)]
     # tr[X rho] is the row-major flattening of X against that of rho^T
     cols = [rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T for rhos in (states, taus)]
     dev = np.empty((n_nodes, len(states)))

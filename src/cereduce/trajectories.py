@@ -142,6 +142,7 @@ def enumerate_distribution(
     ce: ConditionalEvolution,
     rho0: np.ndarray,
     T: int,
+    tol: float = DEFAULT_TOL,
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
@@ -154,7 +155,7 @@ def enumerate_distribution(
     stack [1, O_1, ..., O_m] is pulled back once through every M_k^dag by
     :meth:`~cereduce.model.ConditionalEvolution.dual_images`, which shares
     one evolution conjugation among the outcomes of a split model and
-    refuses a split above its bound with ValueError.  One product with the
+    refuses a split above its bound, 10 ``tol``, with ValueError.  One product with the
     depth-(T-1) stack gives every leaf's probability and outputs.  The
     peak is about that stack.
     """
@@ -170,7 +171,7 @@ def enumerate_distribution(
         frontier = nxt.reshape(-1, *frontier.shape[1:])
     n = ce.dim
     read = np.array([np.eye(n), *ce.output.observables], dtype=complex)
-    pulled = list(ce.dual_images()(read)) if T else [read]
+    pulled = list(ce.dual_images(tol)(read)) if T else [read]
     # tr[A rho] pairs A^T and rho entry by entry; leaf w + (k,) sits at row len(outcomes) * w + k
     rows = np.array(pulled).transpose(0, 1, 3, 2).reshape(-1, n * n)
     table = frontier.reshape(len(frontier), n * n) @ rows.T

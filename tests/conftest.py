@@ -5,7 +5,7 @@ import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import superop_from_kraus, vec
-from cereduce.zoo import PAULI
+from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 
 
 @pytest.fixture
@@ -43,6 +43,13 @@ def hs_inner(A, B):
 def is_hermitian(A, tol=1e-12):
     A = np.asarray(A)
     return np.linalg.norm(A - A.conj().T) <= tol * max(np.linalg.norm(A), 1.0)
+
+
+# split zoo models by name, built on call: Ising N in {4, 5} x p in {0, 0.5}, walks n = 3..6
+SPLIT_MODELS = {
+    **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in (4, 5) for p in (0.0, 0.5)},
+    **{f"walk{n}": (lambda n=n: measured_quantum_walk(n, seed=n)) for n in range(3, 7)},
+}
 
 
 def random_ce(n, n_outcomes, n_obs, rng):

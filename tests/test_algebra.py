@@ -192,6 +192,18 @@ class TestGenerators:
         assert alg.dim == 4 and alg.contains(np.eye(2))
         assert all(is_hermitian(B, 1e-12) for B in alg.basis)
 
+    def test_real_closure_basis(self):
+        # a real closure's basis is float64; the algebra is the one its operators generate
+        ops = [np.diag([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+        real = closure(ops)
+        assert real.basis.dtype == np.float64
+        alg, ref = algebra_closure(real), algebra_closure(ops)
+        assert alg.dim == ref.dim == 4
+        P, Q = (np.einsum("ai,aj->ij", S.basis.reshape(S.dim, -1), S.basis.reshape(S.dim, -1).conj())
+                for S in (alg, ref))
+        assert np.linalg.norm(P - Q) <= 1e-12
+        assert algebra_closure(closure([ops[0]])).dim == algebra_closure([ops[0]]).dim == 1
+
     def test_only_algebra_callers_read_the_basis_off(self, monkeypatch):
         nperp = nonobservable_complement(ising_chain(4, 0.5, 0.3))
         alg = algebra_closure(nperp)

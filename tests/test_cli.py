@@ -224,6 +224,30 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {swapped}: split residual ")
 
+    def test_reduced_outcomes_in_another_order(self, tmp_path):
+        model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
+        assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        doc = load_json(str(reduced))
+        doc["outcomes"] = doc["outcomes"][::-1]
+        permuted = _write(tmp_path / "permuted.red.json", doc)
+        assert main(["verify", str(model), permuted, "--max-len", "3", "--n-states", "3", "--tv", "3"]) == 0
+
+    def test_split_certified_at_tol(self, tmp_path, capsys):
+        # effects scaled by sqrt(1 + 1e-7): split residual 8e-7, within 10 tol at --tol 1e-7 only
+        ce = ising_chain(4, 0.5, 0.3)
+        scaled = dataclasses.replace(ce, effects={
+            k: operators.superop_from_kraus([np.sqrt(1 + 1e-7) * K for K in E.kraus])
+            for k, E in ce.effects.items()})
+        model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
+        save_json(ce_to_json(scaled), str(model))
+        assert main(["reduce", str(model), "--tol", "1e-7", "-o", str(reduced)]) == 0
+        args = ["verify", str(model), str(reduced), "--max-len", "2", "--n-states", "2", "--tv", "2"]
+        assert main([*args, "--tol", "1e-7"]) == 0
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}: split residual ")
+
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files
         assert main(["verify", str(model), str(model)]) == 2

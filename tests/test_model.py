@@ -13,7 +13,7 @@ from cereduce.operators import Superoperator, superop_from_kraus, unvec, vec
 from cereduce.reduction import random_density, reduce_ce, reduce_separably
 from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj, random_ce, random_complex
+from conftest import SPLIT_MODELS, proj, random_ce, random_complex
 from test_trajectories import trajectory_probability
 
 
@@ -276,12 +276,6 @@ def test_positivity_propagation(rng):
 def test_split_residual_checked():
     ce = ising_chain(4, 0.0, 0.3)
     assert ce.split_residual() < 1e-12
-
-
-SPLIT_MODELS = {
-    **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in (4, 5) for p in (0.0, 0.5)},
-    **{f"walk{n}": (lambda n=n: measured_quantum_walk(n, seed=n)) for n in range(3, 7)},
-}
 
 
 class TestSharedDualImages:

@@ -20,8 +20,7 @@ from cereduce.reduction import (
 )
 from cereduce.trajectories import WORD_CAP, enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
-from conftest import blockdiag_projector, channel_checks, projector_matrix, random_ce
-from test_model import SPLIT_MODELS
+from conftest import SPLIT_MODELS, blockdiag_projector, channel_checks, projector_matrix, random_ce
 
 
 def _rank(dev):
@@ -266,6 +265,19 @@ class TestEquivalence:
         assert linear_reduce(full, red.nperp).q == red.nperp.dim
         # white box: the dense form is cached on first read of .matrix
         assert all(S._matrix is None for S in maps)
+
+    @pytest.mark.parametrize("make", [lambda: measured_quantum_walk(4, seed=1),
+                                      lambda: ising_chain(4, 0.5, 0.3)], ids=["walk4", "ising4"])
+    def test_reduced_outcomes_in_another_order(self, make):
+        # the reduced model's children follow the full model's outcome order, not their own
+        ce = make()
+        red = reduce_ce(ce)
+        order = ce.outcomes[::-1]
+        model = dataclasses.replace(red.model, instrument=Instrument(order, red.model.instrument.maps))
+        assert model.outcomes != ce.outcomes
+        rep = equivalence_check(ce, SimpleNamespace(model=model, reduction_map=red.reduction_map),
+                                max_len=3, n_states=3)
+        assert rep.passed and rep.max_dev <= 1e-8
 
     def test_sampled_words_are_plain_str(self):
         # a neighbouring walk's reduction, so the worst case is a non-empty word
