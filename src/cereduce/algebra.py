@@ -7,8 +7,8 @@ decomposition is computed from the generators alone.  One generic algebra
 element, a random product of combinations of 1 and the G_i, has in each
 block d_S eigenspaces of dimension d_F, and the orbit of one eigenspace
 under the G_i spans its block with the multiplicity slices already
-aligned.  The unitary is validated against the block structure of every
-generator before being returned.  The algebra the G_i generate, its
+aligned.  The orbit closures certify the draw, with no conjugation of a
+generator by U (see :func:`wedderburn`).  The algebra the G_i generate, its
 center and its commutant are then read off the blocks in closed form:
 U_k (E_st otimes 1_F) U_k^dag, the block projections, and
 U_k (1_S otimes E_fg) U_k^dag.  Each is an
@@ -143,11 +143,13 @@ class WedderburnDecomposition:
     Columns of ``U`` are grouped per block; within a block of shape
     (d_S, d_F), column ``s * d_F + f`` carries the s-th inner and f-th
     multiplicity index, so conjugated algebra elements look like
-    ``X_S otimes 1_F`` on each block.
+    ``X_S otimes 1_F`` on each block, each generator within ``structure_bound``
+    of that form in Frobenius norm (see :func:`wedderburn`).
     """
 
     U: np.ndarray
     blocks: tuple[tuple[int, int], ...]
+    structure_bound: float
 
     @property
     def dim(self) -> int:
@@ -192,20 +194,6 @@ class WedderburnDecomposition:
                           .reshape(*T.shape[:-2], dS, dF, dS, dF)) / dF
                 for k, (dS, dF) in enumerate(self.blocks)]
 
-    def structure_residual(self, B: np.ndarray) -> float:
-        """Largest distance of U^dag B U from the block form (+) X_S otimes 1_F, over a stack B.
-
-        B is one operator (n, n) or a stack (m, n, n), conjugated in one product;
-        each diagonal block loses X_S otimes 1_F, broadcast against eye(d_F).
-        """
-        n = self.dim
-        T = self.U.conj().T @ np.reshape(B, (-1, n, n)) @ self.U
-        offs = self.hilbert_offsets()
-        for k, (XS, (_, dF)) in enumerate(zip(self.block_parts(T), self.blocks)):
-            Tk = T[:, offs[k]:offs[k + 1], offs[k]:offs[k + 1]]
-            Tk -= (XS[:, :, None, :, None] * np.eye(dF)[:, None, :]).reshape(Tk.shape)
-        return float(np.max(np.linalg.norm(T, axis=(1, 2)), initial=0.0))
-
 
 def wedderburn(
     alg: OperatorSubspace | list[np.ndarray],
@@ -226,11 +214,16 @@ def wedderburn(
     has the form U_k (x otimes W) for one W, so its d_F columns are already
     aligned multiplicity slices.  The block so found must hold d_S whole
     eigenspaces of dimension d_F, none of them claimed by another block.
-    The draw is accepted only if every generator acquires the block
-    structure, which the whole algebra then shares; otherwise a fresh seed
-    is drawn with twice the length L, from L = 1 up to ``MAX_REDRAWS``
-    draws.  Raises ValueError when the generated algebra is not unital, that
-    is when every generator vanishes on some block.
+    The draw is accepted only if every generator, and so the whole algebra,
+    has the block form up to a bound of at most max(sqrt(tol), 1e-8).  With
+    rho_k the largest residual block k's orbit closure dropped, G_i U = U X + E
+    with X = (+) C_k otimes 1_F, ||X|| <= ||G_i||_F = 1 and ||E||_F^2 <=
+    sum_k d_S d_F rho_k^2; so with delta = ||U^dag U - 1||_F, ||U^dag G_i U - X||_F
+    is at most ``structure_bound`` = delta + (1 + delta) sqrt(sum_k d_S d_F rho_k^2),
+    which without delta would hold only for a unitary U.  A refused draw is
+    followed by a fresh seed with twice the length L, from L = 1 up to
+    ``MAX_REDRAWS`` draws.  Raises ValueError when the generated algebra is
+    not unital, that is when every generator vanishes on some block.
     """
     _, dec, acted_on = _decompose(alg, tol, seed)
     if not all(acted_on):
@@ -270,10 +263,9 @@ def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomp
         except DegenerateAlgebraError as exc:
             last_err = str(exc)
             continue
-        res = dec.structure_residual(G)
-        if res <= struct_tol:
+        if dec.structure_bound <= struct_tol:
             return G, dec, acted_on
-        last_err = f"structure residual {res:.3e} exceeds {struct_tol:.1e}"
+        last_err = f"structure bound {dec.structure_bound:.3e} exceeds {struct_tol:.1e}"
     raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
@@ -305,6 +297,7 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
     eigenspaces = [V for _, V in eigh_clustered((A + A.conj().T) / 2, gap_tol)]
     assigned = set()
     blocks = []
+    orbit_term = 0.0  # sum over the blocks of d_S d_F rho_k^2
     for a, V in enumerate(eigenspaces):
         if a in assigned:
             continue
@@ -326,10 +319,13 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
         # a generator acts on a block of d_S > 1, else it maps V to a multiple of V
         acted_on = dS > 1 or float(np.linalg.norm(G @ V)) > tol * np.sqrt(dF)
         blocks.append((dS, dF, cols, acted_on))
+        orbit_term += dS * dF * orbit.dropped**2
 
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     U = np.hstack([b[2] for b in blocks])
-    return WedderburnDecomposition(U=U, blocks=tuple((b[0], b[1]) for b in blocks)), [b[3] for b in blocks]
+    delta = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])))
+    bound = delta + (1 + delta) * float(np.sqrt(orbit_term))
+    return WedderburnDecomposition(U, tuple((b[0], b[1]) for b in blocks), bound), [b[3] for b in blocks]
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,7 @@ def _text_report(red, assumptions) -> str:
         f"observable subspace dim {prov['nperp_dim']}, output algebra dim {prov['algebra_dim']}",
         f"blocks {prov['blocks']}",
         f"tol {prov['tol']:g}, seed {prov['seed']}",
+        f"structure bound {prov['structure_bound']:.3e}",
     ]
     if assumptions is not None:
         for name in ("a1", "a2", "a3", "a4"):

@@ -185,17 +185,19 @@ class ConditionalEvolution:
     def split_residual(self) -> float:
         """Max HS distance between M_k and evolution o effect_k, computed once.
 
-        Diagonal effects, as in the zoo, compose with the evolution by scaling
-        columns (see :meth:`~cereduce.operators.Superoperator.compose`).
+        Each pair goes through its own :func:`~cereduce.operators.map_coordinates`,
+        which stacks one outcome's Kraus operators at a time.  Diagonal effects, as
+        in the zoo, compose with the evolution by scaling columns (see
+        :meth:`~cereduce.operators.Superoperator.compose`).
         """
         if not self.has_split:
             raise ValueError("conditional evolution has no split form")
         res = self.__dict__.get("_split_residual")
         if res is None:
-            x = map_coordinates([self.instrument.maps[k] for k in self.outcomes]
-                                + [self.evolution @ self.effects[k] for k in self.outcomes])
-            m = len(self.outcomes)
-            res = float(np.max(np.linalg.norm(x[:m] - x[m:], axis=1)))
+            res = 0.0
+            for k in self.outcomes:
+                x = map_coordinates([self.instrument.maps[k], self.evolution @ self.effects[k]])
+                res = max(res, float(np.linalg.norm(x[0] - x[1])))
             object.__setattr__(self, "_split_residual", res)
         return res
 

@@ -106,6 +106,8 @@ class OperatorSubspace:
 
     ambient_dim: int
     basis: np.ndarray
+    # the largest residual of a candidate :func:`closure` dropped, 0.0 when it dropped none
+    dropped: float = 0.0
 
     def __post_init__(self):
         basis = np.ascontiguousarray(self.basis)
@@ -169,7 +171,10 @@ def closure(
     a second time (CGS2), and kept when its residual still exceeds that
     bound, until the basis holds n m elements.  So the rank rule is that
     of adding the candidates one at a time.  The returned basis is the
-    first rows of the Gram-Schmidt buffer itself, not a copy of them.
+    first rows of the Gram-Schmidt buffer itself, not a copy of them.  Its
+    ``dropped`` is the largest residual of a candidate dropped at either
+    point, 0.0 when none was: measured against part of the final basis, it
+    bounds every candidate's distance from the span, as a kept one lies in it.
     """
     ops = list(ops)
     if not ops:
@@ -179,10 +184,10 @@ def closure(
     dtype = complex if any(np.iscomplexobj(X) for X in ops) else float
     # row i of Q is B_i flattened row-major (any one order of the entries gives the same
     # inner products); Q grows by doubling
-    Q, dim, scale = np.empty((0, full), dtype=dtype), 0, 0.0
+    Q, dim, scale, dropped = np.empty((0, full), dtype=dtype), 0, 0.0, 0.0
 
     def add(candidates) -> None:
-        nonlocal Q, dim, scale
+        nonlocal Q, dim, scale, dropped
         block = candidates if isinstance(candidates, np.ndarray) else list(candidates)
         if any(np.shape(X) != shape for X in block):
             raise ValueError("operators must share a common shape")
@@ -201,7 +206,9 @@ def closure(
             W = (C.conj() @ Q[:dim].T).conj() @ Q[:dim]
             np.subtract(C, W, out=W)
         start = dim
-        for j in np.flatnonzero(_row_norms(W) > bounds):
+        residuals = _row_norms(W)
+        dropped = max(dropped, np.max(residuals[residuals <= bounds], initial=0.0))
+        for j in np.flatnonzero(residuals > bounds):
             if dim == full:
                 return
             # the rest of the first projection, then the second against the whole basis
@@ -209,6 +216,7 @@ def closure(
             v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
             res = hs_norm(v)
             if res <= bounds[j]:
+                dropped = max(dropped, res)
                 continue
             if dim == len(Q):
                 grown = np.empty((min(max(2 * dim, 16), full), full), dtype=dtype)
@@ -224,7 +232,7 @@ def closure(
         basis.flags.writeable = False
         add(expand(basis, i))
         i += 1
-    return OperatorSubspace(n, Q[:dim].reshape(dim, n, m))
+    return OperatorSubspace(n, Q[:dim].reshape(dim, n, m), float(dropped))
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
@@ -261,7 +269,7 @@ def hermitian_closure(
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
     sub = closure(parts, expand if images is not None else None, tol)
-    return OperatorSubspace(sub.ambient_dim, _from_real_coordinates(sub.basis))
+    return OperatorSubspace(sub.ambient_dim, _from_real_coordinates(sub.basis), sub.dropped)
 
 
 def _from_real_coordinates(X: np.ndarray) -> np.ndarray:

@@ -75,6 +75,7 @@ class ReducedCE:
             "blocks": [list(b) for b in self.blocks],
             "tol": self.tol,
             "seed": self.seed,
+            "structure_bound": self.factorization.decomposition.structure_bound,
             "rank_cuts": {
                 name: {"kraus_ops": count, "dropped_over_kept": margin}
                 for name, (count, margin) in self.rank_cuts.items()

@@ -30,7 +30,6 @@ __all__ = [
     "ce_to_json",
     "ce_from_json",
     "reduced_ce_to_json",
-    "distribution_to_json",
     "save_json",
     "load_json",
 ]
@@ -161,13 +160,6 @@ def reduced_ce_to_json(red) -> dict:
             }
         },
     )
-
-
-def distribution_to_json(table: dict) -> list:
-    return [
-        {"seq": list(seq), "p": p, "y": [[float(v.real), float(v.imag)] for v in y]}
-        for seq, (p, y) in sorted(table.items())
-    ]
 
 
 def save_json(doc: dict | list, path: str) -> None:

@@ -21,7 +21,6 @@ __all__ = [
     "walk_is_generic",
     "walk_markov_oracle",
     "ising_chain",
-    "pauli",
 ]
 
 PAULI = {
@@ -30,10 +29,6 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def pauli(q: str) -> np.ndarray:
-    return PAULI[q].copy()
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:

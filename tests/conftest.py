@@ -104,6 +104,20 @@ def closure_residual(alg):
     return float(np.max(np.linalg.norm(cols - projector_matrix(alg) @ cols, axis=0)))
 
 
+def structure_residual(dec, B):
+    """Reference distance of U^dag B U from its block form (+) X_S otimes 1_F, built by kron.
+
+    X_S is Tr_F / d_F of each diagonal block (``dec.block_parts``), which
+    makes (+) X_S otimes 1_F the nearest block-form matrix in Frobenius norm.
+    """
+    T = dec.U.conj().T @ B @ dec.U
+    offs = dec.hilbert_offsets()
+    model = np.zeros_like(T)
+    for k, (XS, (_, dF)) in enumerate(zip(dec.block_parts(T), dec.blocks)):
+        model[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(XS, np.eye(dF))
+    return float(np.linalg.norm(T - model))
+
+
 def blockdiag_projector(fact):
     """(D^2, D^2) projector keeping only the diagonal blocks of the reduced space."""
     D = fact.reduced_hilbert_dim

@@ -6,6 +6,7 @@ import pytest
 
 from cereduce import algebra
 from cereduce.algebra import (
+    DegenerateAlgebraError,
     algebra_closure,
     center,
     commutant,
@@ -33,6 +34,7 @@ from conftest import (
     proj,
     projector_matrix,
     random_complex,
+    structure_residual,
 )
 
 
@@ -344,28 +346,7 @@ class TestWedderburn:
         n = dec.dim
         assert np.linalg.norm(dec.U @ dec.U.conj().T - np.eye(n)) < 1e-10
         for B in alg.basis:
-            assert dec.structure_residual(B) < 1e-8
-
-    def test_stacked_residual_matches_kron_reference(self, rng):
-        alg = random_block_algebra(((2, 2), (1, 3), (3, 1)), seed=4)
-        dec = wedderburn(alg)
-        n = dec.dim
-
-        def kron_residual(B):
-            T = dec.U.conj().T @ B @ dec.U
-            offs = dec.hilbert_offsets()
-            model = np.zeros_like(T)
-            for k, (XS, (_, dF)) in enumerate(zip(dec.block_parts(T), dec.blocks)):
-                model[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(XS, np.eye(dF))
-            return np.linalg.norm(T - model)
-
-        # in the algebra the residual is rounding; off it, order one
-        off = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-        for ops in (np.array(alg.basis), off):
-            ref = [kron_residual(B) for B in ops]
-            assert dec.structure_residual(ops) == pytest.approx(max(ref), rel=1e-13, abs=1e-15)
-            assert [dec.structure_residual(B) for B in ops] == pytest.approx(ref, rel=1e-13, abs=1e-15)
-        assert dec.structure_residual(np.zeros((0, n, n))) == 0.0
+            assert structure_residual(dec, B) < 1e-8
 
     def test_block_dims_seed_independent(self):
         alg = random_block_algebra(((2, 1), (1, 2), (1, 1)), seed=9)
@@ -390,7 +371,7 @@ class TestWedderburn:
         n = dec.dim
         assert np.linalg.norm(dec.U @ dec.U.conj().T - np.eye(n)) <= 1e-10
         for B in alg.basis:
-            assert dec.structure_residual(B) <= 1e-12
+            assert structure_residual(dec, B) <= 1e-12
 
     def test_non_unital_rejected(self):
         alg = algebra_closure([proj(3, 0)])
@@ -443,7 +424,48 @@ class TestWedderburn:
         for ops in generator_sets:
             dec, alg = wedderburn(ops), algebra_closure(ops)
             assert dec.blocks == wedderburn(alg).blocks
-            assert max(dec.structure_residual(B) for B in alg.basis) <= 1e-10
+            assert max(structure_residual(dec, B) for B in alg.basis) <= 1e-10
+            # the certificate of the draw holds for each generator it was read off
+            G = algebra._generators(ops, 1e-9)
+            assert max(structure_residual(dec, B) for B in G) <= dec.structure_bound <= 1e-10
+
+    @pytest.mark.parametrize(
+        "blocks", [((2, 2), (1, 3)), ((2, 1), (1, 1), (1, 1)), ((2, 3), (2, 3))], ids=str
+    )
+    def test_moved_generators_accepted_on_their_bound(self, blocks, rng):
+        # generators moved off the block form by 1e-8, at tol 1e-6: U is unitary only to
+        # 1e-8-5e-8, and on the first blocks the orbit term alone falls below the residual
+        tol = 1e-6
+        moved = []
+        for B in block_algebra_generators(blocks, seed=0):
+            H = random_complex(rng, B.shape)
+            H += H.conj().T
+            moved.append(B + 1e-8 * H / hs_norm(H))
+        G, dec, _ = algebra._decompose(moved, tol, 0)
+        n = dec.dim
+        assert sorted(dec.blocks) == sorted(blocks)
+        delta = np.linalg.norm(dec.U.conj().T @ dec.U - np.eye(n))
+        assert max(structure_residual(dec, B) for B in G) <= dec.structure_bound
+        assert dec.structure_bound <= np.sqrt(n) * tol + 2 * delta
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ising_chain(4, 0.0, 0.3), lambda: ising_chain(5, 0.5, 0.3),
+         lambda: measured_quantum_walk(4, seed=4)],
+        ids=["ising4-p0", "ising5-p0.5", "walk4"],
+    )
+    def test_merged_eigenspaces_refused(self, make, monkeypatch):
+        # two adjacent eigenspaces of every draw merged into one: no draw may be accepted
+        nperp = nonobservable_complement(make())
+        clustered = algebra.eigh_clustered
+
+        def merged(H, rel_gap):
+            (w0, V0), (w1, V1), *rest = clustered(H, rel_gap)
+            return [((w0 + w1) / 2, np.hstack([V0, V1])), *rest]
+
+        monkeypatch.setattr(algebra, "eigh_clustered", merged)
+        with pytest.raises(DegenerateAlgebraError):
+            wedderburn(nperp)
 
 
 class TestConditionalExpectation:

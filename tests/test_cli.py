@@ -103,13 +103,20 @@ class TestReduce:
         capsys.readouterr()
         assert main(["reduce", str(model), "--report", "json", "-o", str(reduced)]) == 0
         out = capsys.readouterr().out
-        cuts = json.loads(out[: out.rindex("}") + 1])["rank_cuts"]
+        report = json.loads(out[: out.rindex("}") + 1])
+        cuts = report["rank_cuts"]
         doc = load_json(str(reduced))
         assert doc["reduction"]["rank_cuts"] == cuts
         assert list(cuts) == doc["outcomes"]
         for k, cut in cuts.items():
             assert cut["kraus_ops"] == len(doc["instrument"][k]["kraus"]) == 2
             assert 0 <= cut["dropped_over_kept"] < 1e-10
+        # the decomposition's certificate, in the report, the file and the text report
+        bound = report["structure_bound"]
+        assert doc["reduction"]["structure_bound"] == bound
+        assert 0 < bound <= 1e-10
+        assert main(["reduce", str(model), "-o", str(tmp_path / "again.red.json")]) == 0
+        assert f"structure bound {bound:.3e}" in capsys.readouterr().out.splitlines()
 
     def test_degenerate_algebra_exit3(self, walk_files, tmp_path, monkeypatch, capsys):
         def degenerate(*args):

@@ -192,6 +192,20 @@ class TestClosure:
         # a complex op makes the closure complex, where real candidates are welcome
         assert closure([X + 0j], lambda basis, i: [basis[i] @ X]).basis[0].dtype == np.complex128
 
+    @pytest.mark.parametrize("where", ["first_projection", "second_projection"])
+    def test_reports_largest_dropped_residual(self, where, paulis):
+        # X + eps Z leaves residual eps Z: against X held before its block, it is dropped by
+        # the first projection; next to X in one block, by the second, after X is added
+        X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
+        eps = 1e-10
+        if where == "first_projection":
+            sub = closure([X, Y], lambda basis, i: [X + eps * Z, Y + eps / 2 * Z] if i == 0 else [])
+        else:
+            sub = closure([X, X + eps * Z, Y, Y + eps / 2 * Z])
+        assert sub.dim == 2
+        assert sub.dropped == pytest.approx(eps * hs_norm(Z), rel=1e-6)
+        assert closure([X, Y], lambda basis, i: [Z] if i == 0 else []).dropped == 0.0
+
     def test_zero_tol_stops_at_full_space(self, rng):
         A = random_complex(rng, (3, 3))
 

@@ -9,7 +9,6 @@ from cereduce.reduction import equivalence_check, reduce_ce
 from cereduce.serialize import (
     ce_from_json,
     ce_to_json,
-    distribution_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -197,13 +196,3 @@ class TestFiles:
     def test_no_temp_residue(self, tmp_path):
         save_json({"a": 1}, str(tmp_path / "x.json"))
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
-
-
-def test_distribution_serialization():
-    table = {
-        ("1", "0"): (0.25, np.array([1.0 + 0j])),
-        ("0", "0"): (0.75, np.array([0.5 + 0j])),
-    }
-    doc = distribution_to_json(table)
-    assert [d["seq"] for d in doc] == [["0", "0"], ["1", "0"]]
-    assert doc[0]["p"] == 0.75 and doc[0]["y"] == [[0.5, 0.0]]

@@ -8,7 +8,6 @@ from cereduce.zoo import (
     haar_unitary,
     ising_chain,
     measured_quantum_walk,
-    pauli,
     walk_is_generic,
     walk_markov_oracle,
 )
@@ -77,12 +76,12 @@ class TestIsingChain:
         assert nonobservable_complement(ising_chain(4, 0.0, 0.3)).dim == 12
         assert nonobservable_complement(ising_chain(4, 0.5, 0.3)).dim == 18
 
-    def test_first_qubit_state_reconstruction(self, rng):
+    def test_first_qubit_state_reconstruction(self, rng, paulis):
         ce = ising_chain(4, 0.0, 0.3)
         rho = random_density(16, rng)
         y = ce.output(rho)
         tau = 0.5 * sum(
-            y[i] * pauli(q) for i, q in enumerate(("0", "x", "y", "z"))
+            y[i] * paulis[q] for i, q in enumerate(("0", "x", "y", "z"))
         )
         tr_rest = np.einsum("iaja->ij", rho.reshape(2, 8, 2, 8))
         assert np.allclose(tau, tr_rest, atol=1e-10)
