@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -241,10 +242,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _start_state(ce: ConditionalEvolution, doc: dict, path: str) -> np.ndarray:
+    """The maximally mixed state 1_n/n of the full model, as the model in ``doc`` holds it.
+
+    A full model starts at 1_n/n itself.  A reduced one starts at
+    R(1_n/n) = sum_k (d_F,k / n) 1_{d_S,k}, read off the ``blocks`` (d_S, d_F)
+    of its ``reduction`` block and the n^2 of its ``original_operator_dim``.
+    """
+    if "reduction" not in doc:
+        return np.eye(ce.dim, dtype=complex) / ce.dim
+    try:
+        blocks = [(dS, dF) for dS, dF in doc["reduction"]["blocks"]]
+        n2 = doc["reduction"]["original_operator_dim"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: invalid reduction block: {exc!r}")
+    if not all(type(d) is int and d > 0 for d in (n2, *(d for block in blocks for d in block))):
+        raise CliError(f"{path}: reduction blocks {blocks} and original_operator_dim {n2!r} "
+                       "must be positive integers")
+    n = math.isqrt(n2)
+    if n * n != n2 or sum(dS for dS, _ in blocks) != ce.dim or sum(dS * dF for dS, dF in blocks) != n:
+        raise CliError(f"{path}: reduction blocks {blocks} do not split a reduced dimension "
+                       f"{ce.dim} from an original operator dimension {n2}")
+    weights = [dF / n for dS, dF in blocks for _ in range(dS)]
+    return np.diag(weights).astype(complex)
+
+
 def cmd_simulate(args) -> int:
-    ce, _ = _load_model(args.model)
+    ce, doc = _load_model(args.model)
     _check_valid(ce, args.tol)
-    rho0 = np.eye(ce.dim, dtype=complex) / ce.dim
+    rho0 = _start_state(ce, doc, args.model)
     root = np.random.SeedSequence(args.seed)
     out = open(args.output, "w") if args.output else sys.stdout
     counts: dict[tuple[str, ...], int] = {}

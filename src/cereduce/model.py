@@ -182,6 +182,33 @@ class ConditionalEvolution:
             object.__setattr__(self, "_readout", rows)
         return rows
 
+    def step_matrices(self) -> tuple[np.ndarray | None, ...]:
+        """Per outcome in declaration order, its read-only filter step matrix F_k, or None; built once.
+
+        An outcome whose map applies through its matrix (see
+        :class:`~cereduce.operators.Superoperator`) gets
+        F_k = [A_k; readout() A_k], with A_k = conj(M_k.matrix) the map on the
+        row-major vec that :meth:`readout` reads: vec_r(K X K^dag) =
+        (K otimes conj(K)) vec_r(X).  So ``F_k @ rho.reshape(-1)`` holds
+        M_k(rho) flattened in its first n^2 entries, then the readout of
+        M_k(rho).  Outcomes in the elementwise or products form get None.
+        """
+        steps = self.__dict__.get("_steps")
+        if steps is None:
+            readout = self.readout()
+            steps = []
+            for k in self.outcomes:
+                S = self.instrument.maps[k]
+                F = None
+                if S.form == "matrix":
+                    A = S.matrix.conj()
+                    F = np.vstack([A, readout @ A])
+                    F.flags.writeable = False
+                steps.append(F)
+            steps = tuple(steps)
+            object.__setattr__(self, "_steps", steps)
+        return steps
+
     def split_residual(self) -> float:
         """Max HS distance between M_k and evolution o effect_k, computed once.
 

@@ -321,7 +321,8 @@ class Superoperator:
     ``KRAUS_APPLY_OVERHEAD`` for its extra reshapes and calls, which is
     used when that is below the out_dim^2 in_dim^2 of the dense matvec.
     Long Kraus lists, and maps of at most 8x8 operators such as the
-    reduced Ising maps, apply through the matrix.  A stack
+    reduced Ising maps, apply through the matrix.  :attr:`form` names the
+    form chosen.  A stack
     (..., in_dim, in_dim) of operators is mapped in one call, in the same
     form, to the stack (..., out_dim, out_dim) of their images.
     """
@@ -352,6 +353,13 @@ class Superoperator:
             self._cols = np.hstack([K.conj().T for K in kraus])
 
     @property
+    def form(self) -> str:
+        """The apply form fixed at construction: "elementwise", "products" or "matrix"."""
+        if self._weights is not None:
+            return "elementwise"
+        return "matrix" if self._rows is None else "products"
+
+    @property
     def matrix(self) -> np.ndarray:
         """(out_dim^2, in_dim^2) matrix sum_i conj(K_i) otimes K_i."""
         if self._matrix is None:
@@ -374,8 +382,9 @@ class Superoperator:
             return X * self._weights
         if X.shape == (ni, ni):
             # the same products without the stack bookkeeping, which costs about an eighth
-            # of the apply of a reduced Ising map; a step of sample_trajectory is one such
-            # call, for the drawn outcome, and one readout product
+            # of a reduced Ising map's apply; sample_trajectory makes one such call per step
+            # for an outcome in the products or elementwise form, while a matrix-form
+            # outcome's step is one product with ConditionalEvolution.step_matrices()
             if self._rows is None:
                 return (self.matrix @ X.reshape(-1, order="F")).reshape((no, no), order="F")
             Y = (X @ self._cols).reshape(ni, -1, no).transpose(1, 0, 2).reshape(-1, no)

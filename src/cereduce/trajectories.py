@@ -1,15 +1,16 @@
 """Sampling and exhaustive enumeration of measurement records.
 
 Sampling runs the quantum filter on the normalized state.  At every step
-one outcome is drawn, only its map is applied and the result is divided
-by the drawn probability; one product of the model's readout matrix with
-that state gives both this step's outputs and the next step's outcome
-probabilities tr[E_k rho].  Probabilities never underflow on long
-records; the product of the per-step conditional probabilities recovers
-the joint probability of the record.  Enumeration propagates
-unnormalized states over the outcome tree, reads the last step off
-pulled-back observables, and is the brute-force oracle the rest of the
-package is verified against.
+one outcome is drawn, only its map is applied and the result is scaled
+by the inverse of the drawn probability; the model's readout matrix then
+gives both this step's outputs and the next step's outcome probabilities
+tr[E_k rho].  For an outcome whose map applies through its matrix, the
+map and the readout are one product with its step matrix.  Probabilities
+never underflow on long records; the product of the per-step conditional
+probabilities recovers the joint probability of the record.  Enumeration
+propagates unnormalized states over the outcome tree, reads the last step
+off pulled-back observables, and is the brute-force oracle the rest of
+the package is verified against.
 """
 
 from __future__ import annotations
@@ -90,10 +91,16 @@ def sample_trajectory(
 
     ``rng_seed`` may be an integer or a ``numpy.random.SeedSequence`` /
     ``Generator``; trajectory batches should spawn child seeds so streams
-    stay independent.  A step makes one map apply and one product with
-    :meth:`ConditionalEvolution.readout`; the draw runs on Python floats
-    with the operations of ``Generator.choice``, in its order, from one
-    ``random()`` per step, so a seed gives the same record as
+    stay independent.  A step of an outcome whose map applies through its
+    matrix is one product with its
+    :meth:`~cereduce.model.ConditionalEvolution.step_matrices` entry, which
+    yields the new state and its readout at once; any other outcome's step
+    is one map apply and one product with
+    :meth:`~cereduce.model.ConditionalEvolution.readout`.  Either way the
+    result is scaled in place by 1 / p_k, and ``rho0`` is never written to.
+    The draw runs on Python floats with the operations of
+    ``Generator.choice``, in its order, from one ``random()`` per step, so
+    a seed gives the same record as
     ``rng.choice(len(p), p=p / p.sum())`` on the same probabilities.
     Probabilities that are not finite raise ValueError; negative ones are
     set to zero, and the step is recorded in ``clamped_steps`` when one is
@@ -105,7 +112,8 @@ def sample_trajectory(
     rho = np.asarray(rho0, dtype=complex)
     maps = [ce.instrument.maps[k] for k in ce.outcomes]
     readout = ce.readout()
-    m = len(maps)
+    steps = ce.step_matrices()
+    m, n = len(maps), ce.dim
     q = readout @ rho.reshape(-1)
     outcomes, probs, states, outputs, clamped = [], [], [], [], []
     for t in range(T):
@@ -123,8 +131,17 @@ def sample_trajectory(
         last = cdf[-1]
         idx = bisect_right([c / last for c in cdf], rng.random())
         pk = p[idx]
-        rho = maps[idx](rho) / pk
-        q = readout @ rho.reshape(-1)
+        F = steps[idx]
+        if F is None:
+            # numpy's rho / pk is rho * (1 / pk) but for the sign of a zero entry
+            rho = maps[idx](rho)
+            rho *= 1.0 / pk
+            q = readout @ rho.reshape(-1)
+        else:
+            q = F @ rho.reshape(-1)
+            q *= 1.0 / pk
+            rho = q[:n * n].reshape(n, n)
+            q = q[n * n:]
         outcomes.append(ce.outcomes[idx])
         probs.append(pk)
         states.append(rho)

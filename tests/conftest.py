@@ -70,6 +70,20 @@ def random_ce(n, n_outcomes, n_obs, rng):
     )
 
 
+def swap3_ce():
+    """C^3 with outcomes sqrt(1/2) 1 and sqrt(1/2) (the swap of e_1 and e_2), observables 1 and |e_0><e_0|.
+
+    Its blocks are ((1, 2), (1, 1)), so R(1_3/3) = diag(2/3, 1/3) is not 1_2/2.
+    Outcome "0" applies elementwise and outcome "1" through its matrix.
+    """
+    swap = np.eye(3, dtype=complex)[[0, 2, 1]]
+    maps = {"0": superop_from_kraus([np.sqrt(0.5) * np.eye(3)]), "1": superop_from_kraus([np.sqrt(0.5) * swap])}
+    return ConditionalEvolution(
+        instrument=Instrument(outcomes=("0", "1"), maps=maps),
+        output=OutputMap(names=("identity", "P0"), observables=(np.eye(3, dtype=complex), proj(3, 0))),
+    )
+
+
 def choi(S):
     """Choi matrix sum_ij |i><j| otimes S(|i><j|), from S applied to every matrix unit."""
     n, m = S.in_dim, S.out_dim

@@ -19,7 +19,8 @@ from cereduce.serialize import (
     save_json,
 )
 from cereduce.trajectories import WORD_CAP, StateEscapedError
-from cereduce.zoo import ising_chain
+from cereduce.zoo import ising_chain, measured_quantum_walk
+from conftest import swap3_ce
 
 
 @pytest.fixture()
@@ -358,6 +359,37 @@ class TestSimulate:
         assert main(["reduce", bad]) == 2
         assert capsys.readouterr().err == err
 
+    def test_reduced_file_starts_at_r_of_the_mixed_state(self, tmp_path):
+        # blocks ((1, 2), (1, 1)): the reduced start is diag(2/3, 1/3), not 1_2/2
+        model, reduced = tmp_path / "swap3.json", tmp_path / "swap3.red.json"
+        save_json(ce_to_json(swap3_ce()), str(model))
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        records = []
+        for path in (model, reduced):
+            out = tmp_path / f"{path.name}.jsonl"
+            assert main(["simulate", str(path), "--seed", "3", "--samples", "50", "-o", str(out)]) == 0
+            records.append([json.loads(line) for line in out.read_text().splitlines()])
+        full, red = records
+        assert [r["outcomes"] for r in full] == [r["outcomes"] for r in red]
+        dev = max(np.max(np.abs(np.array(a["outputs"]) - np.array(b["outputs"]))) for a, b in zip(full, red))
+        assert dev <= 1e-8
+        assert abs(full[0]["outputs"][0][1][0] - 1 / 3) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ising_chain(4, 0.0, 0.3), id="ising4_p0"),
+        pytest.param(lambda: ising_chain(4, 0.5, 0.3), id="ising4_p0.5"),
+        pytest.param(lambda: measured_quantum_walk(5, seed=0), id="walk5"),
+        pytest.param(swap3_ce, id="swap3"),
+    ])
+    def test_start_state_is_r_of_the_mixed_state(self, make):
+        ce = make()
+        red = reduce_ce(ce)
+        doc = json.loads(json.dumps(reduced_ce_to_json(red)))
+        want = red.reduction_map(np.eye(ce.dim) / ce.dim)
+        assert np.max(np.abs(cli._start_state(red.model, doc, "red.json") - want)) <= 1e-12
+        full = cli._start_state(ce, ce_to_json(ce), "full.json")
+        assert np.array_equal(full, np.eye(ce.dim) / ce.dim)
+
     def test_escaped_state_exit2(self, tmp_path, walk_files, monkeypatch, capsys):
         model, _ = walk_files
 
@@ -407,6 +439,19 @@ def _reduced_without_r(tmp, model, reduced):
     return ["verify", str(model), _write(tmp / "no_r.json", doc)]
 
 
+def _inconsistent_blocks(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    # three (1, 1) blocks of a walk on C^3 become blocks of a 4-dim original
+    doc["reduction"]["blocks"][-1] = [1, 2]
+    return ["simulate", _write(tmp / "inconsistent_blocks.json", doc), "--samples", "2"]
+
+
+def _fractional_blocks(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    doc["reduction"]["blocks"][-1] = [1, 1.5]
+    return ["simulate", _write(tmp / "fractional_blocks.json", doc), "--samples", "2"]
+
+
 def _relabelled_outcome(tmp, model, reduced):
     doc = load_json(str(reduced))
     old = doc["outcomes"][0]
@@ -449,6 +494,8 @@ ERROR_NAMES = {
     _corrupted_r: ["invalid reduction map", "'c16' is not strict base64"],
     _corrupted_kraus: ["invalid model document", "instrument map '0'", "'c16' is not strict base64"],
     _short_observable: ["invalid model document", "observable 'identity'", "cannot hold"],
+    _inconsistent_blocks: ["reduction blocks [(1, 1), (1, 1), (1, 2)] do not split", "dimension 9"],
+    _fractional_blocks: ["must be positive integers"],
 }
 
 
@@ -481,6 +528,8 @@ ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISIN
         pytest.param(_no_observables, id="no_observables"),
         pytest.param(_reduced_without_r, id="reduced_without_R"),
         pytest.param(_relabelled_outcome, id="relabelled_outcome"),
+        pytest.param(_inconsistent_blocks, id="simulate_inconsistent_blocks"),
+        pytest.param(_fractional_blocks, id="simulate_fractional_blocks"),
         pytest.param(lambda tmp, m, r: ["simulate", str(m), "--steps", "0"], id="simulate_steps_0"),
         # with no initial states the equivalence check would pass vacuously
         pytest.param(

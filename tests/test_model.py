@@ -176,6 +176,22 @@ class TestPOVM:
         assert ce.readout() is ce.readout()
 
     @pytest.mark.parametrize("name", sorted(POVM_MODELS))
+    def test_step_matrices_give_the_image_then_its_readout(self, name):
+        ce = POVM_MODELS[name]()
+        rho = random_density(ce.dim, np.random.default_rng(3))
+        steps = ce.step_matrices()
+        assert steps is ce.step_matrices() and len(steps) == len(ce.outcomes)
+        for k, F in zip(ce.outcomes, steps):
+            S = ce.instrument.maps[k]
+            assert (F is None) == (S.form != "matrix")
+            if F is None:
+                continue
+            assert not F.flags.writeable
+            image = S(rho)
+            want = np.concatenate([image.reshape(-1), ce.readout() @ image.reshape(-1)])
+            assert np.max(np.abs(F @ rho.reshape(-1) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(POVM_MODELS))
     def test_normalization_residual_matches_adjoint_sum(self, name):
         # the reference: every map's adjoint applied to the identity
         inst = POVM_MODELS[name]().instrument

@@ -539,6 +539,7 @@ class TestApplyForms:
         S, via_kraus = case
         # white box: the form fixed at construction, and the matrix not yet built
         assert (S._rows is not None) == via_kraus
+        assert S.form == ("products" if via_kraus else "matrix")
         X = random_complex(rng, (S.in_dim, S.in_dim))
         Y = S(X)
         assert (S._matrix is None) == via_kraus
@@ -658,6 +659,7 @@ class TestElementwiseApply:
         # white box: neither the Kraus products nor the matrix
         assert S._weights is not None and S._rows is None
         assert S._weights.shape == (S.in_dim, S.in_dim)
+        assert S.form == "elementwise"
         S(np.eye(S.in_dim))
         assert S._matrix is None
 

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from cereduce.trajectories import (
     total_variation,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import proj, random_ce
+from conftest import proj, random_ce, swap3_ce
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -147,9 +148,9 @@ def oracle_trajectory(ce, rho0, T, seed):
     return tuple(outcomes), np.array(probs), states
 
 
-def _ising4(reduced):
-    ce = ising_chain(4, 0.5, 0.3)
-    rho0 = np.eye(16, dtype=complex) / 16
+def _mixed(ce, reduced=False):
+    """The model and its maximally mixed state, or its reduced model and R of that state."""
+    rho0 = np.eye(ce.dim, dtype=complex) / ce.dim
     if not reduced:
         return ce, rho0
     red = reduce_ce(ce)
@@ -159,10 +160,16 @@ def _ising4(reduced):
 DRAW_MODELS = {
     "random-3-3-2": lambda: (random_ce(3, 3, 2, np.random.default_rng(5)),
                              random_density(3, np.random.default_rng(6))),
-    "ising4-full": lambda: _ising4(reduced=False),
-    "ising4-reduced": lambda: _ising4(reduced=True),
+    "ising4-full": lambda: _mixed(ising_chain(4, 0.5, 0.3)),
+    "ising4-reduced": lambda: _mixed(ising_chain(4, 0.5, 0.3), reduced=True),
+    # 4 Kraus operators per reduced map
+    "ising4-p0-reduced": lambda: _mixed(ising_chain(4, 0.0, 0.3), reduced=True),
+    "ising5-reduced": lambda: _mixed(ising_chain(5, 0.5, 0.3), reduced=True),
     # ten outcomes: numpy sums the probabilities pairwise
-    "walk10": lambda: (measured_quantum_walk(10, seed=0), np.eye(10, dtype=complex) / 10),
+    "walk10": lambda: _mixed(measured_quantum_walk(10, seed=0)),
+    "walk5-reduced": lambda: _mixed(measured_quantum_walk(5, seed=0), reduced=True),
+    # one elementwise outcome and one that steps through its matrix
+    "swap3": lambda: _mixed(swap3_ce()),
 }
 
 
@@ -178,6 +185,75 @@ def test_draws_match_the_every_branch_oracle(name):
             assert np.max(np.abs(got - want)) <= 1e-12
             assert abs(np.trace(got) - 1) <= 1e-12
             assert np.max(np.abs(y - ce.output(got))) <= 1e-12
+
+
+def divided_step_trajectory(ce, rho0, T, seed):
+    """sample_trajectory stepping every outcome as maps[k](rho) / p_k, then one readout product."""
+    rng = np.random.default_rng(seed)
+    maps = [ce.instrument.maps[k] for k in ce.outcomes]
+    readout, m = ce.readout(), len(ce.outcomes)
+    rho = np.asarray(rho0, dtype=complex)
+    q = readout @ rho.reshape(-1)
+    outcomes, probs, states, outputs = [], [], [], []
+    for _ in range(T):
+        p = [max(x, 0.0) for x in q.real[:m].tolist()]
+        mass = _numpy_sum(p)
+        cdf = list(itertools.accumulate(x / mass for x in p))
+        idx = bisect_right([c / cdf[-1] for c in cdf], rng.random())
+        rho = maps[idx](rho) / p[idx]
+        q = readout @ rho.reshape(-1)
+        outcomes.append(ce.outcomes[idx])
+        probs.append(p[idx])
+        states.append(rho)
+        outputs.append(q[m:])
+    return tuple(outcomes), tuple(probs), states, outputs
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ising_chain(4, 0.5, 0.3), id="ising4"),
+    pytest.param(lambda: ising_chain(5, 0.5, 0.3), id="ising5"),
+    pytest.param(lambda: measured_quantum_walk(10, seed=0), id="walk10"),
+])
+def test_products_form_records_are_bit_identical_to_the_divided_step(make):
+    ce, rho0 = _mixed(make())
+    assert {S.form for S in ce.instrument.maps.values()} == {"products"}
+    assert ce.step_matrices() == (None,) * len(ce.outcomes)
+    for seed in range(20):
+        rec = sample_trajectory(ce, rho0, 8, rng_seed=seed)
+        outcomes, probs, states, outputs = divided_step_trajectory(ce, rho0, 8, seed)
+        assert rec.outcomes == outcomes and rec.probabilities == probs
+        assert [x.tobytes() for x in rec.states] == [x.tobytes() for x in states]
+        assert [y.tobytes() for y in rec.outputs] == [y.tobytes() for y in outputs]
+
+
+def test_step_matrices_are_built_once(monkeypatch):
+    ce, rho0 = DRAW_MODELS["swap3"]()
+    first = sample_trajectory(ce, rho0, 6, rng_seed=1)
+    steps = ce.step_matrices()
+    assert steps[0] is None and steps[1].shape == (9 + 2 + 2, 9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second call built a step matrix")
+
+    monkeypatch.setattr(np, "vstack", refuse)
+    monkeypatch.setattr(Superoperator, "matrix", property(refuse))
+    again = sample_trajectory(ce, rho0, 6, rng_seed=1)
+    assert again.outcomes == first.outcomes and again.probabilities == first.probabilities
+    assert ce.step_matrices() is steps
+
+
+@pytest.mark.parametrize("name", ["ising4-full", "ising4-reduced", "swap3", "random-3-3-2"])
+def test_rho0_untouched_and_states_do_not_share_memory(name):
+    ce, rho0 = DRAW_MODELS[name]()
+    rho0 = rho0.copy()
+    kept = rho0.copy()
+    rho0.flags.writeable = False
+    rec = sample_trajectory(ce, rho0, 8, rng_seed=3)
+    assert np.array_equal(rho0, kept)
+    for a, b in itertools.combinations([rho0, *rec.states], 2):
+        assert not np.shares_memory(a, b)
+    for state, y in zip(rec.states, rec.outputs):
+        assert not np.shares_memory(state, y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 100, 128, 129, 300])
