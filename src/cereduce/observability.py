@@ -96,9 +96,16 @@ class LinearReducedModel:
 
 
 def linear_reduce(
-    ce: ConditionalEvolution, subspace: OperatorSubspace
+    ce: ConditionalEvolution, subspace: OperatorSubspace, tol: float = DEFAULT_TOL
 ) -> LinearReducedModel:
     """Compress every instrument map and the output map onto the subspace.
+
+    A_k[i, j] = <B_i, M_k(B_j)> = <M_k^dag(B_i), B_j> is read off one
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images` call on the
+    stacked basis, so a split model conjugates the basis by its evolution
+    once for all outcomes.  ``tol`` certifies that split: a split residual
+    above 10 ``tol`` raises ValueError, so ``cereduce verify`` reduces a
+    split model at its ``--tol``.  C[o, j] = tr(O_o B_j).
 
     Exact output reproduction for all outcome words requires the subspace
     to contain the full dual-map orbit of the observables; the caller is
@@ -108,8 +115,10 @@ def linear_reduce(
     if subspace.dim == 0:
         raise ValueError("cannot reduce onto a zero-dimensional subspace")
     Q = subspace.stacked()
-    # A_k[i, j] = <B_i, M_k(B_j)>;  C[o, j] = tr(O_o B_j), the output rows of the
+    # A_k = conj(Y_k) Q^T for the rows Y_k of M_k^dag(B_i) flattened row-major, each
+    # image conjugated in place, one outcome at a time;  C holds the output rows of the
     # readout against the row-major flattening of B_j
-    A = {k: Q.conj() @ _images(ce.instrument.maps[k], subspace) for k in ce.outcomes}
+    images = ce.dual_images(tol)(subspace.basis)
+    A = {k: np.conj(Y, out=Y).reshape(subspace.dim, -1) @ Q.T for k, Y in zip(ce.outcomes, images)}
     C = ce.readout()[len(ce.outcomes):] @ Q.T
     return LinearReducedModel(subspace=subspace, outcomes=ce.outcomes, A=A, C=C)

@@ -173,8 +173,9 @@ def closure(
     of adding the candidates one at a time.  The returned basis is the
     first rows of the Gram-Schmidt buffer itself, not a copy of them.  Its
     ``dropped`` is the largest residual of a candidate dropped at either
-    point, 0.0 when none was: measured against part of the final basis, it
-    bounds every candidate's distance from the span, as a kept one lies in it.
+    point, 0.0 when none was and NaN when a candidate was NaN: measured
+    against part of the final basis, it bounds every candidate's distance
+    from the span, as a kept one lies in it.
     """
     ops = list(ops)
     if not ops:
@@ -207,8 +208,10 @@ def closure(
             np.subtract(C, W, out=W)
         start = dim
         residuals = _row_norms(W)
-        dropped = max(dropped, np.max(residuals[residuals <= bounds], initial=0.0))
-        for j in np.flatnonzero(residuals > bounds):
+        kept = residuals > bounds
+        # a NaN candidate is dropped, with every later one (its norm makes the bounds NaN)
+        dropped = np.max(residuals[~kept], initial=dropped)
+        for j in np.flatnonzero(kept):
             if dim == full:
                 return
             # the rest of the first projection, then the second against the whole basis
@@ -254,18 +257,33 @@ def hermitian_closure(
 ) -> OperatorSubspace:
     """Exactly Hermitian HS-orthonormal basis of the smallest span of Hermitian operators
     holding the Hermitian parts of ``generators`` and invariant under some maps;
-    ``images(H)`` gives the image of H under each of them.
+    ``images(H)`` gives the stack of images of a stack H, (j, n, n), under each
+    of them, as a :class:`Superoperator` or
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images` does.
 
     The maps must take Hermitian operators to Hermitian ones, as CP maps
     and their duals do.  H -> Re H + Im H maps Hermitian operators
     isometrically (HS to Frobenius) onto real matrices X, so the
     :func:`closure` runs on real X: each generator enters through its two
     Hermitian parts, and each basis element expands into ``images(H)`` of
-    H = (X + X^T)/2 + i (X - X^T)/2, exactly Hermitian, taken in turn.  The
-    returned basis is these H, written into one complex stack.
+    H = (X + X^T)/2 + i (X - X^T)/2, exactly Hermitian.  The first element
+    not yet expanded expands every element the basis holds from it on, in
+    one call of ``images``, and the others none: the closure sees the
+    candidates of adding one element at a time, in the same order, in
+    fewer and larger blocks.  The returned basis is these H, written into
+    one complex stack.
     """
+    expanded = 0
+
     def expand(basis, i):
-        return [Y.real + Y.imag for Y in images(_from_real_coordinates(basis[i]))]
+        nonlocal expanded
+        if i < expanded:
+            return ()
+        expanded = len(basis)
+        # the candidates element by element, each element's images in the maps' order,
+        # one map's stack of images alive at a time
+        block = [Y.real + Y.imag for Y in images(_from_real_coordinates(basis[i:]))]
+        return np.stack(block, axis=1).reshape(-1, *basis.shape[1:])
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
     sub = closure(parts, expand if images is not None else None, tol)

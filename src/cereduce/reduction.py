@@ -17,7 +17,13 @@ import numpy as np
 
 from .algebra import CEFactorization, _decompose, _read_off, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
-from .observability import check_invariance, nonobservable_complement
+from .observability import (
+    LinearReducedModel,
+    check_invariance,
+    invariant_closure,
+    linear_reduce,
+    nonobservable_complement,
+)
 from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
 from .trajectories import WORD_CAP
 
@@ -257,6 +263,8 @@ class EquivalenceReport:
     passed: bool
     worst_case: tuple[int, tuple[str, ...]]
     n_sequences: int
+    # the larger ``dropped`` of the two realizations' closures, NaN when one met a NaN
+    realization_dropped: float = 0.0
 
 
 def equivalence_check(
@@ -272,26 +280,43 @@ def equivalence_check(
     Covers every outcome word up to ``max_len`` for a batch of random
     initial densities rho_s, reduced model started from R(rho_s), and
     records the worst output and probability deviations over all pairs of
-    state and word (root included).  The worst case is the first at the
-    maximum, states first and words in depth-first order, except that a
-    tie moves it off the empty word.  A NaN deviation ranks above every
+    state and word (root included).  The worst case is the first pair,
+    states first and words in depth-first order, whose deviation lies
+    within a relative ``WORST_CASE_RTOL`` of the maximum, except that such
+    a tie moves it off the empty word.  A NaN deviation ranks above every
     number, so it is reported and fails the check.
 
-    The words are walked once for all states, in the Heisenberg picture:
-    each model carries the dual stack [1, O_1, ..., O_m] pulled back along
-    the word, M_w^dag = M_{w_1}^dag o ... o M_{w_t}^dag, so a word grows at
-    the front, (k,) + w from w by one stacked call of M_k^dag.  One product
-    of that stack with the stacked states gives every state's trace and
-    outputs at the word, tr[M_w^dag(O_j) rho_s] = tr[O_j M_w(rho_s)].  The
-    children of a word come from
-    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, in the full
-    model's outcome order for both models: on a split model the word's
-    stack is conjugated by the evolution once, when its frame is pushed,
-    and each child is one effect's dual of that, so a split model whose
-    residual exceeds 10 ``tol`` raises ValueError.  The walk is
-    depth-first and holds (max_len + 1) stacks of m + 1 operators per
-    model.  With r outcomes the tree has sum_{t <= max_len} r^t nodes;
-    above ``WORD_CAP`` nodes ValueError is raised before any state is drawn.
+    The words are walked on each model's minimal linear realization, never
+    on its operators.  Its space is the
+    :func:`~cereduce.observability.invariant_closure` of [1, O_1, ..., O_m]
+    under :meth:`~cereduce.model.ConditionalEvolution.dual_images` in the
+    full model's outcome order, at the relative tolerance
+    ``REALIZATION_TOL``.  Its maps A_k, which act on the coordinates
+    <B_i, X> in its basis, are those of
+    :func:`~cereduce.observability.linear_reduce` on that span.  On a
+    split model the closure and ``linear_reduce`` each share one evolution
+    conjugation among the outcomes, and a split residual above 10 ``tol``
+    raises ValueError.  The readout
+    [tr X, tr O_1 X, ..., tr O_m X] at word w = (w_1, ..., w_t) from
+    coordinates x is V_w^T x, with the d x (m + 1) block
+    V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states enter once, as
+    coordinates x_s, the reduced model's those of R(rho_s).  The walk runs
+    on the direct sum of the two realizations, so one block holds both
+    models' V_w.  A word grows at the front, V_{(k,)+w} = A_k^T V_w: the r
+    children of a word are one product of the stacked A_k^T with V_w, and
+    their readouts one product per model of V_w^T with the stacked A_k x,
+    so a leaf forms no block.  Each frame of the depth-first walk takes the
+    levels below its word breadth-first, as long as the deepest of them
+    holds at most ``FRAME_WORDS`` words: with 3 outcomes to length 4 the
+    root's frame walks the whole tree, and with 10 outcomes it walks
+    lengths 1 and 2, and each word of length 2 has a frame for lengths 3
+    and 4.  With r outcomes
+    the tree has sum_{t <= max_len} r^t nodes; above ``WORD_CAP`` nodes
+    ValueError is raised before any closure or state.
+
+    ``passed`` requires both deviations, and ``realization_dropped``, the
+    largest residual either closure dropped (NaN if one met a NaN), to be
+    at most ``tol``.
     """
     n_out = len(full.outcomes)
     # the nodes down to depth t, while they fit in the cap
@@ -303,75 +328,131 @@ def equivalence_check(
             raise ValueError(f"the walk to length {max_len} over {n_out} outcomes has {more}{nodes} "
                              f"nodes, above WORD_CAP = {WORD_CAP}; length {t - 1} is the largest that fits")
         width *= n_out
+    realizations = [_realization(ce, full.outcomes, tol) for ce in (full, reduced.model)]
     rng = np.random.default_rng(seed)
     states = np.array([random_density(full.dim, rng) for _ in range(n_states)])
-    taus = reduced.reduction_map(states)
-    max_dev, max_prob_dev, worst, count = _dual_walk(full, reduced.model, states, taus, max_len, nodes, tol)
+    # the coordinates <B_i, rho_s>, one column per state
+    coords = [lm.subspace.stacked().conj() @ rhos.reshape(len(rhos), -1).T
+              for lm, rhos in zip(realizations, (states, reduced.reduction_map(states)))]
+    dev, prob_dev = _walk(realizations, coords, full.outcomes, max_len, nodes)
+    max_dev, max_prob_dev = float(np.max(dev)), float(np.max(prob_dev))
+    dropped = float(np.max([lm.subspace.dropped for lm in realizations]))
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
-        passed=bool(max_dev <= tol and max_prob_dev <= tol),
-        worst_case=worst,
-        n_sequences=count,
+        passed=bool(max_dev <= tol and max_prob_dev <= tol and dropped <= tol),
+        worst_case=_worst_case(dev, full.outcomes, max_len),
+        n_sequences=dev.size,
+        realization_dropped=dropped,
     )
 
 
-def _dual_walk(full, red, states, taus, max_len, n_nodes, tol):
-    """The ``n_nodes`` words up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
-    outcomes = full.outcomes
-    r = len(outcomes)
-    # subtree[t] nodes hang below a word of length t, itself included
+# The relative tolerance of the realizations' closures: far above the rounding of a
+# dual apply (the closures of Ising N=4..9 and of walks n=3..10 drop residuals of at
+# most 1e-14) and far below any deviation a check is asked to see.
+REALIZATION_TOL = 1e-12
+# deviations within this relative distance of the largest one tie for the worst case
+WORST_CASE_RTOL = 1e-12
+# the most words at the deepest of the levels that a frame of the walk takes breadth-first
+FRAME_WORDS = 256
+
+
+def _realization(ce: ConditionalEvolution, outcomes, tol: float) -> LinearReducedModel:
+    """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
+    span of 1 and its observables."""
+    generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
+    span = invariant_closure(generators, ce.dual_images(tol, outcomes), REALIZATION_TOL)
+    return linear_reduce(ce, span, tol)
+
+
+def _subtree_sizes(r, max_len):
+    """subtree[t] nodes hang below a word of length t, itself included, in a tree of r outcomes."""
     subtree = [1] * (max_len + 1)
     for t in range(max_len - 1, -1, -1):
         subtree[t] = 1 + r * subtree[t + 1]
-    rank = {k: a for a, k in enumerate(outcomes)}
-    # both models' children follow the full model's outcome order
-    images = [ce.dual_images(tol, outcomes) for ce in (full, red)]
-    # tr[X rho] is the row-major flattening of X against that of rho^T
-    cols = [rhos.transpose(0, 2, 1).reshape(len(rhos), -1).T for rhos in (states, taus)]
-    dev = np.empty((n_nodes, len(states)))
-    prob_dev = np.empty((n_nodes, len(states)))
+    return subtree
 
-    def record(node, stacks):
-        y_full, y_red = (D.reshape(len(D), -1) @ c for D, c in zip(stacks, cols))
-        dev[node] = np.max(np.abs(y_full[1:] - y_red[1:]), axis=0)
-        prob_dev[node] = np.abs(y_full[0].real - y_red[0].real)
 
+def _walk(realizations, coords, outcomes, max_len, n_nodes):
+    """The output and probability deviations, each (n_states, n_nodes), of the ``n_nodes`` words
+    up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
+    r = len(outcomes)
+    n_states = coords[0].shape[1]
+    subtree = _subtree_sizes(r, max_len)
+    # the direct sum: the root's blocks [tr B_i, C[:, i]] stacked, each outcome's A_k^T
+    # block-diagonal and stacked by outcome in the full model's order, and the
+    # coordinates A_k x of every child's state, stacked the same way
+    root = np.vstack([np.column_stack([np.trace(lm.subspace.basis, axis1=1, axis2=2), lm.C.T])
+                      for lm in realizations])
+    q, d, m1 = realizations[0].q, len(root), root.shape[1]
+    stacked_T = np.zeros((r, d, d), dtype=complex)
+    children_x = np.empty((d, r, n_states), dtype=complex)
+    for a, k in enumerate(outcomes):
+        for rows, lm, x in zip((slice(0, q), slice(q, d)), realizations, coords):
+            stacked_T[a, rows, rows] = lm.A[k].T
+            children_x[rows, a] = lm.A[k] @ x
+    stacked_T = stacked_T.reshape(r * d, d)
+    children_x = children_x.reshape(d, r * n_states)
+    dev = np.empty((n_nodes, n_states))
+    prob_dev = np.empty((n_nodes, n_states))
+
+    def record(nodes, B, X):
+        """Deviations at the nodes (W, R): each of the W words of the blocks B, (d, W m1),
+        read against each of the R groups of state coordinates in X, (d, R n_states)."""
+        # each model's readouts apart, so that two equal models differ by exact zeros
+        diff = (B[:q].T @ X[:q] - B[q:].T @ X[q:]).reshape(*nodes.shape[:1], m1, -1, n_states)
+        dev[nodes.ravel()] = np.max(np.abs(diff[:, 1:]), axis=1).reshape(-1, n_states)
+        prob_dev[nodes.ravel()] = np.abs(diff[:, 0].real).reshape(-1, n_states)
+
+    record(np.zeros((1, 1), dtype=int), root, np.vstack(coords))
     # The depth-first position of a word w, the order of the worst-case rule, is
     # len(w) + g(w) with g(w) = sum_t rank(w_t) subtree[t].  A word grows at the front,
     # which moves each letter one level down, and subtree[t + 1] = (subtree[t] - 1) / r,
-    # so g follows from g and c(w) = sum_t rank(w_t) alone.  Each frame of the path holds
-    # a word's g, c, the outcomes still to prepend and, per model, the iterator of its
-    # children's stacks, which holds the word's one shared stack (E^dag(D) on a split
-    # model).  A word's own stacks live only while it is visited.
-    path = []
+    # so g follows from g and c(w) = sum_t rank(w_t) alone: the child (k,) + w sits at
+    # len(w) + 1 + (g - c) / r + rank(k) subtree[1].
+    #
+    # Each pending word, with its length, g, c and block, is walked breadth-first down
+    # ``levels`` levels: each level's children are one product of stacked_T with the
+    # blocks of the level above, and their readouts one product per model with
+    # children_x.  The words at the last of these levels are pushed in turn.
+    levels = 1
+    while levels < max_len and r ** (levels + 1) <= FRAME_WORDS:
+        levels += 1
+    steps = subtree[1] * np.arange(r)
+    pending = [(0, np.zeros(1, dtype=int), np.zeros(1, dtype=int), root)] if max_len else []
+    while pending:
+        t, g, c, B = pending.pop()
+        for t in range(t + 1, min(t + levels, max_len) + 1):
+            # g and c of the children (w, a), for each word w of B and outcome rank a
+            g = ((g - c) // r)[:, None] + steps
+            c = c[:, None] + np.arange(r)
+            record(t + g, B, children_x)
+            g, c = g.ravel(), c.ravel()
+            if t == max_len:
+                break
+            # the children's blocks, word after word as (w, a) runs
+            B = (stacked_T @ B).reshape(r, d, -1, m1).transpose(1, 2, 0, 3).reshape(d, -1)
+        else:
+            pending.extend((t, g[j:j + 1], c[j:j + 1], B[:, j * m1:(j + 1) * m1]) for j in range(len(g)))
 
-    def visit(node, g, c, stacks):
-        record(node, stacks)
-        if len(path) < max_len:
-            path.append((g, c, iter(outcomes), [f(D) for f, D in zip(images, stacks)]))
+    # states first, then words depth-first
+    return dev.T, prob_dev.T
 
-    visit(0, 0, 0, [np.concatenate([np.eye(ce.dim, dtype=complex)[None], ce.output.observables])
-                    for ce in (full, red)])
-    while path:
-        g, c, rest, children = path[-1]
-        k = next(rest, None)
-        if k is None:
-            path.pop()
-            continue
-        g, c = rank[k] * subtree[1] + (g - c) // r, c + rank[k]
-        visit(len(path) + g, g, c, [next(it) for it in children])
 
-    dev = dev.T.ravel()  # states first, then words depth-first
-    max_dev = float(np.max(dev))
-    # a NaN deviation ranks above every number
-    tied = np.flatnonzero((dev == max_dev) | np.isnan(dev))
-    # a tie moves the worst case off an empty word, and a non-empty one keeps it
+def _worst_case(dev, outcomes, max_len):
+    """The worst (state, word) of the deviations ``dev``, (n_states, n_nodes) with the words
+    depth-first; see :func:`equivalence_check`."""
+    subtree = _subtree_sizes(len(outcomes), max_len)
+    n_nodes, dev = dev.shape[1], dev.ravel()
+    max_dev = np.max(dev)
+    # a NaN deviation ranks above every number, and ties only with another NaN
+    tied = np.flatnonzero(np.isnan(dev) if np.isnan(max_dev) else dev >= max_dev * (1 - WORST_CASE_RTOL))
+    # a tie moves the worst case off an empty word
     nonempty = tied[tied % n_nodes != 0]
-    si, node = divmod(int(nonempty[0] if len(nonempty) else tied[-1]), n_nodes)
+    si, node = divmod(int(nonempty[0] if len(nonempty) else tied[0]), n_nodes)
     # the worst word, letter by letter from its position
     word = []
     while node:
         a, node = divmod(node - 1, subtree[len(word) + 1])
         word.append(outcomes[a])
-    return max_dev, float(np.max(prob_dev)), (si, tuple(word)), dev.size
+    return si, tuple(word)

@@ -148,3 +148,12 @@ def propagate(lm, rho0, seq):
     for k in seq:
         x = lm.A[str(k)] @ x
     return lm.C @ x
+
+
+def linear_reduce_oracle(ce, sub):
+    """(A, C) of a linear reduction in the Schroedinger picture: A_k = conj(Q) M_k(B)^T, each
+    map applied to the stacked basis B with rows Q, and C[o, j] = tr(O_o B_j) summed entrywise."""
+    Q = sub.stacked()
+    A = {k: Q.conj() @ ce.instrument.maps[k](sub.basis).reshape(sub.dim, -1).T for k in ce.outcomes}
+    C = np.einsum("oab,jba->oj", np.array(ce.output.observables), sub.basis)
+    return A, C

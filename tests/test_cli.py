@@ -164,9 +164,13 @@ class TestReduce:
 
 
 class TestVerify:
-    def test_pass(self, walk_files):
+    def test_pass(self, walk_files, capsys):
         model, reduced = walk_files
+        capsys.readouterr()
         assert main(["verify", str(model), str(reduced), "--max-len", "3", "--n-states", "5"]) == 0
+        out = capsys.readouterr().out
+        dropped = float(out.split("realizations: largest dropped residual ")[1].split()[0])
+        assert dropped <= 1e-12
 
     def test_pass_with_tv(self, walk_files):
         model, reduced = walk_files
@@ -264,9 +268,11 @@ class TestVerify:
         model, reduced = walk_files
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the walk ran")
+            raise AssertionError("a closure or the walk ran before the node count was checked")
 
-        monkeypatch.setattr(reduction, "_dual_walk", refuse)
+        # the cap is checked before either model's realization is closed
+        monkeypatch.setattr(reduction, "invariant_closure", refuse)
+        monkeypatch.setattr(reduction, "_walk", refuse)
         capsys.readouterr()
         # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
         assert main(["verify", str(model), str(reduced), "--max-len", "13"]) == 2

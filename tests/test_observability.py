@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,7 +20,15 @@ from cereduce.operators import (
 )
 from cereduce.reduction import random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import hs_inner, propagate, proj, random_ce, random_complex
+from conftest import (
+    SPLIT_MODELS,
+    hs_inner,
+    linear_reduce_oracle,
+    propagate,
+    proj,
+    random_ce,
+    random_complex,
+)
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +237,65 @@ class TestLinearReduce:
         assert np.allclose(lm.encode(lm.decode(x)), x, atol=1e-12)
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.allclose(lm.decode(lm.encode(X)), sub.project(X), atol=1e-12)
+
+
+class TestLinearReduceMatchesSchroedinger:
+    """A_k read off the duals of the stacked basis against M_k applied to it."""
+
+    @staticmethod
+    def assert_matches(ce, sub):
+        lm = linear_reduce(ce, sub)
+        A, C = linear_reduce_oracle(ce, sub)
+        assert set(lm.A) == set(A)
+        for k in ce.outcomes:
+            assert np.max(np.abs(lm.A[k] - A[k])) <= 1e-12
+        assert np.max(np.abs(lm.C - C)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_zoo(self, name):
+        ce = SPLIT_MODELS[name]()
+        self.assert_matches(ce, nonobservable_complement(ce))
+
+    @pytest.mark.parametrize("name", ["ising4_p0.5", "walk4"])
+    def test_zoo_without_split(self, name):
+        ce = SPLIT_MODELS[name]()
+        bare = ConditionalEvolution(instrument=ce.instrument, output=ce.output)
+        self.assert_matches(bare, nonobservable_complement(ce))
+
+    def test_split_reduced_model(self):
+        from cereduce.reduction import reduce_separably
+
+        red = reduce_separably(measured_quantum_walk(4, seed=7)).recomposed
+        assert red.model.has_split
+        sub = nonobservable_complement(red.model)
+        self.assert_matches(red.model, sub)
+
+    def test_random_ce(self, rng):
+        for _ in range(3):
+            ce = random_ce(3, 3, 2, rng)
+            self.assert_matches(ce, nonobservable_complement(ce))
+            # any subspace, not only an invariant one
+            self.assert_matches(ce, closure([random_complex(rng, (3, 3)) for _ in range(4)]))
+
+    def test_split_certified_at_tol(self):
+        # effects scaled by sqrt(1 + 1e-7): split residual 8e-7, within 10 tol at tol 1e-7 only
+        ce = ising_chain(4, 0.5, 0.3)
+        scaled = dataclasses.replace(ce, effects={
+            k: superop_from_kraus([np.sqrt(1 + 1e-7) * K for K in E.kraus]) for k, E in ce.effects.items()})
+        sub = nonobservable_complement(ce)
+        assert linear_reduce(scaled, sub, 1e-7).q == sub.dim
+        with pytest.raises(ValueError, match="split residual"):
+            linear_reduce(scaled, sub)
+
+    def test_split_model_conjugates_once(self, monkeypatch):
+        # white box: one apply of the evolution's dual to the whole stacked basis, then one
+        # elementwise apply of each effect's dual
+        ce = ising_chain(4, 0.5, 0.3)
+        sub = nonobservable_complement(ce)
+        calls = []
+        apply = Superoperator.__call__
+        monkeypatch.setattr(Superoperator, "__call__",
+                            lambda S, X: (calls.append((S, np.shape(X))), apply(S, X))[1])
+        linear_reduce(ce, sub)
+        assert [S._weights is None for S, _ in calls] == [True] + [False] * len(ce.outcomes)
+        assert all(shape == sub.basis.shape for _, shape in calls)

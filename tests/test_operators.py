@@ -206,6 +206,12 @@ class TestClosure:
         assert sub.dropped == pytest.approx(eps * hs_norm(Z), rel=1e-6)
         assert closure([X, Y], lambda basis, i: [Z] if i == 0 else []).dropped == 0.0
 
+    def test_nan_candidate_makes_dropped_nan(self, paulis):
+        # a NaN candidate is kept nowhere, so the closure reports it instead of a span short of it
+        X, Y = paulis["x"], paulis["y"]
+        sub = closure([X], lambda basis, i: [np.full((2, 2), np.nan), Y] if i == 0 else [])
+        assert sub.dim == 1 and np.isnan(sub.dropped)
+
     def test_zero_tol_stops_at_full_space(self, rng):
         A = random_complex(rng, (3, 3))
 
@@ -405,6 +411,33 @@ class TestHermitianClosure:
         for H in Hs:
             assert sub.residual(H) <= 1e-13 * hs_norm(H)
             assert np.max(np.abs(sub.coords(H).imag)) <= 1e-13 * hs_norm(H)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ising_chain(4, 0.5, 0.3), id="ising4"),
+        pytest.param(lambda: measured_quantum_walk(5, seed=5), id="walk5"),
+    ])
+    def test_stacked_expansion_matches_one_element_at_a_time(self, make):
+        # every element not yet expanded goes through the maps in one call, and the closure
+        # sees the candidates of expanding one element at a time, in the same order
+        ce = make()
+        images = ce.dual_images()
+        calls = []
+
+        def one_at_a_time(basis, i):
+            X = basis[i]
+            return [Y.real + Y.imag for Y in images((X + X.T) / 2 + 1j * (X - X.T) / 2)]
+
+        def counted(H):
+            calls.append(len(H))
+            return images(H)
+
+        gens = [P.real + P.imag for O in ce.output.observables for P in ((O + O.conj().T) / 2,
+                                                                           (O - O.conj().T) / 2j)]
+        ref = closure(gens, one_at_a_time)
+        sub = hermitian_closure(list(ce.output.observables), counted)
+        assert sub.dim == ref.dim and sum(calls) == sub.dim and len(calls) < sub.dim
+        Q, R = sub.stacked(), ref.basis.reshape(ref.dim, -1)
+        assert np.max(np.abs((Q.real + Q.imag) - R)) <= 1e-12
 
     def test_non_hermitian_op_enters_through_both_hermitian_parts(self, paulis):
         # the complex span of {1, sigma_+} is invariant under the identity map; its

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cereduce import operators
+from cereduce import operators, reduction
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
 from cereduce.observability import nonobservable_complement
 from cereduce.operators import Superoperator, superop_from_kraus, vec
@@ -28,36 +28,47 @@ def _rank(dev):
     return (math.isnan(dev), 0.0 if math.isnan(dev) else dev)
 
 
-def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0):
-    """The Schroedinger-picture oracle: each state pushed through the outcome tree node by node."""
+def primal_deviations(full, reduced, max_len=4, n_states=25, seed=0, **_):
+    """The Schroedinger-picture oracle: each state pushed through the outcome tree node by node.
+
+    Returns the (state, word, output deviation) of every node and the probability deviations,
+    states first and words depth-first."""
     rng = np.random.default_rng(seed)
     states = [random_density(full.dim, rng) for _ in range(n_states)]
-    max_dev = max_prob_dev = 0.0
-    worst = (0, ())
-    count = 0
+    devs, prob_devs = [], []
     for si, rho0 in enumerate(states):
         def visit(rho, tau, prefix):
-            nonlocal max_dev, max_prob_dev, worst, count
-            dev = float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
-            pdev = abs(np.trace(rho).real - np.trace(tau).real)
-            count += 1
-            if _rank(dev) > _rank(max_dev) or (_rank(dev) == _rank(max_dev) and not worst[1]):
-                max_dev = dev
-                worst = (si, prefix)
-            max_prob_dev = max(max_prob_dev, pdev, key=_rank)
+            devs.append((si, prefix, float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))))
+            prob_devs.append(abs(np.trace(rho).real - np.trace(tau).real))
             if len(prefix) < max_len:
                 for k in full.outcomes:
                     visit(full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau),
                           prefix + (k,))
 
         visit(rho0, reduced.reduction_map(rho0), ())
+    return devs, prob_devs
+
+
+def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0):
+    """The report of the oracle's deviations."""
+    devs, prob_devs = primal_deviations(full, reduced, max_len, n_states, seed)
+    max_dev = max((dev for *_, dev in devs), key=_rank)
+    max_prob_dev = max(prob_devs, key=_rank)
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
         passed=(max_dev <= tol and max_prob_dev <= tol),
-        worst_case=worst,
-        n_sequences=count,
+        worst_case=first_worst(devs, max_dev),
+        n_sequences=len(devs),
     )
+
+
+def first_worst(devs, max_dev):
+    """The first (state, word) whose deviation is within a relative 1e-12 of the maximum, or
+    NaN when the maximum is, preferring a non-empty word."""
+    tied = [(si, word) for si, word, dev in devs
+            if (math.isnan(dev) if math.isnan(max_dev) else dev >= max_dev * (1 - 1e-12))]
+    return next((case for case in tied if case[1]), tied[0])
 
 
 def corrupted(ce, red, fill=0.0):
@@ -82,6 +93,30 @@ def deviation_at(full, reduced, case, seed=0, n_states=25, **_):
     for k in word:
         rho, tau = full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau)
     return float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
+
+
+def scaled(red, factor):
+    """The reduction ``red`` with the first Kraus operator of its second outcome's map times ``factor``."""
+    maps = dict(red.model.instrument.maps)
+    k = red.model.outcomes[1]
+    maps[k] = Superoperator(kraus=[factor * maps[k].kraus[0], *maps[k].kraus[1:]])
+    model = dataclasses.replace(red.model, instrument=Instrument(red.model.outcomes, maps))
+    return SimpleNamespace(model=model, reduction_map=red.reduction_map)
+
+
+def with_observables(ce, change):
+    """``ce`` with the output map change(names, observables)."""
+    names, obs = change(ce.output.names, ce.output.observables)
+    return dataclasses.replace(ce, output=OutputMap(tuple(names), tuple(obs)))
+
+
+# observable sets that a model and its exact reduction both take, by the kind of pair
+OBSERVABLES = {
+    # Ising's first observable is the identity
+    "noidentity": lambda names, obs: (names[1:], obs[1:]),
+    # sigma_+ of the first site, (sigma_x + i sigma_y) / 2
+    "nonhermitian": lambda names, obs: ((*names, "sigma_+^(1)"), (*obs, (obs[1] + 1j * obs[2]) / 2)),
+}
 
 
 def itself(ce):
@@ -161,8 +196,9 @@ class TestReduceCE:
         assert peak - base <= 32 * 2**20
 
     def test_ising_n7_walk_holds_one_stack_per_level(self):
-        # each frame of the dual walk holds one shared stack per model, E^dag(D) of the full
-        # model's [1, O_1, ..., O_4], so two more levels cost about two more such stacks
+        # the walk holds coordinate blocks of 18 x 5 numbers per model and word, not
+        # operators, so two more levels cost less than an eighth of one stack of the full
+        # model's [1, O_1, ..., O_4]
         ce = ising_chain(7, 0.5, 0.3)
         red = reduce_ce(ce)
         equivalence_check(ce, red, max_len=1, n_states=2)  # R's dense form, built once
@@ -175,7 +211,7 @@ class TestReduceCE:
             finally:
                 tracemalloc.stop()
         stack = 5 * ce.dim**2 * 16
-        assert peaks[1] - peaks[0] <= 3 * stack
+        assert peaks[1] - peaks[0] <= stack / 8
 
     def test_dimension_ordering(self, walk4_red):
         red = walk4_red
@@ -239,9 +275,10 @@ class TestEquivalence:
         ce = measured_quantum_walk(3, seed=1)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a map was applied before the node count was checked")
+            raise AssertionError("a map or a closure ran before the node count was checked")
 
         monkeypatch.setattr(Superoperator, "__call__", refuse)
+        monkeypatch.setattr(reduction, "invariant_closure", refuse)
         # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
         with pytest.raises(ValueError, match=f"2391484 nodes, above WORD_CAP = {WORD_CAP}; length 12 "):
             equivalence_check(ce, SimpleNamespace(model=ce, reduction_map=refuse), max_len=13)
@@ -294,16 +331,22 @@ class TestDualWalkMatchesPrimal:
         "ising4_p0": lambda: ising_chain(4, 0.0, 0.3),
         "ising4_p05": lambda: ising_chain(4, 0.5, 0.3),
         "walk4": lambda: measured_quantum_walk(4, seed=7),
+        # 5 outcomes: past length 3 the defaults' tree (5^4 = 625 words at length 4) is split
+        # into frames, one per word of length 3
+        "walk5": lambda: measured_quantum_walk(5, seed=7),
     }
     # a neighbouring model of the same reduced size: deviations far above rounding at every node
     NEIGHBOUR = {
         "ising4_p0": lambda: ising_chain(4, 0.0, 0.31),
         "ising4_p05": lambda: ising_chain(4, 0.5, 0.31),
         "walk4": lambda: measured_quantum_walk(4, seed=8),
+        "walk5": lambda: measured_quantum_walk(5, seed=8),
     }
 
     @pytest.fixture(params=[f"{m}-{kind}" for m in sorted(FULL) for kind in ("reduced", "neighbour")]
-                    + ["walk4-corrupted", "walk4-nan", "ising4_p05-itself"])
+                    + ["walk4-corrupted", "walk4-nan", "ising4_p05-itself", "ising4_p05-nan",
+                       "ising4_p05-scaled6", "ising4_p05-scaled9", "ising4_p05-nonhermitian",
+                       "ising4_p05-noidentity"])
     def pair(self, request):
         """(full model, reduction, kind of pair)."""
         model, kind = request.param.split("-")
@@ -313,33 +356,102 @@ class TestDualWalkMatchesPrimal:
         red = reduce_ce(self.NEIGHBOUR[model]() if kind == "neighbour" else full)
         if kind in ("corrupted", "nan"):
             red = corrupted(full, red, np.nan if kind == "nan" else 0.0)
+        elif kind.startswith("scaled"):
+            # one reduced Kraus operator times 1 + 1e-6, or 1 + 1e-9
+            red = scaled(red, 1 + 10.0 ** -int(kind[len("scaled"):]))
+        elif kind in OBSERVABLES:
+            full = with_observables(full, OBSERVABLES[kind])
+            red = SimpleNamespace(model=with_observables(red.model, OBSERVABLES[kind]),
+                                  reduction_map=red.reduction_map)
         return full, red, kind
 
     @pytest.mark.parametrize("kwargs", [
         {},
         {"max_len": 2, "n_states": 3, "seed": 4},
     ], ids=["defaults", "short"])
-    def test_same_report(self, pair, kwargs):
-        full, red, kind = pair
+    def test_same_report(self, pair, kwargs, monkeypatch):
+        self.assert_same_report(*pair, kwargs, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["reduced", "neighbour"])
+    def test_same_report_across_frames(self, kind, monkeypatch):
+        # 4 outcomes to length 5: the root's frame walks lengths 1 to 4 (4^4 = 256 words)
+        # and pushes one frame per word of length 4 for the 1024 words of length 5
+        full = self.FULL["walk4"]()
+        red = reduce_ce(self.NEIGHBOUR["walk4"]() if kind == "neighbour" else full)
+        self.assert_same_report(full, red, kind, {"max_len": 5, "n_states": 3, "seed": 2}, monkeypatch)
+
+    @staticmethod
+    def assert_same_report(full, red, kind, kwargs, monkeypatch):
+        # every node's deviations, not only the largest, as the walk hands them to the ranking
+        walked = []
+        walk = reduction._walk
+        monkeypatch.setattr(reduction, "_walk", lambda *args: walked.append(walk(*args)) or walked[-1])
         dual = equivalence_check(full, red, **kwargs)
+        devs, prob_devs = primal_deviations(full, red, **kwargs)
+        dev, prob_dev = walked[0]
+        ref, prob_ref = np.array([d for *_, d in devs]), np.array(prob_devs)
+        assert np.array_equal(np.isnan(dev.ravel()), np.isnan(ref))
+        if kind == "nan":
+            # a NaN image stops the reduced model's closure, so its realization misses
+            # directions and only the NaN nodes are the oracle's
+            assert np.array_equal(np.isnan(prob_dev.ravel()), np.isnan(prob_ref))
+        else:
+            assert np.allclose(dev.ravel(), ref, rtol=0, atol=1e-13)
+            assert np.allclose(prob_dev.ravel(), prob_ref, rtol=0, atol=1e-13)
         primal = primal_equivalence_check(full, red, **kwargs)
         assert (dual.n_sequences, dual.passed) == (primal.n_sequences, primal.passed)
         assert dual.max_dev == pytest.approx(primal.max_dev, rel=0, abs=1e-13, nan_ok=True)
         assert dual.max_prob_dev == pytest.approx(primal.max_prob_dev, rel=0, abs=1e-13, nan_ok=True)
         assert type(dual.passed) is bool
         assert type(dual.max_dev) is float and type(dual.max_prob_dev) is float
-        if kind == "reduced":
+        if kind == "nan":
+            assert math.isnan(dual.realization_dropped)
+        else:
+            assert dual.realization_dropped <= 1e-12
+        if kind in ("reduced", "nonhermitian", "noidentity"):
             # between an exact reduction and its model every deviation is rounding, so which
             # node is worst is decided by rounding, and the two walks round differently
-            assert primal.max_dev <= 1e-12
-        elif kind == "neighbour":
-            # words can tie exactly (Ising at p=0 does, at ('0', '0') and ('0', '1')), and
-            # rounding picks among them; the word reported must reach the maximum
+            assert primal.max_dev <= 1e-12 and dual.passed
+        elif kind.startswith("scaled"):
+            # deviations of 1e-6 or 1e-9 carry rounding far above a relative 1e-12, so
+            # rounding decides among words that tie exactly; the word reported must reach
+            # the maximum
+            assert dual.passed == (kind == "scaled9")
             worst = deviation_at(full, red, dual.worst_case, **kwargs)
-            assert worst == pytest.approx(primal.max_dev, rel=1e-12, abs=0)
+            assert worst == pytest.approx(primal.max_dev, rel=0, abs=1e-13)
         else:
-            # a zero map, NaN or exact zeros: the worst case is decided exactly
+            # a neighbour, a zero map, NaN or exact zeros: the worst case is decided exactly,
+            # and words that tie exactly (Ising at p=0 does, at ('0', '0') and ('0', '1'))
+            # are told apart by the order alone
             assert dual.worst_case == primal.worst_case
+
+    def test_exact_tie_reports_the_first_word(self):
+        # Ising at p=0 against its neighbour ties exactly at ('0', '0') and ('0', '1'), and
+        # the two walks round the tie differently; the first in depth-first order is reported
+        full, red = ising_chain(4, 0.0, 0.3), reduce_ce(ising_chain(4, 0.0, 0.31))
+        rep = equivalence_check(full, red, max_len=2, n_states=3, seed=4)
+        assert rep.worst_case == (1, ("0", "0"))
+        tied = deviation_at(full, red, (1, ("0", "1")), max_len=2, n_states=3, seed=4)
+        assert tied == pytest.approx(rep.max_dev, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("make", [
+        *[lambda N=N: ising_chain(N, 0.5, 0.3) for N in range(4, 8)],
+        lambda: ising_chain(4, 0.0, 0.3),
+        *[lambda n=n: measured_quantum_walk(n, seed=n) for n in range(3, 9)],
+    ], ids=[*(f"ising{N}" for N in range(4, 8)), "ising4_p0", *(f"walk{n}" for n in range(3, 9))])
+    def test_realizations_drop_only_rounding(self, make):
+        ce = make()
+        rep = equivalence_check(ce, reduce_ce(ce), max_len=2, n_states=2)
+        assert rep.passed and rep.realization_dropped <= 1e-12
+
+    def test_realization_dropped_above_tol_fails(self, monkeypatch):
+        # closures this coarse drop whole directions of the observable space, which the
+        # deviations of an exact reduction do not show
+        ce = ising_chain(4, 0.5, 0.3)
+        monkeypatch.setattr(reduction, "REALIZATION_TOL", 0.5)
+        rep = equivalence_check(ce, reduce_ce(ce), max_len=2, n_states=2)
+        assert rep.max_dev <= 1e-8 and rep.max_prob_dev <= 1e-8
+        assert rep.realization_dropped > 1e-8 and not rep.passed
 
     def test_verdicts(self):
         walk = self.FULL["walk4"]()
