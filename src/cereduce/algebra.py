@@ -53,7 +53,6 @@ __all__ = [
 
 
 MAX_REDRAWS = 8  # seeded draws of the generic element before giving up
-READ_OFF_SLAB = 2**15  # float entries per slab of the read-off's in-place combination
 
 
 class DegenerateAlgebraError(RuntimeError):
@@ -68,11 +67,10 @@ def algebra_closure(
 
     Never closed under products in operator space: read off the block
     decomposition of what the operators generate (see :func:`wedderburn`),
-    as an HS-orthonormal Hermitian basis that starts with the generators G_i
-    of :func:`wedderburn` and continues with the rest of the span
-    of the U_k (E_st otimes 1_F) U_k^dag over every block on which some
-    generator acts.  The algebra is unital, holding the identity, when that
-    is every block.
+    as its matrix units, the HS-orthonormal Hermitian parts of the
+    U_k (E_st otimes 1_F) U_k^dag over every block on which some generator
+    acts (see :func:`_block_operators`).  The algebra is unital, holding the
+    identity, when that is every block.
     """
     return _read_off(*_decompose(subspace, tol, 0))
 
@@ -114,7 +112,7 @@ def commutant(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspa
     basis.  The decomposition covers the identity too, so a non-unital
     algebra gets the commutant of its unitization, which is the same.
     """
-    _, dec, _ = _decompose(alg, tol, 0)
+    dec, _ = _decompose(alg, tol, 0)
     return OperatorSubspace(dec.dim, _block_operators(dec, range(len(dec.blocks)), axis=2))
 
 
@@ -127,7 +125,7 @@ def center(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     when some generator acts on its block; only those are kept, which drops
     the block of a non-unital algebra on which every element vanishes.
     """
-    _, dec, acted_on = _decompose(alg, tol, 0)
+    dec, acted_on = _decompose(alg, tol, 0)
     ops = []
     for k, (dS, dF) in enumerate(dec.blocks):
         if acted_on[k]:
@@ -225,30 +223,28 @@ def wedderburn(
     ``MAX_REDRAWS`` draws.  Raises ValueError when the generated algebra is
     not unital, that is when every generator vanishes on some block.
     """
-    _, dec, acted_on = _decompose(alg, tol, seed)
+    dec, acted_on = _decompose(alg, tol, seed)
     if not all(acted_on):
         raise ValueError("Wedderburn decomposition requires a unital algebra")
     return dec
 
 
 def _generators(ops, tol: float) -> np.ndarray:
-    """(m, n, n) complex stack of the G_i, the :func:`~cereduce.operators.hermitian_closure` of the operators.
+    """(m, n, n) stack of the G_i, the :func:`~cereduce.operators.hermitian_closure` of the operators.
 
     The basis of a subspace is HS-orthonormal by contract; when it is also
     exactly Hermitian, as every ``hermitian_closure`` basis is, the nperp
-    basis of ``reduce_ce`` among them, its stack is used as it is.  A real
-    basis, that of a real closure, is made complex: the read-off pairs the
-    generators' float views with those of complex block operators.
+    basis of ``reduce_ce`` among them, its stack is used as it is.
     """
     if isinstance(ops, OperatorSubspace):
         if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
-            return np.asarray(ops.basis, dtype=complex)
+            return ops.basis
         ops = ops.basis
-    return np.asarray(hermitian_closure(ops, tol=tol).basis, dtype=complex)
+    return hermitian_closure(ops, tol=tol).basis
 
 
-def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomposition, list[bool]]:
-    """The generators G_i, the decomposition of the algebra they generate plus 1, and
+def _decompose(ops, tol: float, seed: int) -> tuple[WedderburnDecomposition, list[bool]]:
+    """The decomposition of the algebra the G_i of :func:`_generators` generate plus 1, and
     for each block whether a generator acts on it (all of them when the algebra is unital).
 
     See :func:`wedderburn` for the decomposition.
@@ -264,27 +260,15 @@ def _decompose(ops, tol: float, seed: int) -> tuple[np.ndarray, WedderburnDecomp
             last_err = str(exc)
             continue
         if dec.structure_bound <= struct_tol:
-            return G, dec, acted_on
+            return dec, acted_on
         last_err = f"structure bound {dec.structure_bound:.3e} exceeds {struct_tol:.1e}"
     raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
-def _read_off(G: np.ndarray, dec: WedderburnDecomposition, acted_on: list[bool]) -> OperatorSubspace:
-    """The algebra the G_i generate, read off their decomposition; see :func:`algebra_closure`."""
-    n, m = dec.dim, len(G)
+def _read_off(dec: WedderburnDecomposition, acted_on: list[bool]) -> OperatorSubspace:
+    """The algebra's matrix units over the blocks some generator acts on; see :func:`algebra_closure`."""
     acted = [k for k, acts in enumerate(acted_on) if acts]
-    R = _block_operators(dec, acted, axis=1)
-    # Hermitian R and G have real inner products, those of their float views:
-    # complete the generators' coordinates in the basis R to a real orthogonal Q, and
-    # [G, R Q[:, m:]] is the algebra's basis, written over R a slab of entries at a time
-    Rf, Gf = R.reshape(len(R), -1).view(float), G.reshape(m, -1).view(float)
-    Q = np.linalg.qr(Rf @ Gf.T, mode="complete")[0]
-    rest = Q[:, m:].T.copy()
-    for j in range(0, Rf.shape[1], READ_OFF_SLAB):
-        slab = Rf[:, j:j + READ_OFF_SLAB]
-        slab[m:] = rest @ slab
-        slab[:m] = Gf[:, j:j + READ_OFF_SLAB]
-    return OperatorSubspace(n, R)
+    return OperatorSubspace(dec.dim, _block_operators(dec, acted, axis=1))
 
 
 def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:

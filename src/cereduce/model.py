@@ -115,9 +115,6 @@ class OutputMap:
         """Output vector tr[O_j X], shape (n_obs,), or (..., n_obs) for a stack (..., n, n)."""
         X = np.asarray(X, dtype=complex)
         n = self.dim
-        if X.shape == (n, n):
-            # one operator without the stack bookkeeping, as in Superoperator.__call__
-            return self._rows @ X.reshape(-1, order="F")
         if X.shape[-2:] != (n, n):
             raise ValueError(f"expected {n}x{n} operators, got shape {X.shape}")
         # column-major flattening of the two last axes gives vec(X) of each operator

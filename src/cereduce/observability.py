@@ -60,14 +60,19 @@ def check_invariance(
     S: Superoperator,
     dual: bool = False,
 ) -> float:
-    """Max over basis elements B of ||op(B) - Pi op(B)||, op = S or its HS adjoint.
+    """Max over unit elements B of the subspace of ||op(B) - Pi op(B)||, op = S or its HS adjoint.
 
-    Each basis element is applied through the map (or its adjoint) in the
-    form the map chose at construction, and the residuals of all the images
-    come from the stacked basis at once; 0.0 for an empty subspace.
+    The stacked basis goes through the map (or its adjoint) in the form the
+    map chose at construction; the residuals of the images are the columns of
+    one matrix E, and the largest leak is its spectral norm, the square root
+    of the largest eigenvalue of the dim x dim Gram matrix E^dag E.  It
+    belongs to the pair (subspace, map), not to the basis; 0.0 for an empty
+    subspace.
     """
-    images = _images(S.adjoint() if dual else S, subspace)
-    return float(np.max(subspace.residuals(images), initial=0.0))
+    Y = _images(S.adjoint() if dual else S, subspace)
+    Q = subspace.stacked()
+    E = Y - Q.T @ (Q @ Y.conj()).conj()
+    return float(np.sqrt(np.max(np.linalg.eigvalsh(E.conj().T @ E), initial=0.0)))
 
 
 @dataclass(frozen=True)

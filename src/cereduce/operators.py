@@ -394,21 +394,10 @@ class Superoperator:
         """The map applied to an (in_dim, in_dim) operator, or to each of a stack (..., in_dim, in_dim)."""
         X = np.asarray(X, dtype=complex)
         ni, no = self.in_dim, self.out_dim
-        if self._weights is not None:
-            if X.shape[-2:] != (ni, ni):
-                raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
-            return X * self._weights
-        if X.shape == (ni, ni):
-            # the same products without the stack bookkeeping, which costs about an eighth
-            # of a reduced Ising map's apply; sample_trajectory makes one such call per step
-            # for an outcome in the products or elementwise form, while a matrix-form
-            # outcome's step is one product with ConditionalEvolution.step_matrices()
-            if self._rows is None:
-                return (self.matrix @ X.reshape(-1, order="F")).reshape((no, no), order="F")
-            Y = (X @ self._cols).reshape(ni, -1, no).transpose(1, 0, 2).reshape(-1, no)
-            return self._rows @ Y
         if X.shape[-2:] != (ni, ni):
             raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
+        if self._weights is not None:
+            return X * self._weights
         lead = X.shape[:-2]
         if self._rows is None:
             # column-major flattening of the two last axes gives vec(X) of each operator

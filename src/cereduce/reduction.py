@@ -120,10 +120,10 @@ def reduce_ce(
     reduced output = C o J.
     """
     nperp = nonobservable_complement(ce, tol)
-    G, dec, acted_on = _decompose(nperp, tol, seed)
+    dec, acted_on = _decompose(nperp, tol, seed)
     if not all(acted_on):
         raise ValueError("the observables generate a non-unital algebra")
-    alg = _read_off(G, dec, acted_on)
+    alg = _read_off(dec, acted_on)
     fact = conditional_expectation(dec)
 
     maps, cuts = _reduce_maps(fact, {k: ce.instrument.maps[k] for k in ce.outcomes}, tol)
@@ -164,6 +164,10 @@ class AssumptionReport:
     a2: the non-observable subspace is invariant under the evolution, i.e. nperp under its dual;
     a3: the output algebra is invariant under every measurement effect;
     a4: the output algebra is invariant under the dual of the evolution.
+
+    The residual of a2-a4 is the :func:`~cereduce.observability.check_invariance`
+    leak, the largest over all unit elements of the subspace, so it does not
+    depend on the subspace's basis.
     """
 
     a1: AssumptionCheck

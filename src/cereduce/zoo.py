@@ -52,21 +52,21 @@ def measured_quantum_walk(
     n: int,
     U: np.ndarray | None = None,
     seed: int = 0,
-    check_generic: bool = True,
     tol: float = DEFAULT_TOL,
 ) -> ConditionalEvolution:
     """Projective site measurement followed by a unitary step.
 
     Outcome j has effect |j><j| . |j><j| and the state then evolves by
     conjugation with U.  The only observable is the identity, so the
-    model tracks outcome-word probabilities.
+    model tracks outcome-word probabilities.  A U that is not generic (see
+    :func:`walk_is_generic`) gives a UserWarning.
     """
     if U is None:
         U = haar_unitary(n, seed)
     U = np.asarray(U, dtype=complex)
     if np.linalg.norm(U @ U.conj().T - np.eye(n)) > 1e-10 * n:
         raise ValueError("U must be unitary")
-    if check_generic and not walk_is_generic(U, tol):
+    if not walk_is_generic(U, tol):
         warnings.warn(
             "non-generic walk unitary: known-answer reduction dimensions may not apply",
             stacklevel=2,

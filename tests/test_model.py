@@ -102,7 +102,8 @@ class TestStepUnnormalized:
 
     def test_hadamard_walk_first_step(self):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        ce = measured_quantum_walk(2, U=H, check_generic=False)
+        with pytest.warns(UserWarning, match="non-generic"):
+            ce = measured_quantum_walk(2, U=H)
         out = ce.instrument.map_for("0")(proj(2, 0))
         assert np.allclose(out, PLUS)
         assert np.trace(out) == pytest.approx(1.0)
@@ -209,7 +210,8 @@ class TestTrajectoryProbability:
 
     def test_hadamard_walk(self):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        ce = measured_quantum_walk(2, U=H, check_generic=False)
+        with pytest.warns(UserWarning, match="non-generic"):
+            ce = measured_quantum_walk(2, U=H)
         assert trajectory_probability(ce, proj(2, 0), ["0", "0"]) == pytest.approx(0.5)
 
     def test_exhaustive_length2_sum(self, rng):

@@ -14,7 +14,6 @@ from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
     closure,
-    hs_norm,
     superop_from_kraus,
     vec,
 )
@@ -134,13 +133,26 @@ class TestCheckInvariance:
         sub = closure([random_complex(rng, (n, n)) for _ in range(dim)])
         assert sub.dim == dim
         op = S.adjoint() if dual else S
-        expected = 0.0
+        # the largest leak of a unit element: the spectral norm of the per-element residuals
+        offs = []
         for B in sub.basis:
             Y = op(B)
-            off = Y - sum(hs_inner(C, Y) * C for C in sub.basis)
-            expected = max(expected, hs_norm(off))
+            offs.append((Y - sum(hs_inner(C, Y) * C for C in sub.basis)).reshape(-1))
+        expected = np.linalg.norm(np.array(offs).T, 2)
         assert expected > 1e-3
         assert check_invariance(sub, S, dual=dual) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_independent_of_the_basis(self, rng, dual, dim):
+        # a random unitary mixing of an orthonormal basis spans the same subspace
+        n = 3
+        S = superop_from_kraus([random_complex(rng, (n, n)) for _ in range(2)])
+        sub = closure([random_complex(rng, (n, n)) for _ in range(dim)])
+        V = np.linalg.qr(random_complex(rng, (dim, dim)))[0]
+        mixed = OperatorSubspace(n, np.tensordot(V, sub.basis, 1))
+        assert check_invariance(mixed, S, dual=dual) == pytest.approx(
+            check_invariance(sub, S, dual=dual), abs=1e-12)
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_empty_subspace(self, rng, dual):

@@ -75,7 +75,8 @@ class TestSampleTrajectory:
         )
 
     def test_hadamard_frequency(self):
-        ce = measured_quantum_walk(2, U=HADAMARD, check_generic=False)
+        with pytest.warns(UserWarning, match="non-generic"):
+            ce = measured_quantum_walk(2, U=HADAMARD)
         rng = np.random.default_rng(2024)
         rho0 = np.eye(2, dtype=complex) / 2
         hits = sum(
