@@ -27,7 +27,7 @@ import numpy as np
 from . import serialize
 from .algebra import DegenerateAlgebraError
 from .model import ConditionalEvolution, validate_ce
-from .operators import DEFAULT_TOL, Superoperator
+from .operators import DEFAULT_TOL
 from .reduction import check_assumptions, equivalence_check, random_density, reduce_ce
 from .trajectories import (
     WORD_CAP,
@@ -185,19 +185,10 @@ def cmd_verify(args) -> int:
     if "reduction" not in doc:
         raise CliError(f"{args.reduced} carries no reduction map; cannot verify")
     try:
-        M = serialize.matrix_from_json(doc["reduction"]["R"])
+        R = serialize.reduction_map_from_json(doc["reduction"]["R"], (red_model.dim ** 2, full.dim ** 2))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(f"{args.reduced}: invalid reduction map: {exc!r}")
-    # checked before the factorization, which a mismatched pair would pay in full
-    if M.shape != (red_model.dim ** 2, full.dim ** 2):
-        raise CliError("reduction map dimensions do not match the model pair")
-    try:
-        R = Superoperator(M)
-    except ValueError as exc:
-        raise CliError(f"{args.reduced}: invalid reduction map: {exc!r}")
-    # R's dense matrix and the reduced file's document are not used again; held through the
-    # realizations they raise the peak (1.52 -> 1.67 GB at Ising N=9 p=0.5 with --tv 3)
-    del M, doc
+    del doc  # not used again, and held through the realizations it would raise the peak
     if set(full.outcomes) != set(red_model.outcomes) or full.output.names != red_model.output.names:
         raise CliError("the two models differ in their outcome labels or observables")
     # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small

@@ -136,18 +136,6 @@ class OperatorSubspace:
         """Orthogonal projection of X onto the subspace."""
         return (self.coords(X) @ self.stacked()).reshape(self.basis.shape[1:])
 
-    def residuals(self, Y: np.ndarray) -> np.ndarray:
-        """Distances from the subspace of the operators flattened row-major in the columns of Y."""
-        Q = self.stacked()
-        return np.linalg.norm(Y - Q.T @ (Q @ Y.conj()).conj(), axis=0)
-
-    def residual(self, X: np.ndarray) -> float:
-        """Distance of X from the subspace."""
-        return float(self.residuals(np.reshape(X, (-1, 1)))[0])
-
-    def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(X) <= tol * max(hs_norm(X), 1.0)
-
 
 def closure(
     ops: list[np.ndarray] | tuple[np.ndarray, ...],

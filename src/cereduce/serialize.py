@@ -3,11 +3,14 @@
 A matrix serializes as one entry {"shape": [rows, cols], "c16": "<base64>"},
 the string holding its row-major, little-endian complex128 bytes, so every
 float64 is kept bit for bit and no number goes through JSON.  The older form,
-row-major nested arrays of [re, im] pairs, is still read.  Records and
-distributions keep complex numbers as readable [re, im] pairs.  Reduced
-models are written as ordinary conditional-evolution documents with an
-extra "reduction" block, so every command that accepts a model also accepts
-a reduced one.
+row-major nested arrays of [re, im] pairs, is still read.  A map is its
+"kraus" list of such entries.  Records and distributions keep complex
+numbers as readable [re, im] pairs.  Reduced models are written as ordinary
+conditional-evolution documents with an extra "reduction" block, so every
+command that accepts a model also accepts a reduced one.  Its "R" is the
+reduction map's Kraus list with the shape [D^2, n^2] of its matrix,
+{"shape": [D^2, n^2], "kraus": [...]}; files written before hold R's dense
+matrix, in either matrix form, and still load.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "matrix_from_json",
     "superop_to_json",
     "superop_from_json",
+    "reduction_map_from_json",
     "ce_to_json",
     "ce_from_json",
     "reduced_ce_to_json",
@@ -41,12 +45,18 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"shape": [int(d) for d in M.shape], "c16": base64.b64encode(M.tobytes()).decode("ascii")}
 
 
-def _matrix_from_c16(data: dict) -> np.ndarray:
-    """Decode a {"shape", "c16"} entry, checking shape and payload length before allocating."""
+def _shape(data: dict) -> tuple[int, int]:
+    """The "shape" of an entry: two non-negative ints, else ValueError."""
     shape = data.get("shape")
     if not (isinstance(shape, (list, tuple)) and len(shape) == 2
             and all(type(d) is int and d >= 0 for d in shape)):
         raise ValueError(f"matrix 'shape' must be two non-negative ints, not {shape!r}")
+    return tuple(shape)
+
+
+def _matrix_from_c16(data: dict) -> np.ndarray:
+    """Decode a {"shape", "c16"} entry, checking shape and payload length before allocating."""
+    shape = _shape(data)
     payload = data.get("c16")
     if not isinstance(payload, str):
         raise ValueError(f"matrix 'c16' must be a base64 string, not {type(payload).__name__}")
@@ -66,10 +76,15 @@ def _matrix_from_c16(data: dict) -> np.ndarray:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """Matrix from a {"shape", "c16"} entry or from rows of [re, im] pairs.
+    """Matrix from a {"shape", "c16"} entry, from rows of [re, im] pairs, or, for a
+    {"shape", "kraus"} entry, the (out^2, in^2) matrix of that Kraus list's map.
 
     ValueError on a malformed entry, or on ragged, non-numeric or misshapen rows.
     """
+    if isinstance(data, dict) and "kraus" in data:
+        M = _kraus_map_from_json(data).matrix
+        M.flags.writeable = True  # the map is dropped here, so its cached matrix is the caller's
+        return M
     if isinstance(data, dict):
         return _matrix_from_c16(data)
     A = np.asarray(data)
@@ -90,6 +105,37 @@ def superop_from_json(data: dict) -> Superoperator:
     if "matrix" in data:
         return Superoperator(matrix_from_json(data["matrix"]))
     raise ValueError("superoperator entry needs a 'kraus' or 'matrix' field")
+
+
+def _kraus_map_from_json(data: dict) -> Superoperator:
+    """The map of a {"shape", "kraus"} entry; ValueError unless "shape" is (out^2, in^2) of the list."""
+    shape = _shape(data)
+    S = superop_from_kraus([matrix_from_json(K) for K in data["kraus"]])
+    if shape != (S.out_dim ** 2, S.in_dim ** 2):
+        raise ValueError(f"'shape' {list(shape)} is not the ({S.out_dim}^2, {S.in_dim}^2) "
+                         f"of its {S.out_dim}x{S.in_dim} Kraus operators")
+    return S
+
+
+def reduction_map_from_json(data, shape: tuple[int, int]) -> Superoperator:
+    """R from a reduced file's "R" entry, whose matrix must have ``shape``, the (D^2, n^2) of the pair.
+
+    A {"shape", "kraus"} entry is R's Kraus list, CP as it stands.  A dense
+    matrix, the form of files written before, is factored, and refused
+    unless CP.  A declared shape is checked before any payload is decoded;
+    the shape of a dense matrix always before it is factored.  ValueError
+    on a mismatch or a malformed entry.
+    """
+    if isinstance(data, dict) and "shape" in data and data["shape"] != list(shape):
+        raise ValueError(f"its shape {data['shape']} and the (D^2, n^2) = {list(shape)} "
+                         "of the model pair do not match")
+    if isinstance(data, dict) and "kraus" in data:
+        return _kraus_map_from_json(data)
+    M = matrix_from_json(data)
+    if M.shape != shape:
+        raise ValueError(f"its shape {list(M.shape)} and the (D^2, n^2) = {list(shape)} "
+                         "of the model pair do not match")
+    return Superoperator(M)
 
 
 def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
@@ -149,12 +195,17 @@ def ce_from_json(doc: dict) -> ConditionalEvolution:
 
 
 def reduced_ce_to_json(red) -> dict:
-    """Reduced model as a valid CE document plus reduction provenance."""
+    """Reduced model as a valid CE document plus reduction provenance.
+
+    R is written as its Kraus list with the (D^2, n^2) shape of its matrix,
+    which is not formed.
+    """
+    R = red.reduction_map
     return ce_to_json(
         red.model,
         extra={
             "reduction": {
-                "R": matrix_to_json(red.reduction_map.matrix),
+                "R": {"shape": [R.out_dim ** 2, R.in_dim ** 2], **superop_to_json(R)},
                 "U": matrix_to_json(red.factorization.decomposition.U),
                 **red.provenance(),
             }

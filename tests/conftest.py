@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
-from cereduce.operators import superop_from_kraus, vec
+from cereduce.operators import DEFAULT_TOL, superop_from_kraus, vec
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 
 
@@ -104,6 +104,22 @@ def channel_checks(S, tol=1e-9):
         unital=np.linalg.norm(S(eye) - eye) <= tol * np.sqrt(n),
         min_choi_eig=min_eig,
     )
+
+
+def residuals(sub, Y):
+    """Distances from the span ``sub`` of the operators flattened row-major in the columns of Y."""
+    Q = sub.stacked()
+    return np.linalg.norm(Y - Q.T @ (Q @ Y.conj()).conj(), axis=0)
+
+
+def residual(sub, X):
+    """Distance of X from the span ``sub``."""
+    return float(residuals(sub, np.reshape(X, (-1, 1)))[0])
+
+
+def contains(sub, X, tol=DEFAULT_TOL):
+    """Whether X lies in the span ``sub``, within ``tol`` times max(||X||, 1)."""
+    return residual(sub, X) <= tol * max(np.linalg.norm(X), 1.0)
 
 
 def projector_matrix(sub):

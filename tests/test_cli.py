@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +121,15 @@ class TestReduce:
         assert main(["reduce", str(model), "-o", str(tmp_path / "again.red.json")]) == 0
         assert f"structure bound {bound:.3e}" in capsys.readouterr().out.splitlines()
 
+    def test_ising5_file_holds_no_dense_map(self, tmp_path):
+        # R as its 8 Kraus operators of 8x32; its dense (64, 1024) matrix alone took 1.4 MB
+        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
+        assert main(["zoo", "ising", "--n", "5", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        R = load_json(str(reduced))["reduction"]["R"]
+        assert R["shape"] == [64, 1024] and len(R["kraus"]) == 8
+        assert reduced.stat().st_size < 0.2e6
+
     def test_degenerate_algebra_exit3(self, walk_files, tmp_path, monkeypatch, capsys):
         def degenerate(*args):
             raise DegenerateAlgebraError("eigenspaces not separated")
@@ -219,6 +230,43 @@ class TestVerify:
         assert main(["verify", str(model), str(reduced)]) == 2
         assert "do not match" in capsys.readouterr().err
 
+    def test_declared_shape_checked_before_any_payload_of_r(self, tmp_path, walk_files, monkeypatch, capsys):
+        model, reduced = walk_files
+        doc = load_json(str(reduced))
+        R = doc["reduction"]["R"]
+        assert R["shape"] == [9, 9]
+        R["shape"] = [9, 16]
+        bad = _write(tmp_path / "reshaped.json", doc)
+        payloads = {K["c16"] for K in R["kraus"]}
+        decode = base64.b64decode
+
+        def spy(payload, *args, **kwargs):
+            assert payload not in payloads, "a Kraus operator of R was decoded"
+            return decode(payload, *args, **kwargs)
+
+        monkeypatch.setattr(base64, "b64decode", spy)
+        capsys.readouterr()
+        assert main(["verify", str(model), bad]) == 2
+        err = capsys.readouterr().err
+        assert "invalid reduction map" in err and "[9, 16]" in err
+
+    def test_dense_r_of_older_files_verifies_alike(self, tmp_path, capsys):
+        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
+        assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        old = _write(tmp_path / "old.red.json", _dense_r(load_json(str(reduced))))
+        assert set(load_json(old)["reduction"]["R"]) == {"shape", "c16"}
+        reports = []
+        for path in (str(reduced), old):
+            capsys.readouterr()
+            assert main(["verify", str(model), path, "--tv", "3"]) == 0
+            reports.append(capsys.readouterr().out)
+        # the same lines and verdict; the factored R's Kraus list is not the written one,
+        # so the deviations may differ in their rounding
+        deviation = r"\d\.\d{3}e[+-]\d+"
+        assert [re.sub(deviation, "#", out) for out in reports] == [re.sub(deviation, "#", reports[0])] * 2
+        assert all(float(x) <= 1e-12 for out in reports for x in re.findall(deviation, out))
+
     def test_mismatched_split_exit2(self, tmp_path, capsys):
         # the effects of outcomes "0" and "1" swapped: the split no longer gives the instrument
         ce = ising_chain(4, 0.5, 0.3)
@@ -282,6 +330,13 @@ class TestVerify:
         assert "length 12 is the largest that fits" in err
 
 
+def _dense_r(doc):
+    """The reduced document with R rewritten as its dense {"shape", "c16"} matrix, the form
+    reduced files held before R was written as its Kraus list."""
+    doc["reduction"]["R"] = matrix_to_json(matrix_from_json(doc["reduction"]["R"]))
+    return doc
+
+
 def _list_form(doc):
     """The document with every {"shape", "c16"} entry rewritten as rows of [re, im] pairs."""
     if isinstance(doc, dict):
@@ -302,8 +357,8 @@ class TestListForm:
         model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
         assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
-        old = [_write(tmp_path / f"old.{path.name}", _list_form(load_json(str(path))))
-               for path in (model, reduced)]
+        old = [_write(tmp_path / f"old.{model.name}", _list_form(load_json(str(model)))),
+               _write(tmp_path / f"old.{reduced.name}", _list_form(_dense_r(load_json(str(reduced)))))]
         return (str(model), str(reduced)), old
 
     def test_reduce_writes_the_same_file(self, tmp_path, ising_files):
@@ -419,7 +474,7 @@ def _corrupt(entry):
 
 def _corrupted_r(tmp, model, reduced):
     doc = load_json(str(reduced))
-    _corrupt(doc["reduction"]["R"])
+    _corrupt(doc["reduction"]["R"]["kraus"][0])
     return ["verify", str(model), _write(tmp / "corrupted_r.json", doc)]
 
 

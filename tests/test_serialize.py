@@ -13,12 +13,13 @@ from cereduce.serialize import (
     matrix_from_json,
     matrix_to_json,
     reduced_ce_to_json,
+    reduction_map_from_json,
     save_json,
     superop_from_json,
     superop_to_json,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import random_complex
+from conftest import SPLIT_MODELS, random_complex
 
 
 class TestMatrix:
@@ -150,6 +151,34 @@ class TestModelDocuments:
         assert back.dim == red.model.dim
         R = matrix_from_json(doc["reduction"]["R"])
         assert np.array_equal(R, red.reduction_map.matrix)
+
+    @pytest.mark.parametrize("name", list(SPLIT_MODELS))
+    def test_r_is_written_as_its_kraus_list(self, name):
+        red = reduce_ce(SPLIT_MODELS[name](), seed=0)
+        # read back as the same list, and as the same matrix bit for bit
+        R = json.loads(json.dumps(reduced_ce_to_json(red)))["reduction"]["R"]
+        assert set(R) == {"shape", "kraus"} and len(R["kraus"]) == len(red.reduction_map.kraus)
+        assert R["shape"] == list(red.reduction_map.matrix.shape)
+        M = matrix_from_json(R)
+        assert M.flags.writeable
+        assert np.array_equal(M, red.reduction_map.matrix)
+        S = reduction_map_from_json(R, M.shape)
+        assert all(np.array_equal(A, B) for A, B in zip(S.kraus, red.reduction_map.kraus))
+
+    @pytest.mark.parametrize("shape", [[16, 256], [256, 64], [64, 256, 1], [64.0, 256], None],
+                             ids=["rows", "transposed", "3-D", "float", "none"])
+    def test_kraus_entry_shape_must_be_the_lists(self, shape):
+        red = reduce_ce(ising_chain(4, 0.5, 0.3), seed=0)
+        R = reduced_ce_to_json(red)["reduction"]["R"]
+        assert R["shape"] == [64, 256]
+        R["shape"] = shape
+        for read in (matrix_from_json, lambda data: reduction_map_from_json(data, (64, 256))):
+            with pytest.raises(ValueError, match="shape"):
+                read(R)
+        if shape in ([16, 256], [256, 64]):
+            # a model pair of that shape: the list itself refuses the shape
+            with pytest.raises(ValueError, match="Kraus operators"):
+                reduction_map_from_json(R, tuple(shape))
 
 
 def matrix_form(ce) -> dict:
