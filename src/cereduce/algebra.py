@@ -48,6 +48,7 @@ __all__ = [
     "WedderburnDecomposition",
     "wedderburn",
     "CEFactorization",
+    "compression",
     "conditional_expectation",
 ]
 
@@ -402,21 +403,36 @@ class CEFactorization:
         return superop_from_kraus(kraus or [np.zeros((D, D), dtype=complex)]), margin
 
 
+def compression(U: np.ndarray, blocks) -> Superoperator:
+    """R of :func:`conditional_expectation` from the basis ``U`` and its (d_S, d_F) ``blocks``.
+
+    R's operator for block k and multiplicity index f holds (I_S otimes <f|) U_k^dag,
+    the columns f::d_F of U_k conjugate-transposed, in block k's rows; the
+    operators come block by block, f ascending.  Reduced files hold R as U and
+    its blocks, and their readers rebuild R's Kraus list here, so it is the
+    list :func:`conditional_expectation` built, bit for bit.
+    """
+    D = sum(dS for dS, _ in blocks)
+    kraus = []
+    row = col = 0
+    for dS, dF in blocks:
+        Uk = U[:, col:col + dS * dF]          # (n, dS*dF)
+        for f in range(dF):
+            A = np.zeros((D, U.shape[0]), dtype=complex)
+            A[row:row + dS] = Uk[:, f::dF].conj().T
+            kraus.append(A)
+        row += dS
+        col += dS * dF
+    return superop_from_kraus(kraus)
+
+
 def conditional_expectation(dec: WedderburnDecomposition) -> CEFactorization:
     """Build R and J (E = J o R) as Kraus maps.
 
-    R's operator for block k and multiplicity index f holds (I_S otimes <f|) U_k^dag,
-    the columns f::d_F of U_k conjugate-transposed, in block k's rows; J's is its
-    adjoint over sqrt(d_F).
+    R is the :func:`compression` of the decomposition; J's operator for block k
+    is the adjoint of R's over sqrt(d_F).
     """
-    roffs = dec.reduced_offsets()
-    r_kraus = []
-    j_kraus = []
-    for k, (dS, dF) in enumerate(dec.blocks):
-        Uk = dec.block_isometry(k)          # (n, dS*dF)
-        for f in range(dF):
-            A = np.zeros((dec.reduced_total_dim, dec.dim), dtype=complex)
-            A[roffs[k]:roffs[k + 1]] = Uk[:, f::dF].conj().T
-            r_kraus.append(A)
-            j_kraus.append(A.conj().T / np.sqrt(dF))
-    return CEFactorization(dec, R=superop_from_kraus(r_kraus), J=superop_from_kraus(j_kraus))
+    R = compression(dec.U, dec.blocks)
+    scales = [np.sqrt(dF) for _, dF in dec.blocks for _ in range(dF)]
+    J = superop_from_kraus([A.conj().T / s for A, s in zip(R.kraus, scales)])
+    return CEFactorization(dec, R=R, J=J)

@@ -8,9 +8,12 @@ row-major nested arrays of [re, im] pairs, is still read.  A map is its
 numbers as readable [re, im] pairs.  Reduced models are written as ordinary
 conditional-evolution documents with an extra "reduction" block, so every
 command that accepts a model also accepts a reduced one.  Its "R" is the
-reduction map's Kraus list with the shape [D^2, n^2] of its matrix,
-{"shape": [D^2, n^2], "kraus": [...]}; files written before hold R's dense
-matrix, in either matrix form, and still load.
+basis U of the block decomposition with the blocks and the shape [D^2, n^2]
+of R's matrix, {"shape": [D^2, n^2], "blocks": [[d_S, d_F], ...], "U": <entry>},
+from which R's Kraus list is rebuilt, bit for bit, as the reduction built it
+(:func:`~cereduce.algebra.compression`).  Files written before hold R as its
+Kraus list, {"shape": [D^2, n^2], "kraus": [...]}, with U beside it as
+"reduction"."U", or as its dense matrix, in either matrix form; all still load.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import tempfile
 
 import numpy as np
 
+from .algebra import compression
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .operators import Superoperator, superop_from_kraus
 
@@ -77,12 +81,14 @@ def _matrix_from_c16(data: dict) -> np.ndarray:
 
 def matrix_from_json(data) -> np.ndarray:
     """Matrix from a {"shape", "c16"} entry, from rows of [re, im] pairs, or, for a
-    {"shape", "kraus"} entry, the (out^2, in^2) matrix of that Kraus list's map.
+    {"shape", "kraus"} or {"shape", "blocks", "U"} entry, the (out^2, in^2) matrix
+    of the map it holds.
 
     ValueError on a malformed entry, or on ragged, non-numeric or misshapen rows.
     """
-    if isinstance(data, dict) and "kraus" in data:
-        M = _kraus_map_from_json(data).matrix
+    S = _map_entry(data)
+    if S is not None:
+        M = S.matrix
         M.flags.writeable = True  # the map is dropped here, so its cached matrix is the caller's
         return M
     if isinstance(data, dict):
@@ -117,20 +123,60 @@ def _kraus_map_from_json(data: dict) -> Superoperator:
     return S
 
 
+def _compression_from_json(data: dict) -> Superoperator:
+    """R of a {"shape", "blocks", "U"} entry, rebuilt by :func:`~cereduce.algebra.compression`.
+
+    The blocks must be positive int pairs [d_S, d_F] whose sums D = sum d_S and
+    n = sum d_S d_F give the declared shape (D^2, n^2), and U must be n x n:
+    all checked before U's payload is decoded, except the shape of a U given
+    as [re, im] rows, checked after.  ValueError otherwise.
+    """
+    rows, cols = _shape(data)
+    blocks = data["blocks"]
+    if not (isinstance(blocks, (list, tuple)) and blocks and all(
+            isinstance(b, (list, tuple)) and len(b) == 2 and all(type(d) is int and d > 0 for d in b)
+            for b in blocks)):
+        raise ValueError(f"'blocks' must be a list of positive int pairs [d_S, d_F], not {blocks!r}")
+    D = sum(dS for dS, _ in blocks)
+    n = sum(dS * dF for dS, dF in blocks)
+    if (rows, cols) != (D * D, n * n):
+        raise ValueError(f"'shape' {[rows, cols]} is not the (D^2, n^2) = {[D * D, n * n]} "
+                         f"of its blocks {blocks}")
+    if "U" not in data:
+        raise ValueError("entry with 'blocks' needs its 'U'")
+    if isinstance(data["U"], dict) and _shape(data["U"]) != (n, n):
+        raise ValueError(f"'U' shape {data['U']['shape']} is not the ({n}, {n}) of its blocks")
+    U = matrix_from_json(data["U"])
+    if U.shape != (n, n):
+        raise ValueError(f"'U' shape {list(U.shape)} is not the ({n}, {n}) of its blocks")
+    return compression(U, blocks)
+
+
+def _map_entry(data) -> Superoperator | None:
+    """The map of a {"shape", "kraus"} or {"shape", "blocks", "U"} entry; None for any other data."""
+    if not isinstance(data, dict):
+        return None
+    if "blocks" in data:
+        return _compression_from_json(data)
+    return _kraus_map_from_json(data) if "kraus" in data else None
+
+
 def reduction_map_from_json(data, shape: tuple[int, int]) -> Superoperator:
     """R from a reduced file's "R" entry, whose matrix must have ``shape``, the (D^2, n^2) of the pair.
 
-    A {"shape", "kraus"} entry is R's Kraus list, CP as it stands.  A dense
-    matrix, the form of files written before, is factored, and refused
-    unless CP.  A declared shape is checked before any payload is decoded;
-    the shape of a dense matrix always before it is factored.  ValueError
-    on a mismatch or a malformed entry.
+    A {"shape", "blocks", "U"} entry is rebuilt as R's Kraus list, and a
+    {"shape", "kraus"} entry, the form of files written before, is that list;
+    both are CP as they stand.  A dense matrix, the form of older files, is
+    factored, and refused unless CP.  A declared shape is checked before any
+    payload is decoded; the shape of a dense matrix always before it is
+    factored.  ValueError on a mismatch or a malformed entry.
     """
     if isinstance(data, dict) and "shape" in data and data["shape"] != list(shape):
         raise ValueError(f"its shape {data['shape']} and the (D^2, n^2) = {list(shape)} "
                          "of the model pair do not match")
-    if isinstance(data, dict) and "kraus" in data:
-        return _kraus_map_from_json(data)
+    S = _map_entry(data)
+    if S is not None:
+        return S
     M = matrix_from_json(data)
     if M.shape != shape:
         raise ValueError(f"its shape {list(M.shape)} and the (D^2, n^2) = {list(shape)} "
@@ -197,16 +243,18 @@ def ce_from_json(doc: dict) -> ConditionalEvolution:
 def reduced_ce_to_json(red) -> dict:
     """Reduced model as a valid CE document plus reduction provenance.
 
-    R is written as its Kraus list with the (D^2, n^2) shape of its matrix,
-    which is not formed.
+    R is written as the basis U of the block decomposition, its blocks and the
+    (D^2, n^2) shape of R's matrix, which is not formed, nor is R's Kraus list
+    written: the readers rebuild it from U and the blocks.
     """
-    R = red.reduction_map
+    dec = red.factorization.decomposition
     return ce_to_json(
         red.model,
         extra={
             "reduction": {
-                "R": {"shape": [R.out_dim ** 2, R.in_dim ** 2], **superop_to_json(R)},
-                "U": matrix_to_json(red.factorization.decomposition.U),
+                "R": {"shape": [dec.reduced_total_dim ** 2, dec.dim ** 2],
+                      "blocks": [list(b) for b in dec.blocks],
+                      "U": matrix_to_json(dec.U)},
                 **red.provenance(),
             }
         },

@@ -19,6 +19,7 @@ from cereduce.serialize import (
     matrix_to_json,
     reduced_ce_to_json,
     save_json,
+    superop_to_json,
 )
 from cereduce.trajectories import WORD_CAP, StateEscapedError
 from cereduce.zoo import ising_chain, measured_quantum_walk
@@ -88,7 +89,7 @@ class TestReduce:
         _, reduced = walk_files
         doc = load_json(str(reduced))
         assert doc["reduction"]["reduced_operator_dim"] == 3
-        assert "R" in doc["reduction"] and "U" in doc["reduction"]
+        assert set(doc["reduction"]["R"]) == {"shape", "blocks", "U"} and "U" not in doc["reduction"]
 
     def test_json_report(self, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -122,13 +123,14 @@ class TestReduce:
         assert f"structure bound {bound:.3e}" in capsys.readouterr().out.splitlines()
 
     def test_ising5_file_holds_no_dense_map(self, tmp_path):
-        # R as its 8 Kraus operators of 8x32; its dense (64, 1024) matrix alone took 1.4 MB
+        # R as U (32x32) and its blocks; its dense (64, 1024) matrix alone took 1.4 MB, and its
+        # 8 Kraus operators of 8x32 with U beside them 0.08 MB
         model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
         assert main(["zoo", "ising", "--n", "5", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
         R = load_json(str(reduced))["reduction"]["R"]
-        assert R["shape"] == [64, 1024] and len(R["kraus"]) == 8
-        assert reduced.stat().st_size < 0.2e6
+        assert R["shape"] == [64, 1024] and R["blocks"] == [[4, 4], [4, 4]] and R["U"]["shape"] == [32, 32]
+        assert reduced.stat().st_size < 0.05e6
 
     def test_degenerate_algebra_exit3(self, walk_files, tmp_path, monkeypatch, capsys):
         def degenerate(*args):
@@ -237,11 +239,11 @@ class TestVerify:
         assert R["shape"] == [9, 9]
         R["shape"] = [9, 16]
         bad = _write(tmp_path / "reshaped.json", doc)
-        payloads = {K["c16"] for K in R["kraus"]}
+        payload_of_u = R["U"]["c16"]
         decode = base64.b64decode
 
         def spy(payload, *args, **kwargs):
-            assert payload not in payloads, "a Kraus operator of R was decoded"
+            assert payload != payload_of_u, "U was decoded"
             return decode(payload, *args, **kwargs)
 
         monkeypatch.setattr(base64, "b64decode", spy)
@@ -249,6 +251,61 @@ class TestVerify:
         assert main(["verify", str(model), bad]) == 2
         err = capsys.readouterr().err
         assert "invalid reduction map" in err and "[9, 16]" in err
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("blocks", [[1, 1], [1, 1], [0, 1]], "'blocks' must be a list of positive int pairs"),
+            ("blocks", [[1, 1], [1, 1], [1, 2]], "is not the (D^2, n^2) = [9, 16] of its blocks"),
+            ("U", [4, 4], "'U' shape [4, 4] is not the (3, 3) of its blocks"),
+        ],
+        ids=["zero-d_S", "sums", "u-shape"],
+    )
+    def test_blocks_and_u_checked_before_u_is_decoded(self, tmp_path, walk_files, monkeypatch, capsys,
+                                                        key, value, match):
+        model, reduced = walk_files
+        doc = load_json(str(reduced))
+        R = doc["reduction"]["R"]
+        assert R["shape"] == [9, 9] and R["blocks"] == [[1, 1]] * 3 and R["U"]["shape"] == [3, 3]
+        if key == "U":
+            R["U"]["shape"] = value
+        else:
+            R[key] = value
+        bad = _write(tmp_path / "bad_blocks.json", doc)
+        payload_of_u = R["U"]["c16"]
+        decode = base64.b64decode
+
+        def spy(payload, *args, **kwargs):
+            assert payload != payload_of_u, "U was decoded"
+            return decode(payload, *args, **kwargs)
+
+        monkeypatch.setattr(base64, "b64decode", spy)
+        capsys.readouterr()
+        assert main(["verify", str(model), bad]) == 2
+        err = capsys.readouterr().err
+        assert "invalid reduction map" in err and match in err
+
+    def test_kraus_list_r_of_older_files_verifies_alike(self, tmp_path, capsys):
+        # R as its Kraus list, with U beside it: the form files held before R was written as U
+        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
+        ce = ising_chain(5, 0.5, 0.3)
+        red = reduce_ce(ce)
+        save_json(ce_to_json(ce), str(model))
+        save_json(reduced_ce_to_json(red), str(reduced))
+        doc = load_json(str(reduced))
+        R = doc["reduction"]["R"]
+        doc["reduction"]["R"] = {"shape": R["shape"], **superop_to_json(red.reduction_map)}
+        doc["reduction"]["U"] = R["U"]
+        old = _write(tmp_path / "old.red.json", doc)
+        assert len(load_json(old)["reduction"]["R"]["kraus"]) == 8
+        reports = []
+        for path in (str(reduced), old):
+            capsys.readouterr()
+            assert main(["verify", str(model), path, "--tv", "3"]) == 0
+            reports.append(capsys.readouterr().out)
+        # the rebuilt R is the written list bit for bit, so the reports are the same text
+        assert reports[1] == reports[0]
+        assert reports[0].splitlines()[-1] == "verification passed"
 
     def test_dense_r_of_older_files_verifies_alike(self, tmp_path, capsys):
         model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
@@ -474,7 +531,7 @@ def _corrupt(entry):
 
 def _corrupted_r(tmp, model, reduced):
     doc = load_json(str(reduced))
-    _corrupt(doc["reduction"]["R"]["kraus"][0])
+    _corrupt(doc["reduction"]["R"]["U"])
     return ["verify", str(model), _write(tmp / "corrupted_r.json", doc)]
 
 

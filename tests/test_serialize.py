@@ -146,31 +146,35 @@ class TestModelDocuments:
         ce = measured_quantum_walk(3, seed=1)
         red = reduce_ce(ce, seed=0)
         doc = reduced_ce_to_json(red)
-        assert set(doc["reduction"]) >= {"R", "U", "blocks", "seed", "tol"}
+        assert set(doc["reduction"]) >= {"R", "blocks", "seed", "tol"} and "U" not in doc["reduction"]
         back = ce_from_json(doc)
         assert back.dim == red.model.dim
         R = matrix_from_json(doc["reduction"]["R"])
         assert np.array_equal(R, red.reduction_map.matrix)
 
     @pytest.mark.parametrize("name", list(SPLIT_MODELS))
-    def test_r_is_written_as_its_kraus_list(self, name):
+    def test_r_is_written_as_u_and_its_blocks(self, name):
         red = reduce_ce(SPLIT_MODELS[name](), seed=0)
-        # read back as the same list, and as the same matrix bit for bit
-        R = json.loads(json.dumps(reduced_ce_to_json(red)))["reduction"]["R"]
-        assert set(R) == {"shape", "kraus"} and len(R["kraus"]) == len(red.reduction_map.kraus)
-        assert R["shape"] == list(red.reduction_map.matrix.shape)
+        text = json.dumps(reduced_ce_to_json(red))
+        R = json.loads(text)["reduction"]["R"]
+        assert set(R) == {"shape", "blocks", "U"}
+        assert R["blocks"] == [list(b) for b in red.blocks]
+        assert text.count(R["U"]["c16"]) == 1
+        # rebuilt as the same Kraus list, in order, and as the same matrix, bit for bit
+        S = reduction_map_from_json(R, tuple(R["shape"]))
+        assert len(S.kraus) == len(red.reduction_map.kraus)
+        assert all(np.array_equal(A, B) for A, B in zip(S.kraus, red.reduction_map.kraus))
         M = matrix_from_json(R)
         assert M.flags.writeable
         assert np.array_equal(M, red.reduction_map.matrix)
-        S = reduction_map_from_json(R, M.shape)
-        assert all(np.array_equal(A, B) for A, B in zip(S.kraus, red.reduction_map.kraus))
 
     @pytest.mark.parametrize("shape", [[16, 256], [256, 64], [64, 256, 1], [64.0, 256], None],
                              ids=["rows", "transposed", "3-D", "float", "none"])
     def test_kraus_entry_shape_must_be_the_lists(self, shape):
         red = reduce_ce(ising_chain(4, 0.5, 0.3), seed=0)
-        R = reduced_ce_to_json(red)["reduction"]["R"]
-        assert R["shape"] == [64, 256]
+        # R as its Kraus list, the form files held before R was written as U and its blocks
+        R = {"shape": [64, 256], **superop_to_json(red.reduction_map)}
+        assert np.array_equal(matrix_from_json(R), red.reduction_map.matrix)
         R["shape"] = shape
         for read in (matrix_from_json, lambda data: reduction_map_from_json(data, (64, 256))):
             with pytest.raises(ValueError, match="shape"):
@@ -179,6 +183,77 @@ class TestModelDocuments:
             # a model pair of that shape: the list itself refuses the shape
             with pytest.raises(ValueError, match="Kraus operators"):
                 reduction_map_from_json(R, tuple(shape))
+
+
+def _blocks_entry():
+    """The {"shape", "blocks", "U"} R of Ising N=4 p=0.5: blocks [[4, 2], [4, 2]], U 16x16."""
+    R = reduced_ce_to_json(reduce_ce(ising_chain(4, 0.5, 0.3), seed=0))["reduction"]["R"]
+    assert R["shape"] == [64, 256] and R["blocks"] == [[4, 2], [4, 2]] and R["U"]["shape"] == [16, 16]
+    return R
+
+
+def _set(key, value):
+    def edit(R):
+        R[key] = value
+    return edit
+
+
+def _set_u_shape(shape):
+    def edit(R):
+        R["U"]["shape"] = shape
+    return edit
+
+
+class TestBlocksEntry:
+    """R given as U and its blocks is checked before U's payload is decoded."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (_set("blocks", None), "blocks"),
+            (_set("blocks", []), "blocks"),
+            (_set("blocks", [[4, 2], [4]]), "blocks"),
+            (_set("blocks", [[4, 2], [4, 2, 1]]), "blocks"),
+            (_set("blocks", [[4, 2], [4, 0]]), "blocks"),
+            (_set("blocks", [[4, 2], [-4, 2]]), "blocks"),
+            (_set("blocks", [[4, 2], [4, 2.0]]), "blocks"),
+            (_set("blocks", [[4, 2], [True, 2]]), "blocks"),
+            (_set("blocks", [[4, 2], "42"]), "blocks"),
+            (_set("blocks", [[4, 2], [2, 4]]), "shape"),
+            (_set("blocks", [[4, 2], [4, 1]]), "shape"),
+            (_set("blocks", [[2, 4], [6, 1]]), "shape"),
+            (_set_u_shape([16, 8]), "'U' shape"),
+            (_set_u_shape([8, 32]), "'U' shape"),
+            (_set_u_shape(None), "shape"),
+            (lambda R: R.pop("U"), "'U'"),
+        ],
+        ids=["none", "empty", "single", "triple", "zero", "negative", "float", "bool", "string",
+             "sum-d_S", "sum-d_S-d_F", "same-D-other-n", "u-rows", "u-square-size", "u-no-shape", "no-u"],
+    )
+    def test_refused_before_any_payload(self, monkeypatch, edit, match):
+        R = _blocks_entry()
+        edit(R)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("U was decoded")
+
+        monkeypatch.setattr(base64, "b64decode", refuse)
+        for read in (matrix_from_json, lambda data: reduction_map_from_json(data, (64, 256))):
+            with pytest.raises(ValueError, match=match):
+                read(R)
+
+    def test_u_as_lists_loads_and_its_shape_is_checked(self):
+        R = _blocks_entry()
+        want = matrix_from_json(R)
+        U = matrix_from_json(R["U"])
+        R["U"] = np.stack([U.real, U.imag], -1).tolist()
+        assert np.array_equal(matrix_from_json(R), want)
+        S = reduction_map_from_json(R, (64, 256))
+        assert np.array_equal(S.matrix, want)
+        R["U"] = R["U"][:8]
+        for read in (matrix_from_json, lambda data: reduction_map_from_json(data, (64, 256))):
+            with pytest.raises(ValueError, match="'U' shape"):
+                read(R)
 
 
 def matrix_form(ce) -> dict:
