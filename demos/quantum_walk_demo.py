@@ -15,7 +15,7 @@ from cereduce import (
     Superoperator,
     enumerate_distribution,
     equivalence_check,
-    invariant_closure,
+    hermitian_closure,
     measured_quantum_walk,
     reduce_ce,
     total_variation,
@@ -65,7 +65,7 @@ def main():
     # contrast: without conditioning there is nothing to throw away
     eye = np.eye(N)
     sites = [np.outer(eye[:, j], eye[j]).astype(complex) for j in range(N)]
-    closure = invariant_closure(sites, lambda H: [ce.evolution(H)])
+    closure = hermitian_closure(sites, lambda H: [ce.evolution(H)])
     print(
         f"\nunconditional orbit of the site projectors spans {closure.dim} of "
         f"{N * N} dimensions: no unconditional reduction exists."

@@ -27,7 +27,6 @@ from .model import (
 from .observability import (
     LinearReducedModel,
     check_invariance,
-    invariant_closure,
     linear_reduce,
     nonobservable_complement,
 )
@@ -36,11 +35,9 @@ from .operators import (
     OperatorSubspace,
     Superoperator,
     closure,
-    hs_norm,
+    hermitian_closure,
     map_coordinates,
-    superop_from_kraus,
     unvec,
-    vec,
 )
 from .reduction import (
     AssumptionReport,

@@ -37,7 +37,6 @@ from .operators import (
     closure,
     eigh_clustered,
     hermitian_closure,
-    superop_from_kraus,
 )
 
 __all__ = [
@@ -400,7 +399,7 @@ class CEFactorization:
                 K[roffs[k + a]:roffs[k + a + 1], roffs[l + b]:roffs[l + b + 1]] = (
                     s[p, j] * Vh[p, j]).reshape(dSk, dSl)
                 kraus.append(K)
-        return superop_from_kraus(kraus or [np.zeros((D, D), dtype=complex)]), margin
+        return Superoperator(kraus=kraus or [np.zeros((D, D), dtype=complex)]), margin
 
 
 def compression(U: np.ndarray, blocks) -> Superoperator:
@@ -423,7 +422,7 @@ def compression(U: np.ndarray, blocks) -> Superoperator:
             kraus.append(A)
         row += dS
         col += dS * dF
-    return superop_from_kraus(kraus)
+    return Superoperator(kraus=kraus)
 
 
 def conditional_expectation(dec: WedderburnDecomposition) -> CEFactorization:
@@ -434,5 +433,5 @@ def conditional_expectation(dec: WedderburnDecomposition) -> CEFactorization:
     """
     R = compression(dec.U, dec.blocks)
     scales = [np.sqrt(dF) for _, dF in dec.blocks for _ in range(dF)]
-    J = superop_from_kraus([A.conj().T / s for A, s in zip(R.kraus, scales)])
+    J = Superoperator(kraus=[A.conj().T / s for A, s in zip(R.kraus, scales)])
     return CEFactorization(dec, R=R, J=J)

@@ -242,7 +242,8 @@ def _start_state(ce: ConditionalEvolution, doc: dict, path: str) -> np.ndarray:
 
     A full model starts at 1_n/n itself.  A reduced one starts at
     R(1_n/n) = sum_k (d_F,k / n) 1_{d_S,k}, read off the ``blocks`` (d_S, d_F)
-    of its ``reduction`` block and the n^2 of its ``original_operator_dim``.
+    of its ``reduction`` block and the n^2 of its ``original_operator_dim``;
+    a map R that holds its own ``blocks`` must hold these.
     """
     if "reduction" not in doc:
         return np.eye(ce.dim, dtype=complex) / ce.dim
@@ -258,6 +259,10 @@ def _start_state(ce: ConditionalEvolution, doc: dict, path: str) -> np.ndarray:
     if n * n != n2 or sum(dS for dS, _ in blocks) != ce.dim or sum(dS * dF for dS, dF in blocks) != n:
         raise CliError(f"{path}: reduction blocks {blocks} do not split a reduced dimension "
                        f"{ce.dim} from an original operator dimension {n2}")
+    R = doc["reduction"].get("R")
+    if isinstance(R, dict) and "blocks" in R and R["blocks"] != doc["reduction"]["blocks"]:
+        raise CliError(f"{path}: reduction blocks {doc['reduction']['blocks']} differ from "
+                       f"the blocks {R['blocks']} of its reduction map R")
     weights = [dF / n for dS, dF in blocks for _ in range(dS)]
     return np.diag(weights).astype(complex)
 

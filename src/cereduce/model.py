@@ -48,12 +48,6 @@ class Instrument:
     def dim(self) -> int:
         return next(iter(self.maps.values())).in_dim
 
-    def map_for(self, k) -> Superoperator:
-        k = str(k)
-        if k not in self.maps:
-            raise ValueError(f"unknown outcome label {k!r}")
-        return self.maps[k]
-
     def povm(self) -> np.ndarray:
         """Read-only (m, n^2) matrix of the POVM elements E_k = M_k^dag(1), built once.
 
@@ -81,8 +75,7 @@ class Instrument:
 class OutputMap:
     """Named observables {O_j}; the identity must be among them.
 
-    Called on an operator X, or on a stack (..., n, n) of them, it gives the
-    output vector tr[O_j X] of each, from one product with :meth:`matrix`.
+    The output vector tr[O_j X] of an operator X is one product with :meth:`matrix`.
     """
 
     names: tuple[str, ...]
@@ -110,15 +103,6 @@ class OutputMap:
             if np.linalg.norm(O - eye) <= tol * np.sqrt(self.dim):
                 return j
         return None
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Output vector tr[O_j X], shape (n_obs,), or (..., n_obs) for a stack (..., n, n)."""
-        X = np.asarray(X, dtype=complex)
-        n = self.dim
-        if X.shape[-2:] != (n, n):
-            raise ValueError(f"expected {n}x{n} operators, got shape {X.shape}")
-        # column-major flattening of the two last axes gives vec(X) of each operator
-        return X.reshape(*X.shape[:-2], n * n, order="F") @ self._rows.T
 
     def matrix(self) -> np.ndarray:
         """Read-only (n_obs, n^2) matrix acting on vec'd operators, built once.

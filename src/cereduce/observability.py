@@ -24,15 +24,10 @@ from .operators import (
 
 __all__ = [
     "nonobservable_complement",
-    "invariant_closure",
     "check_invariance",
     "LinearReducedModel",
     "linear_reduce",
 ]
-
-
-# the smallest invariant span of Hermitian operators, closed on real coordinates
-invariant_closure = hermitian_closure
 
 
 def nonobservable_complement(
@@ -40,14 +35,15 @@ def nonobservable_complement(
 ) -> OperatorSubspace:
     """Span of the observables and all their dual-map orbits.
 
-    Their :func:`invariant_closure` under the duals, each basis element
-    expanded by :meth:`~cereduce.model.ConditionalEvolution.dual_images`, so a
-    split model pays one evolution conjugation per element, not one per
-    outcome, and refuses a split above its bound with ValueError.  The basis
-    is exactly Hermitian, and a non-Hermitian observable enters through its
+    Their :func:`~cereduce.operators.hermitian_closure` under the duals,
+    each basis element expanded by
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, so a split
+    model pays one evolution conjugation per element, not one per outcome,
+    and refuses a split above its bound with ValueError.  The basis is
+    exactly Hermitian, and a non-Hermitian observable enters through its
     two Hermitian parts.
     """
-    return invariant_closure(list(ce.output.observables), ce.dual_images(tol), tol)
+    return hermitian_closure(list(ce.output.observables), ce.dual_images(tol), tol)
 
 
 def _images(S: Superoperator, subspace: OperatorSubspace) -> np.ndarray:
@@ -79,9 +75,9 @@ def check_invariance(
 class LinearReducedModel:
     """Minimal linear (not necessarily CPTP) realization on coordinates.
 
-    ``encode`` takes HS coordinates in the subspace basis, ``decode``
-    synthesizes the operator back; together they factor the orthogonal
-    projector onto the subspace.
+    The coordinates of an operator X are its HS inner products <B_i, X> with
+    the subspace basis; A[k] maps them as outcome k's map does, and C reads
+    the outputs off them.
     """
 
     subspace: OperatorSubspace
@@ -92,12 +88,6 @@ class LinearReducedModel:
     @property
     def q(self) -> int:
         return self.subspace.dim
-
-    def encode(self, X: np.ndarray) -> np.ndarray:
-        return self.subspace.coords(X)
-
-    def decode(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.subspace.stacked()).reshape(self.subspace.basis.shape[1:])
 
 
 def linear_reduce(

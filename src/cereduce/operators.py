@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * operators are plain ``numpy`` complex matrices,
-* vectorization is column-stacking, ``vec(X)[a + b*n] = X[a, b]``, for
-  superoperator matrices,
+* superoperator matrices act on column-stacked operators: entry
+  a + b*n of the vector of X is X[a, b],
 * an operator span is held as one read-only (dim, n, m) array of its
   HS-orthonormal basis, in the dtype it was closed in, and projects
   through the row-major (dim, n m) view of that array; any one order of
@@ -36,36 +36,24 @@ KRAUS_APPLY_OVERHEAD = 64 * 64
 
 __all__ = [
     "DEFAULT_TOL",
-    "vec",
     "unvec",
-    "hs_norm",
     "eigh_clustered",
     "closure",
     "hermitian_closure",
     "OperatorSubspace",
     "Superoperator",
-    "superop_from_kraus",
     "map_coordinates",
 ]
 
 
-def vec(X: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    return np.asarray(X, dtype=complex).reshape(-1, order="F")
-
-
 def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`. Square by default, else pass ``rows``."""
+    """The matrix whose columns, stacked, are ``v``. Square by default, else pass ``rows``."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if rows is None:
         rows = round(np.sqrt(v.size))
         if rows * rows != v.size:
             raise ValueError(f"cannot unvec length {v.size} into a square matrix")
     return v.reshape((rows, v.size // rows), order="F")
-
-
-def hs_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A))
 
 
 def eigh_clustered(H: np.ndarray, rel_gap: float):
@@ -126,15 +114,6 @@ class OperatorSubspace:
         """Read-only (dim, n m) view Q of the basis, row i the row-major flattening of B_i."""
         dim, n, m = self.basis.shape
         return self.basis.reshape(dim, n * m)
-
-    def coords(self, X: np.ndarray) -> np.ndarray:
-        """HS coordinates of X in the basis."""
-        # conj(Q conj(x)), so that only x is conjugated, never the stack
-        return (self.stacked() @ np.conj(X).reshape(-1)).conj()
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of X onto the subspace."""
-        return (self.coords(X) @ self.stacked()).reshape(self.basis.shape[1:])
 
 
 def closure(
@@ -205,7 +184,7 @@ def closure(
             # the rest of the first projection, then the second against the whole basis
             v = W[j] - (Q[start:dim] @ W[j].conj()).conj() @ Q[start:dim]
             v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
-            res = hs_norm(v)
+            res = float(np.linalg.norm(v))
             if res <= bounds[j]:
                 dropped = max(dropped, res)
                 continue
@@ -479,11 +458,6 @@ def _pivoted_cholesky(C: np.ndarray, stop: float) -> np.ndarray:
         L[k] = v
         k += 1
     return L[:k]
-
-
-def superop_from_kraus(kraus) -> Superoperator:
-    """Superoperator of X -> sum_i K_i X K_i^dag, kept as its Kraus list."""
-    return Superoperator(kraus=kraus)
 
 
 def map_coordinates(maps) -> np.ndarray:

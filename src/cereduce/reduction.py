@@ -20,11 +20,10 @@ from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import (
     LinearReducedModel,
     check_invariance,
-    invariant_closure,
     linear_reduce,
     nonobservable_complement,
 )
-from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
+from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, hermitian_closure, map_coordinates
 from .trajectories import WORD_CAP
 
 __all__ = [
@@ -281,6 +280,9 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare conditioned outputs of the full and reduced models.
 
+    ``reduced`` needs only ``.model`` and ``.reduction_map``: a
+    :class:`ReducedCE`, or a namespace holding a loaded model and its R.
+
     Covers every outcome word up to ``max_len`` for a batch of random
     initial densities rho_s, reduced model started from R(rho_s), and
     records the worst output and probability deviations over all pairs of
@@ -292,7 +294,7 @@ def equivalence_check(
 
     The words are walked on each model's minimal linear realization, never
     on its operators.  Its space is the
-    :func:`~cereduce.observability.invariant_closure` of [1, O_1, ..., O_m]
+    :func:`~cereduce.operators.hermitian_closure` of [1, O_1, ..., O_m]
     under :meth:`~cereduce.model.ConditionalEvolution.dual_images` in the
     full model's outcome order, at the relative tolerance
     ``REALIZATION_TOL``.  Its maps A_k, which act on the coordinates
@@ -365,7 +367,7 @@ def _realization(ce: ConditionalEvolution, outcomes, tol: float) -> LinearReduce
     """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
     span of 1 and its observables."""
     generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-    span = invariant_closure(generators, ce.dual_images(tol, outcomes), REALIZATION_TOL)
+    span = hermitian_closure(generators, ce.dual_images(tol, outcomes), REALIZATION_TOL)
     return linear_reduce(ce, span, tol)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import compression
 from .model import ConditionalEvolution, Instrument, OutputMap
-from .operators import Superoperator, superop_from_kraus
+from .operators import Superoperator
 
 __all__ = [
     "matrix_to_json",
@@ -107,7 +107,7 @@ def superop_to_json(S: Superoperator) -> dict:
 def superop_from_json(data: dict) -> Superoperator:
     """A map from its "kraus" list or, factored on loading, its "matrix"; ValueError unless CP."""
     if "kraus" in data:
-        return superop_from_kraus([matrix_from_json(K) for K in data["kraus"]])
+        return Superoperator(kraus=[matrix_from_json(K) for K in data["kraus"]])
     if "matrix" in data:
         return Superoperator(matrix_from_json(data["matrix"]))
     raise ValueError("superoperator entry needs a 'kraus' or 'matrix' field")
@@ -116,7 +116,7 @@ def superop_from_json(data: dict) -> Superoperator:
 def _kraus_map_from_json(data: dict) -> Superoperator:
     """The map of a {"shape", "kraus"} entry; ValueError unless "shape" is (out^2, in^2) of the list."""
     shape = _shape(data)
-    S = superop_from_kraus([matrix_from_json(K) for K in data["kraus"]])
+    S = Superoperator(kraus=[matrix_from_json(K) for K in data["kraus"]])
     if shape != (S.out_dim ** 2, S.in_dim ** 2):
         raise ValueError(f"'shape' {list(shape)} is not the ({S.out_dim}^2, {S.in_dim}^2) "
                          f"of its {S.out_dim}x{S.in_dim} Kraus operators")

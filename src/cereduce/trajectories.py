@@ -50,10 +50,6 @@ class TrajectoryRecord:
     outputs: tuple[np.ndarray, ...]          # per-step conditioned outputs
     clamped_steps: tuple[int, ...]           # steps where roundoff went negative
 
-    @property
-    def joint_probability(self) -> float:
-        return float(np.prod(self.probabilities))
-
 
 def _numpy_sum(p: list[float]) -> float:
     """``np.sum`` of the float64 array of ``p``, bit for bit.
@@ -184,7 +180,7 @@ def enumerate_distribution(
         # word w + (k,) sits at row len(outcomes) * w + k
         nxt = np.empty((len(frontier), len(ce.outcomes), *frontier.shape[1:]), dtype=complex)
         for i, k in enumerate(ce.outcomes):
-            nxt[:, i] = ce.instrument.map_for(k)(frontier)
+            nxt[:, i] = ce.instrument.maps[k](frontier)
         frontier = nxt.reshape(-1, *frontier.shape[1:])
     n = ce.dim
     read = np.array([np.eye(n), *ce.output.observables], dtype=complex)

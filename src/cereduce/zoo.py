@@ -12,8 +12,7 @@ import warnings
 import numpy as np
 
 from .model import ConditionalEvolution, Instrument, OutputMap
-from .observability import invariant_closure
-from .operators import DEFAULT_TOL, superop_from_kraus
+from .operators import DEFAULT_TOL, Superoperator, hermitian_closure
 
 __all__ = [
     "haar_unitary",
@@ -42,9 +41,9 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 def walk_is_generic(U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when the conjugation orbit of the site projectors fills B(H)."""
     n = U.shape[0]
-    ev = superop_from_kraus([U])
+    ev = Superoperator(kraus=[U])
     sites = [np.outer(np.eye(n)[:, j], np.eye(n)[j].conj()) for j in range(n)]
-    closure = invariant_closure(sites, lambda H: [ev(H)], tol)
+    closure = hermitian_closure(sites, lambda H: [ev(H)], tol)
     return closure.dim == n * n
 
 
@@ -71,15 +70,15 @@ def measured_quantum_walk(
             "non-generic walk unitary: known-answer reduction dimensions may not apply",
             stacklevel=2,
         )
-    evolution = superop_from_kraus([U])
+    evolution = Superoperator(kraus=[U])
     eye = np.eye(n, dtype=complex)
     effects = {}
     maps = {}
     labels = tuple(str(j) for j in range(n))
     for j, lab in enumerate(labels):
         proj = np.outer(eye[:, j], eye[:, j].conj())
-        effects[lab] = superop_from_kraus([proj])
-        maps[lab] = superop_from_kraus([U @ proj])
+        effects[lab] = Superoperator(kraus=[proj])
+        maps[lab] = Superoperator(kraus=[U @ proj])
     return ConditionalEvolution(
         instrument=Instrument(outcomes=labels, maps=maps),
         output=OutputMap(names=("identity",), observables=(eye,)),
@@ -139,13 +138,13 @@ def ising_chain(N: int, p: float, delta: float) -> ConditionalEvolution:
     effect_kraus["1"] = np.sqrt(1 - p) * P1
 
     labels = tuple(effect_kraus)
-    effects = {k: superop_from_kraus([K]) for k, K in effect_kraus.items()}
-    maps = {k: superop_from_kraus([U @ K]) for k, K in effect_kraus.items()}
+    effects = {k: Superoperator(kraus=[K]) for k, K in effect_kraus.items()}
+    maps = {k: Superoperator(kraus=[U @ K]) for k, K in effect_kraus.items()}
     names = tuple(f"sigma_{q}^(1)" for q in ("0", "x", "y", "z"))
     obs = tuple(_site_operator(N, {1: PAULI[q]}) for q in ("0", "x", "y", "z"))
     return ConditionalEvolution(
         instrument=Instrument(outcomes=labels, maps=maps),
         output=OutputMap(names=names, observables=obs),
-        evolution=superop_from_kraus([U]),
+        evolution=Superoperator(kraus=[U]),
         effects=effects,
     )

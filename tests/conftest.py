@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
-from cereduce.operators import DEFAULT_TOL, superop_from_kraus, vec
+from cereduce.operators import DEFAULT_TOL, Superoperator
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 
 
@@ -16,6 +16,16 @@ def rng():
 @pytest.fixture
 def paulis():
     return {k: v.copy() for k, v in PAULI.items()}
+
+
+def vec(X):
+    """Column-stacking vectorization: entry a + b*n of vec(X) is X[a, b]."""
+    return np.asarray(X, dtype=complex).reshape(-1, order="F")
+
+
+def outputs(ce, X):
+    """Output vector tr(O_j X) of an operator X, or of each of a stack (..., n, n), summed entrywise."""
+    return np.einsum("jab,...ba->...j", np.array(ce.output.observables), np.asarray(X, dtype=complex))
 
 
 def random_complex(rng, shape):
@@ -58,7 +68,7 @@ def random_ce(n, n_outcomes, n_obs, rng):
     w, V = np.linalg.eigh(sum(K.conj().T @ K for K in raw))
     T_inv_sqrt = V @ np.diag(1 / np.sqrt(w)) @ V.conj().T
     labels = tuple(str(k) for k in range(n_outcomes))
-    maps = {lab: superop_from_kraus([K @ T_inv_sqrt]) for lab, K in zip(labels, raw)}
+    maps = {lab: Superoperator(kraus=[K @ T_inv_sqrt]) for lab, K in zip(labels, raw)}
     names, obs = ["identity"], [np.eye(n, dtype=complex)]
     for j in range(n_obs - 1):
         G = random_complex(rng, (n, n))
@@ -77,7 +87,7 @@ def swap3_ce():
     Outcome "0" applies elementwise and outcome "1" through its matrix.
     """
     swap = np.eye(3, dtype=complex)[[0, 2, 1]]
-    maps = {"0": superop_from_kraus([np.sqrt(0.5) * np.eye(3)]), "1": superop_from_kraus([np.sqrt(0.5) * swap])}
+    maps = {"0": Superoperator(kraus=[np.sqrt(0.5) * np.eye(3)]), "1": Superoperator(kraus=[np.sqrt(0.5) * swap])}
     return ConditionalEvolution(
         instrument=Instrument(outcomes=("0", "1"), maps=maps),
         output=OutputMap(names=("identity", "P0"), observables=(np.eye(3, dtype=complex), proj(3, 0))),
@@ -160,7 +170,8 @@ def blockdiag_projector(fact):
 
 def propagate(lm, rho0, seq):
     """Output vector of a linear reduced model driven along ``seq`` from rho0."""
-    x = lm.encode(rho0)
+    # the HS coordinates <B_i, rho0>
+    x = (lm.subspace.stacked() @ np.conj(rho0).reshape(-1)).conj()
     for k in seq:
         x = lm.A[str(k)] @ x
     return lm.C @ x

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from cereduce.algebra import algebra_closure, commutant, conditional_expectation, wedderburn
-from cereduce.observability import invariant_closure, linear_reduce, nonobservable_complement
-from cereduce.operators import Superoperator, hs_norm
+from cereduce.observability import linear_reduce, nonobservable_complement
+from cereduce.operators import Superoperator, hermitian_closure
 from cereduce.reduction import (
     check_assumptions,
     equivalence_check,
@@ -32,6 +32,7 @@ from cereduce.zoo import (
 from conftest import (
     blockdiag_projector,
     channel_checks,
+    outputs,
     projector_matrix,
     propagate,
     random_ce,
@@ -108,7 +109,7 @@ def test_criterion_2_no_unconditional_reduction(walks):
     for n, (ce, red, _) in walks.items():
         eye = np.eye(n)
         sites = [np.outer(eye[:, j], eye[j]).astype(complex) for j in range(n)]
-        closure = invariant_closure(sites, lambda H: [ce.evolution(H)])
+        closure = hermitian_closure(sites, lambda H: [ce.evolution(H)])
         ok &= closure.dim == n * n
         ok &= red.reduced_dim < n * n
     report(2, "walk admits no unconditional reduction", ok)
@@ -217,7 +218,7 @@ def random_algebras():
 def e_suite_ok(alg, tol=1e-8):
     fact = conditional_expectation(wedderburn(alg))
     E = fact.J @ fact.R
-    ok = np.linalg.norm((E @ E).matrix - E.matrix) <= tol * max(1.0, hs_norm(E.matrix))
+    ok = np.linalg.norm((E @ E).matrix - E.matrix) <= tol * max(1.0, np.linalg.norm(E.matrix))
     ok &= np.linalg.norm(E.matrix - E.adjoint().matrix) <= tol
     rep = channel_checks(E)
     ok &= rep.cp and rep.tp and rep.unital
@@ -277,7 +278,7 @@ def test_criterion_8_structural_invariants(walks, isings, random_algebras):
             rho = random_density(3, rng)
             total = 0.0
             for k in ce.outcomes:
-                out = ce.instrument.map_for(k)(rho)
+                out = ce.instrument.maps[k](rho)
                 ok &= np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
                 total += np.trace(out).real
             ok &= abs(total - 1.0) <= 1e-10
@@ -305,8 +306,8 @@ def test_criterion_9_linear_vs_algebraic(walks, isings):
                 for seq in itertools.product(ce.outcomes, repeat=t):
                     rho = rho0
                     for k in seq:
-                        rho = ce.instrument.map_for(k)(rho)
-                    dev = np.max(np.abs(ce.output(rho) - propagate(lm, rho0, seq)))
+                        rho = ce.instrument.maps[k](rho)
+                    dev = np.max(np.abs(outputs(ce, rho) - propagate(lm, rho0, seq)))
                     good &= float(dev) <= 1e-8
         return good
 

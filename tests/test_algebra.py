@@ -15,15 +15,7 @@ from cereduce.algebra import (
 )
 from cereduce.observability import nonobservable_complement
 from cereduce.reduction import reduce_ce
-from cereduce.operators import (
-    OperatorSubspace,
-    Superoperator,
-    closure,
-    hs_norm,
-    superop_from_kraus,
-    unvec,
-    vec,
-)
+from cereduce.operators import OperatorSubspace, Superoperator, closure, unvec
 from cereduce.zoo import PAULI, haar_unitary, ising_chain, measured_quantum_walk
 from conftest import (
     blockdiag_projector,
@@ -38,6 +30,7 @@ from conftest import (
     residual,
     residuals,
     structure_residual,
+    vec,
 )
 
 
@@ -228,7 +221,7 @@ class TestGenerators:
     def test_non_hermitian_basis_takes_hermitian_parts(self, paulis):
         # sigma_+ = (x + i y) / 2, normalized: its Hermitian parts span {x, y}
         plus = (paulis["x"] + 1j * paulis["y"]) / 2
-        space = OperatorSubspace(2, (plus / hs_norm(plus),))
+        space = OperatorSubspace(2, (plus / np.linalg.norm(plus),))
         alg = algebra_closure(space)
         assert alg.dim == 4 and contains(alg, np.eye(2))
         assert all(is_hermitian(B, 1e-12) for B in alg.basis)
@@ -466,7 +459,7 @@ class TestWedderburn:
         for B in block_algebra_generators(blocks, seed=0):
             H = random_complex(rng, B.shape)
             H += H.conj().T
-            moved.append(B + 1e-8 * H / hs_norm(H))
+            moved.append(B + 1e-8 * H / np.linalg.norm(H))
         dec, _ = algebra._decompose(moved, tol, 0)
         G = algebra._generators(moved, tol)
         n = dec.dim
@@ -498,7 +491,7 @@ class TestWedderburn:
 class TestConditionalExpectation:
     def assert_e_properties(self, alg, fact, tol=1e-8):
         E = fact.J @ fact.R
-        assert np.linalg.norm((E @ E).matrix - E.matrix) <= 1e-9 * max(1, hs_norm(E.matrix))
+        assert np.linalg.norm((E @ E).matrix - E.matrix) <= 1e-9 * max(1, np.linalg.norm(E.matrix))
         assert np.linalg.norm(E.matrix - E.adjoint().matrix) <= 1e-9
         rep = channel_checks(E)
         assert rep.cp and rep.tp and rep.unital
@@ -561,7 +554,7 @@ class TestReduceMap:
     def test_matches_composition_at_choi_rank(self, blocks, rng):
         fact = conditional_expectation(wedderburn(random_block_algebra(blocks, seed=5)))
         n = fact.decomposition.dim
-        S = superop_from_kraus([random_complex(rng, (n, n)) for _ in range(3)])
+        S = Superoperator(kraus=[random_complex(rng, (n, n)) for _ in range(3)])
         red, margin = fact.reduce_map(S)
         composed = fact.R @ S @ fact.J
         ref = composed.matrix
@@ -575,7 +568,7 @@ class TestReduceMap:
         # R o J keeps the diagonal blocks: one Kraus operator per block, its projection
         blocks = ((2, 2), (1, 1), (1, 2))
         fact = conditional_expectation(wedderburn(random_block_algebra(blocks, seed=7)))
-        red, margin = fact.reduce_map(superop_from_kraus([np.eye(fact.decomposition.dim)]))
+        red, margin = fact.reduce_map(Superoperator(kraus=[np.eye(fact.decomposition.dim)]))
         assert len(red.kraus) == len(blocks)
         assert margin < 1e-12
         X = random_complex(rng, (4, 4))
@@ -586,14 +579,14 @@ class TestReduceMap:
 
     def test_zero_map_is_one_zero_operator(self):
         fact = conditional_expectation(wedderburn(random_block_algebra(((2, 2),), seed=1)))
-        red, margin = fact.reduce_map(superop_from_kraus([np.zeros((4, 4))]))
+        red, margin = fact.reduce_map(Superoperator(kraus=[np.zeros((4, 4))]))
         assert len(red.kraus) == 1 and not np.any(red.kraus[0])
         assert red.kraus[0].shape == (2, 2) and margin == 0.0
 
     def test_wrong_dimension_rejected(self):
         fact = conditional_expectation(wedderburn(random_block_algebra(((2, 2),), seed=1)))
         with pytest.raises(ValueError):
-            fact.reduce_map(superop_from_kraus([np.eye(3)]))
+            fact.reduce_map(Superoperator(kraus=[np.eye(3)]))
 
     def test_never_composes(self, monkeypatch):
         ce = ising_chain(4, 0.5, 0.3)

@@ -10,7 +10,7 @@ from cereduce import algebra, cli, operators, reduction
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
 from cereduce.model import Instrument
-from cereduce.operators import vec
+from cereduce.operators import Superoperator
 from cereduce.reduction import reduce_ce
 from cereduce.serialize import (
     ce_to_json,
@@ -23,7 +23,7 @@ from cereduce.serialize import (
 )
 from cereduce.trajectories import WORD_CAP, StateEscapedError
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import swap3_ce
+from conftest import swap3_ce, vec
 
 
 @pytest.fixture()
@@ -354,7 +354,7 @@ class TestVerify:
         # effects scaled by sqrt(1 + 1e-7): split residual 8e-7, within 10 tol at --tol 1e-7 only
         ce = ising_chain(4, 0.5, 0.3)
         scaled = dataclasses.replace(ce, effects={
-            k: operators.superop_from_kraus([np.sqrt(1 + 1e-7) * K for K in E.kraus])
+            k: operators.Superoperator(kraus=[np.sqrt(1 + 1e-7) * K for K in E.kraus])
             for k, E in ce.effects.items()})
         model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
         save_json(ce_to_json(scaled), str(model))
@@ -376,7 +376,7 @@ class TestVerify:
             raise AssertionError("a closure or the walk ran before the node count was checked")
 
         # the cap is checked before either model's realization is closed
-        monkeypatch.setattr(reduction, "invariant_closure", refuse)
+        monkeypatch.setattr(reduction, "hermitian_closure", refuse)
         monkeypatch.setattr(reduction, "_walk", refuse)
         capsys.readouterr()
         # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
@@ -492,6 +492,21 @@ class TestSimulate:
         dev = max(np.max(np.abs(np.array(a["outputs"]) - np.array(b["outputs"]))) for a, b in zip(full, red))
         assert dev <= 1e-8
         assert abs(full[0]["outputs"][0][1][0] - 1 / 3) <= 1e-12
+
+    def test_blocks_that_differ_from_those_of_r_refused(self, tmp_path, capsys):
+        # verify rebuilds R from R's own blocks, so reversed reduction blocks would pass it
+        # and start simulate at diag(1/3, 2/3)
+        model, reduced = tmp_path / "swap3.json", tmp_path / "swap3.red.json"
+        save_json(ce_to_json(swap3_ce()), str(model))
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        doc = load_json(str(reduced))
+        assert doc["reduction"]["blocks"] == doc["reduction"]["R"]["blocks"] == [[1, 2], [1, 1]]
+        doc["reduction"]["blocks"].reverse()
+        bad = _write(tmp_path / "reversed_blocks.json", doc)
+        capsys.readouterr()
+        assert main(["simulate", bad, "--samples", "2", "-o", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "reduction blocks [[1, 1], [1, 2]] differ from the blocks [[1, 2], [1, 1]] of its" in err
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: ising_chain(4, 0.0, 0.3), id="ising4_p0"),

@@ -9,7 +9,7 @@ import pytest
 from cereduce import operators, reduction
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
 from cereduce.observability import nonobservable_complement
-from cereduce.operators import Superoperator, superop_from_kraus, vec
+from cereduce.operators import Superoperator
 from cereduce.reduction import (
     EquivalenceReport,
     check_assumptions,
@@ -20,7 +20,15 @@ from cereduce.reduction import (
 )
 from cereduce.trajectories import WORD_CAP, enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
-from conftest import SPLIT_MODELS, blockdiag_projector, channel_checks, projector_matrix, random_ce
+from conftest import (
+    SPLIT_MODELS,
+    blockdiag_projector,
+    channel_checks,
+    outputs,
+    projector_matrix,
+    random_ce,
+    vec,
+)
 
 
 def _rank(dev):
@@ -38,7 +46,7 @@ def primal_deviations(full, reduced, max_len=4, n_states=25, seed=0, **_):
     devs, prob_devs = [], []
     for si, rho0 in enumerate(states):
         def visit(rho, tau, prefix):
-            devs.append((si, prefix, float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))))
+            devs.append((si, prefix, float(np.max(np.abs(outputs(full, rho) - outputs(reduced.model, tau))))))
             prob_devs.append(abs(np.trace(rho).real - np.trace(tau).real))
             if len(prefix) < max_len:
                 for k in full.outcomes:
@@ -92,7 +100,7 @@ def deviation_at(full, reduced, case, seed=0, n_states=25, **_):
     rho, tau = states[si], reduced.reduction_map(states[si])
     for k in word:
         rho, tau = full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau)
-    return float(np.max(np.abs(full.output(rho) - reduced.model.output(tau))))
+    return float(np.max(np.abs(outputs(full, rho) - outputs(reduced.model, tau))))
 
 
 def scaled(red, factor):
@@ -121,7 +129,7 @@ OBSERVABLES = {
 
 def itself(ce):
     """``ce`` as its own reduction, through the identity map."""
-    return SimpleNamespace(model=ce, reduction_map=superop_from_kraus([np.eye(ce.dim)]))
+    return SimpleNamespace(model=ce, reduction_map=Superoperator(kraus=[np.eye(ce.dim)]))
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +166,7 @@ class TestReduceCE:
 
     def test_identity_ce_reduces_to_scalar(self):
         ce = ConditionalEvolution(
-            instrument=Instrument(outcomes=("0",), maps={"0": superop_from_kraus([np.eye(3)])}),
+            instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(3)])}),
             output=OutputMap(names=("identity",), observables=(np.eye(3, dtype=complex),)),
         )
         red = reduce_ce(ce)
@@ -240,7 +248,7 @@ class TestEquivalence:
 
     def test_trivial_identity_reduction(self):
         ce = ConditionalEvolution(
-            instrument=Instrument(outcomes=("0",), maps={"0": superop_from_kraus([np.eye(2)])}),
+            instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
             output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
         )
         rep = equivalence_check(ce, reduce_ce(ce), max_len=3, n_states=5, tol=1e-8)
@@ -249,7 +257,7 @@ class TestEquivalence:
     def test_one_outcome_walk_past_the_recursion_limit(self):
         # one outcome makes a chain of max_len + 1 words, deeper than Python's recursion limit
         ce = ConditionalEvolution(
-            instrument=Instrument(outcomes=("0",), maps={"0": superop_from_kraus([np.eye(2)])}),
+            instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
             output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
         )
         red = reduce_ce(ce)
@@ -257,7 +265,7 @@ class TestEquivalence:
         assert rep.passed and rep.n_sequences == 2001 * 2
         # a leaking reduced map deviates most at the longest word
         leak = ConditionalEvolution(
-            instrument=Instrument(outcomes=("0",), maps={"0": superop_from_kraus([np.sqrt([[0.999]])])}),
+            instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.sqrt([[0.999]])])}),
             output=red.model.output,
         )
         rep = equivalence_check(ce, SimpleNamespace(model=leak, reduction_map=red.reduction_map),
@@ -278,7 +286,7 @@ class TestEquivalence:
             raise AssertionError("a map or a closure ran before the node count was checked")
 
         monkeypatch.setattr(Superoperator, "__call__", refuse)
-        monkeypatch.setattr(reduction, "invariant_closure", refuse)
+        monkeypatch.setattr(reduction, "hermitian_closure", refuse)
         # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
         with pytest.raises(ValueError, match=f"2391484 nodes, above WORD_CAP = {WORD_CAP}; length 12 "):
             equivalence_check(ce, SimpleNamespace(model=ce, reduction_map=refuse), max_len=13)
@@ -609,7 +617,7 @@ def commutant_twisted(ce, seed):
     for k, (dS, dF) in enumerate(dec.blocks):
         V[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = np.kron(np.eye(dS), haar_unitary(dF, seed + k))
     V = dec.U @ V @ dec.U.conj().T
-    maps = {k: superop_from_kraus([K / np.sqrt(2) for K0 in S.kraus for K in (K0, V @ K0)])
+    maps = {k: Superoperator(kraus=[K / np.sqrt(2) for K0 in S.kraus for K in (K0, V @ K0)])
             for k, S in ce.instrument.maps.items()}
     return ConditionalEvolution(instrument=Instrument(outcomes=ce.outcomes, maps=maps), output=ce.output)
 

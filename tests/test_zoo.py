@@ -11,7 +11,7 @@ from cereduce.zoo import (
     walk_is_generic,
     walk_markov_oracle,
 )
-from conftest import blockdiag_projector
+from conftest import blockdiag_projector, outputs
 
 
 class TestWalk:
@@ -79,7 +79,7 @@ class TestIsingChain:
     def test_first_qubit_state_reconstruction(self, rng, paulis):
         ce = ising_chain(4, 0.0, 0.3)
         rho = random_density(16, rng)
-        y = ce.output(rho)
+        y = outputs(ce, rho)
         tau = 0.5 * sum(
             y[i] * paulis[q] for i, q in enumerate(("0", "x", "y", "z"))
         )
