@@ -8,10 +8,11 @@ element, a random product of combinations of 1 and the G_i, has in each
 block d_S eigenspaces of dimension d_F, and the orbit of one eigenspace
 under the G_i spans its block with the multiplicity slices already
 aligned.  The orbit closures certify the draw, with no conjugation of a
-generator by U (see :func:`wedderburn`).  The algebra the G_i generate, its
-center and its commutant are then read off the blocks in closed form:
-U_k (E_st otimes 1_F) U_k^dag, the block projections, and
-U_k (1_S otimes E_fg) U_k^dag.  Each is an
+generator by U (see :func:`wedderburn`).  The algebra the G_i generate is
+held as that decomposition, a :class:`BlockAlgebra`, whose basis
+U_k (E_st otimes 1_F) U_k^dag is formed only on request.  Its center and
+its commutant are read off the blocks in closed form: the block
+projections and U_k (1_S otimes E_fg) U_k^dag, each an
 :class:`~cereduce.operators.OperatorSubspace`, its basis one (dim, n, n)
 stack.
 
@@ -24,7 +25,7 @@ with normalized block identities).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -41,6 +42,7 @@ from .operators import (
 
 __all__ = [
     "DegenerateAlgebraError",
+    "BlockAlgebra",
     "algebra_closure",
     "commutant",
     "center",
@@ -53,6 +55,8 @@ __all__ = [
 
 
 MAX_REDRAWS = 8  # seeded draws of the generic element before giving up
+# the most bytes of images that BlockAlgebra.leak forms for maps taken together
+LEAK_BATCH_BYTES = 2**24
 
 
 class DegenerateAlgebraError(RuntimeError):
@@ -62,15 +66,13 @@ class DegenerateAlgebraError(RuntimeError):
 def algebra_closure(
     subspace: OperatorSubspace | list[np.ndarray],
     tol: float = DEFAULT_TOL,
-) -> OperatorSubspace:
+) -> BlockAlgebra:
     """Smallest *-algebra containing the given span.
 
-    Never closed under products in operator space: read off the block
-    decomposition of what the operators generate (see :func:`wedderburn`),
-    as its matrix units, the HS-orthonormal Hermitian parts of the
-    U_k (E_st otimes 1_F) U_k^dag over every block on which some generator
-    acts (see :func:`_block_operators`).  The algebra is unital, holding the
-    identity, when that is every block.
+    Never closed under products in operator space: the block decomposition
+    of what the operators generate (see :func:`wedderburn`), held as a
+    :class:`BlockAlgebra` over every block on which some generator acts.
+    The algebra is unital, holding the identity, when that is every block.
     """
     return _read_off(*_decompose(subspace, tol, 0))
 
@@ -104,7 +106,7 @@ def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> np.ndarray:
     return ops
 
 
-def commutant(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+def commutant(alg: BlockAlgebra | OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """All operators commuting with every element of the algebra.
 
     Read off the block decomposition in closed form as
@@ -116,7 +118,7 @@ def commutant(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspa
     return OperatorSubspace(dec.dim, _block_operators(dec, range(len(dec.blocks)), axis=2))
 
 
-def center(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+def center(alg: BlockAlgebra | OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """The center: elements of the algebra commuting with the whole algebra.
 
     Read off the block decomposition as the span of the block projections
@@ -175,6 +177,19 @@ class WedderburnDecomposition:
             offs.append(offs[-1] + dS)
         return offs
 
+    def runs(self, keep=None) -> list[list[int]]:
+        """[first block, number of blocks, d_S, d_F] of each run of adjacent equal blocks,
+        over the blocks whose flag in ``keep`` is set (every block by default)."""
+        runs = []
+        for k, shape in enumerate(self.blocks):
+            if keep is not None and not keep[k]:
+                continue
+            if runs and runs[-1][0] + runs[-1][1] == k and tuple(runs[-1][2:]) == shape:
+                runs[-1][1] += 1
+            else:
+                runs.append([k, 1, *shape])
+        return runs
+
     def block_isometry(self, k: int) -> np.ndarray:
         """Columns of U spanning the k-th block, shape (n, d_S*d_F)."""
         offs = self.hilbert_offsets()
@@ -193,8 +208,109 @@ class WedderburnDecomposition:
                 for k, (dS, dF) in enumerate(self.blocks)]
 
 
+@dataclass(frozen=True)
+class BlockAlgebra:
+    """The *-algebra (+)_k B(C^{d_S}) otimes 1_{d_F}, in the basis U of its decomposition,
+    over the blocks k some generator acts on (``acted_on``), held as that decomposition.
+
+    ``dim`` is the sum of d_S^2 over those blocks.  ``basis``, the HS-orthonormal
+    Hermitian matrix units of :func:`_block_operators`, one read-only (dim, n, n)
+    stack as an :class:`~cereduce.operators.OperatorSubspace` holds it, is formed
+    when it or :meth:`stacked` is first read, and kept.  :meth:`leak` measures the
+    algebra's invariance under a map without it.
+    """
+
+    decomposition: WedderburnDecomposition
+    acted_on: tuple[bool, ...]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.decomposition.dim
+
+    @property
+    def dim(self) -> int:
+        return sum(dS * dS for (dS, _), acts in zip(self.decomposition.blocks, self.acted_on) if acts)
+
+    @cached_property
+    def _subspace(self) -> OperatorSubspace:
+        acted = [k for k, acts in enumerate(self.acted_on) if acts]
+        return OperatorSubspace(self.ambient_dim, _block_operators(self.decomposition, acted, axis=1))
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._subspace.basis
+
+    def stacked(self) -> np.ndarray:
+        """Read-only (dim, n^2) view of the basis, row i the row-major flattening of B_i."""
+        return self._subspace.stacked()
+
+    def leak(self, *maps: Superoperator, dual: bool = False) -> float:
+        """Max over the maps S and the unit elements X of the algebra of ||op(X) - Pi op(X)||,
+        op = S or its HS adjoint.
+
+        The leak of :func:`~cereduce.observability.check_invariance`, read in
+        the coordinates of U, where the algebra's matrix units are
+        E_ab otimes 1_F / sqrt(d_F) on each block acted on.  With W_j = U^dag K_j U
+        (U^dag (d o U) for K_j = diag(d), and W_j^dag for the adjoint), the unit
+        of block k maps to sum_{j,f} W_j[:, (k,a,f)] W_j[:, (k,b,f)]^dag / sqrt(d_F):
+        one batched product per run of adjacent equal blocks.  From each
+        image its part (+) Tr_F(.)/d_F otimes 1_F on the blocks acted on is
+        subtracted entry by entry, and a map's leak is the spectral norm of
+        the residuals, read off their dim x dim Gram matrix; 0.0 when dim is 0
+        or no map is given.
+        Maps go through together, as many as keep their images within
+        ``LEAK_BATCH_BYTES``, each Kraus list padded with zero operators to
+        the longest.
+        """
+        size = 16 * self.dim * self.ambient_dim**2
+        if not size:
+            return 0.0
+        step = max(1, LEAK_BATCH_BYTES // size)
+        return max((self._leak(maps[i:i + step], dual) for i in range(0, len(maps), step)), default=0.0)
+
+    def _leak(self, maps, dual: bool) -> float:
+        dec = self.decomposition
+        U, n, p = dec.U, dec.dim, len(maps)
+        r = max(len(S.kraus) for S in maps)
+        # W[i, j] = U^dag K_j U for the j-th Kraus operator K_j of map i
+        if all(S.form == "elementwise" for S in maps):
+            d = np.zeros((p, r, n), dtype=complex)
+            for i, S in enumerate(maps):
+                d[i, :len(S.kraus)] = [np.diagonal(K) for K in S.kraus]
+            W = U.conj().T @ ((d.conj() if dual else d)[..., None] * U)
+        else:
+            K = np.zeros((p, r, n, n), dtype=complex)
+            for i, S in enumerate(maps):
+                K[i, :len(S.kraus)] = S.kraus
+            W = U.conj().T @ K @ U
+            if dual:
+                W = W.conj().swapaxes(-1, -2)
+        offs = dec.hilbert_offsets()
+        runs = dec.runs(self.acted_on)
+        Y = np.empty((p, self.dim, n, n), dtype=complex)
+        u = 0
+        for k, m, dS, dF in runs:
+            # A[., i, a] holds in column (j, f) column (k + i, a, f) of W_j
+            A = (W[..., offs[k]:offs[k + m]].reshape(p, r, n, m, dS, dF)
+                 .transpose(0, 3, 4, 2, 1, 5).reshape(p, m, dS, n, r * dF))
+            B = A.conj().swapaxes(-1, -2) / np.sqrt(dF)
+            np.matmul(A[:, :, :, None], B[:, :, None], out=Y[:, u:u + m * dS * dS].reshape(p, m, dS, dS, n, n))
+            u += m * dS * dS
+        for k, m, dS, dF in runs:
+            # the entries (s, f; t, f) of each diagonal block acted on, a view, less
+            # X_S[s, t] = Tr_F / d_F of their block
+            T = Y[..., offs[k]:offs[k + m], offs[k]:offs[k + m]].reshape(p, self.dim, m, dS, dF, m, dS, dF)
+            np.einsum("...isfitf->...istf", T)[...] -= (np.einsum("...isfitf->...ist", T) / dF)[..., None]
+        # the Gram matrices, summed over slabs of entries, each conjugated in a copy of at
+        # most LEAK_BATCH_BYTES
+        E = Y.reshape(p, self.dim, n * n)
+        step = max(1, LEAK_BATCH_BYTES // (16 * p * self.dim))
+        G = sum(E[..., i:i + step].conj() @ E[..., i:i + step].swapaxes(1, 2) for i in range(0, n * n, step))
+        return float(np.sqrt(np.max(np.linalg.eigvalsh(G))))
+
+
 def wedderburn(
-    alg: OperatorSubspace | list[np.ndarray],
+    alg: BlockAlgebra | OperatorSubspace | list[np.ndarray],
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> WedderburnDecomposition:
@@ -234,9 +350,10 @@ def _generators(ops, tol: float) -> np.ndarray:
 
     The basis of a subspace is HS-orthonormal by contract; when it is also
     exactly Hermitian, as every ``hermitian_closure`` basis is, the nperp
-    basis of ``reduce_ce`` among them, its stack is used as it is.
+    basis of ``reduce_ce`` among them, its stack is used as it is.  A
+    :class:`BlockAlgebra` gives its basis, formed on this first read.
     """
-    if isinstance(ops, OperatorSubspace):
+    if isinstance(ops, (OperatorSubspace, BlockAlgebra)):
         if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
             return ops.basis
         ops = ops.basis
@@ -265,10 +382,9 @@ def _decompose(ops, tol: float, seed: int) -> tuple[WedderburnDecomposition, lis
     raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
-def _read_off(dec: WedderburnDecomposition, acted_on: list[bool]) -> OperatorSubspace:
-    """The algebra's matrix units over the blocks some generator acts on; see :func:`algebra_closure`."""
-    acted = [k for k, acts in enumerate(acted_on) if acts]
-    return OperatorSubspace(dec.dim, _block_operators(dec, acted, axis=1))
+def _read_off(dec: WedderburnDecomposition, acted_on: list[bool]) -> BlockAlgebra:
+    """The algebra over the blocks some generator acts on; see :func:`algebra_closure`."""
+    return BlockAlgebra(dec, tuple(acted_on))
 
 
 def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:
@@ -361,12 +477,7 @@ class CEFactorization:
         W = U.conj().T @ np.array(S.kraus) @ U
         r = len(S.kraus)
         hoffs, roffs = dec.hilbert_offsets(), dec.reduced_offsets()
-        runs = []  # [first block, number of blocks, d_S, d_F]
-        for k, shape in enumerate(dec.blocks):
-            if runs and tuple(runs[-1][2:]) == shape:
-                runs[-1][1] += 1
-            else:
-                runs.append([k, 1, *shape])
+        runs = dec.runs()
         stacks = []
         for (k, mk, dSk, dFk), (l, ml, dSl, dFl) in product(runs, runs):
             sub = W[:, hoffs[k]:hoffs[k + mk], hoffs[l]:hoffs[l + ml]] / np.sqrt(dFl)

@@ -33,6 +33,9 @@ DEFAULT_TOL = 1e-9
 # The fixed extra cost of a Kraus-form apply over a dense one, in multiply-adds:
 # about the dense matvec of an 8x8 map, so maps that small apply densely
 KRAUS_APPLY_OVERHEAD = 64 * 64
+# The most entries of a slab of real coordinates turned into Hermitian matrices at once:
+# 512 KB of float64, so that the transposed reads stay in cache
+REAL_COORDINATES_SLAB = 2**16
 
 __all__ = [
     "DEFAULT_TOL",
@@ -156,10 +159,18 @@ def closure(
 
     def add(candidates) -> None:
         nonlocal Q, dim, scale, dropped
-        block = candidates if isinstance(candidates, np.ndarray) else list(candidates)
-        if any(np.shape(X) != shape for X in block):
+        if isinstance(candidates, np.ndarray):
+            # a stack is checked once, on the shape of its operators and its dtype
+            block = candidates
+            wrong_shape = block.shape[1:] != shape
+            wrong_dtype = dtype is float and np.iscomplexobj(block)
+        else:
+            block = list(candidates)
+            wrong_shape = any(np.shape(X) != shape for X in block)
+            wrong_dtype = dtype is float and any(np.iscomplexobj(X) for X in block)
+        if wrong_shape:
             raise ValueError("operators must share a common shape")
-        if dtype is float and any(np.iscomplexobj(X) for X in block):
+        if wrong_dtype:
             raise ValueError("complex candidate in a closure of real operators")
         k = len(block)
         if dim == full or k == 0:  # a full basis spans every n x m operator
@@ -261,13 +272,17 @@ def _from_real_coordinates(X: np.ndarray) -> np.ndarray:
     """H = (X + X^T)/2 + i (X - X^T)/2 from its real coordinates X = Re H + Im H,
     for each n x n matrix of a stack (..., n, n).
 
-    Each X^T is read once, into a contiguous copy, and both parts are
-    written straight into the complex result.
+    The stack goes in slabs of as many matrices as fit in ``REAL_COORDINATES_SLAB``
+    entries, at least one: each slab's X^T is read once, into a contiguous
+    copy, and both parts are written straight into the complex result.
     """
     H = np.empty(X.shape, dtype=complex)
     n = X.shape[-1]
-    for Xi, Hi in zip(X.reshape(-1, n, n), H.reshape(-1, n, n)):
-        XT = np.ascontiguousarray(Xi.T)
+    Xs, Hs = X.reshape(-1, n, n), H.reshape(-1, n, n)
+    step = max(1, REAL_COORDINATES_SLAB // (n * n))
+    for i in range(0, len(Xs), step):
+        Xi, Hi = Xs[i:i + step], Hs[i:i + step]
+        XT = np.ascontiguousarray(np.swapaxes(Xi, -1, -2))
         real, imag = Hi.real, Hi.imag
         np.add(Xi, XT, out=real)
         real /= 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import CEFactorization, _decompose, _read_off, conditional_expectation
+from .algebra import BlockAlgebra, CEFactorization, _decompose, _read_off, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import (
     LinearReducedModel,
@@ -54,7 +54,7 @@ class ReducedCE:
     reduction_map: Superoperator            # Phi = R
     factorization: CEFactorization
     nperp: OperatorSubspace
-    output_algebra: OperatorSubspace
+    output_algebra: BlockAlgebra
     original_dim: int
     tol: float
     seed: int
@@ -112,7 +112,8 @@ def reduce_ce(
     Computes the observable subspace and decomposes the *-algebra it
     generates once, from the subspace's basis as generators (see
     :func:`~cereduce.algebra.wedderburn`); the algebra is never closed in
-    operator space, its basis is read off the blocks.  Then builds the CPTP
+    operator space, and is held as its decomposition, with no basis (see
+    :class:`~cereduce.algebra.BlockAlgebra`).  Then builds the CPTP
     factorization of the conditional expectation and conjugates every
     instrument map: reduced M_k = R o M_k o J, with a Kraus list at its Choi
     rank (see :meth:`~cereduce.algebra.CEFactorization.reduce_map`), and
@@ -164,9 +165,11 @@ class AssumptionReport:
     a3: the output algebra is invariant under every measurement effect;
     a4: the output algebra is invariant under the dual of the evolution.
 
-    The residual of a2-a4 is the :func:`~cereduce.observability.check_invariance`
-    leak, the largest over all unit elements of the subspace, so it does not
-    depend on the subspace's basis.
+    The residual of a2-a4 is the leak of
+    :func:`~cereduce.observability.check_invariance`, the largest over all
+    unit elements of the subspace, so it does not depend on the subspace's
+    basis; a3 and a4 read it in the algebra's block coordinates
+    (:meth:`~cereduce.algebra.BlockAlgebra.leak`).
     """
 
     a1: AssumptionCheck
@@ -183,7 +186,7 @@ class AssumptionReport:
 def check_assumptions(
     ce: ConditionalEvolution,
     nperp: OperatorSubspace,
-    alg: OperatorSubspace,
+    alg: BlockAlgebra,
     tol: float = DEFAULT_TOL,
 ) -> AssumptionReport:
     """Evaluate the separability assumptions on a split-form model."""
@@ -197,11 +200,8 @@ def check_assumptions(
 
     # A2: E maps the complement of nperp into itself iff E^dag maps nperp into nperp
     a2_res = check_invariance(nperp, ce.evolution, dual=True)
-    a3_res = max(
-        check_invariance(alg, ce.effects[k], dual=False)
-        for k in ce.outcomes
-    )
-    a4_res = check_invariance(alg, ce.evolution, dual=True)
+    a3_res = alg.leak(*(ce.effects[k] for k in ce.outcomes))
+    a4_res = alg.leak(ce.evolution, dual=True)
 
     a1 = AssumptionCheck(holds=a1_res <= tol * scale, residual=a1_res)
     return AssumptionReport(

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cereduce import algebra
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
-from cereduce.operators import DEFAULT_TOL, Superoperator
+from cereduce.operators import DEFAULT_TOL, OperatorSubspace, Superoperator
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 
 
@@ -184,3 +185,26 @@ def linear_reduce_oracle(ce, sub):
     A = {k: Q.conj() @ ce.instrument.maps[k](sub.basis).reshape(sub.dim, -1).T for k in ce.outcomes}
     C = np.einsum("oab,jba->oj", np.array(ce.output.observables), sub.basis)
     return A, C
+
+
+def read_off(alg):
+    """The matrix units of a :class:`~cereduce.algebra.BlockAlgebra` over its blocks acted on,
+    read off by ``_block_operators`` into an :class:`OperatorSubspace`: the basis path that
+    its basis and its leaks are checked against."""
+    dec = alg.decomposition
+    acted = [k for k, acts in enumerate(alg.acted_on) if acts]
+    return OperatorSubspace(dec.dim, algebra._block_operators(dec, acted, axis=1))
+
+
+def from_real_coordinates_loop(X):
+    """H = (X + X^T)/2 + i (X - X^T)/2 of each n x n matrix of a stack, one matrix at a time."""
+    H = np.empty(X.shape, dtype=complex)
+    n = X.shape[-1]
+    for Xi, Hi in zip(X.reshape(-1, n, n), H.reshape(-1, n, n)):
+        XT = np.ascontiguousarray(Xi.T)
+        real, imag = Hi.real, Hi.imag
+        np.add(Xi, XT, out=real)
+        real /= 2
+        np.subtract(Xi, XT, out=imag)
+        imag /= 2
+    return H

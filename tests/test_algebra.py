@@ -6,6 +6,7 @@ import pytest
 
 from cereduce import algebra
 from cereduce.algebra import (
+    BlockAlgebra,
     DegenerateAlgebraError,
     algebra_closure,
     center,
@@ -13,8 +14,8 @@ from cereduce.algebra import (
     conditional_expectation,
     wedderburn,
 )
-from cereduce.observability import nonobservable_complement
-from cereduce.reduction import reduce_ce
+from cereduce.observability import check_invariance, nonobservable_complement
+from cereduce.reduction import check_assumptions, reduce_ce
 from cereduce.operators import OperatorSubspace, Superoperator, closure, unvec
 from cereduce.zoo import PAULI, haar_unitary, ising_chain, measured_quantum_walk
 from conftest import (
@@ -27,6 +28,7 @@ from conftest import (
     proj,
     projector_matrix,
     random_complex,
+    read_off,
     residual,
     residuals,
     structure_residual,
@@ -251,6 +253,89 @@ class TestGenerators:
         assert calls == []
         algebra_closure(nperp)
         assert calls == [1]
+
+
+# algebras on which the block leak is checked against the basis path: unital ones with
+# runs of equal blocks, and non-unital ones with a block no generator acts on
+LEAK_ALGEBRAS = {
+    "blocks_1-1_1-2": lambda: random_block_algebra(((1, 1), (1, 2)), seed=3),
+    "blocks_2-2_2-2_1-1": lambda: random_block_algebra(((2, 2), (2, 2), (1, 1)), seed=4),
+    "blocks_3-1_2-1_2-1": lambda: random_block_algebra(((3, 1), (2, 1), (2, 1)), seed=5),
+    "non_unital_proj3": lambda: algebra_closure([proj(3, 0)]),
+    "non_unital_proj5x2": lambda: algebra_closure([proj(5, 0), proj(5, 2)]),
+}
+
+
+def random_kraus_map(n, r, rng, diagonal=False):
+    """A CP map on n x n operators with r random Kraus operators, diagonal ones if asked."""
+    if diagonal:
+        return Superoperator(kraus=[np.diag(random_complex(rng, n)) / n for _ in range(r)])
+    return Superoperator(kraus=[random_complex(rng, (n, n)) / n for _ in range(r)])
+
+
+class TestBlockAlgebra:
+    """The algebra held as its decomposition: the basis formed on request, the leak in block
+    coordinates."""
+
+    @pytest.mark.parametrize("family", ALGEBRA_FAMILIES, ids=lambda family: "-".join(map(str, family)))
+    def test_basis_is_the_read_off_bit_for_bit(self, family):
+        for ops in family_generator_sets(family):
+            alg = algebra_closure(ops)
+            assert isinstance(alg, BlockAlgebra)
+            assert "_subspace" not in vars(alg)  # no basis until one is read
+            ref = read_off(alg)
+            assert alg.dim == ref.dim and alg.ambient_dim == ref.ambient_dim
+            assert alg.stacked().tobytes() == ref.stacked().tobytes()
+            assert alg.basis is alg.basis and not alg.basis.flags.writeable
+            assert np.shares_memory(alg.stacked(), alg.basis)
+
+    def test_reduce_ce_forms_no_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a basis of the algebra is formed")
+
+        monkeypatch.setattr(algebra, "_block_operators", refuse)
+        for ce in (ising_chain(4, 0.5, 0.3), ising_chain(5, 0.0, 0.3), measured_quantum_walk(4, seed=4)):
+            red = reduce_ce(ce)
+            rep = check_assumptions(ce, red.nperp, red.output_algebra)
+            assert red.output_algebra.dim == sum(dS * dS for dS, _ in red.blocks)
+            assert rep.a3.holds
+
+    def test_non_unital_keeps_dim_and_basis(self):
+        alg = algebra_closure([proj(3, 0)])
+        assert alg.acted_on.count(False) == 1
+        assert alg.dim == 1
+        assert np.linalg.norm(alg.basis[0] - proj(3, 0)) <= 1e-15
+        assert alg.stacked().tobytes() == read_off(alg).stacked().tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LEAK_ALGEBRAS))
+    @pytest.mark.parametrize("dual", [False, True], ids=["map", "dual"])
+    def test_leak_matches_basis_path(self, name, dual, rng):
+        alg = LEAK_ALGEBRAS[name]()
+        sub, n = read_off(alg), alg.ambient_dim
+        maps = [random_kraus_map(n, 1, rng), random_kraus_map(n, 3, rng),
+                random_kraus_map(n, 2, rng, diagonal=True), Superoperator(kraus=[np.eye(n)])]
+        assert maps[2].form == "elementwise"
+        leaks = [alg.leak(S, dual=dual) for S in maps]
+        for S, got in zip(maps, leaks):
+            assert abs(got - check_invariance(sub, S, dual=dual)) <= 1e-12
+        # the identity leaves every algebra invariant
+        assert leaks[-1] <= 1e-13
+        # maps taken together, Kraus lists padded, give the largest of their leaks
+        assert abs(alg.leak(*maps, dual=dual) - max(leaks)) <= 1e-14
+
+    def test_leak_in_batches_of_one(self, monkeypatch, rng):
+        alg = random_block_algebra(((2, 2), (2, 2), (1, 1)), seed=4)
+        maps = [random_kraus_map(alg.ambient_dim, r, rng) for r in (1, 2, 1)]
+        together = alg.leak(*maps)
+        # one map at a time, and the Gram matrix summed entry by entry
+        monkeypatch.setattr(algebra, "LEAK_BATCH_BYTES", 1)
+        assert abs(alg.leak(*maps) - together) <= 1e-14
+        assert abs(together - max(check_invariance(read_off(alg), S) for S in maps)) <= 1e-12
+
+    def test_empty_algebra_leaks_nothing(self, rng):
+        alg = BlockAlgebra(wedderburn([np.eye(3, dtype=complex)]), (False,))
+        assert alg.dim == 0 and alg.basis.shape == (0, 3, 3)
+        assert alg.leak(random_kraus_map(3, 2, rng)) == 0.0
 
 
 class TestCommutant:

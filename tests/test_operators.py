@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cereduce import operators
 from cereduce.operators import (
     OperatorSubspace,
     Superoperator,
@@ -15,7 +16,16 @@ from cereduce.model import ConditionalEvolution, OutputMap
 from cereduce.observability import nonobservable_complement
 from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
-from conftest import channel_checks, hs_inner, is_hermitian, proj, random_complex, residual, vec
+from conftest import (
+    channel_checks,
+    from_real_coordinates_loop,
+    hs_inner,
+    is_hermitian,
+    proj,
+    random_complex,
+    residual,
+    vec,
+)
 from test_algebra import acceptance_block_generators, projector_distance
 from test_trajectories import non_hermitian_outputs_ce
 
@@ -169,10 +179,18 @@ class TestClosure:
     def test_complex_candidate_in_real_closure_rejected(self, imag, rng):
         # even a candidate complex only in its dtype is refused, never cast
         X = rng.standard_normal((3, 3))
-        with pytest.raises(ValueError, match="complex"):
+        with pytest.raises(ValueError, match="^complex candidate in a closure of real operators$"):
             closure([X], lambda basis, i: [basis[i] @ X, X + 1j * imag * X])
         # a complex op makes the closure complex, where real candidates are welcome
         assert closure([X + 0j], lambda basis, i: [basis[i] @ X]).basis[0].dtype == np.complex128
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["zero_imaginary_part", "imaginary"])
+    def test_complex_stack_in_real_closure_rejected(self, imag, rng):
+        # a stack of candidates is checked once, on its dtype
+        X = rng.standard_normal((3, 3))
+        with pytest.raises(ValueError, match="^complex candidate in a closure of real operators$"):
+            closure([X], lambda basis, i: np.stack([basis[i] @ X, X + 1j * imag * X]))
+        assert closure([X + 0j], lambda basis, i: np.stack([basis[i] @ X])).basis[0].dtype == np.complex128
 
     @pytest.mark.parametrize("where", ["first_projection", "second_projection"])
     def test_reports_largest_dropped_residual(self, where, paulis):
@@ -346,10 +364,16 @@ class TestBlockClosure:
         for X in (A @ V, A.conj().T @ V, random_complex(rng, (4, 2))):
             assert residual(sub, X) <= 1e-12 * np.linalg.norm(X)
 
-    @pytest.mark.parametrize("block", [[PAULI["x"], np.eye(3)], [np.ones(4)]], ids=["3x3", "flat"])
+    @pytest.mark.parametrize("block", [
+        pytest.param([PAULI["x"], np.eye(3)], id="3x3"),
+        pytest.param([np.ones(4)], id="flat"),
+        pytest.param(np.ones((2, 3, 3)), id="3x3_stack"),
+        pytest.param(np.ones((1, 4)), id="flat_stack"),
+    ])
     def test_wrong_shape_in_block_rejected(self, paulis, block):
-        # a flattened 2x2 has the right number of entries and must still be refused
-        with pytest.raises(ValueError):
+        # a flattened 2x2 has the right number of entries and must still be refused; a
+        # stack is checked on the shape of its operators
+        with pytest.raises(ValueError, match="^operators must share a common shape$"):
             closure([paulis["z"]], lambda basis, i: block)
 
 
@@ -380,6 +404,13 @@ class TestHermitianClosure:
         H = np.array([[1, 1j], [-1j, 1]])
         sub = hermitian_closure([H])
         assert sub.dim == 1 and np.array_equal(sub.basis[0], H / 2)
+
+    @pytest.mark.parametrize("shape", [(18, 8, 8), (18, 32, 32), (18, 64, 64), (3, 5, 2, 2), (0, 4, 4),
+                                       (3, 300, 300)])
+    def test_real_coordinates_of_a_stack_match_one_matrix_at_a_time(self, shape, rng):
+        # in slabs of several matrices, of one, and with a short last slab, bit for bit
+        X = rng.standard_normal(shape)
+        assert operators._from_real_coordinates(X).tobytes() == from_real_coordinates_loop(X).tobytes()
 
     def test_real_coordinates_are_isometric(self, rng):
         Hs = [G + G.conj().T for G in (random_complex(rng, (4, 4)) for _ in range(6))]

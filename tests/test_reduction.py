@@ -8,8 +8,8 @@ import pytest
 
 from cereduce import operators, reduction
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
-from cereduce.observability import nonobservable_complement
-from cereduce.operators import Superoperator
+from cereduce.observability import check_invariance, nonobservable_complement
+from cereduce.operators import DEFAULT_TOL, Superoperator
 from cereduce.reduction import (
     EquivalenceReport,
     check_assumptions,
@@ -27,6 +27,7 @@ from conftest import (
     outputs,
     projector_matrix,
     random_ce,
+    read_off,
     vec,
 )
 
@@ -476,6 +477,14 @@ class TestDualWalkMatchesPrimal:
         assert rep.worst_case == (0, (ising.outcomes[0],)) and rep.passed
 
 
+# the split models on which A3 and A4 are checked against the basis path
+LEAK_ORACLE_MODELS = {
+    **SPLIT_MODELS,
+    **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in (6, 7) for p in (0.0, 0.5)},
+    **{f"walk{n}": (lambda n=n: measured_quantum_walk(n, seed=n)) for n in (7, 8)},
+}
+
+
 class TestAssumptions:
     def test_ising_p_half(self):
         ce = ising_chain(4, 0.5, 0.3)
@@ -504,6 +513,20 @@ class TestAssumptions:
         assert not rep.a2.holds and rep.a2.residual == pytest.approx(0.5646424733950358, abs=1e-9)
         assert rep.a3.holds and rep.a3.residual <= 1e-12
         assert not rep.a4.holds and rep.a4.residual == pytest.approx(0.5646424733950358, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(LEAK_ORACLE_MODELS))
+    def test_block_leaks_match_basis_path(self, name):
+        # A3 and A4 on the basis path: check_invariance on the algebra's matrix units,
+        # pushed through each map and projected back
+        ce = LEAK_ORACLE_MODELS[name]()
+        red = reduce_ce(ce)
+        rep = check_assumptions(ce, red.nperp, red.output_algebra)
+        sub = read_off(red.output_algebra)
+        a3 = max(check_invariance(sub, ce.effects[k]) for k in ce.outcomes)
+        a4 = check_invariance(sub, ce.evolution, dual=True)
+        for got, want in ((rep.a3, a3), (rep.a4, a4)):
+            assert abs(got.residual - want) <= 1e-12
+            assert got.holds == (want <= 10 * DEFAULT_TOL)
 
     def test_walk_a3(self, walk4, walk4_red):
         rep = check_assumptions(walk4, walk4_red.nperp, walk4_red.output_algebra)
