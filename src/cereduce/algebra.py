@@ -8,13 +8,14 @@ element, a random product of combinations of 1 and the G_i, has in each
 block d_S eigenspaces of dimension d_F, and the orbit of one eigenspace
 under the G_i spans its block with the multiplicity slices already
 aligned.  The orbit closures certify the draw, with no conjugation of a
-generator by U (see :func:`wedderburn`).  The algebra the G_i generate is
-held as that decomposition, a :class:`BlockAlgebra`, whose basis
-U_k (E_st otimes 1_F) U_k^dag is formed only on request.  Its center and
-its commutant are read off the blocks in closed form: the block
-projections and U_k (1_S otimes E_fg) U_k^dag, each an
-:class:`~cereduce.operators.OperatorSubspace`, its basis one (dim, n, n)
-stack.
+generator by U (see :func:`algebra_closure`, the one decomposer).  The
+algebra is held as that decomposition, a :class:`BlockAlgebra`, whose basis
+U_k (E_st otimes 1_F) U_k^dag is formed only on request; :func:`wedderburn`,
+:func:`center` and :func:`commutant` read a :class:`BlockAlgebra`, never
+decomposing it again.  Center and commutant are read off the blocks in
+closed form: the block projections and U_k (1_S otimes E_fg) U_k^dag, each
+an :class:`~cereduce.operators.OperatorSubspace`, its basis one
+(dim, n, n) stack.
 
 From the decomposition one obtains the unique Hilbert-Schmidt-orthogonal
 conditional expectation onto the algebra, factorized into a CPTP
@@ -64,17 +65,55 @@ class DegenerateAlgebraError(RuntimeError):
 
 
 def algebra_closure(
-    subspace: OperatorSubspace | list[np.ndarray],
+    ops: BlockAlgebra | OperatorSubspace | list[np.ndarray],
     tol: float = DEFAULT_TOL,
+    seed: int = 0,
 ) -> BlockAlgebra:
-    """Smallest *-algebra containing the given span.
+    """Smallest *-algebra containing the given operators, held as its block decomposition.
 
-    Never closed under products in operator space: the block decomposition
-    of what the operators generate (see :func:`wedderburn`), held as a
-    :class:`BlockAlgebra` over every block on which some generator acts.
-    The algebra is unital, holding the identity, when that is every block.
+    Never closed under products in operator space.  The generators G_i are
+    the orthonormalized Hermitian parts of the operators (a subspace's basis,
+    or a list); a basis that is already exactly Hermitian is used as it is.
+    Together with the identity they generate a unital algebra; its generic
+    element, the Hermitian part of a product of L factors
+    c_0 1 + sum_i c_i G_i with complex Gaussian c, has in each block d_S
+    eigenspaces of dimension d_F, with distinct eigenvalues across all
+    blocks.  The orbit of an eigenspace V under the generators, the
+    :func:`~cereduce.operators.closure` of the n x d_F matrix V under
+    V -> G_i V, spans its block: every orbit element has the form
+    U_k (x otimes W) for one W, so its d_F columns are already aligned
+    multiplicity slices.  The block so found must hold d_S whole eigenspaces
+    of dimension d_F, none of them claimed by another block.  The draw is
+    accepted only if every generator, and so the whole algebra, has the block
+    form up to a bound of at most max(sqrt(tol), 1e-8).  With rho_k the
+    largest residual block k's orbit closure dropped, G_i U = U X + E with
+    X = (+) C_k otimes 1_F, ||X|| <= ||G_i||_F = 1 and
+    ||E||_F^2 <= sum_k d_S d_F rho_k^2; so with delta = ||U^dag U - 1||_F,
+    ||U^dag G_i U - X||_F is at most ``structure_bound`` =
+    delta + (1 + delta) sqrt(sum_k d_S d_F rho_k^2), which without delta
+    would hold only for a unitary U.  A refused draw is followed by one
+    seeded by (``seed``, its index) with twice the length L, from L = 1 up to
+    ``MAX_REDRAWS`` draws.  The algebra is held over the blocks some
+    generator acts on, and is unital when that is every block.  A
+    :class:`BlockAlgebra` is returned as it is, not decomposed again, and
+    ``tol`` and ``seed`` go unused.
     """
-    return _read_off(*_decompose(subspace, tol, 0))
+    if isinstance(ops, BlockAlgebra):
+        return ops
+    G = _generators(ops, tol)
+    struct_tol = max(np.sqrt(tol), 1e-8)
+    last_err = "no attempt made"
+    for attempt in range(MAX_REDRAWS):
+        rng = np.random.default_rng([seed, attempt])
+        try:
+            dec, acted_on = _wedderburn_attempt(G, 2**attempt, tol, rng)
+        except DegenerateAlgebraError as exc:
+            last_err = str(exc)
+            continue
+        if dec.structure_bound <= struct_tol:
+            return BlockAlgebra(dec, tuple(acted_on))
+        last_err = f"structure bound {dec.structure_bound:.3e} exceeds {struct_tol:.1e}"
+    raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
 
 
 def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> np.ndarray:
@@ -109,28 +148,31 @@ def _block_operators(dec: WedderburnDecomposition, ks, axis: int) -> np.ndarray:
 def commutant(alg: BlockAlgebra | OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """All operators commuting with every element of the algebra.
 
-    Read off the block decomposition in closed form as
-    U ((+) 1_{d_S} otimes B(C^{d_F})) U^dag, with an HS-orthonormal Hermitian
-    basis.  The decomposition covers the identity too, so a non-unital
-    algebra gets the commutant of its unitization, which is the same.
+    Read off the block decomposition of :func:`algebra_closure` in closed
+    form as U ((+) 1_{d_S} otimes B(C^{d_F})) U^dag, with an HS-orthonormal
+    Hermitian basis; a :class:`BlockAlgebra` is read, not decomposed again.
+    The decomposition covers the identity too, so a non-unital algebra gets
+    the commutant of its unitization, which is the same.
     """
-    dec, _ = _decompose(alg, tol, 0)
+    dec = algebra_closure(alg, tol).decomposition
     return OperatorSubspace(dec.dim, _block_operators(dec, range(len(dec.blocks)), axis=2))
 
 
 def center(alg: BlockAlgebra | OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """The center: elements of the algebra commuting with the whole algebra.
 
-    Read off the block decomposition as the span of the block projections
-    U_k U_k^dag, HS-normalized by sqrt(d_S d_F); they are mutually orthogonal
-    and Hermitian.  A block projection lies in the generated algebra exactly
+    Read off the block decomposition of :func:`algebra_closure` as the span
+    of the block projections U_k U_k^dag, HS-normalized by sqrt(d_S d_F); they
+    are mutually orthogonal and Hermitian.  A :class:`BlockAlgebra` is read,
+    not decomposed again.  A block projection lies in the algebra exactly
     when some generator acts on its block; only those are kept, which drops
     the block of a non-unital algebra on which every element vanishes.
     """
-    dec, acted_on = _decompose(alg, tol, 0)
+    alg = algebra_closure(alg, tol)
+    dec = alg.decomposition
     ops = []
     for k, (dS, dF) in enumerate(dec.blocks):
-        if acted_on[k]:
+        if alg.acted_on[k]:
             Uk = dec.block_isometry(k)
             ops.append(Uk @ Uk.conj().T / np.sqrt(dS * dF))
     return OperatorSubspace(dec.dim, ops)
@@ -144,7 +186,7 @@ class WedderburnDecomposition:
     (d_S, d_F), column ``s * d_F + f`` carries the s-th inner and f-th
     multiplicity index, so conjugated algebra elements look like
     ``X_S otimes 1_F`` on each block, each generator within ``structure_bound``
-    of that form in Frobenius norm (see :func:`wedderburn`).
+    of that form in Frobenius norm (see :func:`algebra_closure`).
     """
 
     U: np.ndarray
@@ -316,33 +358,15 @@ def wedderburn(
 ) -> WedderburnDecomposition:
     """Block decomposition of the unital *-algebra generated by the given operators.
 
-    The generators G_i are the orthonormalized Hermitian parts of the
-    operators (a subspace's basis, an algebra's among them, or a list); a basis
-    that is already exactly Hermitian is used as it is.  Together
-    with the identity they generate a unital algebra; its generic element,
-    the Hermitian part of a product of L factors c_0 1 + sum_i c_i G_i with
-    complex Gaussian c, has in each block d_S eigenspaces of dimension d_F,
-    with distinct eigenvalues across all blocks.  The orbit of an eigenspace
-    V under the generators, the :func:`~cereduce.operators.closure` of the
-    n x d_F matrix V under V -> G_i V, spans its block: every orbit element
-    has the form U_k (x otimes W) for one W, so its d_F columns are already
-    aligned multiplicity slices.  The block so found must hold d_S whole
-    eigenspaces of dimension d_F, none of them claimed by another block.
-    The draw is accepted only if every generator, and so the whole algebra,
-    has the block form up to a bound of at most max(sqrt(tol), 1e-8).  With
-    rho_k the largest residual block k's orbit closure dropped, G_i U = U X + E
-    with X = (+) C_k otimes 1_F, ||X|| <= ||G_i||_F = 1 and ||E||_F^2 <=
-    sum_k d_S d_F rho_k^2; so with delta = ||U^dag U - 1||_F, ||U^dag G_i U - X||_F
-    is at most ``structure_bound`` = delta + (1 + delta) sqrt(sum_k d_S d_F rho_k^2),
-    which without delta would hold only for a unitary U.  A refused draw is
-    followed by a fresh seed with twice the length L, from L = 1 up to
-    ``MAX_REDRAWS`` draws.  Raises ValueError when the generated algebra is
-    not unital, that is when every generator vanishes on some block.
+    The decomposition of :func:`algebra_closure`, drawn with ``seed``; a
+    :class:`BlockAlgebra` is read, not decomposed again, and its own
+    decomposition is returned.  Raises ValueError when the algebra is not
+    unital, that is when every generator vanishes on some block.
     """
-    dec, acted_on = _decompose(alg, tol, seed)
-    if not all(acted_on):
+    alg = algebra_closure(alg, tol, seed)
+    if not all(alg.acted_on):
         raise ValueError("Wedderburn decomposition requires a unital algebra")
-    return dec
+    return alg.decomposition
 
 
 def _generators(ops, tol: float) -> np.ndarray:
@@ -350,41 +374,13 @@ def _generators(ops, tol: float) -> np.ndarray:
 
     The basis of a subspace is HS-orthonormal by contract; when it is also
     exactly Hermitian, as every ``hermitian_closure`` basis is, the nperp
-    basis of ``reduce_ce`` among them, its stack is used as it is.  A
-    :class:`BlockAlgebra` gives its basis, formed on this first read.
+    basis of ``reduce_ce`` among them, its stack is used as it is.
     """
-    if isinstance(ops, (OperatorSubspace, BlockAlgebra)):
+    if isinstance(ops, OperatorSubspace):
         if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
             return ops.basis
         ops = ops.basis
     return hermitian_closure(ops, tol=tol).basis
-
-
-def _decompose(ops, tol: float, seed: int) -> tuple[WedderburnDecomposition, list[bool]]:
-    """The decomposition of the algebra the G_i of :func:`_generators` generate plus 1, and
-    for each block whether a generator acts on it (all of them when the algebra is unital).
-
-    See :func:`wedderburn` for the decomposition.
-    """
-    G = _generators(ops, tol)
-    struct_tol = max(np.sqrt(tol), 1e-8)
-    last_err = "no attempt made"
-    for attempt in range(MAX_REDRAWS):
-        rng = np.random.default_rng([seed, attempt])
-        try:
-            dec, acted_on = _wedderburn_attempt(G, 2**attempt, tol, rng)
-        except DegenerateAlgebraError as exc:
-            last_err = str(exc)
-            continue
-        if dec.structure_bound <= struct_tol:
-            return dec, acted_on
-        last_err = f"structure bound {dec.structure_bound:.3e} exceeds {struct_tol:.1e}"
-    raise DegenerateAlgebraError(f"failed to separate blocks after {MAX_REDRAWS} redraws: {last_err}")
-
-
-def _read_off(dec: WedderburnDecomposition, acted_on: list[bool]) -> BlockAlgebra:
-    """The algebra over the blocks some generator acts on; see :func:`algebra_closure`."""
-    return BlockAlgebra(dec, tuple(acted_on))
 
 
 def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, list[bool]]:

@@ -89,6 +89,10 @@ def _load_model(path: str) -> tuple[ConditionalEvolution, dict]:
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply to read")
     try:
         return serialize.ce_from_json(doc), doc
     except (ValueError, KeyError) as exc:

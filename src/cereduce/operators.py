@@ -88,7 +88,7 @@ class OperatorSubspace:
 
     The basis is one read-only C-contiguous (dim, n, m) array, with n =
     ``ambient_dim``, real or complex; it is square everywhere except in the
-    orbits of :func:`~cereduce.algebra.wedderburn`.  A sequence of operators
+    orbits of :func:`~cereduce.algebra.algebra_closure`.  A sequence of operators
     is stacked into that array once, here.  Every projection goes through
     the (dim, n m) view Q of the same memory, :meth:`stacked`, whose row i
     is B_i flattened row-major, many operators at a time when they are

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import BlockAlgebra, CEFactorization, _decompose, _read_off, conditional_expectation
+from .algebra import BlockAlgebra, CEFactorization, algebra_closure, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
 from .observability import (
     LinearReducedModel,
@@ -111,7 +111,7 @@ def reduce_ce(
 
     Computes the observable subspace and decomposes the *-algebra it
     generates once, from the subspace's basis as generators (see
-    :func:`~cereduce.algebra.wedderburn`); the algebra is never closed in
+    :func:`~cereduce.algebra.algebra_closure`); the algebra is never closed in
     operator space, and is held as its decomposition, with no basis (see
     :class:`~cereduce.algebra.BlockAlgebra`).  Then builds the CPTP
     factorization of the conditional expectation and conjugates every
@@ -120,11 +120,10 @@ def reduce_ce(
     reduced output = C o J.
     """
     nperp = nonobservable_complement(ce, tol)
-    dec, acted_on = _decompose(nperp, tol, seed)
-    if not all(acted_on):
+    alg = algebra_closure(nperp, tol, seed)
+    if not all(alg.acted_on):
         raise ValueError("the observables generate a non-unital algebra")
-    alg = _read_off(dec, acted_on)
-    fact = conditional_expectation(dec)
+    fact = conditional_expectation(alg.decomposition)
 
     maps, cuts = _reduce_maps(fact, {k: ce.instrument.maps[k] for k in ce.outcomes}, tol)
     inst = Instrument(outcomes=ce.outcomes, maps=maps)

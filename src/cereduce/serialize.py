@@ -276,5 +276,5 @@ def save_json(doc: dict | list, path: str) -> None:
 
 
 def load_json(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)

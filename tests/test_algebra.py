@@ -165,8 +165,9 @@ class TestAlgebraClosure:
         # on, holding every generator and closed under products
         for ops in family_generator_sets(family):
             alg = algebra_closure(ops)
-            dec, acted_on = algebra._decompose(ops, 1e-9, 0)
-            assert alg.dim == sum(dS * dS for (dS, _), acts in zip(dec.blocks, acted_on) if acts)
+            ref = algebra_closure(ops, 1e-9, 0)
+            assert alg.dim == sum(dS * dS for (dS, _), acts in zip(ref.decomposition.blocks, ref.acted_on)
+                                  if acts)
             assert all(np.array_equal(B, B.conj().T) for B in alg.basis)
             Q = alg.stacked()
             assert np.linalg.norm(Q.conj() @ Q.T - np.eye(alg.dim)) <= 1e-12
@@ -240,19 +241,24 @@ class TestGenerators:
         assert np.linalg.norm(P - Q) <= 1e-12
         assert algebra_closure(closure([ops[0]])).dim == algebra_closure([ops[0]]).dim == 1
 
-    def test_only_algebra_callers_read_the_basis_off(self, monkeypatch):
-        nperp = nonobservable_complement(ising_chain(4, 0.5, 0.3))
-        alg = algebra_closure(nperp)
-        calls = []
-        real = algebra._read_off
-        monkeypatch.setattr(algebra, "_read_off", lambda *a: calls.append(1) or real(*a))
-        wedderburn(nperp)
-        commutant(alg)
+    def test_a_block_algebra_is_read_not_decomposed(self, monkeypatch):
+        # no draw and no basis: algebra_closure returns the algebra, wedderburn its decomposition
+        alg = algebra_closure(nonobservable_complement(ising_chain(4, 0.5, 0.3)))
+        non_unital = algebra_closure([proj(3, 0)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BlockAlgebra is decomposed again")
+
+        monkeypatch.setattr(algebra, "_wedderburn_attempt", refuse)
+        assert algebra_closure(alg) is alg and algebra_closure(alg, 1e-6, seed=5) is alg
+        assert wedderburn(alg) is alg.decomposition and wedderburn(alg, seed=3) is alg.decomposition
+        assert commutant(alg).dim == 8
         assert center(alg).dim == 2
-        assert center(closure([proj(3, 0)])).dim == 1
-        assert calls == []
-        algebra_closure(nperp)
-        assert calls == [1]
+        assert algebra_closure(non_unital) is non_unital
+        assert center(non_unital).dim == 1 and commutant(non_unital).dim == 5
+        with pytest.raises(ValueError):
+            wedderburn(non_unital)
+        assert "_subspace" not in vars(alg) and "_subspace" not in vars(non_unital)
 
 
 # algebras on which the block leak is checked against the basis path: unital ones with
@@ -466,10 +472,10 @@ class TestWedderburn:
             assert structure_residual(dec, B) < 1e-8
 
     def test_block_dims_seed_independent(self):
-        alg = random_block_algebra(((2, 1), (1, 2), (1, 1)), seed=9)
+        ops = block_algebra_generators(((2, 1), (1, 2), (1, 1)), seed=9)
         references = None
         for seed in range(5):
-            dec = wedderburn(alg, seed=seed)
+            dec = wedderburn(ops, seed=seed)
             ms = sorted(dec.blocks)
             if references is None:
                 references = ms
@@ -482,12 +488,12 @@ class TestWedderburn:
     )
     @pytest.mark.parametrize("seed", range(5))
     def test_repeated_block_shapes(self, blocks, seed):
-        alg = random_block_algebra(blocks, seed=seed)
-        dec = wedderburn(alg, seed=seed)
+        ops = block_algebra_generators(blocks, seed=seed)
+        dec = wedderburn(ops, seed=seed)
         assert sorted(dec.blocks) == sorted(blocks)
         n = dec.dim
         assert np.linalg.norm(dec.U @ dec.U.conj().T - np.eye(n)) <= 1e-10
-        for B in alg.basis:
+        for B in ops:
             assert structure_residual(dec, B) <= 1e-12
 
     def test_non_unital_rejected(self):
@@ -527,7 +533,8 @@ class TestWedderburn:
     def test_generators_give_the_blocks_of_their_algebra(self, family):
         for ops in family_generator_sets(family):
             dec, alg = wedderburn(ops), algebra_closure(ops)
-            assert dec.blocks == wedderburn(alg).blocks
+            # the algebra's own basis, given as generators, gives the same blocks
+            assert dec.blocks == wedderburn(OperatorSubspace(alg.ambient_dim, alg.basis)).blocks
             assert max(structure_residual(dec, B) for B in alg.basis) <= 1e-10
             # the certificate of the draw holds for each generator it was read off
             G = algebra._generators(ops, 1e-9)
@@ -545,7 +552,7 @@ class TestWedderburn:
             H = random_complex(rng, B.shape)
             H += H.conj().T
             moved.append(B + 1e-8 * H / np.linalg.norm(H))
-        dec, _ = algebra._decompose(moved, tol, 0)
+        dec = algebra_closure(moved, tol, 0).decomposition
         G = algebra._generators(moved, tol)
         n = dec.dim
         assert sorted(dec.blocks) == sorted(blocks)

@@ -147,10 +147,20 @@ class TestReduce:
     def test_missing_file_exit2(self, tmp_path):
         assert main(["reduce", str(tmp_path / "absent.json")]) == 2
 
-    def test_malformed_json_exit2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["reduce", "verify", "simulate"])
+    @pytest.mark.parametrize(
+        "payload",
+        [b"{not json", b"\xff\xfe\x00bad", b"[" * 100000 + b"]" * 100000],
+        ids=["syntax", "not_utf8", "nested_past_recursion_limit"],
+    )
+    def test_malformed_json_exit2(self, command, payload, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["reduce", str(bad)]) == 2
+        bad.write_bytes(payload)
+        args = [command, str(bad)] + ([str(bad)] if command == "verify" else [])
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
 
     def test_invalid_model_exit2(self, tmp_path, walk_files):
         model, _ = walk_files
