@@ -1,19 +1,25 @@
 """JSON interchange for models and reduction artifacts.
 
-A matrix serializes as one entry {"shape": [rows, cols], "c16": "<base64>"},
-the string holding its row-major, little-endian complex128 bytes, so every
-float64 is kept bit for bit and no number goes through JSON.  The older form,
-row-major nested arrays of [re, im] pairs, is still read.  A map is its
-"kraus" list of such entries.  Records and distributions keep complex
-numbers as readable [re, im] pairs.  Reduced models are written as ordinary
-conditional-evolution documents with an extra "reduction" block, so every
-command that accepts a model also accepts a reduced one.  Its "R" is the
-basis U of the block decomposition with the blocks and the shape [D^2, n^2]
-of R's matrix, {"shape": [D^2, n^2], "blocks": [[d_S, d_F], ...], "U": <entry>},
-from which R's Kraus list is rebuilt, bit for bit, as the reduction built it
+A matrix serializes as one entry
+{"shape": [rows, cols], "nonzero": "<base64>", "c16": "<base64>"}.
+"nonzero" is a bitmap in :func:`numpy.packbits` order (row-major, most
+significant bit first, padding bits zero) marking the entries whose 16 bytes
+are not all zero, and "c16" holds the marked entries alone, row-major, as
+little-endian complex128 bytes.  So every float64 is kept bit for bit, -0.0
+and NaN payloads included, no number goes through JSON, and a zero entry
+costs one bit.  Two older forms are still read: the dense
+{"shape", "c16"} entry, holding every entry's bytes, and row-major nested
+arrays of [re, im] pairs.  A map is its "kraus" list of such entries.
+Records and distributions keep complex numbers as readable [re, im] pairs.
+Reduced models are written as ordinary conditional-evolution documents with
+an extra "reduction" block, so every command that accepts a model also
+accepts a reduced one.  Its "R" is the basis U of the block decomposition with
+the blocks and the shape [D^2, n^2] of R's matrix,
+{"shape": [D^2, n^2], "blocks": [[d_S, d_F], ...], "U": <entry>}, from which
+R's Kraus list is rebuilt, bit for bit, as the reduction built it
 (:func:`~cereduce.algebra.compression`).  Files written before hold R as its
 Kraus list, {"shape": [D^2, n^2], "kraus": [...]}, with U beside it as
-"reduction"."U", or as its dense matrix, in either matrix form; all still load.
+"reduction"."U", or as its dense matrix, in any matrix form; all still load.
 """
 
 from __future__ import annotations
@@ -43,10 +49,18 @@ __all__ = [
 ]
 
 
+def _b64(a: np.ndarray) -> str:
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
 def matrix_to_json(M: np.ndarray) -> dict:
-    """The {"shape", "c16"} entry of a 2-D array: its row-major little-endian complex128 bytes."""
+    """The {"shape", "nonzero", "c16"} entry of a 2-D array: the bitmap of its entries
+    whose bytes are not all zero, and those entries' row-major little-endian complex128 bytes."""
     M = np.ascontiguousarray(M, "<c16")
-    return {"shape": [int(d) for d in M.shape], "c16": base64.b64encode(M.tobytes()).decode("ascii")}
+    flat = M.reshape(-1)
+    nonzero = flat.view("<u8").reshape(-1, 2).any(axis=1)
+    return {"shape": [int(d) for d in M.shape], "nonzero": _b64(np.packbits(nonzero)),
+            "c16": _b64(flat[nonzero])}
 
 
 def _shape(data: dict) -> tuple[int, int]:
@@ -58,31 +72,54 @@ def _shape(data: dict) -> tuple[int, int]:
     return tuple(shape)
 
 
-def _matrix_from_c16(data: dict) -> np.ndarray:
-    """Decode a {"shape", "c16"} entry, checking shape and payload length before allocating."""
-    shape = _shape(data)
-    payload = data.get("c16")
+def _payload(data: dict, key: str, n_bytes: int, what: str) -> bytes:
+    """The ``n_bytes`` held by the base64 string ``data[key]``, its length checked before decoding."""
+    payload = data.get(key)
     if not isinstance(payload, str):
-        raise ValueError(f"matrix 'c16' must be a base64 string, not {type(payload).__name__}")
-    rows, cols = shape
-    n_bytes = 16 * rows * cols
+        raise ValueError(f"matrix {key!r} must be a base64 string, not {type(payload).__name__}")
     # base64 spends 4 characters on every 3 bytes, the last group padded
     if len(payload) != 4 * -(-n_bytes // 3):
-        raise ValueError(f"matrix 'c16' of {len(payload)} characters cannot hold the "
-                         f"{n_bytes} bytes of a {rows}x{cols} complex128 matrix")
+        raise ValueError(f"matrix {key!r} of {len(payload)} characters cannot hold "
+                         f"the {n_bytes} bytes of {what}")
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as exc:  # binascii.Error
-        raise ValueError(f"matrix 'c16' is not strict base64: {exc}") from None
+        raise ValueError(f"matrix {key!r} is not strict base64: {exc}") from None
     if len(raw) != n_bytes:
-        raise ValueError(f"matrix 'c16' holds {len(raw)} bytes, not the {n_bytes} of a {rows}x{cols} matrix")
-    return np.frombuffer(raw, "<c16").astype(complex).reshape(rows, cols)
+        raise ValueError(f"matrix {key!r} holds {len(raw)} bytes, not the {n_bytes} of {what}")
+    return raw
+
+
+def _matrix_from_c16(data: dict) -> np.ndarray:
+    """Decode a {"shape", "nonzero", "c16"} or dense {"shape", "c16"} entry.
+
+    Each string's length is checked before it is decoded: the bitmap's
+    against the declared shape, and the entries' against the count of marked
+    entries, once the bitmap's padding bits are found zero.  ValueError otherwise.
+    """
+    rows, cols = _shape(data)
+    size = rows * cols
+    if "nonzero" not in data:
+        raw = _payload(data, "c16", 16 * size, f"a {rows}x{cols} complex128 matrix")
+        return np.frombuffer(raw, "<c16").astype(complex).reshape(rows, cols)
+    bits = np.frombuffer(_payload(data, "nonzero", -(-size // 8), f"the bitmap of a {rows}x{cols} matrix"),
+                         np.uint8)
+    pad = -size % 8
+    if pad and bits[-1] & ((1 << pad) - 1):
+        raise ValueError(f"matrix 'nonzero' sets padding bits past the {size} entries "
+                         f"of a {rows}x{cols} matrix")
+    nonzero = np.unpackbits(bits, count=size).view(bool)
+    count = int(np.count_nonzero(nonzero))
+    raw = _payload(data, "c16", 16 * count, f"its {count} marked complex128 entries")
+    M = np.zeros(size, complex)
+    M[nonzero] = np.frombuffer(raw, "<c16")
+    return M.reshape(rows, cols)
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """Matrix from a {"shape", "c16"} entry, from rows of [re, im] pairs, or, for a
-    {"shape", "kraus"} or {"shape", "blocks", "U"} entry, the (out^2, in^2) matrix
-    of the map it holds.
+    """Matrix from a {"shape", "nonzero", "c16"} or {"shape", "c16"} entry, from rows
+    of [re, im] pairs, or, for a {"shape", "kraus"} or {"shape", "blocks", "U"}
+    entry, the (out^2, in^2) matrix of the map it holds.
 
     ValueError on a malformed entry, or on ragged, non-numeric or misshapen rows.
     """

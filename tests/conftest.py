@@ -1,3 +1,4 @@
+import base64
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,28 @@ def outputs(ce, X):
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def dense_entry(M):
+    """M as a dense {"shape", "c16"} entry, holding every entry's row-major little-endian
+    complex128 bytes: the form files were written in before zero entries were left out,
+    built here from the bytes, not by the writer."""
+    M = np.ascontiguousarray(M, "<c16")
+    return {"shape": list(M.shape), "c16": base64.b64encode(M.tobytes()).decode("ascii")}
+
+
+def list_entry(M):
+    """M as row-major rows of [re, im] pairs, the form older still."""
+    return np.stack([M.real, M.imag], -1).tolist()
+
+
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def stored(entry):
+    """The decoded "nonzero" bitmap and "c16" entry bytes of a {"shape", "nonzero", "c16"} entry."""
+    return base64.b64decode(entry["nonzero"]), base64.b64decode(entry["c16"])
 
 
 def ket(n, j):

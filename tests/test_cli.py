@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from cereduce.serialize import (
 )
 from cereduce.trajectories import WORD_CAP, StateEscapedError
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import swap3_ce, vec
+from conftest import b64, dense_entry, list_entry, stored, swap3_ce, vec
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -131,6 +134,8 @@ class TestReduce:
         R = load_json(str(reduced))["reduction"]["R"]
         assert R["shape"] == [64, 1024] and R["blocks"] == [[4, 4], [4, 4]] and R["U"]["shape"] == [32, 32]
         assert reduced.stat().st_size < 0.05e6
+        # zero entries are not written: every entry's bytes took 241 KB
+        assert model.stat().st_size < 0.1e6
 
     def test_degenerate_algebra_exit3(self, walk_files, tmp_path, monkeypatch, capsys):
         def degenerate(*args):
@@ -322,7 +327,8 @@ class TestVerify:
         assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
         old = _write(tmp_path / "old.red.json", _dense_r(load_json(str(reduced))))
-        assert set(load_json(old)["reduction"]["R"]) == {"shape", "c16"}
+        R = load_json(old)["reduction"]["R"]
+        assert set(R) == {"shape", "c16"} and R["shape"] == [64, 256]
         reports = []
         for path in (str(reduced), old):
             capsys.readouterr()
@@ -400,16 +406,15 @@ class TestVerify:
 def _dense_r(doc):
     """The reduced document with R rewritten as its dense {"shape", "c16"} matrix, the form
     reduced files held before R was written as its Kraus list."""
-    doc["reduction"]["R"] = matrix_to_json(matrix_from_json(doc["reduction"]["R"]))
+    doc["reduction"]["R"] = dense_entry(matrix_from_json(doc["reduction"]["R"]))
     return doc
 
 
 def _list_form(doc):
-    """The document with every {"shape", "c16"} entry rewritten as rows of [re, im] pairs."""
+    """The document with every base64 matrix entry, sparse or dense, rewritten as rows of [re, im] pairs."""
     if isinstance(doc, dict):
-        if set(doc) == {"shape", "c16"}:
-            M = matrix_from_json(doc)
-            return np.stack([M.real, M.imag], -1).tolist()
+        if "c16" in doc:
+            return list_entry(matrix_from_json(doc))
         return {k: _list_form(v) for k, v in doc.items()}
     if isinstance(doc, list):
         return [_list_form(v) for v in doc]
@@ -426,6 +431,9 @@ class TestListForm:
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
         old = [_write(tmp_path / f"old.{model.name}", _list_form(load_json(str(model)))),
                _write(tmp_path / f"old.{reduced.name}", _list_form(_dense_r(load_json(str(reduced)))))]
+        # every matrix was rewritten
+        assert all('"c16"' in open(new).read() and '"c16"' not in open(path).read()
+                   for new, path in zip((model, reduced), old))
         return (str(model), str(reduced)), old
 
     def test_reduce_writes_the_same_file(self, tmp_path, ising_files):
@@ -445,6 +453,56 @@ class TestListForm:
         assert main(["simulate", reduced, "--samples", "50", "--seed", "4", "-o", str(new)]) == 0
         assert main(["simulate", old_reduced, "--samples", "50", "--seed", "4", "-o", str(old)]) == 0
         assert new.read_text() == old.read_text()
+
+
+def _sparse_form(doc):
+    """The document with every dense {"shape", "c16"} entry rewritten by the writer."""
+    if isinstance(doc, dict):
+        if set(doc) == {"shape", "c16"}:
+            return matrix_to_json(matrix_from_json(doc))
+        return {k: _sparse_form(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_sparse_form(v) for v in doc]
+    return doc
+
+
+class TestDenseFiles:
+    """The Ising N=4 p=0.5 pair in tests/data, written with every entry's bytes, and the same
+    pair rewritten with its nonzero entries only, read alike by every command."""
+
+    @pytest.fixture()
+    def pairs(self, tmp_path):
+        dense = [str(DATA / "dense_ising4.json"), str(DATA / "dense_ising4.red.json")]
+        sparse = [_write(tmp_path / Path(path).name, _sparse_form(load_json(path))) for path in dense]
+        for old, new in zip(dense, sparse):
+            assert '"nonzero"' not in open(old).read()
+            assert Path(new).stat().st_size < 0.6 * Path(old).stat().st_size
+        return dense, sparse
+
+    def test_verify_passes_with_the_same_report(self, pairs, capsys):
+        reports = []
+        for model, reduced in pairs:
+            capsys.readouterr()
+            assert main(["verify", model, reduced, "--tv", "3"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and reports[0].splitlines()[-1] == "verification passed"
+
+    def test_simulate_writes_the_same_records(self, tmp_path, pairs):
+        for i in range(2):
+            records = []
+            for pair in pairs:
+                out = tmp_path / f"{len(records)}.jsonl"
+                assert main(["simulate", pair[i], "--samples", "20", "--seed", "11", "-o", str(out)]) == 0
+                records.append(out.read_text())
+            assert records[0] == records[1]
+
+    def test_reduce_writes_the_same_file(self, tmp_path, pairs):
+        written = []
+        for model, _ in pairs:
+            out = tmp_path / f"again{len(written)}.red.json"
+            assert main(["reduce", model, "-o", str(out)]) == 0
+            written.append(out.read_text())
+        assert written[0] == written[1]
 
 
 class TestSimulate:
@@ -567,9 +625,48 @@ def _corrupted_kraus(tmp, model, reduced):
 
 
 def _short_observable(tmp, model, reduced):
+    # a dense entry one row short of its declared shape
     doc = load_json(str(reduced))
-    doc["observables"][0]["matrix"]["shape"][0] += 1
+    entry = doc["observables"][0]
+    entry["matrix"] = dense_entry(matrix_from_json(entry["matrix"]))
+    entry["matrix"]["shape"][0] += 1
     return ["simulate", _write(tmp / "short_observable.json", doc)]
+
+
+def _bitmap_of_other_shape(tmp, model, reduced):
+    # the identity of C^3 declared 3x9: a 4-byte bitmap cannot be held in the 4 characters of 2 bytes
+    doc = load_json(str(reduced))
+    doc["observables"][0]["matrix"]["shape"] = [3, 9]
+    return ["simulate", _write(tmp / "bitmap_of_other_shape.json", doc), "--samples", "2"]
+
+
+def _padding_bits_set(tmp, model, reduced):
+    # U is 3x3: 9 entries and 7 padding bits
+    doc = load_json(str(reduced))
+    U = doc["reduction"]["R"]["U"]
+    bits, _ = stored(U)
+    U["nonzero"] = b64(bits[:1] + bytes([bits[1] | 1]))
+    return ["verify", str(model), _write(tmp / "padding_bits.json", doc)]
+
+
+def _entry_bytes_short(tmp, model, reduced):
+    doc = load_json(str(model))
+    K = doc["instrument"][doc["outcomes"][0]]["kraus"][0]
+    K["c16"] = b64(stored(K)[1][:-16])
+    return ["reduce", _write(tmp / "entry_bytes_short.json", doc)]
+
+
+def _bitmap_not_base64(tmp, model, reduced):
+    doc = load_json(str(model))
+    E = doc["split"]["evolution"]["kraus"][0]
+    E["nonzero"] = "!" + E["nonzero"][1:]
+    return ["reduce", _write(tmp / "bitmap_not_base64.json", doc)]
+
+
+def _huge_observable(tmp, model, reduced):
+    doc = load_json(str(model))
+    doc["observables"][0]["matrix"]["shape"] = [10**9, 10**9]
+    return ["simulate", _write(tmp / "huge_observable.json", doc), "--samples", "2"]
 
 
 def _top_level_array(tmp, model, reduced):
@@ -636,7 +733,15 @@ ERROR_NAMES = {
     _negated_r: ["invalid reduction map", "not completely positive"],
     _corrupted_r: ["invalid reduction map", "'c16' is not strict base64"],
     _corrupted_kraus: ["invalid model document", "instrument map '0'", "'c16' is not strict base64"],
-    _short_observable: ["invalid model document", "observable 'identity'", "cannot hold"],
+    _short_observable: ["invalid model document", "observable 'identity'", "'c16' of", "cannot hold"],
+    _bitmap_of_other_shape: ["invalid model document", "observable 'identity'", "'nonzero' of 4 characters",
+                             "the bitmap of a 3x9 matrix"],
+    _padding_bits_set: ["invalid reduction map", "'nonzero' sets padding bits past the 9 entries"],
+    _entry_bytes_short: ["invalid model document", "instrument map '0'", "'c16' of", "cannot hold",
+                         "marked complex128 entries"],
+    _bitmap_not_base64: ["invalid model document", "split evolution", "'nonzero' is not strict base64"],
+    _huge_observable: ["invalid model document", "observable 'identity'", "'nonzero' of 4 characters",
+                       "cannot hold"],
     _inconsistent_blocks: ["reduction blocks [(1, 1), (1, 1), (1, 2)] do not split", "dimension 9"],
     _fractional_blocks: ["must be positive integers"],
 }
@@ -667,6 +772,11 @@ ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISIN
         pytest.param(_corrupted_r, id="verify_corrupted_R"),
         pytest.param(_corrupted_kraus, id="reduce_corrupted_kraus"),
         pytest.param(_short_observable, id="simulate_short_observable"),
+        pytest.param(_bitmap_of_other_shape, id="simulate_bitmap_of_other_shape"),
+        pytest.param(_padding_bits_set, id="verify_padding_bits_set"),
+        pytest.param(_entry_bytes_short, id="reduce_entry_bytes_short"),
+        pytest.param(_bitmap_not_base64, id="reduce_bitmap_not_base64"),
+        pytest.param(_huge_observable, id="simulate_huge_observable"),
         pytest.param(_duplicate_outcomes, id="duplicate_outcomes"),
         pytest.param(_no_observables, id="no_observables"),
         pytest.param(_reduced_without_r, id="reduced_without_R"),

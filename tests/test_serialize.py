@@ -1,5 +1,7 @@
 import base64
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,60 @@ from cereduce.serialize import (
     superop_to_json,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import SPLIT_MODELS, random_complex
+from conftest import SPLIT_MODELS, b64, dense_entry, list_entry, random_complex, stored
+
+DATA = Path(__file__).parent / "data"
+
+
+def _reference_entry(M):
+    """The bitmap and entry bytes a sparse entry of M must hold, found one 16-byte entry at a time."""
+    raw = np.ascontiguousarray(M, "<c16").tobytes()
+    cells = [raw[i:i + 16] for i in range(0, len(raw), 16)]
+    bits = "".join("0" if c == bytes(16) else "1" for c in cells)
+    bits += "0" * (-len(bits) % 8)
+    bitmap = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    return bitmap, b"".join(c for c in cells if c != bytes(16))
+
+
+def _entries(doc):
+    """Every matrix entry of a document, of any form but [re, im] rows."""
+    if isinstance(doc, dict):
+        if "c16" in doc:
+            yield doc
+            return
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for v in doc:
+            yield from _entries(v)
+
+
+def _patterned(shape, density, seed):
+    """A random complex matrix with a random share 1 - density of entries zero, and as many
+    again with only their real or only their imaginary part zero."""
+    rng = np.random.default_rng(seed)
+    M = random_complex(rng, shape)
+    M.real[rng.random(shape) > density] = 0
+    M.imag[rng.random(shape) > density] = 0
+    M[rng.random(shape) > density] = 0
+    return M
+
+
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0123], "<u8").view("<f8")[0]
+MATRICES = {
+    **{f"random-{r}x{c}-density{d}": (lambda r=r, c=c, d=d: _patterned((r, c), d, seed=r * c))
+       for r, c in [(1, 1), (3, 4), (4, 3), (7, 9), (16, 16)] for d in (0.1, 0.5, 0.9)},
+    "specials": lambda: np.array([[NAN_PAYLOAD, -0.0, np.inf], [-np.inf, 0, 1e-310],
+                                  [complex(0, -0.0), complex(-0.0, -0.0), complex(np.nan, -np.inf)]]),
+    "all-zero": lambda: np.zeros((5, 6), complex),
+    "no-zero": lambda: random_complex(np.random.default_rng(0), (5, 6)),
+    "1x1-zero": lambda: np.zeros((1, 1), complex),
+    "1x1": lambda: np.array([[2 - 1j]]),
+    "row": lambda: _patterned((1, 17), 0.5, seed=1),
+    "column": lambda: _patterned((17, 1), 0.5, seed=2),
+    "empty-0x0": lambda: np.zeros((0, 0), complex),
+    "empty-0x3": lambda: np.zeros((0, 3), complex),
+    "empty-3x0": lambda: np.zeros((3, 0), complex),
+}
 
 
 class TestMatrix:
@@ -29,12 +84,33 @@ class TestMatrix:
 
     def test_json_native_types(self):
         doc = matrix_to_json(np.eye(2, dtype=complex))
-        assert set(doc) == {"shape", "c16"}
+        assert set(doc) == {"shape", "nonzero", "c16"}
         assert doc["shape"] == [2, 2] and all(type(d) is int for d in doc["shape"])
-        assert type(doc["c16"]) is str
+        assert type(doc["nonzero"]) is str and type(doc["c16"]) is str
         assert json.loads(json.dumps(doc)) == doc
         one = np.array([1.0, 0.0], "<f8").tobytes()  # 1 + 0j
-        assert base64.b64decode(doc["c16"]) == one + bytes(32) + one
+        # entries 0 and 3 marked, most significant bit first; the zeros are not written
+        assert stored(doc) == (bytes([0b1001_0000]), one + one)
+
+    @pytest.mark.parametrize("make", list(MATRICES.values()), ids=list(MATRICES))
+    def test_only_nonzero_entries_stored_bit_exact(self, make):
+        M = make()
+        doc = json.loads(json.dumps(matrix_to_json(M)))
+        assert set(doc) == {"shape", "nonzero", "c16"} and doc["shape"] == list(M.shape)
+        bitmap, entry_bytes = stored(doc)
+        assert (bitmap, entry_bytes) == _reference_entry(M)
+        assert len(entry_bytes) == 16 * sum(bin(b).count("1") for b in bitmap)
+        back = matrix_from_json(doc)
+        assert back.dtype == complex and back.shape == M.shape and back.flags.writeable
+        assert back.astype("<c16").tobytes() == M.astype("<c16").tobytes()
+
+    @pytest.mark.parametrize("make", list(MATRICES.values()), ids=list(MATRICES))
+    def test_older_forms_load_to_the_same_bytes(self, make):
+        M = make()
+        want = M.astype("<c16").tobytes()
+        assert matrix_from_json(json.loads(json.dumps(dense_entry(M)))).astype("<c16").tobytes() == want
+        if M.size:  # the rows of an empty matrix do not give its shape
+            assert matrix_from_json(list_entry(M)).astype("<c16").tobytes() == want
 
     @pytest.mark.parametrize(
         "make",
@@ -84,8 +160,55 @@ class TestMatrix:
             raise AssertionError("decoded")
 
         monkeypatch.setattr(base64, "b64decode", refuse)
-        with pytest.raises(ValueError, match="cannot hold"):
-            matrix_from_json({"shape": [10**9, 10**9], "c16": "AAAA"})
+        for entry in ({"shape": [10**9, 10**9], "c16": "AAAA"},
+                      {"shape": [10**9, 10**9], "nonzero": "AAAA", "c16": ""}):
+            with pytest.raises(ValueError, match="cannot hold"):
+                matrix_from_json(entry)
+
+    def test_count_mismatch_refused_before_the_matrix_is_allocated(self):
+        # a bitmap marking all 10^6 entries of a 16 MB matrix, and no entry bytes
+        entry = {"shape": [1000, 1000], "nonzero": b64(b"\xff" * 125_000), "c16": ""}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="'c16' of 0 characters cannot hold the 16000000 bytes"):
+                matrix_from_json(entry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda e, bits, raw: e.update(nonzero=b64(bits[:1])), "'nonzero' holds 1 bytes, not the 2"),
+            (lambda e, bits, raw: e.update(nonzero=b64(bits + bytes(2))), "'nonzero' of 8 characters"),
+            (lambda e, bits, raw: e.update(shape=[3, 6]), "'nonzero' holds 2 bytes, not the 3"),
+            (lambda e, bits, raw: e.update(shape=[5, 5]), "'nonzero' of 4 characters"),
+            (lambda e, bits, raw: e.update(nonzero=e["nonzero"].rstrip("=")), "'nonzero' of 3 characters"),
+            (lambda e, bits, raw: e.update(nonzero=b64(bits[:1] + bytes([bits[1] | 1]))), "padding bits"),
+            (lambda e, bits, raw: e.update(nonzero=b64(bits[:1] + bytes([bits[1] | 64]))), "padding bits"),
+            (lambda e, bits, raw: e.update(c16=b64(raw[:-16])), "'c16' of 44 characters"),
+            (lambda e, bits, raw: e.update(c16=b64(raw + bytes(16))), "'c16' of 88 characters"),
+            (lambda e, bits, raw: e.update(c16=b64(raw[:-1])), "'c16' holds 47 bytes"),
+            (lambda e, bits, raw: e.update(c16=""), "'c16' of 0 characters"),
+            (lambda e, bits, raw: e.update(nonzero="!" + e["nonzero"][1:]), "'nonzero' is not strict base64"),
+            (lambda e, bits, raw: e.update(c16=e["c16"][:-1] + "!"), "'c16' is not strict base64"),
+            (lambda e, bits, raw: e.update(nonzero=list(bits)), "'nonzero' must be a base64 string"),
+            (lambda e, bits, raw: e.update(nonzero=None), "'nonzero' must be a base64 string"),
+            (lambda e, bits, raw: e.pop("c16"), "'c16' must be a base64 string"),
+        ],
+        ids=["bitmap-short", "bitmap-long", "bitmap-of-3x3-for-3x6", "bitmap-of-3x3-for-5x5", "bitmap-unpadded",
+             "padding-bit-last", "padding-bit-first", "c16-entry-short", "c16-entry-long", "c16-byte-short",
+             "c16-empty", "bitmap-bad-char", "c16-bad-char", "bitmap-list", "bitmap-null", "no-c16"],
+    )
+    def test_malformed_sparse_rejected(self, edit, match):
+        # diag(1, 2, 3): bitmap 1000 1000 | 1000 0000 with 7 padding bits, and 48 bytes of entries
+        entry = matrix_to_json(np.diag([1.0, 2.0, 3.0]))
+        bits, raw = stored(entry)
+        assert bits == bytes([0b1000_1000, 0b1000_0000]) and len(raw) == 48
+        edit(entry, bits, raw)
+        with pytest.raises(ValueError, match=match):
+            matrix_from_json(entry)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
@@ -286,6 +409,83 @@ class TestMatrixFormModel:
         assert red.blocks == blocks
         rep = equivalence_check(ce_from_json(ce_to_json(ising)), red, max_len=3, n_states=5, seed=0)
         assert rep.passed
+
+
+ZOO_MODELS = {
+    **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in (4, 5, 6) for p in (0.0, 0.5)},
+    **{f"walk{n}": (lambda n=n: measured_quantum_walk(n)) for n in range(3, 7)},
+}
+
+
+def _assert_only_nonzero_entries_stored(doc):
+    entries = list(_entries(json.loads(json.dumps(doc))))
+    assert entries
+    for entry in entries:
+        assert set(entry) == {"shape", "nonzero", "c16"}
+        M = matrix_from_json(entry)
+        assert stored(entry) == _reference_entry(M)
+    return entries
+
+
+class TestStoredEntries:
+    """Every matrix a model or reduced file holds is stored as 16 bytes per nonzero entry."""
+
+    @pytest.mark.parametrize("name", list(ZOO_MODELS))
+    def test_zoo_model(self, name):
+        entries = _assert_only_nonzero_entries_stored(ce_to_json(ZOO_MODELS[name]()))
+        if name.startswith("ising"):
+            # U P_k, the effects and the Pauli observables are at least half zeros
+            written = sum(len(stored(e)[1]) for e in entries)
+            assert written <= 0.5 * sum(16 * r * c for r, c in (e["shape"] for e in entries))
+
+    @pytest.mark.parametrize("name", list(SPLIT_MODELS))
+    def test_reduced_model(self, name):
+        red = reduce_ce(SPLIT_MODELS[name](), seed=0)
+        doc = reduced_ce_to_json(red)
+        _assert_only_nonzero_entries_stored(doc)
+        assert set(doc["reduction"]["R"]["U"]) == {"shape", "nonzero", "c16"}
+
+
+class TestDenseFiles:
+    """Ising N=4 p=0.5 and its reduction in tests/data, written by ``cereduce zoo ising --n 4
+    --p 0.5 --delta 0.3`` and ``cereduce reduce`` when every entry was written in the dense
+    {"shape", "c16"} form."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return load_json(str(DATA / "dense_ising4.json")), load_json(str(DATA / "dense_ising4.red.json"))
+
+    def test_every_entry_is_dense_and_loads_to_its_bytes(self, docs):
+        entries = [e for doc in docs for e in _entries(doc)]
+        # the model's 3 instrument maps, its split and 4 observables; the reduced
+        # model's 2 Kraus operators per outcome, 4 observables and U
+        assert len(entries) == (3 + 1 + 3 + 4) + (3 * 2 + 4 + 1)
+        for entry in entries:
+            assert set(entry) == {"shape", "c16"}
+            M = matrix_from_json(entry)
+            assert M.astype("<c16").tobytes() == base64.b64decode(entry["c16"])
+            assert matrix_from_json(matrix_to_json(M)).astype("<c16").tobytes() == base64.b64decode(entry["c16"])
+
+    def test_rewritten_sparse_loads_to_the_same_model(self, docs):
+        for doc, new in ((d, json.loads(json.dumps(ce_to_json(ce_from_json(d))))) for d in docs):
+            a, b = ce_from_json(doc), ce_from_json(new)
+            assert a.outcomes == b.outcomes and a.output.names == b.output.names
+            maps = [*zip(a.instrument.maps.values(), b.instrument.maps.values())]
+            if a.has_split:
+                maps += [(a.evolution, b.evolution), *zip(a.effects.values(), b.effects.values())]
+            pairs = [*zip(a.output.observables, b.output.observables)]
+            for S, T in maps:
+                pairs += zip(S.kraus, T.kraus)
+            assert len(pairs) == len(list(_entries(doc))) - ("reduction" in doc)
+            assert all(A.tobytes() == B.tobytes() for A, B in pairs)
+
+    def test_r_rebuilt_as_from_the_sparse_u(self, docs):
+        _, reduced = docs
+        R = reduced["reduction"]["R"]
+        sparse = {**R, "U": matrix_to_json(matrix_from_json(R["U"]))}
+        kraus = [reduction_map_from_json(entry, (64, 256)).kraus for entry in (R, sparse)]
+        assert len(kraus[0]) == len(kraus[1]) == 4
+        assert all(A.tobytes() == B.tobytes() for A, B in zip(*kraus))
 
 
 class TestFiles:
