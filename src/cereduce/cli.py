@@ -198,8 +198,8 @@ def cmd_verify(args) -> int:
     # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small
     if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
         raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
-    # the walk and the --tv pull-back share the evolution conjugation of a split model,
-    # certified at --tol as reduce and simulate validate at it
+    # the walk and the --tv table read one realization per model, closed under the split of
+    # a split model, certified at --tol as reduce and simulate validate at it
     for ce, path in ((full, args.full), (red_model, args.reduced)):
         try:
             ce.certify_split(args.tol)

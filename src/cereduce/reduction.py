@@ -24,7 +24,6 @@ from .observability import (
     nonobservable_complement,
 )
 from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, hermitian_closure, map_coordinates
-from .trajectories import WORD_CAP
 
 __all__ = [
     "ReducedCE",
@@ -37,6 +36,9 @@ __all__ = [
     "equivalence_check",
     "random_density",
 ]
+
+
+WORD_CAP = 10**6  # bound on enumerate_distribution's words and equivalence_check's nodes
 
 
 def random_density(n: int, rng) -> np.ndarray:
@@ -117,7 +119,8 @@ def reduce_ce(
     factorization of the conditional expectation and conjugates every
     instrument map: reduced M_k = R o M_k o J, with a Kraus list at its Choi
     rank (see :meth:`~cereduce.algebra.CEFactorization.reduce_map`), and
-    reduced output = C o J.
+    reduced output = C o J.  On a split model M_k is evolution o effect_k, the map
+    the observable subspace is closed under, composed one outcome at a time.
     """
     nperp = nonobservable_complement(ce, tol)
     alg = algebra_closure(nperp, tol, seed)
@@ -125,7 +128,8 @@ def reduce_ce(
         raise ValueError("the observables generate a non-unital algebra")
     fact = conditional_expectation(alg.decomposition)
 
-    maps, cuts = _reduce_maps(fact, {k: ce.instrument.maps[k] for k in ce.outcomes}, tol)
+    maps, cuts = _reduce_maps(fact, ((k, ce.evolution @ ce.effects[k] if ce.has_split else ce.instrument.maps[k])
+                                     for k in ce.outcomes), tol)
     inst = Instrument(outcomes=ce.outcomes, maps=maps)
     model = ConditionalEvolution(instrument=inst, output=_reduced_output_map(ce, fact))
     return ReducedCE(
@@ -141,9 +145,9 @@ def reduce_ce(
     )
 
 
-def _reduce_maps(fact: CEFactorization, maps: dict[str, Superoperator], tol: float):
-    """R o S o J of each named map, and each one's (Kraus count, margin) of the rank cut."""
-    reduced = {name: fact.reduce_map(S, tol) for name, S in maps.items()}
+def _reduce_maps(fact: CEFactorization, maps, tol: float):
+    """R o S o J of each map of the (name, S) pairs, and each one's (Kraus count, margin) of the rank cut."""
+    reduced = {name: fact.reduce_map(S, tol) for name, S in maps}
     return ({name: S for name, (S, _) in reduced.items()},
             {name: (len(S.kraus), margin) for name, (S, margin) in reduced.items()})
 
@@ -239,7 +243,7 @@ def reduce_separably(
         exc.report = report
         raise exc
     named = {"evolution": ce.evolution, **{f"effect {k}": ce.effects[k] for k in ce.outcomes}}
-    split, cuts = _reduce_maps(joint.factorization, named, tol)
+    split, cuts = _reduce_maps(joint.factorization, named.items(), tol)
     ev = split["evolution"]
     eff = {k: split[f"effect {k}"] for k in ce.outcomes}
     maps = {k: ev @ eff[k] for k in ce.outcomes}
@@ -292,7 +296,9 @@ def equivalence_check(
     number, so it is reported and fails the check.
 
     The words are walked on each model's minimal linear realization, never
-    on its operators.  Its space is the
+    on its operators.  It is built once per model and outcome order and
+    kept on the model, and :func:`~cereduce.trajectories.enumerate_distribution`
+    reads the same one.  Its space is the
     :func:`~cereduce.operators.hermitian_closure` of [1, O_1, ..., O_m]
     under :meth:`~cereduce.model.ConditionalEvolution.dual_images` in the
     full model's outcome order, at the relative tolerance
@@ -304,7 +310,8 @@ def equivalence_check(
     raises ValueError.  The readout
     [tr X, tr O_1 X, ..., tr O_m X] at word w = (w_1, ..., w_t) from
     coordinates x is V_w^T x, with the d x (m + 1) block
-    V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states enter once, as
+    V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states are those of
+    :func:`random_density` in turn, from one draw, and enter once, as
     coordinates x_s, the reduced model's those of R(rho_s).  The walk runs
     on the direct sum of the two realizations, so one block holds both
     models' V_w.  A word grows at the front, V_{(k,)+w} = A_k^T V_w: the r
@@ -334,8 +341,15 @@ def equivalence_check(
                              f"nodes, above WORD_CAP = {WORD_CAP}; length {t - 1} is the largest that fits")
         width *= n_out
     realizations = [_realization(ce, full.outcomes, tol) for ce in (full, reduced.model)]
-    rng = np.random.default_rng(seed)
-    states = np.array([random_density(full.dim, rng) for _ in range(n_states)])
+    # the random_density of each state in turn, from one draw; G G^dag is formed state by
+    # state, since one stacked product would hold G, its conjugate and the states at once
+    draw = np.random.default_rng(seed).standard_normal((n_states, 2, full.dim, full.dim))
+    states = np.empty((n_states, full.dim, full.dim), dtype=complex)
+    for s in range(n_states):
+        G = draw[s, 0] + 1j * draw[s, 1]
+        np.matmul(G, G.conj().T, out=states[s])
+    del draw
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
     # the coordinates <B_i, rho_s>, one column per state
     coords = [lm.subspace.stacked().conj() @ rhos.reshape(len(rhos), -1).T
               for lm, rhos in zip(realizations, (states, reduced.reduction_map(states)))]
@@ -364,10 +378,15 @@ FRAME_WORDS = 256
 
 def _realization(ce: ConditionalEvolution, outcomes, tol: float) -> LinearReducedModel:
     """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
-    span of 1 and its observables."""
-    generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-    span = hermitian_closure(generators, ce.dual_images(tol, outcomes), REALIZATION_TOL)
-    return linear_reduce(ce, span, tol)
+    span of 1 and its observables, closed in the order ``outcomes``: built once per model and
+    order and kept on the model, as its readout is; a split is certified at ``tol`` on every call."""
+    ce.certify_split(tol)
+    cache = ce.__dict__.setdefault("_realizations", {})
+    if tuple(outcomes) not in cache:
+        generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
+        span = hermitian_closure(generators, ce.dual_images(tol, outcomes), REALIZATION_TOL)
+        cache[tuple(outcomes)] = linear_reduce(ce, span, tol)
+    return cache[tuple(outcomes)]
 
 
 def _subtree_sizes(r, max_len):

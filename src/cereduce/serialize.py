@@ -241,10 +241,15 @@ def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
     return doc
 
 
-def _labelled(label: str, read, data):
-    """``read(data)`` with errors naming the entry, such as ``instrument map '0'``."""
+def _labelled(label: str, read, data, dim: int):
+    """``read(data)``, which must be a dim x dim matrix or a map of dim x dim Kraus operators,
+    with errors naming the entry, such as ``instrument map '0'``."""
     try:
-        return read(data)
+        X = read(data)
+        shape = X.shape if isinstance(X, np.ndarray) else X.kraus[0].shape
+        if shape != (dim, dim):
+            raise ValueError(f"shape {list(shape)} is not the [{dim}, {dim}] of the model's 'dim'")
+        return X
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from exc
 
@@ -253,17 +258,20 @@ def ce_from_json(doc: dict) -> ConditionalEvolution:
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, not {type(doc).__name__}")
     try:
+        dim = doc["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"model 'dim' must be a positive int, not {dim!r}")
         outcomes = tuple(str(k) for k in doc["outcomes"])
-        maps = {k: _labelled(f"instrument map {k!r}", superop_from_json, doc["instrument"][k])
+        maps = {k: _labelled(f"instrument map {k!r}", superop_from_json, doc["instrument"][k], dim)
                 for k in outcomes}
         names = tuple(o["name"] for o in doc["observables"])
-        obs = tuple(_labelled(f"observable {o['name']!r}", matrix_from_json, o["matrix"])
+        obs = tuple(_labelled(f"observable {o['name']!r}", matrix_from_json, o["matrix"], dim)
                     for o in doc["observables"])
         evolution = effects = None
         if "split" in doc:
             split = doc["split"]
-            evolution = _labelled("split evolution", superop_from_json, split["evolution"])
-            effects = {k: _labelled(f"split effect {k!r}", superop_from_json, split["effects"][k])
+            evolution = _labelled("split evolution", superop_from_json, split["evolution"], dim)
+            effects = {k: _labelled(f"split effect {k!r}", superop_from_json, split["effects"][k], dim)
                        for k in outcomes}
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc

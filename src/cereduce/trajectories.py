@@ -8,9 +8,8 @@ tr[E_k rho].  For an outcome whose map applies through its matrix, the
 map and the readout are one product with its step matrix.  Probabilities
 never underflow on long records; the product of the per-step conditional
 probabilities recovers the joint probability of the record.  Enumeration
-propagates unnormalized states over the outcome tree, reads the last step
-off pulled-back observables, and is the brute-force oracle the rest of
-the package is verified against.
+walks the outcome tree on the model's minimal linear realization, the one
+``verify``'s equivalence check walks, and applies no map to a state.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import numpy as np
 
 from .model import ConditionalEvolution
 from .operators import DEFAULT_TOL
+from .reduction import WORD_CAP, _realization
 
 __all__ = [
     "TrajectoryRecord",
@@ -33,9 +33,6 @@ __all__ = [
     "enumerate_distribution",
     "total_variation",
 ]
-
-
-WORD_CAP = 10**6  # bound on enumerate_distribution's words and equivalence_check's nodes
 
 
 class StateEscapedError(RuntimeError):
@@ -159,40 +156,36 @@ def enumerate_distribution(
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
-    Propagates the outcome tree of unnormalized states to depth T-1, so
-    the returned probabilities sum to one for any valid instrument.  Each
-    level's states are one stack in the word order of
-    ``itertools.product(ce.outcomes, repeat=t)``, which every outcome's
-    map advances in one call; the table keeps that order.  The last level
-    is read off, not applied: tr[O M_k(rho)] = tr[M_k^dag(O) rho], so the
-    stack [1, O_1, ..., O_m] is pulled back once through every M_k^dag by
-    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, which shares
-    one evolution conjugation among the outcomes of a split model and
-    refuses a split above its bound, 10 ``tol``, with ValueError.  One product with the
-    depth-(T-1) stack gives every leaf's probability and outputs.  The
-    peak is about that stack.
+    Runs on the model's minimal linear realization, the one
+    :func:`~cereduce.reduction.equivalence_check` walks: its basis B_i, its
+    maps A_k and its output rows C, built once per model and kept on it.
+    ``tol`` certifies a split, which is refused above its bound, 10 ``tol``,
+    with ValueError.  The state enters once, as its coordinates
+    x = <B_i, rho0>, and no map is applied to it.  Each level of the outcome
+    tree, down to depth T-1, is one product of the stacked A_k with the
+    level above, in the word order of ``itertools.product(ce.outcomes,
+    repeat=t)``, which the table keeps.  One product of the stacked
+    [tr B; C] A_k with the depth-(T-1) level reads every leaf's probability
+    and outputs, so the probabilities sum to one for any valid instrument.
+    The peak is about that level: r^(T-1) coordinate vectors.
     """
-    n_words = len(ce.outcomes) ** T
+    r = len(ce.outcomes)
+    n_words = r ** T
     if n_words > WORD_CAP:
         raise ValueError(f"{n_words} sequences exceed WORD_CAP = {WORD_CAP}")
-    frontier = np.asarray(rho0, dtype=complex)[None]
+    lm = _realization(ce, ce.outcomes, tol)
+    # the A_k stacked by outcome, and the coordinates <B_i, rho0> as one column
+    A = np.concatenate([lm.A[k] for k in ce.outcomes])
+    x = lm.subspace.stacked().conj() @ np.asarray(rho0, dtype=complex).reshape(-1, 1)
     for _ in range(T - 1):
-        # word w + (k,) sits at row len(outcomes) * w + k
-        nxt = np.empty((len(frontier), len(ce.outcomes), *frontier.shape[1:]), dtype=complex)
-        for i, k in enumerate(ce.outcomes):
-            nxt[:, i] = ce.instrument.maps[k](frontier)
-        frontier = nxt.reshape(-1, *frontier.shape[1:])
-    n = ce.dim
-    read = np.array([np.eye(n), *ce.output.observables], dtype=complex)
-    pulled = list(ce.dual_images(tol)(read)) if T else [read]
-    # tr[A rho] pairs A^T and rho entry by entry; leaf w + (k,) sits at row len(outcomes) * w + k
-    rows = np.array(pulled).transpose(0, 1, 3, 2).reshape(-1, n * n)
-    table = frontier.reshape(len(frontier), n * n) @ rows.T
+        # word w + (k,) sits at column r w + k
+        x = (A @ x).reshape(r, lm.q, -1).transpose(1, 2, 0).reshape(lm.q, -1)
+    read = np.vstack([np.trace(lm.subspace.basis, axis1=1, axis2=2), lm.C])
+    rows = read @ A.reshape(r, lm.q, lm.q) if T else read[None]
+    # leaf w + (k,) sits at row r w + k
+    table = (rows @ x).transpose(2, 0, 1).reshape(n_words, len(read))
     words = itertools.product(ce.outcomes, repeat=T)
-    return {
-        seq: (float(row[0].real), row[1:])
-        for seq, row in zip(words, table.reshape(n_words, len(read)))
-    }
+    return {seq: (float(row[0].real), row[1:]) for seq, row in zip(words, table)}
 
 
 def total_variation(full_table: dict, reduced_table: dict) -> float:

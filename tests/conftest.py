@@ -1,4 +1,5 @@
 import base64
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,19 @@ SPLIT_MODELS = {
     **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in (4, 5) for p in (0.0, 0.5)},
     **{f"walk{n}": (lambda n=n: measured_quantum_walk(n, seed=n)) for n in range(3, 7)},
 }
+
+
+def enumerate_oracle(ce, rho0, T):
+    """The table of ``enumerate_distribution`` in operator space: the outcome tree of
+    unnormalized states, each level one stack that every instrument map advances in one
+    call, and each leaf read off as its trace and its outputs."""
+    frontier = np.asarray(rho0, dtype=complex)[None]
+    for _ in range(T):
+        # word w + (k,) sits at row len(outcomes) * w + k
+        frontier = np.stack([ce.instrument.maps[k](frontier) for k in ce.outcomes], axis=1)
+        frontier = frontier.reshape(-1, ce.dim, ce.dim)
+    words = itertools.product(ce.outcomes, repeat=T)
+    return {seq: (float(np.trace(rho).real), outputs(ce, rho)) for seq, rho in zip(words, frontier)}
 
 
 def random_ce(n, n_outcomes, n_obs, rng):

@@ -640,6 +640,13 @@ def _bitmap_of_other_shape(tmp, model, reduced):
     return ["simulate", _write(tmp / "bitmap_of_other_shape.json", doc), "--samples", "2"]
 
 
+def _identity_declared_4x3(tmp, model, reduced):
+    # the identity of C^3 declared 4x3: its 2-byte bitmap and its 3 entries fit that shape too
+    doc = load_json(str(reduced))
+    doc["observables"][0]["matrix"]["shape"] = [4, 3]
+    return ["simulate", _write(tmp / "identity_4x3.json", doc), "--samples", "2"]
+
+
 def _padding_bits_set(tmp, model, reduced):
     # U is 3x3: 9 entries and 7 padding bits
     doc = load_json(str(reduced))
@@ -736,6 +743,8 @@ ERROR_NAMES = {
     _short_observable: ["invalid model document", "observable 'identity'", "'c16' of", "cannot hold"],
     _bitmap_of_other_shape: ["invalid model document", "observable 'identity'", "'nonzero' of 4 characters",
                              "the bitmap of a 3x9 matrix"],
+    _identity_declared_4x3: ["invalid model document", "observable 'identity'",
+                             "shape [4, 3] is not the [3, 3] of the model's 'dim'"],
     _padding_bits_set: ["invalid reduction map", "'nonzero' sets padding bits past the 9 entries"],
     _entry_bytes_short: ["invalid model document", "instrument map '0'", "'c16' of", "cannot hold",
                          "marked complex128 entries"],
@@ -773,6 +782,7 @@ ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISIN
         pytest.param(_corrupted_kraus, id="reduce_corrupted_kraus"),
         pytest.param(_short_observable, id="simulate_short_observable"),
         pytest.param(_bitmap_of_other_shape, id="simulate_bitmap_of_other_shape"),
+        pytest.param(_identity_declared_4x3, id="simulate_identity_declared_4x3"),
         pytest.param(_padding_bits_set, id="verify_padding_bits_set"),
         pytest.param(_entry_bytes_short, id="reduce_entry_bytes_short"),
         pytest.param(_bitmap_not_base64, id="reduce_bitmap_not_base64"),

@@ -728,3 +728,14 @@ def test_random_density_properties(rng):
     rho = random_density(4, rng)
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.linalg.eigvalsh(rho)[0] > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 32])
+def test_check_draws_the_states_of_random_density(n):
+    # the states drawn as one stack are those of random_density in turn, bit for bit
+    ce = random_ce(n, 2, 2, np.random.default_rng(n))
+    drawn = []
+    reduced = SimpleNamespace(model=ce, reduction_map=lambda X: (drawn.append(X.copy()), X)[1])
+    assert equivalence_check(ce, reduced, max_len=1, n_states=5, seed=3).passed
+    rng = np.random.default_rng(3)
+    assert np.array_equal(drawn[0], [random_density(n, rng) for _ in range(5)])

@@ -265,6 +265,26 @@ class TestModelDocuments:
         with pytest.raises(ValueError):
             ce_from_json({"outcomes": ["0"]})
 
+    @pytest.mark.parametrize("label, entry", [
+        ("observable 'identity'", lambda doc: doc["observables"][0]["matrix"]),
+        ("instrument map '0'", lambda doc: doc["instrument"]["0"]["kraus"][0]),
+        ("split evolution", lambda doc: doc["split"]["evolution"]["kraus"][0]),
+        ("split effect '2'", lambda doc: doc["split"]["effects"]["2"]["kraus"][0]),
+    ], ids=["observable", "instrument", "split_evolution", "split_effect"])
+    def test_entry_of_other_shape_named(self, label, entry):
+        # a 3x3 entry declared 4x3: its 2-byte bitmap and its entries fit the declared shape
+        doc = ce_to_json(measured_quantum_walk(3, seed=1))
+        entry(doc)["shape"] = [4, 3]
+        with pytest.raises(ValueError, match=f"^{label}: shape \\[4, 3\\] is not the \\[3, 3\\] of the model's 'dim'"):
+            ce_from_json(doc)
+
+    @pytest.mark.parametrize("dim", [0, 3.0, "3", None])
+    def test_dim_must_be_positive_int(self, dim):
+        doc = ce_to_json(measured_quantum_walk(3, seed=1))
+        doc["dim"] = dim
+        with pytest.raises(ValueError, match="'dim' must be a positive int"):
+            ce_from_json(doc)
+
     def test_reduced_document_is_valid_model(self):
         ce = measured_quantum_walk(3, seed=1)
         red = reduce_ce(ce, seed=0)

@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cereduce import reduction
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator
-from cereduce.reduction import random_density, reduce_ce
+from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
     _numpy_sum,
@@ -16,7 +17,7 @@ from cereduce.trajectories import (
     total_variation,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import outputs, proj, random_ce, swap3_ce
+from conftest import SPLIT_MODELS, enumerate_oracle, outputs, proj, random_ce, swap3_ce
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -315,22 +316,37 @@ class TestEnumerate:
             assert abs(p - np.trace(rho).real) <= 1e-13
             assert np.max(np.abs(y - outputs(ce, rho))) <= 1e-13
 
-    @pytest.mark.parametrize("T", [1, 2, 3])
-    def test_last_level_applies_no_map(self, T, monkeypatch):
-        ce = measured_quantum_walk(3, seed=1)
-        maps = set(map(id, ce.instrument.maps.values()))
-        applied = []  # the number of operators of each call of an instrument map
-        real = Superoperator.__call__
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(make, id=name) for name, make in SPLIT_MODELS.items()),
+        pytest.param(lambda: random_ce(4, 3, 3, np.random.default_rng(8)), id="random"),
+    ])
+    def test_matches_operator_space_oracle(self, make):
+        ce = make()
+        rho0 = random_density(ce.dim, np.random.default_rng(ce.dim))
+        for T in range(5):
+            table, oracle = enumerate_distribution(ce, rho0, T), enumerate_oracle(ce, rho0, T)
+            assert list(table) == list(oracle)
+            for seq, (p, y) in table.items():
+                assert abs(p - oracle[seq][0]) <= 1e-13
+                assert np.max(np.abs(y - oracle[seq][1])) <= 1e-13
 
-        def counting(self, X):
-            if id(self) in maps:
-                applied.append(1 if np.ndim(X) == 2 else len(X))
-            return real(self, X)
-
-        monkeypatch.setattr(Superoperator, "__call__", counting)
-        enumerate_distribution(ce, random_density(3, np.random.default_rng(0)), T)
-        # the states of depths 1..T-1 are applied to, the leaves at depth T are read off
-        assert sum(applied) == sum(3**t for t in range(1, T))
+    def test_verify_closes_each_realization_once_and_applies_no_map(self, monkeypatch):
+        # the check and both tables, as `verify --tv` runs them on one loaded pair
+        ce = ising_chain(4, 0.5, 0.3)
+        red = reduce_ce(ce)
+        forward = {id(S) for model in (ce, red.model)
+                   for S in (*model.instrument.maps.values(), model.evolution, *(model.effects or {}).values())}
+        applied, closed = [], []
+        call, closure = Superoperator.__call__, reduction.hermitian_closure
+        monkeypatch.setattr(Superoperator, "__call__", lambda S, X: (applied.append(id(S) in forward), call(S, X))[1])
+        monkeypatch.setattr(reduction, "hermitian_closure", lambda *a: (closed.append(a), closure(*a))[1])
+        assert equivalence_check(ce, red, max_len=2, n_states=2).passed
+        rho0 = random_density(ce.dim, np.random.default_rng(0))
+        tv = total_variation(enumerate_distribution(ce, rho0, 3),
+                             enumerate_distribution(red.model, red.reduction_map(rho0), 3))
+        assert tv <= 1e-12
+        assert applied and not any(applied)
+        assert len(closed) == 2
 
     def test_empty_word(self):
         ce = measured_quantum_walk(3, seed=1)
