@@ -9,7 +9,7 @@ product with a state gives every outcome probability and every output.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,8 @@ class Instrument:
 class OutputMap:
     """Named observables {O_j}; the identity must be among them.
 
-    The output vector tr[O_j X] of an operator X is one product with :meth:`matrix`.
+    The output vector tr[O_j X] of an operator X is read by
+    :meth:`ConditionalEvolution.readout`.
     """
 
     names: tuple[str, ...]
@@ -89,9 +90,6 @@ class OutputMap:
         object.__setattr__(
             self, "observables", tuple(np.asarray(O, dtype=complex) for O in self.observables)
         )
-        rows = np.array([O.reshape(-1, order="C") for O in self.observables])
-        rows.flags.writeable = False
-        object.__setattr__(self, "_rows", rows)
 
     @property
     def dim(self) -> int:
@@ -103,13 +101,6 @@ class OutputMap:
             if np.linalg.norm(O - eye) <= tol * np.sqrt(self.dim):
                 return j
         return None
-
-    def matrix(self) -> np.ndarray:
-        """Read-only (n_obs, n^2) matrix acting on vec'd operators, built once.
-
-        Row j is vec(O_j^T), since tr[O X] = vec(O^T) . vec(X).
-        """
-        return self._rows
 
 
 @dataclass(frozen=True)
@@ -155,9 +146,8 @@ class ConditionalEvolution:
         """
         rows = self.__dict__.get("_readout")
         if rows is None:
-            n = self.dim
-            # output rows act on the column-major vec; transpose them to the row-major one
-            out = self.output.matrix().reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
+            # tr[O X] is O^T flattened row-major against X flattened row-major
+            out = np.array([O.T.reshape(-1) for O in self.output.observables])
             rows = np.vstack([self.instrument.povm(), out])
             rows.flags.writeable = False
             object.__setattr__(self, "_readout", rows)
@@ -215,14 +205,9 @@ class ConditionalEvolution:
             raise ValueError(f"split residual {self.split_residual():.3e} exceeds {tol * 10:.1e}: "
                              "the evolution after the effects is not the instrument")
 
-    def dual_images(
-        self, tol: float = DEFAULT_TOL, outcomes: Sequence[str] | None = None
-    ) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
-        """The function X -> the images M_k^dag(X) of every outcome k, in order.
+    def dual_images(self, tol: float = DEFAULT_TOL) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+        """The function X -> the images M_k^dag(X) of every outcome k, in declaration order.
 
-        The order is that of ``outcomes``, a permutation of :attr:`outcomes`
-        (their own order by default), so two models with the same labels
-        declared in different orders can pair their images by position.
         On a split model, certified by :meth:`certify_split` at ``tol``,
         M_k^dag = effect_k^dag o evolution^dag: the function computes
         E^dag(X) once, when called, and returns an iterator that applies each
@@ -232,16 +217,13 @@ class ConditionalEvolution:
         The dual maps are built here, once per returned function, and not
         kept on the model.
         """
-        outcomes = self.outcomes if outcomes is None else tuple(outcomes)
-        if sorted(outcomes) != sorted(self.outcomes):
-            raise ValueError(f"{list(outcomes)} is not an order of the outcomes {list(self.outcomes)}")
         self.certify_split(tol)
         if self.has_split:
             shared = self.evolution.adjoint()
-            duals = [self.effects[k].adjoint() for k in outcomes]
+            duals = [self.effects[k].adjoint() for k in self.outcomes]
         else:
             shared = None
-            duals = [self.instrument.maps[k].adjoint() for k in outcomes]
+            duals = [self.instrument.maps[k].adjoint() for k in self.outcomes]
 
         def images(X: np.ndarray) -> Iterator[np.ndarray]:
             S = X if shared is None else shared(X)

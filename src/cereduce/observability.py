@@ -81,7 +81,6 @@ class LinearReducedModel:
     """
 
     subspace: OperatorSubspace
-    outcomes: tuple[str, ...]
     A: dict[str, np.ndarray]
     C: np.ndarray
 
@@ -116,4 +115,4 @@ def linear_reduce(
     images = ce.dual_images(tol)(subspace.basis)
     A = {k: np.conj(Y, out=Y).reshape(subspace.dim, -1) @ Q.T for k, Y in zip(ce.outcomes, images)}
     C = ce.readout()[len(ce.outcomes):] @ Q.T
-    return LinearReducedModel(subspace=subspace, outcomes=ce.outcomes, A=A, C=C)
+    return LinearReducedModel(subspace=subspace, A=A, C=C)

@@ -296,34 +296,34 @@ def equivalence_check(
     number, so it is reported and fails the check.
 
     The words are walked on each model's minimal linear realization, never
-    on its operators.  It is built once per model and outcome order and
-    kept on the model, and :func:`~cereduce.trajectories.enumerate_distribution`
-    reads the same one.  Its space is the
-    :func:`~cereduce.operators.hermitian_closure` of [1, O_1, ..., O_m]
-    under :meth:`~cereduce.model.ConditionalEvolution.dual_images` in the
-    full model's outcome order, at the relative tolerance
-    ``REALIZATION_TOL``.  Its maps A_k, which act on the coordinates
-    <B_i, X> in its basis, are those of
-    :func:`~cereduce.observability.linear_reduce` on that span.  On a
+    on its operators.  It is built once per model and kept on the model, and
+    :func:`~cereduce.trajectories.enumerate_distribution` reads the same
+    one.  Its space is the :func:`~cereduce.operators.hermitian_closure` of
+    [1, O_1, ..., O_m] under
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, in the model's
+    own outcome order, at the relative tolerance ``REALIZATION_TOL``.  Its
+    maps A_k, which act on the coordinates <B_i, X> in its basis, are those
+    of :func:`~cereduce.observability.linear_reduce` on that span.  On a
     split model the closure and ``linear_reduce`` each share one evolution
     conjugation among the outcomes, and a split residual above 10 ``tol``
     raises ValueError.  The readout
     [tr X, tr O_1 X, ..., tr O_m X] at word w = (w_1, ..., w_t) from
     coordinates x is V_w^T x, with the d x (m + 1) block
-    V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states are those of
-    :func:`random_density` in turn, from one draw, and enter once, as
-    coordinates x_s, the reduced model's those of R(rho_s).  The walk runs
-    on the direct sum of the two realizations, so one block holds both
-    models' V_w.  A word grows at the front, V_{(k,)+w} = A_k^T V_w: the r
-    children of a word are one product of the stacked A_k^T with V_w, and
-    their readouts one product per model of V_w^T with the stacked A_k x,
-    so a leaf forms no block.  Each frame of the depth-first walk takes the
-    levels below its word breadth-first, as long as the deepest of them
-    holds at most ``FRAME_WORDS`` words: with 3 outcomes to length 4 the
-    root's frame walks the whole tree, and with 10 outcomes it walks
-    lengths 1 and 2, and each word of length 2 has a frame for lengths 3
-    and 4.  With r outcomes
-    the tree has sum_{t <= max_len} r^t nodes; above ``WORD_CAP`` nodes
+    V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states are drawn by
+    :func:`random_density` in turn from one generator seeded with ``seed``,
+    and enter once, as coordinates x_s, the reduced model's those of
+    R(rho_s).  The walk runs on the direct sum of the two realizations,
+    pairing the two models' maps A_k by label in the full model's outcome
+    order, so one block holds both models' V_w.  A word grows at the front,
+    V_{(k,)+w} = A_k^T V_w: the r children of a word are one product of the
+    stacked A_k^T with V_w, and their readouts one product per model of
+    V_w^T with the stacked A_k x, so a leaf forms no block.  Each frame of
+    the depth-first walk takes the levels below its word breadth-first, as
+    long as the deepest of them holds at most ``FRAME_WORDS`` words: with 3
+    outcomes to length 4 the root's frame walks the whole tree, and with 10
+    outcomes it walks lengths 1 and 2, and each word of length 2 has a frame
+    for lengths 3 and 4.  With r outcomes the tree has
+    sum_{t <= max_len} r^t nodes; above ``WORD_CAP`` nodes
     ValueError is raised before any closure or state.
 
     ``passed`` requires both deviations, and ``realization_dropped``, the
@@ -340,16 +340,11 @@ def equivalence_check(
             raise ValueError(f"the walk to length {max_len} over {n_out} outcomes has {more}{nodes} "
                              f"nodes, above WORD_CAP = {WORD_CAP}; length {t - 1} is the largest that fits")
         width *= n_out
-    realizations = [_realization(ce, full.outcomes, tol) for ce in (full, reduced.model)]
-    # the random_density of each state in turn, from one draw; G G^dag is formed state by
-    # state, since one stacked product would hold G, its conjugate and the states at once
-    draw = np.random.default_rng(seed).standard_normal((n_states, 2, full.dim, full.dim))
+    realizations = [_realization(ce, tol) for ce in (full, reduced.model)]
+    rng = np.random.default_rng(seed)
     states = np.empty((n_states, full.dim, full.dim), dtype=complex)
     for s in range(n_states):
-        G = draw[s, 0] + 1j * draw[s, 1]
-        np.matmul(G, G.conj().T, out=states[s])
-    del draw
-    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+        states[s] = random_density(full.dim, rng)
     # the coordinates <B_i, rho_s>, one column per state
     coords = [lm.subspace.stacked().conj() @ rhos.reshape(len(rhos), -1).T
               for lm, rhos in zip(realizations, (states, reduced.reduction_map(states)))]
@@ -376,17 +371,18 @@ WORST_CASE_RTOL = 1e-12
 FRAME_WORDS = 256
 
 
-def _realization(ce: ConditionalEvolution, outcomes, tol: float) -> LinearReducedModel:
+def _realization(ce: ConditionalEvolution, tol: float) -> LinearReducedModel:
     """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
-    span of 1 and its observables, closed in the order ``outcomes``: built once per model and
-    order and kept on the model, as its readout is; a split is certified at ``tol`` on every call."""
+    span of 1 and its observables: built once per model and kept on the model, as its readout
+    is; a split is certified at ``tol`` on every call."""
     ce.certify_split(tol)
-    cache = ce.__dict__.setdefault("_realizations", {})
-    if tuple(outcomes) not in cache:
+    lm = ce.__dict__.get("_realization")
+    if lm is None:
         generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-        span = hermitian_closure(generators, ce.dual_images(tol, outcomes), REALIZATION_TOL)
-        cache[tuple(outcomes)] = linear_reduce(ce, span, tol)
-    return cache[tuple(outcomes)]
+        span = hermitian_closure(generators, ce.dual_images(tol), REALIZATION_TOL)
+        lm = linear_reduce(ce, span, tol)
+        object.__setattr__(ce, "_realization", lm)
+    return lm
 
 
 def _subtree_sizes(r, max_len):

@@ -17,9 +17,9 @@ accepts a reduced one.  Its "R" is the basis U of the block decomposition with
 the blocks and the shape [D^2, n^2] of R's matrix,
 {"shape": [D^2, n^2], "blocks": [[d_S, d_F], ...], "U": <entry>}, from which
 R's Kraus list is rebuilt, bit for bit, as the reduction built it
-(:func:`~cereduce.algebra.compression`).  Files written before hold R as its
-Kraus list, {"shape": [D^2, n^2], "kraus": [...]}, with U beside it as
-"reduction"."U", or as its dense matrix, in any matrix form; all still load.
+(:func:`~cereduce.algebra.compression`).  This is the only form of R that is
+read: an R written as its Kraus list or its dense matrix, as older files hold
+it, is refused, and the reduction is written again by ``cereduce reduce``.
 """
 
 from __future__ import annotations
@@ -118,14 +118,13 @@ def _matrix_from_c16(data: dict) -> np.ndarray:
 
 def matrix_from_json(data) -> np.ndarray:
     """Matrix from a {"shape", "nonzero", "c16"} or {"shape", "c16"} entry, from rows
-    of [re, im] pairs, or, for a {"shape", "kraus"} or {"shape", "blocks", "U"}
-    entry, the (out^2, in^2) matrix of the map it holds.
+    of [re, im] pairs, or, for a {"shape", "blocks", "U"} entry, the (D^2, n^2)
+    matrix of the R it holds.
 
     ValueError on a malformed entry, or on ragged, non-numeric or misshapen rows.
     """
-    S = _map_entry(data)
-    if S is not None:
-        M = S.matrix
+    if isinstance(data, dict) and "blocks" in data:
+        M = _compression_from_json(data).matrix
         M.flags.writeable = True  # the map is dropped here, so its cached matrix is the caller's
         return M
     if isinstance(data, dict):
@@ -148,16 +147,6 @@ def superop_from_json(data: dict) -> Superoperator:
     if "matrix" in data:
         return Superoperator(matrix_from_json(data["matrix"]))
     raise ValueError("superoperator entry needs a 'kraus' or 'matrix' field")
-
-
-def _kraus_map_from_json(data: dict) -> Superoperator:
-    """The map of a {"shape", "kraus"} entry; ValueError unless "shape" is (out^2, in^2) of the list."""
-    shape = _shape(data)
-    S = Superoperator(kraus=[matrix_from_json(K) for K in data["kraus"]])
-    if shape != (S.out_dim ** 2, S.in_dim ** 2):
-        raise ValueError(f"'shape' {list(shape)} is not the ({S.out_dim}^2, {S.in_dim}^2) "
-                         f"of its {S.out_dim}x{S.in_dim} Kraus operators")
-    return S
 
 
 def _compression_from_json(data: dict) -> Superoperator:
@@ -189,36 +178,22 @@ def _compression_from_json(data: dict) -> Superoperator:
     return compression(U, blocks)
 
 
-def _map_entry(data) -> Superoperator | None:
-    """The map of a {"shape", "kraus"} or {"shape", "blocks", "U"} entry; None for any other data."""
-    if not isinstance(data, dict):
-        return None
-    if "blocks" in data:
-        return _compression_from_json(data)
-    return _kraus_map_from_json(data) if "kraus" in data else None
-
-
 def reduction_map_from_json(data, shape: tuple[int, int]) -> Superoperator:
-    """R from a reduced file's "R" entry, whose matrix must have ``shape``, the (D^2, n^2) of the pair.
+    """R from a reduced file's {"shape", "blocks", "U"} entry, whose matrix must have
+    ``shape``, the (D^2, n^2) of the pair; R's Kraus list is rebuilt from U and the blocks.
 
-    A {"shape", "blocks", "U"} entry is rebuilt as R's Kraus list, and a
-    {"shape", "kraus"} entry, the form of files written before, is that list;
-    both are CP as they stand.  A dense matrix, the form of older files, is
-    factored, and refused unless CP.  A declared shape is checked before any
-    payload is decoded; the shape of a dense matrix always before it is
-    factored.  ValueError on a mismatch or a malformed entry.
+    An R written as its Kraus list or its dense matrix, the forms of older
+    files, is refused, as is a declared shape other than ``shape``, before
+    any payload is decoded.  ValueError on these and on a malformed entry.
     """
-    if isinstance(data, dict) and "shape" in data and data["shape"] != list(shape):
+    if not (isinstance(data, dict) and "blocks" in data):
+        form = "its Kraus list" if isinstance(data, dict) and "kraus" in data else "a dense matrix"
+        raise ValueError(f"R written as {form}, the form of older files, is no longer read; "
+                         "re-run `cereduce reduce` on the full model")
+    if "shape" in data and data["shape"] != list(shape):
         raise ValueError(f"its shape {data['shape']} and the (D^2, n^2) = {list(shape)} "
                          "of the model pair do not match")
-    S = _map_entry(data)
-    if S is not None:
-        return S
-    M = matrix_from_json(data)
-    if M.shape != shape:
-        raise ValueError(f"its shape {list(M.shape)} and the (D^2, n^2) = {list(shape)} "
-                         "of the model pair do not match")
-    return Superoperator(M)
+    return _compression_from_json(data)
 
 
 def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:

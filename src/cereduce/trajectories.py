@@ -158,22 +158,23 @@ def enumerate_distribution(
 
     Runs on the model's minimal linear realization, the one
     :func:`~cereduce.reduction.equivalence_check` walks: its basis B_i, its
-    maps A_k and its output rows C, built once per model and kept on it.
-    ``tol`` certifies a split, which is refused above its bound, 10 ``tol``,
-    with ValueError.  The state enters once, as its coordinates
-    x = <B_i, rho0>, and no map is applied to it.  Each level of the outcome
-    tree, down to depth T-1, is one product of the stacked A_k with the
-    level above, in the word order of ``itertools.product(ce.outcomes,
-    repeat=t)``, which the table keeps.  One product of the stacked
-    [tr B; C] A_k with the depth-(T-1) level reads every leaf's probability
-    and outputs, so the probabilities sum to one for any valid instrument.
-    The peak is about that level: r^(T-1) coordinate vectors.
+    maps A_k and its output rows C, built once per model, in its own outcome
+    order, and kept on it.  ``tol`` certifies a split, which is refused
+    above its bound, 10 ``tol``, with ValueError.  The state enters once, as
+    its coordinates x = <B_i, rho0>, and no map is applied to it.  Each
+    level of the outcome tree, down to depth T-1, is one product of the
+    stacked A_k with the level above, in the word order of
+    ``itertools.product(ce.outcomes, repeat=t)``, which the table keeps.
+    One product of the stacked [tr B; C] A_k with the depth-(T-1) level
+    reads every leaf's probability and outputs, so the probabilities sum to
+    one for any valid instrument.  The peak is about that level: r^(T-1)
+    coordinate vectors.
     """
     r = len(ce.outcomes)
     n_words = r ** T
     if n_words > WORD_CAP:
         raise ValueError(f"{n_words} sequences exceed WORD_CAP = {WORD_CAP}")
-    lm = _realization(ce, ce.outcomes, tol)
+    lm = _realization(ce, tol)
     # the A_k stacked by outcome, and the coordinates <B_i, rho0> as one column
     A = np.concatenate([lm.A[k] for k in ce.outcomes])
     x = lm.subspace.stacked().conj() @ np.asarray(rho0, dtype=complex).reshape(-1, 1)

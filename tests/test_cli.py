@@ -1,7 +1,6 @@
 import base64
 import dataclasses
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -300,45 +299,36 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "invalid reduction map" in err and match in err
 
-    def test_kraus_list_r_of_older_files_verifies_alike(self, tmp_path, capsys):
-        # R as its Kraus list, with U beside it: the form files held before R was written as U
-        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
-        ce = ising_chain(5, 0.5, 0.3)
+    @pytest.mark.parametrize("form, name", [("kraus", "its Kraus list"), ("dense", "a dense matrix"),
+                                            ("lists", "a dense matrix")], ids=["kraus_list", "dense", "lists"])
+    def test_older_forms_of_r_refused_before_any_payload(self, tmp_path, monkeypatch, capsys, form, name):
+        # R as its Kraus list, with U beside it, or as its dense matrix in the base64 or the
+        # [re, im] form: the forms files held before R was written as U and its blocks
+        model = tmp_path / "ising.json"
+        ce = ising_chain(4, 0.5, 0.3)
         red = reduce_ce(ce)
         save_json(ce_to_json(ce), str(model))
-        save_json(reduced_ce_to_json(red), str(reduced))
-        doc = load_json(str(reduced))
+        doc = reduced_ce_to_json(red)
         R = doc["reduction"]["R"]
-        doc["reduction"]["R"] = {"shape": R["shape"], **superop_to_json(red.reduction_map)}
-        doc["reduction"]["U"] = R["U"]
+        if form == "kraus":
+            doc["reduction"]["R"] = {"shape": R["shape"], **superop_to_json(red.reduction_map)}
+            doc["reduction"]["U"] = R["U"]
+        else:
+            doc["reduction"]["R"] = (dense_entry if form == "dense" else list_entry)(red.reduction_map.matrix)
         old = _write(tmp_path / "old.red.json", doc)
-        assert len(load_json(old)["reduction"]["R"]["kraus"]) == 8
-        reports = []
-        for path in (str(reduced), old):
-            capsys.readouterr()
-            assert main(["verify", str(model), path, "--tv", "3"]) == 0
-            reports.append(capsys.readouterr().out)
-        # the rebuilt R is the written list bit for bit, so the reports are the same text
-        assert reports[1] == reports[0]
-        assert reports[0].splitlines()[-1] == "verification passed"
+        payloads = _c16_payloads(doc["reduction"])
+        decode = base64.b64decode
 
-    def test_dense_r_of_older_files_verifies_alike(self, tmp_path, capsys):
-        model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
-        assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
-        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
-        old = _write(tmp_path / "old.red.json", _dense_r(load_json(str(reduced))))
-        R = load_json(old)["reduction"]["R"]
-        assert set(R) == {"shape", "c16"} and R["shape"] == [64, 256]
-        reports = []
-        for path in (str(reduced), old):
-            capsys.readouterr()
-            assert main(["verify", str(model), path, "--tv", "3"]) == 0
-            reports.append(capsys.readouterr().out)
-        # the same lines and verdict; the factored R's Kraus list is not the written one,
-        # so the deviations may differ in their rounding
-        deviation = r"\d\.\d{3}e[+-]\d+"
-        assert [re.sub(deviation, "#", out) for out in reports] == [re.sub(deviation, "#", reports[0])] * 2
-        assert all(float(x) <= 1e-12 for out in reports for x in re.findall(deviation, out))
+        def spy(payload, *args, **kwargs):
+            assert payload not in payloads, "an entry of R was decoded"
+            return decode(payload, *args, **kwargs)
+
+        monkeypatch.setattr(base64, "b64decode", spy)
+        capsys.readouterr()
+        assert main(["verify", str(model), old, "--tv", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: invalid reduction map: ")
+        assert f"R written as {name}" in err and "re-run `cereduce reduce` on the full model" in err
 
     def test_mismatched_split_exit2(self, tmp_path, capsys):
         # the effects of outcomes "0" and "1" swapped: the split no longer gives the instrument
@@ -403,11 +393,14 @@ class TestVerify:
         assert "length 12 is the largest that fits" in err
 
 
-def _dense_r(doc):
-    """The reduced document with R rewritten as its dense {"shape", "c16"} matrix, the form
-    reduced files held before R was written as its Kraus list."""
-    doc["reduction"]["R"] = dense_entry(matrix_from_json(doc["reduction"]["R"]))
-    return doc
+def _c16_payloads(doc):
+    """The "c16" strings of every matrix entry in a JSON document; a bitmap may be shared
+    with another matrix, but the entries' bytes are not."""
+    if isinstance(doc, dict):
+        return {doc["c16"]} if "c16" in doc else _c16_payloads(list(doc.values()))
+    if isinstance(doc, list):
+        return {s for v in doc for s in _c16_payloads(v)}
+    return set()
 
 
 def _list_form(doc):
@@ -430,8 +423,8 @@ class TestListForm:
         assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
         old = [_write(tmp_path / f"old.{model.name}", _list_form(load_json(str(model)))),
-               _write(tmp_path / f"old.{reduced.name}", _list_form(_dense_r(load_json(str(reduced)))))]
-        # every matrix was rewritten
+               _write(tmp_path / f"old.{reduced.name}", _list_form(load_json(str(reduced))))]
+        # every matrix was rewritten, R's U as rows of [re, im] pairs too
         assert all('"c16"' in open(new).read() and '"c16"' not in open(path).read()
                    for new, path in zip((model, reduced), old))
         return (str(model), str(reduced)), old
@@ -729,6 +722,7 @@ def _transpose_given_as_matrix(tmp, model, reduced):
 
 
 def _negated_r(tmp, model, reduced):
+    # R as a dense matrix, a form of older files, is refused before it could be found not CP
     doc = load_json(str(reduced))
     doc["reduction"]["R"] = matrix_to_json(-matrix_from_json(doc["reduction"]["R"]))
     return ["verify", str(model), _write(tmp / "negated_r.json", doc)]
@@ -737,7 +731,8 @@ def _negated_r(tmp, model, reduced):
 # what the error line must name, beyond "error:"
 ERROR_NAMES = {
     _transpose_given_as_matrix: ["invalid model document", "instrument map '0'", "smallest Choi eigenvalue -1"],
-    _negated_r: ["invalid reduction map", "not completely positive"],
+    _negated_r: ["invalid reduction map", "R written as a dense matrix",
+                 "re-run `cereduce reduce` on the full model"],
     _corrupted_r: ["invalid reduction map", "'c16' is not strict base64"],
     _corrupted_kraus: ["invalid model document", "instrument map '0'", "'c16' is not strict base64"],
     _short_observable: ["invalid model document", "observable 'identity'", "'c16' of", "cannot hold"],

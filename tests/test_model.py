@@ -257,11 +257,16 @@ class TestOutputEval:
         assert outputs(ce, 0.3 * PLUS) == pytest.approx([0.3, 0.3])
 
     def test_one_product_matches_traces(self, rng):
+        # neither Hermitian nor symmetric, so a transposed or conjugated row shows
         obs = tuple(random_complex(rng, (4, 4)) for _ in range(3))
-        out = OutputMap(names=("a", "b", "c"), observables=obs)
+        ce = dataclasses.replace(random_ce(4, 2, 1, rng),
+                                 output=OutputMap(names=("a", "b", "c"), observables=obs))
         X = random_complex(rng, (4, 4))
         expected = np.array([np.trace(O @ X) for O in obs])
-        assert np.allclose(out.matrix() @ vec(X), expected, rtol=1e-12, atol=0)
+        out = ce.readout()[len(ce.outcomes):]
+        assert np.allclose(out @ X.reshape(-1), expected, rtol=1e-12, atol=0)
+        # row j is O_j^T flattened row-major, bit for bit
+        assert np.array_equal(out, [O.T.reshape(-1) for O in obs])
 
     def test_linearity_random_combinations(self, rng):
         ce = random_ce(3, 2, 3, rng)

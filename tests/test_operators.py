@@ -671,13 +671,15 @@ class TestStackedApply:
 
     @pytest.mark.parametrize("observables", ["ising", "random"])
     def test_output_map_stack_matches_slices(self, observables, rng):
-        out = ising_chain(4, 0.5, 0.3).output
+        ce = ising_chain(4, 0.5, 0.3)
         if observables == "random":
             # neither Hermitian nor symmetric, so a transposed contraction shows
-            out = OutputMap(names=("a", "b"), observables=tuple(random_complex(rng, (2, 16, 16))))
+            obs = tuple(random_complex(rng, (2, 16, 16)))
+            ce = ConditionalEvolution(ce.instrument, OutputMap(names=("a", "b"), observables=obs))
+        out = ce.output
         X = random_complex(rng, (2, 3, 16, 16))
-        # column-major flattening of the two last axes gives vec(X) of each operator
-        Y = X.reshape(2, 3, 256, order="F") @ out.matrix().T
+        # the readout's output rows act on the row-major flattening of each operator
+        Y = X.reshape(2, 3, 256) @ ce.readout()[len(ce.outcomes):].T
         assert Y.shape == (2, 3, len(out.observables))
         for idx in np.ndindex(2, 3):
             ref = np.array([np.trace(O @ X[idx]) for O in out.observables])

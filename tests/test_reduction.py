@@ -732,7 +732,7 @@ def test_random_density_properties(rng):
 
 @pytest.mark.parametrize("n", [1, 3, 32])
 def test_check_draws_the_states_of_random_density(n):
-    # the states drawn as one stack are those of random_density in turn, bit for bit
+    # the states the check draws are those of random_density in turn, bit for bit
     ce = random_ce(n, 2, 2, np.random.default_rng(n))
     drawn = []
     reduced = SimpleNamespace(model=ce, reduction_map=lambda X: (drawn.append(X.copy()), X)[1])

@@ -313,19 +313,19 @@ class TestModelDocuments:
 
     @pytest.mark.parametrize("shape", [[16, 256], [256, 64], [64, 256, 1], [64.0, 256], None],
                              ids=["rows", "transposed", "3-D", "float", "none"])
-    def test_kraus_entry_shape_must_be_the_lists(self, shape):
+    def test_kraus_entry_shape_must_be_the_lists(self, monkeypatch, shape):
         red = reduce_ce(ising_chain(4, 0.5, 0.3), seed=0)
-        # R as its Kraus list, the form files held before R was written as U and its blocks
-        R = {"shape": [64, 256], **superop_to_json(red.reduction_map)}
-        assert np.array_equal(matrix_from_json(R), red.reduction_map.matrix)
-        R["shape"] = shape
-        for read in (matrix_from_json, lambda data: reduction_map_from_json(data, (64, 256))):
-            with pytest.raises(ValueError, match="shape"):
-                read(R)
-        if shape in ([16, 256], [256, 64]):
-            # a model pair of that shape: the list itself refuses the shape
-            with pytest.raises(ValueError, match="Kraus operators"):
-                reduction_map_from_json(R, tuple(shape))
+        # R as its Kraus list, the form files held before R was written as U and its blocks:
+        # refused whatever its shape, and before any of its operators is decoded
+        R = {"shape": shape, **superop_to_json(red.reduction_map)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Kraus operator of R was decoded")
+
+        monkeypatch.setattr(base64, "b64decode", refuse)
+        for pair in ((64, 256), (16, 256), (256, 64)):
+            with pytest.raises(ValueError, match="R written as its Kraus list.*re-run `cereduce reduce`"):
+                reduction_map_from_json(R, pair)
 
 
 def _blocks_entry():

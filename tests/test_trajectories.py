@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from bisect import bisect_right
 from collections import Counter
@@ -330,10 +331,17 @@ class TestEnumerate:
                 assert abs(p - oracle[seq][0]) <= 1e-13
                 assert np.max(np.abs(y - oracle[seq][1])) <= 1e-13
 
-    def test_verify_closes_each_realization_once_and_applies_no_map(self, monkeypatch):
+    @pytest.mark.parametrize("reversed_outcomes", [False, True], ids=["same_order", "reduced_reversed"])
+    def test_verify_closes_each_realization_once_and_applies_no_map(self, monkeypatch, reversed_outcomes):
         # the check and both tables, as `verify --tv` runs them on one loaded pair
         ce = ising_chain(4, 0.5, 0.3)
         red = reduce_ce(ce)
+        if reversed_outcomes:
+            # a reduced file that declares its outcomes in another order is closed once too
+            order = ce.outcomes[::-1]
+            red = dataclasses.replace(red, model=dataclasses.replace(
+                red.model, instrument=Instrument(order, red.model.instrument.maps)))
+            assert red.model.outcomes != ce.outcomes
         forward = {id(S) for model in (ce, red.model)
                    for S in (*model.instrument.maps.values(), model.evolution, *(model.effects or {}).values())}
         applied, closed = [], []
