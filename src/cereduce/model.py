@@ -5,6 +5,8 @@ measurement outcome, normalized in the dual) with a linear output map
 reading out expectation values of a fixed set of observables.  Its
 readout matrix stacks the instrument's POVM on the output map, so one
 product with a state gives every outcome probability and every output.
+A split model is given as "measure, then evolve": an evolution map and one
+effect per outcome, from which its instrument is composed once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, Superoperator, map_coordinates
+from .operators import DEFAULT_TOL, Superoperator
 
 __all__ = [
     "Instrument",
@@ -103,27 +105,34 @@ class OutputMap:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ConditionalEvolution:
-    """Instrument + output map, optionally split as evolution o effects.
+    """An instrument + output map, or a split model: an evolution after the effects.
 
-    A split model has M_k = E o K_k: one evolution map E after the effect
-    K_k of outcome k.  Its duals M_k^dag = K_k^dag o E^dag then share one
-    E^dag(X) among all outcomes; :meth:`dual_images` uses the split once
-    :meth:`split_residual`, computed once per model, is within the bound of
-    :func:`validate_ce`, and refuses it with ValueError otherwise.
+    A split model is given by its evolution E and its effects K_k, never
+    beside an instrument: its instrument is composed here, once, as
+    M_k = E o K_k, one outcome per effect in the effects' order.  Its duals
+    M_k^dag = K_k^dag o E^dag then share one E^dag(X) among all outcomes
+    (see :meth:`dual_images`).  Giving both forms, or neither, raises
+    ValueError.
     """
 
-    instrument: Instrument
+    instrument: Instrument | None = None
     output: OutputMap
     evolution: Superoperator | None = None
     effects: dict[str, Superoperator] | None = None
 
     def __post_init__(self):
-        if self.instrument.dim != self.output.dim:
-            raise ValueError("instrument and output map dimensions differ")
         if (self.evolution is None) != (self.effects is None):
             raise ValueError("split requires both an evolution map and effects")
+        if (self.instrument is None) == (self.evolution is None):
+            raise ValueError("give either an instrument or a split (evolution and effects), not "
+                             + ("both" if self.has_split else "neither"))
+        if self.has_split:
+            maps = {k: self.evolution @ K for k, K in self.effects.items()}
+            object.__setattr__(self, "instrument", Instrument(outcomes=tuple(self.effects), maps=maps))
+        if self.instrument.dim != self.output.dim:
+            raise ValueError("instrument and output map dimensions differ")
 
     @property
     def dim(self) -> int:
@@ -180,50 +189,20 @@ class ConditionalEvolution:
             object.__setattr__(self, "_steps", steps)
         return steps
 
-    def split_residual(self) -> float:
-        """Max HS distance between M_k and evolution o effect_k, computed once.
-
-        Each pair goes through its own :func:`~cereduce.operators.map_coordinates`,
-        which stacks one outcome's Kraus operators at a time.  Diagonal effects, as
-        in the zoo, compose with the evolution by scaling columns (see
-        :meth:`~cereduce.operators.Superoperator.compose`).
-        """
-        if not self.has_split:
-            raise ValueError("conditional evolution has no split form")
-        res = self.__dict__.get("_split_residual")
-        if res is None:
-            res = 0.0
-            for k in self.outcomes:
-                x = map_coordinates([self.instrument.maps[k], self.evolution @ self.effects[k]])
-                res = max(res, float(np.linalg.norm(x[0] - x[1])))
-            object.__setattr__(self, "_split_residual", res)
-        return res
-
-    def certify_split(self, tol: float = DEFAULT_TOL) -> None:
-        """Raise ValueError unless a split's residual is within the 10 tol of :func:`validate_ce`."""
-        if self.has_split and not self.split_residual() <= tol * 10:
-            raise ValueError(f"split residual {self.split_residual():.3e} exceeds {tol * 10:.1e}: "
-                             "the evolution after the effects is not the instrument")
-
-    def dual_images(self, tol: float = DEFAULT_TOL) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    def dual_images(self) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
         """The function X -> the images M_k^dag(X) of every outcome k, in declaration order.
 
-        On a split model, certified by :meth:`certify_split` at ``tol``,
-        M_k^dag = effect_k^dag o evolution^dag: the function computes
-        E^dag(X) once, when called, and returns an iterator that applies each
-        effect's dual to it in turn, elementwise for diagonal effects.
-        Without a split it applies the instrument maps' adjoints to X.  X is
-        one operator or a stack, and the iterator holds only E^dag(X), or X.
-        The dual maps are built here, once per returned function, and not
-        kept on the model.
+        On a split model M_k^dag = effect_k^dag o evolution^dag: the function
+        computes E^dag(X) once, when called, and returns an iterator that
+        applies each effect's dual to it in turn, elementwise for diagonal
+        effects.  Without a split it applies the instrument maps' adjoints to
+        X.  X is one operator or a stack, and the iterator holds only
+        E^dag(X), or X.  The dual maps are built here, once per returned
+        function, and not kept on the model.
         """
-        self.certify_split(tol)
-        if self.has_split:
-            shared = self.evolution.adjoint()
-            duals = [self.effects[k].adjoint() for k in self.outcomes]
-        else:
-            shared = None
-            duals = [self.instrument.maps[k].adjoint() for k in self.outcomes]
+        shared = self.evolution.adjoint() if self.has_split else None
+        maps = self.effects if self.has_split else self.instrument.maps
+        duals = [maps[k].adjoint() for k in self.outcomes]
 
         def images(X: np.ndarray) -> Iterator[np.ndarray]:
             S = X if shared is None else shared(X)
@@ -237,7 +216,6 @@ class ValidationReport:
     normalization_residual: float
     hermiticity_residuals: tuple[float, ...]
     identity_present: bool
-    split_residual: float | None
     tol: float
 
     @property
@@ -246,21 +224,21 @@ class ValidationReport:
             self.normalization_residual <= self.tol * 10
             and all(r <= self.tol for r in self.hermiticity_residuals)
             and self.identity_present
-            and (self.split_residual is None or self.split_residual <= self.tol * 10)
         )
 
 
 def validate_ce(ce: ConditionalEvolution, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check dual normalization, the split form and observable sanity.
+    """Check dual normalization and observable sanity.
 
-    Complete positivity needs no check: every :class:`Superoperator` is a
-    Kraus map, and one given as a matrix was refused when built unless CP.
+    A split model's instrument is composed from its split, so the split needs
+    no check of its own.  Complete positivity needs none either: every
+    :class:`Superoperator` is a Kraus map, and one given as a matrix was
+    refused when built unless CP.
     """
     herm = tuple(float(np.linalg.norm(O - O.conj().T)) for O in ce.output.observables)
     return ValidationReport(
         normalization_residual=ce.instrument.normalization_residual(),
         hermiticity_residuals=herm,
         identity_present=ce.output.identity_index(tol) is not None,
-        split_residual=ce.split_residual() if ce.has_split else None,
         tol=tol,
     )

@@ -38,12 +38,11 @@ def nonobservable_complement(
     Their :func:`~cereduce.operators.hermitian_closure` under the duals,
     each basis element expanded by
     :meth:`~cereduce.model.ConditionalEvolution.dual_images`, so a split
-    model pays one evolution conjugation per element, not one per outcome,
-    and refuses a split above its bound with ValueError.  The basis is
-    exactly Hermitian, and a non-Hermitian observable enters through its
-    two Hermitian parts.
+    model pays one evolution conjugation per element, not one per outcome.
+    The basis is exactly Hermitian, and a non-Hermitian observable enters
+    through its two Hermitian parts.
     """
-    return hermitian_closure(list(ce.output.observables), ce.dual_images(tol), tol)
+    return hermitian_closure(list(ce.output.observables), ce.dual_images(), tol)
 
 
 def _images(S: Superoperator, subspace: OperatorSubspace) -> np.ndarray:
@@ -89,17 +88,13 @@ class LinearReducedModel:
         return self.subspace.dim
 
 
-def linear_reduce(
-    ce: ConditionalEvolution, subspace: OperatorSubspace, tol: float = DEFAULT_TOL
-) -> LinearReducedModel:
+def linear_reduce(ce: ConditionalEvolution, subspace: OperatorSubspace) -> LinearReducedModel:
     """Compress every instrument map and the output map onto the subspace.
 
     A_k[i, j] = <B_i, M_k(B_j)> = <M_k^dag(B_i), B_j> is read off one
     :meth:`~cereduce.model.ConditionalEvolution.dual_images` call on the
     stacked basis, so a split model conjugates the basis by its evolution
-    once for all outcomes.  ``tol`` certifies that split: a split residual
-    above 10 ``tol`` raises ValueError, so ``cereduce verify`` reduces a
-    split model at its ``--tol``.  C[o, j] = tr(O_o B_j).
+    once for all outcomes.  C[o, j] = tr(O_o B_j).
 
     Exact output reproduction for all outcome words requires the subspace
     to contain the full dual-map orbit of the observables; the caller is
@@ -112,7 +107,7 @@ def linear_reduce(
     # A_k = conj(Y_k) Q^T for the rows Y_k of M_k^dag(B_i) flattened row-major, each
     # image conjugated in place, one outcome at a time;  C holds the output rows of the
     # readout against the row-major flattening of B_j
-    images = ce.dual_images(tol)(subspace.basis)
+    images = ce.dual_images()(subspace.basis)
     A = {k: np.conj(Y, out=Y).reshape(subspace.dim, -1) @ Q.T for k, Y in zip(ce.outcomes, images)}
     C = ce.readout()[len(ce.outcomes):] @ Q.T
     return LinearReducedModel(subspace=subspace, A=A, C=C)

@@ -120,7 +120,7 @@ def reduce_ce(
     instrument map: reduced M_k = R o M_k o J, with a Kraus list at its Choi
     rank (see :meth:`~cereduce.algebra.CEFactorization.reduce_map`), and
     reduced output = C o J.  On a split model M_k is evolution o effect_k, the map
-    the observable subspace is closed under, composed one outcome at a time.
+    the observable subspace is closed under.
     """
     nperp = nonobservable_complement(ce, tol)
     alg = algebra_closure(nperp, tol, seed)
@@ -128,10 +128,9 @@ def reduce_ce(
         raise ValueError("the observables generate a non-unital algebra")
     fact = conditional_expectation(alg.decomposition)
 
-    maps, cuts = _reduce_maps(fact, ((k, ce.evolution @ ce.effects[k] if ce.has_split else ce.instrument.maps[k])
-                                     for k in ce.outcomes), tol)
-    inst = Instrument(outcomes=ce.outcomes, maps=maps)
-    model = ConditionalEvolution(instrument=inst, output=_reduced_output_map(ce, fact))
+    maps, cuts = _reduce_maps(fact, ((k, ce.instrument.maps[k]) for k in ce.outcomes), tol)
+    model = ConditionalEvolution(instrument=Instrument(outcomes=ce.outcomes, maps=maps),
+                                 output=_reduced_output_map(ce, fact))
     return ReducedCE(
         model=model,
         reduction_map=fact.R,
@@ -246,14 +245,7 @@ def reduce_separably(
     split, cuts = _reduce_maps(joint.factorization, named.items(), tol)
     ev = split["evolution"]
     eff = {k: split[f"effect {k}"] for k in ce.outcomes}
-    maps = {k: ev @ eff[k] for k in ce.outcomes}
-    inst = Instrument(outcomes=ce.outcomes, maps=maps)
-    model = ConditionalEvolution(
-        instrument=inst,
-        output=joint.model.output,
-        evolution=ev,
-        effects=eff,
-    )
+    model = ConditionalEvolution(output=joint.model.output, evolution=ev, effects=eff)
     return SeparableReduction(
         evolution=ev,
         effects=eff,
@@ -305,8 +297,7 @@ def equivalence_check(
     maps A_k, which act on the coordinates <B_i, X> in its basis, are those
     of :func:`~cereduce.observability.linear_reduce` on that span.  On a
     split model the closure and ``linear_reduce`` each share one evolution
-    conjugation among the outcomes, and a split residual above 10 ``tol``
-    raises ValueError.  The readout
+    conjugation among the outcomes.  The readout
     [tr X, tr O_1 X, ..., tr O_m X] at word w = (w_1, ..., w_t) from
     coordinates x is V_w^T x, with the d x (m + 1) block
     V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states are drawn by
@@ -340,7 +331,7 @@ def equivalence_check(
             raise ValueError(f"the walk to length {max_len} over {n_out} outcomes has {more}{nodes} "
                              f"nodes, above WORD_CAP = {WORD_CAP}; length {t - 1} is the largest that fits")
         width *= n_out
-    realizations = [_realization(ce, tol) for ce in (full, reduced.model)]
+    realizations = [_realization(ce) for ce in (full, reduced.model)]
     rng = np.random.default_rng(seed)
     states = np.empty((n_states, full.dim, full.dim), dtype=complex)
     for s in range(n_states):
@@ -371,16 +362,15 @@ WORST_CASE_RTOL = 1e-12
 FRAME_WORDS = 256
 
 
-def _realization(ce: ConditionalEvolution, tol: float) -> LinearReducedModel:
+def _realization(ce: ConditionalEvolution) -> LinearReducedModel:
     """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
     span of 1 and its observables: built once per model and kept on the model, as its readout
-    is; a split is certified at ``tol`` on every call."""
-    ce.certify_split(tol)
+    is."""
     lm = ce.__dict__.get("_realization")
     if lm is None:
         generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-        span = hermitian_closure(generators, ce.dual_images(tol), REALIZATION_TOL)
-        lm = linear_reduce(ce, span, tol)
+        span = hermitian_closure(generators, ce.dual_images(), REALIZATION_TOL)
+        lm = linear_reduce(ce, span)
         object.__setattr__(ce, "_realization", lm)
     return lm
 

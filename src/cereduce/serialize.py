@@ -10,7 +10,10 @@ and NaN payloads included, no number goes through JSON, and a zero entry
 costs one bit.  Two older forms are still read: the dense
 {"shape", "c16"} entry, holding every entry's bytes, and row-major nested
 arrays of [re, im] pairs.  A map is its "kraus" list of such entries.
-Records and distributions keep complex numbers as readable [re, im] pairs.
+A model gives each map once: a split model its "split", an "evolution" and
+one "effects" entry per outcome, whose composition is its instrument, and any
+other model its "instrument".  A document with both, as older split files
+are, is refused.  Records and distributions keep complex numbers as [re, im] pairs.
 Reduced models are written as ordinary conditional-evolution documents with
 an extra "reduction" block, so every command that accepts a model also
 accepts a reduced one.  Its "R" is the basis U of the block decomposition with
@@ -197,20 +200,21 @@ def reduction_map_from_json(data, shape: tuple[int, int]) -> Superoperator:
 
 
 def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
+    """The model document: a split model's "split", else its "instrument", never both."""
+    if ce.has_split:
+        maps = {"split": {"evolution": superop_to_json(ce.evolution),
+                          "effects": {k: superop_to_json(ce.effects[k]) for k in ce.outcomes}}}
+    else:
+        maps = {"instrument": {k: superop_to_json(ce.instrument.maps[k]) for k in ce.outcomes}}
     doc = {
         "dim": ce.dim,
         "outcomes": list(ce.outcomes),
-        "instrument": {k: superop_to_json(ce.instrument.maps[k]) for k in ce.outcomes},
+        **maps,
         "observables": [
             {"name": name, "matrix": matrix_to_json(O)}
             for name, O in zip(ce.output.names, ce.output.observables)
         ],
     }
-    if ce.has_split:
-        doc["split"] = {
-            "evolution": superop_to_json(ce.evolution),
-            "effects": {k: superop_to_json(ce.effects[k]) for k in ce.outcomes},
-        }
     if extra:
         doc.update(extra)
     return doc
@@ -230,34 +234,37 @@ def _labelled(label: str, read, data, dim: int):
 
 
 def ce_from_json(doc: dict) -> ConditionalEvolution:
+    """The model of a document that gives its "instrument" or its "split"; ValueError, before
+    any map is read, on a document that gives both or repeats an outcome label."""
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, not {type(doc).__name__}")
+    if "instrument" in doc and "split" in doc:
+        raise ValueError("model document gives both 'instrument' and 'split': the split's composition "
+                         "is its instrument, so re-run `cereduce zoo` or drop the 'instrument'")
     try:
         dim = doc["dim"]
         if type(dim) is not int or dim < 1:
             raise ValueError(f"model 'dim' must be a positive int, not {dim!r}")
         outcomes = tuple(str(k) for k in doc["outcomes"])
-        maps = {k: _labelled(f"instrument map {k!r}", superop_from_json, doc["instrument"][k], dim)
-                for k in outcomes}
+        if len(set(outcomes)) != len(outcomes):
+            raise ValueError(f"duplicate outcome labels in {list(outcomes)}")
+        if "split" in doc:
+            split = doc["split"]
+            form = {"evolution": _labelled("split evolution", superop_from_json, split["evolution"], dim),
+                    "effects": {k: _labelled(f"split effect {k!r}", superop_from_json,
+                                             split["effects"][k], dim) for k in outcomes}}
+        else:
+            form = {"instrument": Instrument(outcomes=outcomes, maps={
+                k: _labelled(f"instrument map {k!r}", superop_from_json, doc["instrument"][k], dim)
+                for k in outcomes})}
         names = tuple(o["name"] for o in doc["observables"])
         obs = tuple(_labelled(f"observable {o['name']!r}", matrix_from_json, o["matrix"], dim)
                     for o in doc["observables"])
-        evolution = effects = None
-        if "split" in doc:
-            split = doc["split"]
-            evolution = _labelled("split evolution", superop_from_json, split["evolution"], dim)
-            effects = {k: _labelled(f"split effect {k!r}", superop_from_json, split["effects"][k], dim)
-                       for k in outcomes}
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
-    return ConditionalEvolution(
-        instrument=Instrument(outcomes=outcomes, maps=maps),
-        output=OutputMap(names=names, observables=obs),
-        evolution=evolution,
-        effects=effects,
-    )
+    return ConditionalEvolution(output=OutputMap(names=names, observables=obs), **form)
 
 
 def reduced_ce_to_json(red) -> dict:

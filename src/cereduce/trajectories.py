@@ -149,19 +149,15 @@ def sample_trajectory(
 
 
 def enumerate_distribution(
-    ce: ConditionalEvolution,
-    rho0: np.ndarray,
-    T: int,
-    tol: float = DEFAULT_TOL,
+    ce: ConditionalEvolution, rho0: np.ndarray, T: int
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
     Runs on the model's minimal linear realization, the one
     :func:`~cereduce.reduction.equivalence_check` walks: its basis B_i, its
     maps A_k and its output rows C, built once per model, in its own outcome
-    order, and kept on it.  ``tol`` certifies a split, which is refused
-    above its bound, 10 ``tol``, with ValueError.  The state enters once, as
-    its coordinates x = <B_i, rho0>, and no map is applied to it.  Each
+    order, and kept on it.  The state enters once, as its coordinates
+    x = <B_i, rho0>, and no map is applied to it.  Each
     level of the outcome tree, down to depth T-1, is one product of the
     stacked A_k with the level above, in the word order of
     ``itertools.product(ce.outcomes, repeat=t)``, which the table keeps.
@@ -174,7 +170,7 @@ def enumerate_distribution(
     n_words = r ** T
     if n_words > WORD_CAP:
         raise ValueError(f"{n_words} sequences exceed WORD_CAP = {WORD_CAP}")
-    lm = _realization(ce, tol)
+    lm = _realization(ce)
     # the A_k stacked by outcome, and the coordinates <B_i, rho0> as one column
     A = np.concatenate([lm.A[k] for k in ce.outcomes])
     x = lm.subspace.stacked().conj() @ np.asarray(rho0, dtype=complex).reshape(-1, 1)

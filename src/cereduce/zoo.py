@@ -1,8 +1,8 @@
 """Example model families: measured quantum walks and measured Ising chains.
 
-Both families come in split form (a unitary evolution composed with the
-conditioning effects of a projective measurement) and carry known exact
-reduction data that the test-suite asserts.
+Both families are split models, a unitary evolution after the conditioning
+effects of a projective measurement, and carry known exact reduction data
+that the test-suite asserts.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .model import ConditionalEvolution, Instrument, OutputMap
+from .model import ConditionalEvolution, OutputMap
 from .operators import DEFAULT_TOL, Superoperator, hermitian_closure
 
 __all__ = [
@@ -70,19 +70,11 @@ def measured_quantum_walk(
             "non-generic walk unitary: known-answer reduction dimensions may not apply",
             stacklevel=2,
         )
-    evolution = Superoperator(kraus=[U])
     eye = np.eye(n, dtype=complex)
-    effects = {}
-    maps = {}
-    labels = tuple(str(j) for j in range(n))
-    for j, lab in enumerate(labels):
-        proj = np.outer(eye[:, j], eye[:, j].conj())
-        effects[lab] = Superoperator(kraus=[proj])
-        maps[lab] = Superoperator(kraus=[U @ proj])
+    effects = {str(j): Superoperator(kraus=[np.outer(eye[:, j], eye[:, j].conj())]) for j in range(n)}
     return ConditionalEvolution(
-        instrument=Instrument(outcomes=labels, maps=maps),
         output=OutputMap(names=("identity",), observables=(eye,)),
-        evolution=evolution,
+        evolution=Superoperator(kraus=[U]),
         effects=effects,
     )
 
@@ -137,13 +129,10 @@ def ising_chain(N: int, p: float, delta: float) -> ConditionalEvolution:
     effect_kraus["0"] = np.sqrt(1 - p) * P0
     effect_kraus["1"] = np.sqrt(1 - p) * P1
 
-    labels = tuple(effect_kraus)
     effects = {k: Superoperator(kraus=[K]) for k, K in effect_kraus.items()}
-    maps = {k: Superoperator(kraus=[U @ K]) for k, K in effect_kraus.items()}
     names = tuple(f"sigma_{q}^(1)" for q in ("0", "x", "y", "z"))
     obs = tuple(_site_operator(N, {1: PAULI[q]}) for q in ("0", "x", "y", "z"))
     return ConditionalEvolution(
-        instrument=Instrument(outcomes=labels, maps=maps),
         output=OutputMap(names=names, observables=obs),
         evolution=Superoperator(kraus=[U]),
         effects=effects,

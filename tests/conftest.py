@@ -87,6 +87,13 @@ SPLIT_MODELS = {
 }
 
 
+def with_output(ce, output):
+    """``ce`` with the output map ``output``, in its own form: a split model stays split."""
+    if ce.has_split:
+        return ConditionalEvolution(output=output, evolution=ce.evolution, effects=ce.effects)
+    return ConditionalEvolution(instrument=ce.instrument, output=output)
+
+
 def enumerate_oracle(ce, rho0, T):
     """The table of ``enumerate_distribution`` in operator space: the outcome tree of
     unnormalized states, each level one stack that every instrument map advances in one

@@ -43,13 +43,17 @@ class TestZoo:
         assert main(["zoo", "walk", "--n", "4", "-o", str(out)]) == 0
         doc = load_json(str(out))
         assert doc["dim"] == 4 and len(doc["outcomes"]) == 4
+        assert "split" in doc and "instrument" not in doc
 
     def test_ising_emits_split_model(self, tmp_path):
         out = tmp_path / "i.json"
         assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(out)]) == 0
         doc = load_json(str(out))
         assert doc["dim"] == 16 and "split" in doc
-        assert doc["outcomes"] == ["-1", "0", "1"]
+        # each map once: the instrument is composed from the split on loading
+        assert "instrument" not in doc
+        assert list(doc) == ["dim", "outcomes", "split", "observables"]
+        assert doc["outcomes"] == ["-1", "0", "1"] == list(doc["split"]["effects"])
 
     def test_ising_too_short_exit2(self, tmp_path):
         code = main(["zoo", "ising", "--n", "3", "--p", "0.0", "--delta", "0.3", "-o", str(tmp_path / "x.json")])
@@ -176,18 +180,19 @@ class TestReduce:
         assert main(["reduce", str(bad)]) == 2
 
     def test_split_failure_named_exit2(self, tmp_path, capsys):
-        model = tmp_path / "ising.json"
-        assert main(["zoo", "ising", "--n", "4", "--p", "0.0", "--delta", "0.3", "-o", str(model)]) == 0
-        doc = load_json(str(model))
-        effects = doc["split"]["effects"]
-        a, b = doc["outcomes"][:2]
-        effects[a], effects[b] = effects[b], effects[a]
-        bad = tmp_path / "swapped.json"
-        save_json(doc, str(bad))
+        # a split file that gives an instrument too, as files did before the instrument
+        # was composed on loading
+        ce = ising_chain(4, 0.0, 0.3)
+        doc = ce_to_json(ce)
+        doc["instrument"] = {k: superop_to_json(ce.instrument.maps[k]) for k in ce.outcomes}
+        bad = _write(tmp_path / "both.json", doc)
         capsys.readouterr()
-        assert main(["reduce", str(bad)]) == 2
+        assert main(["reduce", bad]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "split residual" in err and "split residual none" not in err
+        assert err.startswith(f"error: {bad}: invalid model document: model document gives both "
+                              "'instrument' and 'split'")
+        assert "re-run `cereduce zoo` or drop the 'instrument'" in err
+        assert not (tmp_path / "both.red.json").exists()
 
 
 class TestVerify:
@@ -330,22 +335,31 @@ class TestVerify:
         assert err.startswith(f"error: {old}: invalid reduction map: ")
         assert f"R written as {name}" in err and "re-run `cereduce reduce` on the full model" in err
 
-    def test_mismatched_split_exit2(self, tmp_path, capsys):
-        # the effects of outcomes "0" and "1" swapped: the split no longer gives the instrument
+    def test_mismatched_split_exit2(self, tmp_path, monkeypatch, capsys):
+        # the instrument beside a split whose effects of outcomes "0" and "1" are swapped:
+        # refused for giving both, before any payload is decoded
         ce = ising_chain(4, 0.5, 0.3)
-        bad = dataclasses.replace(ce, effects={"-1": ce.effects["-1"], "0": ce.effects["1"],
-                                               "1": ce.effects["0"]})
-        model, swapped, reduced = (tmp_path / name for name in ("m.json", "bad.json", "m.red.json"))
+        model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
         save_json(ce_to_json(ce), str(model))
-        save_json(ce_to_json(bad), str(swapped))
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
-        capsys.readouterr()
-        assert main(["reduce", str(swapped), "-o", str(tmp_path / "bad.red.json")]) == 2
-        assert "split residual" in capsys.readouterr().err
+        doc = ce_to_json(ce)
+        effects = doc["split"]["effects"]
+        effects["0"], effects["1"] = effects["1"], effects["0"]
+        doc["instrument"] = {k: superop_to_json(ce.instrument.maps[k]) for k in ce.outcomes}
+        swapped = _write(tmp_path / "bad.json", doc)
+        decoded = []
+        decode = base64.b64decode
+        monkeypatch.setattr(base64, "b64decode", lambda *a, **kw: (decoded.append(1), decode(*a, **kw))[1])
+        for argv in (["reduce", swapped, "-o", str(tmp_path / "bad.red.json")],
+                     ["verify", swapped, str(reduced), "--max-len", "2", "--n-states", "2"]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: {swapped}: invalid model document: model document gives both "
+                                     "'instrument' and 'split'")
+        assert not decoded
         assert not (tmp_path / "bad.red.json").exists()
-        assert main(["verify", str(swapped), str(reduced), "--max-len", "2", "--n-states", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {swapped}: split residual ")
 
     def test_reduced_outcomes_in_another_order(self, tmp_path):
         model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
@@ -355,21 +369,6 @@ class TestVerify:
         doc["outcomes"] = doc["outcomes"][::-1]
         permuted = _write(tmp_path / "permuted.red.json", doc)
         assert main(["verify", str(model), permuted, "--max-len", "3", "--n-states", "3", "--tv", "3"]) == 0
-
-    def test_split_certified_at_tol(self, tmp_path, capsys):
-        # effects scaled by sqrt(1 + 1e-7): split residual 8e-7, within 10 tol at --tol 1e-7 only
-        ce = ising_chain(4, 0.5, 0.3)
-        scaled = dataclasses.replace(ce, effects={
-            k: operators.Superoperator(kraus=[np.sqrt(1 + 1e-7) * K for K in E.kraus])
-            for k, E in ce.effects.items()})
-        model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
-        save_json(ce_to_json(scaled), str(model))
-        assert main(["reduce", str(model), "--tol", "1e-7", "-o", str(reduced)]) == 0
-        args = ["verify", str(model), str(reduced), "--max-len", "2", "--n-states", "2", "--tv", "2"]
-        assert main([*args, "--tol", "1e-7"]) == 0
-        capsys.readouterr()
-        assert main(args) == 2
-        assert capsys.readouterr().err.startswith(f"error: {model}: split residual ")
 
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files
@@ -459,18 +458,37 @@ def _sparse_form(doc):
     return doc
 
 
+def _without_instrument(path, folder):
+    """A copy of the split model file ``path`` in the new directory ``folder`` with its
+    "instrument" deleted, every other entry as written."""
+    doc = load_json(path)
+    assert "split" in doc
+    del doc["instrument"]
+    folder.mkdir()
+    return _write(folder / Path(path).name, doc)
+
+
 class TestDenseFiles:
     """The Ising N=4 p=0.5 pair in tests/data, written with every entry's bytes, and the same
-    pair rewritten with its nonzero entries only, read alike by every command."""
+    pair rewritten with its nonzero entries only, read alike by every command.  The model file
+    gives its instrument beside its split, as split files did before the instrument was
+    composed on loading, so the commands read a copy without it."""
 
     @pytest.fixture()
     def pairs(self, tmp_path):
-        dense = [str(DATA / "dense_ising4.json"), str(DATA / "dense_ising4.red.json")]
+        dense = [_without_instrument(str(DATA / "dense_ising4.json"), tmp_path / "dense"),
+                 str(DATA / "dense_ising4.red.json")]
         sparse = [_write(tmp_path / Path(path).name, _sparse_form(load_json(path))) for path in dense]
         for old, new in zip(dense, sparse):
             assert '"nonzero"' not in open(old).read()
             assert Path(new).stat().st_size < 0.6 * Path(old).stat().st_size
         return dense, sparse
+
+    def test_model_as_stored_refused(self, tmp_path, capsys):
+        model = str(DATA / "dense_ising4.json")
+        assert main(["reduce", model, "-o", str(tmp_path / "unused.red.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: invalid model document: model document gives both ")
 
     def test_verify_passes_with_the_same_report(self, pairs, capsys):
         reports = []
@@ -527,8 +545,8 @@ class TestSimulate:
     def test_unnormalized_model_exit2(self, tmp_path, walk_files, factor, capsys):
         model, _ = walk_files
         doc = load_json(str(model))
-        # scale every instrument map and effect by factor, so the split form still holds
-        for entry in [*doc["instrument"].values(), *doc["split"]["effects"].values()]:
+        # scale every effect by factor, and so every map of the instrument composed from them
+        for entry in doc["split"]["effects"].values():
             entry["kraus"] = [matrix_to_json(np.sqrt(factor) * matrix_from_json(K)) for K in entry["kraus"]]
         bad = _write(tmp_path / "scaled.json", doc)
         capsys.readouterr()
@@ -612,7 +630,7 @@ def _corrupted_r(tmp, model, reduced):
 
 
 def _corrupted_kraus(tmp, model, reduced):
-    doc = load_json(str(model))
+    doc = load_json(str(reduced))
     _corrupt(doc["instrument"][doc["outcomes"][0]]["kraus"][0])
     return ["reduce", _write(tmp / "corrupted_kraus.json", doc)]
 
@@ -650,7 +668,7 @@ def _padding_bits_set(tmp, model, reduced):
 
 
 def _entry_bytes_short(tmp, model, reduced):
-    doc = load_json(str(model))
+    doc = load_json(str(reduced))
     K = doc["instrument"][doc["outcomes"][0]]["kraus"][0]
     K["c16"] = b64(stored(K)[1][:-16])
     return ["reduce", _write(tmp / "entry_bytes_short.json", doc)]
@@ -707,6 +725,12 @@ def _duplicate_outcomes(tmp, model, reduced):
     return ["simulate", _write(tmp / "duplicate.json", doc), "--samples", "2"]
 
 
+def _duplicate_outcomes_of_instrument(tmp, model, reduced):
+    doc = load_json(str(reduced))
+    doc["outcomes"].append(doc["outcomes"][-1])
+    return ["simulate", _write(tmp / "duplicate.red.json", doc), "--samples", "2"]
+
+
 def _no_observables(tmp, model, reduced):
     doc = load_json(str(model))
     doc["observables"] = []
@@ -714,7 +738,7 @@ def _no_observables(tmp, model, reduced):
 
 
 def _transpose_given_as_matrix(tmp, model, reduced):
-    doc = load_json(str(model))
+    doc = load_json(str(reduced))
     n = doc["dim"]
     transpose = np.array([vec(E.T) for E in np.eye(n * n).reshape(n * n, n, n, order="F")]).T
     doc["instrument"][doc["outcomes"][0]] = {"matrix": matrix_to_json(transpose)}
@@ -748,6 +772,9 @@ ERROR_NAMES = {
                        "cannot hold"],
     _inconsistent_blocks: ["reduction blocks [(1, 1), (1, 1), (1, 2)] do not split", "dimension 9"],
     _fractional_blocks: ["must be positive integers"],
+    _duplicate_outcomes: ["invalid model document", "duplicate outcome labels in ['0', '0', '1', '2']"],
+    _duplicate_outcomes_of_instrument: ["invalid model document",
+                                        "duplicate outcome labels in ['0', '1', '2', '2']"],
 }
 
 
@@ -783,6 +810,7 @@ ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISIN
         pytest.param(_bitmap_not_base64, id="reduce_bitmap_not_base64"),
         pytest.param(_huge_observable, id="simulate_huge_observable"),
         pytest.param(_duplicate_outcomes, id="duplicate_outcomes"),
+        pytest.param(_duplicate_outcomes_of_instrument, id="duplicate_outcomes_of_instrument"),
         pytest.param(_no_observables, id="no_observables"),
         pytest.param(_reduced_without_r, id="reduced_without_R"),
         pytest.param(_relabelled_outcome, id="relabelled_outcome"),

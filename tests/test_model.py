@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from cereduce.operators import Superoperator, unvec
 from cereduce.reduction import random_density, reduce_ce, reduce_separably
 from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import SPLIT_MODELS, outputs, proj, random_ce, random_complex, vec
+from conftest import SPLIT_MODELS, outputs, proj, random_ce, random_complex, vec, with_output
 from test_trajectories import trajectory_probability
 
 
@@ -69,11 +68,15 @@ class TestValidate:
             Superoperator(swap)
 
     def test_split_mismatch_rejected(self):
+        # an instrument beside a split, whether the two match or not, is refused when built,
+        # so no residual between them is left for validate_ce to report
         ce = ising_chain(4, 0.5, 0.3)
         swapped = {"-1": ce.effects["-1"], "0": ce.effects["1"], "1": ce.effects["0"]}
-        rep = validate_ce(dataclasses.replace(ce, effects=swapped))
-        assert rep.split_residual > 1.0
-        assert not rep.ok
+        for effects in (ce.effects, swapped):
+            with pytest.raises(ValueError, match="either an instrument or a split .* not both"):
+                ConditionalEvolution(instrument=ce.instrument, output=ce.output,
+                                     evolution=ce.evolution, effects=effects)
+        assert not hasattr(validate_ce(ce), "split_residual")
 
 
 class TestMalformedLists:
@@ -259,8 +262,7 @@ class TestOutputEval:
     def test_one_product_matches_traces(self, rng):
         # neither Hermitian nor symmetric, so a transposed or conjugated row shows
         obs = tuple(random_complex(rng, (4, 4)) for _ in range(3))
-        ce = dataclasses.replace(random_ce(4, 2, 1, rng),
-                                 output=OutputMap(names=("a", "b", "c"), observables=obs))
+        ce = with_output(random_ce(4, 2, 1, rng), OutputMap(names=("a", "b", "c"), observables=obs))
         X = random_complex(rng, (4, 4))
         expected = np.array([np.trace(O @ X) for O in obs])
         out = ce.readout()[len(ce.outcomes):]
@@ -286,9 +288,45 @@ def test_positivity_propagation(rng):
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
 
 
-def test_split_residual_checked():
-    ce = ising_chain(4, 0.0, 0.3)
-    assert ce.split_residual() < 1e-12
+class TestSplitForm:
+    """A model is given as an instrument or as a split, and a split model composes its instrument."""
+
+    def test_neither_form_refused(self):
+        with pytest.raises(ValueError, match="not neither"):
+            ConditionalEvolution(output=ising_chain(4, 0.0, 0.3).output)
+
+    def test_half_a_split_refused(self):
+        ce = ising_chain(4, 0.0, 0.3)
+        with pytest.raises(ValueError, match="both an evolution map and effects"):
+            ConditionalEvolution(instrument=ce.instrument, output=ce.output, evolution=ce.evolution)
+
+    def test_fields_by_keyword_only(self):
+        ce = identity_ce()
+        with pytest.raises(TypeError):
+            ConditionalEvolution(ce.instrument, ce.output)
+
+    def test_instrument_composed_once(self, monkeypatch):
+        calls = []
+        compose = Superoperator.compose
+        monkeypatch.setattr(Superoperator, "compose", lambda S, T: (calls.append(1), compose(S, T))[1])
+        ce = ising_chain(4, 0.5, 0.3)
+        # one composition per outcome, when the model is built, then none
+        assert len(calls) == len(ce.outcomes)
+        assert validate_ce(ce).ok
+        list(ce.dual_images()(np.eye(16)))
+        ce.readout()
+        assert len(calls) == len(ce.outcomes)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_split_instrument_is_evolution_after_effects(self, p):
+        ce = ising_chain(4, p, 0.3)
+        assert ce.outcomes == tuple(ce.effects)
+        U = ce.evolution.kraus[0]
+        for k in ce.outcomes:
+            (M,), (K,) = ce.instrument.maps[k].kraus, ce.effects[k].kraus
+            # bit for bit the composition, and U K to rounding
+            assert M.tobytes() == (ce.evolution @ ce.effects[k]).kraus[0].tobytes()
+            assert np.max(np.abs(M - U @ K)) <= 1e-15
 
 
 class TestSharedDualImages:
@@ -336,42 +374,10 @@ class TestSharedDualImages:
         for Y, Yref in zip(ce.dual_images()(X), self.adjoint_images(ce, X), strict=True):
             assert np.array_equal(Y, Yref)
 
-    def test_split_residual_computed_once(self, monkeypatch):
-        import cereduce.model as model
-        ce = ising_chain(4, 0.5, 0.3)
-        calls = []
-        coords = model.map_coordinates
-        monkeypatch.setattr(model, "map_coordinates", lambda maps: (calls.append(1), coords(maps))[1])
-        first = ce.split_residual()
-        # one comparison per outcome, then none
-        assert len(calls) == len(ce.outcomes)
-        assert validate_ce(ce).ok
-        ce.dual_images()
-        ce.certify_split()
-        assert ce.split_residual() == first <= 1e-12
-        assert len(calls) == len(ce.outcomes)
-
-    def test_split_residual_stacks_one_outcome_at_a_time(self):
-        # one QR of all 2r maps' Kraus operators took 5.3 MiB here
-        ce = ising_chain(7, 0.5, 0.3)
-        tracemalloc.start()
-        try:
-            res = ce.split_residual()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert res <= 1e-12
-        assert peak <= 2.5 * 2**20
-
     def test_mismatched_split_refused(self):
+        # replace() hands the composed instrument back beside the new split, so a split
+        # cannot be swapped under a model's instrument
         ce = ising_chain(4, 0.5, 0.3)
         swapped = {"-1": ce.effects["-1"], "0": ce.effects["1"], "1": ce.effects["0"]}
-        bad = dataclasses.replace(ce, effects=swapped)
-        for call in (bad.dual_images, bad.certify_split):
-            with pytest.raises(ValueError, match="split residual"):
-                call()
-        # the bound is 10 tol, as in validate_ce
-        res = bad.split_residual()
-        bad.certify_split(tol=res / 9)
-        with pytest.raises(ValueError, match="split residual"):
-            bad.certify_split(tol=res / 11)
+        with pytest.raises(ValueError, match="not both"):
+            dataclasses.replace(ce, effects=swapped)

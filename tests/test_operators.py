@@ -12,7 +12,7 @@ from cereduce.operators import (
     unvec,
 )
 from cereduce.algebra import algebra_closure, center, commutant
-from cereduce.model import ConditionalEvolution, OutputMap
+from cereduce.model import OutputMap
 from cereduce.observability import nonobservable_complement
 from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
@@ -25,6 +25,7 @@ from conftest import (
     random_complex,
     residual,
     vec,
+    with_output,
 )
 from test_algebra import acceptance_block_generators, projector_distance
 from test_trajectories import non_hermitian_outputs_ce
@@ -382,7 +383,7 @@ def ising_plus_ce(N):
     ce = ising_chain(N, 0.5, 0.3)
     plus = np.kron((PAULI["x"] + 1j * PAULI["y"]) / 2, np.eye(2 ** (N - 1)))
     output = OutputMap(names=("identity", "plus"), observables=(np.eye(2**N), plus))
-    return ConditionalEvolution(ce.instrument, output, ce.evolution, ce.effects)
+    return with_output(ce, output)
 
 
 class TestHermitianClosure:
@@ -675,7 +676,7 @@ class TestStackedApply:
         if observables == "random":
             # neither Hermitian nor symmetric, so a transposed contraction shows
             obs = tuple(random_complex(rng, (2, 16, 16)))
-            ce = ConditionalEvolution(ce.instrument, OutputMap(names=("a", "b"), observables=obs))
+            ce = with_output(ce, OutputMap(names=("a", "b"), observables=obs))
         out = ce.output
         X = random_complex(rng, (2, 3, 16, 16))
         # the readout's output rows act on the row-major flattening of each operator

@@ -24,11 +24,13 @@ from conftest import (
     SPLIT_MODELS,
     blockdiag_projector,
     channel_checks,
+    enumerate_oracle,
     outputs,
     projector_matrix,
     random_ce,
     read_off,
     vec,
+    with_output,
 )
 
 
@@ -116,7 +118,7 @@ def scaled(red, factor):
 def with_observables(ce, change):
     """``ce`` with the output map change(names, observables)."""
     names, obs = change(ce.output.names, ce.output.observables)
-    return dataclasses.replace(ce, output=OutputMap(tuple(names), tuple(obs)))
+    return with_output(ce, OutputMap(tuple(names), tuple(obs)))
 
 
 # observable sets that a model and its exact reduction both take, by the kind of pair
@@ -558,30 +560,42 @@ class TestAssumptions:
 
 
 class TestMismatchedSplit:
-    """A split whose evolution after the effects is not the instrument is refused wherever
-    the split would stand in for the instrument."""
+    """Effects under other labels make another model, whose instrument is composed from that
+    split: the paths that read the split's shared conjugation and those that read the
+    instrument see the same model."""
 
     @pytest.fixture()
     def swapped(self):
         ce = ising_chain(4, 0.5, 0.3)
         effects = {"-1": ce.effects["-1"], "0": ce.effects["1"], "1": ce.effects["0"]}
-        return ce, dataclasses.replace(ce, effects=effects)
+        return ce, ConditionalEvolution(output=ce.output, evolution=ce.evolution, effects=effects)
 
     def test_reduce_ce(self, swapped):
-        _, bad = swapped
-        with pytest.raises(ValueError, match="split residual"):
-            reduce_ce(bad)
+        # the reduced maps conjugate the swapped instrument: outcome "0" of the reduction is
+        # outcome "1" of the original's
+        ce, other = swapped
+        red, ref = reduce_ce(other), reduce_ce(ce)
+        assert red.blocks == ref.blocks
+        rho = random_density(ce.dim, np.random.default_rng(5))
+        for k, j in (("-1", "-1"), ("0", "1"), ("1", "0")):
+            got = red.model.instrument.maps[k](red.reduction_map(rho))
+            want = red.reduction_map(ce.instrument.maps[j](rho))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_equivalence_check(self, swapped):
-        ce, bad = swapped
-        red = reduce_ce(ce)
-        with pytest.raises(ValueError, match="split residual"):
-            equivalence_check(bad, red, max_len=2, n_states=2)
+        ce, other = swapped
+        assert equivalence_check(other, reduce_ce(other), max_len=3, n_states=3).passed
+        assert not equivalence_check(ce, reduce_ce(other), max_len=2, n_states=3).passed
 
     def test_enumerate_distribution(self, swapped):
-        _, bad = swapped
-        with pytest.raises(ValueError, match="split residual"):
-            enumerate_distribution(bad, np.eye(16) / 16, 2)
+        # the realization, closed under the split's duals, against the composed instrument
+        _, other = swapped
+        rho0 = random_density(16, np.random.default_rng(6))
+        table, oracle = enumerate_distribution(other, rho0, 3), enumerate_oracle(other, rho0, 3)
+        assert list(table) == list(oracle)
+        for seq, (p, y) in table.items():
+            assert abs(p - oracle[seq][0]) <= 1e-12
+            assert np.max(np.abs(y - oracle[seq][1])) <= 1e-12
 
 
 class TestSeparable:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cereduce.model import validate_ce
+from cereduce.model import ConditionalEvolution, validate_ce
 from cereduce.reduction import equivalence_check, reduce_ce
 from cereduce.serialize import (
     ce_from_json,
@@ -265,6 +265,38 @@ class TestModelDocuments:
         with pytest.raises(ValueError):
             ce_from_json({"outcomes": ["0"]})
 
+    def test_each_map_written_once(self):
+        # a split model writes its split, any other model its instrument, in the same place
+        ce = ising_chain(4, 0.5, 0.3)
+        bare = ConditionalEvolution(instrument=ce.instrument, output=ce.output)
+        assert list(ce_to_json(ce)) == ["dim", "outcomes", "split", "observables"]
+        assert list(ce_to_json(bare)) == ["dim", "outcomes", "instrument", "observables"]
+        assert not ce_from_json(ce_to_json(bare)).has_split
+
+    @pytest.fixture()
+    def no_decoding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a payload was decoded")
+
+        monkeypatch.setattr(base64, "b64decode", refuse)
+
+    def test_both_forms_refused_before_any_payload(self, no_decoding):
+        ce = ising_chain(4, 0.5, 0.3)
+        doc = ce_to_json(ce)
+        doc["instrument"] = {k: superop_to_json(ce.instrument.maps[k]) for k in ce.outcomes}
+        with pytest.raises(ValueError, match="^model document gives both 'instrument' and 'split': "):
+            ce_from_json(doc)
+
+    @pytest.mark.parametrize("form", ["split", "instrument"])
+    def test_repeated_outcome_refused_before_any_payload(self, form, no_decoding):
+        ce = measured_quantum_walk(3, seed=1)
+        if form == "instrument":
+            ce = ConditionalEvolution(instrument=ce.instrument, output=ce.output)
+        doc = ce_to_json(ce)
+        doc["outcomes"] = ["0", "1", "0", "2"]
+        with pytest.raises(ValueError, match=r"^duplicate outcome labels in \['0', '1', '0', '2'\]$"):
+            ce_from_json(doc)
+
     @pytest.mark.parametrize("label, entry", [
         ("observable 'identity'", lambda doc: doc["observables"][0]["matrix"]),
         ("instrument map '0'", lambda doc: doc["instrument"]["0"]["kraus"][0]),
@@ -272,8 +304,12 @@ class TestModelDocuments:
         ("split effect '2'", lambda doc: doc["split"]["effects"]["2"]["kraus"][0]),
     ], ids=["observable", "instrument", "split_evolution", "split_effect"])
     def test_entry_of_other_shape_named(self, label, entry):
-        # a 3x3 entry declared 4x3: its 2-byte bitmap and its entries fit the declared shape
-        doc = ce_to_json(measured_quantum_walk(3, seed=1))
+        # a 3x3 entry declared 4x3: its 2-byte bitmap and its entries fit the declared shape;
+        # the instrument's entry is that of the walk given without its split
+        walk = measured_quantum_walk(3, seed=1)
+        if label.startswith("instrument"):
+            walk = ConditionalEvolution(instrument=walk.instrument, output=walk.output)
+        doc = ce_to_json(walk)
         entry(doc)["shape"] = [4, 3]
         with pytest.raises(ValueError, match=f"^{label}: shape \\[4, 3\\] is not the \\[3, 3\\] of the model's 'dim'"):
             ce_from_json(doc)
@@ -400,12 +436,11 @@ class TestBlocksEntry:
 
 
 def matrix_form(ce) -> dict:
-    """The split model's document with every instrument and split map as a dense "matrix" entry."""
+    """The split model's document with every split map as a dense "matrix" entry."""
     def dense(S):
         return {"matrix": matrix_to_json(S.matrix)}
 
     doc = ce_to_json(ce)
-    doc["instrument"] = {k: dense(ce.instrument.maps[k]) for k in ce.outcomes}
     doc["split"] = {"evolution": dense(ce.evolution), "effects": {k: dense(ce.effects[k]) for k in ce.outcomes}}
     return doc
 
@@ -475,6 +510,12 @@ class TestDenseFiles:
     def docs(self):
         return load_json(str(DATA / "dense_ising4.json")), load_json(str(DATA / "dense_ising4.red.json"))
 
+    def test_model_gives_both_forms_and_is_refused(self, docs):
+        model, _ = docs
+        assert "instrument" in model and "split" in model
+        with pytest.raises(ValueError, match="gives both 'instrument' and 'split'"):
+            ce_from_json(model)
+
     def test_every_entry_is_dense_and_loads_to_its_bytes(self, docs):
         entries = [e for doc in docs for e in _entries(doc)]
         # the model's 3 instrument maps, its split and 4 observables; the reduced
@@ -487,12 +528,16 @@ class TestDenseFiles:
             assert matrix_from_json(matrix_to_json(M)).astype("<c16").tobytes() == base64.b64decode(entry["c16"])
 
     def test_rewritten_sparse_loads_to_the_same_model(self, docs):
-        for doc, new in ((d, json.loads(json.dumps(ce_to_json(ce_from_json(d))))) for d in docs):
+        # the model read without its instrument, which its split gives
+        model, reduced = docs
+        model = {k: v for k, v in model.items() if k != "instrument"}
+        for doc, new in ((d, json.loads(json.dumps(ce_to_json(ce_from_json(d))))) for d in (model, reduced)):
             a, b = ce_from_json(doc), ce_from_json(new)
             assert a.outcomes == b.outcomes and a.output.names == b.output.names
-            maps = [*zip(a.instrument.maps.values(), b.instrument.maps.values())]
             if a.has_split:
-                maps += [(a.evolution, b.evolution), *zip(a.effects.values(), b.effects.values())]
+                maps = [(a.evolution, b.evolution), *zip(a.effects.values(), b.effects.values())]
+            else:
+                maps = [*zip(a.instrument.maps.values(), b.instrument.maps.values())]
             pairs = [*zip(a.output.observables, b.output.observables)]
             for S, T in maps:
                 pairs += zip(S.kraus, T.kraus)

@@ -38,7 +38,8 @@ def non_hermitian_outputs_ce(rng):
     """random_ce on C^3 with two outcomes, its observables replaced by random non-Hermitian ones."""
     ce = random_ce(3, 2, 1, rng)
     obs = (np.eye(3, dtype=complex), *(rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))))
-    return ConditionalEvolution(ce.instrument, OutputMap(names=("identity", "a", "b"), observables=obs))
+    return ConditionalEvolution(instrument=ce.instrument,
+                                output=OutputMap(names=("identity", "a", "b"), observables=obs))
 
 
 def trajectory_probability(ce, rho0, seq):

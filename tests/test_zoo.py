@@ -44,7 +44,11 @@ class TestWalk:
     def test_valid_ce(self):
         ce = measured_quantum_walk(4, seed=7)
         assert validate_ce(ce).ok
-        assert ce.has_split and ce.split_residual() < 1e-12
+        assert ce.has_split
+        # outcome j: the site projector, then U
+        U = ce.evolution.kraus[0]
+        for j, k in enumerate(ce.outcomes):
+            assert np.max(np.abs(ce.instrument.maps[k].kraus[0] - U @ np.diag(np.eye(4)[j]))) <= 1e-15
 
 
 class TestIsingChain:
@@ -70,7 +74,7 @@ class TestIsingChain:
         for p in (0.0, 0.5):
             ce = ising_chain(4, p, 0.3)
             assert validate_ce(ce).ok
-            assert ce.split_residual() < 1e-10
+            assert ce.has_split and ce.outcomes == tuple(ce.effects)
 
     def test_nonobservable_dims(self):
         assert nonobservable_complement(ising_chain(4, 0.0, 0.3)).dim == 12
