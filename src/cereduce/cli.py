@@ -34,6 +34,7 @@ from .trajectories import (
     StateEscapedError,
     enumerate_distribution,
     sample_trajectory,
+    table_nodes,
     total_variation,
 )
 from .zoo import ising_chain, measured_quantum_walk
@@ -194,31 +195,18 @@ def cmd_verify(args) -> int:
     del doc  # not used again, and held through the realizations it would raise the peak
     if set(full.outcomes) != set(red_model.outcomes) or full.output.names != red_model.output.names:
         raise CliError("the two models differ in their outcome labels or observables")
-    # with 2+ outcomes, T >= bit_length(cap) is past the cap; the min keeps the power small
-    if args.tv is not None and len(full.outcomes) ** min(args.tv, WORD_CAP.bit_length()) > WORD_CAP:
-        raise CliError(f"--tv {args.tv}: more outcome words than the cap of {WORD_CAP}")
+    if args.tv is not None and table_nodes(len(full.outcomes), args.tv) > WORD_CAP:
+        raise CliError(f"--tv {args.tv}: the outcome tree to length {args.tv} over {len(full.outcomes)} "
+                       f"outcomes has more than WORD_CAP = {WORD_CAP} nodes")
     # just enough of a reduced model to drive the check
-    reduced = SimpleNamespace(model=red_model, reduction_map=R)
-    try:
-        rep = equivalence_check(
-            full,
-            reduced,
-            max_len=args.max_len,
-            n_states=args.n_states,
-            tol=args.tol,
-            seed=args.seed,
-        )
-    except ValueError as exc:  # an outcome tree above WORD_CAP nodes, refused before the walk
-        raise CliError(f"--max-len {args.max_len}: {exc}")
-    print(
-        f"equivalence: max output deviation {rep.max_dev:.3e}, "
-        f"max probability deviation {rep.max_prob_dev:.3e} "
-        f"over {rep.n_sequences // args.n_states} words and {args.n_states} states"
-    )
+    rep = equivalence_check(full, SimpleNamespace(model=red_model, reduction_map=R),
+                            n_states=args.n_states, tol=args.tol, seed=args.seed)
+    print(f"equivalence: max deviation {rep.max_dev:.3e}, max probability deviation "
+          f"{rep.max_prob_dev:.3e} over {rep.n_sequences // args.n_states} columns of words "
+          f"up to length {rep.longest_word} and {args.n_states} states")
     print(f"realizations: largest dropped residual {rep.realization_dropped:.3e}")
     if args.tv is not None:
-        rng = np.random.default_rng(args.seed)
-        rho0 = random_density(full.dim, rng)
+        rho0 = random_density(full.dim, np.random.default_rng(args.seed))
         t_full = enumerate_distribution(full, rho0, args.tv)
         t_red = enumerate_distribution(red_model, R(rho0), args.tv)
         tv = total_variation(t_full, t_red)
@@ -271,7 +259,9 @@ def cmd_simulate(args) -> int:
     out = open(args.output, "w") if args.output else sys.stdout
     counts: dict[tuple[str, ...], int] = {}
     try:
-        for child in root.spawn(args.samples):
+        for _ in range(args.samples):
+            # one child at a time: spawn(1) gives the children of spawn(samples) in turn
+            child, = root.spawn(1)
             rec = sample_trajectory(ce, rho0, args.steps, np.random.default_rng(child))
             counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
             out.write(
@@ -330,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a (full, reduced) pair")
     p.add_argument("full")
     p.add_argument("reduced")
-    p.add_argument("--max-len", type=_positive_int, default=4)
     p.add_argument("--n-states", type=_positive_int, default=25)
     p.add_argument("--tv", type=_positive_int, default=None, metavar="T",
                    help="also compare enumerated distributions at length T")

@@ -132,20 +132,12 @@ def closure(
     ``expand(basis, i)`` is called exactly once per basis element ``i``,
     after all earlier ones, with the current basis as a read-only
     (dim, n, m) array, and returns the candidates that element contributes.
-    ``ops`` and each call's candidates form one block (block classical
-    Gram-Schmidt, Stewart 2008).  One GEMM pair projects the block out of
-    the basis held before it; a candidate is dropped when its residual is
-    then at most ``tol`` times the largest candidate norm seen up to and
-    including it.  In candidate order, each survivor is projected out of
-    the elements its block has already added, then out of the whole basis
-    a second time (CGS2), and kept when its residual still exceeds that
-    bound, until the basis holds n m elements.  So the rank rule is that
-    of adding the candidates one at a time.  The returned basis is the
-    first rows of the Gram-Schmidt buffer itself, not a copy of them.  Its
-    ``dropped`` is the largest residual of a candidate dropped at either
-    point, 0.0 when none was and NaN when a candidate was NaN: measured
-    against part of the final basis, it bounds every candidate's distance
-    from the span, as a kept one lies in it.
+    ``ops`` and each call's candidates form one block for
+    :func:`_gram_schmidt`.  The returned basis is the first rows of its
+    buffer itself, not a copy.  Its ``dropped`` is the largest residual of
+    a dropped candidate, 0.0 when none was and NaN when a candidate was
+    NaN: measured against part of the final basis, it bounds every
+    candidate's distance from the span, as a kept one lies in it.
     """
     ops = list(ops)
     if not ops:
@@ -153,8 +145,7 @@ def closure(
     n, m = shape = np.shape(ops[0])
     full = n * m
     dtype = complex if any(np.iscomplexobj(X) for X in ops) else float
-    # row i of Q is B_i flattened row-major (any one order of the entries gives the same
-    # inner products); Q grows by doubling
+    # row i of Q is B_i flattened row-major (any one order of entries gives the same products)
     Q, dim, scale, dropped = np.empty((0, full), dtype=dtype), 0, 0.0, 0.0
 
     def add(candidates) -> None:
@@ -172,39 +163,9 @@ def closure(
             raise ValueError("operators must share a common shape")
         if wrong_dtype:
             raise ValueError("complex candidate in a closure of real operators")
-        k = len(block)
-        if dim == full or k == 0:  # a full basis spans every n x m operator
-            return
-        C = np.ascontiguousarray(block, dtype=dtype).reshape(k, full)
-        scales = np.maximum.accumulate(np.maximum(_row_norms(C), scale))
-        scale = float(scales[-1])
-        bounds = tol * scales
-        # the residuals; every conj below is free on real arrays
-        W = C
-        if dim:
-            W = (C.conj() @ Q[:dim].T).conj() @ Q[:dim]
-            np.subtract(C, W, out=W)
-        start = dim
-        residuals = _row_norms(W)
-        kept = residuals > bounds
-        # a NaN candidate is dropped, with every later one (its norm makes the bounds NaN)
-        dropped = np.max(residuals[~kept], initial=dropped)
-        for j in np.flatnonzero(kept):
-            if dim == full:
-                return
-            # the rest of the first projection, then the second against the whole basis
-            v = W[j] - (Q[start:dim] @ W[j].conj()).conj() @ Q[start:dim]
-            v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
-            res = float(np.linalg.norm(v))
-            if res <= bounds[j]:
-                dropped = max(dropped, res)
-                continue
-            if dim == len(Q):
-                grown = np.empty((min(max(2 * dim, 16), full), full), dtype=dtype)
-                grown[:dim] = Q[:dim]
-                Q = grown
-            Q[dim] = v / res
-            dim += 1
+        C = np.ascontiguousarray(block, dtype=dtype).reshape(len(block), full)
+        Q, dim, scale, _, lost = _gram_schmidt(Q, dim, C, scale, tol)
+        dropped = np.maximum(dropped, lost)
 
     add(ops)
     i = 0
@@ -214,6 +175,55 @@ def closure(
         add(expand(basis, i))
         i += 1
     return OperatorSubspace(n, Q[:dim].reshape(dim, n, m), float(dropped))
+
+
+def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: float):
+    """Add the candidate rows of ``C``, (k, full), to the orthonormal rows ``Q[:dim]``.
+
+    Returns the buffer ``Q`` (grown by doubling), ``dim``, ``scale`` (the
+    largest candidate norm seen), the indices of the kept rows of ``C`` and
+    the largest residual of a dropped one (0.0 if none, NaN for a NaN row).
+    Block classical Gram-Schmidt (Stewart 2008): one GEMM pair projects
+    the block out of ``Q[:dim]``, and a candidate whose residual is then at
+    most ``tol`` times the largest norm seen up to it is dropped.  In order,
+    each survivor is projected out of the rows the block has added, then
+    out of the whole basis again (CGS2), and kept if its residual still
+    exceeds that bound: the rank rule of adding the rows one at a time.
+    """
+    full = C.shape[1]
+    if dim == full or len(C) == 0:  # a full basis spans every row
+        return Q, dim, scale, [], 0.0
+    scales = np.maximum.accumulate(np.maximum(_row_norms(C), scale))
+    scale = float(scales[-1])
+    bounds = tol * scales
+    # the residuals; every conj below is free on real arrays
+    W = C
+    if dim:
+        W = (C.conj() @ Q[:dim].T).conj() @ Q[:dim]
+        np.subtract(C, W, out=W)
+    start = dim
+    residuals = _row_norms(W)
+    kept = residuals > bounds
+    # a NaN candidate is dropped, with every later one (its norm makes the bounds NaN)
+    dropped, kept_rows = np.max(residuals[~kept], initial=0.0), []
+    for j in np.flatnonzero(kept):
+        if dim == full:
+            break
+        # the rest of the first projection, then the second against the whole basis
+        v = W[j] - (Q[start:dim] @ W[j].conj()).conj() @ Q[start:dim]
+        v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
+        res = float(np.linalg.norm(v))
+        if res <= bounds[j]:
+            dropped = max(dropped, res)
+            continue
+        if dim == len(Q):
+            grown = np.empty((min(max(2 * dim, 16), full), full), dtype=Q.dtype)
+            grown[:dim] = Q[:dim]
+            Q = grown
+        Q[dim] = v / res
+        dim += 1
+        kept_rows.append(int(j))
+    return Q, dim, scale, kept_rows, float(dropped)
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:

@@ -23,7 +23,14 @@ from .observability import (
     linear_reduce,
     nonobservable_complement,
 )
-from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, hermitian_closure, map_coordinates
+from .operators import (
+    DEFAULT_TOL,
+    OperatorSubspace,
+    Superoperator,
+    _gram_schmidt,
+    hermitian_closure,
+    map_coordinates,
+)
 
 __all__ = [
     "ReducedCE",
@@ -38,7 +45,7 @@ __all__ = [
 ]
 
 
-WORD_CAP = 10**6  # bound on enumerate_distribution's words and equivalence_check's nodes
+WORD_CAP = 10**6  # bound on the nodes of enumerate_distribution's outcome tree
 
 
 def random_density(n: int, rng) -> np.ndarray:
@@ -256,110 +263,85 @@ def reduce_separably(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """What :func:`equivalence_check` read: ``n_sequences`` (state, examined column) pairs,
+    words up to ``longest_word`` letters; ``worst_case`` is the (state, word) of the first
+    pair, states first, at ``max_dev``."""
+
     max_dev: float
     max_prob_dev: float
     passed: bool
     worst_case: tuple[int, tuple[str, ...]]
     n_sequences: int
-    # the larger ``dropped`` of the two realizations' closures, NaN when one met a NaN
+    # the largest residual the closures and the word basis dropped, NaN when one met a NaN
     realization_dropped: float = 0.0
+    longest_word: int = 0
 
 
 def equivalence_check(
     full: ConditionalEvolution,
     reduced: ReducedCE,
-    max_len: int = 4,
+    max_len: int | None = None,
     n_states: int = 25,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Compare conditioned outputs of the full and reduced models.
+    """Compare the unnormalized outputs and probabilities of the full and reduced models.
 
     ``reduced`` needs only ``.model`` and ``.reduction_map``: a
     :class:`ReducedCE`, or a namespace holding a loaded model and its R.
 
-    Covers every outcome word up to ``max_len`` for a batch of random
-    initial densities rho_s, reduced model started from R(rho_s), and
-    records the worst output and probability deviations over all pairs of
-    state and word (root included).  The worst case is the first pair,
-    states first and words in depth-first order, whose deviation lies
-    within a relative ``WORST_CASE_RTOL`` of the maximum, except that such
-    a tie moves it off the empty word.  A NaN deviation ranks above every
-    number, so it is reported and fails the check.
-
-    The words are walked on each model's minimal linear realization, never
-    on its operators.  It is built once per model and kept on the model, and
-    :func:`~cereduce.trajectories.enumerate_distribution` reads the same
-    one.  Its space is the :func:`~cereduce.operators.hermitian_closure` of
-    [1, O_1, ..., O_m] under
-    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, in the model's
-    own outcome order, at the relative tolerance ``REALIZATION_TOL``.  Its
-    maps A_k, which act on the coordinates <B_i, X> in its basis, are those
-    of :func:`~cereduce.observability.linear_reduce` on that span.  On a
-    split model the closure and ``linear_reduce`` each share one evolution
-    conjugation among the outcomes.  The readout
-    [tr X, tr O_1 X, ..., tr O_m X] at word w = (w_1, ..., w_t) from
-    coordinates x is V_w^T x, with the d x (m + 1) block
-    V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.  The states are drawn by
-    :func:`random_density` in turn from one generator seeded with ``seed``,
-    and enter once, as coordinates x_s, the reduced model's those of
-    R(rho_s).  The walk runs on the direct sum of the two realizations,
-    pairing the two models' maps A_k by label in the full model's outcome
-    order, so one block holds both models' V_w.  A word grows at the front,
-    V_{(k,)+w} = A_k^T V_w: the r children of a word are one product of the
-    stacked A_k^T with V_w, and their readouts one product per model of
-    V_w^T with the stacked A_k x, so a leaf forms no block.  Each frame of
-    the depth-first walk takes the levels below its word breadth-first, as
-    long as the deepest of them holds at most ``FRAME_WORDS`` words: with 3
-    outcomes to length 4 the root's frame walks the whole tree, and with 10
-    outcomes it walks lengths 1 and 2, and each word of length 2 has a frame
-    for lengths 3 and 4.  With r outcomes the tree has
-    sum_{t <= max_len} r^t nodes; above ``WORD_CAP`` nodes
-    ValueError is raised before any closure or state.
-
-    ``passed`` requires both deviations, and ``realization_dropped``, the
-    largest residual either closure dropped (NaN if one met a NaN), to be
-    at most ``tol``.
+    Each model is read through its minimal linear realization, built once
+    and kept on the model, as :func:`~cereduce.trajectories.enumerate_distribution`
+    reads it: the :func:`~cereduce.operators.hermitian_closure` B of
+    [1, O_1, ..., O_m] under the duals, at the relative ``REALIZATION_TOL``,
+    and the maps A_k of :func:`~cereduce.observability.linear_reduce` on it.
+    From coordinates x = <B_i, X>, the readout [tr X, tr O_1 X, ...] after
+    the word (w_1, ..., w_t) is V_w^T x, V_w^T = [tr B; C] A_{w_t} ... A_{w_1}.
+    On the direct sum of the two realizations, the models' maps paired by
+    label, each (word, output) pair is one column of V_w, and
+    :func:`_word_basis` examines a set of columns whose span holds every
+    word's up to ``max_len`` letters, or of any length with ``None``
+    (Tzeng, SIAM J. Comput. 21, 1992).  The states are drawn by
+    :func:`random_density` from one generator seeded with ``seed``, and
+    enter as coordinates, the reduced model's those of R(rho_s).  Each
+    examined column is read against each state, each model's readout
+    apart, so that two equal models differ by exact zeros.  ``max_dev`` is
+    the largest deviation, the probability's included, and
+    ``max_prob_dev`` the largest of the probability's; NaN ranks above
+    every number.  ``passed`` requires ``max_dev`` and
+    ``realization_dropped`` to be at most ``tol``.
     """
-    n_out = len(full.outcomes)
-    # the nodes down to depth t, while they fit in the cap
-    nodes, width = 0, 1
-    for t in range(max_len + 1):
-        nodes += width
-        if nodes > WORD_CAP:
-            more = "" if t == max_len else "more than "
-            raise ValueError(f"the walk to length {max_len} over {n_out} outcomes has {more}{nodes} "
-                             f"nodes, above WORD_CAP = {WORD_CAP}; length {t - 1} is the largest that fits")
-        width *= n_out
     realizations = [_realization(ce) for ce in (full, reduced.model)]
     rng = np.random.default_rng(seed)
     states = np.empty((n_states, full.dim, full.dim), dtype=complex)
     for s in range(n_states):
         states[s] = random_density(full.dim, rng)
     # the coordinates <B_i, rho_s>, one column per state
-    coords = [lm.subspace.stacked().conj() @ rhos.reshape(len(rhos), -1).T
-              for lm, rhos in zip(realizations, (states, reduced.reduction_map(states)))]
-    dev, prob_dev = _walk(realizations, coords, full.outcomes, max_len, nodes)
-    max_dev, max_prob_dev = float(np.max(dev)), float(np.max(prob_dev))
-    dropped = float(np.max([lm.subspace.dropped for lm in realizations]))
+    x, x_red = (lm.subspace.stacked().conj() @ rhos.reshape(len(rhos), -1).T
+                for lm, rhos in zip(realizations, (states, reduced.reduction_map(states))))
+    cols, labels, basis_dropped = _word_basis(realizations, full.outcomes, max_len)
+    # (n_states, columns): states first
+    dev = np.abs(cols[:len(x)].T @ x - cols[len(x):].T @ x_red).T
+    max_dev = float(np.max(dev))
+    max_prob_dev = float(np.max(dev[:, [output == 0 for _, output in labels]]))
+    # np.argmax takes the first maximum, and the first NaN above every number
+    si, col = divmod(int(np.argmax(dev)), len(labels))
+    dropped = float(np.max([lm.subspace.dropped for lm in realizations] + [basis_dropped]))
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
-        passed=bool(max_dev <= tol and max_prob_dev <= tol and dropped <= tol),
-        worst_case=_worst_case(dev, full.outcomes, max_len),
+        passed=bool(max_dev <= tol and dropped <= tol),
+        worst_case=(si, labels[col][0]),
         n_sequences=dev.size,
         realization_dropped=dropped,
+        longest_word=len(labels[-1][0]),
     )
 
 
-# The relative tolerance of the realizations' closures: far above the rounding of a
-# dual apply (the closures of Ising N=4..9 and of walks n=3..10 drop residuals of at
-# most 1e-14) and far below any deviation a check is asked to see.
+# The relative tolerance of the realizations' closures and of the word basis: far above the
+# rounding of a dual apply (the closures of Ising N=4..9 and of walks n=3..10 drop residuals
+# of at most 1e-14) and far below any deviation a check is asked to see.
 REALIZATION_TOL = 1e-12
-# deviations within this relative distance of the largest one tie for the worst case
-WORST_CASE_RTOL = 1e-12
-# the most words at the deepest of the levels that a frame of the walk takes breadth-first
-FRAME_WORDS = 256
 
 
 def _realization(ce: ConditionalEvolution) -> LinearReducedModel:
@@ -375,94 +357,38 @@ def _realization(ce: ConditionalEvolution) -> LinearReducedModel:
     return lm
 
 
-def _subtree_sizes(r, max_len):
-    """subtree[t] nodes hang below a word of length t, itself included, in a tree of r outcomes."""
-    subtree = [1] * (max_len + 1)
-    for t in range(max_len - 1, -1, -1):
-        subtree[t] = 1 + r * subtree[t + 1]
-    return subtree
+def _word_basis(realizations, outcomes, max_len):
+    """The columns (d, K) examined on the direct sum of the two realizations, their
+    (word, output) labels, and the largest residual the basis dropped.
 
-
-def _walk(realizations, coords, outcomes, max_len, n_nodes):
-    """The output and probability deviations, each (n_states, n_nodes), of the ``n_nodes`` words
-    up to ``max_len`` for every state at once; see :func:`equivalence_check`."""
-    r = len(outcomes)
-    n_states = coords[0].shape[1]
-    subtree = _subtree_sizes(r, max_len)
-    # the direct sum: the root's blocks [tr B_i, C[:, i]] stacked, each outcome's A_k^T
-    # block-diagonal and stacked by outcome in the full model's order, and the
-    # coordinates A_k x of every child's state, stacked the same way
-    root = np.vstack([np.column_stack([np.trace(lm.subspace.basis, axis1=1, axis2=2), lm.C.T])
-                      for lm in realizations])
-    q, d, m1 = realizations[0].q, len(root), root.shape[1]
-    stacked_T = np.zeros((r, d, d), dtype=complex)
-    children_x = np.empty((d, r, n_states), dtype=complex)
+    Level 0 is the root's columns [tr B_i, C[:, i]], output 0 the
+    probability.  Each level goes through one
+    :func:`~cereduce.operators._gram_schmidt` step at ``REALIZATION_TOL``,
+    and a kept column w has the children A_k^T w of the words (k,) + w.
+    The levels stop after words of ``max_len`` letters, or, with ``None``,
+    at the first that keeps nothing: the at most d kept columns then span
+    every word's columns.
+    """
+    level = np.vstack([np.column_stack([np.trace(lm.subspace.basis, axis1=1, axis2=2), lm.C.T])
+                       for lm in realizations])
+    d, m1 = level.shape
+    # each outcome's A_k^T block-diagonal, stacked by outcome in the full model's order
+    lm, lm_red = realizations
+    stacked_T = np.zeros((len(outcomes), d, d), dtype=complex)
     for a, k in enumerate(outcomes):
-        for rows, lm, x in zip((slice(0, q), slice(q, d)), realizations, coords):
-            stacked_T[a, rows, rows] = lm.A[k].T
-            children_x[rows, a] = lm.A[k] @ x
-    stacked_T = stacked_T.reshape(r * d, d)
-    children_x = children_x.reshape(d, r * n_states)
-    dev = np.empty((n_nodes, n_states))
-    prob_dev = np.empty((n_nodes, n_states))
-
-    def record(nodes, B, X):
-        """Deviations at the nodes (W, R): each of the W words of the blocks B, (d, W m1),
-        read against each of the R groups of state coordinates in X, (d, R n_states)."""
-        # each model's readouts apart, so that two equal models differ by exact zeros
-        diff = (B[:q].T @ X[:q] - B[q:].T @ X[q:]).reshape(*nodes.shape[:1], m1, -1, n_states)
-        dev[nodes.ravel()] = np.max(np.abs(diff[:, 1:]), axis=1).reshape(-1, n_states)
-        prob_dev[nodes.ravel()] = np.abs(diff[:, 0].real).reshape(-1, n_states)
-
-    record(np.zeros((1, 1), dtype=int), root, np.vstack(coords))
-    # The depth-first position of a word w, the order of the worst-case rule, is
-    # len(w) + g(w) with g(w) = sum_t rank(w_t) subtree[t].  A word grows at the front,
-    # which moves each letter one level down, and subtree[t + 1] = (subtree[t] - 1) / r,
-    # so g follows from g and c(w) = sum_t rank(w_t) alone: the child (k,) + w sits at
-    # len(w) + 1 + (g - c) / r + rank(k) subtree[1].
-    #
-    # Each pending word, with its length, g, c and block, is walked breadth-first down
-    # ``levels`` levels: each level's children are one product of stacked_T with the
-    # blocks of the level above, and their readouts one product per model with
-    # children_x.  The words at the last of these levels are pushed in turn.
-    levels = 1
-    while levels < max_len and r ** (levels + 1) <= FRAME_WORDS:
-        levels += 1
-    steps = subtree[1] * np.arange(r)
-    pending = [(0, np.zeros(1, dtype=int), np.zeros(1, dtype=int), root)] if max_len else []
-    while pending:
-        t, g, c, B = pending.pop()
-        for t in range(t + 1, min(t + levels, max_len) + 1):
-            # g and c of the children (w, a), for each word w of B and outcome rank a
-            g = ((g - c) // r)[:, None] + steps
-            c = c[:, None] + np.arange(r)
-            record(t + g, B, children_x)
-            g, c = g.ravel(), c.ravel()
-            if t == max_len:
-                break
-            # the children's blocks, word after word as (w, a) runs
-            B = (stacked_T @ B).reshape(r, d, -1, m1).transpose(1, 2, 0, 3).reshape(d, -1)
-        else:
-            pending.extend((t, g[j:j + 1], c[j:j + 1], B[:, j * m1:(j + 1) * m1]) for j in range(len(g)))
-
-    # states first, then words depth-first
-    return dev.T, prob_dev.T
-
-
-def _worst_case(dev, outcomes, max_len):
-    """The worst (state, word) of the deviations ``dev``, (n_states, n_nodes) with the words
-    depth-first; see :func:`equivalence_check`."""
-    subtree = _subtree_sizes(len(outcomes), max_len)
-    n_nodes, dev = dev.shape[1], dev.ravel()
-    max_dev = np.max(dev)
-    # a NaN deviation ranks above every number, and ties only with another NaN
-    tied = np.flatnonzero(np.isnan(dev) if np.isnan(max_dev) else dev >= max_dev * (1 - WORST_CASE_RTOL))
-    # a tie moves the worst case off an empty word
-    nonempty = tied[tied % n_nodes != 0]
-    si, node = divmod(int(nonempty[0] if len(nonempty) else tied[0]), n_nodes)
-    # the worst word, letter by letter from its position
-    word = []
-    while node:
-        a, node = divmod(node - 1, subtree[len(word) + 1])
-        word.append(outcomes[a])
-    return si, tuple(word)
+        stacked_T[a, :lm.q, :lm.q], stacked_T[a, lm.q:, lm.q:] = lm.A[k].T, lm_red.A[k].T
+    stacked_T = stacked_T.reshape(-1, d)
+    labels = [((), j) for j in range(m1)]
+    levels, examined = [level], list(labels)
+    Q, dim, scale, dropped = np.empty((0, d), dtype=complex), 0, 0.0, 0.0
+    while max_len is None or len(levels) <= max_len:
+        Q, dim, scale, kept, lost = _gram_schmidt(Q, dim, level.T.copy(), scale, REALIZATION_TOL)
+        dropped = np.maximum(dropped, lost)
+        if not kept:
+            break
+        # the child (k,) + w of the j-th kept column w at column a * len(kept) + j, a the rank of k
+        level = (stacked_T @ level[:, kept]).reshape(len(outcomes), d, -1).transpose(1, 0, 2).reshape(d, -1)
+        labels = [((k,) + labels[j][0], labels[j][1]) for k in outcomes for j in kept]
+        levels.append(level)
+        examined += labels
+    return np.hstack(levels), examined, float(dropped)

@@ -9,7 +9,7 @@ map and the readout are one product with its step matrix.  Probabilities
 never underflow on long records; the product of the per-step conditional
 probabilities recovers the joint probability of the record.  Enumeration
 walks the outcome tree on the model's minimal linear realization, the one
-``verify``'s equivalence check walks, and applies no map to a state.
+``verify``'s equivalence check reads, and applies no map to a state.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "WORD_CAP",
     "sample_trajectory",
     "enumerate_distribution",
+    "table_nodes",
     "total_variation",
 ]
 
@@ -148,13 +149,25 @@ def sample_trajectory(
     )
 
 
+def table_nodes(r: int, T: int) -> int:
+    """The nodes sum_{t <= T} r^t of the tree of r outcomes to depth T, counted level by level
+    up to the first count above ``WORD_CAP``, so that no large power of r is formed."""
+    nodes, width = 0, 1
+    for _ in range(T + 1):
+        nodes += width
+        if nodes > WORD_CAP:
+            break
+        width *= r
+    return nodes
+
+
 def enumerate_distribution(
     ce: ConditionalEvolution, rho0: np.ndarray, T: int
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
     Runs on the model's minimal linear realization, the one
-    :func:`~cereduce.reduction.equivalence_check` walks: its basis B_i, its
+    :func:`~cereduce.reduction.equivalence_check` reads: its basis B_i, its
     maps A_k and its output rows C, built once per model, in its own outcome
     order, and kept on it.  The state enters once, as its coordinates
     x = <B_i, rho0>, and no map is applied to it.  Each
@@ -164,12 +177,13 @@ def enumerate_distribution(
     One product of the stacked [tr B; C] A_k with the depth-(T-1) level
     reads every leaf's probability and outputs, so the probabilities sum to
     one for any valid instrument.  The peak is about that level: r^(T-1)
-    coordinate vectors.
+    coordinate vectors.  A tree of more than ``WORD_CAP`` nodes (see
+    :func:`table_nodes`) raises ValueError before the realization is built.
     """
     r = len(ce.outcomes)
-    n_words = r ** T
-    if n_words > WORD_CAP:
-        raise ValueError(f"{n_words} sequences exceed WORD_CAP = {WORD_CAP}")
+    if table_nodes(r, T) > WORD_CAP:
+        raise ValueError(f"the outcome tree to length {T} over {r} outcomes has more than "
+                         f"WORD_CAP = {WORD_CAP} nodes")
     lm = _realization(ce)
     # the A_k stacked by outcome, and the coordinates <B_i, rho0> as one column
     A = np.concatenate([lm.A[k] for k in ce.outcomes])
@@ -180,7 +194,7 @@ def enumerate_distribution(
     read = np.vstack([np.trace(lm.subspace.basis, axis1=1, axis2=2), lm.C])
     rows = read @ A.reshape(r, lm.q, lm.q) if T else read[None]
     # leaf w + (k,) sits at row r w + k
-    table = (rows @ x).transpose(2, 0, 1).reshape(n_words, len(read))
+    table = (rows @ x).transpose(2, 0, 1).reshape(-1, len(read))
     words = itertools.product(ce.outcomes, repeat=T)
     return {seq: (float(row[0].real), row[1:]) for seq, row in zip(words, table)}
 

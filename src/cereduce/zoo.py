@@ -92,7 +92,8 @@ def _site_operator(N: int, ops: dict[int, np.ndarray]) -> np.ndarray:
     out = np.ones((1, 1), dtype=complex)
     for site in range(1, N + 1):
         out = np.kron(out, ops.get(site, PAULI["0"]))
-    return out
+    # kron writes -1 * 0 as -0.0, which a model file would store as an entry
+    return out + 0.0
 
 
 def ising_chain(N: int, p: float, delta: float) -> ConditionalEvolution:

@@ -13,6 +13,7 @@ from cereduce.model import Instrument
 from cereduce.operators import Superoperator
 from cereduce.reduction import reduce_ce
 from cereduce.serialize import (
+    ce_from_json,
     ce_to_json,
     load_json,
     matrix_from_json,
@@ -21,7 +22,7 @@ from cereduce.serialize import (
     save_json,
     superop_to_json,
 )
-from cereduce.trajectories import WORD_CAP, StateEscapedError
+from cereduce.trajectories import WORD_CAP, StateEscapedError, sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import b64, dense_entry, list_entry, stored, swap3_ce, vec
 
@@ -199,7 +200,7 @@ class TestVerify:
     def test_pass(self, walk_files, capsys):
         model, reduced = walk_files
         capsys.readouterr()
-        assert main(["verify", str(model), str(reduced), "--max-len", "3", "--n-states", "5"]) == 0
+        assert main(["verify", str(model), str(reduced), "--n-states", "5"]) == 0
         out = capsys.readouterr().out
         dropped = float(out.split("realizations: largest dropped residual ")[1].split()[0])
         assert dropped <= 1e-12
@@ -236,7 +237,7 @@ class TestVerify:
         entry["kraus"] = [matrix_to_json(K) for K in tampered]
         bad = tmp_path / "tampered.json"
         save_json(doc, str(bad))
-        assert main(["verify", str(model), str(bad), "--max-len", "2", "--n-states", "3"]) == 1
+        assert main(["verify", str(model), str(bad), "--n-states", "3"]) == 1
 
     def test_mismatched_pair_refused_before_factoring(self, tmp_path, monkeypatch, capsys):
         model, reduced = tmp_path / "ising4.json", tmp_path / "ising5.red.json"
@@ -351,7 +352,7 @@ class TestVerify:
         decode = base64.b64decode
         monkeypatch.setattr(base64, "b64decode", lambda *a, **kw: (decoded.append(1), decode(*a, **kw))[1])
         for argv in (["reduce", swapped, "-o", str(tmp_path / "bad.red.json")],
-                     ["verify", swapped, str(reduced), "--max-len", "2", "--n-states", "2"]):
+                     ["verify", swapped, str(reduced), "--n-states", "2"]):
             capsys.readouterr()
             assert main(argv) == 2
             err = capsys.readouterr().err.strip().splitlines()
@@ -368,28 +369,38 @@ class TestVerify:
         doc = load_json(str(reduced))
         doc["outcomes"] = doc["outcomes"][::-1]
         permuted = _write(tmp_path / "permuted.red.json", doc)
-        assert main(["verify", str(model), permuted, "--max-len", "3", "--n-states", "3", "--tv", "3"]) == 0
+        assert main(["verify", str(model), permuted, "--n-states", "3", "--tv", "3"]) == 0
 
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files
         assert main(["verify", str(model), str(model)]) == 2
 
-    def test_tree_past_word_cap_exit2(self, walk_files, monkeypatch, capsys):
-        model, reduced = walk_files
+    def test_one_outcome_tv_past_word_cap_exit2(self, tmp_path, monkeypatch, capsys):
+        # one outcome: the --tv table's tree to length T has T + 1 nodes, each a level product
+        model, reduced = tmp_path / "walk1.json", tmp_path / "walk1.red.json"
+        assert main(["zoo", "walk", "--n", "1", "-o", str(model)]) == 0
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a closure or the walk ran before the node count was checked")
+            raise AssertionError("a closure ran before the node count was checked")
 
         # the cap is checked before either model's realization is closed
         monkeypatch.setattr(reduction, "hermitian_closure", refuse)
-        monkeypatch.setattr(reduction, "_walk", refuse)
         capsys.readouterr()
-        # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
-        assert main(["verify", str(model), str(reduced), "--max-len", "13"]) == 2
+        assert main(["verify", str(model), str(reduced), "--tv", "3000000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --max-len 13: ")
-        assert "2391484 nodes" in err and f"WORD_CAP = {WORD_CAP}" in err
-        assert "length 12 is the largest that fits" in err
+        assert err.startswith("error: --tv 3000000: ")
+        assert f"more than WORD_CAP = {WORD_CAP} nodes" in err
+        monkeypatch.undo()
+        assert main(["verify", str(model), str(reduced), "--tv", "3"]) == 0
+
+    def test_prints_examined_columns(self, walk_files, capsys):
+        model, reduced = walk_files
+        capsys.readouterr()
+        assert main(["verify", str(model), str(reduced), "--n-states", "4"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("equivalence: max deviation ")
+        assert " columns of words up to length " in line and line.endswith(" and 4 states")
 
 
 def _c16_payloads(doc):
@@ -437,7 +448,7 @@ class TestListForm:
     def test_verify_passes(self, ising_files):
         (model, _), (old_model, old_reduced) = ising_files
         assert main(["verify", model, old_reduced, "--tv", "3"]) == 0
-        assert main(["verify", old_model, old_reduced, "--max-len", "3"]) == 0
+        assert main(["verify", old_model, old_reduced]) == 0
 
     def test_simulate_writes_the_same_records(self, tmp_path, ising_files):
         (_, reduced), (_, old_reduced) = ising_files
@@ -539,6 +550,22 @@ class TestSimulate:
         main(["simulate", str(model), "--steps", "3", "--samples", "10", "--seed", "5", "-o", str(a)])
         main(["simulate", str(model), "--steps", "3", "--samples", "10", "--seed", "5", "-o", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_records_are_those_of_the_children_spawned_at_once(self, tmp_path, walk_files):
+        # simulate spawns one child seed per record; spawn(samples) gives the same children
+        model, _ = walk_files
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", str(model), "--steps", "3", "--samples", "7", "--seed", "5", "-o", str(out)]) == 0
+        ce = ce_from_json(load_json(str(model)))
+        rho0 = np.eye(ce.dim, dtype=complex) / ce.dim
+        children = np.random.SeedSequence(5).spawn(7)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 7
+        for child, rec in zip(children, records):
+            want = sample_trajectory(ce, rho0, 3, np.random.default_rng(child))
+            assert rec["outcomes"] == list(want.outcomes)
+            assert rec["probabilities"] == list(want.probabilities)
+            assert rec["outputs"] == [[[v.real, v.imag] for v in y] for y in want.outputs]
 
 
     @pytest.mark.parametrize("factor", [0.0, 0.5])

@@ -18,7 +18,7 @@ from cereduce.reduction import (
     reduce_ce,
     reduce_separably,
 )
-from cereduce.trajectories import WORD_CAP, enumerate_distribution
+from cereduce.trajectories import enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
 from conftest import (
     SPLIT_MODELS,
@@ -34,52 +34,50 @@ from conftest import (
 )
 
 
-def _rank(dev):
-    """Deviations ordered as numbers, with NaN above every number."""
-    return (math.isnan(dev), 0.0 if math.isnan(dev) else dev)
+def primal_deviations(full, reduced, max_len=4, n_states=25, seed=0):
+    """The Schroedinger-picture oracle: each state pushed down the outcome tree in operator
+    space, one level at a time, the states drawn as ``equivalence_check`` draws them.
 
-
-def primal_deviations(full, reduced, max_len=4, n_states=25, seed=0, **_):
-    """The Schroedinger-picture oracle: each state pushed through the outcome tree node by node.
-
-    Returns the (state, word, output deviation) of every node and the probability deviations,
-    states first and words depth-first."""
+    Returns, for each length t <= max_len, the deviations (n_states, r^t, m + 1) of the
+    probability and the m outputs at each word of length t, the words in the order of
+    ``itertools.product(full.outcomes, repeat=t)``."""
     rng = np.random.default_rng(seed)
     states = [random_density(full.dim, rng) for _ in range(n_states)]
-    devs, prob_devs = [], []
-    for si, rho0 in enumerate(states):
-        def visit(rho, tau, prefix):
-            devs.append((si, prefix, float(np.max(np.abs(outputs(full, rho) - outputs(reduced.model, tau))))))
-            prob_devs.append(abs(np.trace(rho).real - np.trace(tau).real))
-            if len(prefix) < max_len:
-                for k in full.outcomes:
-                    visit(full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau),
-                          prefix + (k,))
 
-        visit(rho0, reduced.reduction_map(rho0), ())
-    return devs, prob_devs
+    def readout(ce, X):
+        return np.concatenate([np.trace(X, axis1=-2, axis2=-1)[..., None], outputs(ce, X)], axis=-1)
+
+    levels = [[] for _ in range(max_len + 1)]
+    for rho0 in states:
+        rho, tau = rho0[None], reduced.reduction_map(rho0)[None]
+        for t in range(max_len + 1):
+            if t:
+                # word w + (k,) sits at row len(outcomes) * w + k
+                rho, tau = (np.stack([ce.instrument.maps[k](X) for k in full.outcomes], axis=1)
+                            .reshape(-1, ce.dim, ce.dim) for ce, X in ((full, rho), (reduced.model, tau)))
+            levels[t].append(np.abs(readout(full, rho) - readout(reduced.model, tau)))
+    return [np.array(level) for level in levels]
+
+
+def oracle_at(levels, outcomes, state, word):
+    """The oracle's deviations (m + 1,) at one state and word."""
+    rank = {k: a for a, k in enumerate(outcomes)}
+    return levels[len(word)][state, sum(rank[k] * len(outcomes) ** i for i, k in enumerate(word[::-1]))]
 
 
 def primal_equivalence_check(full, reduced, max_len=4, n_states=25, tol=1e-8, seed=0):
-    """The report of the oracle's deviations."""
-    devs, prob_devs = primal_deviations(full, reduced, max_len, n_states, seed)
-    max_dev = max((dev for *_, dev in devs), key=_rank)
-    max_prob_dev = max(prob_devs, key=_rank)
+    """The verdict and the largest deviations of the oracle over every word up to ``max_len``;
+    a NaN deviation ranks above every number."""
+    levels = primal_deviations(full, reduced, max_len, n_states, seed)
+    max_dev = max((float(np.max(level)) for level in levels), key=lambda x: (math.isnan(x), x))
+    max_prob_dev = max((float(np.max(level[..., 0])) for level in levels), key=lambda x: (math.isnan(x), x))
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
-        passed=(max_dev <= tol and max_prob_dev <= tol),
-        worst_case=first_worst(devs, max_dev),
-        n_sequences=len(devs),
+        passed=bool(max_dev <= tol),
+        worst_case=None,
+        n_sequences=sum(level.shape[0] * level.shape[1] for level in levels),
     )
-
-
-def first_worst(devs, max_dev):
-    """The first (state, word) whose deviation is within a relative 1e-12 of the maximum, or
-    NaN when the maximum is, preferring a non-empty word."""
-    tied = [(si, word) for si, word, dev in devs
-            if (math.isnan(dev) if math.isnan(max_dev) else dev >= max_dev * (1 - 1e-12))]
-    return next((case for case in tied if case[1]), tied[0])
 
 
 def corrupted(ce, red, fill=0.0):
@@ -93,17 +91,6 @@ def corrupted(ce, red, fill=0.0):
         output=red.model.output,
     )
     return SimpleNamespace(model=broken, reduction_map=red.reduction_map)
-
-
-def deviation_at(full, reduced, case, seed=0, n_states=25, **_):
-    """Output deviation at one (state, word) pair, the states drawn as ``equivalence_check`` draws them."""
-    rng = np.random.default_rng(seed)
-    states = [random_density(full.dim, rng) for _ in range(n_states)]
-    si, word = case
-    rho, tau = states[si], reduced.reduction_map(states[si])
-    for k in word:
-        rho, tau = full.instrument.maps[k](rho), reduced.model.instrument.maps[k](tau)
-    return float(np.max(np.abs(outputs(full, rho) - outputs(reduced.model, tau))))
 
 
 def scaled(red, factor):
@@ -207,9 +194,8 @@ class TestReduceCE:
         assert peak - base <= 32 * 2**20
 
     def test_ising_n7_walk_holds_one_stack_per_level(self):
-        # the walk holds coordinate blocks of 18 x 5 numbers per model and word, not
-        # operators, so two more levels cost less than an eighth of one stack of the full
-        # model's [1, O_1, ..., O_4]
+        # the word basis holds columns of 18 + 18 coordinates, not operators, so two more
+        # levels cost less than an eighth of one stack of the full model's [1, O_1, ..., O_4]
         ce = ising_chain(7, 0.5, 0.3)
         red = reduce_ce(ce)
         equivalence_check(ce, red, max_len=1, n_states=2)  # R's dense form, built once
@@ -258,41 +244,38 @@ class TestEquivalence:
         assert rep.max_dev <= 1e-14
 
     def test_one_outcome_walk_past_the_recursion_limit(self):
-        # one outcome makes a chain of max_len + 1 words, deeper than Python's recursion limit
+        # one outcome makes a chain of words; the basis stops once its span closes, at the
+        # first level that adds no direction, however long a word it is allowed
         ce = ConditionalEvolution(
             instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
             output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
         )
         red = reduce_ce(ce)
-        rep = equivalence_check(ce, red, max_len=2000, n_states=2, tol=1e-8)
-        assert rep.passed and rep.n_sequences == 2001 * 2
-        # a leaking reduced map deviates most at the longest word
+        for max_len in (None, 2000):
+            rep = equivalence_check(ce, red, max_len=max_len, n_states=2, tol=1e-8)
+            # the root's two columns, probability and identity, and the child of the one kept
+            assert rep.passed and rep.n_sequences == 3 * 2 and rep.longest_word == 1
+        # a leaking reduced map: the root and its child span the chain's columns, and the
+        # deviation grows down it, largest at the longest examined word (both states have
+        # trace 1, so rounding picks the state)
         leak = ConditionalEvolution(
             instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.sqrt([[0.999]])])}),
             output=red.model.output,
         )
-        rep = equivalence_check(ce, SimpleNamespace(model=leak, reduction_map=red.reduction_map),
-                                max_len=2000, n_states=2)
-        assert not rep.passed and rep.worst_case == (0, ("0",) * 2000)
+        for max_len in (None, 2000):
+            rep = equivalence_check(ce, SimpleNamespace(model=leak, reduction_map=red.reduction_map),
+                                    max_len=max_len, n_states=2)
+            assert not rep.passed and rep.worst_case[1] == ("0",) * 2 and rep.n_sequences == 4 * 2
+            assert rep.max_dev == pytest.approx(1 - 0.999**2, rel=1e-12)
 
     def test_walk10_every_node_at_the_defaults(self):
+        # every word of every length, through the span of 102 examined columns: the root's
+        # probability and identity columns, the 10 children of the one kept, and the 90
+        # children of the 9 kept of those, which add no direction
         ce = measured_quantum_walk(10)
         rep = equivalence_check(ce, reduce_ce(ce))
-        # 1 + 10 + ... + 10^4 words, each for the 25 default states
-        assert rep.n_sequences == 11111 * 25
+        assert rep.n_sequences == 102 * 25 and rep.longest_word == 2
         assert rep.passed
-
-    def test_tree_above_word_cap_refused_before_any_map(self, monkeypatch):
-        ce = measured_quantum_walk(3, seed=1)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a map or a closure ran before the node count was checked")
-
-        monkeypatch.setattr(Superoperator, "__call__", refuse)
-        monkeypatch.setattr(reduction, "hermitian_closure", refuse)
-        # 3 outcomes to length 13: 2,391,484 nodes; length 12 (797,161) fits
-        with pytest.raises(ValueError, match=f"2391484 nodes, above WORD_CAP = {WORD_CAP}; length 12 "):
-            equivalence_check(ce, SimpleNamespace(model=ce, reduction_map=refuse), max_len=13)
 
     def test_loaded_kraus_model_never_builds_dense_maps(self):
         from cereduce.model import validate_ce
@@ -336,14 +319,12 @@ class TestEquivalence:
 
 
 class TestDualWalkMatchesPrimal:
-    """The Heisenberg-picture walk against the per-state oracle, on the same states and words."""
+    """The Heisenberg-picture word basis against the per-state oracle, on the same states and words."""
 
     FULL = {
         "ising4_p0": lambda: ising_chain(4, 0.0, 0.3),
         "ising4_p05": lambda: ising_chain(4, 0.5, 0.3),
         "walk4": lambda: measured_quantum_walk(4, seed=7),
-        # 5 outcomes: past length 3 the defaults' tree (5^4 = 625 words at length 4) is split
-        # into frames, one per word of length 3
         "walk5": lambda: measured_quantum_walk(5, seed=7),
     }
     # a neighbouring model of the same reduced size: deviations far above rounding at every node
@@ -379,71 +360,74 @@ class TestDualWalkMatchesPrimal:
     @pytest.mark.parametrize("kwargs", [
         {},
         {"max_len": 2, "n_states": 3, "seed": 4},
-    ], ids=["defaults", "short"])
+        {"max_len": 4, "n_states": 3, "seed": 1},
+        {"max_len": 6, "n_states": 3, "seed": 2},
+    ], ids=["defaults", "short", "len4", "len6"])
     def test_same_report(self, pair, kwargs, monkeypatch):
         self.assert_same_report(*pair, kwargs, monkeypatch)
 
-    @pytest.mark.parametrize("kind", ["reduced", "neighbour"])
-    def test_same_report_across_frames(self, kind, monkeypatch):
-        # 4 outcomes to length 5: the root's frame walks lengths 1 to 4 (4^4 = 256 words)
-        # and pushes one frame per word of length 4 for the 1024 words of length 5
-        full = self.FULL["walk4"]()
-        red = reduce_ce(self.NEIGHBOUR["walk4"]() if kind == "neighbour" else full)
-        self.assert_same_report(full, red, kind, {"max_len": 5, "n_states": 3, "seed": 2}, monkeypatch)
-
     @staticmethod
     def assert_same_report(full, red, kind, kwargs, monkeypatch):
-        # every node's deviations, not only the largest, as the walk hands them to the ranking
-        walked = []
-        walk = reduction._walk
-        monkeypatch.setattr(reduction, "_walk", lambda *args: walked.append(walk(*args)) or walked[-1])
+        # the examined columns and their labels, as the basis hands them to the check
+        examined = []
+        word_basis = reduction._word_basis
+        monkeypatch.setattr(reduction, "_word_basis", lambda *args: examined.append(word_basis(*args)) or examined[-1])
         dual = equivalence_check(full, red, **kwargs)
-        devs, prob_devs = primal_deviations(full, red, **kwargs)
-        dev, prob_dev = walked[0]
-        ref, prob_ref = np.array([d for *_, d in devs]), np.array(prob_devs)
-        assert np.array_equal(np.isnan(dev.ravel()), np.isnan(ref))
-        if kind == "nan":
-            # a NaN image stops the reduced model's closure, so its realization misses
-            # directions and only the NaN nodes are the oracle's
-            assert np.array_equal(np.isnan(prob_dev.ravel()), np.isnan(prob_ref))
-        else:
-            assert np.allclose(dev.ravel(), ref, rtol=0, atol=1e-13)
-            assert np.allclose(prob_dev.ravel(), prob_ref, rtol=0, atol=1e-13)
-        primal = primal_equivalence_check(full, red, **kwargs)
-        assert (dual.n_sequences, dual.passed) == (primal.n_sequences, primal.passed)
-        assert dual.max_dev == pytest.approx(primal.max_dev, rel=0, abs=1e-13, nan_ok=True)
-        assert dual.max_prob_dev == pytest.approx(primal.max_prob_dev, rel=0, abs=1e-13, nan_ok=True)
+        cols, labels, _ = examined[0]
+        n_states, seed = kwargs.get("n_states", 25), kwargs.get("seed", 0)
+        # with no max_len every length is covered; the oracle reads up to length 6
+        max_len = kwargs.get("max_len") or 6
+        levels = primal_deviations(full, red, max_len, n_states, seed)
+        primal = primal_equivalence_check(full, red, max_len, n_states, seed=seed)
+        assert dual.passed == primal.passed
+        assert dual.n_sequences == n_states * len(labels)
+        assert dual.longest_word == max(len(word) for word, _ in labels) <= max_len
         assert type(dual.passed) is bool
         assert type(dual.max_dev) is float and type(dual.max_prob_dev) is float
+        assert dual.max_dev <= primal.max_dev + 1e-13 or math.isnan(primal.max_dev)
+        assert dual.max_prob_dev <= primal.max_prob_dev + 1e-13 or math.isnan(primal.max_prob_dev)
+        # every examined column's deviation against every state is the oracle's at that
+        # (state, word, output)
+        lms = [reduction._realization(ce) for ce in (full, red.model)]
+        rng = np.random.default_rng(seed)
+        states = np.array([random_density(full.dim, rng) for _ in range(n_states)])
+        x, x_red = (lm.subspace.stacked().conj() @ rhos.reshape(n_states, -1).T
+                    for lm, rhos in zip(lms, (states, red.reduction_map(states))))
+        q = lms[0].q
+        dev = np.abs(cols[:q].T @ x - cols[q:].T @ x_red)
+        ref = np.array([[oracle_at(levels, full.outcomes, si, word)[output] for si in range(n_states)]
+                        for word, output in labels])
         if kind == "nan":
-            assert math.isnan(dual.realization_dropped)
+            # a NaN image stops the reduced model's closure, so its realization misses
+            # directions and only the NaN columns are the oracle's
+            assert math.isnan(dual.max_dev) and math.isnan(dual.realization_dropped)
+            assert np.isnan(ref[np.isnan(dev)]).all()
         else:
+            assert np.allclose(dev, ref, rtol=0, atol=1e-13)
             assert dual.realization_dropped <= 1e-12
-        if kind in ("reduced", "nonhermitian", "noidentity"):
-            # between an exact reduction and its model every deviation is rounding, so which
-            # node is worst is decided by rounding, and the two walks round differently
-            assert primal.max_dev <= 1e-12 and dual.passed
+        # the worst case is the first (state, examined column) at the largest deviation
+        flat = dev.T.ravel()
+        first = int(np.flatnonzero(np.isnan(flat) if math.isnan(dual.max_dev) else flat == dual.max_dev)[0])
+        si, col = divmod(first, len(labels))
+        assert dual.worst_case == (si, labels[col][0])
+        if kind in ("reduced", "itself", "nonhermitian", "noidentity"):
+            assert dual.passed and dual.max_dev <= 1e-12
         elif kind.startswith("scaled"):
-            # deviations of 1e-6 or 1e-9 carry rounding far above a relative 1e-12, so
-            # rounding decides among words that tie exactly; the word reported must reach
-            # the maximum
             assert dual.passed == (kind == "scaled9")
-            worst = deviation_at(full, red, dual.worst_case, **kwargs)
-            assert worst == pytest.approx(primal.max_dev, rel=0, abs=1e-13)
         else:
-            # a neighbour, a zero map, NaN or exact zeros: the worst case is decided exactly,
-            # and words that tie exactly (Ising at p=0 does, at ('0', '0') and ('0', '1'))
-            # are told apart by the order alone
-            assert dual.worst_case == primal.worst_case
+            assert not dual.passed
 
     def test_exact_tie_reports_the_first_word(self):
-        # Ising at p=0 against its neighbour ties exactly at ('0', '0') and ('0', '1'), and
-        # the two walks round the tie differently; the first in depth-first order is reported
+        # Ising at p=0 against its neighbour ties exactly at ('0', '0') and ('0', '1'); the
+        # worst case is the first state, and of its examined words the first, at the largest
+        # deviation as rounded
         full, red = ising_chain(4, 0.0, 0.3), reduce_ce(ising_chain(4, 0.0, 0.31))
         rep = equivalence_check(full, red, max_len=2, n_states=3, seed=4)
-        assert rep.worst_case == (1, ("0", "0"))
-        tied = deviation_at(full, red, (1, ("0", "1")), max_len=2, n_states=3, seed=4)
-        assert tied == pytest.approx(rep.max_dev, rel=1e-12, abs=0)
+        levels = primal_deviations(full, red, 2, 3, 4)
+        reached = [si for si in range(3) if np.max([level[si].max() for level in levels]) >= rep.max_dev * (1 - 1e-12)]
+        assert rep.worst_case[0] == reached[0]
+        assert np.max(oracle_at(levels, full.outcomes, *rep.worst_case)) == pytest.approx(rep.max_dev, rel=1e-12, abs=0)
+        assert rep.worst_case[1] in (("0", "0"), ("0", "1"))
 
     @pytest.mark.parametrize("make", [
         *[lambda N=N: ising_chain(N, 0.5, 0.3) for N in range(4, 8)],
@@ -474,9 +458,9 @@ class TestDualWalkMatchesPrimal:
         assert walk.outcomes[1] in rep.worst_case[1]
         ising = self.FULL["ising4_p05"]()
         rep = equivalence_check(ising, itself(ising))
-        # every deviation is exactly zero, so the tie rule picks the first non-empty word
+        # every deviation is exactly zero, so the first column, the root's, is the worst case
         assert rep.max_dev == rep.max_prob_dev == 0.0
-        assert rep.worst_case == (0, (ising.outcomes[0],)) and rep.passed
+        assert rep.worst_case == (0, ()) and rep.passed
 
 
 # the split models on which A3 and A4 are checked against the basis path

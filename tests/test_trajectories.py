@@ -13,8 +13,10 @@ from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
     _numpy_sum,
+    WORD_CAP,
     enumerate_distribution,
     sample_trajectory,
+    table_nodes,
     total_variation,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
@@ -376,6 +378,31 @@ class TestEnumerate:
         monkeypatch.setattr(np, "empty", refuse)
         with pytest.raises(ValueError, match="WORD_CAP"):
             enumerate_distribution(ce, proj(2, 0), 20)
+
+    def test_one_outcome_tree_above_word_cap_refused(self, monkeypatch):
+        # one outcome: a tree of T + 1 nodes, counted level by level, so a long table is
+        # refused before its realization is closed
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
+            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closure ran before the node count was checked")
+
+        monkeypatch.setattr(reduction, "hermitian_closure", refuse)
+        with pytest.raises(ValueError, match=f"more than WORD_CAP = {WORD_CAP} nodes"):
+            enumerate_distribution(ce, np.eye(2) / 2, 3_000_000)
+
+    def test_table_nodes(self):
+        assert table_nodes(1, WORD_CAP - 1) == WORD_CAP
+        assert table_nodes(1, WORD_CAP) == WORD_CAP + 1
+        # two outcomes: 2^19 - 1 nodes to length 18 fit, 2^20 - 1 to length 19 do not
+        assert table_nodes(2, 18) == 2**19 - 1
+        assert table_nodes(2, 19) > WORD_CAP
+        assert table_nodes(3, 0) == 1
+        # the count stops at the first level past the cap, so no power of r is formed
+        assert table_nodes(10**6, 10**9) == 1 + 10**6
 
     def test_full_vs_reduced_distribution(self):
         ce = measured_quantum_walk(4, seed=7)

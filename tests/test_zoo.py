@@ -97,6 +97,16 @@ class TestIsingChain:
         skip = sep.effects["-1"].matrix
         assert np.linalg.norm(skip @ Pbd - 0.5 * Pbd) < 1e-9
 
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_no_negative_zero_entries(self, p):
+        # a model file stores every entry whose bytes are not zero, so a -0.0 costs an entry
+        ce = ising_chain(5, p, 0.3)
+        ops = [*ce.output.observables, *ce.evolution.kraus,
+               *(K for k in ce.outcomes for K in ce.effects[k].kraus)]
+        for X in ops:
+            parts = np.ascontiguousarray(X, dtype=complex).view(float)
+            assert not np.signbit(parts[parts == 0]).any()
+
     def test_reduced_effects_preserve_trace(self):
         ce = ising_chain(4, 0.5, 0.3)
         sep = reduce_separably(ce, seed=0)
