@@ -265,7 +265,8 @@ def reduce_separably(
 class EquivalenceReport:
     """What :func:`equivalence_check` read: ``n_sequences`` (state, examined column) pairs,
     words up to ``longest_word`` letters; ``worst_case`` is the (state, word) of the first
-    pair, states first, at ``max_dev``."""
+    pair, states first, at ``max_dev``.  ``dev_bound`` bounds the deviation of every word
+    the check covers, examined or not."""
 
     max_dev: float
     max_prob_dev: float
@@ -275,6 +276,7 @@ class EquivalenceReport:
     # the largest residual the closures and the word basis dropped, NaN when one met a NaN
     realization_dropped: float = 0.0
     longest_word: int = 0
+    dev_bound: float = 0.0
 
 
 def equivalence_check(
@@ -308,7 +310,15 @@ def equivalence_check(
     apart, so that two equal models differ by exact zeros.  ``max_dev`` is
     the largest deviation, the probability's included, and
     ``max_prob_dev`` the largest of the probability's; NaN ranks above
-    every number.  ``passed`` requires ``max_dev`` and
+    every number.
+
+    A word that is not examined deviates by a combination of the examined
+    deviations, which can be far above them, so the verdict reads a bound
+    that covers every word.  Each word's column lies in the span of the
+    basis's orthonormal rows Q, so its deviation at state s is at most its
+    norm times ||Q delta_s||, delta_s = (x_s, -x'_s) (:func:`_column_bound`
+    bounds the norms).  ``dev_bound`` is the largest such product, and
+    ``passed`` requires ``max_dev``, ``dev_bound`` and
     ``realization_dropped`` to be at most ``tol``.
     """
     realizations = [_realization(ce) for ce in (full, reduced.model)]
@@ -319,9 +329,12 @@ def equivalence_check(
     # the coordinates <B_i, rho_s>, one column per state
     x, x_red = (lm.subspace.stacked().conj() @ rhos.reshape(len(rhos), -1).T
                 for lm, rhos in zip(realizations, (states, reduced.reduction_map(states))))
-    cols, labels, basis_dropped = _word_basis(realizations, full.outcomes, max_len)
+    cols, labels, Q, basis_dropped = _word_basis(realizations, full.outcomes, max_len)
     # (n_states, columns): states first
     dev = np.abs(cols[:len(x)].T @ x - cols[len(x):].T @ x_red).T
+    # a column c = Q^T a, |a| = |c|, deviates by c^T delta = a^T Q delta
+    reach = np.linalg.norm(Q @ np.vstack([x, -x_red]), axis=0)
+    dev_bound = float(np.max(reach)) * _column_bound((full, reduced.model), max_len)
     max_dev = float(np.max(dev))
     max_prob_dev = float(np.max(dev[:, [output == 0 for _, output in labels]]))
     # np.argmax takes the first maximum, and the first NaN above every number
@@ -330,11 +343,12 @@ def equivalence_check(
     return EquivalenceReport(
         max_dev=max_dev,
         max_prob_dev=max_prob_dev,
-        passed=bool(max_dev <= tol and dropped <= tol),
+        passed=bool(max_dev <= tol and dev_bound <= tol and dropped <= tol),
         worst_case=(si, labels[col][0]),
         n_sequences=dev.size,
         realization_dropped=dropped,
         longest_word=len(labels[-1][0]),
+        dev_bound=dev_bound,
     )
 
 
@@ -357,9 +371,40 @@ def _realization(ce: ConditionalEvolution) -> LinearReducedModel:
     return lm
 
 
+def _column_bound(models, max_len) -> float:
+    """A bound on the norm of every (word, output) column on the direct sum of the models'
+    realizations, for words up to ``max_len`` letters, or of any length with ``None``.
+
+    In an orthonormal basis the column of O pulled back along w is
+    M_w^dag(O) and has its Hilbert-Schmidt norm, at most sqrt(n) times its
+    operator norm.  For CP maps ||M_w^dag(O)|| <= ||M_w^dag(1)|| ||O||
+    (Russo-Dye), and ||M_w^dag(1)|| <= g^t, g = ||sum_k M_k^dag(1)||: 1
+    for a normalized instrument, below 1 for a leaking one.  A model whose
+    g exceeds 1 by more than the rounding ``REALIZATION_TOL`` can grow
+    without bound: with ``None`` its bound is infinite.  The identity's
+    norm, 1, stands for the probability.
+    """
+    # np.max, unlike max, keeps a NaN
+    growth = np.max([1.0] + [_op_norm(ce.instrument.povm().sum(axis=0).reshape(ce.dim, ce.dim))
+                             for ce in models])
+    norm2 = sum(ce.dim * np.max([1.0] + [_op_norm(O) for O in ce.output.observables]) ** 2
+                for ce in models)
+    if max_len is None:
+        max_len = 0 if growth <= 1 + REALIZATION_TOL else np.inf
+    return float(np.sqrt(norm2) * growth**max_len)
+
+
+def _op_norm(M: np.ndarray) -> float:
+    """A bound on the largest singular value of ``M``: the root of its largest column and row
+    sums of |M_ij| (Schur), equal to it for the identity and for Pauli strings."""
+    A = np.abs(M)
+    return float(np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))
+
+
 def _word_basis(realizations, outcomes, max_len):
     """The columns (d, K) examined on the direct sum of the two realizations, their
-    (word, output) labels, and the largest residual the basis dropped.
+    (word, output) labels, the orthonormal rows Q (dim, d) that span them, and the largest
+    residual the basis dropped.
 
     Level 0 is the root's columns [tr B_i, C[:, i]], output 0 the
     probability.  Each level goes through one
@@ -367,7 +412,8 @@ def _word_basis(realizations, outcomes, max_len):
     and a kept column w has the children A_k^T w of the words (k,) + w.
     The levels stop after words of ``max_len`` letters, or, with ``None``,
     at the first that keeps nothing: the at most d kept columns then span
-    every word's columns.
+    every word's columns.  Either way Q spans, up to the dropped residuals,
+    the column of every word the levels reach.
     """
     level = np.vstack([np.column_stack([np.trace(lm.subspace.basis, axis1=1, axis2=2), lm.C.T])
                        for lm in realizations])
@@ -381,14 +427,15 @@ def _word_basis(realizations, outcomes, max_len):
     labels = [((), j) for j in range(m1)]
     levels, examined = [level], list(labels)
     Q, dim, scale, dropped = np.empty((0, d), dtype=complex), 0, 0.0, 0.0
-    while max_len is None or len(levels) <= max_len:
+    while True:
         Q, dim, scale, kept, lost = _gram_schmidt(Q, dim, level.T.copy(), scale, REALIZATION_TOL)
         dropped = np.maximum(dropped, lost)
-        if not kept:
+        # the level just added holds the words of len(levels) - 1 letters
+        if not kept or (max_len is not None and len(levels) > max_len):
             break
         # the child (k,) + w of the j-th kept column w at column a * len(kept) + j, a the rank of k
         level = (stacked_T @ level[:, kept]).reshape(len(outcomes), d, -1).transpose(1, 0, 2).reshape(d, -1)
         labels = [((k,) + labels[j][0], labels[j][1]) for k in outcomes for j in kept]
         levels.append(level)
         examined += labels
-    return np.hstack(levels), examined, float(dropped)
+    return np.hstack(levels), examined, Q[:dim], float(dropped)

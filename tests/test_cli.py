@@ -9,7 +9,7 @@ import pytest
 from cereduce import algebra, cli, operators, reduction
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
-from cereduce.model import Instrument
+from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator
 from cereduce.reduction import reduce_ce
 from cereduce.serialize import (
@@ -398,9 +398,30 @@ class TestVerify:
         model, reduced = walk_files
         capsys.readouterr()
         assert main(["verify", str(model), str(reduced), "--n-states", "4"]) == 0
-        line = capsys.readouterr().out.splitlines()[0]
+        line, bound = capsys.readouterr().out.splitlines()[:2]
         assert line.startswith("equivalence: max deviation ")
         assert " columns of words up to length " in line and line.endswith(" and 4 states")
+        assert bound.startswith("every word: deviation at most ") and float(bound.split()[-1]) <= 1e-8
+
+    def test_examined_words_within_tol_can_fail(self, tmp_path, capsys):
+        # a reduced map that leaks 3e-9 a step: every examined word is within --tol, but
+        # the bound on every word is not, and far down the chain the deviation nears 1
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
+            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
+        )
+        model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
+        save_json(ce_to_json(ce), model)
+        assert main(["reduce", str(model)]) == 0
+        doc = load_json(reduced)
+        doc["instrument"]["0"] = superop_to_json(Superoperator(kraus=[np.sqrt([[1 - 3e-9]])]))
+        save_json(doc, reduced)
+        capsys.readouterr()
+        assert main(["verify", str(model), str(reduced)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert float(out[0].split()[3].rstrip(",")) <= 1e-8
+        assert float(out[1].split()[-1]) > 0.95
+        assert out[-1] == "verification FAILED; every examined word is within --tol"
 
 
 def _c16_payloads(doc):
