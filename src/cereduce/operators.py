@@ -164,7 +164,7 @@ def closure(
         if wrong_dtype:
             raise ValueError("complex candidate in a closure of real operators")
         C = np.ascontiguousarray(block, dtype=dtype).reshape(len(block), full)
-        Q, dim, scale, _, lost = _gram_schmidt(Q, dim, C, scale, tol)
+        Q, dim, scale, lost = _gram_schmidt(Q, dim, C, scale, tol)
         dropped = np.maximum(dropped, lost)
 
     add(ops)
@@ -181,8 +181,8 @@ def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: flo
     """Add the candidate rows of ``C``, (k, full), to the orthonormal rows ``Q[:dim]``.
 
     Returns the buffer ``Q`` (grown by doubling), ``dim``, ``scale`` (the
-    largest candidate norm seen), the indices of the kept rows of ``C`` and
-    the largest residual of a dropped one (0.0 if none, NaN for a NaN row).
+    largest candidate norm seen) and the largest residual of a dropped row
+    (0.0 if none, NaN for a NaN row).
     Block classical Gram-Schmidt (Stewart 2008): one GEMM pair projects
     the block out of ``Q[:dim]``, and a candidate whose residual is then at
     most ``tol`` times the largest norm seen up to it is dropped.  In order,
@@ -192,7 +192,7 @@ def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: flo
     """
     full = C.shape[1]
     if dim == full or len(C) == 0:  # a full basis spans every row
-        return Q, dim, scale, [], 0.0
+        return Q, dim, scale, 0.0
     scales = np.maximum.accumulate(np.maximum(_row_norms(C), scale))
     scale = float(scales[-1])
     bounds = tol * scales
@@ -205,7 +205,7 @@ def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: flo
     residuals = _row_norms(W)
     kept = residuals > bounds
     # a NaN candidate is dropped, with every later one (its norm makes the bounds NaN)
-    dropped, kept_rows = np.max(residuals[~kept], initial=0.0), []
+    dropped = np.max(residuals[~kept], initial=0.0)
     for j in np.flatnonzero(kept):
         if dim == full:
             break
@@ -222,8 +222,7 @@ def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: flo
             Q = grown
         Q[dim] = v / res
         dim += 1
-        kept_rows.append(int(j))
-    return Q, dim, scale, kept_rows, float(dropped)
+    return Q, dim, scale, float(dropped)
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ tr[E_k rho].  For an outcome whose map applies through its matrix, the
 map and the readout are one product with its step matrix.  Probabilities
 never underflow on long records; the product of the per-step conditional
 probabilities recovers the joint probability of the record.  Enumeration
-walks the outcome tree on the model's minimal linear realization, the one
-``verify``'s equivalence check reads, and applies no map to a state.
+walks the outcome tree on the model's minimal linear realization, built
+once and kept on the model, and applies no map to a state.
 """
 
 from __future__ import annotations
@@ -166,11 +166,13 @@ def enumerate_distribution(
 ) -> dict[tuple[str, ...], tuple[float, np.ndarray]]:
     """Probability and output vector of every length-T outcome word.
 
-    Runs on the model's minimal linear realization, the one
-    :func:`~cereduce.reduction.equivalence_check` reads: its basis B_i, its
-    maps A_k and its output rows C, built once per model, in its own outcome
-    order, and kept on it.  The state enters once, as its coordinates
-    x = <B_i, rho0>, and no map is applied to it.  Each
+    Runs on the model's minimal linear realization (see
+    :func:`~cereduce.reduction._realization`): its basis B_i, its maps A_k
+    and its output rows C, built once per model, in its own outcome order,
+    and kept on it; a reduced model's is the span
+    :func:`~cereduce.reduction.equivalence_check` certifies on.  The state
+    enters once, as its coordinates x = <B_i, rho0>, and no map is applied
+    to it.  Each
     level of the outcome tree, down to depth T-1, is one product of the
     stacked A_k with the level above, in the word order of
     ``itertools.product(ce.outcomes, repeat=t)``, which the table keeps.

@@ -120,10 +120,10 @@ def test_criterion_3_ising_p0(isings):
     ok = red.nperp.dim == 12
     ok &= sorted(red.blocks) == [(2, 2)] * 4
     ok &= red.reduced_dim == 16
-    # every word of every length: the span of the root's 5 columns and their children closes
-    # after 29 examined columns, the longest word of length 3
-    rep = equivalence_check(ce, red, n_states=25, tol=1e-8, seed=0)
-    ok &= rep.passed and rep.n_sequences == 25 * 29 and rep.longest_word == 3
+    # every word of every length, at every state: the 12 elements of the reduced realization,
+    # each pulled back through R once and compared under each of the 2 outcomes
+    rep = equivalence_check(ce, red, tol=1e-8)
+    ok &= rep.passed and rep.n_sequences == 12 * 2
     ok &= elapsed <= 60.0
     report(3, "Ising p=0 known-answer reduction", ok)
 

@@ -11,7 +11,7 @@ from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, main
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator
-from cereduce.reduction import reduce_ce
+from cereduce.reduction import STEP_DEFECT_CUT, reduce_ce
 from cereduce.serialize import (
     ce_from_json,
     ce_to_json,
@@ -200,9 +200,9 @@ class TestVerify:
     def test_pass(self, walk_files, capsys):
         model, reduced = walk_files
         capsys.readouterr()
-        assert main(["verify", str(model), str(reduced), "--n-states", "5"]) == 0
+        assert main(["verify", str(model), str(reduced)]) == 0
         out = capsys.readouterr().out
-        dropped = float(out.split("realizations: largest dropped residual ")[1].split()[0])
+        dropped = float(out.split("reduced realization: largest dropped residual ")[1].split()[0])
         assert dropped <= 1e-12
 
     def test_pass_with_tv(self, walk_files):
@@ -237,7 +237,7 @@ class TestVerify:
         entry["kraus"] = [matrix_to_json(K) for K in tampered]
         bad = tmp_path / "tampered.json"
         save_json(doc, str(bad))
-        assert main(["verify", str(model), str(bad), "--n-states", "3"]) == 1
+        assert main(["verify", str(model), str(bad)]) == 1
 
     def test_mismatched_pair_refused_before_factoring(self, tmp_path, monkeypatch, capsys):
         model, reduced = tmp_path / "ising4.json", tmp_path / "ising5.red.json"
@@ -352,7 +352,7 @@ class TestVerify:
         decode = base64.b64decode
         monkeypatch.setattr(base64, "b64decode", lambda *a, **kw: (decoded.append(1), decode(*a, **kw))[1])
         for argv in (["reduce", swapped, "-o", str(tmp_path / "bad.red.json")],
-                     ["verify", swapped, str(reduced), "--n-states", "2"]):
+                     ["verify", swapped, str(reduced)]):
             capsys.readouterr()
             assert main(argv) == 2
             err = capsys.readouterr().err.strip().splitlines()
@@ -369,7 +369,7 @@ class TestVerify:
         doc = load_json(str(reduced))
         doc["outcomes"] = doc["outcomes"][::-1]
         permuted = _write(tmp_path / "permuted.red.json", doc)
-        assert main(["verify", str(model), permuted, "--n-states", "3", "--tv", "3"]) == 0
+        assert main(["verify", str(model), permuted, "--tv", "3"]) == 0
 
     def test_full_model_without_reduction_exit2(self, walk_files):
         model, _ = walk_files
@@ -394,18 +394,21 @@ class TestVerify:
         monkeypatch.undo()
         assert main(["verify", str(model), str(reduced), "--tv", "3"]) == 0
 
-    def test_prints_examined_columns(self, walk_files, capsys):
+    def test_prints_root_step_and_dropped_residual(self, walk_files, capsys):
         model, reduced = walk_files
         capsys.readouterr()
-        assert main(["verify", str(model), str(reduced), "--n-states", "4"]) == 0
-        line, bound = capsys.readouterr().out.splitlines()[:2]
-        assert line.startswith("equivalence: max deviation ")
-        assert " columns of words up to length " in line and line.endswith(" and 4 states")
-        assert bound.startswith("every word: deviation at most ") and float(bound.split()[-1]) <= 1e-8
+        assert main(["verify", str(model), str(reduced)]) == 0
+        root, step, dropped, verdict = capsys.readouterr().out.splitlines()
+        assert root.startswith("root: max deviation ") and root.endswith(", at every state before any step")
+        # the walk n=3 realization has 3 elements, each compared under each of the 3 outcomes
+        assert step.startswith("step: defect ") and step.endswith(", cut 1e-11, over 9 pairs of basis element and outcome")
+        assert float(step.split()[2].rstrip(",")) <= STEP_DEFECT_CUT / 10
+        assert dropped.startswith("reduced realization: largest dropped residual ")
+        assert verdict == "verification passed"
 
     def test_examined_words_within_tol_can_fail(self, tmp_path, capsys):
-        # a reduced map that leaks 3e-9 a step: every examined word is within --tol, but
-        # the bound on every word is not, and far down the chain the deviation nears 1
+        # a reduced map that leaks 3e-9 a step: exact at the root, and every word --tv 3
+        # examines is within --tol, but far down the chain the deviation nears 1
         ce = ConditionalEvolution(
             instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
             output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
@@ -417,11 +420,12 @@ class TestVerify:
         doc["instrument"]["0"] = superop_to_json(Superoperator(kraus=[np.sqrt([[1 - 3e-9]])]))
         save_json(doc, reduced)
         capsys.readouterr()
-        assert main(["verify", str(model), str(reduced)]) == 1
+        assert main(["verify", str(model), str(reduced), "--tv", "3"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert float(out[0].split()[3].rstrip(",")) <= 1e-8
-        assert float(out[1].split()[-1]) > 0.95
-        assert out[-1] == "verification FAILED; every examined word is within --tol"
+        assert float(out[0].split()[3].rstrip(",")) <= 1e-15
+        assert float(out[1].split()[2].rstrip(",")) == pytest.approx(3e-9, rel=1e-6)
+        assert float(out[3].split()[-1]) <= 1e-8
+        assert out[-1] == "verification FAILED"
 
 
 def _c16_payloads(doc):
@@ -865,7 +869,7 @@ ERROR_NAMES.update({make: ["delta must be a finite number"] for make in ZOO_ISIN
         pytest.param(_inconsistent_blocks, id="simulate_inconsistent_blocks"),
         pytest.param(_fractional_blocks, id="simulate_fractional_blocks"),
         pytest.param(lambda tmp, m, r: ["simulate", str(m), "--steps", "0"], id="simulate_steps_0"),
-        # with no initial states the equivalence check would pass vacuously
+        # an option verify no longer has: the certificate draws no states
         pytest.param(
             lambda tmp, m, r: ["verify", str(m), str(r), "--n-states", "0"], id="verify_n_states_0"
         ),
