@@ -18,6 +18,7 @@ Conventions used throughout the package:
   when it is built: elementwise when every Kraus operator is square and
   exactly diagonal, else through that matrix when the matvec is cheaper
   than the Kraus products and their overhead, else through the products,
+  which for one Kraus operator K are K (X K^dag) with no reshape,
 * adjoints of superoperators are taken w.r.t. the Hilbert-Schmidt
   inner product ``<A, B> = tr(A^dag B)``.
 """
@@ -329,6 +330,9 @@ class Superoperator:
     r (out_dim in_dim^2 + out_dim^2 in_dim) multiply-adds, plus a fixed
     ``KRAUS_APPLY_OVERHEAD`` for its extra reshapes and calls, which is
     used when that is below the out_dim^2 in_dim^2 of the dense matvec.
+    The products are [K_1 ... K_r] @ stack_i(X K_i^dag), the stack formed
+    by a reshape; with r = 1, as for every full zoo instrument map U D_k,
+    they are K (X K^dag), the same two products with no reshape.
     Long Kraus lists, and maps of at most 8x8 operators such as the
     reduced Ising maps, apply through the matrix.  :attr:`form` names the
     form chosen.  A stack
@@ -395,6 +399,8 @@ class Superoperator:
             v = X.reshape(*lead, ni * ni, order="F")
             return (v @ self.matrix.T).reshape(*lead, no, no, order="F")
         r = len(self.kraus)
+        if r == 1:
+            return self._rows @ (X @ self._cols)
         Y = (X @ self._cols).reshape(*lead, ni, r, no)
         return self._rows @ Y.swapaxes(-3, -2).reshape(*lead, r * ni, no)
 

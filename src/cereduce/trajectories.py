@@ -93,12 +93,15 @@ def sample_trajectory(
     :meth:`~cereduce.model.ConditionalEvolution.readout`.  Either way the
     result is scaled in place by 1 / p_k, and ``rho0`` is never written to.
     The draw runs on Python floats with the operations of
-    ``Generator.choice``, in its order, from one ``random()`` per step, so
-    a seed gives the same record as
-    ``rng.choice(len(p), p=p / p.sum())`` on the same probabilities.
-    Probabilities that are not finite raise ValueError; negative ones are
-    set to zero, and the step is recorded in ``clamped_steps`` when one is
-    below ``-tol``.
+    ``Generator.choice``, in its order, from one uniform per step, so a seed
+    gives the same record as ``rng.choice(len(p), p=p / p.sum())`` on the
+    same probabilities.  The T uniforms come from one ``rng.random(T)``, the
+    stream of T ``rng.random()`` calls: a passed Generator advances by T
+    draws, also when the call raises.  Probabilities that are not finite,
+    or whose sum overflows, raise ValueError naming the step; negative ones
+    are set to zero, and the step is recorded in ``clamped_steps`` when one
+    is below ``-tol``.  Each check runs only when the step's probabilities
+    are not all finite and non-negative with a finite sum.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -108,31 +111,36 @@ def sample_trajectory(
     readout = ce.readout()
     steps = ce.step_matrices()
     m, n = len(maps), ce.dim
-    q = readout @ rho.reshape(-1)
+    q = readout @ rho.ravel()
     outcomes, probs, states, outputs, clamped = [], [], [], [], []
-    for t in range(T):
-        p = q.real[:m].tolist()
-        if not all(map(math.isfinite, p)):
-            raise ValueError(f"outcome probabilities are not finite at step {t}")
-        if min(p) < 0.0:
+    for t, u in enumerate(rng.random(T).tolist()):
+        p = q[:m].real.tolist()
+        mass = _numpy_sum(p)
+        # true iff every p is finite and non-negative and so is their sum: a NaN that min skips
+        # makes the sum NaN
+        if not (min(p) >= 0.0 and math.isfinite(mass)):
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"outcome probabilities are not finite at step {t}")
             if min(p) < -tol:
                 clamped.append(t)
             p = [max(x, 0.0) for x in p]
-        mass = _numpy_sum(p)
+            mass = _numpy_sum(p)
+            if not math.isfinite(mass):
+                raise ValueError(f"outcome probabilities overflow in their sum at step {t}")
         if mass < tol:
             raise StateEscapedError(f"outcome probabilities sum to {mass:.3e} at step {t}")
         cdf = list(itertools.accumulate(x / mass for x in p))
         last = cdf[-1]
-        idx = bisect_right([c / last for c in cdf], rng.random())
+        idx = bisect_right([c / last for c in cdf], u)
         pk = p[idx]
         F = steps[idx]
         if F is None:
             # numpy's rho / pk is rho * (1 / pk) but for the sign of a zero entry
             rho = maps[idx](rho)
             rho *= 1.0 / pk
-            q = readout @ rho.reshape(-1)
+            q = readout @ rho.ravel()
         else:
-            q = F @ rho.reshape(-1)
+            q = F @ rho.ravel()
             q *= 1.0 / pk
             rho = q[:n * n].reshape(n, n)
             q = q[n * n:]

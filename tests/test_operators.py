@@ -687,6 +687,39 @@ class TestStackedApply:
             assert np.linalg.norm(Y[idx] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def general_products_apply(S, X):
+    """Oracle: the products form for r Kraus operators, [K_1 ... K_r] @ stack_i(X K_i^dag),
+    through its reshapes."""
+    ni, no, r = S.in_dim, S.out_dim, len(S.kraus)
+    lead = X.shape[:-2]
+    rows = np.hstack(S.kraus)
+    cols = np.hstack([K.conj().T for K in S.kraus])
+    Y = (X @ cols).reshape(*lead, ni, r, no)
+    return rows @ Y.swapaxes(-3, -2).reshape(*lead, r * ni, no)
+
+
+class TestOneKrausApply:
+    """A one-Kraus map in the products form applies as K (X K^dag), with no reshape: the
+    general formula's products, byte for byte; two Kraus operators still go through it."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=str)
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 32), (32, 8)], ids=str)
+    def test_matches_the_general_formula_byte_for_byte(self, shape, lead, r, rng):
+        S = Superoperator(kraus=[random_complex(rng, shape) for _ in range(r)])
+        for T in (S, S.adjoint()):
+            assert T.form == "products"
+            X = random_complex(rng, (*lead, T.in_dim, T.in_dim))
+            Y = T(X)
+            assert Y.shape == (*lead, T.out_dim, T.out_dim)
+            assert Y.tobytes() == general_products_apply(T, X).tobytes()
+
+    def test_zoo_instrument_maps_have_one_kraus_operator(self):
+        ce = ising_chain(4, 0.5, 0.3)
+        for S in (*ce.instrument.maps.values(), ce.evolution, ce.evolution.adjoint()):
+            assert len(S.kraus) == 1 and S.form == "products"
+
+
 class TestElementwiseApply:
     """A square map whose Kraus operators are all exactly diagonal applies as X -> X o W.
 

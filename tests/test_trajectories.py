@@ -115,6 +115,29 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError, match="not finite at step 0"):
             sample_trajectory(ce, np.eye(2) / 2, 1, rng_seed=0)
 
+    @pytest.mark.parametrize("pos", [1, 2])
+    def test_nan_after_the_first_outcome_refused(self, pos):
+        # min skips a NaN that follows a finite value; the sum does not
+        kraus = [proj(3, i) for i in range(3)]
+        kraus[pos][pos, pos] = np.nan
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0", "1", "2"), maps={
+                str(i): Superoperator(kraus=[K]) for i, K in enumerate(kraus)}),
+            output=OutputMap(names=("identity",), observables=(np.eye(3, dtype=complex),)),
+        )
+        with pytest.raises(ValueError, match="not finite at step 0"):
+            sample_trajectory(ce, np.eye(3) / 3, 1, rng_seed=0)
+
+    def test_probabilities_whose_sum_overflows_refused(self):
+        # tr[E_k rho0] = 1e308 * 1.5 for each outcome: finite, and their sum is not
+        ce = ConditionalEvolution(
+            instrument=Instrument(outcomes=("0", "1"), maps={
+                str(i): Superoperator(kraus=[1e154 * proj(2, i)]) for i in range(2)}),
+            output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
+        )
+        with pytest.raises(ValueError, match="overflow in their sum at step 0"):
+            sample_trajectory(ce, 1.5 * np.eye(2), 1, rng_seed=0)
+
     def test_negative_probability_clamped_and_recorded(self):
         # tr[E_1 rho0] = -0.2: outcome 1 gets probability 0, outcome 0 keeps its 1.2
         rho0 = np.diag([1.2, -0.2]).astype(complex)
@@ -269,6 +292,79 @@ def test_mass_is_numpy_sum_bit_for_bit(n):
     for _ in range(50):
         p = rng.random(n) * 10.0 ** rng.integers(-12, 3, n)
         assert _numpy_sum(p.tolist()) == p.sum()
+
+
+def shift_ce(n, bad, diagonal, d):
+    """Three outcomes on C^n, and rho0 = diag(d) padded with zeros.
+
+    Outcome "a" moves the diagonal one place down, rho[i + 1, i + 1] <- rho[i, i],
+    through the cyclic shift, whose effect is 1; outcome ``bad`` ("b" or "c") has one
+    diagonal Kraus operator, its entries ``diagonal`` by index and 0 elsewhere, and the
+    other outcome the zero operator.  d puts no weight where ``bad`` reads at step 0,
+    so step 0 draws "a" for certain and step 1 reads the shifted d.
+    """
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    K = np.zeros((n, n), dtype=complex)
+    for i, x in diagonal.items():
+        K[i, i] = x
+    maps = {"a": Superoperator(kraus=[shift]), "b": Superoperator(kraus=[np.zeros((n, n))]),
+            "c": Superoperator(kraus=[np.zeros((n, n))])}
+    maps[bad] = Superoperator(kraus=[K])
+    ce = ConditionalEvolution(
+        instrument=Instrument(outcomes=("a", "b", "c"), maps=maps),
+        output=OutputMap(names=("identity",), observables=(np.eye(n, dtype=complex),)),
+    )
+    assert maps["a"].form == ("matrix" if n == 5 else "products")
+    rho0 = np.zeros((n, n), dtype=complex)
+    rho0[range(len(d)), range(len(d))] = d
+    return ce, rho0
+
+
+# step 1 reads 1e308 * 2 for the bad outcome, +inf, and 1 for "a".  A NaN there would need
+# inf - inf from finite entries, which a fused multiply-add in BLAS turns into +inf; the
+# NaN cases after the first outcome are at step 0, in TestSampleTrajectory
+INF_AT_STEP_1 = ({1: 1e154}, [2, 0, -1])
+
+
+@pytest.mark.parametrize("n", [5, 9], ids=["matrix-form", "products-form"])
+@pytest.mark.parametrize("bad", ["b", "c"])
+def test_infinite_probability_after_step_0_refused(bad, n):
+    ce, rho0 = shift_ce(n, bad, *INF_AT_STEP_1)
+    rho1 = np.diag(np.roll(np.diag(rho0), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (ce.readout() @ rho1.reshape(-1)).real[:3]
+        assert p[0] == 1.0 and p["abc".index(bad)] == np.inf
+        with pytest.raises(ValueError, match="not finite at step 1"):
+            sample_trajectory(ce, rho0, 3, rng_seed=0)
+
+
+@pytest.mark.parametrize("n", [5, 9], ids=["matrix-form", "products-form"])
+@pytest.mark.parametrize("bad", ["b", "c"])
+def test_negative_probability_after_step_0_clamped_and_recorded(bad, n):
+    # step 1 reads -1 for the bad outcome, and 1 for "a"
+    ce, rho0 = shift_ce(n, bad, {1: 1.0}, [-1, 0, 2])
+    for seed in range(20):
+        rec = sample_trajectory(ce, rho0, 2, rng_seed=seed)
+        assert rec.clamped_steps == (1,)
+        assert rec.outcomes == ("a", "a") and rec.probabilities == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_a_call_takes_T_draws_from_the_passed_generator(raises):
+    T = 8
+    ref = np.random.default_rng(5)
+    singles = [ref.random() for _ in range(T + 1)]
+    assert np.random.default_rng(5).random(T).tolist() == singles[:T]
+    rng = np.random.default_rng(5)
+    if raises:
+        # step 1 refuses its probabilities, after one of the T draws was used
+        ce, rho0 = shift_ce(5, "b", *INF_AT_STEP_1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="step 1"):
+            sample_trajectory(ce, rho0, T, rng)
+    else:
+        ce, rho0 = DRAW_MODELS["ising4-full"]()
+        sample_trajectory(ce, rho0, T, rng)
+    assert rng.random() == singles[T]
 
 
 class TestEnumerate:
