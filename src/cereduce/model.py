@@ -11,7 +11,7 @@ effect per outcome, from which its instrument is composed once.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,26 +189,39 @@ class ConditionalEvolution:
             object.__setattr__(self, "_steps", steps)
         return steps
 
-    def dual_images(self) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    def dual_images(self) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
         """The function X -> the images M_k^dag(X) of every outcome k, in declaration order.
 
         On a split model M_k^dag = effect_k^dag o evolution^dag: the function
-        computes E^dag(X) once, when called, and returns an iterator that
-        applies each effect's dual to it in turn, elementwise for diagonal
-        effects.  Without a split it applies the instrument maps' adjoints to
-        X.  X is one operator or a stack, and the iterator holds only
-        E^dag(X), or X.  The dual maps are built here, once per returned
-        function, and not kept on the model.
+        computes E^dag(X) once, when called, and returns a sequence, one item
+        per outcome, that applies each effect's dual to it as the item is
+        read, elementwise for diagonal effects.  Without a split it applies
+        the instrument maps' adjoints to X.  X is one operator or a stack, and
+        the sequence holds only E^dag(X), or X, so iterating it keeps one
+        image alive at a time.  The dual maps are built here, once per
+        returned function, and not kept on the model.
         """
         shared = self.evolution.adjoint() if self.has_split else None
         maps = self.effects if self.has_split else self.instrument.maps
         duals = [maps[k].adjoint() for k in self.outcomes]
 
-        def images(X: np.ndarray) -> Iterator[np.ndarray]:
-            S = X if shared is None else shared(X)
-            return (D(S) for D in duals)
+        def images(X: np.ndarray) -> Sequence[np.ndarray]:
+            return _Images(duals, X if shared is None else shared(X))
 
         return images
+
+
+class _Images(Sequence):
+    """The images D(S) of one operator or stack S under each map D, each formed when read."""
+
+    def __init__(self, maps: list[Superoperator], S: np.ndarray):
+        self._maps, self._S = maps, S
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self._maps[k](self._S)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,8 @@ class LinearReducedModel:
 
     The coordinates of an operator X are its HS inner products <B_i, X> with
     the subspace basis; A[k] maps them as outcome k's map does, and C reads
-    the outputs off them.
+    the outputs off them.  A[k] is real when it was read off real
+    coordinates (see :func:`linear_reduce`).
     """
 
     subspace: OperatorSubspace
@@ -88,26 +89,49 @@ class LinearReducedModel:
         return self.subspace.dim
 
 
-def linear_reduce(ce: ConditionalEvolution, subspace: OperatorSubspace) -> LinearReducedModel:
+def linear_reduce(
+    ce: ConditionalEvolution,
+    subspace: OperatorSubspace,
+    images: list[np.ndarray] | None = None,
+) -> LinearReducedModel:
     """Compress every instrument map and the output map onto the subspace.
 
-    A_k[i, j] = <B_i, M_k(B_j)> = <M_k^dag(B_i), B_j> is read off one
-    :meth:`~cereduce.model.ConditionalEvolution.dual_images` call on the
-    stacked basis, so a split model conjugates the basis by its evolution
-    once for all outcomes.  C[o, j] = tr(O_o B_j).
+    A_k[i, j] = <B_i, M_k(B_j)> = <M_k^dag(B_i), B_j> is one product per
+    outcome of the rows of the images Y_ki = M_k^dag(B_i) with the basis
+    rows, in coordinates whose plain dot product is the HS one:
 
-    Exact output reproduction for all outcome words requires the subspace
-    to contain the full dual-map orbit of the observables; the caller is
-    responsible for passing such a subspace (typically the result of
-    :func:`nonobservable_complement`).
+    * by default conj(Y) against B, both flattened row-major, with the
+      images read off one
+      :meth:`~cereduce.model.ConditionalEvolution.dual_images` call on the
+      stacked basis, so a split model conjugates the basis by its evolution
+      once for all outcomes;
+    * for a Hermitian basis, ``images`` may instead hold the real
+      coordinates Re Y + Im Y, as the blocks (j, m, n, n) of consecutive
+      basis elements that :func:`~cereduce.operators.hermitian_closure`
+      hands out when it closes the subspace.  They are read against
+      Re B + Im B, which for Hermitian operators gives the HS products
+      exactly, so A is real and no map is applied here.
+
+    C[o, j] = tr(O_o B_j), one product of the observables' rows with the
+    basis rows.  Exact output reproduction for all outcome words
+    requires the subspace to contain the full dual-map orbit of the
+    observables; the caller is responsible for passing such a subspace
+    (typically the result of :func:`nonobservable_complement`).
     """
     if subspace.dim == 0:
         raise ValueError("cannot reduce onto a zero-dimensional subspace")
     Q = subspace.stacked()
-    # A_k = conj(Y_k) Q^T for the rows Y_k of M_k^dag(B_i) flattened row-major, each
-    # image conjugated in place, one outcome at a time;  C holds the output rows of the
-    # readout against the row-major flattening of B_j
-    images = ce.dual_images()(subspace.basis)
-    A = {k: np.conj(Y, out=Y).reshape(subspace.dim, -1) @ Q.T for k, Y in zip(ce.outcomes, images)}
-    C = ce.readout()[len(ce.outcomes):] @ Q.T
+    if images is None:
+        # one block of the conjugated images of every element, one outcome's written at a time
+        block = np.empty((subspace.dim, len(ce.outcomes), *subspace.basis.shape[1:]), dtype=complex)
+        for k, Y in enumerate(ce.dual_images()(subspace.basis)):
+            np.conjugate(Y, out=block[:, k])
+        images, W = [block], Q
+    else:
+        W = Q.real + Q.imag
+    A = {k: np.concatenate([X[:, i].reshape(len(X), -1) @ W.T for X in images])
+         for i, k in enumerate(ce.outcomes)}
+    # tr(O B) is O^T flattened row-major against B flattened row-major; the rows are formed
+    # here, not read off the model's readout, which would then be built and kept
+    C = np.array([O.T.reshape(-1) for O in ce.output.observables]) @ Q.T
     return LinearReducedModel(subspace=subspace, A=A, C=C)

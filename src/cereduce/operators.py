@@ -25,7 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +134,12 @@ def closure(
     after all earlier ones, with the current basis as a read-only
     (dim, n, m) array, and returns the candidates that element contributes.
     ``ops`` and each call's candidates form one block for
-    :func:`_gram_schmidt`.  The returned basis is the first rows of its
-    buffer itself, not a copy.  Its ``dropped`` is the largest residual of
-    a dropped candidate, 0.0 when none was and NaN when a candidate was
-    NaN: measured against part of the final basis, it bounds every
-    candidate's distance from the span, as a kept one lies in it.
+    :func:`_gram_schmidt`, and a call with none is passed over.  The
+    returned basis is the first rows of its buffer itself, not a copy.
+    Its ``dropped`` is the largest residual of a dropped candidate, 0.0
+    when none was and NaN when a candidate was NaN: measured against part
+    of the final basis, it bounds every candidate's distance from the
+    span, as a kept one lies in it.
     """
     ops = list(ops)
     if not ops:
@@ -164,6 +165,8 @@ def closure(
             raise ValueError("operators must share a common shape")
         if wrong_dtype:
             raise ValueError("complex candidate in a closure of real operators")
+        if len(block) == 0:  # no candidate, so nothing changes
+            return
         C = np.ascontiguousarray(block, dtype=dtype).reshape(len(block), full)
         Q, dim, scale, lost = _gram_schmidt(Q, dim, C, scale, tol)
         dropped = np.maximum(dropped, lost)
@@ -240,14 +243,15 @@ def _hermitian_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_closure(
     generators,
-    images: Callable[[np.ndarray], Iterable[np.ndarray]] | None = None,
+    images: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
     tol: float = DEFAULT_TOL,
+    blocks: list[np.ndarray] | None = None,
 ) -> OperatorSubspace:
     """Exactly Hermitian HS-orthonormal basis of the smallest span of Hermitian operators
     holding the Hermitian parts of ``generators`` and invariant under some maps;
-    ``images(H)`` gives the stack of images of a stack H, (j, n, n), under each
-    of them, as a :class:`Superoperator` or
-    :meth:`~cereduce.model.ConditionalEvolution.dual_images` does.
+    ``images(H)`` gives the sequence of images of a stack H, (j, n, n), one
+    stack per map, as ``lambda H: [S(H)]`` does for one map S, or
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images` for the duals.
 
     The maps must take Hermitian operators to Hermitian ones, as CP maps
     and their duals do.  H -> Re H + Im H maps Hermitian operators
@@ -258,8 +262,12 @@ def hermitian_closure(
     not yet expanded expands every element the basis holds from it on, in
     one call of ``images``, and the others none: the closure sees the
     candidates of adding one element at a time, in the same order, in
-    fewer and larger blocks.  The returned basis is these H, written into
-    one complex stack.
+    fewer and larger blocks.  Each such block is one (j, m, n, n) array of
+    the real coordinates of the j elements' images under the m maps, each
+    map's stack written into it as it is read.  When ``blocks`` is a list,
+    every block is appended to it, so that the blocks, in order, hold the
+    images of every basis element.  The returned basis is these H, written
+    into one complex stack.
     """
     expanded = 0
 
@@ -268,10 +276,14 @@ def hermitian_closure(
         if i < expanded:
             return ()
         expanded = len(basis)
-        # the candidates element by element, each element's images in the maps' order,
-        # one map's stack of images alive at a time
-        block = [Y.real + Y.imag for Y in images(_from_real_coordinates(basis[i:]))]
-        return np.stack(block, axis=1).reshape(-1, *basis.shape[1:])
+        ys = images(_from_real_coordinates(basis[i:]))
+        block = np.empty((len(basis) - i, len(ys), *basis.shape[1:]))
+        for k, Y in enumerate(ys):
+            np.add(Y.real, Y.imag, out=block[:, k])
+        if blocks is not None:
+            blocks.append(block)
+        # the candidates element by element, each element's images in the maps' order
+        return block.reshape(-1, *basis.shape[1:])
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
     sub = closure(parts, expand if images is not None else None, tol)
@@ -428,22 +440,20 @@ def _is_diagonal(K: np.ndarray) -> bool:
     return np.count_nonzero(K) == np.count_nonzero(np.diagonal(K))
 
 
-def _choi(M: np.ndarray, no: int, ni: int) -> np.ndarray:
-    # M[(b, a), (j, i)] = <a|S(|i><j|)|b> becomes C[(i, a), (j, b)]
-    return np.einsum("baji->iajb", M.reshape(no, no, ni, ni)).reshape(ni * no, ni * no)
-
-
 def _kraus_from_matrix(matrix: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of the CP map with (out^2, in^2) matrix ``matrix``; see :class:`Superoperator`."""
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2 or M.size == 0 or any(round(np.sqrt(s)) ** 2 != s for s in M.shape):
         raise ValueError(f"matrix shape {M.shape} is not (out^2, in^2)")
     no, ni = (round(np.sqrt(s)) for s in M.shape)
-    C = _choi(M, no, ni)
+    # M[(b, a), (j, i)] = <a|S(|i><j|)|b> is C[(i, a), (j, b)], and conj(M[(a, b), (i, j)]) is
+    # C^dag[(i, a), (j, b)]: both are gathered from M in row order, which at a 2048 x 2048 C
+    # forms C^dag in a third of the time of transposing C's copy; the Hermitian part is
+    # formed in the copy of C^dag, because C itself may be a view of the caller's matrix
+    M4 = M.reshape(no, no, ni, ni)
+    C = np.einsum("baji->iajb", M4).reshape(ni * no, ni * no)
+    Ch = np.conjugate(np.einsum("abij->iajb", M4), order="C").reshape(C.shape)
     bound = DEFAULT_TOL * max(float(np.linalg.norm(C)), 1.0)
-    # C^dag copied once in row order, so the strided transpose is read once; the Hermitian
-    # part is formed in that copy, because C itself may be a view of the caller's matrix
-    Ch = np.conjugate(C.T, order="C")
     herm_res = float(np.linalg.norm(C - Ch))
     Ch += C
     Ch /= 2

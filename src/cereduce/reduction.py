@@ -360,11 +360,14 @@ STEP_DEFECT_CUT = 1e-11
 def _realization(ce: ConditionalEvolution) -> LinearReducedModel:
     """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
     span of 1 and its observables: built once per model and kept on the model, as its readout
-    is."""
+    is.  A_k is read off the real coordinates of the dual images that the span's
+    :func:`~cereduce.operators.hermitian_closure` formed, so each basis element goes through
+    the duals once, and A_k is real; the images, m n^2 floats per element, live until then."""
     lm = ce.__dict__.get("_realization")
     if lm is None:
         generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-        span = hermitian_closure(generators, ce.dual_images(), REALIZATION_TOL)
-        lm = linear_reduce(ce, span)
+        blocks = []
+        span = hermitian_closure(generators, ce.dual_images(), REALIZATION_TOL, blocks)
+        lm = linear_reduce(ce, span, blocks)
         object.__setattr__(ce, "_realization", lm)
     return lm

@@ -175,9 +175,10 @@ def enumerate_distribution(
     """Probability and output vector of every length-T outcome word.
 
     Runs on the model's minimal linear realization (see
-    :func:`~cereduce.reduction._realization`): its basis B_i, its maps A_k
-    and its output rows C, built once per model, in its own outcome order,
-    and kept on it; a reduced model's is the span
+    :func:`~cereduce.reduction._realization`): its basis B_i, its real maps
+    A_k, read off the dual images its closure formed, and its output rows
+    C, built once per model, in its own outcome order, and kept on it; a
+    reduced model's is the span
     :func:`~cereduce.reduction.equivalence_check` certifies on.  The state
     enters once, as its coordinates x = <B_i, rho0>, and no map is applied
     to it.  Each

@@ -368,6 +368,19 @@ class TestSharedDualImages:
         assert len(calls) == 1 + len(ce.outcomes)
         assert all(S._weights is not None for S in calls[1:])
 
+    def test_images_are_a_sequence_formed_when_read(self, monkeypatch, rng):
+        # its length needs no apply, and each item read applies one effect's dual
+        ce = ising_chain(4, 0.5, 0.3)
+        images = ce.dual_images()
+        calls = []
+        apply = Superoperator.__call__
+        monkeypatch.setattr(Superoperator, "__call__", lambda S, X: (calls.append(S), apply(S, X))[1])
+        seq = images(random_complex(rng, (2, 16, 16)))
+        assert len(seq) == len(ce.outcomes) and len(calls) == 1
+        assert seq[1].shape == (2, 16, 16) and len(calls) == 2
+        with pytest.raises(IndexError):
+            seq[len(ce.outcomes)]
+
     def test_without_split_applies_instrument_adjoints(self, rng):
         ce = random_ce(3, 3, 2, rng)
         X = random_complex(rng, (2, 3, 3))

@@ -3,6 +3,7 @@ import pytest
 
 from cereduce import operators
 from cereduce.operators import (
+    DEFAULT_TOL,
     OperatorSubspace,
     Superoperator,
     closure,
@@ -14,9 +15,10 @@ from cereduce.operators import (
 from cereduce.algebra import algebra_closure, center, commutant
 from cereduce.model import OutputMap
 from cereduce.observability import nonobservable_complement
-from cereduce.reduction import equivalence_check, random_density, reduce_ce
+from cereduce.reduction import REALIZATION_TOL, equivalence_check, random_density, reduce_ce
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 from conftest import (
+    REALIZATION_MODELS,
     channel_checks,
     from_real_coordinates_loop,
     hs_inner,
@@ -223,6 +225,15 @@ class TestClosure:
 
         sub = closure([random_complex(rng, (3, 3))], expand, tol=0.0)
         assert sub.dim == 9
+
+    def test_no_candidates_run_no_gram_schmidt(self, monkeypatch, paulis):
+        # the ops, then the one expansion with candidates: each other call adds nothing
+        calls = []
+        gram_schmidt = operators._gram_schmidt
+        monkeypatch.setattr(operators, "_gram_schmidt", lambda *a: (calls.append(len(a[2])), gram_schmidt(*a))[1])
+        X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
+        sub = closure([X, Y], lambda basis, i: [Z] if i == 1 else np.empty((0, 2, 2)))
+        assert sub.dim == 3 and calls == [2, 1]
 
 
 def closure_one_by_one(ops, expand=None, tol=1e-9):
@@ -474,6 +485,42 @@ class TestHermitianClosure:
         parts = [P for O in ce.output.observables for P in hermitian_parts(O)]
         assert_same_span(red.nperp, closure_one_by_one(parts, lambda b, i: [S(b[i]) for S in duals]))
         assert all(np.array_equal(B, B.conj().T) for B in red.nperp.basis)
+
+    @pytest.mark.parametrize("name", sorted(REALIZATION_MODELS))
+    @pytest.mark.parametrize("span", ["nperp", "realization"])
+    def test_basis_bit_identical_to_listed_images(self, name, span):
+        # the oracle lists each map's real coordinates, stacks them, and hands every call's
+        # candidates to the closure, those of the calls with none included
+        ce = REALIZATION_MODELS[name]()
+        gens = list(ce.output.observables)
+        if span == "realization":
+            gens = [np.eye(ce.dim, dtype=complex), *gens]
+        images, expanded = ce.dual_images(), 0
+
+        def expand(basis, i):
+            nonlocal expanded
+            if i < expanded:
+                return []
+            expanded = len(basis)
+            block = [Y.real + Y.imag for Y in images(operators._from_real_coordinates(basis[i:]))]
+            return np.stack(block, axis=1).reshape(-1, *basis.shape[1:])
+
+        parts = [P.real + P.imag for O in gens for P in hermitian_parts(O)]
+        ref = closure(parts, expand, REALIZATION_TOL)
+        sub = hermitian_closure(gens, images, REALIZATION_TOL)
+        assert sub.basis.tobytes() == operators._from_real_coordinates(ref.basis).tobytes()
+        assert sub.dropped == ref.dropped
+
+    @pytest.mark.parametrize("name", ["ising4_p0.5", "walk5", "random"])
+    def test_blocks_hold_the_images_of_every_element(self, name):
+        ce = REALIZATION_MODELS[name]()
+        blocks = []
+        sub = hermitian_closure(ce.output.observables, ce.dual_images(), REALIZATION_TOL, blocks)
+        assert all(X.shape[1:] == (len(ce.outcomes), ce.dim, ce.dim) and X.dtype == np.float64 for X in blocks)
+        X = np.concatenate(blocks)
+        assert len(X) == sub.dim
+        for k, Y in enumerate(ce.dual_images()(sub.basis)):
+            assert np.max(np.abs(X[:, k] - (Y.real + Y.imag))) <= 1e-14 * np.max(np.abs(Y))
 
 
 class TestMapCoordinates:
@@ -809,8 +856,68 @@ class TestElementwiseApply:
                 S(np.zeros(shape))
 
 
+def factor_with_copies(matrix):
+    """The Kraus list, or the refusal message, of the factorization that forms C^dag as the
+    transpose of C's copy, read strided, where the code gathers it straight from the matrix."""
+    M = np.asarray(matrix, dtype=complex)
+    no, ni = (round(np.sqrt(s)) for s in M.shape)
+    C = np.einsum("baji->iajb", M.reshape(no, no, ni, ni)).reshape(ni * no, ni * no)
+    bound = DEFAULT_TOL * max(float(np.linalg.norm(C)), 1.0)
+    Ch = np.conjugate(C.T, order="C")
+    herm_res = float(np.linalg.norm(C - Ch))
+    Ch += C
+    Ch /= 2
+    L = operators._pivoted_cholesky(Ch, bound / len(Ch))
+    res = float(np.linalg.norm(L.T @ L.conj() - Ch))
+    if not (herm_res <= bound and res <= bound):
+        return (f"map is not completely positive: smallest Choi eigenvalue {np.linalg.eigvalsh(Ch)[0]:.3e}, "
+                f"Choi Hermiticity residual {herm_res:.3e}, Cholesky residual {res:.3e}")
+    return [unvec(v, no) for v in L] or [np.zeros((no, ni), dtype=complex)]
+
+
+def random_cp_matrices(seed, count):
+    """Matrices of random CP maps of random shape and Kraus count, each also moved off CP by
+    a random non-Hermitian term and, as a Fortran-ordered copy, laid out the other way."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ni, no, r = rng.integers(1, 7, size=3)
+        M = Superoperator(kraus=list(random_complex(rng, (r, no, ni)))).matrix
+        yield from (M, M + 1e-3 * rng.standard_normal(M.shape), np.asfortranarray(M))
+
+
 class TestFactorMatrix:
     """A map given as a matrix is factored by pivoted Cholesky of its Choi matrix."""
+
+    @staticmethod
+    def assert_factors_as_with_copies(M):
+        ref = factor_with_copies(M)
+        if isinstance(ref, str):
+            with pytest.raises(ValueError) as info:
+                Superoperator(M)
+            assert str(info.value) == ref
+        else:
+            kraus = Superoperator(M).kraus
+            assert len(kraus) == len(ref) and all(K.tobytes() == R.tobytes() for K, R in zip(kraus, ref))
+
+    @pytest.mark.parametrize("N", [4, 5, 6])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_zoo_reduction_map_bit_identical_to_copies(self, N, p):
+        self.assert_factors_as_with_copies(reduce_ce(ising_chain(N, p, 0.3)).reduction_map.matrix)
+
+    def test_random_maps_bit_identical_to_copies(self):
+        for M in random_cp_matrices(3, 20):
+            self.assert_factors_as_with_copies(M)
+
+    def test_refusals_word_for_word_as_with_copies(self, rng):
+        # a negative Choi direction, the transpose, and a left multiplication
+        kraus = [random_complex(rng, (3, 3)) for _ in range(3)]
+        Q, _ = np.linalg.qr(np.array([K.reshape(-1) for K in kraus]).T, mode="complete")
+        E = Q[:, 3].reshape(3, 3)
+        swap = np.array([vec(U.T) for U in np.eye(4).reshape(4, 2, 2, order="F")]).T
+        for M in (sum(np.kron(K.conj(), K) for K in kraus) - 1e-6 * np.kron(E.conj(), E), swap,
+                  np.kron(np.eye(2), PAULI["x"])):
+            assert isinstance(factor_with_copies(M), str)
+            self.assert_factors_as_with_copies(M)
 
     def test_zero_map_keeps_one_zero_operator(self):
         S = Superoperator(np.zeros((16, 9)))

@@ -8,8 +8,8 @@ import pytest
 
 from cereduce import operators, reduction
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
-from cereduce.observability import check_invariance, nonobservable_complement
-from cereduce.operators import DEFAULT_TOL, Superoperator
+from cereduce.observability import check_invariance, linear_reduce, nonobservable_complement
+from cereduce.operators import DEFAULT_TOL, Superoperator, hermitian_closure
 from cereduce.reduction import (
     STEP_DEFECT_CUT,
     EquivalenceReport,
@@ -22,6 +22,7 @@ from cereduce.reduction import (
 from cereduce.trajectories import enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
 from conftest import (
+    REALIZATION_MODELS,
     SPLIT_MODELS,
     blockdiag_projector,
     channel_checks,
@@ -416,6 +417,54 @@ class TestDualWalkMatchesPrimal:
         rep = equivalence_check(ising, itself(ising))
         # through the identity map every difference is exactly zero
         assert rep.max_dev == rep.max_prob_dev == rep.step_defect == 0.0 and rep.passed
+
+
+class TestRealization:
+    """The minimal linear realization reads A_k off the images its closure formed."""
+
+    @pytest.mark.parametrize("name", sorted(REALIZATION_MODELS))
+    def test_matches_linear_reduce_on_its_span(self, name):
+        ce = REALIZATION_MODELS[name]()
+        lm = reduction._realization(ce)
+        ref = linear_reduce(ce, lm.subspace)
+        assert list(lm.A) == list(ref.A) == list(ce.outcomes)
+        for k in ce.outcomes:
+            assert lm.A[k].dtype == np.float64
+            assert np.max(np.abs(lm.A[k] - ref.A[k])) <= 1e-13 * np.max(np.abs(ref.A[k]))
+        assert np.max(np.abs(lm.C - ref.C)) <= 1e-13 * np.max(np.abs(ref.C))
+
+    @pytest.mark.parametrize("name", ["ising5_p0.5", "walk4", "random"])
+    def test_each_element_goes_through_the_duals_once(self, name, monkeypatch):
+        ce = REALIZATION_MODELS[name]()
+        stacked = []
+        dual_images = ConditionalEvolution.dual_images
+
+        def counted(model):
+            images = dual_images(model)
+            return lambda X: (stacked.append(len(X)), images(X))[1]
+
+        monkeypatch.setattr(ConditionalEvolution, "dual_images", counted)
+        lm = reduction._realization(ce)
+        assert sum(stacked) == lm.q
+
+    def test_ising_n7_keeps_at_most_the_images(self):
+        # beyond its closure's own peak, the realization holds the closure's images, q m n^2
+        # floats, and reads A and C off them with no second pass through the duals
+        ce = ising_chain(7, 0.5, 0.3)
+        generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hermitian_closure(generators, ce.dual_images(), reduction.REALIZATION_TOL)
+            closure_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lm = reduction._realization(ce)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert lm.q == 18
+        assert peak - closure_peak <= lm.q * len(ce.outcomes) * ce.dim**2 * 8
 
 
 class TestNearExceptionalPairs:

@@ -8,8 +8,8 @@ import pytest
 
 from cereduce import reduction
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
-from cereduce.operators import Superoperator
-from cereduce.reduction import equivalence_check, random_density, reduce_ce
+from cereduce.operators import Superoperator, hermitian_closure
+from cereduce.reduction import REALIZATION_TOL, equivalence_check, random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
     _numpy_sum,
@@ -20,7 +20,15 @@ from cereduce.trajectories import (
     total_variation,
 )
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import SPLIT_MODELS, enumerate_oracle, outputs, proj, random_ce, swap3_ce
+from conftest import (
+    REALIZATION_MODELS,
+    SPLIT_MODELS,
+    enumerate_oracle,
+    outputs,
+    proj,
+    random_ce,
+    swap3_ce,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -367,7 +375,35 @@ def test_a_call_takes_T_draws_from_the_passed_generator(raises):
     assert rng.random() == singles[T]
 
 
+def enumerate_through_a_second_pass(ce, rho0, T):
+    """The table of ``enumerate_distribution`` with each A_k read off a second pass of the
+    realization's basis B through the duals, as conj(M_k^dag(B)) B^T in complex arithmetic,
+    and C off the model's readout: the table before A_k was read off the closure's images."""
+    generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
+    span = hermitian_closure(generators, ce.dual_images(), REALIZATION_TOL)
+    Q, q, r = span.stacked(), span.dim, len(ce.outcomes)
+    A = np.concatenate([Y.conj().reshape(q, -1) @ Q.T for Y in ce.dual_images()(span.basis)])
+    C = ce.readout()[r:] @ Q.T
+    x = Q.conj() @ np.asarray(rho0, dtype=complex).reshape(-1, 1)
+    for _ in range(T - 1):
+        x = (A @ x).reshape(r, q, -1).transpose(1, 2, 0).reshape(q, -1)
+    read = np.vstack([np.trace(span.basis, axis1=1, axis2=2), C])
+    table = (read @ A.reshape(r, q, q) @ x).transpose(2, 0, 1).reshape(-1, len(read))
+    words = itertools.product(ce.outcomes, repeat=T)
+    return {seq: (float(row[0].real), row[1:]) for seq, row in zip(words, table)}
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("name", sorted(REALIZATION_MODELS))
+    def test_matches_a_second_pass_through_the_duals(self, name):
+        ce = REALIZATION_MODELS[name]()
+        rho0 = random_density(ce.dim, np.random.default_rng(ce.dim))
+        table, ref = enumerate_distribution(ce, rho0, 4), enumerate_through_a_second_pass(ce, rho0, 4)
+        assert list(table) == list(ref)
+        for seq, (p, y) in table.items():
+            assert abs(p - ref[seq][0]) <= 1e-14
+            assert np.max(np.abs(y - ref[seq][1])) <= 1e-14
+
     def test_probabilities_sum_to_one(self, rng):
         ce = random_ce(3, 3, 2, rng)
         rho0 = random_density(3, rng)
