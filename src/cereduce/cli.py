@@ -264,12 +264,14 @@ def cmd_simulate(args) -> int:
             child, = root.spawn(1)
             rec = sample_trajectory(ce, rho0, args.steps, np.random.default_rng(child))
             counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
+            # each output as [re, im], the record's outputs read into Python floats at once
+            Y = np.array(rec.outputs)
             out.write(
                 json.dumps(
                     {
                         "outcomes": list(rec.outcomes),
                         "probabilities": list(rec.probabilities),
-                        "outputs": [[[v.real, v.imag] for v in y] for y in rec.outputs],
+                        "outputs": Y.view(float).reshape(*Y.shape, 2).tolist(),
                     }
                 )
                 + "\n"

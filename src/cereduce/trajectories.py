@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,14 @@ def _numpy_sum(p: list[float]) -> float:
     return total
 
 
+def _checked_state(rho0, n: int) -> np.ndarray:
+    """``rho0`` as a complex array, refused with ValueError unless it is one n x n operator."""
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.shape != (n, n):
+        raise ValueError(f"start state has shape {rho.shape}, expected ({n}, {n})")
+    return rho
+
+
 def sample_trajectory(
     ce: ConditionalEvolution,
     rho0: np.ndarray,
@@ -85,33 +92,44 @@ def sample_trajectory(
 
     ``rng_seed`` may be an integer or a ``numpy.random.SeedSequence`` /
     ``Generator``; trajectory batches should spawn child seeds so streams
-    stay independent.  A step of an outcome whose map applies through its
-    matrix is one product with its
+    stay independent.  ``rho0`` must be one n x n operator: any other shape
+    raises ValueError naming it.  The loop holds the state also flattened
+    row-major, x, as the readout and the step matrices read it.  A step of
+    an outcome whose map applies through its matrix is one product
+    ``F_k.dot(x)`` with its
     :meth:`~cereduce.model.ConditionalEvolution.step_matrices` entry, which
-    yields the new state and its readout at once; any other outcome's step
-    is one map apply and one product with
+    yields the new x and its readout at once; any other outcome's step
+    is one map apply and one product ``readout.dot(x)`` with
     :meth:`~cereduce.model.ConditionalEvolution.readout`.  Either way the
     result is scaled in place by 1 / p_k, and ``rho0`` is never written to.
     The draw runs on Python floats with the operations of
-    ``Generator.choice``, in its order, from one uniform per step, so a seed
-    gives the same record as ``rng.choice(len(p), p=p / p.sum())`` on the
-    same probabilities.  The T uniforms come from one ``rng.random(T)``, the
-    stream of T ``rng.random()`` calls: a passed Generator advances by T
-    draws, also when the call raises.  Probabilities that are not finite,
-    or whose sum overflows, raise ValueError naming the step; negative ones
-    are set to zero, and the step is recorded in ``clamped_steps`` when one
-    is below ``-tol``.  Each check runs only when the step's probabilities
-    are not all finite and non-negative with a finite sum.
+    ``Generator.choice``, in its order, from one uniform u per step, so a
+    seed gives the same record as ``rng.choice(len(p), p=p / p.sum())`` on
+    the same probabilities: the sum of p as ``np.sum`` adds it, one plain
+    loop for the running sums of p / sum, and a search for the first of
+    them that, divided by the last, is above u.  The T uniforms come from
+    one ``rng.random(T)``, the stream of T ``rng.random()`` calls: a passed
+    Generator advances by T draws when the call returns and when a step
+    raises, and by none when the call raises before its first step (T < 1
+    or a start state of the wrong shape).  Probabilities that are not
+    finite, or whose sum overflows, raise ValueError naming the step;
+    negative ones are set to zero, and the step is recorded in
+    ``clamped_steps`` when one is below ``-tol``.  Each check runs only
+    when the step's probabilities are not all finite and non-negative with
+    a finite sum.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
+    labels = ce.outcomes
+    maps = [ce.instrument.maps[k] for k in labels]
+    m, n = len(maps), maps[0].in_dim
+    rho = _checked_state(rho0, n)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    rho = np.asarray(rho0, dtype=complex)
-    maps = [ce.instrument.maps[k] for k in ce.outcomes]
     readout = ce.readout()
     steps = ce.step_matrices()
-    m, n = len(maps), ce.dim
-    q = readout @ rho.ravel()
+    # x is the state flattened row-major, as the readout and the step matrices read it
+    x = rho.ravel()
+    q = readout.dot(x)
     outcomes, probs, states, outputs, clamped = [], [], [], [], []
     for t, u in enumerate(rng.random(T).tolist()):
         p = q[:m].real.tolist()
@@ -123,28 +141,36 @@ def sample_trajectory(
                 raise ValueError(f"outcome probabilities are not finite at step {t}")
             if min(p) < -tol:
                 clamped.append(t)
-            p = [max(x, 0.0) for x in p]
+            p = [max(v, 0.0) for v in p]
             mass = _numpy_sum(p)
             if not math.isfinite(mass):
                 raise ValueError(f"outcome probabilities overflow in their sum at step {t}")
         if mass < tol:
             raise StateEscapedError(f"outcome probabilities sum to {mass:.3e} at step {t}")
-        cdf = list(itertools.accumulate(x / mass for x in p))
-        last = cdf[-1]
-        idx = bisect_right([c / last for c in cdf], u)
+        # Generator.choice: the running sums of p / mass, each divided by the last; the first
+        # above u is the one searchsorted finds, and the last, exactly 1, ends the search
+        acc, cdf = 0.0, []
+        for v in p:
+            acc += v / mass
+            cdf.append(acc)
+        idx = 0
+        while cdf[idx] / acc <= u:
+            idx += 1
         pk = p[idx]
         F = steps[idx]
         if F is None:
             # numpy's rho / pk is rho * (1 / pk) but for the sign of a zero entry
             rho = maps[idx](rho)
             rho *= 1.0 / pk
-            q = readout @ rho.ravel()
+            x = rho.ravel()
+            q = readout.dot(x)
         else:
-            q = F @ rho.ravel()
+            q = F.dot(x)
             q *= 1.0 / pk
-            rho = q[:n * n].reshape(n, n)
+            x = q[:n * n]
+            rho = x.reshape(n, n)
             q = q[n * n:]
-        outcomes.append(ce.outcomes[idx])
+        outcomes.append(labels[idx])
         probs.append(pk)
         states.append(rho)
         outputs.append(q[m:])
@@ -189,16 +215,18 @@ def enumerate_distribution(
     reads every leaf's probability and outputs, so the probabilities sum to
     one for any valid instrument.  The peak is about that level: r^(T-1)
     coordinate vectors.  A tree of more than ``WORD_CAP`` nodes (see
-    :func:`table_nodes`) raises ValueError before the realization is built.
+    :func:`table_nodes`), or a ``rho0`` that is not one n x n operator,
+    raises ValueError before the realization is built.
     """
     r = len(ce.outcomes)
     if table_nodes(r, T) > WORD_CAP:
         raise ValueError(f"the outcome tree to length {T} over {r} outcomes has more than "
                          f"WORD_CAP = {WORD_CAP} nodes")
+    rho = _checked_state(rho0, ce.dim)
     lm = _realization(ce)
     # the A_k stacked by outcome, and the coordinates <B_i, rho0> as one column
     A = np.concatenate([lm.A[k] for k in ce.outcomes])
-    x = lm.subspace.stacked().conj() @ np.asarray(rho0, dtype=complex).reshape(-1, 1)
+    x = lm.subspace.stacked().conj() @ rho.reshape(-1, 1)
     for _ in range(T - 1):
         # word w + (k,) sits at column r w + k
         x = (A @ x).reshape(r, lm.q, -1).transpose(1, 2, 0).reshape(lm.q, -1)

@@ -584,13 +584,14 @@ class TestSimulate:
         ce = ce_from_json(load_json(str(model)))
         rho0 = np.eye(ce.dim, dtype=complex) / ce.dim
         children = np.random.SeedSequence(5).spawn(7)
-        records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert len(records) == 7
-        for child, rec in zip(children, records):
+        lines = out.read_text().splitlines()
+        assert len(lines) == 7
+        for child, line in zip(children, lines):
             want = sample_trajectory(ce, rho0, 3, np.random.default_rng(child))
-            assert rec["outcomes"] == list(want.outcomes)
-            assert rec["probabilities"] == list(want.probabilities)
-            assert rec["outputs"] == [[[v.real, v.imag] for v in y] for y in want.outputs]
+            # each output value written as [re, im], byte for byte
+            assert line == json.dumps({"outcomes": list(want.outcomes),
+                                       "probabilities": list(want.probabilities),
+                                       "outputs": [[[v.real, v.imag] for v in y] for y in want.outputs]})
 
 
     @pytest.mark.parametrize("factor", [0.0, 0.5])

@@ -767,6 +767,55 @@ class TestOneKrausApply:
             assert len(S.kraus) == 1 and S.form == "products"
 
 
+def matmul_apply(S, X):
+    """Oracle: one operator's image through ``@`` alone, in the form S applies in."""
+    ni, no = S.in_dim, S.out_dim
+    if S.form == "elementwise":
+        return X * S._weights
+    if S.form == "matrix":
+        v = X.reshape(ni * ni, order="F")
+        return (v @ S.matrix.T).reshape(no, no, order="F")
+    return general_products_apply(S, X)
+
+
+class TestOneOperatorApply:
+    """One operator takes its products through ndarray.dot, a stack through @: the bytes of
+    the operator's image in a stack of one, and of the formula through @, in every form."""
+
+    CASES = {
+        # name: (Kraus operators of this (out_dim, in_dim), diagonal, the form)
+        "elementwise": (2, (6, 6), True, "elementwise"),
+        "products_r1_square": (1, (16, 16), False, "products"),
+        "products_r3_square": (3, (16, 16), False, "products"),
+        "products_r1_rectangular": (1, (8, 32), False, "products"),
+        "products_r3_rectangular": (3, (8, 32), False, "products"),
+        "matrix_square": (2, (8, 8), False, "matrix"),
+        "matrix_rectangular": (2, (4, 3), False, "matrix"),
+    }
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes_of_a_stack_of_one_and_of_the_matmul_formula(self, name, layout, rng):
+        r, shape, diagonal, form = self.CASES[name]
+        if diagonal:
+            kraus = [np.diag(random_complex(rng, shape[:1])) for _ in range(r)]
+        else:
+            kraus = [random_complex(rng, shape) for _ in range(r)]
+        S = Superoperator(kraus=kraus)
+        for T in (S, S.adjoint()):
+            assert T.form == form
+            X = random_complex(rng, (T.in_dim, T.in_dim))
+            if layout == "F":
+                X = np.asfortranarray(X)
+                assert not X.flags.c_contiguous
+            elif layout == "read-only":
+                X.flags.writeable = False
+            Y = T(X)
+            assert Y.shape == (T.out_dim, T.out_dim)
+            assert Y.tobytes() == T(X[None])[0].tobytes()
+            assert Y.tobytes() == matmul_apply(T, X).tobytes()
+
+
 class TestElementwiseApply:
     """A square map whose Kraus operators are all exactly diagonal applies as X -> X o W.
 

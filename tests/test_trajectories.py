@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import re
 from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cereduce import reduction
+from cereduce import reduction, trajectories
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator, hermitian_closure
 from cereduce.reduction import REALIZATION_TOL, equivalence_check, random_density, reduce_ce
@@ -224,6 +225,100 @@ def test_draws_match_the_every_branch_oracle(name):
             assert np.max(np.abs(y - outputs(ce, got))) <= 1e-12
 
 
+def matmul_map(S, X):
+    """S(X) with the products form's products through @, [K_1 ... K_r] @ stack_i(X K_i^dag)."""
+    if S.form != "products":
+        return S(X)
+    r, n = len(S.kraus), S.in_dim
+    Y = (X @ np.hstack([K.conj().T for K in S.kraus])).reshape(n, r, S.out_dim)
+    return np.hstack(S.kraus) @ Y.swapaxes(0, 1).reshape(r * n, S.out_dim)
+
+
+def matmul_trajectory(ce, rho0, T, seed):
+    """sample_trajectory's loop with every product through @ on a fresh ravel, and the draw
+    through itertools.accumulate and bisect_right, as it read before the loop was trimmed."""
+    rng = np.random.default_rng(seed)
+    rho = np.asarray(rho0, dtype=complex)
+    maps = [ce.instrument.maps[k] for k in ce.outcomes]
+    readout, steps = ce.readout(), ce.step_matrices()
+    m, n = len(maps), ce.dim
+    q = readout @ rho.ravel()
+    outcomes, probs, states, outputs = [], [], [], []
+    for u in rng.random(T).tolist():
+        p = [max(x, 0.0) for x in q[:m].real.tolist()]
+        mass = _numpy_sum(p)
+        cdf = list(itertools.accumulate(x / mass for x in p))
+        last = cdf[-1]
+        idx = bisect_right([c / last for c in cdf], u)
+        pk = p[idx]
+        F = steps[idx]
+        if F is None:
+            rho = matmul_map(maps[idx], rho)
+            rho *= 1.0 / pk
+            q = readout @ rho.ravel()
+        else:
+            q = F @ rho.ravel()
+            q *= 1.0 / pk
+            rho = q[:n * n].reshape(n, n)
+            q = q[n * n:]
+        outcomes.append(ce.outcomes[idx])
+        probs.append(pk)
+        states.append(rho)
+        outputs.append(q[m:])
+    return tuple(outcomes), tuple(probs), states, outputs
+
+
+@pytest.mark.parametrize("layout", ["as-built", "C", "F"])
+@pytest.mark.parametrize("name", sorted(DRAW_MODELS))
+def test_records_are_bit_identical_to_the_matmul_loop(name, layout):
+    ce, rho0 = DRAW_MODELS[name]()
+    if layout == "C":
+        rho0 = np.ascontiguousarray(rho0)
+    elif layout == "F":
+        rho0 = np.asfortranarray(rho0)
+        assert rho0.flags.f_contiguous
+    for seed in range(20):
+        rec = sample_trajectory(ce, rho0, 12, rng_seed=seed)
+        outcomes, probs, states, outputs = matmul_trajectory(ce, rho0, 12, seed)
+        assert rec.outcomes == outcomes and rec.probabilities == probs
+        assert [x.tobytes() for x in rec.states] == [x.tobytes() for x in states]
+        assert [y.tobytes() for y in rec.outputs] == [y.tobytes() for y in outputs]
+
+
+class FixedUniforms(np.random.Generator):
+    """A Generator whose ``random(T)`` returns the first T of the given uniforms."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = uniforms
+
+    def random(self, size=None):
+        return np.array(self.uniforms[:size])
+
+
+@pytest.mark.parametrize("name", ["ising4-full", "walk10", "random-3-3-2"])
+@pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+def test_draw_at_every_boundary_is_generator_choice(name, scale):
+    # Generator.choice's own arithmetic: cumsum of p / p.sum(), divided by its last entry,
+    # searched from the right; u on, just below and just above each boundary
+    ce, rho0 = DRAW_MODELS[name]()
+    rho0 = scale * rho0
+    p = np.maximum((ce.readout() @ rho0.reshape(-1)).real[:len(ce.outcomes)], 0.0)
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    for c in cdf[:-1]:
+        for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+            rec = sample_trajectory(ce, rho0, 1, FixedUniforms([float(u)]))
+            assert rec.outcomes == (ce.outcomes[cdf.searchsorted(u, side="right")],)
+
+
+def test_reduced_start_states_are_fortran_ordered():
+    # R(1/n) applies through R's matrix, so the bit-identity above covers an F-ordered start
+    for name in ("ising4-reduced", "ising5-reduced", "walk5-reduced"):
+        _, rho0 = DRAW_MODELS[name]()
+        assert rho0.flags.f_contiguous and not rho0.flags.c_contiguous
+
+
 def divided_step_trajectory(ce, rho0, T, seed):
     """sample_trajectory stepping every outcome as maps[k](rho) / p_k, then one readout product."""
     rng = np.random.default_rng(seed)
@@ -373,6 +468,39 @@ def test_a_call_takes_T_draws_from_the_passed_generator(raises):
         ce, rho0 = DRAW_MODELS["ising4-full"]()
         sample_trajectory(ce, rho0, T, rng)
     assert rng.random() == singles[T]
+
+
+def wrong_start_shapes(n):
+    """Start states of every shape but (n, n), among them ones of n^2 entries."""
+    return [(n * n,), (2, n * n // 2), (1, n * n), (n + 1, n + 1), (1, n, n)]
+
+
+# one model whose outcomes step through their maps' Kraus products, one through step matrices
+@pytest.mark.parametrize("name", ["ising4-full", "ising4-reduced"])
+def test_sampling_refuses_a_start_state_of_the_wrong_shape_with_no_draw(name):
+    ce, rho0 = DRAW_MODELS[name]()
+    assert {F is None for F in ce.step_matrices()} == {name.endswith("full")}
+    n = ce.dim
+    for shape in wrong_start_shapes(n):
+        bad = np.resize(rho0, shape)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            sample_trajectory(ce, bad, 4, rng)
+        assert rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_enumeration_refuses_a_start_state_of_the_wrong_shape_before_any_closure(
+        reduced, monkeypatch):
+    ce, rho0 = _mixed(ising_chain(4, 0.5, 0.3), reduced)
+
+    def refuse(*args):
+        raise AssertionError("the realization was built")
+
+    monkeypatch.setattr(trajectories, "_realization", refuse)
+    for shape in wrong_start_shapes(ce.dim):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            enumerate_distribution(ce, np.resize(rho0, shape), 2)
 
 
 def enumerate_through_a_second_pass(ce, rho0, T):
