@@ -18,11 +18,11 @@ Conventions used throughout the package:
   when it is built: elementwise when every Kraus operator is square and
   exactly diagonal, else through that matrix when the matvec is cheaper
   than the Kraus products and their overhead, else through the products,
-  which for one Kraus operator K are K (X K^dag) with no reshape; one
-  operator applies through ``ndarray.dot`` and a stack through ``@``:
-  both reach the same BLAS gemm and gemv, and ``ndarray.dot`` through a
-  lighter dispatch than the matmul gufunc, whose own cost is about a
-  quarter of a 16 x 16 complex product,
+  which for one Kraus operator K are K (X K^dag) with no reshape; in
+  that form one operator takes its products through ``ndarray.dot`` and
+  a stack through ``@``: both reach the same BLAS gemm, and
+  ``ndarray.dot`` through a lighter dispatch than the matmul gufunc,
+  whose own cost is about a quarter of a 16 x 16 complex product,
 * adjoints of superoperators are taken w.r.t. the Hilbert-Schmidt
   inner product ``<A, B> = tr(A^dag B)``.
 """
@@ -353,12 +353,16 @@ class Superoperator:
     reduced Ising maps, apply through the matrix.  :attr:`form` names the
     form chosen.  A stack
     (..., in_dim, in_dim) of operators is mapped in one call, in the same
-    form, to the stack (..., out_dim, out_dim) of their images.  One
-    (in_dim, in_dim) operator takes its products through ``ndarray.dot``,
-    a stack through ``@``: the same BLAS calls, so one operator's image has
-    the bytes of its image in a stack, and ``ndarray.dot`` skips the
+    form, to the stack (..., out_dim, out_dim) of their images.  In the
+    products form one (in_dim, in_dim) operator takes its products through
+    ``ndarray.dot``, a stack through ``@``: ``ndarray.dot`` skips the
     gufunc dispatch of ``@``, about 0.6 us a product, a quarter of a
-    16 x 16 complex product.
+    16 x 16 complex product.  Both call the same BLAS gemm, so one
+    operator's image has the bytes of its image in a stack whenever both
+    hand BLAS the same data: always for a C- or F-ordered operator, and
+    for a strided view where matmul, like ``ndarray.dot``, first copies
+    it into contiguous memory, as numpy 2.4 does; a matmul that runs its
+    own loop on a strided view may differ in the last bits.
     """
 
     __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols", "_weights")
@@ -412,10 +416,10 @@ class Superoperator:
         ni = self.in_dim
         if X.shape[-2:] != (ni, ni):
             raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
-        # one operator goes through ndarray.dot, a stack through matmul: the same BLAS calls
-        one = X.ndim == 2
         rows = self._rows
         if rows is not None:
+            # one operator goes through ndarray.dot, a stack through matmul: the same BLAS gemm
+            one = X.ndim == 2
             Y = X.dot(self._cols) if one else X @ self._cols
             r = len(self.kraus)
             if r > 1:
@@ -427,8 +431,7 @@ class Superoperator:
         lead, no = X.shape[:-2], self.out_dim
         # column-major flattening of the two last axes gives vec(X) of each operator
         v = X.reshape(*lead, ni * ni, order="F")
-        y = self.matrix.dot(v) if one else v @ self.matrix.T
-        return y.reshape(*lead, no, no, order="F")
+        return (v @ self.matrix.T).reshape(*lead, no, no, order="F")
 
     def adjoint(self) -> "Superoperator":
         """HS adjoint X -> sum_i K_i^dag X K_i."""

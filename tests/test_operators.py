@@ -779,8 +779,9 @@ def matmul_apply(S, X):
 
 
 class TestOneOperatorApply:
-    """One operator takes its products through ndarray.dot, a stack through @: the bytes of
-    the operator's image in a stack of one, and of the formula through @, in every form."""
+    """In the products form one operator takes its products through ndarray.dot, a stack
+    through @: the bytes of the operator's image in a stack of one, and of the formula
+    through @, in every form and layout, a strided view included."""
 
     CASES = {
         # name: (Kraus operators of this (out_dim, in_dim), diagonal, the form)
@@ -793,7 +794,7 @@ class TestOneOperatorApply:
         "matrix_rectangular": (2, (4, 3), False, "matrix"),
     }
 
-    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only", "strided"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bytes_of_a_stack_of_one_and_of_the_matmul_formula(self, name, layout, rng):
         r, shape, diagonal, form = self.CASES[name]
@@ -810,6 +811,9 @@ class TestOneOperatorApply:
                 assert not X.flags.c_contiguous
             elif layout == "read-only":
                 X.flags.writeable = False
+            elif layout == "strided":
+                X = random_complex(rng, (2 * T.in_dim, 2 * T.in_dim))[::2, ::2]
+                assert not (X.flags.c_contiguous or X.flags.f_contiguous)
             Y = T(X)
             assert Y.shape == (T.out_dim, T.out_dim)
             assert Y.tobytes() == T(X[None])[0].tobytes()
