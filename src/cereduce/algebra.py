@@ -80,7 +80,8 @@ def algebra_closure(
     eigenspaces of dimension d_F, with distinct eigenvalues across all
     blocks.  The orbit of an eigenspace V under the generators, the
     :func:`~cereduce.operators.closure` of the n x d_F matrix V under
-    V -> G_i V, spans its block: every orbit element has the form
+    V -> G_i V, each generation of new elements multiplied by every G_i in
+    one batched product, spans its block: every orbit element has the form
     U_k (x otimes W) for one W, so its d_F columns are already aligned
     multiplicity slices.  The block so found must hold d_S whole eigenspaces
     of dimension d_F, none of them claimed by another block.  The draw is
@@ -390,7 +391,7 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
     c = rng.standard_normal((depth, m + 1)) + 1j * rng.standard_normal((depth, m + 1))
     A = reduce(np.matmul, (np.tensordot(ct[1:], G, 1) + ct[0] * np.eye(n) for ct in c))
     # eigenspaces, clustering eigenvalues closer than gap_tol times the spread
-    eigenspaces = [V for _, V in eigh_clustered((A + A.conj().T) / 2, gap_tol)]
+    eigenspaces = eigh_clustered((A + A.conj().T) / 2, gap_tol)
     assigned = set()
     blocks = []
     orbit_term = 0.0  # sum over the blocks of d_S d_F rho_k^2
@@ -398,7 +399,8 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
         if a in assigned:
             continue
         dF = V.shape[1]
-        orbit = closure([V], lambda basis, i: G @ basis[i], tol)
+        # each generation of the orbit goes through the generators in one batched product
+        orbit = closure([V], lambda new: (G @ new[:, None]).reshape(-1, n, dF), tol)
         dS = orbit.dim
         # column s * d_F + f is column f of orbit element s, which has norm 1 / sqrt(d_F)
         cols = np.sqrt(dF) * orbit.basis.transpose(1, 0, 2).reshape(n, dS * dF)

@@ -300,10 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     fam = p.add_subparsers(dest="family", required=True)
     w = fam.add_parser("walk")
     w.add_argument("--n", type=_positive_int, required=True)
-    w.add_argument("--seed", type=_seed, default=0)
     w.add_argument("--hadamard", action="store_true")
     w.add_argument("-o", "--output", required=True)
-    w.add_argument("--tol", type=_tol, default=_default_tol())
+    add_common(w)
     w.set_defaults(func=cmd_zoo)
     i = fam.add_parser("ising")
     i.add_argument("--n", type=int, required=True, help="number of qubits, N >= 4")

@@ -3,8 +3,9 @@
 The orthocomplement of the non-observable subspace is the smallest
 operator subspace that contains every observable of interest and is
 invariant under the dual of every instrument map.  It is computed by a
-worklist closure: each new basis direction is pushed through every dual
-map exactly once, and an image is kept when its Gram-Schmidt residual
+closure by generations: each generation of new basis directions is pushed
+through every dual map in one call, each direction exactly once, and an
+image is kept when its Gram-Schmidt residual
 exceeds the tolerance times the largest operator norm seen so far.
 """
 

@@ -29,7 +29,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +64,15 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
     return v.reshape((rows, v.size // rows), order="F")
 
 
-def eigh_clustered(H: np.ndarray, rel_gap: float):
+def eigh_clustered(H: np.ndarray, rel_gap: float) -> list[np.ndarray]:
     """Eigendecompose a Hermitian matrix, grouping eigenvalues closer than a relative gap.
 
     Neighbouring eigenvalues share a cluster when they differ by at most
     ``rel_gap`` times the spread of the spectrum, or times 1e-3 when the
-    spread is smaller.  Returns a list of ``(mean_eigenvalue, vectors)`` pairs
-    where ``vectors`` has one orthonormal column per member of the cluster.
-    Eigenvectors of a cluster are re-orthonormalized by QR so degenerate
-    eigenspaces stay clean.
+    spread is smaller.  Returns, in ascending order of the eigenvalues, one
+    matrix per cluster with one orthonormal column per member.  Eigenvectors
+    of a cluster are re-orthonormalized by QR so degenerate eigenspaces stay
+    clean.
     """
     w, V = np.linalg.eigh(H)
     gap = rel_gap * max(float(w[-1] - w[0]), 1e-3)
@@ -80,9 +80,7 @@ def eigh_clustered(H: np.ndarray, rel_gap: float):
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > gap:
-            block = V[:, start:i]
-            q, _ = np.linalg.qr(block)
-            clusters.append((float(np.mean(w[start:i])), q))
+            clusters.append(np.linalg.qr(V[:, start:i])[0])
             start = i
     return clusters
 
@@ -125,63 +123,52 @@ class OperatorSubspace:
 
 
 def closure(
-    ops: list[np.ndarray] | tuple[np.ndarray, ...],
-    expand: Callable[[np.ndarray, int], Iterable[np.ndarray]] | None = None,
+    ops: Sequence[np.ndarray] | np.ndarray,
+    expand: Callable[[np.ndarray], np.ndarray] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> OperatorSubspace:
     """HS-orthonormal basis of the smallest span holding ``ops`` and closed under ``expand``.
 
-    All operators have the shape (n, m) of the first, rectangular allowed.
+    ``ops`` is stacked once into a (k, n, m) array, rectangular allowed.
     The basis has the dtype of ``ops``: real when every op is real, and then
-    a complex candidate raises ValueError.  A worklist closure:
-    ``expand(basis, i)`` is called exactly once per basis element ``i``,
-    after all earlier ones, with the current basis as a read-only
-    (dim, n, m) array, and returns the candidates that element contributes.
-    ``ops`` and each call's candidates form one block for
-    :func:`_gram_schmidt`, and a call with none is passed over.  The
-    returned basis is the first rows of its buffer itself, not a copy.
+    a complex candidate raises ValueError.  A closure by generations:
+    ``expand(new)`` is called once per generation with the read-only
+    (j, n, m) stack of the basis elements added since the previous call,
+    the first call with those ``ops`` spanned, so that each element is
+    expanded exactly once, in order.  It returns one (k, n, m) array of
+    candidates, k = 0 allowed, which form one block for
+    :func:`_gram_schmidt`; the closure ends when a generation adds nothing.
+    The returned basis is the first rows of its buffer itself, not a copy.
     Its ``dropped`` is the largest residual of a dropped candidate, 0.0
     when none was and NaN when a candidate was NaN: measured against part
     of the final basis, it bounds every candidate's distance from the
     span, as a kept one lies in it.
     """
-    ops = list(ops)
-    if not ops:
+    if len(ops) == 0:
         raise ValueError("need at least one operator")
-    n, m = shape = np.shape(ops[0])
+    if len({np.shape(X) for X in ops}) > 1:
+        raise ValueError("operators must share a common shape")
+    C = np.asarray(ops)
+    n, m = shape = C.shape[1:]
     full = n * m
-    dtype = complex if any(np.iscomplexobj(X) for X in ops) else float
+    dtype = complex if np.iscomplexobj(C) else float
     # row i of Q is B_i flattened row-major (any one order of entries gives the same products)
-    Q, dim, scale, dropped = np.empty((0, full), dtype=dtype), 0, 0.0, 0.0
-
-    def add(candidates) -> None:
-        nonlocal Q, dim, scale, dropped
-        if isinstance(candidates, np.ndarray):
-            # a stack is checked once, on the shape of its operators and its dtype
-            block = candidates
-            wrong_shape = block.shape[1:] != shape
-            wrong_dtype = dtype is float and np.iscomplexobj(block)
-        else:
-            block = list(candidates)
-            wrong_shape = any(np.shape(X) != shape for X in block)
-            wrong_dtype = dtype is float and any(np.iscomplexobj(X) for X in block)
-        if wrong_shape:
-            raise ValueError("operators must share a common shape")
-        if wrong_dtype:
-            raise ValueError("complex candidate in a closure of real operators")
-        if len(block) == 0:  # no candidate, so nothing changes
-            return
-        C = np.ascontiguousarray(block, dtype=dtype).reshape(len(block), full)
+    Q, dim, scale, dropped, start = np.empty((0, full), dtype=dtype), 0, 0.0, 0.0, 0
+    while len(C):
+        C = np.ascontiguousarray(C, dtype=dtype).reshape(len(C), full)
         Q, dim, scale, lost = _gram_schmidt(Q, dim, C, scale, tol)
         dropped = np.maximum(dropped, lost)
-
-    add(ops)
-    i = 0
-    while expand is not None and i < dim:
-        basis = Q[:dim].reshape(dim, n, m)
-        basis.flags.writeable = False
-        add(expand(basis, i))
-        i += 1
+        del C  # freed before the next generation's candidates are formed
+        if expand is None or start == dim:
+            break
+        new = Q[start:dim].reshape(dim - start, n, m)
+        new.flags.writeable = False
+        start = dim
+        C = expand(new)
+        if not isinstance(C, np.ndarray) or C.shape[1:] != shape:
+            raise ValueError("operators must share a common shape")
+        if dtype is float and np.iscomplexobj(C):
+            raise ValueError("complex candidate in a closure of real operators")
     return OperatorSubspace(n, Q[:dim].reshape(dim, n, m), float(dropped))
 
 
@@ -261,33 +248,24 @@ def hermitian_closure(
     and their duals do.  H -> Re H + Im H maps Hermitian operators
     isometrically (HS to Frobenius) onto real matrices X, so the
     :func:`closure` runs on real X: each generator enters through its two
-    Hermitian parts, and each basis element expands into ``images(H)`` of
-    H = (X + X^T)/2 + i (X - X^T)/2, exactly Hermitian.  The first element
-    not yet expanded expands every element the basis holds from it on, in
-    one call of ``images``, and the others none: the closure sees the
-    candidates of adding one element at a time, in the same order, in
-    fewer and larger blocks.  Each such block is one (j, m, n, n) array of
-    the real coordinates of the j elements' images under the m maps, each
-    map's stack written into it as it is read.  When ``blocks`` is a list,
-    every block is appended to it, so that the blocks, in order, hold the
+    Hermitian parts, and each generation of new elements X goes through the
+    maps in one call, ``images(H)`` of H = (X + X^T)/2 + i (X - X^T)/2,
+    exactly Hermitian.  Its candidates are one (j, m, n, n) array of the
+    real coordinates of the j elements' images under the m maps, each map's
+    stack written into it as it is read.  When ``blocks`` is a list, every
+    such array is appended to it, so that the blocks, in order, hold the
     images of every basis element.  The returned basis is these H, written
     into one complex stack.
     """
-    expanded = 0
-
-    def expand(basis, i):
-        nonlocal expanded
-        if i < expanded:
-            return ()
-        expanded = len(basis)
-        ys = images(_from_real_coordinates(basis[i:]))
-        block = np.empty((len(basis) - i, len(ys), *basis.shape[1:]))
+    def expand(new):
+        ys = images(_from_real_coordinates(new))
+        block = np.empty((len(new), len(ys), *new.shape[1:]))
         for k, Y in enumerate(ys):
             np.add(Y.real, Y.imag, out=block[:, k])
         if blocks is not None:
             blocks.append(block)
         # the candidates element by element, each element's images in the maps' order
-        return block.reshape(-1, *basis.shape[1:])
+        return block.reshape(-1, *new.shape[1:])
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
     sub = closure(parts, expand if images is not None else None, tol)

@@ -44,9 +44,6 @@ __all__ = [
 ]
 
 
-WORD_CAP = 10**6  # bound on the nodes of enumerate_distribution's outcome tree
-
-
 def random_density(n: int, rng) -> np.ndarray:
     """Full-rank generic density operator, normalized G G^dag."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

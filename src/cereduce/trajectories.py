@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import ConditionalEvolution
 from .operators import DEFAULT_TOL
-from .reduction import WORD_CAP, _realization
+from .reduction import _realization
 
 __all__ = [
     "TrajectoryRecord",
@@ -181,6 +181,9 @@ def sample_trajectory(
         outputs=tuple(outputs),
         clamped_steps=tuple(clamped),
     )
+
+
+WORD_CAP = 10**6  # bound on the nodes of enumerate_distribution's outcome tree
 
 
 def table_nodes(r: int, T: int) -> int:

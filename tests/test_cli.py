@@ -8,7 +8,7 @@ import pytest
 
 from cereduce import algebra, cli, operators, reduction
 from cereduce.algebra import DegenerateAlgebraError
-from cereduce.cli import build_parser, main
+from cereduce.cli import build_parser, cmd_zoo, main
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator
 from cereduce.reduction import STEP_DEFECT_CUT, reduce_ce
@@ -944,3 +944,21 @@ def test_tol_env_var(monkeypatch):
     assert [build_parser().parse_args(c).tol for c in commands] == [1e-9, 1e-8, 1e-9]
     monkeypatch.setenv("CEREDUCE_TOL", "1e-5")
     assert [build_parser().parse_args(c).tol for c in commands] == [1e-5] * 3
+
+
+@pytest.mark.parametrize("env", [None, "1e-5"], ids=["default", "env"])
+def test_zoo_walk_namespace(env, monkeypatch):
+    # --seed and --tol of the walk are the common options: the same types and defaults
+    if env is None:
+        monkeypatch.delenv("CEREDUCE_TOL", raising=False)
+    else:
+        monkeypatch.setenv("CEREDUCE_TOL", env)
+    tol = 1e-9 if env is None else 1e-5
+    base = dict(command="zoo", family="walk", n=3, output="w.json", func=cmd_zoo)
+    parse = build_parser().parse_args
+    assert vars(parse(["zoo", "walk", "--n", "3", "-o", "w.json"])) == dict(
+        base, seed=0, hadamard=False, tol=tol)
+    assert vars(parse(["zoo", "walk", "--n", "3", "-o", "w.json", "--seed", "4", "--tol", "1e-7",
+                       "--hadamard"])) == dict(base, seed=4, hadamard=True, tol=1e-7)
+    with pytest.raises(SystemExit):
+        parse(["zoo", "walk", "--n", "3", "-o", "w.json", "--seed", "-1"])

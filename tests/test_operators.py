@@ -151,27 +151,68 @@ class TestOperatorSubspace:
         assert residual(sub, X) == pytest.approx(np.linalg.norm(X))
 
 
+def per_element(f):
+    """An ``expand`` that lists f(X) for each new element X in turn: one element-major stack."""
+    return lambda new: np.array([Y for X in new for Y in f(X)]).reshape(-1, *new.shape[1:])
+
+
+def first_generation(candidates):
+    """An ``expand`` that returns the stack of ``candidates`` for the elements the ops spanned,
+    and an empty stack for every later generation."""
+    calls = []
+
+    def expand(new):
+        calls.append(len(new))
+        return np.array(candidates) if len(calls) == 1 else new[:0]
+
+    expand.calls = calls
+    return expand
+
+
 class TestClosure:
     def test_expand_called_once_per_basis_element(self, rng):
         A = random_complex(rng, (3, 3))
         calls = []
 
-        def expand(basis, i):
-            calls.append(i)
-            return [A @ basis[i], basis[i] @ A]
+        def expand(new):
+            assert not new.flags.writeable
+            calls.append(new.copy())
+            return np.stack([A @ new, new @ A], axis=1).reshape(-1, 3, 3)
 
         G = random_complex(rng, (3, 3))
         # a Hermitian seed whose candidates are not: the basis must stay orthonormal
         sub = closure([G + G.conj().T], expand)
-        assert calls == list(range(sub.dim))
         assert sub.dim == 9
+        # one call per generation, none empty: the seed, then the elements each call's
+        # candidates added, so that the stacks in turn are the basis, each element once
+        assert len(calls[0]) == 1 and all(len(new) for new in calls)
+        assert sum(len(new) for new in calls) == sub.dim
+        assert np.concatenate(calls).tobytes() == sub.basis.tobytes()
         for i, Bi in enumerate(sub.basis):
             for j, Bj in enumerate(sub.basis):
                 assert hs_inner(Bi, Bj) == pytest.approx(float(i == j), abs=1e-12)
 
+    def test_one_call_per_generation_of_the_orbit(self):
+        # E_ij -> E_(i+1)j and E_i(j+1) from E_00: generation g holds the E_ij with i + j = g,
+        # each candidate in the order of its element, then of the two maps
+        L = np.eye(3, k=-1)
+        calls = []
+
+        def expand(new):
+            calls.append(len(new))
+            return np.stack([L @ new, new @ L.T], axis=1).reshape(-1, 3, 3)
+
+        def unit(i, j):
+            return np.outer(np.eye(3)[i], np.eye(3)[j])
+
+        sub = closure([unit(0, 0)], expand)
+        assert calls == [1, 2, 3, 2, 1]
+        order = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)]
+        assert np.array_equal(sub.basis, [unit(i, j) for i, j in order])
+
     def test_real_seeds_give_real_basis(self, rng):
         A = rng.standard_normal((3, 3))
-        sub = closure([rng.standard_normal((3, 3))], lambda basis, i: [A @ basis[i], basis[i] @ A])
+        sub = closure([rng.standard_normal((3, 3))], per_element(lambda X: [A @ X, X @ A]))
         assert sub.dim == 9
         assert all(B.dtype == np.float64 for B in sub.basis)
         gram = sub.stacked().conj() @ sub.stacked().T
@@ -180,20 +221,27 @@ class TestClosure:
 
     @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["zero_imaginary_part", "imaginary"])
     def test_complex_candidate_in_real_closure_rejected(self, imag, rng):
-        # even a candidate complex only in its dtype is refused, never cast
+        # even a candidate complex only in its dtype is refused, never cast, in every generation
         X = rng.standard_normal((3, 3))
+        calls = []
+
+        def expand(new):
+            calls.append(len(new))
+            return new @ X if len(calls) == 1 else (new + 1j * imag * new) @ X
+
         with pytest.raises(ValueError, match="^complex candidate in a closure of real operators$"):
-            closure([X], lambda basis, i: [basis[i] @ X, X + 1j * imag * X])
+            closure([X], expand)
+        assert calls == [1, 1]
         # a complex op makes the closure complex, where real candidates are welcome
-        assert closure([X + 0j], lambda basis, i: [basis[i] @ X]).basis[0].dtype == np.complex128
+        assert closure([X + 0j], lambda new: (new @ X).real).basis[0].dtype == np.complex128
 
     @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["zero_imaginary_part", "imaginary"])
     def test_complex_stack_in_real_closure_rejected(self, imag, rng):
         # a stack of candidates is checked once, on its dtype
         X = rng.standard_normal((3, 3))
         with pytest.raises(ValueError, match="^complex candidate in a closure of real operators$"):
-            closure([X], lambda basis, i: np.stack([basis[i] @ X, X + 1j * imag * X]))
-        assert closure([X + 0j], lambda basis, i: np.stack([basis[i] @ X])).basis[0].dtype == np.complex128
+            closure([X], lambda new: np.stack([new[0] @ X, X + 1j * imag * X]))
+        assert closure([X + 0j], lambda new: np.stack([new[0] @ X])).basis[0].dtype == np.complex128
 
     @pytest.mark.parametrize("where", ["first_projection", "second_projection"])
     def test_reports_largest_dropped_residual(self, where, paulis):
@@ -202,38 +250,41 @@ class TestClosure:
         X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
         eps = 1e-10
         if where == "first_projection":
-            sub = closure([X, Y], lambda basis, i: [X + eps * Z, Y + eps / 2 * Z] if i == 0 else [])
+            sub = closure([X, Y], first_generation([X + eps * Z, Y + eps / 2 * Z]))
         else:
             sub = closure([X, X + eps * Z, Y, Y + eps / 2 * Z])
         assert sub.dim == 2
         assert sub.dropped == pytest.approx(eps * np.linalg.norm(Z), rel=1e-6)
-        assert closure([X, Y], lambda basis, i: [Z] if i == 0 else []).dropped == 0.0
+        assert closure([X, Y], first_generation([Z])).dropped == 0.0
 
     def test_nan_candidate_makes_dropped_nan(self, paulis):
         # a NaN candidate is kept nowhere, so the closure reports it instead of a span short of it
         X, Y = paulis["x"], paulis["y"]
-        sub = closure([X], lambda basis, i: [np.full((2, 2), np.nan), Y] if i == 0 else [])
+        sub = closure([X], first_generation([np.full((2, 2), np.nan), Y]))
         assert sub.dim == 1 and np.isnan(sub.dropped)
 
     def test_zero_tol_stops_at_full_space(self, rng):
         A = random_complex(rng, (3, 3))
+        expanded = []
 
-        def expand(basis, i):
+        def expand(new):
             # without a cap, rounding noise passes tol=0 and the basis never stops growing
-            assert i < 9, "closure expanded more than n^2 basis elements"
-            return [A @ basis[i], basis[i] @ A]
+            expanded.extend(new)
+            assert len(expanded) <= 9, "closure expanded more than n^2 basis elements"
+            return np.stack([A @ new, new @ A], axis=1).reshape(-1, 3, 3)
 
         sub = closure([random_complex(rng, (3, 3))], expand, tol=0.0)
-        assert sub.dim == 9
+        assert sub.dim == 9 and len(expanded) == 9
 
     def test_no_candidates_run_no_gram_schmidt(self, monkeypatch, paulis):
-        # the ops, then the one expansion with candidates: each other call adds nothing
+        # the ops, then the one generation with candidates: the empty one ends the closure
         calls = []
         gram_schmidt = operators._gram_schmidt
         monkeypatch.setattr(operators, "_gram_schmidt", lambda *a: (calls.append(len(a[2])), gram_schmidt(*a))[1])
         X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
-        sub = closure([X, Y], lambda basis, i: [Z] if i == 1 else np.empty((0, 2, 2)))
-        assert sub.dim == 3 and calls == [2, 1]
+        expand = first_generation([Z])
+        sub = closure([X, Y], expand)
+        assert sub.dim == 3 and calls == [2, 1] and expand.calls == [2, 1]
 
 
 def closure_one_by_one(ops, expand=None, tol=1e-9):
@@ -328,20 +379,20 @@ class TestBlockClosure:
 
     def test_dependent_candidates_in_one_block(self, paulis):
         X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
-        sub = closure([Z], lambda basis, i: [X, 2 * X, X + Y, Y] if i == 0 else [])
+        sub = closure([Z], first_generation([X, 2 * X, X + Y, Y]))
         assert sub.dim == 3
         assert_same_span(sub, closure([X, Y, Z]))
 
     def test_running_max_inside_block(self, paulis):
         # Y is tested against the norms seen up to it, 1e-6 |X|, not the block's 1e3 |Z|
         X, Y, Z = paulis["x"], paulis["y"], paulis["z"]
-        sub = closure([1e-6 * X], lambda basis, i: [1e-14 * Y, 1e3 * Z] if i == 0 else [])
+        sub = closure([1e-6 * X], first_generation([1e-14 * Y, 1e3 * Z]))
         assert sub.dim == 3
         assert residual(sub, Y) <= 1e-12
 
     def test_zero_tol_cap_inside_block(self, rng):
         block = [random_complex(rng, (3, 3)) for _ in range(20)]
-        sub = closure([random_complex(rng, (3, 3))], lambda basis, i: block if i == 0 else [], tol=0.0)
+        sub = closure([random_complex(rng, (3, 3))], first_generation(block), tol=0.0)
         assert sub.dim == 9
         gram = sub.stacked().conj() @ sub.stacked().T
         assert np.linalg.norm(gram - np.eye(9)) <= 1e-12
@@ -351,7 +402,7 @@ class TestBlockClosure:
         # the block added, would leave overlaps near eps / 1e-7
         A, B, C, D = (random_complex(rng, (4, 4)) for _ in range(4))
         block = [A + 1e-7 * B, C, C + 1e-7 * D]
-        sub = closure([A], lambda basis, i: block if i == 0 else [])
+        sub = closure([A], first_generation(block))
         assert sub.dim == 4
         gram = sub.stacked().conj() @ sub.stacked().T
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-13
@@ -360,7 +411,7 @@ class TestBlockClosure:
         # E = (X + iY)/2 leaves the anti-Hermitian iY/2 once Z and X are projected out
         X, Z = paulis["x"], paulis["z"]
         E = np.array([[0, 1], [0, 0]], dtype=complex)
-        sub = closure([Z], lambda basis, i: [X, E] if i == 0 else [])
+        sub = closure([Z], first_generation([X, E]))
         assert sub.dim == 3
         assert residual(sub, E) <= 1e-12
 
@@ -368,7 +419,7 @@ class TestBlockClosure:
         # 4 x 2 orbits: the first element keeps its Hermitian-looking top square as it is
         A = random_complex(rng, (4, 4))
         V = np.vstack([np.eye(2), np.zeros((2, 2))]).astype(complex)
-        sub = closure([V], lambda basis, i: [A @ basis[i], A.conj().T @ basis[i]], tol=0.0)
+        sub = closure([V], per_element(lambda X: [A @ X, A.conj().T @ X]), tol=0.0)
         assert sub.dim == 8 and all(B.shape == (4, 2) for B in sub.basis)
         gram = sub.stacked().conj() @ sub.stacked().T
         assert np.linalg.norm(gram - np.eye(8)) <= 1e-12
@@ -381,12 +432,21 @@ class TestBlockClosure:
         pytest.param([np.ones(4)], id="flat"),
         pytest.param(np.ones((2, 3, 3)), id="3x3_stack"),
         pytest.param(np.ones((1, 4)), id="flat_stack"),
+        pytest.param([PAULI["x"]], id="list"),
+        pytest.param(PAULI["x"], id="one_operator"),
+        pytest.param(np.ones(4), id="flat_operator"),
     ])
     def test_wrong_shape_in_block_rejected(self, paulis, block):
-        # a flattened 2x2 has the right number of entries and must still be refused; a
-        # stack is checked on the shape of its operators
+        # the candidates are one stack of operators of the ops' shape: a list, even of 2x2
+        # operators, is refused, as is a flattened 2x2, though it has the right number of entries
         with pytest.raises(ValueError, match="^operators must share a common shape$"):
-            closure([paulis["z"]], lambda basis, i: block)
+            closure([paulis["z"]], lambda new: block)
+
+    def test_ops_of_different_shapes_rejected(self, paulis):
+        with pytest.raises(ValueError, match="^operators must share a common shape$"):
+            closure([paulis["z"], np.eye(3)])
+        with pytest.raises(ValueError, match="^need at least one operator$"):
+            closure([])
 
 
 def ising_plus_ce(N):
@@ -443,15 +503,13 @@ class TestHermitianClosure:
         pytest.param(lambda: measured_quantum_walk(5, seed=5), id="walk5"),
     ])
     def test_stacked_expansion_matches_one_element_at_a_time(self, make):
-        # every element not yet expanded goes through the maps in one call, and the closure
-        # sees the candidates of expanding one element at a time, in the same order
+        # each generation goes through the maps in one call, and the closure sees the
+        # candidates of expanding one element at a time, in the same order
         ce = make()
         images = ce.dual_images()
         calls = []
-
-        def one_at_a_time(basis, i):
-            X = basis[i]
-            return [Y.real + Y.imag for Y in images((X + X.T) / 2 + 1j * (X - X.T) / 2)]
+        one_at_a_time = per_element(
+            lambda X: [Y.real + Y.imag for Y in images((X + X.T) / 2 + 1j * (X - X.T) / 2)])
 
         def counted(H):
             calls.append(len(H))
@@ -489,21 +547,17 @@ class TestHermitianClosure:
     @pytest.mark.parametrize("name", sorted(REALIZATION_MODELS))
     @pytest.mark.parametrize("span", ["nperp", "realization"])
     def test_basis_bit_identical_to_listed_images(self, name, span):
-        # the oracle lists each map's real coordinates, stacks them, and hands every call's
-        # candidates to the closure, those of the calls with none included
+        # the oracle lists each map's real coordinates of one generation's images, and
+        # stacks them element-major as the closure's candidates
         ce = REALIZATION_MODELS[name]()
         gens = list(ce.output.observables)
         if span == "realization":
             gens = [np.eye(ce.dim, dtype=complex), *gens]
-        images, expanded = ce.dual_images(), 0
+        images = ce.dual_images()
 
-        def expand(basis, i):
-            nonlocal expanded
-            if i < expanded:
-                return []
-            expanded = len(basis)
-            block = [Y.real + Y.imag for Y in images(operators._from_real_coordinates(basis[i:]))]
-            return np.stack(block, axis=1).reshape(-1, *basis.shape[1:])
+        def expand(new):
+            block = [Y.real + Y.imag for Y in images(operators._from_real_coordinates(new))]
+            return np.stack(block, axis=1).reshape(-1, *new.shape[1:])
 
         parts = [P.real + P.imag for O in gens for P in hermitian_parts(O)]
         ref = closure(parts, expand, REALIZATION_TOL)
@@ -1068,5 +1122,5 @@ def test_eigh_clustered_orthonormal(rng):
     # force a degenerate pair
     H = H @ H.conj().T
     clusters = eigh_clustered(H, 1e-8)
-    V = np.hstack([Q for _, Q in clusters])
+    V = np.hstack(clusters)
     assert np.allclose(V.conj().T @ V, np.eye(5), atol=1e-12)
