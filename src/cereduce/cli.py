@@ -120,22 +120,19 @@ def cmd_zoo(args) -> int:
     return EXIT_OK
 
 
-def _text_report(red, assumptions) -> str:
-    prov = red.provenance()
+def _text_report(doc: dict) -> str:
+    """The report that ``reduce --report json`` prints, as lines of text."""
     lines = [
-        f"reduced dim {prov['reduced_operator_dim']} / original {prov['original_operator_dim']}",
-        f"observable subspace dim {prov['nperp_dim']}, output algebra dim {prov['algebra_dim']}",
-        f"blocks {prov['blocks']}",
-        f"tol {prov['tol']:g}, seed {prov['seed']}",
-        f"structure bound {prov['structure_bound']:.3e}",
+        f"reduced dim {doc['reduced_operator_dim']} / original {doc['original_operator_dim']}",
+        f"observable subspace dim {doc['nperp_dim']}, output algebra dim {doc['algebra_dim']}",
+        f"blocks {doc['blocks']}",
+        f"tol {doc['tol']:g}, seed {doc['seed']}",
+        f"structure bound {doc['structure_bound']:.3e}",
     ]
-    if assumptions is not None:
-        for name in ("a1", "a2", "a3", "a4"):
-            chk = getattr(assumptions, name)
-            lines.append(f"assumption {name.upper()}: holds={chk.holds} residual={chk.residual:.3e}")
-        lines.append(
-            "lambdas: " + ", ".join(f"{k}={v.real:.6g}" for k, v in assumptions.lambdas.items())
-        )
+    for name, chk in doc.get("assumptions", {}).items():
+        lines.append(f"assumption {name.upper()}: holds={chk['holds']} residual={chk['residual']:.3e}")
+    if "lambdas" in doc:
+        lines.append("lambdas: " + ", ".join(f"{k}={re:.6g}" for k, (re, _) in doc["lambdas"].items()))
     return "\n".join(lines)
 
 
@@ -158,27 +155,16 @@ def cmd_reduce(args) -> int:
         red = reduce_ce(ce, tol=args.tol, seed=args.seed)
     except DegenerateAlgebraError as exc:
         raise CliError(f"numerical degeneracy: {exc}", EXIT_DEGENERATE)
-    assumptions = None
+    doc = red.provenance()
     if ce.has_split:
         assumptions = check_assumptions(ce, red.nperp, red.output_algebra, args.tol)
+        doc["assumptions"] = {name: {"holds": bool(getattr(assumptions, name).holds),
+                                     "residual": getattr(assumptions, name).residual}
+                              for name in ("a1", "a2", "a3", "a4")}
+        doc["lambdas"] = {k: [v.real, v.imag] for k, v in assumptions.lambdas.items()}
     out = args.output or (os.path.splitext(args.model)[0] + ".red.json")
     serialize.save_json(serialize.reduced_ce_to_json(red), out)
-    if args.report == "json":
-        doc = red.provenance()
-        if assumptions is not None:
-            doc["assumptions"] = {
-                name: {
-                    "holds": bool(getattr(assumptions, name).holds),
-                    "residual": getattr(assumptions, name).residual,
-                }
-                for name in ("a1", "a2", "a3", "a4")
-            }
-            doc["lambdas"] = {
-                k: [v.real, v.imag] for k, v in assumptions.lambdas.items()
-            }
-        print(json.dumps(doc, indent=1))
-    else:
-        print(_text_report(red, assumptions))
+    print(json.dumps(doc, indent=1) if args.report == "json" else _text_report(doc))
     print(f"wrote reduced model to {out}")
     return EXIT_OK
 

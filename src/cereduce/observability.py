@@ -1,4 +1,4 @@
-"""Observable subspace of a conditional evolution and its linear reduction.
+"""Observable subspace of a conditional evolution and its minimal linear realization.
 
 The orthocomplement of the non-observable subspace is the smallest
 operator subspace that contains every observable of interest and is
@@ -6,7 +6,9 @@ invariant under the dual of every instrument map.  It is computed by a
 closure by generations: each generation of new basis directions is pushed
 through every dual map in one call, each direction exactly once, and an
 image is kept when its Gram-Schmidt residual
-exceeds the tolerance times the largest operator norm seen so far.
+exceeds the tolerance times the largest operator norm seen so far.  The
+same closure of 1 and the observables gives the model's minimal linear
+realization, read off the images it formed, built once per model and kept.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConditionalEvolution
-from .operators import (
-    DEFAULT_TOL,
-    OperatorSubspace,
-    Superoperator,
-    hermitian_closure,
-)
+from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, hermitian_closure
 
 __all__ = [
     "nonobservable_complement",
@@ -71,14 +68,20 @@ def check_invariance(
     return float(np.sqrt(np.max(np.linalg.eigvalsh(E.conj().T @ E), initial=0.0)))
 
 
+# The relative tolerance of the realizations' closures: far above the rounding of a dual
+# apply (the closures of Ising N=4..9 and of walks n=3..10 drop residuals of at most 1e-14)
+# and far below any deviation a check is asked to see.
+REALIZATION_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class LinearReducedModel:
     """Minimal linear (not necessarily CPTP) realization on coordinates.
 
     The coordinates of an operator X are its HS inner products <B_i, X> with
-    the subspace basis; A[k] maps them as outcome k's map does, and C reads
-    the outputs off them.  A[k] is real when it was read off real
-    coordinates (see :func:`linear_reduce`).
+    the subspace basis, the smallest dual-invariant span of 1 and the
+    observables; A[k] maps them as outcome k's map does, and C reads the
+    outputs off them.  A[k] is real (see :func:`linear_reduce`).
     """
 
     subspace: OperatorSubspace
@@ -90,49 +93,35 @@ class LinearReducedModel:
         return self.subspace.dim
 
 
-def linear_reduce(
-    ce: ConditionalEvolution,
-    subspace: OperatorSubspace,
-    images: list[np.ndarray] | None = None,
-) -> LinearReducedModel:
-    """Compress every instrument map and the output map onto the subspace.
+def linear_reduce(ce: ConditionalEvolution) -> LinearReducedModel:
+    """The model's minimal linear realization, built on the first call and kept on the model.
 
-    A_k[i, j] = <B_i, M_k(B_j)> = <M_k^dag(B_i), B_j> is one product per
-    outcome of the rows of the images Y_ki = M_k^dag(B_i) with the basis
-    rows, in coordinates whose plain dot product is the HS one:
-
-    * by default conj(Y) against B, both flattened row-major, with the
-      images read off one
-      :meth:`~cereduce.model.ConditionalEvolution.dual_images` call on the
-      stacked basis, so a split model conjugates the basis by its evolution
-      once for all outcomes;
-    * for a Hermitian basis, ``images`` may instead hold the real
-      coordinates Re Y + Im Y, as the blocks (j, m, n, n) of consecutive
-      basis elements that :func:`~cereduce.operators.hermitian_closure`
-      hands out when it closes the subspace.  They are read against
-      Re B + Im B, which for Hermitian operators gives the HS products
-      exactly, so A is real and no map is applied here.
-
-    C[o, j] = tr(O_o B_j), one product of the observables' rows with the
-    basis rows.  Exact output reproduction for all outcome words
-    requires the subspace to contain the full dual-map orbit of the
-    observables; the caller is responsible for passing such a subspace
-    (typically the result of :func:`nonobservable_complement`).
+    Its span is the :func:`~cereduce.operators.hermitian_closure` of 1 and
+    the observables under
+    :meth:`~cereduce.model.ConditionalEvolution.dual_images`, at relative
+    tolerance ``REALIZATION_TOL``, so each basis element goes through the
+    duals once and a split model conjugates by its evolution once per
+    generation.  A_k[i, j] = <B_i, M_k(B_j)> = <M_k^dag(B_i), B_j> is one
+    product per outcome of the real coordinates Re Y + Im Y of the images
+    Y_ki = M_k^dag(B_i), the blocks the closure formed, against Re B + Im B:
+    for Hermitian operators these give the HS products exactly, so A_k is
+    real and no map is applied here.  The images, m n^2 floats per element,
+    live until then.  C[o, j] = tr(O_o B_j), one product of the observables'
+    rows with the basis rows.
     """
-    if subspace.dim == 0:
-        raise ValueError("cannot reduce onto a zero-dimensional subspace")
-    Q = subspace.stacked()
-    if images is None:
-        # one block of the conjugated images of every element, one outcome's written at a time
-        block = np.empty((subspace.dim, len(ce.outcomes), *subspace.basis.shape[1:]), dtype=complex)
-        for k, Y in enumerate(ce.dual_images()(subspace.basis)):
-            np.conjugate(Y, out=block[:, k])
-        images, W = [block], Q
-    else:
-        W = Q.real + Q.imag
-    A = {k: np.concatenate([X[:, i].reshape(len(X), -1) @ W.T for X in images])
+    lm = ce.__dict__.get("_realization")
+    if lm is not None:
+        return lm
+    blocks = []
+    span = hermitian_closure([np.eye(ce.dim, dtype=complex), *ce.output.observables],
+                             ce.dual_images(), REALIZATION_TOL, blocks)
+    Q = span.stacked()
+    W = Q.real + Q.imag
+    A = {k: np.concatenate([X[:, i].reshape(len(X), -1) @ W.T for X in blocks])
          for i, k in enumerate(ce.outcomes)}
     # tr(O B) is O^T flattened row-major against B flattened row-major; the rows are formed
     # here, not read off the model's readout, which would then be built and kept
     C = np.array([O.T.reshape(-1) for O in ce.output.observables]) @ Q.T
-    return LinearReducedModel(subspace=subspace, A=A, C=C)
+    lm = LinearReducedModel(subspace=span, A=A, C=C)
+    object.__setattr__(ce, "_realization", lm)
+    return lm

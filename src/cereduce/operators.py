@@ -254,8 +254,9 @@ def hermitian_closure(
     real coordinates of the j elements' images under the m maps, each map's
     stack written into it as it is read.  When ``blocks`` is a list, every
     such array is appended to it, so that the blocks, in order, hold the
-    images of every basis element.  The returned basis is these H, written
-    into one complex stack.
+    real coordinates of the images of every basis element, as
+    :func:`~cereduce.observability.linear_reduce` reads them.  The returned
+    basis is these H, written into one complex stack.
     """
     def expand(new):
         ys = images(_from_real_coordinates(new))

@@ -17,19 +17,8 @@ import numpy as np
 
 from .algebra import BlockAlgebra, CEFactorization, algebra_closure, conditional_expectation
 from .model import ConditionalEvolution, Instrument, OutputMap
-from .observability import (
-    LinearReducedModel,
-    check_invariance,
-    linear_reduce,
-    nonobservable_complement,
-)
-from .operators import (
-    DEFAULT_TOL,
-    OperatorSubspace,
-    Superoperator,
-    hermitian_closure,
-    map_coordinates,
-)
+from .observability import check_invariance, linear_reduce, nonobservable_complement
+from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordinates
 
 __all__ = [
     "ReducedCE",
@@ -220,10 +209,9 @@ def check_assumptions(
 
 @dataclass(frozen=True)
 class SeparableReduction:
-    """Separately reduced evolution and effects, plus their recomposition."""
+    """The reduction whose model holds the separately reduced evolution R o E o J and
+    effects R o K_k o J, and the assumption report that allowed it."""
 
-    evolution: Superoperator                # R o E o J
-    effects: dict[str, Superoperator]       # R o K_k o J
     recomposed: ReducedCE
     assumptions: AssumptionReport
 
@@ -246,15 +234,9 @@ def reduce_separably(
         raise exc
     named = {"evolution": ce.evolution, **{f"effect {k}": ce.effects[k] for k in ce.outcomes}}
     split, cuts = _reduce_maps(joint.factorization, named.items(), tol)
-    ev = split["evolution"]
-    eff = {k: split[f"effect {k}"] for k in ce.outcomes}
-    model = ConditionalEvolution(output=joint.model.output, evolution=ev, effects=eff)
-    return SeparableReduction(
-        evolution=ev,
-        effects=eff,
-        recomposed=replace(joint, model=model, rank_cuts=cuts),
-        assumptions=report,
-    )
+    model = ConditionalEvolution(output=joint.model.output, evolution=split["evolution"],
+                                 effects={k: split[f"effect {k}"] for k in ce.outcomes})
+    return SeparableReduction(recomposed=replace(joint, model=model, rank_cuts=cuts), assumptions=report)
 
 
 @dataclass(frozen=True)
@@ -295,7 +277,8 @@ def equivalence_check(
     (w_1, ..., w_t) as tr(R^dag M'_{w_1}^dag ... M'_{w_t}^dag (O') rho), the
     full model O as tr(M_{w_1}^dag ... M_{w_t}^dag (O) rho), and likewise the
     probability with the identity.  Let V' be the span of the reduced
-    model's minimal linear realization (:func:`_realization`): it holds 1'
+    model's minimal linear realization
+    (:func:`~cereduce.observability.linear_reduce`): it holds 1'
     and every O' and is invariant under every M'_k^dag.  The two agree at
     every word and every state if R^dag(1') = 1, R^dag(O'_j) = O_j, and
     M_k^dag o R^dag = R^dag o M'_k^dag on V' for every outcome k, paired by
@@ -312,7 +295,7 @@ def equivalence_check(
     most ``tol`` and ``step_defect`` at most ``STEP_DEFECT_CUT``.
     """
     red = reduced.model
-    lm = _realization(red)
+    lm = linear_reduce(red)
     B = lm.subspace.basis
     pull = reduced.reduction_map.adjoint()
     # R^dag of the basis, then of the identity and of each observable, in one call
@@ -342,29 +325,9 @@ def _relative_defect(A: np.ndarray, B: np.ndarray) -> float:
     return float(diff / scale if scale else diff)
 
 
-# The relative tolerance of the realizations' closures: far above the rounding of a dual
-# apply (the closures of Ising N=4..9 and of walks n=3..10 drop residuals of at most 1e-14)
-# and far below any deviation a check is asked to see.
-REALIZATION_TOL = 1e-12
 # The cut on equivalence_check's step defect, a relative rounding floor and no tolerance: the
 # exact zoo pairs at delta = 0.3, Ising N = 4..9 at p = 0 and 0.5, reach at most 3.2e-13 (at
 # N = 9, p = 0.5) and walks n = 3..10 at most 3.4e-16, so the cut is 31 times above them; one
 # reduced Kraus operator times 1 +- 1e-9 at p = 0 reaches 1.35e-10, 13 times above it.
-# REALIZATION_TOL would leave a margin of 3 at N = 9.
+# observability.REALIZATION_TOL would leave a margin of 3 at N = 9.
 STEP_DEFECT_CUT = 1e-11
-
-
-def _realization(ce: ConditionalEvolution) -> LinearReducedModel:
-    """:func:`~cereduce.observability.linear_reduce` of ``ce`` on the smallest dual-invariant
-    span of 1 and its observables: built once per model and kept on the model, as its readout
-    is.  A_k is read off the real coordinates of the dual images that the span's
-    :func:`~cereduce.operators.hermitian_closure` formed, so each basis element goes through
-    the duals once, and A_k is real; the images, m n^2 floats per element, live until then."""
-    lm = ce.__dict__.get("_realization")
-    if lm is None:
-        generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-        blocks = []
-        span = hermitian_closure(generators, ce.dual_images(), REALIZATION_TOL, blocks)
-        lm = linear_reduce(ce, span, blocks)
-        object.__setattr__(ce, "_realization", lm)
-    return lm

@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import ConditionalEvolution
 from .operators import DEFAULT_TOL
-from .reduction import _realization
+from .observability import linear_reduce
 
 __all__ = [
     "TrajectoryRecord",
@@ -204,7 +204,7 @@ def enumerate_distribution(
     """Probability and output vector of every length-T outcome word.
 
     Runs on the model's minimal linear realization (see
-    :func:`~cereduce.reduction._realization`): its basis B_i, its real maps
+    :func:`~cereduce.observability.linear_reduce`): its basis B_i, its real maps
     A_k, read off the dual images its closure formed, and its output rows
     C, built once per model, in its own outcome order, and kept on it; a
     reduced model's is the span
@@ -226,7 +226,7 @@ def enumerate_distribution(
         raise ValueError(f"the outcome tree to length {T} over {r} outcomes has more than "
                          f"WORD_CAP = {WORD_CAP} nodes")
     rho = _checked_state(rho0, ce.dim)
-    lm = _realization(ce)
+    lm = linear_reduce(ce)
     # the A_k stacked by outcome, and the coordinates <B_i, rho0> as one column
     A = np.concatenate([lm.A[k] for k in ce.outcomes])
     x = lm.subspace.stacked().conj() @ rho.reshape(-1, 1)

@@ -87,8 +87,9 @@ SPLIT_MODELS = {
 }
 
 
-# models whose minimal linear realizations are checked against linear_reduce and the former
-# closure bookkeeping: Ising N = 4..7 at both p, walks n = 3..8 and a random model with no split
+# models whose minimal linear realizations (linear_reduce) are checked against
+# linear_reduce_oracle and the closure's images: Ising N = 4..7 at both p, walks n = 3..8 and a
+# random model with no split
 REALIZATION_MODELS = {
     **{f"ising{N}_p{p}": (lambda N=N, p=p: ising_chain(N, p, 0.3)) for N in range(4, 8) for p in (0.0, 0.5)},
     **{f"walk{n}": (lambda n=n: measured_quantum_walk(n, seed=n)) for n in range(3, 9)},

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cereduce.algebra import algebra_closure, commutant, conditional_expectation, wedderburn
-from cereduce.observability import linear_reduce, nonobservable_complement
+from cereduce.observability import linear_reduce
 from cereduce.operators import Superoperator, hermitian_closure
 from cereduce.reduction import (
     check_assumptions,
@@ -296,8 +296,7 @@ def test_criterion_8_structural_invariants(walks, isings, random_algebras):
 def test_criterion_9_linear_vs_algebraic(walks, isings):
     ok = True
     ce_ising, red_ising, _ = isings[(4, 0.0)]
-    sub = nonobservable_complement(ce_ising)
-    lm = linear_reduce(ce_ising, sub)
+    lm = linear_reduce(ce_ising)
     ok &= lm.q == 12 < red_ising.reduced_dim == 16
 
     def linear_equiv(ce, lm, max_len, n_states, rng):
@@ -316,8 +315,7 @@ def test_criterion_9_linear_vs_algebraic(walks, isings):
     rng = np.random.default_rng(5)
     ok &= linear_equiv(ce_ising, lm, max_len=2, n_states=5, rng=rng)
     for n, (ce, red, _) in walks.items():
-        sub_w = nonobservable_complement(ce)
-        lm_w = linear_reduce(ce, sub_w)
+        lm_w = linear_reduce(ce)
         ok &= lm_w.q == n == red.reduced_dim
         ok &= linear_equiv(ce, lm_w, max_len=3, n_states=5, rng=rng)
     report(9, "linear vs algebraic dimension ordering", ok)

@@ -1,4 +1,5 @@
-"""Every public name of ``cereduce`` has a caller outside the tests.
+"""Every public name of ``cereduce`` has a caller outside the tests, and the
+modules below the reduction pipeline do not import it.
 
 A name in the ``__all__`` of a module under ``src/cereduce`` counts as
 called when ``src/``, ``bench/`` or ``demos/`` loads it: as a bare name read
@@ -53,3 +54,26 @@ def test_every_exported_name_has_a_caller(path):
     loaded = _loaded_names()
     unused = [name for name in _exported(path) if name not in loaded]
     assert not unused, f"{path.name} exports names nothing in {', '.join(CALLER_DIRS)} loads: {unused}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The ``cereduce`` modules a module imports, by their names within the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 or module.startswith("cereduce"):
+                base = module.removeprefix("cereduce").lstrip(".")
+                found |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("cereduce.") for alias in node.names
+                      if alias.name.startswith("cereduce.")}
+    return found
+
+
+@pytest.mark.parametrize("name", ["observability", "trajectories"])
+def test_realization_modules_import_neither_reduction_nor_algebra(name):
+    # the minimal linear realization and the tables read off it need only the model and the
+    # closures, not the algebra the reduction builds
+    imported = _imported_modules(PACKAGE / f"{name}.py")
+    assert not imported & {"reduction", "algebra"}, f"{name}.py imports {sorted(imported)}"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cereduce import algebra, cli, operators, reduction
+from cereduce import algebra, cli, observability, operators
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, cmd_zoo, main
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
@@ -385,7 +385,7 @@ class TestVerify:
             raise AssertionError("a closure ran before the node count was checked")
 
         # the cap is checked before either model's realization is closed
-        monkeypatch.setattr(reduction, "hermitian_closure", refuse)
+        monkeypatch.setattr(observability, "hermitian_closure", refuse)
         capsys.readouterr()
         assert main(["verify", str(model), str(reduced), "--tv", "3000000"]) == 2
         err = capsys.readouterr().err

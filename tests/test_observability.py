@@ -1,18 +1,22 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cereduce import observability
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.observability import (
+    REALIZATION_TOL,
     check_invariance,
     linear_reduce,
     nonobservable_complement,
 )
-from cereduce.operators import OperatorSubspace, Superoperator, closure
+from cereduce.operators import OperatorSubspace, Superoperator, closure, hermitian_closure
 from cereduce.reduction import random_density
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import (
+    REALIZATION_MODELS,
     SPLIT_MODELS,
     contains,
     hs_inner,
@@ -166,20 +170,19 @@ class TestLinearReduce:
             instrument=ce.instrument,
             output=OutputMap(names=(*ce.output.names, "nonherm"), observables=obs),
         )
-        sub = closure([random_complex(rng, (3, 3)) for _ in range(5)])
-        lm = linear_reduce(ce, sub)
+        lm = linear_reduce(ce)
+        basis = lm.subspace.basis
         for k in ce.outcomes:
             M = ce.instrument.maps[k]
-            A = [[hs_inner(Bi, M(Bj)) for Bj in sub.basis] for Bi in sub.basis]
+            A = [[hs_inner(Bi, M(Bj)) for Bj in basis] for Bi in basis]
             assert np.allclose(lm.A[k], A, atol=1e-12)
-        C = [[np.trace(O @ B) for B in sub.basis] for O in obs]
+        C = [[np.trace(O @ B) for B in basis] for O in obs]
         assert np.allclose(lm.C, C, atol=1e-12)
 
     def test_walk_transition_matrix(self, walk4):
         from cereduce.zoo import walk_markov_oracle
 
-        sub = nonobservable_complement(walk4)
-        lm = linear_reduce(walk4, sub)
+        lm = linear_reduce(walk4)
         assert lm.q == 4
         P = walk_markov_oracle(walk4.evolution.kraus[0])
         Asum = sum(lm.A.values())
@@ -196,14 +199,13 @@ class TestLinearReduce:
             instrument=Instrument(outcomes=("0",), maps={"0": Superoperator(kraus=[np.eye(2)])}),
             output=OutputMap(names=("identity",), observables=(np.eye(2, dtype=complex),)),
         )
-        lm = linear_reduce(ce, nonobservable_complement(ce))
+        lm = linear_reduce(ce)
         assert lm.q == 1
         assert np.allclose(lm.A["0"], [[1.0]])
         assert np.allclose(np.abs(lm.C), [[np.sqrt(2)]])  # identity against 1/sqrt(2) basis
 
     def test_ising_p0_equivalence(self, ising0, rng):
-        sub = nonobservable_complement(ising0)
-        lm = linear_reduce(ising0, sub)
+        lm = linear_reduce(ising0)
         assert lm.q == 12
         for _ in range(10):
             rho0 = random_density(16, rng)
@@ -213,17 +215,10 @@ class TestLinearReduce:
                     rho = ising0.instrument.maps[k](rho)
                 assert np.max(np.abs(outputs(ising0, rho) - propagate(lm, rho0, seq))) < 1e-8
 
-    def test_zero_dim_subspace_rejected(self, walk4):
-        from cereduce.operators import OperatorSubspace
-
-        with pytest.raises(ValueError):
-            linear_reduce(walk4, OperatorSubspace(4, ()))
-
     def test_minimality_observable_pair(self):
         # stacked observability matrix over words up to length q-1 has rank q
         ce = measured_quantum_walk(3, seed=1)
-        sub = nonobservable_complement(ce)
-        lm = linear_reduce(ce, sub)
+        lm = linear_reduce(ce)
         rows = [lm.C]
         frontier = [np.eye(lm.q, dtype=complex)]
         for _ in range(lm.q - 1):
@@ -237,54 +232,92 @@ class TestLinearReduce:
         O = np.vstack(rows)
         assert np.linalg.matrix_rank(O, tol=1e-9) == lm.q
 
+    @pytest.mark.parametrize("name", ["ising4_p0.5", "walk4", "random"])
+    def test_built_once_and_kept_on_the_model(self, name, monkeypatch):
+        ce = REALIZATION_MODELS[name]()
+        lm = linear_reduce(ce)
+        monkeypatch.setattr(observability, "hermitian_closure", None)
+        assert linear_reduce(ce) is lm
+
 
 class TestLinearReduceMatchesSchroedinger:
-    """A_k read off the duals of the stacked basis against M_k applied to it."""
+    """A_k read off the real coordinates of the closure's dual images, against M_k applied to
+    the realization's basis; C against tr(O B) summed entrywise."""
 
     @staticmethod
-    def assert_matches(ce, sub):
-        lm = linear_reduce(ce, sub)
-        A, C = linear_reduce_oracle(ce, sub)
-        assert set(lm.A) == set(A)
+    def assert_matches(ce):
+        lm = linear_reduce(ce)
+        A, C = linear_reduce_oracle(ce, lm.subspace)
+        assert list(lm.A) == list(A) == list(ce.outcomes)
         for k in ce.outcomes:
-            assert np.max(np.abs(lm.A[k] - A[k])) <= 1e-12
-        assert np.max(np.abs(lm.C - C)) <= 1e-12
+            assert lm.A[k].dtype == np.float64
+            assert np.max(np.abs(lm.A[k] - A[k])) <= 1e-13 * np.max(np.abs(A[k]))
+        assert np.max(np.abs(lm.C - C)) <= 1e-13 * np.max(np.abs(C))
+
+    @pytest.mark.parametrize("name", sorted(REALIZATION_MODELS))
+    def test_zoo(self, name):
+        self.assert_matches(REALIZATION_MODELS[name]())
 
     @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
-    def test_zoo(self, name):
-        ce = SPLIT_MODELS[name]()
-        self.assert_matches(ce, nonobservable_complement(ce))
-
-    @pytest.mark.parametrize("name", ["ising4_p0.5", "walk4"])
     def test_zoo_without_split(self, name):
         ce = SPLIT_MODELS[name]()
-        bare = ConditionalEvolution(instrument=ce.instrument, output=ce.output)
-        self.assert_matches(bare, nonobservable_complement(ce))
+        self.assert_matches(ConditionalEvolution(instrument=ce.instrument, output=ce.output))
 
     def test_split_reduced_model(self):
         from cereduce.reduction import reduce_separably
 
         red = reduce_separably(measured_quantum_walk(4, seed=7)).recomposed
         assert red.model.has_split
-        sub = nonobservable_complement(red.model)
-        self.assert_matches(red.model, sub)
+        self.assert_matches(red.model)
 
     def test_random_ce(self, rng):
         for _ in range(3):
-            ce = random_ce(3, 3, 2, rng)
-            self.assert_matches(ce, nonobservable_complement(ce))
-            # any subspace, not only an invariant one
-            self.assert_matches(ce, closure([random_complex(rng, (3, 3)) for _ in range(4)]))
+            self.assert_matches(random_ce(3, 3, 2, rng))
 
-    def test_split_model_conjugates_once(self, monkeypatch):
-        # white box: one apply of the evolution's dual to the whole stacked basis, then one
-        # elementwise apply of each effect's dual
+    def test_split_model_conjugates_once_per_generation(self, monkeypatch):
+        # white box: each generation is one apply of the evolution's dual to its whole stack,
+        # then one elementwise apply of each effect's dual to that stack
         ce = ising_chain(4, 0.5, 0.3)
-        sub = nonobservable_complement(ce)
         calls = []
         apply = Superoperator.__call__
         monkeypatch.setattr(Superoperator, "__call__",
                             lambda S, X: (calls.append((S, np.shape(X))), apply(S, X))[1])
-        linear_reduce(ce, sub)
-        assert [S._weights is None for S, _ in calls] == [True] + [False] * len(ce.outcomes)
-        assert all(shape == sub.basis.shape for _, shape in calls)
+        lm = linear_reduce(ce)
+        m = len(ce.outcomes)
+        generations = [calls[i:i + m + 1] for i in range(0, len(calls), m + 1)]
+        assert [S._weights is None for S, _ in calls] == ([True] + [False] * m) * len(generations)
+        assert all(len({shape for _, shape in g}) == 1 for g in generations)
+        assert sum(g[0][1][0] for g in generations) == lm.q
+
+    @pytest.mark.parametrize("name", ["ising5_p0.5", "walk4", "random"])
+    def test_each_element_goes_through_the_duals_once(self, name, monkeypatch):
+        ce = REALIZATION_MODELS[name]()
+        stacked = []
+        dual_images = ConditionalEvolution.dual_images
+
+        def counted(model):
+            images = dual_images(model)
+            return lambda X: (stacked.append(len(X)), images(X))[1]
+
+        monkeypatch.setattr(ConditionalEvolution, "dual_images", counted)
+        lm = linear_reduce(ce)
+        assert sum(stacked) == lm.q
+
+    def test_ising_n7_keeps_at_most_the_images(self):
+        # beyond its closure's own peak, the realization holds the closure's images, q m n^2
+        # floats, and reads A and C off them with no second pass through the duals
+        ce = ising_chain(7, 0.5, 0.3)
+        generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hermitian_closure(generators, ce.dual_images(), REALIZATION_TOL)
+            closure_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lm = linear_reduce(ce)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert lm.q == 18
+        assert peak - closure_peak <= lm.q * len(ce.outcomes) * ce.dim**2 * 8

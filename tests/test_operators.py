@@ -14,8 +14,8 @@ from cereduce.operators import (
 )
 from cereduce.algebra import algebra_closure, center, commutant
 from cereduce.model import OutputMap
-from cereduce.observability import nonobservable_complement
-from cereduce.reduction import REALIZATION_TOL, equivalence_check, random_density, reduce_ce
+from cereduce.observability import REALIZATION_TOL, nonobservable_complement
+from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.zoo import PAULI, ising_chain, measured_quantum_walk
 from conftest import (
     REALIZATION_MODELS,

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cereduce import operators, reduction
+from cereduce import observability, operators
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap, validate_ce
 from cereduce.observability import check_invariance, linear_reduce, nonobservable_complement
-from cereduce.operators import DEFAULT_TOL, Superoperator, hermitian_closure
+from cereduce.operators import DEFAULT_TOL, Superoperator
 from cereduce.reduction import (
     STEP_DEFECT_CUT,
     EquivalenceReport,
@@ -22,7 +22,6 @@ from cereduce.reduction import (
 from cereduce.trajectories import enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
 from conftest import (
-    REALIZATION_MODELS,
     SPLIT_MODELS,
     blockdiag_projector,
     channel_checks,
@@ -288,7 +287,7 @@ class TestEquivalence:
         assert len(rec.outcomes) == 10
         assert validate_ce(full).ok
         assert check_assumptions(full, red.nperp, red.output_algebra).a1.holds
-        assert linear_reduce(full, red.nperp).q == red.nperp.dim
+        assert linear_reduce(full).q == red.nperp.dim
         # white box: the dense form is cached on first read of .matrix
         assert all(S._matrix is None for S in maps)
 
@@ -372,7 +371,7 @@ class TestDualWalkMatchesPrimal:
         assert np.max(levels[0][..., 0]) <= dual.max_prob_dev + 1e-13
         assert type(dual.passed) is bool
         assert all(type(x) is float for x in (dual.max_dev, dual.max_prob_dev, dual.step_defect))
-        assert dual.n_sequences == reduction._realization(red.model).q * len(full.outcomes)
+        assert dual.n_sequences == linear_reduce(red.model).q * len(full.outcomes)
         if kind == "nan":
             # a NaN image stops the reduced model's closure, and its defect stays NaN
             assert math.isnan(dual.step_defect) and math.isnan(dual.realization_dropped)
@@ -402,7 +401,7 @@ class TestDualWalkMatchesPrimal:
         # closures this coarse drop whole directions of the observable space, which the
         # deviations of an exact reduction do not show
         ce = ising_chain(4, 0.5, 0.3)
-        monkeypatch.setattr(reduction, "REALIZATION_TOL", 0.5)
+        monkeypatch.setattr(observability, "REALIZATION_TOL", 0.5)
         rep = equivalence_check(ce, reduce_ce(ce), max_len=2, n_states=2)
         assert rep.max_dev <= 1e-8 and rep.max_prob_dev <= 1e-8
         assert rep.realization_dropped > 1e-8 and not rep.passed
@@ -417,54 +416,6 @@ class TestDualWalkMatchesPrimal:
         rep = equivalence_check(ising, itself(ising))
         # through the identity map every difference is exactly zero
         assert rep.max_dev == rep.max_prob_dev == rep.step_defect == 0.0 and rep.passed
-
-
-class TestRealization:
-    """The minimal linear realization reads A_k off the images its closure formed."""
-
-    @pytest.mark.parametrize("name", sorted(REALIZATION_MODELS))
-    def test_matches_linear_reduce_on_its_span(self, name):
-        ce = REALIZATION_MODELS[name]()
-        lm = reduction._realization(ce)
-        ref = linear_reduce(ce, lm.subspace)
-        assert list(lm.A) == list(ref.A) == list(ce.outcomes)
-        for k in ce.outcomes:
-            assert lm.A[k].dtype == np.float64
-            assert np.max(np.abs(lm.A[k] - ref.A[k])) <= 1e-13 * np.max(np.abs(ref.A[k]))
-        assert np.max(np.abs(lm.C - ref.C)) <= 1e-13 * np.max(np.abs(ref.C))
-
-    @pytest.mark.parametrize("name", ["ising5_p0.5", "walk4", "random"])
-    def test_each_element_goes_through_the_duals_once(self, name, monkeypatch):
-        ce = REALIZATION_MODELS[name]()
-        stacked = []
-        dual_images = ConditionalEvolution.dual_images
-
-        def counted(model):
-            images = dual_images(model)
-            return lambda X: (stacked.append(len(X)), images(X))[1]
-
-        monkeypatch.setattr(ConditionalEvolution, "dual_images", counted)
-        lm = reduction._realization(ce)
-        assert sum(stacked) == lm.q
-
-    def test_ising_n7_keeps_at_most_the_images(self):
-        # beyond its closure's own peak, the realization holds the closure's images, q m n^2
-        # floats, and reads A and C off them with no second pass through the duals
-        ce = ising_chain(7, 0.5, 0.3)
-        generators = [np.eye(ce.dim, dtype=complex), *ce.output.observables]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            hermitian_closure(generators, ce.dual_images(), reduction.REALIZATION_TOL)
-            closure_peak = tracemalloc.get_traced_memory()[1] - base
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            lm = reduction._realization(ce)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert lm.q == 18
-        assert peak - closure_peak <= lm.q * len(ce.outcomes) * ce.dim**2 * 8
 
 
 class TestNearExceptionalPairs:
@@ -627,10 +578,10 @@ class TestSeparable:
         fact = sep.recomposed.factorization
         Pbd = blockdiag_projector(fact)
         for k in walk4.outcomes:
-            K = sep.effects[k].matrix @ Pbd
+            K = sep.recomposed.model.effects[k].matrix @ Pbd
             # each reduced effect keeps exactly one diagonal entry
             assert np.linalg.matrix_rank(K, tol=1e-9) == 1
-        Esum = sum(sep.effects[k].matrix for k in walk4.outcomes) @ Pbd
+        Esum = sum(sep.recomposed.model.effects[k].matrix for k in walk4.outcomes) @ Pbd
         assert np.allclose(Esum, Pbd, atol=1e-9)
 
     def test_recomposition_matches_joint(self):
@@ -724,13 +675,14 @@ class TestReducedMaps:
         ce = MAP_MODELS[name]()
         sep = reduce_separably(ce)
         fact = sep.recomposed.factorization
-        pairs = [(sep.evolution, ce.evolution)] + [(sep.effects[k], ce.effects[k]) for k in ce.outcomes]
+        model = sep.recomposed.model
+        pairs = [(model.evolution, ce.evolution)] + [(model.effects[k], ce.effects[k]) for k in ce.outcomes]
         for got, S in pairs:
             ref = composed(fact, S)
             assert np.linalg.norm(got.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
         cuts = sep.recomposed.rank_cuts
         assert set(cuts) == {"evolution"} | {f"effect {k}" for k in ce.outcomes}
-        assert cuts["evolution"][0] == len(sep.evolution.kraus)
+        assert cuts["evolution"][0] == len(model.evolution.kraus)
 
     @pytest.mark.parametrize("N", [4, 5, 6, 7])
     @pytest.mark.parametrize("p", [0.0, 0.5])

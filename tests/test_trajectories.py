@@ -7,10 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cereduce import reduction, trajectories
+from cereduce import observability, trajectories
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator, hermitian_closure
-from cereduce.reduction import REALIZATION_TOL, equivalence_check, random_density, reduce_ce
+from cereduce.observability import REALIZATION_TOL
+from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.trajectories import (
     StateEscapedError,
     _numpy_sum,
@@ -497,7 +498,7 @@ def test_enumeration_refuses_a_start_state_of_the_wrong_shape_before_any_closure
     def refuse(*args):
         raise AssertionError("the realization was built")
 
-    monkeypatch.setattr(trajectories, "_realization", refuse)
+    monkeypatch.setattr(trajectories, "linear_reduce", refuse)
     for shape in wrong_start_shapes(ce.dim):
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
             enumerate_distribution(ce, np.resize(rho0, shape), 2)
@@ -608,9 +609,9 @@ class TestEnumerate:
         forward = {id(S) for model in (ce, red.model)
                    for S in (*model.instrument.maps.values(), model.evolution, *(model.effects or {}).values())}
         applied, closed = [], []
-        call, closure = Superoperator.__call__, reduction.hermitian_closure
+        call, closure = Superoperator.__call__, observability.hermitian_closure
         monkeypatch.setattr(Superoperator, "__call__", lambda S, X: (applied.append(id(S) in forward), call(S, X))[1])
-        monkeypatch.setattr(reduction, "hermitian_closure", lambda *a: (closed.append(a), closure(*a))[1])
+        monkeypatch.setattr(observability, "hermitian_closure", lambda *a: (closed.append(a), closure(*a))[1])
         assert equivalence_check(ce, red, max_len=2, n_states=2).passed
         rho0 = random_density(ce.dim, np.random.default_rng(0))
         tv = total_variation(enumerate_distribution(ce, rho0, 3),
@@ -650,7 +651,7 @@ class TestEnumerate:
         def refuse(*args, **kwargs):
             raise AssertionError("a closure ran before the node count was checked")
 
-        monkeypatch.setattr(reduction, "hermitian_closure", refuse)
+        monkeypatch.setattr(observability, "hermitian_closure", refuse)
         with pytest.raises(ValueError, match=f"more than WORD_CAP = {WORD_CAP} nodes"):
             enumerate_distribution(ce, np.eye(2) / 2, 3_000_000)
 

@@ -94,7 +94,7 @@ class TestIsingChain:
         ce = ising_chain(4, 0.5, 0.3)
         sep = reduce_separably(ce, seed=0)
         Pbd = blockdiag_projector(sep.recomposed.factorization)
-        skip = sep.effects["-1"].matrix
+        skip = sep.recomposed.model.effects["-1"].matrix
         assert np.linalg.norm(skip @ Pbd - 0.5 * Pbd) < 1e-9
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
@@ -112,5 +112,5 @@ class TestIsingChain:
         sep = reduce_separably(ce, seed=0)
         D = sep.recomposed.factorization.reduced_hilbert_dim
         eye = np.eye(D, dtype=complex)
-        total = sum(sep.effects[k].adjoint()(eye) for k in ce.outcomes)
+        total = sum(sep.recomposed.model.effects[k].adjoint()(eye) for k in ce.outcomes)
         assert np.linalg.norm(total - eye) < 1e-9
