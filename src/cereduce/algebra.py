@@ -378,7 +378,7 @@ def _generators(ops, tol: float) -> np.ndarray:
     basis of ``reduce_ce`` among them, its stack is used as it is.
     """
     if isinstance(ops, OperatorSubspace):
-        if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
+        if ops.dim and np.array_equal(ops.basis, ops.basis.conj().swapaxes(1, 2)):
             return ops.basis
         ops = ops.basis
     return hermitian_closure(ops, tol=tol).basis
@@ -392,6 +392,10 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
     A = reduce(np.matmul, (np.tensordot(ct[1:], G, 1) + ct[0] * np.eye(n) for ct in c))
     # eigenspaces, clustering eigenvalues closer than gap_tol times the spread
     eigenspaces = eigh_clustered((A + A.conj().T) / 2, gap_tol)
+    # the conjugated eigenvectors as rows, and the row at which each eigenspace starts
+    rows = np.hstack(eigenspaces).conj().T
+    widths = np.array([V.shape[1] for V in eigenspaces])
+    firsts = np.cumsum(widths) - widths
     assigned = set()
     blocks = []
     orbit_term = 0.0  # sum over the blocks of d_S d_F rho_k^2
@@ -404,9 +408,11 @@ def _wedderburn_attempt(G, depth, tol, rng) -> tuple[WedderburnDecomposition, li
         dS = orbit.dim
         # column s * d_F + f is column f of orbit element s, which has norm 1 / sqrt(d_F)
         cols = np.sqrt(dF) * orbit.basis.transpose(1, 0, 2).reshape(n, dS * dF)
-        # an eigenspace lies in the block (overlap 1) or is orthogonal to it (overlap 0)
-        overlaps = [np.linalg.norm(cols.conj().T @ W) ** 2 / W.shape[1] for W in eigenspaces]
-        members = {b for b, o in enumerate(overlaps) if o > 0.5}
+        # an eigenspace lies in the block (overlap 1) or is orthogonal to it (overlap 0): the
+        # squared norms of every eigenvector's coefficients on the block, summed per eigenspace
+        P = (rows @ cols).view(float)
+        overlaps = np.add.reduceat(np.einsum("ij,ij->i", P, P), firsts) / widths
+        members = set(np.flatnonzero(overlaps > 0.5).tolist())
         sizes = sorted(eigenspaces[b].shape[1] for b in members)
         if a not in members or sizes != [dF] * dS or members & assigned:
             raise DegenerateAlgebraError(

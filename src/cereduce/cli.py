@@ -128,6 +128,8 @@ def _text_report(doc: dict) -> str:
         f"blocks {doc['blocks']}",
         f"tol {doc['tol']:g}, seed {doc['seed']}",
         f"structure bound {doc['structure_bound']:.3e}",
+        "observable subspace margin: smallest kept residual {kept:.3e}, largest dropped {dropped:.3e}"
+        .format(**doc["nperp_margin"]),
     ]
     for name, chk in doc.get("assumptions", {}).items():
         lines.append(f"assumption {name.upper()}: holds={chk['holds']} residual={chk['residual']:.3e}")
@@ -156,6 +158,8 @@ def cmd_reduce(args) -> int:
     except DegenerateAlgebraError as exc:
         raise CliError(f"numerical degeneracy: {exc}", EXIT_DEGENERATE)
     doc = red.provenance()
+    # both sides of the observable subspace's rank decision; reported, not stored in the file
+    doc["nperp_margin"] = {"kept": red.nperp.kept, "dropped": red.nperp.dropped}
     if ce.has_split:
         assumptions = check_assumptions(ce, red.nperp, red.output_algebra, args.tol)
         doc["assumptions"] = {name: {"holds": bool(getattr(assumptions, name).holds),

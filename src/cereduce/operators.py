@@ -22,13 +22,17 @@ Conventions used throughout the package:
   that form one operator takes its products through ``ndarray.dot`` and
   a stack through ``@``: both reach the same BLAS gemm, and
   ``ndarray.dot`` through a lighter dispatch than the matmul gufunc,
-  whose own cost is about a quarter of a 16 x 16 complex product,
+  whose own cost is about a quarter of a 16 x 16 complex product; the
+  one-row projections of the Gram-Schmidt survivor loop go through
+  ``ndarray.dot`` too, except a complex vector-matrix product, which
+  stays a matmul for its rounding,
 * adjoints of superoperators are taken w.r.t. the Hilbert-Schmidt
   inner product ``<A, B> = tr(A^dag B)``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -72,16 +76,20 @@ def eigh_clustered(H: np.ndarray, rel_gap: float) -> list[np.ndarray]:
     spread is smaller.  Returns, in ascending order of the eigenvalues, one
     matrix per cluster with one orthonormal column per member.  Eigenvectors
     of a cluster are re-orthonormalized by QR so degenerate eigenspaces stay
-    clean.
+    clean: the clusters of one width go through one batched QR, which runs
+    LAPACK on each matrix of the stack as on that matrix alone.
     """
     w, V = np.linalg.eigh(H)
     gap = rel_gap * max(float(w[-1] - w[0]), 1e-3)
-    clusters = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            clusters.append(np.linalg.qr(V[:, start:i])[0])
-            start = i
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > gap)
+    widths = np.diff(starts, append=len(w))
+    clusters = [None] * len(starts)
+    for width in set(widths.tolist()):  # np.unique's first call loads 1.6 MB more
+        of_width = np.flatnonzero(widths == width)
+        # (clusters, n, width): the columns of each cluster of this width
+        Q = np.linalg.qr(V[:, starts[of_width, None] + np.arange(width)].transpose(1, 0, 2))[0]
+        for i, q in zip(of_width.tolist(), Q):
+            clusters[i] = q
     return clusters
 
 
@@ -95,13 +103,17 @@ class OperatorSubspace:
     is stacked into that array once, here.  Every projection goes through
     the (dim, n m) view Q of the same memory, :meth:`stacked`, whose row i
     is B_i flattened row-major, many operators at a time when they are
-    passed as flattened columns of one matrix.
+    passed as flattened columns of one matrix.  A subspace made by
+    :func:`closure` carries both sides of its rank decision, ``dropped``
+    and ``kept``; one given its basis has dropped none and kept none.
     """
 
     ambient_dim: int
     basis: np.ndarray
     # the largest residual of a candidate :func:`closure` dropped, 0.0 when it dropped none
     dropped: float = 0.0
+    # the smallest residual of a candidate :func:`closure` kept, inf when it kept none
+    kept: float = math.inf
 
     def __post_init__(self):
         basis = np.ascontiguousarray(self.basis)
@@ -142,7 +154,9 @@ def closure(
     Its ``dropped`` is the largest residual of a dropped candidate, 0.0
     when none was and NaN when a candidate was NaN: measured against part
     of the final basis, it bounds every candidate's distance from the
-    span, as a kept one lies in it.
+    span, as a kept one lies in it.  Its ``kept`` is the smallest residual
+    of a kept candidate, absolute as ``dropped`` is, read in the same loop:
+    the two sides of the rank decision, whose ratio is its margin.
     """
     if len(ops) == 0:
         raise ValueError("need at least one operator")
@@ -153,11 +167,12 @@ def closure(
     full = n * m
     dtype = complex if np.iscomplexobj(C) else float
     # row i of Q is B_i flattened row-major (any one order of entries gives the same products)
-    Q, dim, scale, dropped, start = np.empty((0, full), dtype=dtype), 0, 0.0, 0.0, 0
+    Q, dim, scale, dropped, kept, start = np.empty((0, full), dtype=dtype), 0, 0.0, 0.0, math.inf, 0
     while len(C):
         C = np.ascontiguousarray(C, dtype=dtype).reshape(len(C), full)
-        Q, dim, scale, lost = _gram_schmidt(Q, dim, C, scale, tol)
+        Q, dim, scale, lost, least = _gram_schmidt(Q, dim, C, scale, tol)
         dropped = np.maximum(dropped, lost)
+        kept = min(kept, least)
         del C  # freed before the next generation's candidates are formed
         if expand is None or start == dim:
             break
@@ -169,25 +184,31 @@ def closure(
             raise ValueError("operators must share a common shape")
         if dtype is float and np.iscomplexobj(C):
             raise ValueError("complex candidate in a closure of real operators")
-    return OperatorSubspace(n, Q[:dim].reshape(dim, n, m), float(dropped))
+    return OperatorSubspace(n, Q[:dim].reshape(dim, n, m), float(dropped), kept)
 
 
 def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: float):
     """Add the candidate rows of ``C``, (k, full), to the orthonormal rows ``Q[:dim]``.
 
     Returns the buffer ``Q`` (grown by doubling), ``dim``, ``scale`` (the
-    largest candidate norm seen) and the largest residual of a dropped row
-    (0.0 if none, NaN for a NaN row).
+    largest candidate norm seen), the largest residual of a dropped row
+    (0.0 if none, NaN for a NaN row) and the smallest of a kept row (inf if
+    none).
     Block classical Gram-Schmidt (Stewart 2008): one GEMM pair projects
     the block out of ``Q[:dim]``, and a candidate whose residual is then at
     most ``tol`` times the largest norm seen up to it is dropped.  In order,
     each survivor is projected out of the rows the block has added, then
     out of the whole basis again (CGS2), and kept if its residual still
     exceeds that bound: the rank rule of adding the rows one at a time.
+    The survivor loop works on one row at a time, so it takes its products
+    through ``ndarray.dot``, past the matmul gufunc's dispatch, and skips
+    the projection out of the block's own rows until it has added one.
+    The complex row combination c B stays a matmul: ``ndarray.dot``'s
+    vector-matrix kernel rounds it differently.
     """
     full = C.shape[1]
     if dim == full or len(C) == 0:  # a full basis spans every row
-        return Q, dim, scale, 0.0
+        return Q, dim, scale, 0.0, math.inf
     scales = np.maximum.accumulate(np.maximum(_row_norms(C), scale))
     scale = float(scales[-1])
     bounds = tol * scales
@@ -201,23 +222,35 @@ def _gram_schmidt(Q: np.ndarray, dim: int, C: np.ndarray, scale: float, tol: flo
     kept = residuals > bounds
     # a NaN candidate is dropped, with every later one (its norm makes the bounds NaN)
     dropped = np.max(residuals[~kept], initial=0.0)
-    for j in np.flatnonzero(kept):
+    least = math.inf
+    real = not np.iscomplexobj(Q)
+    for j in np.flatnonzero(kept).tolist():
         if dim == full:
             break
-        # the rest of the first projection, then the second against the whole basis
-        v = W[j] - (Q[start:dim] @ W[j].conj()).conj() @ Q[start:dim]
-        v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
-        res = float(np.linalg.norm(v))
+        # the rest of the first projection, then the second against the whole basis; on real
+        # rows the conjugates fall away and the norm is np.linalg.norm's sqrt(v . v)
+        w, B = W[j], Q[start:dim]
+        if real:
+            v = w - B.dot(w).dot(B) if dim > start else w.copy()
+            B = Q[:dim]
+            v -= B.dot(v).dot(B)
+            res = math.sqrt(v.dot(v))
+        else:
+            v = w - B.dot(w.conj()).conj() @ B if dim > start else w.copy()
+            B = Q[:dim]
+            v -= B.dot(v.conj()).conj() @ B
+            res = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
         if res <= bounds[j]:
             dropped = max(dropped, res)
             continue
+        least = min(least, res)
         if dim == len(Q):
             grown = np.empty((min(max(2 * dim, 16), full), full), dtype=Q.dtype)
             grown[:dim] = Q[:dim]
             Q = grown
         Q[dim] = v / res
         dim += 1
-    return Q, dim, scale, float(dropped)
+    return Q, dim, scale, float(dropped), least
 
 
 def _row_norms(M: np.ndarray) -> np.ndarray:
@@ -270,7 +303,7 @@ def hermitian_closure(
 
     parts = [P.real + P.imag for X in generators for P in _hermitian_parts(X)]
     sub = closure(parts, expand if images is not None else None, tol)
-    return OperatorSubspace(sub.ambient_dim, _from_real_coordinates(sub.basis), sub.dropped)
+    return OperatorSubspace(sub.ambient_dim, _from_real_coordinates(sub.basis), sub.dropped, sub.kept)
 
 
 def _from_real_coordinates(X: np.ndarray) -> np.ndarray:

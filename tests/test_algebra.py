@@ -1,13 +1,15 @@
+import math
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from cereduce import algebra
+from cereduce import algebra, operators
 from cereduce.algebra import (
     BlockAlgebra,
     DegenerateAlgebraError,
+    WedderburnDecomposition,
     algebra_closure,
     center,
     commutant,
@@ -16,9 +18,10 @@ from cereduce.algebra import (
 )
 from cereduce.observability import check_invariance, nonobservable_complement
 from cereduce.reduction import check_assumptions, reduce_ce
-from cereduce.operators import OperatorSubspace, Superoperator, closure, unvec
+from cereduce.operators import OperatorSubspace, Superoperator, closure, hermitian_closure, unvec
 from cereduce.zoo import PAULI, haar_unitary, ising_chain, measured_quantum_walk
 from conftest import (
+    SPLIT_MODELS,
     blockdiag_projector,
     channel_checks,
     choi,
@@ -259,6 +262,121 @@ class TestGenerators:
         with pytest.raises(ValueError):
             wedderburn(non_unital)
         assert "_subspace" not in vars(alg) and "_subspace" not in vars(non_unital)
+
+
+def generators_oracle(ops, tol):
+    """``_generators`` as it was while it read the basis for exact Hermiticity one element at a time."""
+    if isinstance(ops, OperatorSubspace):
+        if ops.dim and all(np.array_equal(B, B.conj().T) for B in ops.basis):
+            return ops.basis
+        ops = ops.basis
+    return hermitian_closure(ops, tol=tol).basis
+
+
+def wedderburn_attempt_oracle(G, depth, tol, rng):
+    """``_wedderburn_attempt`` as it was while the block search took one norm per eigenspace per block."""
+    gap_tol = np.sqrt(tol)
+    m, n = len(G), G.shape[-1]
+    c = rng.standard_normal((depth, m + 1)) + 1j * rng.standard_normal((depth, m + 1))
+    A = reduce(np.matmul, (np.tensordot(ct[1:], G, 1) + ct[0] * np.eye(n) for ct in c))
+    eigenspaces = algebra.eigh_clustered((A + A.conj().T) / 2, gap_tol)
+    assigned = set()
+    blocks = []
+    orbit_term = 0.0
+    for a, V in enumerate(eigenspaces):
+        if a in assigned:
+            continue
+        dF = V.shape[1]
+        orbit = closure([V], lambda new: (G @ new[:, None]).reshape(-1, n, dF), tol)
+        dS = orbit.dim
+        cols = np.sqrt(dF) * orbit.basis.transpose(1, 0, 2).reshape(n, dS * dF)
+        overlaps = [np.linalg.norm(cols.conj().T @ W) ** 2 / W.shape[1] for W in eigenspaces]
+        members = {b for b, o in enumerate(overlaps) if o > 0.5}
+        sizes = sorted(eigenspaces[b].shape[1] for b in members)
+        if a not in members or sizes != [dF] * dS or members & assigned:
+            raise DegenerateAlgebraError(
+                f"block of orbit rank {dS} from an eigenspace of dimension {dF} holds "
+                f"eigenspaces of dimensions {sizes}, {len(members & assigned)} already assigned"
+            )
+        assigned |= members
+        acted_on = dS > 1 or float(np.linalg.norm(G @ V)) > tol * np.sqrt(dF)
+        blocks.append((dS, dF, cols, acted_on))
+        orbit_term += dS * dF * orbit.dropped**2
+
+    blocks.sort(key=lambda b: (-b[0], -b[1]))
+    U = np.hstack([b[2] for b in blocks])
+    delta = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])))
+    bound = delta + (1 + delta) * float(np.sqrt(orbit_term))
+    return WedderburnDecomposition(U, tuple((b[0], b[1]) for b in blocks), bound), [b[3] for b in blocks]
+
+
+def with_replaced_kernels(monkeypatch, make):
+    """``make()`` run on the four small-operator kernels as they were, then undone."""
+    from test_operators import eigh_clustered_oracle, gram_schmidt_oracle
+
+    monkeypatch.setattr(operators, "_gram_schmidt", lambda *a: (*gram_schmidt_oracle(*a), math.inf))
+    monkeypatch.setattr(algebra, "eigh_clustered", eigh_clustered_oracle)
+    monkeypatch.setattr(algebra, "_wedderburn_attempt", wedderburn_attempt_oracle)
+    monkeypatch.setattr(algebra, "_generators", generators_oracle)
+    try:
+        return make()
+    finally:
+        monkeypatch.undo()
+
+
+def assert_same_block_algebra(alg, ref):
+    dec, dec_ref = alg.decomposition, ref.decomposition
+    assert dec.blocks == dec_ref.blocks and alg.acted_on == ref.acted_on
+    assert dec.U.tobytes() == dec_ref.U.tobytes()
+    assert dec.structure_bound == dec_ref.structure_bound
+
+
+class TestKernelOracles:
+    """The decomposition on the kernels of ``algebra`` and ``operators`` as they are and as they
+    were: the same nperp, U, blocks and certificate, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_zoo_decompositions(self, name, monkeypatch):
+        ce = SPLIT_MODELS[name]()
+
+        def decompose():
+            nperp = nonobservable_complement(ce)
+            return nperp, algebra_closure(nperp)
+
+        nperp_ref, ref = with_replaced_kernels(monkeypatch, decompose)
+        nperp, alg = decompose()
+        assert nperp.basis.tobytes() == nperp_ref.basis.tobytes() and nperp.dropped == nperp_ref.dropped
+        assert_same_block_algebra(alg, ref)
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(lambda i=i: acceptance_block_generators()[i] for i in range(0, 20, 3)),
+         lambda: clifford_generators(3),
+         lambda: [proj(5, 0), proj(5, 2)],
+         lambda: [random_complex(np.random.default_rng(8), (6, 6)) for _ in range(2)]],
+        ids=[*(f"acceptance{i}" for i in range(0, 20, 3)), "clifford3", "non_unital", "random_non_hermitian"],
+    )
+    def test_random_algebras(self, make, monkeypatch):
+        # generators given as operators go through hermitian_closure's real closure; the
+        # Clifford gammas need redraws
+        ops = make()
+        ref = with_replaced_kernels(monkeypatch, lambda: algebra_closure(ops, seed=2))
+        assert_same_block_algebra(algebra_closure(ops, seed=2), ref)
+
+    def test_generators_fall_back_on_one_non_hermitian_element(self, monkeypatch):
+        nperp = nonobservable_complement(ising_chain(4, 0.5, 0.3))
+        assert algebra._generators(nperp, 1e-9) is nperp.basis
+        # the last element moved off Hermitian by one ulp of one imaginary part
+        basis = nperp.basis.copy()
+        i, j = np.argwhere(basis[-1].imag != 0)[0]
+        basis[-1, i, j] = basis[-1, i, j].real + 1j * np.nextafter(basis[-1, i, j].imag, np.inf)
+        moved = OperatorSubspace(nperp.ambient_dim, basis)
+        calls = []
+        monkeypatch.setattr(algebra, "hermitian_closure", lambda *a, **k: calls.append(1) or hermitian_closure(*a, **k))
+        G = algebra._generators(moved, 1e-9)
+        assert calls == [1] and G is not moved.basis
+        assert G.tobytes() == generators_oracle(moved, 1e-9).tobytes()
+        assert generators_oracle(nperp, 1e-9) is nperp.basis
 
 
 # algebras on which the block leak is checked against the basis path: unital ones with

@@ -129,6 +129,25 @@ class TestReduce:
         assert main(["reduce", str(model), "-o", str(tmp_path / "again.red.json")]) == 0
         assert f"structure bound {bound:.3e}" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("split", [True, False], ids=["ising4", "swap3"])
+    def test_nperp_margin_in_report_not_in_file(self, split, tmp_path, capsys):
+        model, reduced = tmp_path / "m.json", tmp_path / "m.red.json"
+        if split:
+            assert main(["zoo", "ising", "--n", "4", "--p", "0.5", "--delta", "0.3", "-o", str(model)]) == 0
+        else:
+            save_json(ce_to_json(swap3_ce()), str(model))
+        capsys.readouterr()
+        assert main(["reduce", str(model), "--report", "json", "-o", str(reduced)]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[: out.rindex("}") + 1])
+        margin = report["nperp_margin"]
+        assert list(margin) == ["kept", "dropped"] and 0 <= margin["dropped"] < margin["kept"]
+        assert ("assumptions" in report) == split
+        assert "nperp_margin" not in reduced.read_text()
+        assert main(["reduce", str(model), "-o", str(reduced)]) == 0
+        assert (f"observable subspace margin: smallest kept residual {margin['kept']:.3e}, "
+                f"largest dropped {margin['dropped']:.3e}") in capsys.readouterr().out.splitlines()
+
     def test_ising5_file_holds_no_dense_map(self, tmp_path):
         # R as U (32x32) and its blocks; its dense (64, 1024) matrix alone took 1.4 MB, and its
         # 8 Kraus operators of 8x32 with U beside them 0.08 MB

@@ -1,10 +1,11 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cereduce import observability
+from cereduce import algebra, observability, operators
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.observability import (
     REALIZATION_TOL,
@@ -13,7 +14,7 @@ from cereduce.observability import (
     nonobservable_complement,
 )
 from cereduce.operators import OperatorSubspace, Superoperator, closure, hermitian_closure
-from cereduce.reduction import random_density
+from cereduce.reduction import random_density, reduce_ce
 from cereduce.zoo import ising_chain, measured_quantum_walk
 from conftest import (
     REALIZATION_MODELS,
@@ -79,6 +80,37 @@ def word_rank(ce, tol=1e-9):
         rows.append(level)
     s = np.linalg.svd(np.concatenate(rows), compute_uv=False)
     return int(np.sum(s > tol * s[0]))
+
+
+class TestClosureMargins:
+    """Both sides of every closure's rank decision: the smallest kept and largest dropped residual."""
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_kept_above_dropped_on_every_closure(self, name, monkeypatch):
+        # nperp, the orbits of the block search, and both realizations verify builds
+        subs = []
+
+        def recording(*args, **kwargs):
+            subs.append(closure(*args, **kwargs))
+            return subs[-1]
+
+        monkeypatch.setattr(operators, "closure", recording)
+        monkeypatch.setattr(algebra, "closure", recording)
+        ce = SPLIT_MODELS[name]()
+        red = reduce_ce(ce)
+        linear_reduce(ce), linear_reduce(red.model)
+        assert len(subs) >= 4
+        assert all(sub.dropped < sub.kept < math.inf for sub in subs)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_wide_margin_at_the_default_coupling(self, p):
+        sub = nonobservable_complement(ising_chain(5, p, 0.3))
+        assert sub.kept > 1e10 * sub.dropped
+
+    def test_narrow_margin_near_the_exceptional_coupling(self):
+        # at delta = pi/2 - 1e-6 a direction of size 2e-6 is kept over a dropped one near 1e-9
+        sub = nonobservable_complement(ising_chain(5, 0.0, math.pi / 2 - 1e-6))
+        assert sub.dropped > 0 and sub.kept / sub.dropped < 1e5
 
 
 class TestWordRankOracle:

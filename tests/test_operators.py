@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,21 @@ class TestClosure:
         X, Y = paulis["x"], paulis["y"]
         sub = closure([X], first_generation([np.full((2, 2), np.nan), Y]))
         assert sub.dim == 1 and np.isnan(sub.dropped)
+        # the side of the decision that was kept is still read: X, whole
+        assert sub.kept == pytest.approx(np.linalg.norm(X), rel=1e-15)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_reports_smallest_kept_residual(self, dtype, paulis):
+        # X, then X + eps Z in the next generation, leaves eps Z: kept at eps above tol, and the
+        # smallest residual kept, absolute as the dropped one is; 2 X and Z alone keep ||Z||
+        X, Z = paulis["x"].real.astype(dtype), paulis["z"].real.astype(dtype)
+        eps = 1e-6
+        sub = closure([2 * X], first_generation([X + eps * Z, Z]))
+        assert sub.dim == 2 and sub.dropped <= 1e-15
+        assert sub.kept == pytest.approx(eps * np.linalg.norm(Z), rel=1e-6)
+        assert closure([2 * X, Z]).kept == pytest.approx(np.linalg.norm(Z), rel=1e-15)
+        # a subspace given its basis kept nothing, as it dropped nothing
+        assert OperatorSubspace(2, (X,)).kept == math.inf
 
     def test_zero_tol_stops_at_full_space(self, rng):
         A = random_complex(rng, (3, 3))
@@ -1124,3 +1141,159 @@ def test_eigh_clustered_orthonormal(rng):
     clusters = eigh_clustered(H, 1e-8)
     V = np.hstack(clusters)
     assert np.allclose(V.conj().T @ V, np.eye(5), atol=1e-12)
+
+
+def gram_schmidt_oracle(Q, dim, C, scale, tol):
+    """``_gram_schmidt`` as it was while its survivor loop took every product through ``@`` and
+    every norm through ``np.linalg.norm``, kept verbatim to pin the loop's bytes: it returns
+    no smallest kept residual."""
+    full = C.shape[1]
+    if dim == full or len(C) == 0:  # a full basis spans every row
+        return Q, dim, scale, 0.0
+    scales = np.maximum.accumulate(np.maximum(operators._row_norms(C), scale))
+    scale = float(scales[-1])
+    bounds = tol * scales
+    # the residuals; every conj below is free on real arrays
+    W = C
+    if dim:
+        W = (C.conj() @ Q[:dim].T).conj() @ Q[:dim]
+        np.subtract(C, W, out=W)
+    start = dim
+    residuals = operators._row_norms(W)
+    kept = residuals > bounds
+    # a NaN candidate is dropped, with every later one (its norm makes the bounds NaN)
+    dropped = np.max(residuals[~kept], initial=0.0)
+    for j in np.flatnonzero(kept):
+        if dim == full:
+            break
+        # the rest of the first projection, then the second against the whole basis
+        v = W[j] - (Q[start:dim] @ W[j].conj()).conj() @ Q[start:dim]
+        v -= (Q[:dim] @ v.conj()).conj() @ Q[:dim]
+        res = float(np.linalg.norm(v))
+        if res <= bounds[j]:
+            dropped = max(dropped, res)
+            continue
+        if dim == len(Q):
+            grown = np.empty((min(max(2 * dim, 16), full), full), dtype=Q.dtype)
+            grown[:dim] = Q[:dim]
+            Q = grown
+        Q[dim] = v / res
+        dim += 1
+    return Q, dim, scale, float(dropped)
+
+
+def eigh_clustered_oracle(H, rel_gap):
+    """``eigh_clustered`` as it was while it cut the clusters one comparison and one QR at a time."""
+    w, V = np.linalg.eigh(H)
+    gap = rel_gap * max(float(w[-1] - w[0]), 1e-3)
+    clusters = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap:
+            clusters.append(np.linalg.qr(V[:, start:i])[0])
+            start = i
+    return clusters
+
+
+def survivor_blocks(rng, dtype, case):
+    """(full, blocks): the candidate blocks, (k, full) each, that one closure feeds in turn."""
+    def rows(k, full):
+        R = rng.standard_normal((k, full))
+        if dtype is complex:
+            R = R + 1j * rng.standard_normal((k, full))
+        return R * rng.uniform(0.1, 10, (k, 1))
+
+    def spanned(prev, k, noise):
+        # combinations of rows given before, each moved by noise times its norm
+        P = np.concatenate(prev)
+        R = rows(k, P.shape[0]).real @ P
+        return R + noise * np.linalg.norm(R, axis=1, keepdims=True) * rows(k, P.shape[1]) / P.shape[1]
+
+    if case == "full_basis":
+        full = 4
+        first = rows(6, full)
+        return full, [first, rows(3, full)]
+    full = {"growth": 64, "rectangular": 12 * 3}.get(case, 16)
+    first = rows(3 if case != "growth" else 40, full)
+    second = np.concatenate([rows(2, full), spanned([first], 2, 0.0), spanned([first], 2, 1e-12),
+                             spanned([first], 1, 1e-6)])
+    second = second[rng.permutation(len(second))]
+    blocks = [first, second]
+    if case == "nan_rows":
+        blocks[1] = np.insert(second, 3, np.nan, axis=0)
+    if case == "zero_rows":
+        blocks = [np.concatenate([np.zeros((2, full)), first]), np.insert(second, 1, 0.0, axis=0)]
+    blocks.append(spanned(blocks[:2], 4, 1e-11))
+    blocks.append(rows(0, full))
+    return full, [np.ascontiguousarray(B, dtype=dtype) for B in blocks]
+
+
+class TestSurvivorLoopOracle:
+    """``_gram_schmidt`` and ``eigh_clustered`` against the copies above, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("case", ["random", "nan_rows", "zero_rows", "full_basis", "growth", "rectangular"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gram_schmidt_matches_the_loop_it_replaced(self, dtype, case, seed):
+        full, blocks = survivor_blocks(np.random.default_rng(seed), dtype, case)
+        Q, R = np.empty((0, full), dtype=dtype), np.empty((0, full), dtype=dtype)
+        dim = dim_ref = 0
+        scale = scale_ref = 0.0
+        kept = math.inf
+        for C in blocks:
+            Q, dim, scale, dropped, least = operators._gram_schmidt(Q, dim, C.copy(), scale, 1e-9)
+            R, dim_ref, scale_ref, dropped_ref = gram_schmidt_oracle(R, dim_ref, C.copy(), scale_ref, 1e-9)
+            assert dim == dim_ref and Q[:dim].tobytes() == R[:dim].tobytes()
+            assert scale == scale_ref or (math.isnan(scale) and math.isnan(scale_ref))
+            assert dropped == dropped_ref or (math.isnan(dropped) and math.isnan(dropped_ref))
+            kept = min(kept, least)
+        if case == "full_basis":
+            assert dim == full
+        if case == "growth":  # the buffer grew from 16 rows to 32 and to 64
+            assert dim > 32 and len(Q) == 64
+        # every case keeps a row
+        assert 0 < kept < math.inf
+
+    @pytest.mark.parametrize("case", ["whole_space", "invariant_subspace"])
+    def test_closure_matches_on_orbits(self, case, monkeypatch):
+        # an orbit closure of complex n x d_F columns under a few generators, as the block
+        # search runs it
+        rng = np.random.default_rng(3)
+        n, dF = 12, 3
+        G = random_complex(rng, (4, n, n))
+        G = G + G.conj().swapaxes(1, 2)
+        if case == "invariant_subspace":
+            # generators that keep the first 6 coordinates: the orbit stops short of the space
+            P = np.zeros((n, n))
+            P[:6, :6] = 1
+            G = G * P
+        V = np.linalg.qr(random_complex(rng, (n, dF)) * (np.arange(n) < 6)[:, None])[0]
+        expand = lambda new: (G @ new[:, None]).reshape(-1, n, dF)
+        sub = closure([V], expand)
+        monkeypatch.setattr(operators, "_gram_schmidt", lambda *a: (*gram_schmidt_oracle(*a), math.inf))
+        ref = closure([V], expand)
+        assert sub.basis.tobytes() == ref.basis.tobytes() and sub.dropped == ref.dropped
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_eigh_clustered_matches_the_loop_it_replaced(self, seed):
+        rng = np.random.default_rng(seed)
+        # clusters of widths 1 to 4 in a random order, each spread by rounding-sized noise
+        widths = rng.integers(1, 5, size=rng.integers(1, 8))
+        w = np.concatenate([np.full(k, float(c)) + 1e-13 * rng.standard_normal(k)
+                            for c, k in zip(rng.permutation(len(widths)) * 1.5, widths)])
+        U = np.linalg.qr(random_complex(rng, (len(w), len(w))))[0]
+        H = (U * w) @ U.conj().T
+        H = (H + H.conj().T) / 2
+        for rel_gap in (np.sqrt(1e-9), 1e-8, 1.0):
+            got, ref = eigh_clustered(H, rel_gap), eigh_clustered_oracle(H, rel_gap)
+            assert [V.shape for V in got] == [V.shape for V in ref]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        assert sorted(V.shape[1] for V in eigh_clustered(H, np.sqrt(1e-9))) == sorted(widths)
+
+    def test_eigh_clustered_spectra_narrower_than_the_floor(self, rng):
+        # a spread under 1e-3 clusters at rel_gap * 1e-3: one cluster, or every eigenvalue alone
+        H = np.eye(5) + 1e-9 * np.diag(np.arange(5.0))
+        for rel_gap, widths in ((1.0, [5]), (1e-7, [1] * 5)):
+            got, ref = eigh_clustered(H, rel_gap), eigh_clustered_oracle(H, rel_gap)
+            assert [V.shape[1] for V in got] == widths
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
