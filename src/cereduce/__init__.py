@@ -43,12 +43,10 @@ from .reduction import (
     AssumptionReport,
     EquivalenceReport,
     ReducedCE,
-    SeparableReduction,
     check_assumptions,
     equivalence_check,
     random_density,
     reduce_ce,
-    reduce_separably,
 )
 from .trajectories import (
     StateEscapedError,

@@ -28,7 +28,7 @@ from . import serialize
 from .algebra import DegenerateAlgebraError
 from .model import ConditionalEvolution, validate_ce
 from .operators import DEFAULT_TOL
-from .reduction import STEP_DEFECT_CUT, check_assumptions, equivalence_check, random_density, reduce_ce
+from .reduction import STEP_DEFECT_CUT, equivalence_check, random_density, reduce_ce
 from .trajectories import (
     WORD_CAP,
     StateEscapedError,
@@ -122,7 +122,7 @@ def cmd_zoo(args) -> int:
 
 def _text_report(doc: dict) -> str:
     """The report that ``reduce --report json`` prints, as lines of text."""
-    lines = [
+    return "\n".join([
         f"reduced dim {doc['reduced_operator_dim']} / original {doc['original_operator_dim']}",
         f"observable subspace dim {doc['nperp_dim']}, output algebra dim {doc['algebra_dim']}",
         f"blocks {doc['blocks']}",
@@ -130,12 +130,7 @@ def _text_report(doc: dict) -> str:
         f"structure bound {doc['structure_bound']:.3e}",
         "observable subspace margin: smallest kept residual {kept:.3e}, largest dropped {dropped:.3e}"
         .format(**doc["nperp_margin"]),
-    ]
-    for name, chk in doc.get("assumptions", {}).items():
-        lines.append(f"assumption {name.upper()}: holds={chk['holds']} residual={chk['residual']:.3e}")
-    if "lambdas" in doc:
-        lines.append("lambdas: " + ", ".join(f"{k}={re:.6g}" for k, (re, _) in doc["lambdas"].items()))
-    return "\n".join(lines)
+    ])
 
 
 def _check_valid(ce: ConditionalEvolution, tol: float) -> None:
@@ -160,12 +155,6 @@ def cmd_reduce(args) -> int:
     doc = red.provenance()
     # both sides of the observable subspace's rank decision; reported, not stored in the file
     doc["nperp_margin"] = {"kept": red.nperp.kept, "dropped": red.nperp.dropped}
-    if ce.has_split:
-        assumptions = check_assumptions(ce, red.nperp, red.output_algebra, args.tol)
-        doc["assumptions"] = {name: {"holds": bool(getattr(assumptions, name).holds),
-                                     "residual": getattr(assumptions, name).residual}
-                              for name in ("a1", "a2", "a3", "a4")}
-        doc["lambdas"] = {k: [v.real, v.imag] for k, v in assumptions.lambdas.items()}
     out = args.output or (os.path.splitext(args.model)[0] + ".red.json")
     serialize.save_json(serialize.reduced_ce_to_json(red), out)
     print(json.dumps(doc, indent=1) if args.report == "json" else _text_report(doc))

@@ -11,7 +11,7 @@ conditioned output and every outcome-word probability exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,9 @@ from .operators import DEFAULT_TOL, OperatorSubspace, Superoperator, map_coordin
 __all__ = [
     "ReducedCE",
     "AssumptionReport",
-    "SeparableReduction",
     "EquivalenceReport",
     "reduce_ce",
     "check_assumptions",
-    "reduce_separably",
     "equivalence_check",
     "random_density",
 ]
@@ -52,9 +50,8 @@ class ReducedCE:
     original_dim: int
     tol: float
     seed: int
-    # per reduced map, by outcome (or "evolution" and "effect <k>" after
-    # reduce_separably): its Kraus count and the margin of its rank cut,
-    # see CEFactorization.reduce_map
+    # per reduced map, by outcome: its Kraus count and the margin of its
+    # rank cut, see CEFactorization.reduce_map
     rank_cuts: dict[str, tuple[int, float]] = field(default_factory=dict)
 
     @property
@@ -120,7 +117,8 @@ def reduce_ce(
         raise ValueError("the observables generate a non-unital algebra")
     fact = conditional_expectation(alg.decomposition)
 
-    maps, cuts = _reduce_maps(fact, ((k, ce.instrument.maps[k]) for k in ce.outcomes), tol)
+    reduced = {k: fact.reduce_map(ce.instrument.maps[k], tol) for k in ce.outcomes}
+    maps = {k: S for k, (S, _) in reduced.items()}
     model = ConditionalEvolution(instrument=Instrument(outcomes=ce.outcomes, maps=maps),
                                  output=_reduced_output_map(ce, fact))
     return ReducedCE(
@@ -132,15 +130,8 @@ def reduce_ce(
         original_dim=ce.dim,
         tol=tol,
         seed=seed,
-        rank_cuts=cuts,
+        rank_cuts={k: (len(S.kraus), margin) for k, (S, margin) in reduced.items()},
     )
-
-
-def _reduce_maps(fact: CEFactorization, maps, tol: float):
-    """R o S o J of each map of the (name, S) pairs, and each one's (Kraus count, margin) of the rank cut."""
-    reduced = {name: fact.reduce_map(S, tol) for name, S in maps}
-    return ({name: S for name, (S, _) in reduced.items()},
-            {name: (len(S.kraus), margin) for name, (S, margin) in reduced.items()})
 
 
 @dataclass(frozen=True)
@@ -172,10 +163,6 @@ class AssumptionReport:
     a4: AssumptionCheck
     lambdas: dict[str, complex]
 
-    @property
-    def any_holds(self) -> bool:
-        return self.a1.holds or self.a2.holds or self.a3.holds or self.a4.holds
-
 
 def check_assumptions(
     ce: ConditionalEvolution,
@@ -183,7 +170,10 @@ def check_assumptions(
     alg: BlockAlgebra,
     tol: float = DEFAULT_TOL,
 ) -> AssumptionReport:
-    """Evaluate the separability assumptions on a split-form model."""
+    """Evaluate the separability assumptions on a split-form model, with its reduction's
+    ``nperp`` and ``output_algebra``.  The reduction never reads them: when one holds, the
+    evolution and each effect may be reduced on their own through
+    :meth:`~cereduce.algebra.CEFactorization.reduce_map`."""
     if not ce.has_split:
         raise ValueError("assumption checks require the split (evolution, effects) form")
     x = map_coordinates([ce.instrument.maps[k] for k in ce.outcomes] + [ce.evolution])
@@ -205,38 +195,6 @@ def check_assumptions(
         a4=AssumptionCheck(holds=a4_res <= tol * 10, residual=a4_res),
         lambdas={k: complex(l) for k, l in zip(ce.outcomes, lam)},
     )
-
-
-@dataclass(frozen=True)
-class SeparableReduction:
-    """The reduction whose model holds the separately reduced evolution R o E o J and
-    effects R o K_k o J, and the assumption report that allowed it."""
-
-    recomposed: ReducedCE
-    assumptions: AssumptionReport
-
-
-def reduce_separably(
-    ce: ConditionalEvolution,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> SeparableReduction:
-    """Reduce the evolution map and the measurement effects individually.
-
-    Valid only when at least one of the separability assumptions holds;
-    refuses (with the report attached to the exception) otherwise.
-    """
-    joint = reduce_ce(ce, tol, seed)
-    report = check_assumptions(ce, joint.nperp, joint.output_algebra, tol)
-    if not report.any_holds:
-        exc = ValueError("no separability assumption holds; cannot reduce separably")
-        exc.report = report
-        raise exc
-    named = {"evolution": ce.evolution, **{f"effect {k}": ce.effects[k] for k in ce.outcomes}}
-    split, cuts = _reduce_maps(joint.factorization, named.items(), tol)
-    model = ConditionalEvolution(output=joint.model.output, evolution=split["evolution"],
-                                 effects={k: split[f"effect {k}"] for k in ce.outcomes})
-    return SeparableReduction(recomposed=replace(joint, model=model, rank_cuts=cuts), assumptions=report)
 
 
 @dataclass(frozen=True)

@@ -222,8 +222,19 @@ def ce_to_json(ce: ConditionalEvolution, extra: dict | None = None) -> dict:
 
 def _labelled(label: str, read, data, dim: int):
     """``read(data)``, which must be a dim x dim matrix or a map of dim x dim Kraus operators,
-    with errors naming the entry, such as ``instrument map '0'``."""
+    with errors naming the entry, such as ``instrument map '0'``.  A base64 entry's declared
+    "shape" is checked before any entry is decoded: [dim, dim] for a matrix or a Kraus
+    operator, [dim^2, dim^2] for a map's "matrix"; an entry of [re, im] rows is checked once read."""
     try:
+        if isinstance(data, dict) and "kraus" in data:
+            entries, d = data["kraus"], dim
+        elif isinstance(data, dict) and "matrix" in data:
+            entries, d = [data["matrix"]], dim * dim
+        else:
+            entries, d = [data], dim
+        for entry in entries:
+            if isinstance(entry, dict) and "c16" in entry and _shape(entry) != (d, d):
+                raise ValueError(f"shape {entry['shape']} is not the [{d}, {d}] of the model's 'dim'")
         X = read(data)
         shape = X.shape if isinstance(X, np.ndarray) else X.kraus[0].shape
         if shape != (dim, dim):

@@ -104,6 +104,15 @@ def with_output(ce, output):
     return ConditionalEvolution(instrument=ce.instrument, output=output)
 
 
+def separately_reduced(ce, red):
+    """The split model ``ce`` reduced one map at a time through the factorization of its
+    reduction ``red``: R o E o J and each R o K_k o J from ``reduce_map``, with ``red``'s
+    reduced output."""
+    fact = red.factorization
+    return ConditionalEvolution(output=red.model.output, evolution=fact.reduce_map(ce.evolution, red.tol)[0],
+                                effects={k: fact.reduce_map(ce.effects[k], red.tol)[0] for k in ce.outcomes})
+
+
 def enumerate_oracle(ce, rho0, T):
     """The table of ``enumerate_distribution`` in operator space: the outcome tree of
     unnormalized states, each level one stack that every instrument map advances in one

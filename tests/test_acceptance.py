@@ -19,7 +19,6 @@ from cereduce.reduction import (
     equivalence_check,
     random_density,
     reduce_ce,
-    reduce_separably,
 )
 from cereduce.trajectories import enumerate_distribution, total_variation
 from cereduce.zoo import (
@@ -37,6 +36,7 @@ from conftest import (
     propagate,
     random_ce,
     residual,
+    separately_reduced,
     structure_residual,
 )
 from test_algebra import acceptance_block_algebras, channel_checks_rect
@@ -136,12 +136,9 @@ def test_criterion_4_ising_p_half(isings):
     rep = check_assumptions(ce, red.nperp, red.output_algebra)
     ok &= rep.a1.holds and abs(rep.lambdas["-1"] - 2.0) <= 1e-9
     ok &= rep.a3.holds and rep.a3.residual <= 1e-9
-    sep = reduce_separably(ce, seed=0)
+    sep = separately_reduced(ce, red)
     for k in ce.outcomes:
-        dev = np.linalg.norm(
-            sep.recomposed.model.instrument.maps[k].matrix
-            - red.model.instrument.maps[k].matrix
-        )
+        dev = np.linalg.norm(sep.instrument.maps[k].matrix - red.model.instrument.maps[k].matrix)
         ok &= dev <= 1e-8
     ok &= elapsed <= 120.0
     report(4, "Ising p=0.5 separability", ok)

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cereduce import algebra, cli, observability, operators
+from cereduce import algebra, cli, observability, operators, reduction
 from cereduce.algebra import DegenerateAlgebraError
 from cereduce.cli import build_parser, cmd_zoo, main
 from cereduce.model import ConditionalEvolution, Instrument, OutputMap
 from cereduce.operators import Superoperator
-from cereduce.reduction import STEP_DEFECT_CUT, reduce_ce
+from cereduce.reduction import STEP_DEFECT_CUT, check_assumptions, reduce_ce
 from cereduce.serialize import (
     ce_from_json,
     ce_to_json,
@@ -106,7 +106,27 @@ class TestReduce:
         out = capsys.readouterr().out
         report = json.loads(out[: out.rindex("}") + 1])
         assert report["reduced_operator_dim"] == 3
-        assert report["assumptions"]["a3"]["holds"]
+        assert "assumptions" not in report and "lambdas" not in report
+        # the A1-A4 analysis is the library's, on the same reduction
+        ce = ce_from_json(load_json(str(model)))
+        red = reduce_ce(ce)
+        assert check_assumptions(ce, red.nperp, red.output_algebra).a3.holds
+
+    @pytest.mark.parametrize("zoo", [["ising", "--n", "4", "--p", "0.5", "--delta", "0.3"], ["walk", "--n", "3"]],
+                             ids=["ising4", "walk3"])
+    def test_reduce_never_checks_assumptions(self, zoo, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce ran the A1-A4 checks")
+
+        monkeypatch.setattr(reduction, "check_assumptions", refuse)
+        monkeypatch.setattr(cli, "check_assumptions", refuse, raising=False)
+        model = tmp_path / "m.json"
+        assert main(["zoo", *zoo, "-o", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", str(model), "--report", "json", "-o", str(tmp_path / "m.red.json")]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[: out.rindex("}") + 1])
+        assert "assumptions" not in report and "lambdas" not in report
 
     def test_rank_cuts_in_report_and_file(self, tmp_path, capsys):
         model, reduced = tmp_path / "ising.json", tmp_path / "ising.red.json"
@@ -142,7 +162,7 @@ class TestReduce:
         report = json.loads(out[: out.rindex("}") + 1])
         margin = report["nperp_margin"]
         assert list(margin) == ["kept", "dropped"] and 0 <= margin["dropped"] < margin["kept"]
-        assert ("assumptions" in report) == split
+        assert "assumptions" not in report and "lambdas" not in report
         assert "nperp_margin" not in reduced.read_text()
         assert main(["reduce", str(model), "-o", str(reduced)]) == 0
         assert (f"observable subspace margin: smallest kept residual {margin['kept']:.3e}, "
@@ -708,18 +728,19 @@ def _corrupted_kraus(tmp, model, reduced):
 
 
 def _short_observable(tmp, model, reduced):
-    # a dense entry one row short of its declared shape
+    # a dense entry one row short of its declared shape, the model's [dim, dim]
     doc = load_json(str(reduced))
     entry = doc["observables"][0]
-    entry["matrix"] = dense_entry(matrix_from_json(entry["matrix"]))
-    entry["matrix"]["shape"][0] += 1
+    entry["matrix"] = dense_entry(matrix_from_json(entry["matrix"])[:-1])
+    entry["matrix"]["shape"] = [3, 3]
     return ["simulate", _write(tmp / "short_observable.json", doc)]
 
 
 def _bitmap_of_other_shape(tmp, model, reduced):
-    # the identity of C^3 declared 3x9: a 4-byte bitmap cannot be held in the 4 characters of 2 bytes
+    # the identity of C^3 with the 4-byte bitmap of a 3x9 matrix: 8 characters, where the 2 bytes
+    # of its declared 3x3 take 4
     doc = load_json(str(reduced))
-    doc["observables"][0]["matrix"]["shape"] = [3, 9]
+    doc["observables"][0]["matrix"]["nonzero"] = b64(np.packbits(np.eye(3, 9, dtype=bool)).tobytes())
     return ["simulate", _write(tmp / "bitmap_of_other_shape.json", doc), "--samples", "2"]
 
 
@@ -832,16 +853,16 @@ ERROR_NAMES = {
     _corrupted_r: ["invalid reduction map", "'c16' is not strict base64"],
     _corrupted_kraus: ["invalid model document", "instrument map '0'", "'c16' is not strict base64"],
     _short_observable: ["invalid model document", "observable 'identity'", "'c16' of", "cannot hold"],
-    _bitmap_of_other_shape: ["invalid model document", "observable 'identity'", "'nonzero' of 4 characters",
-                             "the bitmap of a 3x9 matrix"],
+    _bitmap_of_other_shape: ["invalid model document", "observable 'identity'", "'nonzero' of 8 characters",
+                             "the bitmap of a 3x3 matrix"],
     _identity_declared_4x3: ["invalid model document", "observable 'identity'",
                              "shape [4, 3] is not the [3, 3] of the model's 'dim'"],
     _padding_bits_set: ["invalid reduction map", "'nonzero' sets padding bits past the 9 entries"],
     _entry_bytes_short: ["invalid model document", "instrument map '0'", "'c16' of", "cannot hold",
                          "marked complex128 entries"],
     _bitmap_not_base64: ["invalid model document", "split evolution", "'nonzero' is not strict base64"],
-    _huge_observable: ["invalid model document", "observable 'identity'", "'nonzero' of 4 characters",
-                       "cannot hold"],
+    _huge_observable: ["invalid model document", "observable 'identity'",
+                       "shape [1000000000, 1000000000] is not the [3, 3] of the model's 'dim'"],
     _inconsistent_blocks: ["reduction blocks [(1, 1), (1, 1), (1, 2)] do not split", "dimension 9"],
     _fractional_blocks: ["must be positive integers"],
     _duplicate_outcomes: ["invalid model document", "duplicate outcome labels in ['0', '0', '1', '2']"],

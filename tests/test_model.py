@@ -10,10 +10,19 @@ from cereduce.model import (
     validate_ce,
 )
 from cereduce.operators import Superoperator, unvec
-from cereduce.reduction import random_density, reduce_ce, reduce_separably
+from cereduce.reduction import random_density, reduce_ce
 from cereduce.trajectories import sample_trajectory
 from cereduce.zoo import ising_chain, measured_quantum_walk
-from conftest import SPLIT_MODELS, outputs, proj, random_ce, random_complex, vec, with_output
+from conftest import (
+    SPLIT_MODELS,
+    outputs,
+    proj,
+    random_ce,
+    random_complex,
+    separately_reduced,
+    vec,
+    with_output,
+)
 from test_trajectories import trajectory_probability
 
 
@@ -335,7 +344,8 @@ class TestSharedDualImages:
     @pytest.fixture(params=[*sorted(SPLIT_MODELS), "separable_recomposed"])
     def split_ce(self, request):
         if request.param == "separable_recomposed":
-            return reduce_separably(ising_chain(4, 0.5, 0.3)).recomposed.model
+            ce = ising_chain(4, 0.5, 0.3)
+            return separately_reduced(ce, reduce_ce(ce))
         return SPLIT_MODELS[request.param]()
 
     @staticmethod

@@ -28,6 +28,7 @@ from conftest import (
     random_ce,
     random_complex,
     residual,
+    separately_reduced,
     vec,
 )
 
@@ -296,11 +297,10 @@ class TestLinearReduceMatchesSchroedinger:
         self.assert_matches(ConditionalEvolution(instrument=ce.instrument, output=ce.output))
 
     def test_split_reduced_model(self):
-        from cereduce.reduction import reduce_separably
-
-        red = reduce_separably(measured_quantum_walk(4, seed=7)).recomposed
-        assert red.model.has_split
-        self.assert_matches(red.model)
+        ce = measured_quantum_walk(4, seed=7)
+        model = separately_reduced(ce, reduce_ce(ce))
+        assert model.has_split
+        self.assert_matches(model)
 
     def test_random_ce(self, rng):
         for _ in range(3):

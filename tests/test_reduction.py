@@ -17,7 +17,6 @@ from cereduce.reduction import (
     equivalence_check,
     random_density,
     reduce_ce,
-    reduce_separably,
 )
 from cereduce.trajectories import enumerate_distribution
 from cereduce.zoo import haar_unitary, ising_chain, measured_quantum_walk, walk_markov_oracle
@@ -30,6 +29,7 @@ from conftest import (
     projector_matrix,
     random_ce,
     read_off,
+    separately_reduced,
     vec,
     with_output,
 )
@@ -573,40 +573,23 @@ class TestMismatchedSplit:
 
 
 class TestSeparable:
-    def test_walk_effects_are_one_hot(self, walk4):
-        sep = reduce_separably(walk4, seed=0)
-        fact = sep.recomposed.factorization
-        Pbd = blockdiag_projector(fact)
+    def test_walk_effects_are_one_hot(self, walk4, walk4_red):
+        sep = separately_reduced(walk4, walk4_red)
+        Pbd = blockdiag_projector(walk4_red.factorization)
         for k in walk4.outcomes:
-            K = sep.recomposed.model.effects[k].matrix @ Pbd
+            K = sep.effects[k].matrix @ Pbd
             # each reduced effect keeps exactly one diagonal entry
             assert np.linalg.matrix_rank(K, tol=1e-9) == 1
-        Esum = sum(sep.recomposed.model.effects[k].matrix for k in walk4.outcomes) @ Pbd
+        Esum = sum(sep.effects[k].matrix for k in walk4.outcomes) @ Pbd
         assert np.allclose(Esum, Pbd, atol=1e-9)
 
     def test_recomposition_matches_joint(self):
         ce = ising_chain(4, 0.5, 0.3)
         joint = reduce_ce(ce, seed=0)
-        sep = reduce_separably(ce, seed=0)
+        sep = separately_reduced(ce, joint)
         for k in ce.outcomes:
-            dev = np.linalg.norm(
-                sep.recomposed.model.instrument.maps[k].matrix
-                - joint.model.instrument.maps[k].matrix
-            )
+            dev = np.linalg.norm(sep.instrument.maps[k].matrix - joint.model.instrument.maps[k].matrix)
             assert dev <= 1e-8
-
-    def test_refusal_when_no_assumption_holds(self, walk4, monkeypatch):
-        import cereduce.reduction as reduction_mod
-
-        class AllFalse:
-            any_holds = False
-
-        monkeypatch.setattr(
-            reduction_mod, "check_assumptions", lambda *a, **k: AllFalse()
-        )
-        with pytest.raises(ValueError) as exc_info:
-            reduce_separably(walk4, seed=0)
-        assert exc_info.value.report is not None
 
 
 def composed(fact, S):
@@ -673,16 +656,12 @@ class TestReducedMaps:
     @pytest.mark.parametrize("name", ["ising4-p0", "ising4-p0.5", "walk4"])
     def test_separable_maps_equal_to_composition(self, name):
         ce = MAP_MODELS[name]()
-        sep = reduce_separably(ce)
-        fact = sep.recomposed.factorization
-        model = sep.recomposed.model
+        red = reduce_ce(ce)
+        model = separately_reduced(ce, red)
         pairs = [(model.evolution, ce.evolution)] + [(model.effects[k], ce.effects[k]) for k in ce.outcomes]
         for got, S in pairs:
-            ref = composed(fact, S)
+            ref = composed(red.factorization, S)
             assert np.linalg.norm(got.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
-        cuts = sep.recomposed.rank_cuts
-        assert set(cuts) == {"evolution"} | {f"effect {k}" for k in ce.outcomes}
-        assert cuts["evolution"][0] == len(model.evolution.kraus)
 
     @pytest.mark.parametrize("N", [4, 5, 6, 7])
     @pytest.mark.parametrize("p", [0.0, 0.5])

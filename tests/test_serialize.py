@@ -1,11 +1,13 @@
 import base64
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cereduce import operators
 from cereduce.model import ConditionalEvolution, validate_ce
 from cereduce.reduction import equivalence_check, reduce_ce
 from cereduce.serialize import (
@@ -312,6 +314,21 @@ class TestModelDocuments:
         doc = ce_to_json(walk)
         entry(doc)["shape"] = [4, 3]
         with pytest.raises(ValueError, match=f"^{label}: shape \\[4, 3\\] is not the \\[3, 3\\] of the model's 'dim'"):
+            ce_from_json(doc)
+
+    @pytest.mark.parametrize("form, got, want", [("matrix", [1024, 1024], 256), ("kraus", [32, 32], 16)])
+    def test_map_of_other_dim_refused_before_any_payload(self, form, got, want, no_decoding, monkeypatch):
+        # Ising N=5's evolution in the dim-16 document of N=4: as a "matrix" it would form and
+        # factor a 1024x1024 Choi matrix before its Kraus operators could be found 32x32
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was factored")
+
+        monkeypatch.setattr(operators, "_kraus_from_matrix", refuse)
+        doc = ce_to_json(ising_chain(4, 0.5, 0.3))
+        E = ising_chain(5, 0.5, 0.3).evolution
+        doc["split"]["evolution"] = {"matrix": matrix_to_json(E.matrix)} if form == "matrix" else superop_to_json(E)
+        with pytest.raises(ValueError, match=re.escape(f"split evolution: shape {got} is not the [{want}, {want}] "
+                                                       "of the model's 'dim'")):
             ce_from_json(doc)
 
     @pytest.mark.parametrize("dim", [0, 3.0, "3", None])

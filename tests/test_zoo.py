@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from cereduce.model import validate_ce
 from cereduce.observability import nonobservable_complement
-from cereduce.reduction import random_density, reduce_separably
+from cereduce.reduction import equivalence_check, random_density, reduce_ce
 from cereduce.zoo import (
     haar_unitary,
     ising_chain,
@@ -11,7 +13,7 @@ from cereduce.zoo import (
     walk_is_generic,
     walk_markov_oracle,
 )
-from conftest import blockdiag_projector, outputs
+from conftest import blockdiag_projector, outputs, separately_reduced
 
 
 class TestWalk:
@@ -92,9 +94,9 @@ class TestIsingChain:
 
     def test_reduced_skip_effect_is_scalar(self):
         ce = ising_chain(4, 0.5, 0.3)
-        sep = reduce_separably(ce, seed=0)
-        Pbd = blockdiag_projector(sep.recomposed.factorization)
-        skip = sep.recomposed.model.effects["-1"].matrix
+        red = reduce_ce(ce, seed=0)
+        Pbd = blockdiag_projector(red.factorization)
+        skip = separately_reduced(ce, red).effects["-1"].matrix
         assert np.linalg.norm(skip @ Pbd - 0.5 * Pbd) < 1e-9
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
@@ -109,8 +111,23 @@ class TestIsingChain:
 
     def test_reduced_effects_preserve_trace(self):
         ce = ising_chain(4, 0.5, 0.3)
-        sep = reduce_separably(ce, seed=0)
-        D = sep.recomposed.factorization.reduced_hilbert_dim
+        red = reduce_ce(ce, seed=0)
+        sep = separately_reduced(ce, red)
+        D = red.factorization.reduced_hilbert_dim
         eye = np.eye(D, dtype=complex)
-        total = sum(sep.recomposed.model.effects[k].adjoint()(eye) for k in ce.outcomes)
+        total = sum(sep.effects[k].adjoint()(eye) for k in ce.outcomes)
         assert np.linalg.norm(total - eye) < 1e-9
+
+    @pytest.mark.parametrize("delta", [math.pi / 2, math.pi], ids=["pi/2", "pi"])
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_exceptional_couplings(self, N, p, delta):
+        # exp(-i delta X_j X_j+1) is -i X_j X_j+1 at delta = pi/2 and -1 at pi, so U is X_1 X_N or
+        # 1 up to a phase, and the observable subspace is spanned by the first qubit's Paulis times
+        # the last qubit's two projections in both regimes; the pairs certify with a root
+        # deviation of at most 1.1e-13 and a step defect of at most 1.7e-14
+        ce = ising_chain(N, p, delta)
+        red = reduce_ce(ce)
+        assert (red.nperp.dim, red.output_algebra.dim, red.reduced_dim) == (8, 8, 8)
+        assert red.blocks == ((2, 2**N // 4),) * 2
+        assert equivalence_check(ce, red).passed
