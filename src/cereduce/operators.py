@@ -18,7 +18,10 @@ Conventions used throughout the package:
   when it is built: elementwise when every Kraus operator is square and
   exactly diagonal, else through that matrix when the matvec is cheaper
   than the Kraus products and their overhead, else through the products,
-  which for one Kraus operator K are K (X K^dag) with no reshape; in
+  which for one Kraus operator K are K (X K^dag) with no reshape; the
+  products run on the rows R and columns C where some Kraus operator is
+  nonzero, X_CC through K_RC, with zeros outside R x R, so U P_k with a
+  projector P_k takes them on P_k's range alone; in
   that form one operator takes its products through ``ndarray.dot`` and
   a stack through ``@``: both reach the same BLAS gemm, and
   ``ndarray.dot`` through a lighter dispatch than the matmul gufunc,
@@ -32,6 +35,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -360,7 +364,19 @@ class Superoperator:
     used when that is below the out_dim^2 in_dim^2 of the dense matvec.
     The products are [K_1 ... K_r] @ stack_i(X K_i^dag), the stack formed
     by a reshape; with r = 1, as for every full zoo instrument map U D_k,
-    they are K (X K^dag), the same two products with no reshape.
+    they are K (X K^dag), the same two products with no reshape.  They run
+    on the support of the Kraus list, found once, here: the rows R and
+    columns C on which some K_i is nonzero.  The image is
+    sum_i K_iRC X_CC K_iRC^dag on R x R and zero elsewhere, so no entry of
+    X outside C x C is read, NaN included.  A support that is an
+    arithmetic progression, such as P_0's range on the last Ising qubit
+    (stride 2), is held as a slice, so X_CC is a view, and any other as an
+    index array.  A single row or column counts as the whole side, since
+    numpy takes a product with a 1 x 1 or one-row operand past gemm.
+    U P_k then takes a quarter of the first product and half of the
+    second, and its adjoint P_k U^dag the reverse; the form is still
+    priced at the full shape.  On the zoo's Ising maps at N = 4-7 the
+    image has the bytes of the full-size products.
     Long Kraus lists, and maps of at most 8x8 operators such as the
     reduced Ising maps, apply through the matrix.  :attr:`form` names the
     form chosen.  A stack
@@ -377,7 +393,7 @@ class Superoperator:
     own loop on a strided view may differ in the last bits.
     """
 
-    __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols", "_weights")
+    __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols", "_in", "_out", "_weights")
 
     def __init__(self, matrix: np.ndarray | None = None, kraus=None):
         if sum(given is None for given in (matrix, kraus)) != 1:
@@ -390,7 +406,7 @@ class Superoperator:
         if kraus[0].ndim != 2 or any(K.shape != kraus[0].shape for K in kraus):
             raise ValueError("Kraus operators must share a common shape")
         self.kraus = kraus
-        self._matrix = self._rows = self._cols = self._weights = None
+        self._matrix = self._rows = self._cols = self._in = self._out = self._weights = None
         no, ni = self.out_dim, self.in_dim = kraus[0].shape
         if no == ni and all(_is_diagonal(K) for K in kraus):
             # K X K^dag = X o (d d^dag) for K = diag(d)
@@ -398,9 +414,14 @@ class Superoperator:
             W = d.T @ d.conj()
             self._weights = W if W.imag.any() else W.real.copy()
         elif len(kraus) * (no * ni * ni + no * no * ni) + KRAUS_APPLY_OVERHEAD < no * no * ni * ni:
-            # sum_i K_i X K_i^dag = [K_1 ... K_r] @ stack_i(X K_i^dag)
-            self._rows = np.hstack(kraus)
-            self._cols = np.hstack([K.conj().T for K in kraus])
+            # on the rows R and columns C where some K_i is nonzero, sum_i K_i X K_i^dag is
+            # [K_1RC ... K_rRC] @ stack_i(X_CC K_iRC^dag) on R x R, and zero elsewhere
+            nonzero = functools.reduce(np.logical_or, (K != 0 for K in kraus))
+            R, self._out = _support(nonzero.any(axis=1))
+            C, self._in = _support(nonzero.any(axis=0))
+            restricted = [K[R][:, C] for K in kraus]
+            self._rows = np.hstack(restricted)
+            self._cols = np.hstack([K.conj().T for K in restricted])
 
     @property
     def form(self) -> str:
@@ -430,14 +451,23 @@ class Superoperator:
             raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
         rows = self._rows
         if rows is not None:
+            lead = X.shape[:-2]
+            if self._in is not None:
+                X = X[self._in]
             # one operator goes through ndarray.dot, a stack through matmul: the same BLAS gemm
             one = X.ndim == 2
             Y = X.dot(self._cols) if one else X @ self._cols
             r = len(self.kraus)
             if r > 1:
-                lead, no = X.shape[:-2], self.out_dim
-                Y = Y.reshape(*lead, ni, r, no).swapaxes(-3, -2).reshape(*lead, r * ni, no)
-            return rows.dot(Y) if one else rows @ Y
+                c, m = X.shape[-1], len(rows)
+                Y = Y.reshape(*lead, c, r, m).swapaxes(-3, -2).reshape(*lead, r * c, m)
+            Y = rows.dot(Y) if one else rows @ Y
+            if self._out is None:
+                return Y
+            no = self.out_dim
+            out = np.zeros((*lead, no, no), dtype=complex)
+            out[self._out] = Y
+            return out
         if self._weights is not None:
             return X * self._weights
         lead, no = X.shape[:-2], self.out_dim
@@ -462,6 +492,30 @@ class Superoperator:
 
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return self.compose(other)
+
+
+def _support(nonzero: np.ndarray) -> tuple[slice | np.ndarray, tuple | None]:
+    """The indices I at which the mask ``nonzero`` holds, as one selector of an axis, and the
+    key of the square I x I of an operator of its size: None when I is all of them, a view
+    when I is an arithmetic progression or empty, else the two index arrays of the square.
+
+    A single index counts as all of them: numpy hands a product with a 1 x 1 or one-row
+    operand to its scalar or vector kernels, which round otherwise than gemm, so one
+    operator's image would part from its image in a stack.
+    """
+    index = np.flatnonzero(nonzero)
+    k = len(index)
+    if k in (1, len(nonzero)):
+        return slice(None), None
+    if k == 0:
+        return slice(0, 0), (..., slice(0, 0), slice(0, 0))
+    first, last = int(index[0]), int(index[-1])
+    step = (last - first) // (k - 1)
+    # k indices, all on the k points of this progression, are those points
+    if step * (k - 1) == last - first and nonzero[first:last + 1:step].all():
+        span = slice(first, last + 1, step)
+        return span, (..., span, span)
+    return index, (..., index[:, None], index)
 
 
 def _is_diagonal(K: np.ndarray) -> bool:

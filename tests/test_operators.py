@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -889,6 +890,137 @@ class TestOneOperatorApply:
             assert Y.shape == (T.out_dim, T.out_dim)
             assert Y.tobytes() == T(X[None])[0].tobytes()
             assert Y.tobytes() == matmul_apply(T, X).tobytes()
+
+
+def support_kinds(n, rng):
+    """Sorted index sets of 0..n-1, by kind: arithmetic ones, another, one, none and all."""
+    other = np.sort(rng.choice(n, n // 2, replace=False))
+    while len(set(np.diff(other).tolist())) < 2:
+        other = np.sort(rng.choice(n, n // 2, replace=False))
+    return {"stride3": np.arange(1, n, 3), "halves": np.arange(n // 2, n), "random": other,
+            "one": np.array([n - 2]), "empty": np.array([], dtype=int), "full": np.arange(n)}
+
+
+class TestSupportApply:
+    """A products-form map applies on the rows R and columns C where some Kraus operator is
+    nonzero: X_CC goes through K_RC, and the image is zero outside R x R."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("N", [4, 5, 6, 7])
+    def test_zoo_maps_match_the_full_size_products_byte_for_byte(self, N, p, rng):
+        ce = ising_chain(N, p, 0.3)
+        n = ce.dim
+        for k, S in ce.instrument.maps.items():
+            # U P_k is nonzero on every other column, its adjoint on every other row
+            assert (S._in is not None, S._out) == (k != "-1", None)
+            assert (S.adjoint()._in, S.adjoint()._out is not None) == (None, k != "-1")
+            for T in (S, S.adjoint()):
+                assert T.form == "products"
+                X = random_complex(rng, (n, n))
+                strided = random_complex(rng, (2 * n, 2 * n))[::2, ::2]
+                for Y in (X, np.asfortranarray(X), strided):
+                    assert T(Y).tobytes() == general_products_apply(T, Y).tobytes()
+                stack = random_complex(rng, (3, n, n))
+                for Y in (stack, stack[:, ::-1]):
+                    assert T(Y).tobytes() == general_products_apply(T, Y).tobytes()
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("shape", [(16, 16), (12, 24), (24, 12)], ids=str)
+    def test_random_supports_match_the_kraus_sum(self, shape, r, rng):
+        no, ni = shape
+        rows, cols = support_kinds(no, rng), support_kinds(ni, rng)
+        for (rk, R), (ck, C) in itertools.product(rows.items(), cols.items()):
+            kraus = np.zeros((r, no, ni), dtype=complex)
+            kraus[:, R[:, None], C] = random_complex(rng, (r, len(R), len(C)))
+            S = Superoperator(kraus=list(kraus))
+            X = random_complex(rng, (2, ni, ni))
+            ref = np.array([sum(K @ Xi @ K.conj().T for K in kraus) for Xi in X])
+            for Y, want in ((X, ref), (X[0], ref[0])):
+                got = S(Y)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+            if S.form != "products":
+                continue
+            if "empty" in (rk, ck):  # the zero map: no row and no column
+                rk = ck = "empty"
+            # white box: a single index or all of them apply at full size, an arithmetic
+            # support through a view, any other through its index arrays
+            for kind, key in ((rk, S._out), (ck, S._in)):
+                if kind in ("one", "full"):
+                    assert key is None
+                elif kind == "random":
+                    assert not isinstance(key[1], slice)
+                else:
+                    assert isinstance(key[1], slice)
+            if ck in ("stride3", "halves"):
+                assert np.shares_memory(X[S._in], X)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=str)
+    def test_nan_outside_the_columns_leaves_the_image_finite(self, lead, rng):
+        # 0 * NaN is NaN, so the full-size products would spread it over the image
+        n = 16
+        kraus = np.zeros((2, n, n), dtype=complex)
+        kraus[:, :, ::2] = random_complex(rng, (2, n, n // 2))
+        S = Superoperator(kraus=list(kraus))
+        X = random_complex(rng, (*lead, n, n))
+        clean = S(X)
+        X[..., 1, 1] = X[..., 0, 3] = X[..., 5, 2] = np.nan
+        Y = S(X)
+        assert np.isfinite(Y).all()
+        assert Y.tobytes() == clean.tobytes()
+
+    def test_a_single_column_applies_at_full_size(self, rng):
+        # numpy takes a 1 x 1 operand of ndarray.dot through its scalar kernel, whose rounding
+        # would part one operator's image from its image in a stack
+        for S in measured_quantum_walk(10, seed=0).instrument.maps.values():
+            assert S.form == "products" and S._in is None and S._out is None
+            X = random_complex(rng, (10, 10))
+            assert S(X).tobytes() == S(X[None])[0].tobytes()
+
+    def test_zero_map_maps_everything_to_zero(self):
+        S = Superoperator(kraus=[np.zeros((16, 32))])
+        assert S.form == "products"
+        X = np.full((2, 32, 32), np.nan, dtype=complex)
+        assert S(X).shape == (2, 16, 16) and not S(X).any() and not S(X[0]).any()
+
+
+# The form each map applied in before maps applied on their support, by kind of map; each
+# kind's adjoints apply in its form too
+ISING_FORMS = {"evolution": "products", "effect": "elementwise", "map": "products",
+               "reduced": "matrix", "R": "matrix", "J": "matrix"}
+
+
+def walk_forms(n):
+    # a one-Kraus map on n x n operators takes its products from n = 9 up
+    small = "products" if n >= 9 else "matrix"
+    return {**ISING_FORMS, "evolution": small, "map": small}
+
+
+def maps_by_kind(ce):
+    """(kind, map) for the split parts, the composed maps, the reduced maps, R and J, each
+    map followed by its adjoint."""
+    red = reduce_ce(ce)
+    maps = [("evolution", ce.evolution), *(("effect", S) for S in ce.effects.values()),
+            *(("map", S) for S in ce.instrument.maps.values()),
+            *(("reduced", S) for S in red.model.instrument.maps.values()),
+            ("R", red.factorization.R), ("J", red.factorization.J)]
+    return [(kind, T) for kind, S in maps for T in (S, S.adjoint())]
+
+
+class TestFormGuard:
+    """Restricting the products to the support moves no map to another form."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("N", [4, 5, 6, 7, 8])
+    def test_ising(self, N, p):
+        for kind, S in maps_by_kind(ising_chain(N, p, 0.3)):
+            assert S.form == ISING_FORMS[kind], kind
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_walk(self, n):
+        forms = walk_forms(n)
+        for kind, S in maps_by_kind(measured_quantum_walk(n, seed=0)):
+            assert S.form == forms[kind], kind
 
 
 class TestElementwiseApply:

@@ -359,6 +359,28 @@ def test_products_form_records_are_bit_identical_to_the_divided_step(make):
         assert [y.tobytes() for y in rec.outputs] == [y.tobytes() for y in outputs]
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("N", [5, 6])
+def test_full_and_reduced_records_agree_from_a_pure_state(N, p):
+    # from 1/n every sigma output is at most 2.2e-15, so only a start state that polarizes
+    # the first qubit lets the outputs, read on the full maps' supports, show a difference
+    ce = ising_chain(N, p, 0.3)
+    red = reduce_ce(ce)
+    rho0 = np.zeros((ce.dim, ce.dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    tau0 = red.reduction_map(rho0)
+    largest = 0.0
+    for seed in range(50):
+        full = sample_trajectory(ce, rho0, 20, rng_seed=seed)
+        reduced = sample_trajectory(red.model, tau0, 20, rng_seed=seed)
+        assert full.outcomes == reduced.outcomes
+        assert np.max(np.abs(np.subtract(full.probabilities, reduced.probabilities))) <= 1e-12
+        assert np.max(np.abs(np.subtract(full.outputs, reduced.outputs))) <= 1e-12
+        # column 0 is the identity's output, 1 at every step
+        largest = max(largest, float(np.max(np.abs(np.array(full.outputs)[:, 1:]))))
+    assert largest > 1e-2
+
+
 def test_step_matrices_are_built_once(monkeypatch):
     ce, rho0 = DRAW_MODELS["swap3"]()
     first = sample_trajectory(ce, rho0, 6, rng_seed=1)
