@@ -22,6 +22,7 @@ __all__ = [
     "Instrument",
     "OutputMap",
     "ConditionalEvolution",
+    "StepMatrices",
     "ValidationReport",
     "validate_ce",
 ]
@@ -105,6 +106,28 @@ class OutputMap:
         return None
 
 
+@dataclass(frozen=True)
+class StepMatrices:
+    """The filter's step matrices on their support; see :meth:`ConditionalEvolution.step_matrices`.
+
+    ``support`` is I, the sorted row-major entries of an n x n state that a
+    step or the readout reads or that a step writes, and ``readout`` the
+    readout's I-columns, so ``readout.dot(rho.take(support))`` is the
+    readout of rho.  ``steps`` holds, per outcome in declaration order, its
+    step matrix on I, or None.  When I is every entry, ``gather`` is None
+    and each step matrix is whole.  Otherwise the product of a step matrix
+    with x = rho.take(support) holds the I-entries of M_k(rho), one zero,
+    then the readout of M_k(rho); indexed with ``gather`` it gives M_k(rho)
+    flattened row-major, each entry outside I taken from the zero, then
+    that readout: the product of the whole step matrix with vec_r(rho).
+    """
+
+    support: np.ndarray
+    readout: np.ndarray
+    steps: tuple[np.ndarray | None, ...]
+    gather: np.ndarray | None
+
+
 @dataclass(frozen=True, kw_only=True)
 class ConditionalEvolution:
     """An instrument + output map, or a split model: an evolution after the effects.
@@ -162,32 +185,59 @@ class ConditionalEvolution:
             object.__setattr__(self, "_readout", rows)
         return rows
 
-    def step_matrices(self) -> tuple[np.ndarray | None, ...]:
-        """Per outcome in declaration order, its read-only filter step matrix F_k, or None; built once.
+    def step_matrices(self) -> StepMatrices:
+        """The quantum filter's read-only step matrices, on the state entries they act on;
+        built once.
 
         An outcome whose map applies through its matrix (see
-        :class:`~cereduce.operators.Superoperator`) gets
+        :class:`~cereduce.operators.Superoperator`) has the step matrix
         F_k = [A_k; readout() A_k], with A_k = conj(M_k.matrix) the map on the
         row-major vec that :meth:`readout` reads: vec_r(K X K^dag) =
-        (K otimes conj(K)) vec_r(X).  So ``F_k @ rho.reshape(-1)`` holds
-        M_k(rho) flattened in its first n^2 entries, then the readout of
-        M_k(rho).  Outcomes in the elementwise or products form get None.
+        (K otimes conj(K)) vec_r(X).  So F_k vec_r(rho) holds M_k(rho)
+        flattened in its first n^2 entries, then the readout of M_k(rho).
+        An outcome in the elementwise or products form has none (None).
+        When every outcome has one, the support I is read off the exact
+        zeros: the row-major entries that some A_k reads or writes, or that
+        the readout reads.  A step reads no other entry and writes each as
+        zero, so each F_k is held on I (see :class:`StepMatrices`): its
+        I-rows, one zero row and its readout rows, on its I-columns,
+        |I| + 1 + r by |I| with r readout rows.  On a reduced model I is
+        the block positions of the output algebra, and |I| = dim A: 32 of
+        the 64 entries of a reduced Ising chain at p = 0.5, 16 at p = 0 and
+        n of the n^2 of a reduced walk.  Otherwise I is every entry and
+        each F_k is held whole.
         """
-        steps = self.__dict__.get("_steps")
-        if steps is None:
+        held = self.__dict__.get("_steps")
+        if held is None:
             readout = self.readout()
-            steps = []
-            for k in self.outcomes:
-                S = self.instrument.maps[k]
-                F = None
-                if S.form == "matrix":
-                    A = S.matrix.conj()
-                    F = np.vstack([A, readout @ A])
-                    F.flags.writeable = False
-                steps.append(F)
-            steps = tuple(steps)
-            object.__setattr__(self, "_steps", steps)
-        return steps
+            n2, r = self.dim ** 2, len(readout)
+            A = [S.matrix.conj() if S.form == "matrix" else None
+                 for S in (self.instrument.maps[k] for k in self.outcomes)]
+            F = [None if a is None else np.vstack([a, readout @ a]) for a in A]
+            used = np.ones(n2, dtype=bool)
+            if all(a is not None for a in A):
+                # the columns the readout or some A_k reads, and the rows some A_k writes
+                used = np.logical_or.reduce([(M != 0).any(axis=0)
+                                             for M in (readout, *A, *(a.T for a in A))])
+            support = np.flatnonzero(used)
+            k, gather = len(support), None
+            if k < n2:
+                # the I-rows, the row of the first entry outside I, zero in every F_k, and the
+                # readout rows; C order, since numpy hands an F-ordered matrix to another BLAS
+                # kernel, which rounds otherwise than the whole matrix's
+                rows = np.concatenate([support, np.flatnonzero(~used)[:1], n2 + np.arange(r)])
+                F = [None if f is None else np.ascontiguousarray(f[np.ix_(rows, support)])
+                     for f in F]
+                readout = np.ascontiguousarray(readout[:, support])
+                gather = np.full(n2 + r, k)
+                gather[support] = np.arange(k)
+                gather[n2:] = np.arange(k + 1, k + 1 + r)
+            for a in (support, readout, gather, *F):
+                if a is not None:
+                    a.flags.writeable = False
+            held = StepMatrices(support, readout, tuple(F), gather)
+            object.__setattr__(self, "_steps", held)
+        return held
 
     def dual_images(self) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
         """The function X -> the images M_k^dag(X) of every outcome k, in declaration order.

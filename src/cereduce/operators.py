@@ -365,8 +365,10 @@ class Superoperator:
     The products are [K_1 ... K_r] @ stack_i(X K_i^dag), the stack formed
     by a reshape; with r = 1, as for every full zoo instrument map U D_k,
     they are K (X K^dag), the same two products with no reshape.  They run
-    on the support of the Kraus list, found once, here: the rows R and
-    columns C on which some K_i is nonzero.  The image is
+    on the support of the Kraus list, found on the first apply and kept, so
+    that a map built and never applied, such as the instrument composed
+    for a split model that is only reduced, does not pay for it: the rows
+    R and columns C on which some K_i is nonzero.  The image is
     sum_i K_iRC X_CC K_iRC^dag on R x R and zero elsewhere, so no entry of
     X outside C x C is read, NaN included.  A support that is an
     arithmetic progression, such as P_0's range on the last Ising qubit
@@ -393,7 +395,8 @@ class Superoperator:
     own loop on a strided view may differ in the last bits.
     """
 
-    __slots__ = ("kraus", "in_dim", "out_dim", "_matrix", "_rows", "_cols", "_in", "_out", "_weights")
+    __slots__ = ("kraus", "in_dim", "out_dim", "_form", "_matrix", "_rows", "_cols", "_in", "_out",
+                 "_weights")
 
     def __init__(self, matrix: np.ndarray | None = None, kraus=None):
         if sum(given is None for given in (matrix, kraus)) != 1:
@@ -408,27 +411,32 @@ class Superoperator:
         self.kraus = kraus
         self._matrix = self._rows = self._cols = self._in = self._out = self._weights = None
         no, ni = self.out_dim, self.in_dim = kraus[0].shape
+        self._form = "matrix"
         if no == ni and all(_is_diagonal(K) for K in kraus):
             # K X K^dag = X o (d d^dag) for K = diag(d)
             d = np.array([np.diagonal(K) for K in kraus])
             W = d.T @ d.conj()
             self._weights = W if W.imag.any() else W.real.copy()
+            self._form = "elementwise"
         elif len(kraus) * (no * ni * ni + no * no * ni) + KRAUS_APPLY_OVERHEAD < no * no * ni * ni:
-            # on the rows R and columns C where some K_i is nonzero, sum_i K_i X K_i^dag is
-            # [K_1RC ... K_rRC] @ stack_i(X_CC K_iRC^dag) on R x R, and zero elsewhere
-            nonzero = functools.reduce(np.logical_or, (K != 0 for K in kraus))
-            R, self._out = _support(nonzero.any(axis=1))
-            C, self._in = _support(nonzero.any(axis=0))
-            restricted = [K[R][:, C] for K in kraus]
-            self._rows = np.hstack(restricted)
-            self._cols = np.hstack([K.conj().T for K in restricted])
+            self._form = "products"
 
     @property
     def form(self) -> str:
         """The apply form fixed at construction: "elementwise", "products" or "matrix"."""
-        if self._weights is not None:
-            return "elementwise"
-        return "matrix" if self._rows is None else "products"
+        return self._form
+
+    def _restrict(self) -> np.ndarray:
+        """The products form's support, found on its first apply: sets and returns ``_rows``."""
+        # on the rows R and columns C where some K_i is nonzero, sum_i K_i X K_i^dag is
+        # [K_1RC ... K_rRC] @ stack_i(X_CC K_iRC^dag) on R x R, and zero elsewhere
+        nonzero = functools.reduce(np.logical_or, (K != 0 for K in self.kraus))
+        R, self._out = _support(nonzero.any(axis=1))
+        C, self._in = _support(nonzero.any(axis=0))
+        restricted = [K[R][:, C] for K in self.kraus]
+        self._cols = np.hstack([K.conj().T for K in restricted])
+        self._rows = np.hstack(restricted)
+        return self._rows
 
     @property
     def matrix(self) -> np.ndarray:
@@ -450,6 +458,8 @@ class Superoperator:
         if X.shape[-2:] != (ni, ni):
             raise ValueError(f"expected {ni}x{ni} operators, got shape {X.shape}")
         rows = self._rows
+        if rows is None and self._form == "products":
+            rows = self._restrict()
         if rows is not None:
             lead = X.shape[:-2]
             if self._in is not None:

@@ -5,7 +5,10 @@ one outcome is drawn, only its map is applied and the result is scaled
 by the inverse of the drawn probability; the model's readout matrix then
 gives both this step's outputs and the next step's outcome probabilities
 tr[E_k rho].  For an outcome whose map applies through its matrix, the
-map and the readout are one product with its step matrix.  Probabilities
+map and the readout are one product with its step matrix, which reads
+and writes only the state's entries on the steps' support I: on a
+reduced model the block positions of its output algebra, dim A of the
+n^2 entries.  Probabilities
 never underflow on long records; the product of the per-step conditional
 probabilities recovers the joint probability of the record.  Enumeration
 walks the outcome tree on the model's minimal linear realization, built
@@ -94,14 +97,23 @@ def sample_trajectory(
     ``Generator``; trajectory batches should spawn child seeds so streams
     stay independent.  ``rho0`` must be one n x n operator: any other shape
     raises ValueError naming it.  The loop holds the state also flattened
-    row-major, x, as the readout and the step matrices read it.  A step of
-    an outcome whose map applies through its matrix is one product
-    ``F_k.dot(x)`` with its
-    :meth:`~cereduce.model.ConditionalEvolution.step_matrices` entry, which
-    yields the new x and its readout at once; any other outcome's step
+    row-major, x, on the support I of
+    :meth:`~cereduce.model.ConditionalEvolution.step_matrices`, taken from
+    ``rho0`` once: its entries outside I are never read, so a NaN there
+    leaves the record finite.  A step of an outcome whose map applies
+    through its matrix is one product ``F_k.dot(x)`` with its step matrix
+    on I, |I| + 1 + r rows by |I| columns with r the readout's rows, which
+    yields the new x and its readout at once; when I is not every entry,
+    one gather of that product then forms the step's n x n state, zero
+    outside I, followed by its readout.  On a reduced model |I| = dim A,
+    the dimension of its output algebra, so a step costs about
+    (dim A + r) dim A multiply-adds and not (n^2 + r) n^2.  When some
+    outcome has no step matrix, I is every entry, and that outcome's step
     is one map apply and one product ``readout.dot(x)`` with
     :meth:`~cereduce.model.ConditionalEvolution.readout`.  Either way the
     result is scaled in place by 1 / p_k, and ``rho0`` is never written to.
+    A step's state and outputs share at most one buffer, of n^2 + r
+    entries, so no array of the record keeps another step's alive.
     The draw runs on Python floats with the operations of
     ``Generator.choice``, in its order, from one uniform u per step, so a
     seed gives the same record as ``rng.choice(len(p), p=p / p.sum())`` on
@@ -126,10 +138,11 @@ def sample_trajectory(
     rho = _checked_state(rho0, n)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     readout = ce.readout()
-    steps = ce.step_matrices()
-    # x is the state flattened row-major, as the readout and the step matrices read it
-    x = rho.ravel()
-    q = readout.dot(x)
+    held = ce.step_matrices()
+    steps, gather, k = held.steps, held.gather, len(held.support)
+    # x is the state flattened row-major, on the support the step matrices read
+    x = rho.ravel() if gather is None else rho.take(held.support)
+    q = held.readout.dot(x)
     outcomes, probs, states, outputs, clamped = [], [], [], [], []
     for t, u in enumerate(rng.random(T).tolist()):
         p = q[:m].real.tolist()
@@ -167,8 +180,13 @@ def sample_trajectory(
         else:
             q = F.dot(x)
             q *= 1.0 / pk
-            x = q[:n * n]
-            rho = x.reshape(n, n)
+            x = q[:k]
+            if gather is None:
+                rho = x.reshape(n, n)
+            else:
+                # the whole state, each entry outside the support from the product's zero
+                q = q[gather]
+                rho = q[:n * n].reshape(n, n)
             q = q[n * n:]
         outcomes.append(labels[idx])
         probs.append(pk)

@@ -188,17 +188,27 @@ class TestPOVM:
     def test_step_matrices_give_the_image_then_its_readout(self, name):
         ce = POVM_MODELS[name]()
         rho = random_density(ce.dim, np.random.default_rng(3))
-        steps = ce.step_matrices()
-        assert steps is ce.step_matrices() and len(steps) == len(ce.outcomes)
-        for k, F in zip(ce.outcomes, steps):
+        held = ce.step_matrices()
+        assert held is ce.step_matrices() and len(held.steps) == len(ce.outcomes)
+        size = len(held.support)
+        assert (held.gather is None) == (size == ce.dim ** 2)
+        x = rho.take(held.support)
+        assert np.max(np.abs(held.readout @ x - ce.readout() @ rho.reshape(-1))) <= 1e-13
+        for k, F in zip(ce.outcomes, held.steps):
             S = ce.instrument.maps[k]
             assert (F is None) == (S.form != "matrix")
             if F is None:
                 continue
-            assert not F.flags.writeable
             image = S(rho)
             want = np.concatenate([image.reshape(-1), ce.readout() @ image.reshape(-1)])
-            assert np.max(np.abs(F @ rho.reshape(-1) - want)) <= 1e-13
+            got = F @ x
+            if held.gather is not None:
+                # the I-entries, one zero, then the readout
+                assert got[size] == 0 and F.shape == (size + 1 + len(ce.readout()), size)
+                got = got[held.gather]
+            assert np.max(np.abs(got - want)) <= 1e-13
+        for a in (held.support, held.readout, held.gather, *held.steps):
+            assert a is None or not a.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(POVM_MODELS))
     def test_normalization_residual_matches_adjoint_sum(self, name):

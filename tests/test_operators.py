@@ -704,11 +704,13 @@ class TestApplyForms:
 
     def test_apply_matches_dense_matvec(self, case, rng):
         S, via_kraus = case
-        # white box: the form fixed at construction, and the matrix not yet built
-        assert (S._rows is not None) == via_kraus
+        # white box: the form fixed at construction, the support found on the first apply,
+        # and the matrix not yet built
+        assert S._rows is None
         assert S.form == ("products" if via_kraus else "matrix")
         X = random_complex(rng, (S.in_dim, S.in_dim))
         Y = S(X)
+        assert (S._rows is not None) == via_kraus
         assert (S._matrix is None) == via_kraus
         ref = dense_apply(S, X)
         assert Y.shape == (S.out_dim, S.out_dim)
@@ -773,9 +775,9 @@ class TestStackedApply:
     def test_stack_matches_slices(self, name, lead, rng):
         r, no, ni, via_kraus = self.CASES[name]
         S = Superoperator(kraus=[random_complex(rng, (no, ni)) for _ in range(r)])
-        assert (S._rows is not None) == via_kraus
         X = random_complex(rng, (*lead, ni, ni))
         Y = S(X)
+        assert (S._rows is not None) == via_kraus
         assert Y.shape == (*lead, no, no)
         for idx in np.ndindex(*lead):
             ref = sum(K @ X[idx] @ K.conj().T for K in S.kraus)
@@ -911,10 +913,8 @@ class TestSupportApply:
         ce = ising_chain(N, p, 0.3)
         n = ce.dim
         for k, S in ce.instrument.maps.items():
-            # U P_k is nonzero on every other column, its adjoint on every other row
-            assert (S._in is not None, S._out) == (k != "-1", None)
-            assert (S.adjoint()._in, S.adjoint()._out is not None) == (None, k != "-1")
-            for T in (S, S.adjoint()):
+            adjoint = S.adjoint()
+            for T in (S, adjoint):
                 assert T.form == "products"
                 X = random_complex(rng, (n, n))
                 strided = random_complex(rng, (2 * n, 2 * n))[::2, ::2]
@@ -923,6 +923,9 @@ class TestSupportApply:
                 stack = random_complex(rng, (3, n, n))
                 for Y in (stack, stack[:, ::-1]):
                     assert T(Y).tobytes() == general_products_apply(T, Y).tobytes()
+            # U P_k is nonzero on every other column, its adjoint on every other row
+            assert (S._in is not None, S._out) == (k != "-1", None)
+            assert (adjoint._in, adjoint._out is not None) == (None, k != "-1")
 
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("shape", [(16, 16), (12, 24), (24, 12)], ids=str)
@@ -973,9 +976,29 @@ class TestSupportApply:
         # numpy takes a 1 x 1 operand of ndarray.dot through its scalar kernel, whose rounding
         # would part one operator's image from its image in a stack
         for S in measured_quantum_walk(10, seed=0).instrument.maps.values():
-            assert S.form == "products" and S._in is None and S._out is None
             X = random_complex(rng, (10, 10))
             assert S(X).tobytes() == S(X[None])[0].tobytes()
+            assert S.form == "products" and S._rows is not None
+            assert S._in is None and S._out is None
+
+    def test_the_support_is_found_on_the_first_apply_and_kept(self, monkeypatch, rng):
+        # reduce_ce and equivalence_check build a split model's composed instrument maps but
+        # apply only the evolution's and the effects' duals, so no support is found for them
+        ce = ising_chain(4, 0.5, 0.3)
+        red = reduce_ce(ce)
+        equivalence_check(ce, red)
+        maps = list(ce.instrument.maps.values())
+        assert all(S.form == "products" and S._rows is None for S in maps)
+        X = random_complex(rng, (ce.dim, ce.dim))
+        first = [S(X) for S in maps]
+        assert all(S._rows is not None for S in maps)
+
+        def refuse(*args):
+            raise AssertionError("a second apply looked for the support")
+
+        monkeypatch.setattr(operators, "_support", refuse)
+        assert [S(X).tobytes() for S in maps] == [Y.tobytes() for Y in first]
+        assert [S(X[None])[0].tobytes() for S in maps] == [Y.tobytes() for Y in first]
 
     def test_zero_map_maps_everything_to_zero(self):
         S = Superoperator(kraus=[np.zeros((16, 32))])
@@ -1094,10 +1117,10 @@ class TestElementwiseApply:
         kraus[1][n - 1, 0] = 1e-300
         S = Superoperator(kraus=kraus)
         assert S._weights is None
-        assert (S._rows is not None) == via_kraus
         X = random_complex(rng, (n, n))
         ref = self.kraus_apply(kraus, X)
         assert np.linalg.norm(S(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert (S._rows is not None) == via_kraus
 
     def test_rectangular_diagonal_is_not_elementwise(self):
         S = Superoperator(kraus=[np.eye(3, 4)])

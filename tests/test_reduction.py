@@ -688,8 +688,8 @@ class TestReducedMaps:
         red = reduce_ce(ce)
         assert red.model.dim == 8
         for k in ce.outcomes:
-            assert ce.instrument.maps[k]._rows is not None
-            assert red.model.instrument.maps[k]._rows is None
+            assert ce.instrument.maps[k].form == "products"
+            assert red.model.instrument.maps[k].form == "matrix"
 
 
 def test_random_density_properties(rng):

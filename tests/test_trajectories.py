@@ -29,6 +29,7 @@ from conftest import (
     outputs,
     proj,
     random_ce,
+    random_complex,
     swap3_ce,
 )
 
@@ -235,13 +236,26 @@ def matmul_map(S, X):
     return np.hstack(S.kraus) @ Y.swapaxes(0, 1).reshape(r * n, S.out_dim)
 
 
+def dense_steps(ce):
+    """Per outcome its whole step matrix [A_k; readout A_k] on all n^2 entries, with
+    A_k = conj(M_k.matrix), or None for a map that does not apply through its matrix."""
+    readout = ce.readout()
+    steps = []
+    for k in ce.outcomes:
+        S = ce.instrument.maps[k]
+        A = S.matrix.conj() if S.form == "matrix" else None
+        steps.append(None if A is None else np.vstack([A, readout @ A]))
+    return steps
+
+
 def matmul_trajectory(ce, rho0, T, seed):
-    """sample_trajectory's loop with every product through @ on a fresh ravel, and the draw
-    through itertools.accumulate and bisect_right, as it read before the loop was trimmed."""
+    """sample_trajectory's loop with every product through @ on a fresh ravel, each step
+    matrix whole, and the draw through itertools.accumulate and bisect_right, as it read
+    before the loop was trimmed."""
     rng = np.random.default_rng(seed)
     rho = np.asarray(rho0, dtype=complex)
     maps = [ce.instrument.maps[k] for k in ce.outcomes]
-    readout, steps = ce.readout(), ce.step_matrices()
+    readout, steps = ce.readout(), dense_steps(ce)
     m, n = len(maps), ce.dim
     q = readout @ rho.ravel()
     outcomes, probs, states, outputs = [], [], [], []
@@ -284,6 +298,92 @@ def test_records_are_bit_identical_to_the_matmul_loop(name, layout):
         assert rec.outcomes == outcomes and rec.probabilities == probs
         assert [x.tobytes() for x in rec.states] == [x.tobytes() for x in states]
         assert [y.tobytes() for y in rec.outputs] == [y.tobytes() for y in outputs]
+
+
+def block_positions(blocks):
+    """The row-major entries of the diagonal d_S x d_S squares of a reduced model's blocks."""
+    D = sum(dS for dS, _ in blocks)
+    mask = np.zeros((D, D), dtype=bool)
+    start = 0
+    for dS, _ in blocks:
+        mask[start:start + dS, start:start + dS] = True
+        start += dS
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda N=N, p=p: ising_chain(N, p, 0.3), id=f"ising{N}-p{p}")
+      for N in (4, 5, 6, 7) for p in (0.0, 0.5)),
+    *(pytest.param(lambda n=n: measured_quantum_walk(n, seed=0), id=f"walk{n}") for n in range(3, 11)),
+])
+def test_reduced_steps_act_on_the_output_algebra(make):
+    # the support is the block positions, dim A of the D^2 entries: 16 (p = 0) or 32
+    # (p = 0.5) for Ising at any N, and the n diagonal entries for a walk
+    red = reduce_ce(make())
+    held = red.model.step_matrices()
+    size, D, r = len(held.support), red.model.dim, len(red.model.readout())
+    assert size == red.output_algebra.dim < D * D
+    assert np.array_equal(held.support, block_positions(red.blocks))
+    if all(dS == 1 for dS, _ in red.blocks):
+        assert size == D
+    assert held.readout.shape == (r, size)
+    assert all(F.shape == (size + 1 + r, size) for F in held.steps)
+
+
+# reduced models whose support is part of the D^2 entries
+SUPPORT_MODELS = ["ising4-reduced", "ising4-p0-reduced", "ising5-reduced", "walk5-reduced"]
+
+
+def outside_support(ce, rng):
+    """A Hermitian operator with random entries outside the support of ce's steps, zero on it."""
+    D = ce.dim
+    X = random_complex(rng, (D, D))
+    X = X + X.conj().T
+    X.reshape(-1)[ce.step_matrices().support] = 0
+    assert np.count_nonzero(X)
+    return X
+
+
+@pytest.mark.parametrize("name", SUPPORT_MODELS)
+def test_entries_outside_the_support_are_never_read(name):
+    # the whole step matrices' columns outside I are zero, so the dense oracle reads them
+    # and still gives the bytes of a start state without them
+    ce, rho0 = DRAW_MODELS[name]()
+    noisy = rho0 + outside_support(ce, np.random.default_rng(7))
+    for seed in range(20):
+        rec = sample_trajectory(ce, noisy, 12, rng_seed=seed)
+        clean = sample_trajectory(ce, rho0, 12, rng_seed=seed)
+        outcomes, probs, states, outputs = matmul_trajectory(ce, noisy, 12, seed)
+        for other in ((clean.outcomes, clean.probabilities, clean.states, clean.outputs),
+                      (outcomes, probs, states, outputs)):
+            assert rec.outcomes == other[0] and rec.probabilities == other[1]
+            assert [x.tobytes() for x in rec.states] == [x.tobytes() for x in other[2]]
+            assert [y.tobytes() for y in rec.outputs] == [y.tobytes() for y in other[3]]
+
+
+@pytest.mark.parametrize("name", SUPPORT_MODELS)
+def test_nan_outside_the_support_leaves_the_record_finite(name):
+    # the whole step matrices would spread it: 0 * NaN is NaN
+    ce, rho0 = DRAW_MODELS[name]()
+    outside = outside_support(ce, np.random.default_rng(8)) != 0
+    bad = np.where(outside, np.nan, rho0)
+    for seed in range(10):
+        rec = sample_trajectory(ce, bad, 12, rng_seed=seed)
+        clean = sample_trajectory(ce, rho0, 12, rng_seed=seed)
+        assert all(np.isfinite(x).all() for x in rec.states + rec.outputs)
+        assert rec.outcomes == clean.outcomes and rec.probabilities == clean.probabilities
+        assert [x.tobytes() for x in rec.states] == [x.tobytes() for x in clean.states]
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_MODELS))
+def test_a_step_keeps_alive_only_its_own_state_and_readout(name):
+    # a state and its outputs may share one buffer of n^2 + r entries, the step's, but no
+    # array of a record holds more, so that a record holds no whole-record buffer
+    ce, rho0 = DRAW_MODELS[name]()
+    step_size = ce.dim ** 2 + len(ce.readout())
+    rec = sample_trajectory(ce, rho0, 30, rng_seed=4)
+    for a in rec.states + rec.outputs:
+        assert a.base is None or a.base.size <= step_size
 
 
 class FixedUniforms(np.random.Generator):
@@ -350,7 +450,8 @@ def divided_step_trajectory(ce, rho0, T, seed):
 def test_products_form_records_are_bit_identical_to_the_divided_step(make):
     ce, rho0 = _mixed(make())
     assert {S.form for S in ce.instrument.maps.values()} == {"products"}
-    assert ce.step_matrices() == (None,) * len(ce.outcomes)
+    held = ce.step_matrices()
+    assert held.steps == (None,) * len(ce.outcomes) and held.gather is None
     for seed in range(20):
         rec = sample_trajectory(ce, rho0, 8, rng_seed=seed)
         outcomes, probs, states, outputs = divided_step_trajectory(ce, rho0, 8, seed)
@@ -385,7 +486,7 @@ def test_step_matrices_are_built_once(monkeypatch):
     ce, rho0 = DRAW_MODELS["swap3"]()
     first = sample_trajectory(ce, rho0, 6, rng_seed=1)
     steps = ce.step_matrices()
-    assert steps[0] is None and steps[1].shape == (9 + 2 + 2, 9)
+    assert steps.steps[0] is None and steps.steps[1].shape == (9 + 2 + 2, 9)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a second call built a step matrix")
@@ -502,7 +603,7 @@ def wrong_start_shapes(n):
 @pytest.mark.parametrize("name", ["ising4-full", "ising4-reduced"])
 def test_sampling_refuses_a_start_state_of_the_wrong_shape_with_no_draw(name):
     ce, rho0 = DRAW_MODELS[name]()
-    assert {F is None for F in ce.step_matrices()} == {name.endswith("full")}
+    assert {F is None for F in ce.step_matrices().steps} == {name.endswith("full")}
     n = ce.dim
     for shape in wrong_start_shapes(n):
         bad = np.resize(rho0, shape)
